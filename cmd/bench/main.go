@@ -18,7 +18,10 @@
 // trajectory.
 //
 //	go run ./cmd/bench -out BENCH_PR10.json -baseline BENCH_PR9.json
-//	go run ./cmd/bench -quick   # CI smoke: few steps, still all cases
+//	go run ./cmd/bench -quick -out /tmp/smoke.json   # CI smoke: few steps, still all cases
+//
+// A -quick run is a different measurement, not a comparable record: it
+// refuses to write a file named like the trajectory's, BENCH_PR*.json.
 package main
 
 import (
@@ -28,6 +31,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -122,6 +126,10 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (taken after all cases) to this file")
 	flag.Parse()
+	if *quick && isTrajectoryRecord(*out) {
+		fmt.Fprintf(os.Stderr, "bench: refusing to write %s from -quick: a 3-step smoke is not comparable with the full BENCH_PR*.json records; give -out another name or drop -quick\n", *out)
+		os.Exit(2)
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -571,4 +579,10 @@ func (rec *Record) compare(path string) error {
 			rec.Cases[i].Name, rec.Cases[i].SpeedupVsBaseline)
 	}
 	return nil
+}
+
+// isTrajectoryRecord reports whether path is named like a BENCH_PR record.
+func isTrajectoryRecord(path string) bool {
+	ok, _ := filepath.Match("BENCH_PR*.json", filepath.Base(path))
+	return ok
 }

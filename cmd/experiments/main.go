@@ -284,6 +284,7 @@ func (h *harness) phases() error {
 		return err
 	}
 	fmt.Println("paper: collide 39%, sort 27%, select 20%, move+bc 14%")
+	fmt.Println("note: the reference engine's own breakdown (PhaseSeconds, dsmc_engine_phase_seconds) books cell indexing under move+boundary, so against this table its move share reads about two points higher and its sort share as much lower")
 	out, err := os.Create(filepath.Join(h.outDir, "phases.txt"))
 	if err != nil {
 		return err

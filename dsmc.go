@@ -400,7 +400,9 @@ func (s *Simulation) SampleDensity(steps int) *Field {
 }
 
 // PhaseSeconds returns the cumulative wall-clock seconds per algorithm
-// phase (move+boundary, sort, select, collide).
+// phase (move+boundary, sort, select, collide). On the Reference backend
+// cell indexing is part of move+boundary, not of sort as in the paper's
+// table (see engine.Phase).
 func (s *Simulation) PhaseSeconds() map[string]float64 {
 	out := map[string]float64{}
 	if s.ref != nil {

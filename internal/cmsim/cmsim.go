@@ -184,6 +184,10 @@ func (s *Sim) initParticles(flowTarget int) {
 	w := float64(c.NX)
 	h := float64(c.NY)
 	placedEnd := flowTarget
+	var body geom.Body
+	if c.Wedge != nil {
+		body = c.Wedge.Prepare()
+	}
 	s.m.Update(8, func(i int) {
 		r := &s.lanes[i]
 		if i < placedEnd {
@@ -191,7 +195,7 @@ func (s *Sim) initParticles(flowTarget int) {
 			for {
 				px := r.Float64() * w
 				py := r.Float64() * h
-				if c.Wedge != nil && c.Wedge.Contains(geom.Vec2{X: px, Y: py}) {
+				if c.Wedge != nil && body.Contains(geom.Vec2{X: px, Y: py}) {
 					continue
 				}
 				s.x[i] = int32(fixed.FromFloat(px))

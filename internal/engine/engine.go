@@ -4,9 +4,9 @@
 // over the storage precision (float32 halves the memory traffic of the
 // cell-major sweeps; float64 reproduces the pre-unification backends bit
 // for bit) and over a small Domain interface carrying the
-// dimension-specific parts: grid indexing, boundary conditions, and the
-// serial bookkeeping around them. The paper's point is that one
-// data-parallel formulation serves every geometry; this package is that
+// dimension-specific parts: boundary conditions with the grid indexing
+// folded in, and the serial bookkeeping around them. The paper's point is
+// that one data-parallel formulation serves every geometry; this is that
 // formulation, with internal/sim (wind tunnel + wedge) and internal/sim3
 // (piston-driven shock tube) reduced to geometry and configuration
 // adapters over it.
@@ -53,7 +53,7 @@ var (
 func init() {
 	for p := Phase(0); p < numPhases; p++ {
 		mPhase[p] = obs.Default.NewHistogram("dsmc_engine_phase_seconds",
-			"Per-step wall time of one pipeline phase.",
+			"Per-step wall time of one pipeline phase; cell indexing is booked under move+boundary, not sort.",
 			obs.DurationBuckets, obs.L{K: "phase", V: p.String()})
 	}
 }
@@ -61,10 +61,13 @@ func init() {
 // Phase identifies one of the four sub-steps for timing breakdowns.
 type Phase int
 
-// The four sub-steps of a time step, as the paper reports them.
+// The four sub-steps of a time step, as the paper reports them, except
+// that the cell index is computed by the move pass, not the sort: against
+// the paper's table move+boundary reads about two points of a step
+// higher and sort as much lower.
 const (
-	PhaseMove    Phase = iota // collisionless motion + boundary conditions
-	PhaseSort                 // cell indexing and ordering
+	PhaseMove    Phase = iota // collisionless motion + boundary conditions + cell indexing
+	PhaseSort                 // ordering by the cell column: histogram, scatter, in-cell shuffle
 	PhaseSelect               // candidate pairing and the selection rule
 	PhaseCollide              // collision of selected partners
 	numPhases
@@ -108,27 +111,26 @@ type StreamLayout struct {
 }
 
 // Domain supplies the dimension-specific parts of the pipeline. Methods
-// prefixed Pre/Post run serially on the stepping goroutine; Boundary and
-// CellOf run inside sharded passes and must only touch shard-local or
-// read-only state (plus their disjoint particle ranges).
+// prefixed Pre/Post run serially on the stepping goroutine; Boundary
+// runs inside the sharded move pass and must only touch shard-local or
+// read-only state (plus its disjoint particle range).
+//
+// The cell column is the domain's to keep: the move pass is the only
+// sweep of a step that reads positions, and the sort plans from
+// Store.Cell as it finds it. Boundary must leave Cell[i] the grid cell of
+// the position as stored for every particle it keeps, PostMove for every
+// particle it appends (Store.RemoveSwap carries the column).
 type Domain[F kernel.Float] interface {
-	// CellIndexer returns the per-particle cell lookup the fused
-	// sort+scatter plans with. Called once at engine construction (never
-	// per particle), so implementations return a closure prebuilt over
-	// their grid that reads the engine's live store at call time — the
-	// hot histogram loop then pays one indirect call per particle, not
-	// an interface dispatch on top.
-	CellIndexer() func(i int) int32
 	// PreMove runs before the sharded move pass (advance the
 	// plunger/piston, reset per-worker exit state).
 	PreMove()
 	// Boundary enforces the boundary conditions on particles [lo, hi) of
-	// shard w, after the advance kernel has moved them. The engine tiles
-	// each shard (advance a cache-resident tile, then bound it), so
-	// Boundary is called several times per shard in ascending, disjoint
-	// ranges: implementations must append to per-worker state, resetting
-	// it in PreMove. Membership changes must be deferred to PostMove
-	// (record, don't remove).
+	// shard w, after the advance kernel has moved them, and writes their
+	// cell index. The engine tiles each shard (advance a cache-resident
+	// tile, then bound it), so Boundary is called several times per shard
+	// in ascending, disjoint ranges: implementations must append to
+	// per-worker state, resetting it in PreMove. Membership changes must
+	// be deferred to PostMove (record, don't remove).
 	Boundary(st *particle.Store[F], w, lo, hi int)
 	// PostMove runs after the move pass (remove exited particles, refill
 	// the plunger void).
@@ -221,7 +223,6 @@ type Engine[F kernel.Float] struct {
 	fnMoveBound func(w, lo, hi int)
 	fnSelCol    func(w, lo, hi int)
 	fnScheme    func(w, lo, hi int)
-	cellOfFn    func(i int) int32
 	swapFn      func(i, j int)
 
 	// Owner-computes state (Config.Regions). cellBounds partitions the
@@ -290,7 +291,6 @@ func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store, shado
 		e.fnSelCol = e.selColSplitShard
 	}
 	e.fnScheme = e.schemeShard
-	e.cellOfFn = dom.CellIndexer()
 	e.swapFn = func(i, j int) { e.store.Swap(i, j) }
 	if cfg.Regions {
 		e.cellBounds = make([]int32, w+1)
@@ -494,8 +494,9 @@ func (e *Engine[F]) moveBoundaries() {
 // moveTile is the particle count the move pass advances before handing
 // the same range to the domain's boundary sweep: small enough that the
 // just-written position columns are still cache-resident when the
-// boundary checks re-read them (four float64 columns of 1024 particles
-// are 32 KiB), large enough to amortize the per-tile call.
+// boundary checks and the cell indexing re-read them (four float64
+// columns of 1024 particles are 32 KiB), large enough to amortize the
+// per-tile call.
 const moveTile = 1024
 
 //dsmc:hotpath
@@ -515,28 +516,28 @@ func (e *Engine[F]) moveBoundShard(w, lo, hi int) {
 	}
 }
 
-// sortByCell makes the store cell-major: every particle's cell index is
-// computed, the stable scatter writes the full payload into the shadow
-// store at its cell-major position, the buffers are swapped — sort and
-// physical reorder fused into one sharded pass — and the records inside
-// each cell span are shuffled in place (the role of the paper's sort with
-// the scaled-and-dithered key, candidates re-randomised every step).
-// After this, cell c's particles are the contiguous index range
-// cellStart[c]:cellStart[c+1] of the arrays.
+// sortByCell makes the store cell-major: the cell column the move pass
+// left current is histogrammed, the stable scatter writes the full
+// payload into the shadow store at its cell-major position, the buffers
+// are swapped — sort and physical reorder fused into one sharded pass —
+// and the records inside each cell span are shuffled in place (the role
+// of the paper's sort with the scaled-and-dithered key, candidates
+// re-randomised every step). After this, cell c's particles are the
+// contiguous index range cellStart[c]:cellStart[c+1] of the arrays.
 //
 //dsmc:hotpath
 func (e *Engine[F]) sortByCell() {
 	st := e.store
 	if !e.regions {
-		e.sorter.Plan(st.Len(), st.Cell, e.cellOfFn)
+		e.sorter.Plan(st.Len(), st.Cell, nil)
 		e.sorter.ScatterStore(st, e.shadow)
 		e.store, e.shadow = e.shadow, e.store
 		e.sorter.Shuffle(e.cfg.Seed, e.Epoch(e.cfg.Layout.Sort), e.swapFn)
 		return
 	}
-	// Owner-computes sort. The histogram re-reads each region's own
-	// segment (clamped: PostMove may have removed exits from the global
-	// end or appended refills, both of which only resize the last span);
+	// Owner-computes sort. The histogram sweeps the cell column of each
+	// region's own segment (clamped: PostMove may have removed exits from
+	// the global end or appended refills, which only resizes the last span);
 	// the regions are then rebalanced by particle count, and the region
 	// scatter drains every region's buckets in (source-region,
 	// source-index) order — the migrant exchange. Same stable order as
@@ -552,9 +553,9 @@ func (e *Engine[F]) sortByCell() {
 			e.planSeg[r] = v
 		}
 		e.planSeg[w] = int32(n)
-		e.sorter.PlanSpans(e.planSeg, st.Cell, e.cellOfFn)
+		e.sorter.PlanSpans(e.planSeg, st.Cell, nil)
 	} else {
-		e.sorter.Plan(n, st.Cell, e.cellOfFn)
+		e.sorter.Plan(n, st.Cell, nil)
 	}
 	e.rebalanceRegions(n)
 	e.sorter.ScatterStoreRegions(st, e.shadow, e.cellBounds)

@@ -15,7 +15,6 @@ import (
 // cell, no boundaries.
 type stubDomain[F kernel.Float] struct{}
 
-func (stubDomain[F]) CellIndexer() func(i int) int32                { return func(int) int32 { return 0 } }
 func (stubDomain[F]) PreMove()                                      {}
 func (stubDomain[F]) Boundary(st *particle.Store[F], w, lo, hi int) {}
 func (stubDomain[F]) PostMove()                                     {}

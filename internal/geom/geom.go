@@ -79,21 +79,49 @@ func (w Wedge) Vertices() [3]Vec2 {
 
 // Contains reports whether p is strictly inside the wedge body.
 func (w Wedge) Contains(p Vec2) bool {
-	if p.X <= w.LeadX || p.X >= w.TrailX() || p.Y <= 0 {
-		return false
-	}
-	return p.Y < (p.X-w.LeadX)*math.Tan(w.Angle)
+	b := w.Prepare()
+	return b.Contains(p)
 }
 
-// Faces returns the two gas-facing faces of the wedge: the ramp
-// (hypotenuse) and the vertical back face. The base coincides with the
-// lower wall and is never gas-facing.
-func (w Wedge) Faces() [2]Face {
+// Body is the prepared form of a Wedge and the single definition of
+// "inside the body": the base interval, the ramp slope and the two
+// gas-facing faces (the base lies on the lower wall and never is) are
+// computed once, so the per-particle tests of the move pass evaluate no
+// trigonometry. The wedge must be valid (Base > 0, Angle in (0, π/2);
+// sim.Config.Validate enforces it) for the slope to be positive and finite.
+type Body struct {
+	LeadX, TrailX float64
+	Slope         float64 // tan(Angle)
+	Ramp          Face    // hypotenuse: outward up-left normal
+	Back          Face    // vertical back face: downstream normal
+}
+
+// Prepare returns the prepared form of the wedge.
+func (w Wedge) Prepare() Body {
 	s, c := math.Sin(w.Angle), math.Cos(w.Angle)
-	return [2]Face{
-		{P: Vec2{w.LeadX, 0}, N: Vec2{-s, c}},   // ramp: outward up-left normal
-		{P: Vec2{w.TrailX(), 0}, N: Vec2{1, 0}}, // back face: downstream normal
+	return Body{
+		LeadX: w.LeadX, TrailX: w.TrailX(), Slope: math.Tan(w.Angle),
+		Ramp: Face{P: Vec2{w.LeadX, 0}, N: Vec2{-s, c}},
+		Back: Face{P: Vec2{w.TrailX(), 0}, N: Vec2{1, 0}},
 	}
+}
+
+// Contains reports whether p is strictly inside the body.
+func (b *Body) Contains(p Vec2) bool {
+	if p.X <= b.LeadX || p.X >= b.TrailX || p.Y <= 0 {
+		return false
+	}
+	return p.Y < (p.X-b.LeadX)*b.Slope
+}
+
+// NearestFace returns the gas-facing face with the smallest penetration
+// depth for an interior point — the surface a just-moved particle most
+// plausibly crossed during the step.
+func (b *Body) NearestFace(p Vec2) Face {
+	if b.Back.Depth(p) < b.Ramp.Depth(p) {
+		return b.Back
+	}
+	return b.Ramp
 }
 
 // Tunnel is the wind-tunnel domain: x in [0, W], y in [0, H], with up to
@@ -101,23 +129,48 @@ func (w Wedge) Faces() [2]Face {
 // double-wedge scenario; nil for the paper's single-body runs). The
 // upstream (x=0) boundary is the plunger, owned by the simulation; the
 // downstream (x=W) boundary is the soft sink, also owned by the
-// simulation.
+// simulation. It is the description; Prepare yields the form the
+// boundary tests run on.
 type Tunnel struct {
 	W, H   float64
 	Wedge  *Wedge
 	Wedge2 *Wedge
 }
 
-// ContainingWedge returns the wedge strictly containing p, or nil. The
-// wedges are disjoint by construction (the simulation validates it), so
-// at most one can contain a point; Wedge is checked first, preserving
-// the single-body behaviour bit for bit.
-func (t *Tunnel) ContainingWedge(p Vec2) *Wedge {
-	if t.Wedge != nil && t.Wedge.Contains(p) {
-		return t.Wedge
+// PreparedTunnel is a Tunnel with its bodies prepared (Wedge first; they
+// are disjoint, so at most one contains a point).
+type PreparedTunnel struct {
+	W, H   float64
+	Bodies []Body
+}
+
+// Prepare returns the prepared form of the tunnel.
+func (t Tunnel) Prepare() PreparedTunnel {
+	pt := PreparedTunnel{W: t.W, H: t.H}
+	for _, w := range [...]*Wedge{t.Wedge, t.Wedge2} {
+		if w != nil {
+			pt.Bodies = append(pt.Bodies, w.Prepare())
+		}
 	}
-	if t.Wedge2 != nil && t.Wedge2.Contains(p) {
-		return t.Wedge2
+	return pt
+}
+
+// Hit is the move pass's fast reject: it reports whether a just-moved
+// particle at (x, y) lies beyond a hard wall or strictly inside a body,
+// i.e. whether ReflectSpecular would change it. Comparisons only, and
+// small enough to inline into the boundary loop.
+//
+//dsmc:hotpath
+func (t *PreparedTunnel) Hit(x, y float64) bool {
+	return y < 0 || y > t.H || t.ContainingBody(Vec2{x, y}) != nil
+}
+
+// ContainingBody returns the body strictly containing p, or nil.
+func (t *PreparedTunnel) ContainingBody(p Vec2) *Body {
+	for k := range t.Bodies {
+		if t.Bodies[k].Contains(p) {
+			return &t.Bodies[k]
+		}
 	}
 	return nil
 }
@@ -129,11 +182,11 @@ const maxBounces = 8
 
 // ReflectSpecular applies the paper's inviscid boundary interaction to a
 // particle that has just completed its collisionless move: positions
-// beyond the hard walls or inside the wedge are mirrored across the
+// beyond the hard walls or inside a body are mirrored across the
 // violated surface and the normal velocity component is reversed. The
 // mirroring iterates to handle corners (wall+ramp). Returns the corrected
 // position and velocity.
-func (t *Tunnel) ReflectSpecular(p, v Vec2) (Vec2, Vec2) {
+func (t *PreparedTunnel) ReflectSpecular(p, v Vec2) (Vec2, Vec2) {
 	for b := 0; b < maxBounces; b++ {
 		if p.Y < 0 {
 			p.Y = -p.Y
@@ -145,8 +198,8 @@ func (t *Tunnel) ReflectSpecular(p, v Vec2) (Vec2, Vec2) {
 			if v.Y > 0 {
 				v.Y = -v.Y
 			}
-		} else if w := t.ContainingWedge(p); w != nil {
-			f := nearestWedgeFace(w, p)
+		} else if body := t.ContainingBody(p); body != nil {
+			f := body.NearestFace(p)
 			p = f.MirrorPosition(p)
 			v = f.ReflectVelocity(v)
 		} else {
@@ -159,44 +212,26 @@ func (t *Tunnel) ReflectSpecular(p, v Vec2) (Vec2, Vec2) {
 	return p, v
 }
 
-// nearestWedgeFace returns the wedge face with the smallest penetration
-// depth for an interior point — the surface the particle most plausibly
-// crossed during the step.
-func nearestWedgeFace(w *Wedge, p Vec2) Face {
-	faces := w.Faces()
-	best := faces[0]
-	bestDepth := best.Depth(p)
-	if d := faces[1].Depth(p); d < bestDepth {
-		best, bestDepth = faces[1], d
-	}
-	return best
-}
-
-// NearestFace returns the gas-facing face of w with the smallest
-// penetration depth for an interior point (the surface a just-moved
-// particle most plausibly crossed).
-func (w *Wedge) NearestFace(p Vec2) Face { return nearestWedgeFace(w, p) }
-
-// clampFree nudges a position to the domain interior outside the wedges.
-func (t *Tunnel) clampFree(p Vec2) Vec2 {
+// clampFree nudges a position to the domain interior outside the bodies.
+func (t *PreparedTunnel) clampFree(p Vec2) Vec2 {
 	if p.Y < 0 {
 		p.Y = 0
 	}
 	if p.Y > t.H {
 		p.Y = t.H
 	}
-	if w := t.ContainingWedge(p); w != nil {
-		f := nearestWedgeFace(w, p)
+	if body := t.ContainingBody(p); body != nil {
+		f := body.NearestFace(p)
 		p = p.Add(f.N.Scale(f.Depth(p) + 1e-9))
 	}
 	return p
 }
 
 // Inside reports whether p lies in the gas region of the tunnel
-// (within the walls and outside the wedges).
-func (t *Tunnel) Inside(p Vec2) bool {
+// (within the walls and outside the bodies).
+func (t *PreparedTunnel) Inside(p Vec2) bool {
 	if p.Y < 0 || p.Y > t.H || p.X < 0 || p.X > t.W {
 		return false
 	}
-	return t.ContainingWedge(p) == nil
+	return t.ContainingBody(p) == nil
 }

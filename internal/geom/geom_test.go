@@ -50,7 +50,8 @@ func TestWedgeContains(t *testing.T) {
 
 func TestFaceNormalsAreUnitAndOutward(t *testing.T) {
 	w := paperWedge()
-	faces := w.Faces()
+	b := w.Prepare()
+	faces := [2]Face{b.Ramp, b.Back}
 	for i, f := range faces {
 		if math.Abs(f.N.Norm()-1) > 1e-12 {
 			t.Errorf("face %d normal not unit: %v", i, f.N)
@@ -94,7 +95,7 @@ func TestReflectVelocityOnlyWhenIncoming(t *testing.T) {
 
 func TestReflectVelocityPreservesSpeed(t *testing.T) {
 	w := paperWedge()
-	ramp := w.Faces()[0]
+	ramp := w.Prepare().Ramp
 	f := func(vx, vy float64) bool {
 		v := Vec2{math.Mod(vx, 3), math.Mod(vy, 3)}
 		r := ramp.ReflectVelocity(v)
@@ -106,7 +107,7 @@ func TestReflectVelocityPreservesSpeed(t *testing.T) {
 }
 
 func TestTunnelWallReflection(t *testing.T) {
-	tun := &Tunnel{W: 98, H: 64}
+	tun := Tunnel{W: 98, H: 64}.Prepare()
 	// Below the floor.
 	p, v := tun.ReflectSpecular(Vec2{10, -0.3}, Vec2{0.5, -0.2})
 	if math.Abs(p.Y-0.3) > 1e-12 || v.Y != 0.2 {
@@ -126,7 +127,7 @@ func TestTunnelWallReflection(t *testing.T) {
 
 func TestTunnelWedgeReflection(t *testing.T) {
 	w := paperWedge()
-	tun := &Tunnel{W: 98, H: 64, Wedge: &w}
+	tun := Tunnel{W: 98, H: 64, Wedge: &w}.Prepare()
 	// A particle that has just punched slightly through the ramp.
 	surfY := func(x float64) float64 { return (x - 20) * math.Tan(30*deg) }
 	p0 := Vec2{30, surfY(30) - 0.05}
@@ -139,14 +140,14 @@ func TestTunnelWedgeReflection(t *testing.T) {
 		t.Errorf("specular reflection must preserve speed")
 	}
 	// Velocity must now move away from the ramp.
-	if w.Faces()[0].N.Dot(v) < 0 {
+	if w.Prepare().Ramp.N.Dot(v) < 0 {
 		t.Errorf("velocity still into the ramp after reflection")
 	}
 }
 
 func TestTunnelBackFaceReflection(t *testing.T) {
 	w := paperWedge()
-	tun := &Tunnel{W: 98, H: 64, Wedge: &w}
+	tun := Tunnel{W: 98, H: 64, Wedge: &w}.Prepare()
 	// Particle in the wake hitting the vertical back face from downstream.
 	p0 := Vec2{44.9, 3}
 	v0 := Vec2{-0.5, 0}
@@ -167,7 +168,7 @@ func TestTunnelBackFaceReflection(t *testing.T) {
 // legal position.
 func TestCornerPocketTerminates(t *testing.T) {
 	w := paperWedge()
-	tun := &Tunnel{W: 98, H: 64, Wedge: &w}
+	tun := Tunnel{W: 98, H: 64, Wedge: &w}.Prepare()
 	p, _ := tun.ReflectSpecular(Vec2{20.4, -0.2}, Vec2{0.7, -0.5})
 	if !tun.Inside(p) {
 		t.Errorf("corner reflection produced illegal position %v", p)
@@ -176,7 +177,7 @@ func TestCornerPocketTerminates(t *testing.T) {
 
 func TestReflectionPropertyNeverInsideWedge(t *testing.T) {
 	w := paperWedge()
-	tun := &Tunnel{W: 98, H: 64, Wedge: &w}
+	tun := Tunnel{W: 98, H: 64, Wedge: &w}.Prepare()
 	r := rng.NewStream(11)
 	for i := 0; i < 20000; i++ {
 		p0 := Vec2{r.Float64() * 98, r.Float64()*64 - 2}
@@ -193,7 +194,7 @@ func TestReflectionPropertyNeverInsideWedge(t *testing.T) {
 
 func TestInside(t *testing.T) {
 	w := paperWedge()
-	tun := &Tunnel{W: 98, H: 64, Wedge: &w}
+	tun := Tunnel{W: 98, H: 64, Wedge: &w}.Prepare()
 	if !tun.Inside(Vec2{5, 5}) {
 		t.Errorf("free point must be inside")
 	}
@@ -285,4 +286,62 @@ func TestVecOps(t *testing.T) {
 	if math.Abs(Vec2{3, 4}.Norm()-5) > 1e-15 {
 		t.Errorf("Norm")
 	}
+}
+
+// FuzzBoundaryReject pins the move pass's fast reject to the boundary
+// treatment it guards: Hit says "skip" only where ReflectSpecular returns
+// its inputs bit for bit, and says "hit" exactly where the definition
+// the prepared form replaced — walls by comparison, bodies by a
+// math.Tan per call — finds a violated surface. The second wedge sits
+// gap cells behind the first; base2 <= 0 leaves the tunnel single-body.
+func FuzzBoundaryReject(f *testing.F) {
+	const h, lead, base, angle = 64.0, 20.0, 25.0, 30 * deg
+	const gap, base2, angle2 = 5.0, 10.0, 20 * deg
+	ramp := func(x float64) float64 { return (x - lead) * math.Tan(angle) }
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, p := range []Vec2{
+		{10, 30}, {30, 1}, // free stream, deep inside
+		{lead, 0.5}, {lead + base, 5}, // x == LeadX, x == TrailX
+		{30, 0}, {30, math.Copysign(0, -1)}, {30, h}, // y == 0, -0, H
+		{30, -0.3}, {30, h + 0.3}, // beyond each wall
+		{lead + base, ramp(lead + base)}, {lead, 0}, // apex, leading edge
+		{30, ramp(30)}, {30, math.Nextafter(ramp(30), 0)}, {30, math.Nextafter(ramp(30), inf)}, // on and beside the ramp line
+		{20.4, -0.2}, {20.0001, 0.00001}, // wall+ramp corner pocket
+		{lead + base + gap, 1}, {lead + base + gap + 5, 1}, {lead + base + gap + base2, 1}, // second body: edge, inside, back
+		{nan, 5}, {30, nan}, {inf, 5}, {-inf, 5}, {30, inf}, {30, -inf},
+	} {
+		f.Add(p.X, p.Y, 0.5, -0.2, h, lead, base, angle, gap, 0.0, angle2)
+		f.Add(p.X, p.Y, -0.5, 0.2, h, lead, base, angle, gap, base2, angle2)
+	}
+	valid := func(lead, base, angle float64) bool {
+		return !math.IsNaN(lead) && !math.IsInf(lead, 0) && base > 0 && angle > 0 && angle < math.Pi/2
+	}
+	f.Fuzz(func(t *testing.T, x, y, u, v, h, lead, base, angle, gap, base2, angle2 float64) {
+		if !(h > 0) || !valid(lead, base, angle) {
+			t.Skip()
+		}
+		tun := Tunnel{W: 98, H: h, Wedge: &Wedge{LeadX: lead, Base: base, Angle: angle}}
+		if lead2 := lead + base + gap; gap >= 0 && valid(lead2, base2, angle2) {
+			tun.Wedge2 = &Wedge{LeadX: lead2, Base: base2, Angle: angle2}
+		}
+		inBody := func(w *Wedge) bool {
+			return w != nil && x > w.LeadX && x < w.LeadX+w.Base && y > 0 && y < (x-w.LeadX)*math.Tan(w.Angle)
+		}
+		want := y < 0 || y > h || inBody(tun.Wedge) || inBody(tun.Wedge2)
+		pt := tun.Prepare()
+		hit := pt.Hit(x, y)
+		if hit != want {
+			t.Fatalf("Hit(%v, %v) = %v, the unprepared definition says %v (tunnel %+v %+v %+v)",
+				x, y, hit, want, tun, tun.Wedge, tun.Wedge2)
+		}
+		if hit {
+			return
+		}
+		p, w := pt.ReflectSpecular(Vec2{x, y}, Vec2{u, v})
+		for k, pair := range [4][2]float64{{p.X, x}, {p.Y, y}, {w.X, u}, {w.Y, v}} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				t.Fatalf("skipped particle (%v, %v) changed: component %d %v -> %v", x, y, k, pair[1], pair[0])
+			}
+		}
+	})
 }

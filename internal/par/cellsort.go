@@ -146,9 +146,11 @@ func (cs *CellSort[F]) CellStart() []int32 { return cs.cellStart }
 // Tile returns the resolved cell-block window width in cells.
 func (cs *CellSort[F]) Tile() int { return 1 << cs.tileShift }
 
-// Plan computes cell[i] = cellOf(i) for every i in [0, n), the per-cell
-// counts and bucket boundaries, and every worker's scatter base inside
-// each cell. It must precede ScatterStore.
+// Plan computes the per-cell counts and bucket boundaries of cell[:n]
+// and every worker's scatter base inside each cell. It must precede
+// ScatterStore. A nil cellOf means the cell column is current (the
+// engine's move pass maintains it) and the histogram is a sequential
+// sweep of it; otherwise cell[i] = cellOf(i) is computed first.
 //
 //dsmc:hotpath
 func (cs *CellSort[F]) Plan(n int, cell []int32, cellOf func(i int) int32) {
@@ -162,9 +164,9 @@ func (cs *CellSort[F]) Plan(n int, cell []int32, cellOf func(i int) int32) {
 // decomposition (Pool.ForSpans semantics: bounds[w] ≤ bounds[w+1],
 // bounds[0] = 0, bounds[Workers()] = n) — the owner-computes mode hands
 // each worker the particle segment its cell region produced, so the
-// histogram re-reads the columns that worker just moved. Any ascending
-// decomposition yields bit-identical results; the spans move cache
-// locality, not bits.
+// histogram re-reads the cell column that worker just wrote (cellOf as
+// in Plan). Any ascending decomposition yields bit-identical results; the
+// spans move cache locality, not bits.
 //
 //dsmc:hotpath
 func (cs *CellSort[F]) PlanSpans(bounds []int32, cell []int32, cellOf func(i int) int32) {
@@ -227,6 +229,12 @@ func (cs *CellSort[F]) histShard(w, lo, hi int) {
 		cw[c] = 0
 	}
 	cell, cellOf := cs.cell, cs.cellOf
+	if cellOf == nil {
+		for _, c := range cell[lo:hi] {
+			cw[c]++
+		}
+		return
+	}
 	for i := lo; i < hi; i++ {
 		c := cellOf(i)
 		cell[i] = c

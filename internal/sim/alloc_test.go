@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"bytes"
+	"math"
 	"testing"
 
+	"dsmc/internal/geom"
 	"dsmc/internal/kernel"
 )
 
@@ -33,8 +36,19 @@ func testStepAllocationFree[F kernel.Float](t *testing.T, workers int, regions b
 	// Past the initial transient: several plunger cycles, exit lists and
 	// pick buffers at their steady sizes.
 	s.Run(40)
-	if avg := testing.AllocsPerRun(20, s.Step); avg != 0 {
+	// The measured window must itself contain a plunger refill: the
+	// appends and their cell indexing are part of the steady state.
+	refills := 0
+	step := func() {
+		if stepRefilled(s) {
+			refills++
+		}
+	}
+	if avg := testing.AllocsPerRun(20, step); avg != 0 {
 		t.Errorf("steady-state Step allocates %.2f times per call, want 0", avg)
+	}
+	if refills == 0 {
+		t.Error("the measured steps refilled the plunger void 0 times, want at least one")
 	}
 }
 
@@ -52,38 +66,95 @@ func TestStepAllocationFreeFloat32Serial(t *testing.T) { testStepAllocationFree[
 func TestStepAllocationFreeRegions(t *testing.T)        { testStepAllocationFree[float64](t, 4, true) }
 func TestStepAllocationFreeRegionsFloat32(t *testing.T) { testStepAllocationFree[float32](t, 4, true) }
 
-// TestCellMajorInvariant: after a step the store must be physically
-// cell-major — Cell non-decreasing, spans matching CellStart, and every
-// cell index consistent with the particle's position (the sort runs
-// before collide, which changes only velocities).
-func TestCellMajorInvariant(t *testing.T) {
-	cfg := smallConfig()
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+// stepRefilled advances one step and reports whether it withdrew the
+// plunger and refilled the void.
+func stepRefilled[F kernel.Float](s *SimOf[F]) bool {
+	px := s.dom.plungerX
+	s.Step()
+	return s.dom.plungerX < px
+}
+
+// checkCellMajor asserts the layout every post-sort sweep relies on: the
+// store is physically cell-major (Cell non-decreasing, spans matching
+// CellStart) and every cell index is the grid cell of the position as
+// stored — which since the move pass took over cell indexing is the
+// domain's contract, not something the sort recomputes.
+func checkCellMajor[F kernel.Float](t *testing.T, s *SimOf[F]) {
+	t.Helper()
+	st, cellStart := s.Store(), s.CellStart()
+	n := st.Len()
+	if got := int(cellStart[len(cellStart)-1]); got != n {
+		t.Fatalf("step %d: cellStart covers %d particles, store holds %d", s.StepCount(), got, n)
 	}
-	for step := 0; step < 10; step++ {
-		s.Step()
-		st := s.Store()
-		cellStart := s.CellStart()
-		n := st.Len()
-		if got := int(cellStart[len(cellStart)-1]); got != n {
-			t.Fatalf("step %d: cellStart covers %d particles, store holds %d", step, got, n)
+	for i := 0; i < n; i++ {
+		c := st.Cell[i]
+		if want := int32(s.grid.CellOf(float64(st.X[i]), float64(st.Y[i]))); c != want {
+			t.Fatalf("step %d: particle %d carries cell %d, position says %d", s.StepCount(), i, c, want)
 		}
-		for i := 0; i < n; i++ {
-			if i > 0 && st.Cell[i] < st.Cell[i-1] {
-				t.Fatalf("step %d: Cell not non-decreasing at %d: %d after %d",
-					step, i, st.Cell[i], st.Cell[i-1])
-			}
-			c := st.Cell[i]
-			if i < int(cellStart[c]) || i >= int(cellStart[c+1]) {
-				t.Fatalf("step %d: particle %d (cell %d) outside span [%d, %d)",
-					step, i, c, cellStart[c], cellStart[c+1])
-			}
-			if want := int32(s.grid.CellOf(st.X[i], st.Y[i])); c != want {
-				t.Fatalf("step %d: particle %d carries cell %d, position says %d",
-					step, i, c, want)
+		if i > 0 && c < st.Cell[i-1] {
+			t.Fatalf("step %d: Cell not non-decreasing at %d: %d after %d", s.StepCount(), i, c, st.Cell[i-1])
+		}
+		if i < int(cellStart[c]) || i >= int(cellStart[c+1]) {
+			t.Fatalf("step %d: particle %d (cell %d) outside span [%d, %d)",
+				s.StepCount(), i, c, cellStart[c], cellStart[c+1])
+		}
+	}
+}
+
+// testCellCurrency checks the invariant after every step of runs that
+// exercise each way a particle enters, leaves or jumps in the store —
+// downstream exits (RemoveSwap), plunger refills (Append), wall and body
+// reflections, and a restore into a fresh simulation mid-run — across
+// worker counts and stepping modes. Each seed brings its own boundary
+// variant: the paper's tunnel, diffuse walls, two bodies.
+func testCellCurrency[F kernel.Float](t *testing.T) {
+	variants := []struct {
+		seed   uint64
+		mutate func(*Config)
+	}{
+		{7, func(*Config) {}},
+		{1988, func(c *Config) { c.Wall = geom.DiffuseState{Model: geom.DiffuseIsothermal, WallCm: c.Free.Cm} }},
+		{424242, func(c *Config) { c.Wedge2 = &geom.Wedge{LeadX: 28, Base: 8, Angle: 20 * math.Pi / 180} }},
+	}
+	for _, v := range variants {
+		for _, workers := range []int{1, 3} {
+			for _, regions := range []bool{false, true} {
+				cfg := smallConfig()
+				cfg.Seed, cfg.Workers, cfg.Regions = v.seed, workers, regions
+				v.mutate(&cfg)
+				s, err := NewOf[F](cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				refills, exits := 0, 0
+				for step := 0; step < 30; step++ {
+					if step == 14 {
+						var buf bytes.Buffer
+						if err := s.WriteCheckpoint(&buf); err != nil {
+							t.Fatal(err)
+						}
+						if s, err = NewOf[F](cfg); err != nil {
+							t.Fatal(err)
+						}
+						if err := s.ReadCheckpoint(&buf); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if stepRefilled(s) {
+						refills++
+					}
+					for _, ex := range s.dom.exits {
+						exits += len(ex)
+					}
+					checkCellMajor(t, s)
+				}
+				if refills == 0 || exits == 0 {
+					t.Fatalf("seed %d: run saw %d refills and %d exits, want both", v.seed, refills, exits)
+				}
 			}
 		}
 	}
 }
+
+func TestCellMajorInvariant(t *testing.T)        { testCellCurrency[float64](t) }
+func TestCellMajorInvariantFloat32(t *testing.T) { testCellCurrency[float32](t) }

@@ -126,16 +126,16 @@ func (c *Config) Validate() error {
 		return errors.New("sim: wind tunnel requires supersonic freestream (downstream boundary must be supersonic)")
 	}
 	if c.Wedge != nil {
-		if c.Wedge.LeadX < 0 || c.Wedge.TrailX() > float64(c.NX) || c.Wedge.Height() >= float64(c.NY) {
-			return errors.New("sim: wedge does not fit in the tunnel")
+		if err := validateWedge("wedge", c.Wedge, c.NX, c.NY); err != nil {
+			return err
 		}
 	}
 	if c.Wedge2 != nil {
 		if c.Wedge == nil {
 			return errors.New("sim: Wedge2 requires Wedge")
 		}
-		if c.Wedge2.LeadX < 0 || c.Wedge2.TrailX() > float64(c.NX) || c.Wedge2.Height() >= float64(c.NY) {
-			return errors.New("sim: second wedge does not fit in the tunnel")
+		if err := validateWedge("second wedge", c.Wedge2, c.NX, c.NY); err != nil {
+			return err
 		}
 		if c.Wedge2.LeadX < c.Wedge.TrailX() && c.Wedge.LeadX < c.Wedge2.TrailX() {
 			return errors.New("sim: wedges overlap; their base intervals must be disjoint")
@@ -143,6 +143,19 @@ func (c *Config) Validate() error {
 	}
 	if err := c.Free.ValidateTimeStep(); err != nil {
 		return err
+	}
+	return nil
+}
+
+// validateWedge rejects a body whose slope the prepared geometry cannot
+// represent (tan(Angle) not positive and finite; the negated comparisons
+// catch NaN) and one that does not fit in the tunnel.
+func validateWedge(name string, w *geom.Wedge, nx, ny int) error {
+	if !(w.Base > 0) || !(w.Angle > 0 && w.Angle < math.Pi/2) {
+		return fmt.Errorf("sim: %s needs a positive base and an angle in (0, π/2)", name)
+	}
+	if !(w.LeadX >= 0 && w.TrailX() <= float64(nx) && w.Height() < float64(ny)) {
+		return fmt.Errorf("sim: %s does not fit in the tunnel", name)
 	}
 	return nil
 }
@@ -200,7 +213,7 @@ func NewOf[F kernel.Float](cfg Config) (*SimOf[F], error) {
 	pool := par.New(cfg.Workers)
 	sigma := cfg.Free.ComponentSigma()
 	dom := &wedgeDomain[F]{
-		tun:      geom.Tunnel{W: float64(cfg.NX), H: float64(cfg.NY), Wedge: cfg.Wedge, Wedge2: cfg.Wedge2},
+		tun:      geom.Tunnel{W: float64(cfg.NX), H: float64(cfg.NY), Wedge: cfg.Wedge, Wedge2: cfg.Wedge2}.Prepare(),
 		wall:     cfg.Wall,
 		uInf:     cfg.Free.Velocity(),
 		trigger:  cfg.PlungerTrigger,
@@ -321,13 +334,13 @@ func (s *SimOf[F]) Store() *particle.Store[F] { return s.eng.Store() }
 // ranges on the simulation's worker pool.
 func (s *SimOf[F]) SampleInto(acc *sample.Accumulator) { s.eng.SampleInto(acc) }
 
-// wedgeDomain is the engine Domain of the wind tunnel: grid indexing on
-// the 2D grid, the fused boundary conditions (downstream soft sink into
-// the reservoir, upstream plunger, hard tunnel walls, wedge), and the
+// wedgeDomain is the engine Domain of the wind tunnel: the fused boundary
+// conditions (downstream soft sink into the reservoir, upstream plunger,
+// hard tunnel walls, wedge) with the 2D grid indexing folded in, and the
 // serial plunger/reservoir bookkeeping around the sharded move pass.
 type wedgeDomain[F kernel.Float] struct {
 	eng  *engine.Engine[F]
-	tun  geom.Tunnel
+	tun  geom.PreparedTunnel
 	grid grid.Grid
 	wall geom.DiffuseState
 
@@ -345,16 +358,6 @@ type wedgeDomain[F kernel.Float] struct {
 	exits [][]int32 // per-worker downstream-exit lists
 }
 
-// CellIndexer returns the sort's per-particle cell lookup: a closure
-// over the 2D grid reading the engine's live store, so the histogram
-// loop pays a single indirect call per particle.
-func (d *wedgeDomain[F]) CellIndexer() func(i int) int32 {
-	return func(i int) int32 {
-		st := d.eng.Store()
-		return int32(d.grid.CellOf(float64(st.X[i]), float64(st.Y[i])))
-	}
-}
-
 // PreMove advances the plunger and resets the per-worker exit lists the
 // tiled Boundary calls append to.
 func (d *wedgeDomain[F]) PreMove() {
@@ -365,12 +368,17 @@ func (d *wedgeDomain[F]) PreMove() {
 }
 
 // Boundary enforces all boundary conditions on the just-advanced
-// particles [lo, hi) — the downstream soft sink (appended to the
-// worker's exit list, removed in PostMove so the parallel pass never
-// mutates membership), the upstream plunger (specular reflection in the
-// plunger frame), the hard tunnel walls, and the wedge. The geometry
-// runs in float64; the columns round once on write-back. Called once
-// per cache tile (several times per shard, ascending ranges).
+// particles [lo, hi) and leaves their cell index current — the one sweep
+// of the step that reads positions. Downstream exits go on the worker's
+// exit list (removed in PostMove so the parallel pass never mutates
+// membership); the plunger reflects specularly in its own frame; the
+// walls and the wedge touch only the particles the tunnel's fast reject
+// flags, the rest store nothing but Cell. The geometry runs in float64
+// and the columns round once on write-back, so the cell is taken from
+// the position as stored. Called once per cache tile (several times per
+// shard, ascending ranges).
+//
+//dsmc:hotpath
 func (d *wedgeDomain[F]) Boundary(st *particle.Store[F], w, lo, hi int) {
 	px := d.plungerX
 	uInf := d.uInf
@@ -379,6 +387,7 @@ func (d *wedgeDomain[F]) Boundary(st *particle.Store[F], w, lo, hi int) {
 		x := float64(st.X[i])
 		// Downstream sink: record for removal.
 		if x > d.tun.W {
+			//dsmclint:allow hotpath-alloc exit lists are pre-sized to the largest block span at construction and reset to [:0] in PreMove
 			ex = append(ex, int32(i))
 			continue
 		}
@@ -386,8 +395,14 @@ func (d *wedgeDomain[F]) Boundary(st *particle.Store[F], w, lo, hi int) {
 		if x < px {
 			st.X[i] = F(2*px - x)
 			st.U[i] = F(2*uInf - float64(st.U[i]))
+			x = float64(st.X[i])
 		}
-		d.reflectWalls(st, i)
+		y := float64(st.Y[i])
+		if d.tun.Hit(x, y) {
+			d.reflectWalls(st, i)
+			x, y = float64(st.X[i]), float64(st.Y[i])
+		}
+		st.Cell[i] = int32(d.grid.CellOf(x, y))
 	}
 	d.exits[w] = ex
 }
@@ -451,8 +466,8 @@ func (d *wedgeDomain[F]) reflectDiffuse(st *particle.Store[F], i int) {
 			face = geom.Face{P: geom.Vec2{X: 0, Y: 0}, N: geom.Vec2{X: 0, Y: 1}}
 		} else if p.Y > d.tun.H {
 			face = geom.Face{P: geom.Vec2{X: 0, Y: d.tun.H}, N: geom.Vec2{X: 0, Y: -1}}
-		} else if wg := d.tun.ContainingWedge(p); wg != nil {
-			face = wg.NearestFace(p)
+		} else if body := d.tun.ContainingBody(p); body != nil {
+			face = body.NearestFace(p)
 		} else {
 			return
 		}
@@ -470,7 +485,8 @@ func (d *wedgeDomain[F]) reflectDiffuse(st *particle.Store[F], i int) {
 
 // refillVoid withdraws the plunger to the upstream wall and fills the void
 // it leaves with new particles at freestream conditions, taken from the
-// reservoir when available.
+// reservoir when available. The appended particles missed the boundary
+// sweep, so their cell index is set here.
 func (d *wedgeDomain[F]) refillVoid() {
 	void := d.plungerX
 	d.plungerX = 0
@@ -496,6 +512,7 @@ func (d *wedgeDomain[F]) refillVoid() {
 		if idx < 0 {
 			return
 		}
+		st.Cell[idx] = int32(d.grid.CellOf(float64(st.X[idx]), float64(st.Y[idx])))
 		if d.zvib > 0 {
 			d.initVibEquilibrium(st, idx, idx+1)
 		}

@@ -25,10 +25,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	cases := []struct {
+	type vcase struct {
 		name   string
 		mutate func(*Config)
-	}{
+	}
+	cases := []vcase{
 		{"zero grid", func(c *Config) { c.NX = 0 }},
 		{"zero density", func(c *Config) { c.NPerCell = 0 }},
 		{"zero thermal speed", func(c *Config) { c.Free.Cm = 0 }},
@@ -37,6 +38,31 @@ func TestConfigValidate(t *testing.T) {
 			c.Wedge = &geom.Wedge{LeadX: 1, Base: 40, Angle: 40 * math.Pi / 180}
 		}},
 		{"time step too large", func(c *Config) { c.Free.Cm = 0.9 }},
+	}
+	// A wedge whose slope the prepared geometry cannot represent, in
+	// either slot. Several of these fit the tunnel by the height test
+	// alone: tan is negative past π/2, and NaN fails every comparison.
+	for _, bad := range []struct {
+		name        string
+		base, angle float64
+	}{
+		{"zero base", 0, 0.5},
+		{"negative base", -3, 0.5},
+		{"NaN base", math.NaN(), 0.5},
+		{"zero angle", 4, 0},
+		{"negative angle", 4, -0.5},
+		{"right angle", 4, math.Pi / 2},
+		{"obtuse angle", 4, 2},
+		{"NaN angle", 4, math.NaN()},
+		{"infinite angle", 4, math.Inf(1)},
+	} {
+		cases = append(cases,
+			vcase{"wedge " + bad.name, func(c *Config) {
+				c.Wedge = &geom.Wedge{LeadX: 10, Base: bad.base, Angle: bad.angle}
+			}},
+			vcase{"second wedge " + bad.name, func(c *Config) {
+				c.Wedge2 = &geom.Wedge{LeadX: 30, Base: bad.base, Angle: bad.angle}
+			}})
 	}
 	for _, tc := range cases {
 		cfg := smallConfig()
@@ -77,9 +103,10 @@ func TestNewPlacesFreestream(t *testing.T) {
 		t.Fatal("no particles placed")
 	}
 	var sumU float64
+	tun := geom.Tunnel{W: float64(cfg.NX), H: float64(cfg.NY), Wedge: cfg.Wedge}.Prepare()
 	for i := 0; i < st.Len(); i++ {
 		p := geom.Vec2{X: st.X[i], Y: st.Y[i]}
-		if !(&geom.Tunnel{W: float64(cfg.NX), H: float64(cfg.NY), Wedge: cfg.Wedge}).Inside(p) {
+		if !tun.Inside(p) {
 			t.Fatalf("initial particle outside gas region: %v", p)
 		}
 		sumU += st.U[i]

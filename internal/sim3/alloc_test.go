@@ -1,6 +1,7 @@
 package sim3
 
 import (
+	"bytes"
 	"testing"
 
 	"dsmc/internal/kernel"
@@ -31,35 +32,59 @@ func TestStepAllocationFree3DFloat32(t *testing.T) { testStepAllocationFree3D[fl
 // The spatially-blocked mode must also stay allocation-free.
 func TestStepAllocationFree3DRegions(t *testing.T) { testStepAllocationFree3D[float64](t, true) }
 
-// TestCellMajorInvariant3D: after a step the 3D store must be physically
-// cell-major and each cell index consistent with the particle's position.
-func TestCellMajorInvariant3D(t *testing.T) {
-	cfg := tubeConfig()
-	cfg.NX = 24
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < 5; step++ {
-		s.Step()
-		st := s.Store()
-		cellStart := s.CellStart()
-		n := st.Len()
-		if got := int(cellStart[len(cellStart)-1]); got != n {
-			t.Fatalf("step %d: cellStart covers %d particles, store holds %d", step, got, n)
-		}
-		for i := 0; i < n; i++ {
-			if i > 0 && st.Cell[i] < st.Cell[i-1] {
-				t.Fatalf("step %d: Cell not non-decreasing at %d", step, i)
-			}
-			c := st.Cell[i]
-			if i < int(cellStart[c]) || i >= int(cellStart[c+1]) {
-				t.Fatalf("step %d: particle %d (cell %d) outside its span", step, i, c)
-			}
-			if want := int32(s.grid.CellOf(st.X[i], st.Y[i], st.Z[i])); c != want {
-				t.Fatalf("step %d: particle %d carries cell %d, position says %d",
-					step, i, c, want)
+// testCellCurrency3D: after every step — piston and wall reflections, a
+// restore into a fresh simulation mid-run, any worker count and stepping
+// mode — the 3D store must be physically cell-major (Cell non-decreasing,
+// spans matching CellStart) and each cell index the grid cell of the
+// position as stored: the move pass owns cell indexing, the sort only
+// reads the column.
+func testCellCurrency3D[F kernel.Float](t *testing.T) {
+	for _, seed := range []uint64{21, 99, 31337} {
+		for _, workers := range []int{1, 3} {
+			for _, regions := range []bool{false, true} {
+				cfg := tubeConfig()
+				cfg.NX = 24
+				cfg.Seed, cfg.Workers, cfg.Regions = seed, workers, regions
+				s, err := NewOf[F](cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for step := 0; step < 12; step++ {
+					if step == 6 {
+						var buf bytes.Buffer
+						if err := s.WriteCheckpoint(&buf); err != nil {
+							t.Fatal(err)
+						}
+						if s, err = NewOf[F](cfg); err != nil {
+							t.Fatal(err)
+						}
+						if err := s.ReadCheckpoint(&buf); err != nil {
+							t.Fatal(err)
+						}
+					}
+					s.Step()
+					st, cellStart := s.Store(), s.CellStart()
+					n := st.Len()
+					if got := int(cellStart[len(cellStart)-1]); got != n {
+						t.Fatalf("step %d: cellStart covers %d particles, store holds %d", step, got, n)
+					}
+					for i := 0; i < n; i++ {
+						c := st.Cell[i]
+						if want := int32(s.grid.CellOf(float64(st.X[i]), float64(st.Y[i]), float64(st.Z[i]))); c != want {
+							t.Fatalf("step %d: particle %d carries cell %d, position says %d", step, i, c, want)
+						}
+						if i > 0 && c < st.Cell[i-1] {
+							t.Fatalf("step %d: Cell not non-decreasing at %d", step, i)
+						}
+						if i < int(cellStart[c]) || i >= int(cellStart[c+1]) {
+							t.Fatalf("step %d: particle %d (cell %d) outside its span", step, i, c)
+						}
+					}
+				}
 			}
 		}
 	}
 }
+
+func TestCellMajorInvariant3D(t *testing.T)        { testCellCurrency3D[float64](t) }
+func TestCellMajorInvariant3DFloat32(t *testing.T) { testCellCurrency3D[float32](t) }

@@ -193,7 +193,6 @@ func NewOf[F kernel.Float](cfg Config) (*SimOf[F], error) {
 		SortTile:    cfg.SortTile,
 		Regions:     cfg.Regions,
 	}, dom, pool, store, shadow)
-	dom.eng = eng
 
 	r := rng.NewStream(cfg.Seed)
 	sigma := free.ComponentSigma()
@@ -267,32 +266,28 @@ func (s *SimOf[F]) Step() { s.eng.Step() }
 // Run advances n steps.
 func (s *SimOf[F]) Run(n int) { s.eng.Run(n) }
 
-// tubeDomain is the engine Domain of the shock tube: box grid indexing
-// and the piston + five specular walls. The boundaries consume no
-// randomness, so the sharded pass is trivially deterministic.
+// tubeDomain is the engine Domain of the shock tube: the piston + five
+// specular walls, with the box grid indexing folded into the same sweep.
+// The boundaries consume no randomness, so the sharded pass is trivially
+// deterministic.
 type tubeDomain[F kernel.Float] struct {
-	eng     *engine.Engine[F]
 	grid    Grid3
 	w, h, d float64
 	speed   float64
 	pistonX float64
 }
 
-// CellIndexer returns the sort's per-particle cell lookup: a closure
-// over the box grid reading the engine's live store.
-func (t *tubeDomain[F]) CellIndexer() func(i int) int32 {
-	return func(i int) int32 {
-		st := t.eng.Store()
-		return int32(t.grid.CellOf(float64(st.X[i]), float64(st.Y[i]), float64(st.Z[i])))
-	}
-}
-
 // PreMove advances the piston.
 func (t *tubeDomain[F]) PreMove() { t.pistonX += t.speed }
 
 // Boundary applies the piston face (specular in the piston frame) and
-// the five fixed specular walls to the just-advanced particles [lo, hi).
-// The geometry runs in float64; the columns round once on write-back.
+// the five fixed specular walls to the just-advanced particles [lo, hi)
+// and leaves their cell index current — the one sweep of the step that
+// reads positions; a particle inside the box stores nothing but Cell.
+// The geometry runs in float64 and the columns round once on write-back,
+// so the cell is taken from the position as stored.
+//
+//dsmc:hotpath
 func (t *tubeDomain[F]) Boundary(st *particle.Store[F], _, lo, hi int) {
 	w, h, d := t.w, t.h, t.d
 	px := t.pistonX
@@ -332,6 +327,7 @@ func (t *tubeDomain[F]) Boundary(st *particle.Store[F], _, lo, hi int) {
 			st.Z[i] = F(2*d - z)
 			st.W[i] = -st.W[i]
 		}
+		st.Cell[i] = int32(t.grid.CellOf(float64(st.X[i]), float64(st.Y[i]), float64(st.Z[i])))
 	}
 }
 
