@@ -11,7 +11,9 @@
 //	GET  /v1/sweeps               list sweeps with state
 //	GET  /v1/sweeps/{id}          status: per-job states and step progress
 //	GET  /v1/sweeps/{id}/events   NDJSON progress stream (history + live)
-//	GET  /v1/sweeps/{id}/result   aggregated result (409 while running);
+//	GET  /v1/sweeps/{id}/result   aggregated result (409 while running): the
+//	                              bytes of <data>/<id>/result.json, ETag =
+//	                              their SHA-256, verified on every read;
 //	                              ?quantity=temperature serves one sampled
 //	                              quantity's per-point field statistics
 //	GET  /v1/sweeps/{id}/trace    flight recorder: the most recent
@@ -95,6 +97,19 @@
 // evicted past the budget (they are a cache — eviction only costs
 // recomputation).
 //
+// A finished sweep's result is encoded exactly once, when the sweep
+// completes: <data>/<id>/result.json is the representation /result
+// serves and the SHA-256 of its bytes is the ETag. The server keeps the
+// tag and the size, not the bytes: a matching If-None-Match (and a HEAD)
+// is answered from those with no I/O and no encoding, and a full GET
+// reads the file and re-hashes it against the tag before the first byte
+// is sent — a result.json that rotted, shrank or vanished is a logged
+// 500 naming the sweep and both hashes, never a 200. A restarted server
+// takes the tag from the file it finds, so it serves the same bytes
+// under the same tag; a file that no longer parses is rebuilt from the
+// result store. ?quantity= views are projections and are still encoded
+// (and hashed) per request.
+//
 // # Observability
 //
 // GET /metrics serves the Prometheus text format: per-phase engine
@@ -127,6 +142,17 @@ import (
 	"time"
 
 	"dsmc/internal/coord"
+)
+
+// Connection deadlines of the HTTP listener: a client gets
+// readHeaderTimeout to finish its request line and headers, and a
+// kept-alive connection idleTimeout between requests. They bound what a
+// stalled peer can hold, so they are constants, not flags. There is no
+// WriteTimeout (event streams are long-lived) and no ReadTimeout (upload
+// bodies are capped by size in internal/coord, not by time).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -176,7 +202,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Addr: *addr, Handler: s.handler()}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           s.handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go func() {
 		<-ctx.Done()
 		log.Printf("shutting down: draining HTTP within %s, checkpointing in-flight jobs", *shutdownTimeout)

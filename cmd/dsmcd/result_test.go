@@ -1,0 +1,325 @@
+package main
+
+import (
+	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+
+	"dsmc"
+)
+
+// fetch issues one request for a sweep's /result and reads the whole
+// response; ifNoneMatch, when set, makes it conditional.
+func fetch(t testing.TB, method, base, id, ifNoneMatch string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, base+"/v1/sweeps/"+id+"/result", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ifNoneMatch != "" {
+		req.Header.Set("If-None-Match", ifNoneMatch)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
+
+// doneSweep starts a server over dir, runs spec to completion and
+// returns the server, its test listener and the sweep's ID.
+func doneSweep(t testing.TB, dir string, spec dsmc.SweepSpec) (*server, *httptest.Server, string) {
+	t.Helper()
+	s, err := newServer(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.handler())
+	id := submit(t, ts, spec)
+	if st := waitDone(t, ts, id); st.State != stateDone {
+		t.Fatalf("sweep state %s (%s)", st.State, st.Error)
+	}
+	return s, ts, id
+}
+
+// TestResultHeadAndLength: a 200 for /result declares its length instead
+// of going out chunked, and HEAD — which the GET route also serves — is
+// answered from the retained ETag and size: same headers, no body, and no
+// read of result.json (it still answers with the file gone).
+func TestResultHeadAndLength(t *testing.T) {
+	s, ts, id := doneSweep(t, t.TempDir(), tinySpec())
+	t.Cleanup(s.close)
+	defer ts.Close()
+
+	get, body := fetch(t, http.MethodGet, ts.URL, id, "")
+	etag := get.Header.Get("ETag")
+	if get.StatusCode != http.StatusOK || len(body) == 0 || etag == "" {
+		t.Fatalf("GET: status %d, %d bytes, ETag %q", get.StatusCode, len(body), etag)
+	}
+	if get.ContentLength != int64(len(body)) || len(get.TransferEncoding) != 0 {
+		t.Errorf("GET: Content-Length %d, Transfer-Encoding %v; want the body's %d bytes declared",
+			get.ContentLength, get.TransferEncoding, len(body))
+	}
+	if etag != etagOf(body) {
+		t.Errorf("GET: ETag %s is not the body's SHA-256 %s", etag, etagOf(body))
+	}
+
+	if err := os.Remove(s.resultPath(id)); err != nil {
+		t.Fatal(err)
+	}
+	head, headBody := fetch(t, http.MethodHead, ts.URL, id, "")
+	if head.StatusCode != http.StatusOK || len(headBody) != 0 {
+		t.Fatalf("HEAD: status %d, %d-byte body; want a bare 200", head.StatusCode, len(headBody))
+	}
+	if got := head.Header.Get("Content-Length"); got != strconv.Itoa(len(body)) {
+		t.Errorf("HEAD: Content-Length %q, want %d", got, len(body))
+	}
+	for _, k := range []string{"ETag", "Cache-Control", "Content-Type"} {
+		if head.Header.Get(k) != get.Header.Get(k) {
+			t.Errorf("HEAD: %s %q, GET had %q", k, head.Header.Get(k), get.Header.Get(k))
+		}
+	}
+	if cond, _ := fetch(t, http.MethodHead, ts.URL, id, etag); cond.StatusCode != http.StatusNotModified {
+		t.Errorf("conditional HEAD: status %d, want 304", cond.StatusCode)
+	}
+}
+
+// TestResultIntegrity: result.json is verified against the sweep's ETag on
+// every read. With one byte flipped, the tail cut off, or the file gone, a
+// GET is a 500 that names the sweep and carries no validator — never a
+// 200 — while a conditional GET with the original ETag is still a bare
+// 304 (it reads nothing). A restart over a truncated or missing file
+// re-assembles the sweep from the result store, dispatching no job, and
+// serves the bytes and ETag it served before the damage.
+func TestResultIntegrity(t *testing.T) {
+	dir := t.TempDir()
+	s, ts, id := doneSweep(t, dir, tinySpec())
+	path := s.resultPath(id)
+
+	first, want := fetch(t, http.MethodGet, ts.URL, id, "")
+	etag := first.Header.Get("ETag")
+	if first.StatusCode != http.StatusOK || etag != etagOf(want) {
+		t.Fatalf("GET before any damage: status %d, ETag %s, body hashes to %s", first.StatusCode, etag, etagOf(want))
+	}
+	if onDisk, err := os.ReadFile(path); err != nil || !bytes.Equal(onDisk, want) {
+		t.Fatalf("result.json is not the served body (read error %v)", err)
+	}
+
+	flipped := bytes.Clone(want)
+	flipped[len(flipped)/2] ^= 0x01
+	damage := []struct {
+		name  string
+		apply func() error
+	}{
+		{"flipped byte", func() error { return os.WriteFile(path, flipped, 0o644) }},
+		{"truncated", func() error { return os.Truncate(path, int64(len(want)/2)) }},
+		{"deleted", func() error { return os.Remove(path) }},
+	}
+	checkDamaged := func(name, base string) {
+		t.Helper()
+		resp, body := fetch(t, http.MethodGet, base, id, "")
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), id) {
+			t.Errorf("%s: GET status %d, body %.200q; want a 500 naming %s", name, resp.StatusCode, body, id)
+		}
+		if resp.Header.Get("ETag") != "" || resp.Header.Get("Cache-Control") != "" {
+			t.Errorf("%s: the 500 carries ETag %q, Cache-Control %q", name, resp.Header.Get("ETag"), resp.Header.Get("Cache-Control"))
+		}
+		cond, condBody := fetch(t, http.MethodGet, base, id, etag)
+		if cond.StatusCode != http.StatusNotModified || len(condBody) != 0 || cond.Header.Get("ETag") != etag {
+			t.Errorf("%s: conditional GET status %d, %d-byte body, ETag %q; want a bare 304 with %s",
+				name, cond.StatusCode, len(condBody), cond.Header.Get("ETag"), etag)
+		}
+	}
+	for _, d := range damage {
+		if err := d.apply(); err != nil {
+			t.Fatal(err)
+		}
+		checkDamaged(d.name, ts.URL)
+		if err := os.WriteFile(path, want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if resp, body := fetch(t, http.MethodGet, ts.URL, id, ""); resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+			t.Fatalf("%s: GET after restoring the file: status %d", d.name, resp.StatusCode)
+		}
+	}
+
+	// Restarts. A flipped byte that still parses is beyond what recovery can
+	// tell from the file alone; a file that no longer parses, or is gone, is
+	// rebuilt.
+	for _, d := range damage[1:] {
+		before := scrapeMetrics(t, ts.URL)
+		ts.Close()
+		s.close()
+		if err := d.apply(); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if s, err = newServer(dir, 2); err != nil {
+			t.Fatal(err)
+		}
+		ts = httptest.NewServer(s.handler())
+		if st := waitDone(t, ts, id); st.State != stateDone || !st.Resumed {
+			t.Fatalf("restart over a %s result.json: state %s (%s), resumed=%v", d.name, st.State, st.Error, st.Resumed)
+		}
+		after := scrapeMetrics(t, ts.URL)
+		if g := after["dsmc_coord_lease_grants_total"] - before["dsmc_coord_lease_grants_total"]; g != 0 {
+			t.Errorf("restart over a %s result.json: %v leases granted, want 0 (every job a store hit)", d.name, g)
+		}
+		resp, body := fetch(t, http.MethodGet, ts.URL, id, "")
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != etag || !bytes.Equal(body, want) {
+			t.Errorf("restart over a %s result.json: status %d, ETag %s (was %s), body equal: %v",
+				d.name, resp.StatusCode, resp.Header.Get("ETag"), etag, bytes.Equal(body, want))
+		}
+	}
+	ts.Close()
+	s.close()
+}
+
+// sink is a ResponseWriter that keeps the status and headers and counts
+// the body, so a measurement sees the handler's allocations and not a
+// recorder's copy of the body.
+type sink struct {
+	header http.Header
+	code   int
+	n      int
+}
+
+func (k *sink) Header() http.Header { return k.header }
+
+func (k *sink) WriteHeader(code int) {
+	if k.code == 0 {
+		k.code = code
+	}
+}
+
+func (k *sink) Write(p []byte) (int, error) {
+	k.WriteHeader(http.StatusOK)
+	k.n += len(p)
+	return len(p), nil
+}
+
+// resultRequests returns a plain and a matching conditional GET for the
+// sweep's result, for driving the handler without a network.
+func resultRequests(t testing.TB, h http.Handler, id string) (get, cond *http.Request, size int) {
+	t.Helper()
+	get = httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+id+"/result", nil)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, get)
+	if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
+		t.Fatalf("GET result of %s: status %d, %d bytes", id, rec.Code, rec.Body.Len())
+	}
+	cond = httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+id+"/result", nil)
+	cond.Header.Set("If-None-Match", rec.Header().Get("ETag"))
+	return get, cond, rec.Body.Len()
+}
+
+// fourPoints is tinySpec widened to four points: a result four times the
+// size, so a cost that scales with the result shows against tinySpec.
+func fourPoints() dsmc.SweepSpec {
+	spec := tinySpec()
+	spec.Name = "four-points"
+	spec.Points = []dsmc.SweepPoint{
+		{Name: "p0"},
+		{Name: "p1", MeanFreePath: f64p(0.5)},
+		{Name: "p2", MeanFreePath: f64p(0.75)},
+		{Name: "p3", WedgeAngleDeg: f64p(25)},
+	}
+	return spec
+}
+
+// TestResultCostModel pins what serving a finished result costs. A 304
+// is a lookup and a string comparison: a handful of allocations, the same
+// for a one-point and a four-point sweep. A 200 is one read of
+// result.json: the handler allocates less than twice the body, where
+// encoding the result per request took several times that.
+func TestResultCostModel(t *testing.T) {
+	s, ts, small := doneSweep(t, t.TempDir(), tinySpec())
+	large := submit(t, ts, fourPoints())
+	if st := waitDone(t, ts, large); st.State != stateDone {
+		t.Fatalf("sweep state %s (%s)", st.State, st.Error)
+	}
+	// No listener and no workers from here on: the only allocations in the
+	// process are the handler's.
+	ts.Close()
+	s.close()
+	h := s.handler()
+
+	var allocs [2]float64
+	var sizes [2]int
+	for i, id := range []string{small, large} {
+		get, cond, size := resultRequests(t, h, id)
+		sizes[i] = size
+		allocs[i] = testing.AllocsPerRun(50, func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, cond)
+			if rec.Code != http.StatusNotModified {
+				t.Fatalf("conditional GET of %s: status %d", id, rec.Code)
+			}
+		})
+
+		var m0, m1 runtime.MemStats
+		k := &sink{header: http.Header{}}
+		runtime.ReadMemStats(&m0)
+		h.ServeHTTP(k, get)
+		runtime.ReadMemStats(&m1)
+		if k.code != http.StatusOK || k.n != size {
+			t.Fatalf("GET of %s: status %d, %d bytes, want %d", id, k.code, k.n, size)
+		}
+		if got := m1.TotalAlloc - m0.TotalAlloc; got >= 2*uint64(size) {
+			t.Errorf("GET of %s allocated %d bytes for a %d-byte body, want < 2x", id, got, size)
+		}
+	}
+	t.Logf("304 allocations %v, result bytes %v", allocs, sizes)
+	if sizes[1] < 3*sizes[0] {
+		t.Fatalf("result sizes %v: the four-point result is not the larger one this test needs", sizes)
+	}
+	// The race detector makes sync.Pool drop items at random, so a count
+	// may wobble by one or two between measurements; growth with the result
+	// would be hundreds.
+	if d := allocs[1] - allocs[0]; d > 2 || d < -2 || allocs[1] > 40 {
+		t.Errorf("304 allocations: %v for %d bytes, %v for %d bytes; want a small constant", allocs[0], sizes[0], allocs[1], sizes[1])
+	}
+}
+
+// benchResult times one request per iteration against a finished
+// four-point sweep, handler only (no listener, no workers).
+func benchResult(b *testing.B, conditional bool) {
+	s, ts, id := doneSweep(b, b.TempDir(), fourPoints())
+	ts.Close()
+	s.close()
+	h := s.handler()
+	req, cond, size := resultRequests(b, h, id)
+	want := http.StatusOK
+	if conditional {
+		req, want = cond, http.StatusNotModified
+	} else {
+		b.SetBytes(int64(size))
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		k := &sink{header: http.Header{}}
+		h.ServeHTTP(k, req)
+		if k.code != want {
+			b.Fatalf("status %d, want %d", k.code, want)
+		}
+	}
+}
+
+// BenchmarkResultGet: GET /result to the last byte — one verified read of
+// result.json (B/op is about the body's size, MB/s the read+hash rate).
+func BenchmarkResultGet(b *testing.B) { benchResult(b, false) }
+
+// BenchmarkResult304: the same request revalidated with its ETag — no
+// I/O, no encoding, independent of the result's size.
+func BenchmarkResult304(b *testing.B) { benchResult(b, true) }

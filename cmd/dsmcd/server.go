@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -45,7 +46,8 @@ type jobStatus struct {
 
 // sweepRun is the in-memory record of one sweep: its spec, live job
 // table, buffered event history with fan-out to NDJSON subscribers, and
-// the result once finished.
+// the result once finished: the decoded value (for ?quantity= views) and
+// the identity of result.json — never a second copy of its bytes.
 type sweepRun struct {
 	ID        string     `json:"id"`
 	State     sweepState `json:"state"`
@@ -61,6 +63,12 @@ type sweepRun struct {
 	subs   map[chan dsmc.SweepEvent]struct{}
 	done   chan struct{}
 	result *dsmc.SweepResult
+	// resultETag is the quoted SHA-256 of result.json as it was written
+	// (or, after a restart, as recovery read it) and resultSize its length.
+	// Together they answer 304s and HEADs without touching the file, and
+	// every read of the file is checked against the tag before it is served.
+	resultETag string
+	resultSize int
 
 	// The flight recorder: a bounded ring of the sweep's most recent
 	// per-step phase timings, fed by "trace" events (worker heartbeat
@@ -268,12 +276,20 @@ func (s *server) recover() error {
 			continue
 		}
 		run := s.register(id, spec, true)
-		if resRaw, err := os.ReadFile(filepath.Join(s.dataDir, id, "result.json")); err == nil {
+		// result.json is the served representation: its bytes as found are
+		// what this process serves and tags. A file that no longer parses
+		// (torn, truncated) is discarded by re-running the sweep, which
+		// re-assembles the same bytes from the result store.
+		encoded, err := os.ReadFile(s.resultPath(id))
+		if err == nil {
 			var res dsmc.SweepResult
-			if err := json.Unmarshal(resRaw, &res); err == nil {
-				run.finish(&res, nil)
+			if err = json.Unmarshal(encoded, &res); err == nil {
+				run.finish(&res, encoded, nil)
 				continue
 			}
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			log.Printf("recover %s: unusable result.json: %v", id, err)
 		}
 		log.Printf("recover %s: resuming from checkpoints", id)
 		go s.execute(run)
@@ -325,18 +341,25 @@ func (s *server) register(id string, spec dsmc.SweepSpec, resumed bool) *sweepRu
 	return run
 }
 
+// resultPath is where a sweep's encoded result lives.
+func (s *server) resultPath(id string) string {
+	return filepath.Join(s.dataDir, id, "result.json")
+}
+
 // execute hands the sweep to the coordinator; the embedded (and any
-// remote) workers pull its jobs, and the completion callback persists
-// the assembled result.
+// remote) workers pull its jobs, and the completion callback encodes the
+// assembled result — the only time a result is marshalled — and persists
+// those bytes as result.json, the representation /result serves.
 func (s *server) execute(run *sweepRun) {
 	err := s.coord.AddSweep(run.ID, run.spec, func(res *dsmc.SweepResult, err error) {
+		var encoded []byte
 		if err == nil {
-			var buf []byte
-			if buf, err = json.MarshalIndent(res, "", " "); err == nil {
-				err = atomicWrite(filepath.Join(s.dataDir, run.ID, "result.json"), append(buf, '\n'))
+			if encoded, err = json.MarshalIndent(res, "", " "); err == nil {
+				encoded = append(encoded, '\n')
+				err = atomicWrite(s.resultPath(run.ID), encoded)
 			}
 		}
-		run.finish(res, err)
+		run.finish(res, encoded, err)
 		if err != nil {
 			log.Printf("%s failed: %v", run.ID, err)
 		} else {
@@ -345,7 +368,7 @@ func (s *server) execute(run *sweepRun) {
 		s.gcStore()
 	})
 	if err != nil {
-		run.finish(nil, err)
+		run.finish(nil, nil, err)
 		log.Printf("%s failed: %v", run.ID, err)
 	}
 }
@@ -420,8 +443,9 @@ func (r *sweepRun) observe(e dsmc.SweepEvent) {
 	}
 }
 
-// finish closes the run and wakes event subscribers.
-func (r *sweepRun) finish(res *dsmc.SweepResult, err error) {
+// finish closes the run and wakes event subscribers. encoded is the
+// content of result.json; only its hash and length are kept.
+func (r *sweepRun) finish(res *dsmc.SweepResult, encoded []byte, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err != nil {
@@ -430,6 +454,7 @@ func (r *sweepRun) finish(res *dsmc.SweepResult, err error) {
 	} else {
 		r.State = stateDone
 		r.result = res
+		r.resultETag, r.resultSize = etagOf(encoded), len(encoded)
 	}
 	close(r.done)
 }
@@ -746,6 +771,14 @@ type quantityPointView struct {
 	Field dsmc.FieldStats `json:"field"`
 }
 
+// handleResult serves a finished sweep's result. A done result is
+// immutable — the sweep's determinism contract says a re-run produces the
+// same bits — so it is a content-addressed resource: result.json is the
+// representation and its SHA-256 the strong ETag. Conditional requests
+// and HEADs are answered from the retained tag and size alone; a full GET
+// reads the file and serves it only if it still hashes to the tag.
+// ?quantity= views are projections of the retained decoded result,
+// encoded per request.
 func (s *server) handleResult(w http.ResponseWriter, req *http.Request) {
 	run := s.lookup(w, req)
 	if run == nil {
@@ -753,25 +786,48 @@ func (s *server) handleResult(w http.ResponseWriter, req *http.Request) {
 	}
 	run.mu.Lock()
 	state, res, errMsg := run.State, run.result, run.Error
+	etag, size := run.resultETag, run.resultSize
 	run.mu.Unlock()
 	switch state {
 	case stateRunning:
 		writeErr(w, http.StatusConflict, errors.New("sweep still running; poll status or stream events"))
+		return
 	case stateFailed:
 		writeErr(w, http.StatusInternalServerError, errors.New(errMsg))
-	default:
-		// Done sweeps always carry their result: finish(res, nil) is the
-		// only path to stateDone, including recovery (which unmarshals
-		// result.json before marking the run done). A done result is
-		// immutable — the sweep's determinism contract says a re-run
-		// produces the same bits — so it is served with content-addressed
-		// cache semantics.
-		if q := req.URL.Query().Get("quantity"); q != "" {
-			s.writeQuantity(w, req, res, dsmc.Quantity(q))
+		return
+	}
+	// Done sweeps always carry their result: finish(res, encoded, nil) is
+	// the only path to stateDone, including recovery.
+	if q := req.URL.Query().Get("quantity"); q != "" {
+		s.writeQuantity(w, req, res, dsmc.Quantity(q))
+		return
+	}
+	if notModified(w, req, etag) {
+		return
+	}
+	h := w.Header()
+	var data []byte
+	if req.Method != http.MethodHead {
+		// Verify on read, like the store: the whole file is hashed before
+		// the first byte goes out, so a 200 body always hashes to its ETag.
+		var err error
+		if data, err = os.ReadFile(s.resultPath(run.ID)); err == nil {
+			if got := etagOf(data); got != etag {
+				err = fmt.Errorf("result.json (%d bytes) hashes to %s, was written as %s (%d bytes)", len(data), got, etag, size)
+			}
+		}
+		if err != nil {
+			err = fmt.Errorf("sweep %s: stored result failed verification: %w", run.ID, err)
+			log.Print(err)
+			h.Del("ETag")
+			h.Del("Cache-Control")
+			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeImmutableJSON(w, req, res)
 	}
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(size))
+	w.Write(data)
 }
 
 // writeQuantity serves one sampled quantity's per-point aggregates, or
@@ -820,11 +876,7 @@ func (s *server) handleStoreObject(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no object %q in the result store", sha))
 		return
 	}
-	etag := `"` + sha + `"`
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Cache-Control", immutableCache)
-	if etagMatches(req.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
+	if notModified(w, req, `"`+sha+`"`) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -837,10 +889,18 @@ func (s *server) handleStoreObject(w http.ResponseWriter, req *http.Request) {
 // change under their identity.
 const immutableCache = "public, max-age=31536000, immutable"
 
-// writeImmutableJSON serves v as JSON with content-addressed cache
-// semantics: a strong ETag derived from the encoded body's SHA-256,
-// the immutable cache policy, and If-None-Match short-circuiting to
-// 304 Not Modified with an empty body.
+// etagOf is the strong validator of a representation: its SHA-256 in
+// hex, quoted.
+func etagOf(body []byte) string {
+	return fmt.Sprintf("\"%x\"", sha256.Sum256(body))
+}
+
+// writeImmutableJSON encodes v per request and serves it with
+// content-addressed cache semantics: a strong ETag derived from the
+// encoded body's SHA-256, the immutable cache policy, and If-None-Match
+// short-circuiting to 304 Not Modified with an empty body. It serves the
+// ?quantity= views; the full result is never encoded here (handleResult
+// serves result.json).
 func writeImmutableJSON(w http.ResponseWriter, req *http.Request, v any) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -849,15 +909,25 @@ func writeImmutableJSON(w http.ResponseWriter, req *http.Request, v any) {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	etag := fmt.Sprintf("\"%x\"", sha256.Sum256(buf.Bytes()))
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Cache-Control", immutableCache)
-	if etagMatches(req.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
+	if notModified(w, req, etagOf(buf.Bytes())) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(buf.Bytes())
+}
+
+// notModified stamps the headers every content-addressed resource
+// carries — its strong ETag and the immutable cache policy — and answers
+// a request whose If-None-Match already names that tag with a bare 304.
+// It reports whether the response is thereby complete.
+func notModified(w http.ResponseWriter, req *http.Request, etag string) bool {
+	w.Header().Set("ETag", etag)
+	w.Header().Set("Cache-Control", immutableCache)
+	if !etagMatches(req.Header.Get("If-None-Match"), etag) {
+		return false
+	}
+	w.WriteHeader(http.StatusNotModified)
+	return true
 }
 
 // etagMatches implements If-None-Match: a comma-separated candidate

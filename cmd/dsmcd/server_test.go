@@ -31,7 +31,7 @@ func tinySpec() dsmc.SweepSpec {
 	}
 }
 
-func submit(t *testing.T, ts *httptest.Server, spec dsmc.SweepSpec) string {
+func submit(t testing.TB, ts *httptest.Server, spec dsmc.SweepSpec) string {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -57,7 +57,7 @@ func submit(t *testing.T, ts *httptest.Server, spec dsmc.SweepSpec) string {
 	return out["id"]
 }
 
-func waitDone(t *testing.T, ts *httptest.Server, id string) statusView {
+func waitDone(t testing.TB, ts *httptest.Server, id string) statusView {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -294,7 +294,9 @@ func TestServerScenarioSweep(t *testing.T) {
 func iptr(v int) *int { return &v }
 
 // TestServerRecovery: a new server over an existing data directory
-// serves finished sweeps and their results without re-running them.
+// serves finished sweeps and their results without re-running them — the
+// same bytes under the same ETag as before the restart, because both
+// processes serve result.json and tag it with its hash.
 func TestServerRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := newServer(dir, 2)
@@ -304,9 +306,13 @@ func TestServerRecovery(t *testing.T) {
 	ts1 := httptest.NewServer(s1.handler())
 	id := submit(t, ts1, tinySpec())
 	st := waitDone(t, ts1, id)
-	ts1.Close()
 	if st.State != stateDone {
 		t.Fatalf("first run state %s", st.State)
+	}
+	pre, preBody := fetch(t, http.MethodGet, ts1.URL, id, "")
+	ts1.Close()
+	if pre.StatusCode != http.StatusOK || pre.Header.Get("ETag") == "" {
+		t.Fatalf("first run result: status %d, ETag %q", pre.StatusCode, pre.Header.Get("ETag"))
 	}
 
 	s2, err := newServer(dir, 2)
@@ -319,16 +325,19 @@ func TestServerRecovery(t *testing.T) {
 	if st2.State != stateDone || !st2.Resumed {
 		t.Fatalf("recovered sweep state %s resumed=%v", st2.State, st2.Resumed)
 	}
-	resp, err := http.Get(ts2.URL + "/v1/sweeps/" + id + "/result")
-	if err != nil {
-		t.Fatal(err)
+	post, postBody := fetch(t, http.MethodGet, ts2.URL, id, "")
+	if post.StatusCode != http.StatusOK || post.Header.Get("ETag") != pre.Header.Get("ETag") || !bytes.Equal(postBody, preBody) {
+		t.Fatalf("recovered result: status %d, ETag %s (was %s), body equal: %v",
+			post.StatusCode, post.Header.Get("ETag"), pre.Header.Get("ETag"), bytes.Equal(postBody, preBody))
 	}
-	defer resp.Body.Close()
 	var res dsmc.SweepResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+	if err := json.Unmarshal(postBody, &res); err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Points) != 1 {
 		t.Fatalf("recovered result has %d points", len(res.Points))
+	}
+	if cond, _ := fetch(t, http.MethodGet, ts2.URL, id, pre.Header.Get("ETag")); cond.StatusCode != http.StatusNotModified {
+		t.Errorf("pre-restart ETag against the recovered server: status %d, want 304", cond.StatusCode)
 	}
 }

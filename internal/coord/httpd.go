@@ -3,6 +3,7 @@ package coord
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 )
@@ -83,9 +84,8 @@ func (c *Coordinator) handlePutCheckpoint(w http.ResponseWriter, r *http.Request
 	if !ok {
 		return
 	}
-	data, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, "bad body", http.StatusBadRequest)
+	data, ok := readUpload(w, r, maxUploadBytes)
+	if !ok {
 		return
 	}
 	if err := c.SaveCheckpoint(sweep, job, lease, data); err != nil {
@@ -100,9 +100,8 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	data, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, "bad body", http.StatusBadRequest)
+	data, ok := readUpload(w, r, maxUploadBytes)
+	if !ok {
 		return
 	}
 	out, err := DecodeOutput(data)
@@ -157,6 +156,34 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"workers": c.Workers()})
+}
+
+// maxUploadBytes caps the body of a checkpoint PUT and of a completion
+// POST, the two requests whose bodies the coordinator buffers whole. A
+// checkpoint of the paper-scale flow (98x64 cells at 75 particles per
+// cell, 0.5 M particles) is 31 MiB and a replica output is far smaller,
+// so 256 MiB leaves 8x headroom while bounding what one request can make
+// the coordinator allocate.
+const maxUploadBytes = 256 << 20
+
+// readUpload reads a request body of at most limit bytes. A longer one —
+// declared by Content-Length or discovered while reading — is refused
+// with 413 before any coordinator state is touched, so the sender's lease
+// stays as it was. ok is false when the response has been written.
+func readUpload(w http.ResponseWriter, r *http.Request, limit int64) (data []byte, ok bool) {
+	if r.ContentLength <= limit {
+		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+		if err == nil {
+			return data, true
+		}
+		var tooLarge *http.MaxBytesError
+		if !errors.As(err, &tooLarge) {
+			http.Error(w, "bad body", http.StatusBadRequest)
+			return nil, false
+		}
+	}
+	http.Error(w, fmt.Sprintf("body exceeds the %d-byte upload limit", limit), http.StatusRequestEntityTooLarge)
+	return nil, false
 }
 
 func jobParams(w http.ResponseWriter, r *http.Request) (sweep, job, lease string, ok bool) {

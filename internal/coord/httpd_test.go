@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -84,5 +86,67 @@ func TestHTTPTransport(t *testing.T) {
 	missing := &Lease{Sweep: "nope", Job: "rarefied/r000", LeaseID: "l1"}
 	if err := q.SaveCheckpoint(context.Background(), missing, []byte("x")); !errors.Is(err, ErrUnknown) {
 		t.Fatalf("unknown sweep upload: got %v, want ErrUnknown", err)
+	}
+}
+
+// TestUploadLimit: the two endpoints that buffer a whole body refuse one
+// over the limit with 413 — by its declared length before a byte is read,
+// or while reading when the length is not declared — and the refusal
+// leaves the lease as it was: the same lease then uploads checkpoints and
+// completes, and the sweep finishes.
+func TestUploadLimit(t *testing.T) {
+	done := make(chan error, 1)
+	c := New(Config{DataDir: t.TempDir(), LeaseTTL: 30 * time.Second})
+	if err := c.AddSweep("sw", tinySpec(), func(_ *dsmc.SweepResult, err error) { done <- err }); err != nil {
+		t.Fatal(err)
+	}
+	h := c.Handler()
+	l := mustPoll(t, c, "w1")
+
+	for _, target := range []struct{ method, path string }{
+		{http.MethodPut, "/coord/v1/checkpoint"},
+		{http.MethodPost, "/coord/v1/complete"},
+	} {
+		// The body itself is tiny: the declared length alone must refuse it.
+		req := httptest.NewRequest(target.method, jobQuery(target.path, l), strings.NewReader("x"))
+		req.ContentLength = maxUploadBytes + 1
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s %s declaring %d bytes: status %d, want 413", target.method, target.path, req.ContentLength, rec.Code)
+		}
+	}
+
+	// Undeclared length (chunked): the limit is found while reading.
+	for _, tc := range []struct {
+		body string
+		ok   bool
+	}{{"12345678", true}, {"123456789", false}} {
+		req := httptest.NewRequest(http.MethodPut, "/", strings.NewReader(tc.body))
+		req.ContentLength = -1
+		rec := httptest.NewRecorder()
+		data, ok := readUpload(rec, req, 8)
+		if ok != tc.ok || (ok && string(data) != tc.body) || (!ok && rec.Code != http.StatusRequestEntityTooLarge) {
+			t.Errorf("readUpload of %d undeclared bytes, limit 8: ok=%v status %d data %q", len(tc.body), ok, rec.Code, data)
+		}
+	}
+
+	// The refused requests changed nothing: l is still the live lease.
+	if status, err := c.HandleHeartbeat(Heartbeat{Worker: "w1", Sweep: l.Sweep, Job: l.Job, Lease: l.LeaseID}); err != nil || status != HBOK {
+		t.Fatalf("heartbeat after the refused uploads: status %q, err %v", status, err)
+	}
+	for ; l != nil; l, _ = c.Poll("w1") {
+		out := runLeasedJob(t, c, l) // uploads its checkpoints under l
+		if err := c.Complete(l.Sweep, l.Job, l.LeaseID, out); err != nil {
+			t.Fatalf("complete %s: %v", l.Job, err)
+		}
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("sweep never finished after the refused uploads")
 	}
 }
