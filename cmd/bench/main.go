@@ -57,13 +57,8 @@ type Record struct {
 	MeasuredSteps int  `json:"measured_steps"`
 	// Repeat is the measurement-window count per case; the recorded
 	// time is the fastest window (robust against host noise).
-	Repeat int `json:"repeat"`
-	// Tile and Regions are the record-wide stepping mode of the plain
-	// step cases (-tile / -regions flags); the scatter-tile and
-	// region-sweep case groups carry their own per-case values.
-	Tile    int    `json:"tile,omitempty"`
-	Regions bool   `json:"regions,omitempty"`
-	Cases   []Case `json:"cases"`
+	Repeat int    `json:"repeat"`
+	Cases  []Case `json:"cases"`
 }
 
 // Case is one benchmark configuration's measurement.
@@ -74,11 +69,6 @@ type Case struct {
 	Precision string `json:"precision,omitempty"`
 	Workers   int    `json:"workers"`
 	Particles int    `json:"particles"`
-	// Tile is the cell-block scatter window width the case ran with
-	// (0 = engine default); Regions marks the spatially-blocked
-	// (owner-computes) stepping mode.
-	Tile    int  `json:"tile,omitempty"`
-	Regions bool `json:"regions,omitempty"`
 	// Step-benchmark cases; zero (omitted) on ensemble-throughput cases.
 	NsPerStep         float64 `json:"ns_per_step,omitempty"`
 	UsPerParticleStep float64 `json:"us_per_particle_step,omitempty"`
@@ -118,8 +108,6 @@ func main() {
 	warm := flag.Int("warm", 30, "warm-up steps per case (past the initial transient)")
 	steps := flag.Int("steps", 40, "measured steps per case")
 	sweepPerCell := flag.Float64("sweep-percell", 75, "particles/cell of the worker sweep (75 = paper scale)")
-	tile := flag.Int("tile", 0, "cell-block scatter tile width for every step case (0 = engine default)")
-	regions := flag.Bool("regions", false, "run every step case in spatially-blocked (owner-computes) mode")
 	workersList := flag.String("workers", "", "comma-separated worker counts for the sweep cases (default: 1,2,4,NumCPU clipped to the host; explicit lists may oversubscribe — see multi_core)")
 	repeat := flag.Int("repeat", 1, "measurement windows per case; the fastest is recorded (use 3+ on noisy hosts)")
 	quick := flag.Bool("quick", false, "CI smoke mode: 3 warm-up and 3 measured steps (unless -warm/-steps are given explicitly)")
@@ -184,34 +172,24 @@ func main() {
 		Repeat:        *repeat,
 	}
 
-	// The record-wide tile/regions mode every step case runs with; the
-	// scatter-tile and region-sweep case groups override per case.
-	rec.Tile, rec.Regions = *tile, *regions
-
-	wedgeTR := func(lambda, perCell float64, workers int, prec dsmc.Precision, tile int, regions bool) stepper {
+	wedge := func(lambda, perCell float64, workers int, prec dsmc.Precision) stepper {
 		cfg := dsmc.PaperConfig()
 		cfg.MeanFreePath = lambda
 		cfg.ParticlesPerCell = perCell
 		cfg.Workers = workers
 		cfg.Seed = 1988
 		cfg.Precision = prec
-		cfg.SortTile = tile
-		cfg.SpatialRegions = regions
 		s, err := dsmc.NewSimulation(cfg)
 		if err != nil {
 			log.Fatalf("bench: %v", err)
 		}
 		return s
 	}
-	wedge := func(lambda, perCell float64, workers int, prec dsmc.Precision) stepper {
-		return wedgeTR(lambda, perCell, workers, prec, *tile, *regions)
-	}
 	tube3 := func(workers int, prec dsmc.Precision) stepper {
 		s, err := dsmc.NewSimulation(dsmc.ShockTube3D{
 			GridNX: 160, GridNY: 16, GridNZ: 16,
 			ThermalSpeed: 0.125, PistonSpeed: 0.131, ParticlesPerCell: 12,
 			Seed: 3, Workers: workers, Precision: prec,
-			SortTile: *tile, SpatialRegions: *regions,
 		})
 		if err != nil {
 			log.Fatalf("bench: %v", err)
@@ -242,26 +220,6 @@ func main() {
 	}
 	for _, w := range sweep {
 		rec.add(fmt.Sprintf("shocktube3d/workers-%d", w), dsmc.Float64, w, *warm, *steps, tube3(w, dsmc.Float64))
-	}
-
-	// Scatter-tile sweep: the paper-scale rarefied wedge at one worker
-	// across tile widths, from the degenerate one-cell block through the
-	// untiled direct scatter (tile past the 98×64 cell count). The tile
-	// only moves cache traffic, so the fastest width here is the right
-	// default for this host class.
-	for _, tl := range []int{1, 32, 64, 128, 256, 512, 1024} {
-		rec.addCase(fmt.Sprintf("scatter-tile/tile-%d", tl), dsmc.Float64, 1, *warm, *steps,
-			tl, false, wedgeTR(0.5, *sweepPerCell, 1, dsmc.Float64, tl, false))
-	}
-	rec.addCase("scatter-tile/untiled", dsmc.Float64, 1, *warm, *steps,
-		1<<20, false, wedgeTR(0.5, *sweepPerCell, 1, dsmc.Float64, 1<<20, false))
-
-	// Region mode vs shared store: the worker sweep repeated in
-	// spatially-blocked mode, directly comparable to the
-	// step-worker-sweep cases above (same flow, same worker counts).
-	for _, w := range sweep {
-		rec.addCase(fmt.Sprintf("region-sweep/workers-%d", w), dsmc.Float64, w, *warm, *steps,
-			*tile, true, wedgeTR(0.5, *sweepPerCell, w, dsmc.Float64, *tile, true))
 	}
 
 	// Precision sweep: the same configurations instantiated at both
@@ -319,12 +277,6 @@ func main() {
 // precision the case was actually constructed with (recorded verbatim,
 // not derived from the name).
 func (rec *Record) add(name string, prec dsmc.Precision, workers, warm, steps int, s stepper) {
-	rec.addCase(name, prec, workers, warm, steps, rec.Tile, rec.Regions, s)
-}
-
-// addCase is add with an explicit per-case tile/regions mode (the
-// scatter-tile and region-sweep groups override the record-wide one).
-func (rec *Record) addCase(name string, prec dsmc.Precision, workers, warm, steps, tile int, regions bool, s stepper) {
 	s.Run(warm)
 	reps := rec.Repeat
 	if reps < 1 {
@@ -335,7 +287,7 @@ func (rec *Record) addCase(name string, prec dsmc.Precision, workers, warm, step
 	for k := 0; k < reps; k++ {
 		best = fasterOf(best, k, timeWindow(s, steps))
 	}
-	rec.appendMode(name, prec, workers, s.NFlow(), float64(best.Nanoseconds())/float64(steps), tile, regions)
+	rec.append(name, prec, workers, s.NFlow(), float64(best.Nanoseconds())/float64(steps))
 	rec.Cases[len(rec.Cases)-1].PhaseSeconds = phaseDelta(p0, s.PhaseSeconds())
 }
 
@@ -368,19 +320,13 @@ func fasterOf(best time.Duration, k int, d time.Duration) time.Duration {
 	return best
 }
 
-// append records one measured case under the record-wide mode.
+// append records one measured case.
 func (rec *Record) append(name string, prec dsmc.Precision, workers, particles int, nsPerStep float64) {
-	rec.appendMode(name, prec, workers, particles, nsPerStep, rec.Tile, rec.Regions)
-}
-
-func (rec *Record) appendMode(name string, prec dsmc.Precision, workers, particles int, nsPerStep float64, tile int, regions bool) {
 	c := Case{
 		Name:              name,
 		Precision:         string(prec),
 		Workers:           workers,
 		Particles:         particles,
-		Tile:              tile,
-		Regions:           regions,
 		NsPerStep:         nsPerStep,
 		UsPerParticleStep: nsPerStep / 1000 / float64(particles),
 	}

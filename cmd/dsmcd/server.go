@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"log"
 	"net/http"
@@ -291,6 +292,15 @@ func (s *server) recover() error {
 		if !errors.Is(err, fs.ErrNotExist) {
 			log.Printf("recover %s: unusable result.json: %v", id, err)
 		}
+		// A sweep still to be run goes through the same strict decoder as a
+		// submission: a field this build does not know fails the sweep by
+		// name rather than being ignored on resume.
+		if _, err := decodeSpec(bytes.NewReader(raw)); err != nil {
+			err = fmt.Errorf("persisted spec.json: %w", err)
+			run.finish(nil, nil, err)
+			log.Printf("recover %s: failed: %v", id, err)
+			continue
+		}
 		log.Printf("recover %s: resuming from checkpoints", id)
 		go s.execute(run)
 	}
@@ -566,15 +576,25 @@ func (s *server) handleTrace(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
+// decodeSpec is the strict SweepSpec decoder of submissions and of
+// resumed sweeps: a field this build does not know is an error naming it.
+func decodeSpec(r io.Reader) (dsmc.SweepSpec, error) {
+	var spec dsmc.SweepSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, fmt.Errorf("decoding spec: %w", err)
+	}
+	return spec, nil
+}
+
 // handleSubmit accepts a SweepSpec as JSON, validates it, persists it
 // and launches it. The server owns the checkpoint directory; a
 // client-supplied one is rejected rather than silently rewritten.
 func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	var spec dsmc.SweepSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
+	spec, err := decodeSpec(http.MaxBytesReader(w, req.Body, 1<<20))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if spec.CheckpointDir != "" {

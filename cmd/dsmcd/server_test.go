@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +32,19 @@ func tinySpec() dsmc.SweepSpec {
 		WarmSteps:   4,
 		SampleSteps: 4,
 	}
+}
+
+// tinyScenarioSpec is tinySpec with its base carried as a first-class
+// scenario spec.
+func tinyScenarioSpec(t testing.TB) dsmc.SweepSpec {
+	t.Helper()
+	spec := tinySpec()
+	ss, err := dsmc.NewScenarioSpec(spec.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Scenario = ss
+	return spec
 }
 
 func submit(t testing.TB, ts *httptest.Server, spec dsmc.SweepSpec) string {
@@ -151,12 +167,18 @@ func TestServerValidation(t *testing.T) {
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
+	var reply string // body of the latest post
 	post := func(body string) int {
 		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
+		defer resp.Body.Close()
+		buf, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply = string(buf)
 		return resp.StatusCode
 	}
 	if code := post("{not json"); code != http.StatusBadRequest {
@@ -188,6 +210,26 @@ func TestServerValidation(t *testing.T) {
 	raw, _ = json.Marshal(withStore)
 	if code := post(string(raw)); code != http.StatusBadRequest {
 		t.Errorf("client result store dir: status %d", code)
+	}
+
+	// The deleted SortTile/SpatialRegions knobs are unknown fields like any
+	// other: rejected by name in scenario params and in the legacy base.
+	scen := tinyScenarioSpec(t)
+	for _, c := range []struct {
+		spec  dsmc.SweepSpec
+		path  []string
+		field string
+		value any
+	}{
+		{scen, []string{"scenario", "params"}, "SortTile", 64},
+		{scen, []string{"scenario", "params"}, "SpatialRegions", true},
+		{tinySpec(), []string{"base"}, "SortTile", 0},
+		{tinySpec(), []string{"base"}, "SpatialRegions", false},
+	} {
+		body := string(specWithField(t, c.spec, c.path, c.field, c.value))
+		if code := post(body); code != http.StatusBadRequest || !strings.Contains(reply, c.field) {
+			t.Errorf("%s in %v: status %d, reply %q; want 400 naming the field", c.field, c.path, code, reply)
+		}
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/sweeps/sw-999999")
@@ -339,5 +381,88 @@ func TestServerRecovery(t *testing.T) {
 	}
 	if cond, _ := fetch(t, http.MethodGet, ts2.URL, id, pre.Header.Get("ETag")); cond.StatusCode != http.StatusNotModified {
 		t.Errorf("pre-restart ETag against the recovered server: status %d, want 304", cond.StatusCode)
+	}
+}
+
+// specWithField marshals spec and sets one extra field in the JSON object
+// at path — a field the SweepSpec types do not have.
+func specWithField(t testing.TB, spec dsmc.SweepSpec, path []string, field string, value any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var root map[string]any
+	if err := json.Unmarshal(raw, &root); err != nil {
+		t.Fatal(err)
+	}
+	obj := root
+	for _, k := range path {
+		obj = obj[k].(map[string]any)
+	}
+	obj[field] = value
+	if raw, err = json.Marshal(root); err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestRecoveryStaleSpec: a data directory written before SortTile and
+// SpatialRegions were deleted. A finished sweep whose spec.json carries
+// them keeps serving the same bytes under the same ETag; an unfinished
+// one ends failed with the field named, whether it sits in the legacy
+// base or in the scenario params; the server starts regardless and an
+// unfinished sweep with a clean spec resumes and completes.
+func TestRecoveryStaleSpec(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1, done := doneSweep(t, dir, tinySpec())
+	pre, preBody := fetch(t, http.MethodGet, ts1.URL, done, "")
+	ts1.Close()
+	s1.mu.Lock()
+	finished := s1.sweeps[done].spec
+	s1.mu.Unlock()
+
+	persist := func(id string, spec []byte) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Join(dir, id, "ckpt"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, id, "spec.json"), spec, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unfinished := func(id string, spec dsmc.SweepSpec) dsmc.SweepSpec {
+		spec.Pool = 2
+		spec.CheckpointDir = filepath.Join(dir, id, "ckpt")
+		return spec
+	}
+	persist(done, specWithField(t, finished, []string{"base"}, "SortTile", 0))
+	persist("sw-000002", specWithField(t, unfinished("sw-000002", tinySpec()), []string{"base"}, "SpatialRegions", false))
+	persist("sw-000003", specWithField(t, unfinished("sw-000003", tinyScenarioSpec(t)), []string{"scenario", "params"}, "SortTile", 64))
+	clean, err := json.Marshal(unfinished("sw-000004", tinySpec()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	persist("sw-000004", clean)
+
+	s2, err := newServer(dir, 2)
+	if err != nil {
+		t.Fatalf("server did not start over the stale directory: %v", err)
+	}
+	ts2 := httptest.NewServer(s2.handler())
+	defer ts2.Close()
+
+	post, postBody := fetch(t, http.MethodGet, ts2.URL, done, "")
+	if post.StatusCode != http.StatusOK || post.Header.Get("ETag") != pre.Header.Get("ETag") || !bytes.Equal(postBody, preBody) {
+		t.Errorf("finished sweep: status %d, ETag %s (was %s), body equal: %v",
+			post.StatusCode, post.Header.Get("ETag"), pre.Header.Get("ETag"), bytes.Equal(postBody, preBody))
+	}
+	for id, field := range map[string]string{"sw-000002": "SpatialRegions", "sw-000003": "SortTile"} {
+		if st := waitDone(t, ts2, id); st.State != stateFailed || !strings.Contains(st.Error, field) {
+			t.Errorf("%s: state %s, error %q; want failed naming %s", id, st.State, st.Error, field)
+		}
+	}
+	if st := waitDone(t, ts2, "sw-000004"); st.State != stateDone {
+		t.Errorf("clean unfinished sweep: state %s (%s), want done", st.State, st.Error)
 	}
 }

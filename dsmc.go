@@ -148,15 +148,6 @@ type Config struct {
 	Workers int
 	// Seed seeds all randomness; runs with equal seeds are reproducible.
 	Seed uint64
-	// SortTile is the Reference backend's cell-block scatter window width
-	// in cells (0 = default). A cache-tuning knob only — never changes
-	// results.
-	SortTile int
-	// SpatialRegions selects the Reference backend's spatially-blocked
-	// (owner-computes) stepping mode: each worker owns a contiguous cell
-	// region end-to-end, with migrant exchange at the sort. Bit-identical
-	// to the default sharding.
-	SpatialRegions bool
 }
 
 // PaperConfig returns the configuration of the paper's simulations:
@@ -195,7 +186,7 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("dsmc: unknown backend %d", c.Backend)
 	}
-	if err := validateFlow(c.MeanFreePath, c.ParticlesPerCell, c.Model, c.Precision, c.Workers, c.SortTile); err != nil {
+	if err := validateFlow(c.MeanFreePath, c.ParticlesPerCell, c.Model, c.Precision, c.Workers); err != nil {
 		return err
 	}
 	if c.Backend == ConnectionMachine && c.Precision == Float32 {
@@ -234,7 +225,6 @@ func (c Config) firstClass() (Scenario, error) {
 			Mach: c.Mach, ThermalSpeed: c.ThermalSpeed, MeanFreePath: c.MeanFreePath,
 			ParticlesPerCell: c.ParticlesPerCell, Model: c.Model,
 			Precision: c.Precision, Workers: c.Workers, Seed: c.Seed,
-			SortTile: c.SortTile, SpatialRegions: c.SpatialRegions,
 		}, nil
 	}
 	return WedgeTunnel2D{
@@ -242,7 +232,6 @@ func (c Config) firstClass() (Scenario, error) {
 		Mach: c.Mach, ThermalSpeed: c.ThermalSpeed, MeanFreePath: c.MeanFreePath,
 		ParticlesPerCell: c.ParticlesPerCell, Model: c.Model,
 		Precision: c.Precision, Workers: c.Workers, Seed: c.Seed,
-		SortTile: c.SortTile, SpatialRegions: c.SpatialRegions,
 	}, nil
 }
 
@@ -255,7 +244,7 @@ func (c Config) lower() (*plan, error) {
 	}
 	p, err := lower2D(c.Kind(), c.GridNX, c.GridNY, c.Wedge, nil,
 		c.Mach, c.ThermalSpeed, c.MeanFreePath, c.ParticlesPerCell,
-		c.Model, c.Precision, c.Workers, c.Seed, c.SortTile, c.SpatialRegions)
+		c.Model, c.Precision, c.Workers, c.Seed)
 	if err != nil {
 		return nil, err
 	}

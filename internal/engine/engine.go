@@ -167,20 +167,6 @@ type Config struct {
 	// Scheme, when non-nil, replaces the default McDonald–Baganoff
 	// select+collide with a pluggable per-cell scheme (baselines).
 	Scheme baseline.Scheme
-	// SortTile is the sort's cell-block scatter window width in cells
-	// (rounded up to a power of two); <= 0 selects par.DefaultSortTile,
-	// >= Cells disables tiling. A pure cache knob: it never changes
-	// results.
-	SortTile int
-	// Regions selects the spatially-blocked (owner-computes) stepping
-	// mode: the cells are partitioned into contiguous per-worker regions
-	// (rebalanced by particle count at every sort) and each worker runs
-	// move, sort, collide and sample over its own region's particles,
-	// with the sort's cell-block buckets acting as the explicit migrant
-	// exchange between regions. Bit-identical to the default
-	// equal-blocks sharding — the decomposition moves cache and
-	// cross-worker traffic, never bits.
-	Regions bool
 }
 
 // pairPick records an accepted candidate pair: the particles at indices
@@ -225,23 +211,6 @@ type Engine[F kernel.Float] struct {
 	fnScheme    func(w, lo, hi int)
 	swapFn      func(i, j int)
 
-	// Owner-computes state (Config.Regions). cellBounds partitions the
-	// cell index space into one contiguous region per worker; segBounds
-	// is the matching particle-segment decomposition of the cell-major
-	// store (segBounds[r] = cellStart[cellBounds[r]], recomputed after
-	// every sort). haveBounds gates the span-sharded paths: false until
-	// the first sort and after a checkpoint restore, when the pipeline
-	// falls back to the equal-block decomposition for one pass — a pure
-	// scheduling choice, so the fallback is bit-identical too.
-	regions      bool
-	cellBounds   []int32
-	segBounds    []int32
-	planSeg      []int32 // segBounds clamped to the post-PostMove length
-	haveBounds   bool
-	sampleFn     func(lo, hi int)
-	fnSampleSpan func(w, lo, hi int)
-	sampleFor    func(n int, f func(lo, hi int))
-
 	// per-worker scratch, indexed by the pool's block index
 	scratchW [][]collide.State5 // scheme gather buffers
 	gW       [][]float64        // relative-speed spans (one cell at a time)
@@ -255,14 +224,13 @@ type Engine[F kernel.Float] struct {
 // double-buffered stores (equal capacity, both 2D or both 3D).
 func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store, shadow *particle.Store[F]) *Engine[F] {
 	e := &Engine[F]{
-		cfg:     cfg,
-		dom:     dom,
-		store:   store,
-		shadow:  shadow,
-		pool:    pool,
-		sorter:  par.NewCellSort[F](pool, cfg.Cells, cfg.SortTile, store.Cap()),
-		table:   rng.Perm5Table(),
-		regions: cfg.Regions,
+		cfg:    cfg,
+		dom:    dom,
+		store:  store,
+		shadow: shadow,
+		pool:   pool,
+		sorter: par.NewCellSort[F](pool, cfg.Cells, 0, 0),
+		table:  rng.Perm5Table(),
 	}
 	w := pool.Workers()
 	e.scratchW = make([][]collide.State5, w)
@@ -292,33 +260,6 @@ func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store, shado
 	}
 	e.fnScheme = e.schemeShard
 	e.swapFn = func(i, j int) { e.store.Swap(i, j) }
-	if cfg.Regions {
-		e.cellBounds = make([]int32, w+1)
-		e.segBounds = make([]int32, w+1)
-		e.planSeg = make([]int32, w+1)
-		// Equal cell blocks until the first sort's counts allow a
-		// particle-balanced split.
-		step := (cfg.Cells + w - 1) / w
-		for b := 0; b <= w; b++ {
-			c := b * step
-			if c > cfg.Cells {
-				c = cfg.Cells
-			}
-			e.cellBounds[b] = int32(c)
-		}
-		e.fnSampleSpan = func(w, lo, hi int) {
-			if lo < hi {
-				e.sampleFn(lo, hi)
-			}
-		}
-		e.sampleFor = func(n int, f func(lo, hi int)) {
-			e.sampleFn = f
-			e.pool.ForSpans(e.cellBounds, e.fnSampleSpan)
-			e.sampleFn = nil
-		}
-	} else {
-		e.sampleFor = pool.For
-	}
 	return e
 }
 
@@ -368,17 +309,7 @@ func (e *Engine[F]) RestoreCounters(step int, collisions int64) {
 	// Resync the metrics baseline: the restored total is not new work,
 	// and a backward jump must not wrap the per-step counter delta.
 	e.prevColl = collisions
-	// The restored store's layout owes nothing to the current region
-	// bounds; the next sort rebuilds them (equal-block fallback for one
-	// pass — bit-identical, see haveBounds).
-	e.haveBounds = false
 }
-
-// SortTile returns the resolved cell-block scatter window width.
-func (e *Engine[F]) SortTile() int { return e.sorter.Tile() }
-
-// Regions reports whether the spatially-blocked stepping mode is active.
-func (e *Engine[F]) Regions() bool { return e.regions }
 
 // CellCounts returns the per-cell particle counts of the latest sort.
 func (e *Engine[F]) CellCounts() []int32 { return e.sorter.Counts() }
@@ -464,7 +395,7 @@ func (e *Engine[F]) Run(n int) {
 //
 //dsmc:hotpath
 func (e *Engine[F]) SampleInto(acc *sample.Accumulator) {
-	sample.AddFlowCellMajor(acc, e.store, e.sorter.CellStart(), e.sampleFor)
+	sample.AddFlowCellMajor(acc, e.store, e.sorter.CellStart(), e.pool.For)
 }
 
 // moveBoundaries performs the collisionless motion (the width-grouped
@@ -478,16 +409,7 @@ func (e *Engine[F]) SampleInto(acc *sample.Accumulator) {
 //dsmc:hotpath
 func (e *Engine[F]) moveBoundaries() {
 	e.dom.PreMove()
-	if e.regions && e.haveBounds {
-		// Owner-computes: each worker advances the particle segment its
-		// cell region produced at the last sort — the columns it wrote
-		// then and will histogram next. Segments are ascending contiguous
-		// spans, so exits still arrive in ascending order per worker and
-		// the domains' reverse-order removal walk is unchanged.
-		e.pool.ForSpans(e.segBounds, e.fnMoveBound)
-	} else {
-		e.pool.ForIdx(e.store.Len(), e.fnMoveBound)
-	}
+	e.pool.ForIdx(e.store.Len(), e.fnMoveBound)
 	e.dom.PostMove()
 }
 
@@ -528,67 +450,10 @@ func (e *Engine[F]) moveBoundShard(w, lo, hi int) {
 //dsmc:hotpath
 func (e *Engine[F]) sortByCell() {
 	st := e.store
-	if !e.regions {
-		e.sorter.Plan(st.Len(), st.Cell, nil)
-		e.sorter.ScatterStore(st, e.shadow)
-		e.store, e.shadow = e.shadow, e.store
-		e.sorter.Shuffle(e.cfg.Seed, e.Epoch(e.cfg.Layout.Sort), e.swapFn)
-		return
-	}
-	// Owner-computes sort. The histogram sweeps the cell column of each
-	// region's own segment (clamped: PostMove may have removed exits from
-	// the global end or appended refills, which only resizes the last span);
-	// the regions are then rebalanced by particle count, and the region
-	// scatter drains every region's buckets in (source-region,
-	// source-index) order — the migrant exchange. Same stable order as
-	// ScatterStore, so the modes are bit-identical.
-	n := st.Len()
-	if e.haveBounds {
-		w := e.pool.Workers()
-		for r := 0; r <= w; r++ {
-			v := e.segBounds[r]
-			if int(v) > n {
-				v = int32(n)
-			}
-			e.planSeg[r] = v
-		}
-		e.planSeg[w] = int32(n)
-		e.sorter.PlanSpans(e.planSeg, st.Cell, nil)
-	} else {
-		e.sorter.Plan(n, st.Cell, nil)
-	}
-	e.rebalanceRegions(n)
-	e.sorter.ScatterStoreRegions(st, e.shadow, e.cellBounds)
+	e.sorter.Plan(st.Len(), st.Cell, nil)
+	e.sorter.ScatterStore(st, e.shadow)
 	e.store, e.shadow = e.shadow, e.store
-	e.sorter.ShuffleSpans(e.cfg.Seed, e.Epoch(e.cfg.Layout.Sort), e.swapFn, e.cellBounds)
-	cellStart := e.sorter.CellStart()
-	for r := range e.segBounds {
-		e.segBounds[r] = cellStart[e.cellBounds[r]]
-	}
-	e.haveBounds = true
-}
-
-// rebalanceRegions re-cuts the per-worker cell regions so each owns
-// roughly n/Workers() particles of the just-planned layout (a greedy
-// walk over the bucket boundaries). Runs serially between the plan and
-// the scatter; the bounds steer scheduling and cache traffic only, so
-// rebalancing every step costs no determinism.
-//
-//dsmc:hotpath
-func (e *Engine[F]) rebalanceRegions(n int) {
-	cellStart := e.sorter.CellStart()
-	cells := e.cfg.Cells
-	w := e.pool.Workers()
-	e.cellBounds[0] = 0
-	c := 0
-	for r := 1; r < w; r++ {
-		target := int32(r * n / w)
-		for c < cells && cellStart[c] < target {
-			c++
-		}
-		e.cellBounds[r] = int32(c)
-	}
-	e.cellBounds[w] = int32(cells)
+	e.sorter.Shuffle(e.cfg.Seed, e.Epoch(e.cfg.Layout.Sort), e.swapFn)
 }
 
 // smallCellPairs is the span below which the select sweep computes its
@@ -632,28 +497,13 @@ func (e *Engine[F]) vol(c int) float64 {
 // and each draws from its own streams, so any worker count produces
 // identical collisions.
 //
-// forCells dispatches a cell-range shard body over the active cell
-// decomposition: the particle-balanced owner regions in spatially-
-// blocked mode, the pool's equal blocks otherwise. Cells draw from
-// per-cell streams and own disjoint store ranges, so the choice moves
-// no bits.
-//
-//dsmc:hotpath
-func (e *Engine[F]) forCells(f func(w, lo, hi int)) {
-	if e.regions && e.haveBounds {
-		e.pool.ForSpans(e.cellBounds, f)
-	} else {
-		e.pool.ForIdx(e.cfg.Cells, f)
-	}
-}
-
 //dsmc:hotpath
 func (e *Engine[F]) selectAndCollide() {
 	nc := e.cfg.Cells
 	if e.cfg.Scheme != nil {
 		// Pluggable scheme path (baselines): gather cells, delegate.
 		t0 := now()
-		e.forCells(e.fnScheme)
+		e.pool.ForIdx(nc, e.fnScheme)
 		for _, c := range e.colls {
 			e.collisions += c
 		}
@@ -664,7 +514,7 @@ func (e *Engine[F]) selectAndCollide() {
 		// Single-pass style: selection and collision interleave on one
 		// stream, so the timing cannot be split — book it all as collide.
 		t0 := now()
-		e.forCells(e.fnSelCol)
+		e.pool.ForIdx(nc, e.fnSelCol)
 		for _, c := range e.colls {
 			e.collisions += c
 		}
@@ -675,7 +525,7 @@ func (e *Engine[F]) selectAndCollide() {
 	// then collides the accepted pairs, so the paper's select/collide
 	// breakdown costs three clock reads per shard instead of two per
 	// non-empty cell.
-	e.forCells(e.fnSelCol)
+	e.pool.ForIdx(nc, e.fnSelCol)
 	// A concurrent section's wall time is its slowest shard; if the pool
 	// fell back to serial dispatch the shards ran back-to-back and their
 	// times add instead. Per-worker times are written before the pool's

@@ -15,6 +15,9 @@ func fillStore(st *particle.Store[float64], n, cells int, seed uint64) {
 	for i := 0; i < n; i++ {
 		st.X[i] = float64(i) + 0.25
 		st.Y[i] = float64(i) + 0.5
+		if st.Z != nil {
+			st.Z[i] = float64(i) + 0.75
+		}
 		st.U[i] = r.Float64()
 		st.V[i] = r.Float64()
 		st.W[i] = r.Float64()
@@ -31,6 +34,12 @@ func storesEqual(a, b *particle.Store[float64], n int) bool {
 	cols := [][2][]float64{
 		{a.X, b.X}, {a.Y, b.Y}, {a.U, b.U}, {a.V, b.V}, {a.W, b.W},
 		{a.R1, b.R1}, {a.R2, b.R2}, {a.Evib, b.Evib},
+	}
+	if (a.Z != nil) != (b.Z != nil) {
+		return false
+	}
+	if a.Z != nil {
+		cols = append(cols, [2][]float64{a.Z, b.Z})
 	}
 	for _, c := range cols {
 		for i := 0; i < n; i++ {
@@ -58,12 +67,18 @@ func stableOracle(src *particle.Store[float64], n, cells int) *particle.Store[fl
 		counts[c+1] += counts[c]
 	}
 	dst := particle.NewStore[float64](src.Cap())
+	if src.Z != nil {
+		dst = particle.NewStore3[float64](src.Cap())
+	}
 	dst.SetLen(n)
 	for i := 0; i < n; i++ {
 		c := src.Cell[i]
 		d := counts[c]
 		counts[c] = d + 1
 		dst.X[d], dst.Y[d] = src.X[i], src.Y[i]
+		if src.Z != nil {
+			dst.Z[d] = src.Z[i]
+		}
 		dst.U[d], dst.V[d], dst.W[d] = src.U[i], src.V[i], src.W[i]
 		dst.R1[d], dst.R2[d], dst.Evib[d] = src.R1[i], src.R2[i], src.Evib[i]
 		dst.Cell[d] = c
@@ -71,92 +86,52 @@ func stableOracle(src *particle.Store[float64], n, cells int) *particle.Store[fl
 	return dst
 }
 
-// TestScatterMatchesStableOracle: shared-store scatter (tiled and
-// untiled) and the region scatter all reproduce the serial stable
-// counting sort exactly, for uneven source spans and region bounds that
-// do not align to the tile grid.
+// TestScatterMatchesStableOracle: the sharded scatter reproduces the
+// serial stable counting sort exactly for every worker count, on both
+// the serial and the concurrent dispatch path (n either side of
+// serialCutoff), with empty worker blocks (n = 0, n < workers), a single
+// cell, and a 3D store (the Z column); and Plan reads the cell column
+// directly (nil cellOf) or fills it from cellOf to the same effect.
 func TestScatterMatchesStableOracle(t *testing.T) {
-	const (
-		n     = 5000
-		cells = 300
-		cap_  = 6000
-	)
-	src := particle.NewStore[float64](cap_)
-	fillStore(src, n, cells, 42)
-	want := stableOracle(src, n, cells)
-
-	pool := New(4)
-	planBounds := []int32{0, 1200, 1200, 3700, n} // one empty span
-	cellBounds := []int32{0, 50, 170, 171, cells} // off-tile cuts, near-empty region
-	for _, tile := range []int{1, 8, 64, cells, 4096} {
-		cellOf := func(i int) int32 { return src.Cell[i] }
-
-		cs := NewCellSort[float64](pool, cells, tile, cap_)
-		cs.Plan(n, src.Cell, cellOf)
-		dst := particle.NewStore[float64](cap_)
-		cs.ScatterStore(src, dst)
-		if !storesEqual(want, dst, n) {
-			t.Errorf("tile=%d: ScatterStore diverges from the stable oracle", tile)
-		}
-
-		cs.PlanSpans(planBounds, src.Cell, cellOf)
-		dst2 := particle.NewStore[float64](cap_)
-		cs.ScatterStore(src, dst2)
-		if !storesEqual(want, dst2, n) {
-			t.Errorf("tile=%d: ScatterStore over uneven spans diverges from the stable oracle", tile)
-		}
-
-		cs.PlanSpans(planBounds, src.Cell, cellOf)
-		dst3 := particle.NewStore[float64](cap_)
-		cs.ScatterStoreRegions(src, dst3, cellBounds)
-		if !storesEqual(want, dst3, n) {
-			t.Errorf("tile=%d: ScatterStoreRegions diverges from the stable oracle", tile)
-		}
+	var pools []*Pool
+	for _, workers := range []int{1, 3, 4, 8} {
+		pools = append(pools, New(workers))
 	}
-}
-
-// TestRegionScatterOrderIndependent forcibly perturbs the region
-// completion order: the bucket pass and then the per-region scatter
-// shards are invoked by hand, regions running serially in REVERSE order
-// (the most adversarial schedule a pool could produce). The result must
-// be bit-identical to the normal dispatch — the migrant buckets are
-// drained in (source-span, source-index) order by construction, and
-// each region writes a disjoint destination range, so completion order
-// cannot leak into the output.
-func TestRegionScatterOrderIndependent(t *testing.T) {
-	const (
-		n     = 4000
-		cells = 256
-		cap_  = 4500
-	)
-	src := particle.NewStore[float64](cap_)
-	fillStore(src, n, cells, 7)
-
-	pool := New(4)
-	planBounds := []int32{0, 900, 2100, 3999, n}
-	cellBounds := []int32{0, 31, 130, 200, cells}
-	cellOf := func(i int) int32 { return src.Cell[i] }
-
-	cs := NewCellSort[float64](pool, cells, 64, cap_)
-	cs.PlanSpans(planBounds, src.Cell, cellOf)
-	want := particle.NewStore[float64](cap_)
-	cs.ScatterStoreRegions(src, want, cellBounds)
-
-	// Re-plan (the scatter consumed the wfill cursors), then drive the
-	// shards by hand in reverse region order.
-	cs.PlanSpans(planBounds, src.Cell, cellOf)
-	got := particle.NewStore[float64](cap_)
-	cs.src, cs.dst = src, got
-	for w := 0; w < pool.Workers(); w++ {
-		cs.bucketShard(w, int(planBounds[w]), int(planBounds[w+1]))
+	shapes := []struct {
+		name     string
+		n, cells int
+		threeD   bool
+	}{
+		{"empty", 0, 300, false},
+		{"fewer than workers", 2, 300, false},
+		{"below cutoff", serialCutoff - 1, 300, false},
+		{"at cutoff", serialCutoff, 300, false},
+		{"above cutoff", 5000, 300, false},
+		{"one cell", 5000, 1, false},
+		{"3D", 5000, 300, true},
 	}
-	for r := pool.Workers() - 1; r >= 0; r-- {
-		cs.regionScatterShard(r, int(cellBounds[r]), int(cellBounds[r+1]))
-	}
-	cs.src, cs.dst = nil, nil
-	got.SetLen(n)
-
-	if !storesEqual(want, got, n) {
-		t.Error("reverse region completion order changed the scattered store")
+	for _, sh := range shapes {
+		newStore := particle.NewStore[float64]
+		if sh.threeD {
+			newStore = particle.NewStore3[float64]
+		}
+		src := newStore(sh.n + 100)
+		fillStore(src, sh.n, sh.cells, 42)
+		want := stableOracle(src, sh.n, sh.cells)
+		cells := append([]int32(nil), src.Cell[:sh.n]...)
+		for _, pool := range pools {
+			cs := NewCellSort[float64](pool, sh.cells, 0, 0)
+			for _, cellOf := range []func(i int) int32{nil, func(i int) int32 { return cells[i] }} {
+				cs.Plan(sh.n, src.Cell, cellOf)
+				dst := newStore(src.Cap())
+				cs.ScatterStore(src, dst)
+				if dst.Len() != sh.n {
+					t.Errorf("%s, workers=%d: scattered store holds %d records, want %d", sh.name, pool.Workers(), dst.Len(), sh.n)
+				}
+				if !storesEqual(want, dst, sh.n) {
+					t.Errorf("%s, workers=%d, cellOf=%v: ScatterStore diverges from the stable oracle", sh.name, pool.Workers(), cellOf != nil)
+				}
+			}
+		}
 	}
 }

@@ -134,30 +134,6 @@ func (p *Pool) For(n int, f func(lo, hi int)) {
 	})
 }
 
-// ForSpans runs f once per block b over the caller-supplied ascending
-// decomposition: block b covers [bounds[b], bounds[b+1]), and bounds must
-// have exactly Workers()+1 non-decreasing entries starting at 0. This is
-// the dispatch primitive of the spatially-blocked (owner-computes) mode,
-// where the spans are particle segments or cell regions owned by each
-// worker rather than equal blocks. Like ForIdx, f is always invoked
-// exactly Workers() times (empty spans get lo == hi), the same
-// no-nesting rule applies, and the parallel/serial decision depends only
-// on the total span and worker count.
-func (p *Pool) ForSpans(bounds []int32, f func(w, lo, hi int)) {
-	n := int(bounds[p.workers])
-	if !p.Parallel(n) {
-		for b := 0; b < p.workers; b++ {
-			f(b, int(bounds[b]), int(bounds[b+1]))
-		}
-		return
-	}
-	p.wg.Add(p.workers)
-	for b := 0; b < p.workers; b++ {
-		p.tasks <- task{f: f, w: b, lo: int(bounds[b]), hi: int(bounds[b+1]), wg: &p.wg}
-	}
-	p.wg.Wait()
-}
-
 // SweepWorkers returns the worker counts of a scaling sweep — 1, 2, 4 and
 // the full machine — clipped to runtime.NumCPU() and deduplicated in
 // ascending order, so a sweep never measures oversubscribed pools (a

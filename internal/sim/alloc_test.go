@@ -24,11 +24,10 @@ func allocConfig() Config {
 // allocations in either storage precision — the sort scatters into the
 // pre-allocated shadow store, all shard closures are prebuilt, per-worker
 // scratch is pre-sized, and the reservoir is capacity-bounded.
-func testStepAllocationFree[F kernel.Float](t *testing.T, workers int, regions bool) {
+func testStepAllocationFree[F kernel.Float](t *testing.T, workers int) {
 	t.Helper()
 	cfg := allocConfig()
 	cfg.Workers = workers
-	cfg.Regions = regions
 	s, err := NewOf[F](cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -52,19 +51,13 @@ func testStepAllocationFree[F kernel.Float](t *testing.T, workers int, regions b
 	}
 }
 
-func TestStepAllocationFree(t *testing.T)       { testStepAllocationFree[float64](t, 4, false) }
-func TestStepAllocationFreeSerial(t *testing.T) { testStepAllocationFree[float64](t, 1, false) }
+func TestStepAllocationFree(t *testing.T)       { testStepAllocationFree[float64](t, 4) }
+func TestStepAllocationFreeSerial(t *testing.T) { testStepAllocationFree[float64](t, 1) }
 
 // The float32 instantiation runs the same engine, so the guarantee must
 // carry over unchanged.
-func TestStepAllocationFreeFloat32(t *testing.T)       { testStepAllocationFree[float32](t, 4, false) }
-func TestStepAllocationFreeFloat32Serial(t *testing.T) { testStepAllocationFree[float32](t, 1, false) }
-
-// The spatially-blocked mode adds the bucket pass and the per-step
-// region rebalance; both work entirely in pre-sized buffers, so the
-// zero-allocation guarantee must hold there too.
-func TestStepAllocationFreeRegions(t *testing.T)        { testStepAllocationFree[float64](t, 4, true) }
-func TestStepAllocationFreeRegionsFloat32(t *testing.T) { testStepAllocationFree[float32](t, 4, true) }
+func TestStepAllocationFreeFloat32(t *testing.T)       { testStepAllocationFree[float32](t, 4) }
+func TestStepAllocationFreeFloat32Serial(t *testing.T) { testStepAllocationFree[float32](t, 1) }
 
 // stepRefilled advances one step and reports whether it withdrew the
 // plunger and refilled the void.
@@ -105,8 +98,8 @@ func checkCellMajor[F kernel.Float](t *testing.T, s *SimOf[F]) {
 // exercise each way a particle enters, leaves or jumps in the store —
 // downstream exits (RemoveSwap), plunger refills (Append), wall and body
 // reflections, and a restore into a fresh simulation mid-run — across
-// worker counts and stepping modes. Each seed brings its own boundary
-// variant: the paper's tunnel, diffuse walls, two bodies.
+// worker counts. Each seed brings its own boundary variant: the paper's
+// tunnel, diffuse walls, two bodies.
 func testCellCurrency[F kernel.Float](t *testing.T) {
 	variants := []struct {
 		seed   uint64
@@ -118,39 +111,37 @@ func testCellCurrency[F kernel.Float](t *testing.T) {
 	}
 	for _, v := range variants {
 		for _, workers := range []int{1, 3} {
-			for _, regions := range []bool{false, true} {
-				cfg := smallConfig()
-				cfg.Seed, cfg.Workers, cfg.Regions = v.seed, workers, regions
-				v.mutate(&cfg)
-				s, err := NewOf[F](cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				refills, exits := 0, 0
-				for step := 0; step < 30; step++ {
-					if step == 14 {
-						var buf bytes.Buffer
-						if err := s.WriteCheckpoint(&buf); err != nil {
-							t.Fatal(err)
-						}
-						if s, err = NewOf[F](cfg); err != nil {
-							t.Fatal(err)
-						}
-						if err := s.ReadCheckpoint(&buf); err != nil {
-							t.Fatal(err)
-						}
+			cfg := smallConfig()
+			cfg.Seed, cfg.Workers = v.seed, workers
+			v.mutate(&cfg)
+			s, err := NewOf[F](cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refills, exits := 0, 0
+			for step := 0; step < 30; step++ {
+				if step == 14 {
+					var buf bytes.Buffer
+					if err := s.WriteCheckpoint(&buf); err != nil {
+						t.Fatal(err)
 					}
-					if stepRefilled(s) {
-						refills++
+					if s, err = NewOf[F](cfg); err != nil {
+						t.Fatal(err)
 					}
-					for _, ex := range s.dom.exits {
-						exits += len(ex)
+					if err := s.ReadCheckpoint(&buf); err != nil {
+						t.Fatal(err)
 					}
-					checkCellMajor(t, s)
 				}
-				if refills == 0 || exits == 0 {
-					t.Fatalf("seed %d: run saw %d refills and %d exits, want both", v.seed, refills, exits)
+				if stepRefilled(s) {
+					refills++
 				}
+				for _, ex := range s.dom.exits {
+					exits += len(ex)
+				}
+				checkCellMajor(t, s)
+			}
+			if refills == 0 || exits == 0 {
+				t.Fatalf("seed %d: run saw %d refills and %d exits, want both", v.seed, refills, exits)
 			}
 		}
 	}

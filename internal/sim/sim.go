@@ -75,15 +75,6 @@ type Config struct {
 	// draws from its own counter-based stream keyed by (seed, step,
 	// phase, index) rather than from a shared sequential stream.
 	Workers int
-	// SortTile is the sort's cell-block scatter window width in cells;
-	// <= 0 selects the default. A cache knob only — never changes
-	// results.
-	SortTile int
-	// Regions selects the spatially-blocked (owner-computes) stepping
-	// mode: contiguous per-worker cell regions, rebalanced by particle
-	// count, stepped end-to-end by their owners with migrant exchange at
-	// the sort. Bit-identical to the default sharding.
-	Regions bool
 }
 
 // DefaultConfig returns the paper's configuration at a particle density
@@ -246,12 +237,10 @@ func NewOf[F kernel.Float](cfg Config) (*SimOf[F], error) {
 			GInf:       math.Sqrt2 * cfg.Free.MeanSpeed(),
 			CollideAll: cfg.Free.Lambda <= 0,
 		},
-		Vols:     vols,
-		Layout:   layout2D,
-		ZVib:     cfg.ZVib,
-		Scheme:   cfg.Scheme,
-		SortTile: cfg.SortTile,
-		Regions:  cfg.Regions,
+		Vols:   vols,
+		Layout: layout2D,
+		ZVib:   cfg.ZVib,
+		Scheme: cfg.Scheme,
 	}, dom, pool, store, shadow)
 	dom.eng = eng
 

@@ -88,15 +88,6 @@ type Config struct {
 	// cell draws from its own counter-based stream, so results are
 	// bit-identical for any worker count.
 	Workers int
-	// SortTile is the sort's cell-block scatter window width in cells;
-	// <= 0 selects the default. A cache knob only — never changes
-	// results.
-	SortTile int
-	// Regions selects the spatially-blocked (owner-computes) stepping
-	// mode: contiguous per-worker cell regions, rebalanced by particle
-	// count, stepped end-to-end by their owners with migrant exchange at
-	// the sort. Bit-identical to the default sharding.
-	Regions bool
 }
 
 // Validate reports configuration errors.
@@ -190,8 +181,6 @@ func NewOf[F kernel.Float](cfg Config) (*SimOf[F], error) {
 		},
 		Layout:      layout3D,
 		FusedSelect: true,
-		SortTile:    cfg.SortTile,
-		Regions:     cfg.Regions,
 	}, dom, pool, store, shadow)
 
 	r := rng.NewStream(cfg.Seed)

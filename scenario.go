@@ -103,7 +103,7 @@ func validatePrecision(p Precision) error {
 
 // validateFlow rejects out-of-range freestream and execution knobs
 // shared by every scenario.
-func validateFlow(meanFreePath, particlesPerCell float64, model MolecularModel, prec Precision, workers, sortTile int) error {
+func validateFlow(meanFreePath, particlesPerCell float64, model MolecularModel, prec Precision, workers int) error {
 	if err := validatePrecision(prec); err != nil {
 		return err
 	}
@@ -118,9 +118,6 @@ func validateFlow(meanFreePath, particlesPerCell float64, model MolecularModel, 
 	}
 	if workers < 0 {
 		return errors.New("dsmc: Workers must not be negative (0 selects runtime.NumCPU())")
-	}
-	if sortTile < 0 {
-		return errors.New("dsmc: SortTile must not be negative (0 selects the default tile)")
 	}
 	return nil
 }
@@ -150,7 +147,7 @@ func validateWedgeFit(w WedgeSpec, nx, ny int, label string) error {
 }
 
 // lower2D builds the shared 2D wind-tunnel plan.
-func lower2D(kind string, nx, ny int, wedge, wedge2 *WedgeSpec, mach, thermalSpeed, meanFreePath, nPerCell float64, model MolecularModel, prec Precision, workers int, seed uint64, sortTile int, regions bool) (*plan, error) {
+func lower2D(kind string, nx, ny int, wedge, wedge2 *WedgeSpec, mach, thermalSpeed, meanFreePath, nPerCell float64, model MolecularModel, prec Precision, workers int, seed uint64) (*plan, error) {
 	m, err := modelOf(model)
 	if err != nil {
 		return nil, err
@@ -177,8 +174,6 @@ func lower2D(kind string, nx, ny int, wedge, wedge2 *WedgeSpec, mach, thermalSpe
 		PlungerTrigger: 4,
 		Seed:           seed,
 		Workers:        workers,
-		SortTile:       sortTile,
-		Regions:        regions,
 	}
 	if err := ic.Validate(); err != nil {
 		return nil, err
@@ -227,14 +222,6 @@ type WedgeTunnel2D struct {
 	Workers int
 	// Seed seeds all randomness.
 	Seed uint64
-	// SortTile is the sort's cell-block scatter window width in cells
-	// (0 = default). A cache-tuning knob only — never changes results.
-	SortTile int
-	// SpatialRegions selects the spatially-blocked (owner-computes)
-	// stepping mode: each worker owns a contiguous cell region
-	// end-to-end, with migrant exchange at the sort. Bit-identical to
-	// the default sharding.
-	SpatialRegions bool
 }
 
 // PaperWedgeTunnel returns the paper's configuration as a first-class
@@ -259,7 +246,7 @@ func (s WedgeTunnel2D) Validate() error {
 	if s.GridNX <= 0 || s.GridNY <= 0 {
 		return errors.New("dsmc: grid dimensions must be positive")
 	}
-	if err := validateFlow(s.MeanFreePath, s.ParticlesPerCell, s.Model, s.Precision, s.Workers, s.SortTile); err != nil {
+	if err := validateFlow(s.MeanFreePath, s.ParticlesPerCell, s.Model, s.Precision, s.Workers); err != nil {
 		return err
 	}
 	return validateWedgeFit(s.Wedge, s.GridNX, s.GridNY, "wedge")
@@ -272,7 +259,7 @@ func (s WedgeTunnel2D) lower() (*plan, error) {
 	w := s.Wedge
 	return lower2D(s.Kind(), s.GridNX, s.GridNY, &w, nil,
 		s.Mach, s.ThermalSpeed, s.MeanFreePath, s.ParticlesPerCell,
-		s.Model, s.Precision, s.Workers, s.Seed, s.SortTile, s.SpatialRegions)
+		s.Model, s.Precision, s.Workers, s.Seed)
 }
 
 // EmptyTunnel2D is the wind tunnel with no body: undisturbed freestream
@@ -288,8 +275,6 @@ type EmptyTunnel2D struct {
 	Precision        Precision
 	Workers          int
 	Seed             uint64
-	SortTile         int
-	SpatialRegions   bool
 }
 
 // Kind returns KindEmptyTunnel2D.
@@ -300,7 +285,7 @@ func (s EmptyTunnel2D) Validate() error {
 	if s.GridNX <= 0 || s.GridNY <= 0 {
 		return errors.New("dsmc: grid dimensions must be positive")
 	}
-	return validateFlow(s.MeanFreePath, s.ParticlesPerCell, s.Model, s.Precision, s.Workers, s.SortTile)
+	return validateFlow(s.MeanFreePath, s.ParticlesPerCell, s.Model, s.Precision, s.Workers)
 }
 
 func (s EmptyTunnel2D) lower() (*plan, error) {
@@ -309,7 +294,7 @@ func (s EmptyTunnel2D) lower() (*plan, error) {
 	}
 	return lower2D(s.Kind(), s.GridNX, s.GridNY, nil, nil,
 		s.Mach, s.ThermalSpeed, s.MeanFreePath, s.ParticlesPerCell,
-		s.Model, s.Precision, s.Workers, s.Seed, s.SortTile, s.SpatialRegions)
+		s.Model, s.Precision, s.Workers, s.Seed)
 }
 
 // DoubleWedge2D is a wind tunnel with two disjoint wedges on the lower
@@ -331,8 +316,6 @@ type DoubleWedge2D struct {
 	Precision        Precision
 	Workers          int
 	Seed             uint64
-	SortTile         int
-	SpatialRegions   bool
 }
 
 // Kind returns KindDoubleWedge2D.
@@ -343,7 +326,7 @@ func (s DoubleWedge2D) Validate() error {
 	if s.GridNX <= 0 || s.GridNY <= 0 {
 		return errors.New("dsmc: grid dimensions must be positive")
 	}
-	if err := validateFlow(s.MeanFreePath, s.ParticlesPerCell, s.Model, s.Precision, s.Workers, s.SortTile); err != nil {
+	if err := validateFlow(s.MeanFreePath, s.ParticlesPerCell, s.Model, s.Precision, s.Workers); err != nil {
 		return err
 	}
 	if err := validateWedgeFit(s.Wedge, s.GridNX, s.GridNY, "first wedge"); err != nil {
@@ -366,7 +349,7 @@ func (s DoubleWedge2D) lower() (*plan, error) {
 	w, w2 := s.Wedge, s.Wedge2
 	return lower2D(s.Kind(), s.GridNX, s.GridNY, &w, &w2,
 		s.Mach, s.ThermalSpeed, s.MeanFreePath, s.ParticlesPerCell,
-		s.Model, s.Precision, s.Workers, s.Seed, s.SortTile, s.SpatialRegions)
+		s.Model, s.Precision, s.Workers, s.Seed)
 }
 
 // ShockTube3D is the 3D extension (the paper's future work): a closed
@@ -396,12 +379,6 @@ type ShockTube3D struct {
 	Workers int
 	// Seed seeds all randomness.
 	Seed uint64
-	// SortTile is the sort's cell-block scatter window width in cells
-	// (0 = default). A cache-tuning knob only — never changes results.
-	SortTile int
-	// SpatialRegions selects the spatially-blocked (owner-computes)
-	// stepping mode. Bit-identical to the default sharding.
-	SpatialRegions bool
 }
 
 // Kind returns KindShockTube3D.
@@ -418,7 +395,7 @@ func (s ShockTube3D) Validate() error {
 	if s.PistonSpeed < 0 {
 		return errors.New("dsmc: PistonSpeed must not be negative")
 	}
-	return validateFlow(s.MeanFreePath, s.ParticlesPerCell, s.Model, s.Precision, s.Workers, s.SortTile)
+	return validateFlow(s.MeanFreePath, s.ParticlesPerCell, s.Model, s.Precision, s.Workers)
 }
 
 func (s ShockTube3D) lower() (*plan, error) {
@@ -438,8 +415,6 @@ func (s ShockTube3D) lower() (*plan, error) {
 		Model:       m,
 		Seed:        s.Seed,
 		Workers:     s.Workers,
-		SortTile:    s.SortTile,
-		Regions:     s.SpatialRegions,
 	}
 	if err := ic.Validate(); err != nil {
 		return nil, err
