@@ -97,18 +97,22 @@
 // evicted past the budget (they are a cache — eviction only costs
 // recomputation).
 //
-// A finished sweep's result is encoded exactly once, when the sweep
-// completes: <data>/<id>/result.json is the representation /result
-// serves and the SHA-256 of its bytes is the ETag. The server keeps the
+// A sweep's result is encoded exactly once, by the first sweep that
+// produces it: the bytes are a "res" artifact in the result store,
+// <data>/<id>/result.json is a hard link to it — the representation
+// /result serves — and the SHA-256 of the bytes is the ETag. A later
+// sweep that derives the same key is one verified read and one link,
+// with no job dispatched and nothing re-encoded. The server keeps the
 // tag and the size, not the bytes: a matching If-None-Match (and a HEAD)
 // is answered from those with no I/O and no encoding, and a full GET
 // reads the file and re-hashes it against the tag before the first byte
 // is sent — a result.json that rotted, shrank or vanished is a logged
 // 500 naming the sweep and both hashes, never a 200. A restarted server
 // takes the tag from the file it finds, so it serves the same bytes
-// under the same tag; a file that no longer parses is rebuilt from the
-// result store. ?quantity= views are projections and are still encoded
-// (and hashed) per request.
+// under the same tag; a file that is no longer JSON, or is gone, is
+// linked back from the result store. ?quantity= views are store
+// artifacts keyed by the result's hash: built and published by the first
+// request for any view of a result, a verified read afterwards.
 //
 // # Observability
 //

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -100,8 +101,12 @@ func TestResultHeadAndLength(t *testing.T) {
 // GET is a 500 that names the sweep and carries no validator — never a
 // 200 — while a conditional GET with the original ETag is still a bare
 // 304 (it reads nothing). A restart over a truncated or missing file
-// re-assembles the sweep from the result store, dispatching no job, and
-// serves the bytes and ETag it served before the damage.
+// gets the sweep back from the result store, dispatching no job, and
+// serves the bytes and ETag it served before the damage: a private copy or
+// a missing file is re-linked to the stored result (one store hit); a
+// truncated link IS the stored result — one inode — so the store's
+// verify-on-read quarantines it and the result is re-assembled from the
+// job hits and republished.
 func TestResultIntegrity(t *testing.T) {
 	dir := t.TempDir()
 	s, ts, id := doneSweep(t, dir, tinySpec())
@@ -114,6 +119,15 @@ func TestResultIntegrity(t *testing.T) {
 	}
 	if onDisk, err := os.ReadFile(path); err != nil || !bytes.Equal(onDisk, want) {
 		t.Fatalf("result.json is not the served body (read error %v)", err)
+	}
+	object := filepath.Join(dir, "store", "objects", strings.Trim(etag, `"`))
+	linked := func() bool {
+		a, errA := os.Stat(path)
+		b, errB := os.Stat(object)
+		return errA == nil && errB == nil && os.SameFile(a, b)
+	}
+	if !linked() {
+		t.Fatal("result.json is not a hard link to the store object named by its ETag")
 	}
 
 	flipped := bytes.Clone(want)
@@ -156,8 +170,22 @@ func TestResultIntegrity(t *testing.T) {
 
 	// Restarts. A flipped byte that still parses is beyond what recovery can
 	// tell from the file alone; a file that no longer parses, or is gone, is
-	// rebuilt.
-	for _, d := range damage[1:] {
+	// rebuilt. The loop above left result.json a private copy (it was deleted
+	// and rewritten), each restart leaves it a link again.
+	jobs := float64(tinySpec().Replicas)
+	for _, d := range []struct {
+		name           string
+		apply          func() error
+		linked         bool    // result.json shares the store object's inode when damaged
+		hits, failures float64 // store hits and verification failures of the restart
+	}{
+		{"truncated", damage[1].apply, false, 1, 0},
+		{"deleted", damage[2].apply, true, 1, 0},
+		{"truncated", damage[1].apply, true, jobs, 1},
+	} {
+		if linked() != d.linked {
+			t.Fatalf("before the %s restart: result.json linked to the store object: %v, want %v", d.name, linked(), d.linked)
+		}
 		before := scrapeMetrics(t, ts.URL)
 		ts.Close()
 		s.close()
@@ -175,6 +203,13 @@ func TestResultIntegrity(t *testing.T) {
 		after := scrapeMetrics(t, ts.URL)
 		if g := after["dsmc_coord_lease_grants_total"] - before["dsmc_coord_lease_grants_total"]; g != 0 {
 			t.Errorf("restart over a %s result.json: %v leases granted, want 0 (every job a store hit)", d.name, g)
+		}
+		// Counters are process-global and survive the restart.
+		if g := after["dsmc_store_hits_total"] - before["dsmc_store_hits_total"]; g != d.hits {
+			t.Errorf("restart over a %s result.json (linked=%v): %v store hits, want %v", d.name, d.linked, g, d.hits)
+		}
+		if g := after["dsmc_store_verify_failures_total"] - before["dsmc_store_verify_failures_total"]; g != d.failures {
+			t.Errorf("restart over a %s result.json (linked=%v): %v verification failures, want %v", d.name, d.linked, g, d.failures)
 		}
 		resp, body := fetch(t, http.MethodGet, ts.URL, id, "")
 		if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != etag || !bytes.Equal(body, want) {

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,9 +47,9 @@ type jobStatus struct {
 }
 
 // sweepRun is the in-memory record of one sweep: its spec, live job
-// table, buffered event history with fan-out to NDJSON subscribers, and
-// the result once finished: the decoded value (for ?quantity= views) and
-// the identity of result.json — never a second copy of its bytes.
+// table, buffered event history with fan-out to NDJSON subscribers, and,
+// once finished, the identity of result.json — never its bytes, nor a
+// decoded copy.
 type sweepRun struct {
 	ID        string     `json:"id"`
 	State     sweepState `json:"state"`
@@ -63,8 +64,7 @@ type sweepRun struct {
 	events []dsmc.SweepEvent
 	subs   map[chan dsmc.SweepEvent]struct{}
 	done   chan struct{}
-	result *dsmc.SweepResult
-	// resultETag is the quoted SHA-256 of result.json as it was written
+	// resultETag is the quoted SHA-256 of result.json as it was linked
 	// (or, after a restart, as recovery read it) and resultSize its length.
 	// Together they answer 304s and HEADs without touching the file, and
 	// every read of the file is checked against the tag before it is served.
@@ -109,7 +109,9 @@ type statusView struct {
 //
 //	<data>/<id>/spec.json    the submitted spec (resume source)
 //	<data>/<id>/ckpt/        per-job checkpoints (internal/ckpt format)
-//	<data>/<id>/result.json  the aggregated result, written on completion
+//	<data>/<id>/result.json  the encoded result: a hard link to the store's
+//	                         "res" object, made on completion
+//	<data>/store/            the result store (internal/store)
 //
 // On startup every spec without a result is relaunched; the job
 // checkpoints make the relaunch continue where the killed process
@@ -126,8 +128,9 @@ type server struct {
 	pprof   bool
 
 	// store is the content-addressed result store under <data>/store/:
-	// every finished replica output is published there by its
-	// deterministic key, sweeps sharing points are satisfied from it
+	// every finished replica output, every sweep's encoded result and
+	// every ?quantity= view is published there by its deterministic key,
+	// sweeps sharing points — or all of a result — are satisfied from it
 	// without dispatch, and /v1/store serves the artifacts as immutable
 	// HTTP resources. storeBudget caps its size in bytes (0 = unlimited);
 	// the cap is enforced by GC at startup and after every sweep.
@@ -278,16 +281,16 @@ func (s *server) recover() error {
 		}
 		run := s.register(id, spec, true)
 		// result.json is the served representation: its bytes as found are
-		// what this process serves and tags. A file that no longer parses
+		// what this process serves and tags. A file that is no longer JSON
 		// (torn, truncated) is discarded by re-running the sweep, which
-		// re-assembles the same bytes from the result store.
+		// links the same bytes back from the result store.
 		encoded, err := os.ReadFile(s.resultPath(id))
+		if err == nil && !json.Valid(encoded) {
+			err = errors.New("not valid JSON")
+		}
 		if err == nil {
-			var res dsmc.SweepResult
-			if err = json.Unmarshal(encoded, &res); err == nil {
-				run.finish(&res, encoded, nil)
-				continue
-			}
+			run.finish(etagOf(encoded), len(encoded), nil)
+			continue
 		}
 		if !errors.Is(err, fs.ErrNotExist) {
 			log.Printf("recover %s: unusable result.json: %v", id, err)
@@ -297,7 +300,7 @@ func (s *server) recover() error {
 		// name rather than being ignored on resume.
 		if _, err := decodeSpec(bytes.NewReader(raw)); err != nil {
 			err = fmt.Errorf("persisted spec.json: %w", err)
-			run.finish(nil, nil, err)
+			run.finish("", 0, err)
 			log.Printf("recover %s: failed: %v", id, err)
 			continue
 		}
@@ -356,20 +359,13 @@ func (s *server) resultPath(id string) string {
 	return filepath.Join(s.dataDir, id, "result.json")
 }
 
-// execute hands the sweep to the coordinator; the embedded (and any
-// remote) workers pull its jobs, and the completion callback encodes the
-// assembled result — the only time a result is marshalled — and persists
-// those bytes as result.json, the representation /result serves.
+// execute hands the sweep to the coordinator, which leaves result.json —
+// the representation /result serves — as a link to the store's copy of
+// the encoded result: assembled from the jobs the embedded (and any
+// remote) workers pull, or found already stored under the sweep's key.
 func (s *server) execute(run *sweepRun) {
-	err := s.coord.AddSweep(run.ID, run.spec, func(res *dsmc.SweepResult, err error) {
-		var encoded []byte
-		if err == nil {
-			if encoded, err = json.MarshalIndent(res, "", " "); err == nil {
-				encoded = append(encoded, '\n')
-				err = atomicWrite(s.resultPath(run.ID), encoded)
-			}
-		}
-		run.finish(res, encoded, err)
+	err := s.coord.AddSweepFile(run.ID, run.spec, s.resultPath(run.ID), func(sha string, size int, err error) {
+		run.finish(`"`+sha+`"`, size, err)
 		if err != nil {
 			log.Printf("%s failed: %v", run.ID, err)
 		} else {
@@ -378,7 +374,7 @@ func (s *server) execute(run *sweepRun) {
 		s.gcStore()
 	})
 	if err != nil {
-		run.finish(nil, nil, err)
+		run.finish("", 0, err)
 		log.Printf("%s failed: %v", run.ID, err)
 	}
 }
@@ -453,9 +449,9 @@ func (r *sweepRun) observe(e dsmc.SweepEvent) {
 	}
 }
 
-// finish closes the run and wakes event subscribers. encoded is the
-// content of result.json; only its hash and length are kept.
-func (r *sweepRun) finish(res *dsmc.SweepResult, encoded []byte, err error) {
+// finish closes the run and wakes event subscribers. etag and size
+// identify the content of result.json.
+func (r *sweepRun) finish(etag string, size int, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err != nil {
@@ -463,8 +459,7 @@ func (r *sweepRun) finish(res *dsmc.SweepResult, encoded []byte, err error) {
 		r.Error = err.Error()
 	} else {
 		r.State = stateDone
-		r.result = res
-		r.resultETag, r.resultSize = etagOf(encoded), len(encoded)
+		r.resultETag, r.resultSize = etag, size
 	}
 	close(r.done)
 }
@@ -797,15 +792,14 @@ type quantityPointView struct {
 // representation and its SHA-256 the strong ETag. Conditional requests
 // and HEADs are answered from the retained tag and size alone; a full GET
 // reads the file and serves it only if it still hashes to the tag.
-// ?quantity= views are projections of the retained decoded result,
-// encoded per request.
+// ?quantity= views are store artifacts derived from those bytes.
 func (s *server) handleResult(w http.ResponseWriter, req *http.Request) {
 	run := s.lookup(w, req)
 	if run == nil {
 		return
 	}
 	run.mu.Lock()
-	state, res, errMsg := run.State, run.result, run.Error
+	state, errMsg := run.State, run.Error
 	etag, size := run.resultETag, run.resultSize
 	run.mu.Unlock()
 	switch state {
@@ -816,54 +810,119 @@ func (s *server) handleResult(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusInternalServerError, errors.New(errMsg))
 		return
 	}
-	// Done sweeps always carry their result: finish(res, encoded, nil) is
-	// the only path to stateDone, including recovery.
 	if q := req.URL.Query().Get("quantity"); q != "" {
-		s.writeQuantity(w, req, res, dsmc.Quantity(q))
+		s.serveQuantity(w, req, run, etag, size, dsmc.Quantity(q))
 		return
 	}
 	if notModified(w, req, etag) {
 		return
 	}
-	h := w.Header()
 	var data []byte
 	if req.Method != http.MethodHead {
-		// Verify on read, like the store: the whole file is hashed before
-		// the first byte goes out, so a 200 body always hashes to its ETag.
-		var err error
-		if data, err = os.ReadFile(s.resultPath(run.ID)); err == nil {
-			if got := etagOf(data); got != etag {
-				err = fmt.Errorf("result.json (%d bytes) hashes to %s, was written as %s (%d bytes)", len(data), got, etag, size)
-			}
+		var ok bool
+		if data, ok = s.readResult(w, run.ID, etag, size); !ok {
+			return
 		}
-		if err != nil {
-			err = fmt.Errorf("sweep %s: stored result failed verification: %w", run.ID, err)
-			log.Print(err)
-			h.Del("ETag")
-			h.Del("Cache-Control")
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(size))
+	w.Write(data)
+}
+
+// readResult returns the bytes of a sweep's result.json. Verify on read,
+// like the store: the whole file is hashed before the first byte goes
+// out, so a 200 body always hashes to its ETag. On failure the request
+// has been answered: a logged 500 naming the sweep, without validators.
+func (s *server) readResult(w http.ResponseWriter, id, etag string, size int) ([]byte, bool) {
+	data, err := os.ReadFile(s.resultPath(id))
+	if err == nil {
+		if got := etagOf(data); got != etag {
+			err = fmt.Errorf("result.json (%d bytes) hashes to %s, was written as %s (%d bytes)", len(data), got, etag, size)
+		}
+	}
+	if err != nil {
+		err = fmt.Errorf("sweep %s: stored result failed verification: %w", id, err)
+		log.Print(err)
+		w.Header().Del("ETag")
+		w.Header().Del("Cache-Control")
+		writeErr(w, http.StatusInternalServerError, err)
+		return nil, false
+	}
+	return data, true
+}
+
+// viewKey is the store key ID of one quantity's view of a result. A view
+// is a pure function of the result's bytes, so it is keyed by their hash:
+// sweeps with the same result share their views.
+func viewKey(resultETag string, q dsmc.Quantity) string {
+	return "view-" + strings.Trim(resultETag, `"`) + "-" + string(q)
+}
+
+// serveQuantity serves one sampled quantity's per-point aggregates, or
+// 404 — decided from the spec, before any I/O — when the sweep did not
+// sample it. A view is a store artifact with its object's SHA-256 as the
+// ETag: a matching conditional request needs only the index, any other a
+// verified read. The first request for any view of a result decodes
+// result.json once and publishes the views of every sampled quantity.
+func (s *server) serveQuantity(w http.ResponseWriter, req *http.Request, run *sweepRun, etag string, size int, q dsmc.Quantity) {
+	sampled := run.spec.Quantities
+	if !slices.Contains(sampled, dsmc.Density) {
+		sampled = append(slices.Clip(sampled), dsmc.Density) // always aggregated
+	}
+	if !slices.Contains(sampled, q) {
+		writeErr(w, http.StatusNotFound,
+			fmt.Errorf("quantity %q was not sampled by this sweep (add it to the spec's \"quantities\")", q))
+		return
+	}
+	key := viewKey(etag, q)
+	if sha, ok := s.store.Lookup(key); ok && notModified(w, req, `"`+sha+`"`) {
+		return
+	}
+	body, _, ok := s.store.Get(key)
+	if !ok {
+		data, ok := s.readResult(w, run.ID, etag, size)
+		if !ok {
+			return
+		}
+		var err error
+		if body, err = s.publishViews(data, etag, sampled, q); err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
 	}
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(size))
-	w.Write(data)
+	if notModified(w, req, etagOf(body)) {
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
-// writeQuantity serves one sampled quantity's per-point aggregates, or
-// 404 when the sweep did not sample it.
-func (s *server) writeQuantity(w http.ResponseWriter, req *http.Request, res *dsmc.SweepResult, q dsmc.Quantity) {
-	view := quantityView{Quantity: string(q)}
-	for _, p := range res.Points {
-		fs, ok := p.Fields[q]
-		if !ok {
-			writeErr(w, http.StatusNotFound,
-				fmt.Errorf("quantity %q was not sampled by this sweep (add it to the spec's \"quantities\")", q))
-			return
-		}
-		view.Points = append(view.Points, quantityPointView{Name: p.Name, Kind: p.Kind, Field: fs})
+// publishViews decodes a result once, publishes the view of every
+// sampled quantity and returns the view of q.
+func (s *server) publishViews(result []byte, etag string, sampled []dsmc.Quantity, q dsmc.Quantity) (body []byte, err error) {
+	var res dsmc.SweepResult
+	if err := json.Unmarshal(result, &res); err != nil {
+		return nil, err
 	}
-	writeImmutableJSON(w, req, view)
+	for _, each := range sampled {
+		view := quantityView{Quantity: string(each)}
+		for _, p := range res.Points {
+			view.Points = append(view.Points, quantityPointView{Name: p.Name, Kind: p.Kind, Field: p.Fields[each]})
+		}
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", " ")
+		if err := enc.Encode(view); err != nil {
+			return nil, err
+		}
+		// Best-effort: an unpublished view is rebuilt on its next request.
+		_, _ = s.store.Put(viewKey(etag, each), buf.Bytes())
+		if each == q {
+			body = buf.Bytes()
+		}
+	}
+	return body, nil
 }
 
 // handleStoreList serves the result store's index: totals plus every
@@ -913,27 +972,6 @@ const immutableCache = "public, max-age=31536000, immutable"
 // hex, quoted.
 func etagOf(body []byte) string {
 	return fmt.Sprintf("\"%x\"", sha256.Sum256(body))
-}
-
-// writeImmutableJSON encodes v per request and serves it with
-// content-addressed cache semantics: a strong ETag derived from the
-// encoded body's SHA-256, the immutable cache policy, and If-None-Match
-// short-circuiting to 304 Not Modified with an empty body. It serves the
-// ?quantity= views; the full result is never encoded here (handleResult
-// serves result.json).
-func writeImmutableJSON(w http.ResponseWriter, req *http.Request, v any) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(v); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	if notModified(w, req, etagOf(buf.Bytes())) {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
 }
 
 // notModified stamps the headers every content-addressed resource

@@ -134,7 +134,7 @@ func TestStoreMemoE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantArtifacts := (len(shared) + 2) * specB.Replicas // A's 4 jobs + B's 4 fresh jobs
+	wantArtifacts := (len(shared)+2)*specB.Replicas + 2 // A's 4 jobs + B's 4 fresh jobs + each sweep's encoded result
 	if listing.Artifacts != wantArtifacts || len(listing.Entries) != wantArtifacts || listing.Bytes <= 0 {
 		t.Fatalf("store listing: %d artifacts, %d entries, %d bytes; want %d artifacts",
 			listing.Artifacts, len(listing.Entries), listing.Bytes, wantArtifacts)
@@ -179,7 +179,9 @@ func TestStoreMemoE2E(t *testing.T) {
 // store artifacts instead of serving them, keeps sweeping orphaned tmp
 // files outside the store, and a resubmitted sweep falls back to
 // recomputing the one artifact whose bytes rotted — reproducing the
-// original result exactly.
+// original result exactly. The second case rots the sweep's encoded
+// result itself: the resubmit degrades to the per-job path, every job a
+// store hit, and republishes the same bytes.
 func TestStoreQuarantineOnRestart(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := newServer(dir, 2)
@@ -196,6 +198,7 @@ func TestStoreQuarantineOnRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	etag1 := resp.Header.Get("ETag")
 	var res1 dsmc.SweepResult
 	err = json.NewDecoder(resp.Body).Decode(&res1)
 	resp.Body.Close()
@@ -217,26 +220,36 @@ func TestStoreQuarantineOnRestart(t *testing.T) {
 	if err := os.WriteFile(stray, []byte("stray"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	objs, err := filepath.Glob(filepath.Join(storeDir, "objects", "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var victim string
-	for _, p := range objs {
-		if !strings.HasSuffix(p, ".tmp") {
-			victim = p
-			break
+	// The victim is a replica output, found through the index. The sweep's
+	// "res" entry is dropped as a GC eviction would drop it (result.json
+	// keeps the inode), so the resubmit below takes the per-job path.
+	rot := func(kind string) (object string) {
+		t.Helper()
+		keys, err := filepath.Glob(filepath.Join(storeDir, "index", kind+"-*"))
+		if err != nil || len(keys) == 0 {
+			t.Fatalf("no %s-* key in the store index (err %v)", kind, err)
 		}
+		sha, err := os.ReadFile(keys[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		object = filepath.Join(storeDir, "objects", strings.TrimSpace(string(sha)))
+		data, err := os.ReadFile(object)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)-1] ^= 0xFF
+		if err := os.WriteFile(object, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return object
 	}
-	if victim == "" {
-		t.Fatal("no store objects after the first sweep")
+	rot("out")
+	resKeys, err := filepath.Glob(filepath.Join(storeDir, "index", "res-*"))
+	if err != nil || len(resKeys) != 1 {
+		t.Fatalf("res-* keys after one sweep: %v (err %v), want one", resKeys, err)
 	}
-	data, err := os.ReadFile(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xFF
-	if err := os.WriteFile(victim, data, 0o644); err != nil {
+	if err := os.Remove(resKeys[0]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -293,6 +306,42 @@ func TestStoreQuarantineOnRestart(t *testing.T) {
 	}
 	if q, _ := filepath.Glob(filepath.Join(storeDir, "quarantine", "*")); len(q) < 2 {
 		t.Errorf("quarantine holds %d files, want >= 2 (torn tmp + rotted object)", len(q))
+	}
+
+	// Second case: the resubmit republished the encoded result; rot that
+	// object. result.json of the sweep that linked it is the same inode, so
+	// its verified GET turns into a 500 — never a wrong 200 — while a third
+	// submit sees the verification failure, re-assembles from job hits
+	// alone and republishes the original bytes.
+	resObject := rot("res")
+	if r, _ := fetch(t, http.MethodGet, ts2.URL, id2, ""); r.StatusCode != http.StatusInternalServerError {
+		t.Errorf("GET of the sweep linked to the rotted object: status %d, want 500", r.StatusCode)
+	}
+	before = scrapeMetrics(t, ts2.URL)
+	id3 := submit(t, ts2, spec)
+	if st := waitDone(t, ts2, id3); st.State != stateDone {
+		t.Fatalf("third sweep state %s (%s)", st.State, st.Error)
+	}
+	after = scrapeMetrics(t, ts2.URL)
+	for name, want := range map[string]float64{
+		"dsmc_store_hits_total":         float64(spec.Replicas), // every job, not the result
+		"dsmc_coord_lease_grants_total": 0,
+		"dsmc_store_publishes_total":    1, // the result, again
+	} {
+		if d := after[name] - before[name]; d != want {
+			t.Errorf("%s during the third sweep: %v, want %v", name, d, want)
+		}
+	}
+	if d := after["dsmc_store_verify_failures_total"] - before["dsmc_store_verify_failures_total"]; d < 1 {
+		t.Errorf("verify failures during the third sweep: %v, want >= 1", d)
+	}
+	if _, err := os.Stat(filepath.Join(storeDir, "quarantine", filepath.Base(resObject))); err != nil {
+		t.Errorf("rotted result object not in quarantine/: %v", err)
+	}
+	r3, body3 := fetch(t, http.MethodGet, ts2.URL, id3, "")
+	if r3.StatusCode != http.StatusOK || r3.Header.Get("ETag") != etag1 || etagOf(body3) != etag1 {
+		t.Errorf("republished result: status %d, ETag %s, body hashes to %s; want 200 and the original %s",
+			r3.StatusCode, r3.Header.Get("ETag"), etagOf(body3), etag1)
 	}
 }
 

@@ -2,7 +2,9 @@ package dsmc
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"hash/fnv"
 
 	"dsmc/internal/run"
 	"dsmc/internal/store"
@@ -207,4 +209,48 @@ func AssembleSweepResult(spec SweepSpec, outputs [][]*ReplicaOutput) (*SweepResu
 		aggs[si] = sp.AggregateScenario(si, rs)
 	}
 	return assembleResult(spec.Name, plans, aggs), nil
+}
+
+// EncodeSweepResult is the one function that turns a sweep result into
+// bytes: indented JSON and a trailing newline, the representation dsmcd
+// stores, links as result.json and serves. Changing what it produces
+// requires bumping resultEncoding.
+func EncodeSweepResult(res *SweepResult) ([]byte, error) {
+	buf, err := json.MarshalIndent(res, "", " ")
+	if err != nil {
+		return nil, err
+	}
+	return append(buf, '\n'), nil
+}
+
+// resultEncoding versions EncodeSweepResult's output inside
+// SweepResultKey, so bytes stored under an older encoding are never
+// served as the current one.
+const resultEncoding = 1
+
+// SweepResultKey is the result-store key ID of a sweep's encoded result
+// ("res" artifacts). The determinism contract one level up: the bytes
+// EncodeSweepResult(AssembleSweepResult(spec, outputs)) are a pure
+// function of the spec, so the key covers every input of the two — the
+// encoding version, the sweep name and, per point in order, the resolved
+// name, the scenario kind and the quantity-inclusive store fingerprint
+// (physics, grid shape, step counts, quantities) in the hash; the master
+// seed, point count and replica count in the clear. Whatever changes a
+// byte of the result changes the key; execution knobs (pool, workers,
+// checkpoint placement) change neither.
+func SweepResultKey(spec SweepSpec) (string, error) {
+	sp, plans, err := lowerSpec(spec)
+	if err != nil {
+		return "", err
+	}
+	if err := sp.Validate(); err != nil {
+		return "", err
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d %q", resultEncoding, spec.Name)
+	for i, pl := range plans {
+		fmt.Fprintf(h, " %q %q %016x", sp.Scenarios[i].Name, pl.kind, sp.OutputKey(i, 0).Fp)
+	}
+	return store.Key{Kind: "res", Fp: h.Sum64(), Seed: sp.BaseSeed,
+		Point: len(plans), Replica: sp.Replicas}.ID(), nil
 }

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -189,8 +190,7 @@ func (c *Coordinator) AddSweep(id string, spec dsmc.SweepSpec, onDone func(*dsmc
 	st.aggDone = make([]bool, len(st.points))
 	for _, j := range jobs {
 		if st.names[j.Point] == "" {
-			// Job IDs are "<point-name>/rNNN"; recover the point name once.
-			st.names[j.Point] = j.ID[:len(j.ID)-len(fmt.Sprintf("/r%03d", j.Replica))]
+			st.names[j.Point] = pointName(j)
 		}
 	}
 
@@ -224,6 +224,64 @@ func (c *Coordinator) AddSweep(id string, spec dsmc.SweepSpec, onDone func(*dsmc
 		}
 	}
 	return nil
+}
+
+// AddSweepFile is AddSweep for a caller whose product is the sweep's
+// encoded result as a file (dsmcd's result.json): onDone receives the
+// SHA-256 and size of the bytes now at path, a hard link to the store's
+// "res" artifact under dsmc.SweepResultKey(spec). The key extends the
+// determinism contract one level up, so a sweep whose result the store
+// already holds never becomes a job DAG: one verified read, one link(2),
+// and the events the per-job memo pass would have emitted — no output
+// decoded, nothing aggregated, marshalled or written. A miss, or a hit
+// that fails verification (the store quarantines it), is AddSweep plus a
+// publish and a link of the encoded result on completion; an error from
+// either fails the sweep. Requires Config.Store.
+func (c *Coordinator) AddSweepFile(id string, spec dsmc.SweepSpec, path string, onDone func(sha string, size int, err error)) error {
+	st := c.cfg.Store
+	if st == nil {
+		return errors.New("coord: AddSweepFile needs a result store")
+	}
+	key, err := dsmc.SweepResultKey(spec)
+	if err != nil {
+		return err
+	}
+	if data, sha, ok := st.Get(key); ok && st.Link(sha, path) == nil {
+		jobs, err := dsmc.SweepJobs(spec)
+		if err != nil {
+			return err
+		}
+		c.mu.Lock()
+		for _, j := range jobs {
+			c.emitMemoLocked(id, j.ID)
+		}
+		for _, j := range jobs {
+			if j.Replica == 0 {
+				c.emitAggregateLocked(id, pointName(j))
+			}
+		}
+		c.mu.Unlock()
+		go onDone(sha, len(data), nil)
+		return nil
+	}
+	return c.AddSweep(id, spec, func(res *dsmc.SweepResult, err error) {
+		var data []byte
+		var sha string
+		if err == nil {
+			data, err = dsmc.EncodeSweepResult(res)
+		}
+		if err == nil {
+			if sha, err = st.Put(key, data); err == nil {
+				err = st.Link(sha, path)
+			}
+		}
+		onDone(sha, len(data), err)
+	})
+}
+
+// pointName recovers a job's point name from its ID, "<point>/rNNN".
+func pointName(j dsmc.SweepJob) string {
+	return j.ID[:len(j.ID)-len(fmt.Sprintf("/r%03d", j.Replica))]
 }
 
 // Poll hands the worker the next dispatchable job, or nil when no work
@@ -605,9 +663,14 @@ func (c *Coordinator) memoLocked(st *sweepState, j *job) bool {
 	j.stepsDone = j.stepsTotal
 	j.output = out
 	j.ckpt = nil
-	c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-started", Job: j.id})
-	c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-done", Job: j.id})
+	c.emitMemoLocked(st.id, j.id)
 	return true
+}
+
+// emitMemoLocked emits a memoized job's events: it starts and is done.
+func (c *Coordinator) emitMemoLocked(sweepID, jobID string) {
+	c.emitLocked(sweepID, dsmc.SweepEvent{Type: "job-started", Job: jobID})
+	c.emitLocked(sweepID, dsmc.SweepEvent{Type: "job-done", Job: jobID})
 }
 
 // satisfyOthersLocked completes every other live sweep's pending jobs
@@ -653,10 +716,15 @@ func (c *Coordinator) maybeAggregateLocked(st *sweepState, pt int) {
 		}
 	}
 	st.aggDone[pt] = true
-	agg := dsmc.AggregateJobID(st.names[pt])
-	c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-started", Job: agg})
-	c.emitLocked(st.id, dsmc.SweepEvent{Type: "aggregate-done", Job: agg, Scenario: st.names[pt]})
-	c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-done", Job: agg})
+	c.emitAggregateLocked(st.id, st.names[pt])
+}
+
+// emitAggregateLocked emits a point's fan-in events.
+func (c *Coordinator) emitAggregateLocked(sweepID, point string) {
+	agg := dsmc.AggregateJobID(point)
+	c.emitLocked(sweepID, dsmc.SweepEvent{Type: "job-started", Job: agg})
+	c.emitLocked(sweepID, dsmc.SweepEvent{Type: "aggregate-done", Job: agg, Scenario: point})
+	c.emitLocked(sweepID, dsmc.SweepEvent{Type: "job-done", Job: agg})
 }
 
 // maybeFinishLocked fires onDone once the sweep reaches a terminal

@@ -45,7 +45,10 @@ import (
 // aggregate, the replica count.
 type Key struct {
 	// Kind tags the artifact type: "out" (one replica's output, DSMCOUT1
-	// frame) or "agg" (one point's aggregate, DSMCAGG1 frame).
+	// frame), "agg" (one point's aggregate, DSMCAGG1 frame) or "res" (a
+	// sweep's encoded result, JSON; Point and Replica then carry the point
+	// and replica counts). dsmcd's "view-<result sha256>-<quantity>" IDs
+	// are keyed by content and are not built from a Key.
 	Kind string
 	// Fp is the spec fingerprint extended with the requested quantities
 	// (the trajectory fingerprint alone under-identifies an artifact:
@@ -152,21 +155,25 @@ func Open(dir string) (*Store, error) {
 // Root returns the store's root directory.
 func (s *Store) Root() string { return s.root }
 
+// Lookup resolves a key to its content hash from the index alone — no
+// object I/O, no hit or miss counted. It answers "which bytes would Get
+// return" for callers that only need the identity (a 304, a link).
+func (s *Store) Lookup(id string) (sha string, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sha, ok = s.index[id]
+	return sha, ok
+}
+
 // Get returns a key's artifact bytes and content hash after verifying
 // the bytes against the index. A corrupt object is quarantined — along
 // with every index entry referencing it — and reported as a miss, so
 // the caller recomputes instead of serving garbage.
 func (s *Store) Get(id string) (data []byte, sha string, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sha, ok = s.index[id]
-	if !ok {
-		mMisses.Inc()
-		return nil, "", false
+	if sha, ok = s.Lookup(id); ok {
+		data, ok = s.read(sha)
 	}
-	data, err := os.ReadFile(s.objectPath(sha))
-	if err != nil || hashOf(data) != sha {
-		s.rejectLocked(sha)
+	if !ok {
 		mMisses.Inc()
 		return nil, "", false
 	}
@@ -179,16 +186,60 @@ func (s *Store) Get(id string) (data []byte, sha string, ok bool) {
 // read of content already located, not a memoization probe.
 func (s *Store) GetBySHA(sha string) ([]byte, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.sizes[sha]; !ok {
+	_, ok := s.sizes[sha]
+	s.mu.Unlock()
+	if !ok {
 		return nil, false
 	}
+	return s.read(sha)
+}
+
+// read loads and verifies one object without holding the store mutex:
+// objects are immutable and replaced only by rename, so a reader needs no
+// exclusion, and a multi-megabyte read-and-hash must not stall every Put
+// and every other reader. Only a failure takes the lock, and repeats the
+// check under it before rejecting: the object may have been quarantined
+// or collected (then it is a plain miss, counted once by whoever did it)
+// or republished since the unlocked attempt.
+func (s *Store) read(sha string) ([]byte, bool) {
+	if data, ok := s.readObject(sha); ok {
+		return data, true
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, live := s.sizes[sha]; !live {
+		return nil, false
+	}
+	data, ok := s.readObject(sha)
+	if !ok {
+		s.rejectLocked(sha)
+	}
+	return data, ok
+}
+
+// readObject returns an object's bytes if they hash to its name.
+func (s *Store) readObject(sha string) ([]byte, bool) {
 	data, err := os.ReadFile(s.objectPath(sha))
 	if err != nil || hashOf(data) != sha {
-		s.rejectLocked(sha)
 		return nil, false
 	}
 	return data, true
+}
+
+// Link makes path a hard link to an object, replacing whatever is there:
+// the file and the object are one inode, so the bytes exist once on disk
+// and survive the object's eviction. The store and path must share a
+// filesystem. Damage done through either name shows through both, which
+// is why every read of either is verified against the hash.
+func (s *Store) Link(sha, path string) error {
+	tmp := path + ".tmp"
+	os.Remove(tmp) // a crashed Link's leftover; absent otherwise
+	if err := os.Link(s.objectPath(sha), tmp); err != nil {
+		return err
+	}
+	err := os.Rename(tmp, path)
+	os.Remove(tmp) // rename is a no-op when path already is this inode
+	return err
 }
 
 // Put publishes a key's artifact. Re-publishing identical bytes is an

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -265,5 +266,101 @@ func TestGC(t *testing.T) {
 	}
 	if _, _, ok := s2.Get(ids[2]); !ok {
 		t.Fatal("newest artifact did not survive the budget GC")
+	}
+}
+
+// TestConcurrentReadsVerified: reads hash their object outside the store
+// mutex, so they overlap with each other and with Put, Reject and GC on
+// the same keys. Whatever interleaving happens, a read that returns bytes
+// returns bytes that hash to the sha it names (run under -race).
+func TestConcurrentReadsVerified(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys, rounds = 4, 200
+	ids := make([]string, keys)
+	bodies := make([][]byte, keys)
+	for k := range ids {
+		ids[k] = Key{Kind: "out", Fp: 1, Seed: 2, Point: k}.ID()
+		bodies[k] = []byte(strings.Repeat(string(rune('a'+k)), 64<<10))
+	}
+	var wg sync.WaitGroup
+	spawn := func(f func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				f(i)
+			}
+		}()
+	}
+	for w := 0; w < 2; w++ {
+		spawn(func(i int) {
+			if _, err := s.Put(ids[i%keys], bodies[i%keys]); err != nil {
+				t.Errorf("Put: %v", err) // same key, same bytes: never a conflict
+			}
+		})
+		spawn(func(i int) {
+			data, sha, ok := s.Get(ids[i%keys])
+			if ok && (hashOf(data) != sha || string(data) != string(bodies[i%keys])) {
+				t.Errorf("Get(%s) returned %d bytes that are not the object %s", ids[i%keys], len(data), sha)
+			}
+			if data, ok := s.GetBySHA(hashOf(bodies[i%keys])); ok && string(data) != string(bodies[i%keys]) {
+				t.Errorf("GetBySHA returned %d bytes that do not hash to the name asked for", len(data))
+			}
+		})
+	}
+	spawn(func(i int) { s.Reject(ids[i%keys]) })
+	spawn(func(i int) { s.GC(int64(len(bodies[0])) * 2) })
+	wg.Wait()
+
+	// The store is consistent afterwards: every key left in the index reads.
+	for _, e := range s.List() {
+		if _, sha, ok := s.Get(e.ID); !ok || sha != e.SHA256 {
+			t.Errorf("after the storm, %s is indexed as %s but does not read", e.ID, e.SHA256)
+		}
+	}
+}
+
+// TestLink: a linked file is the object's inode — one copy on disk — it
+// replaces what was at the path, leaves no temp file, and outlives the
+// object's eviction.
+func TestLink(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := Key{Kind: "res", Fp: 1, Seed: 2, Point: 3, Replica: 4}.ID()
+	sha, err := s.Put(id, []byte("encoded result\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "result.json")
+	if err := os.WriteFile(path, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // the second Link finds path already linked
+		if err := s.Link(sha, path); err != nil {
+			t.Fatal(err)
+		}
+		a, errA := os.Stat(path)
+		b, errB := os.Stat(filepath.Join(dir, "store", "objects", sha))
+		if errA != nil || errB != nil || !os.SameFile(a, b) {
+			t.Fatalf("Link %d: path and object are not one inode (%v, %v)", i, errA, errB)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("Link %d left %s.tmp behind (%v)", i, path, err)
+		}
+	}
+	if removed, _ := s.GC(1); removed != 1 {
+		t.Fatalf("GC over budget removed %d objects, want 1", removed)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "encoded result\n" {
+		t.Fatalf("the link did not survive the object's eviction: %q, %v", data, err)
+	}
+	if err := s.Link(sha, path); err == nil {
+		t.Fatal("Link of an evicted object succeeded")
 	}
 }
