@@ -638,7 +638,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	if err := atomicWrite(filepath.Join(dir, "spec.json"), append(buf, '\n')); err != nil {
+	if err := store.AtomicWrite(filepath.Join(dir, "spec.json"), append(buf, '\n')); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -1015,26 +1015,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-// atomicWrite writes data to a temp file, fsyncs it, and renames it into
-// place, so a host crash cannot leave a torn spec or result file.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

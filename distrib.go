@@ -78,12 +78,10 @@ func AggregateJobID(pointName string) string { return run.AggregateName(pointNam
 // wedge), and the integer diagnostics. Transport note: ShockAngleDeg
 // may be NaN, which encoding/json rejects — ship outputs with a
 // bit-exact binary codec (internal/coord does), not with json.Marshal.
-type ReplicaOutput struct {
-	Fields        map[string][]float64
-	ShockAngleDeg float64
-	Collisions    int64
-	NFlow         int
-}
+// It is the type the result store encodes, so an output is computed,
+// stored, shipped and aggregated without ever being copied field by
+// field.
+type ReplicaOutput = store.Output
 
 // JobCheckpoint is where a running sweep job persists its state: Load
 // returns the last saved checkpoint (nil when none), Save durably
@@ -160,22 +158,13 @@ func RunSweepJob(ctx context.Context, spec SweepSpec, point, replica int, io Swe
 			trace(StepTrace{Step: step, PhaseNs: phaseNs, Particles: particles})
 		}
 	}
-	res, err := run.RunJob(ctx, sp, point, replica, jio)
-	if err != nil {
-		return nil, err
-	}
-	return &ReplicaOutput{
-		Fields:        res.Fields,
-		ShockAngleDeg: res.ShockAngleDeg,
-		Collisions:    res.Collisions,
-		NFlow:         res.NFlow,
-	}, nil
+	return run.RunJob(ctx, sp, point, replica, jio)
 }
 
 // AssembleSweepResult fans a sweep's collected job outputs into the
 // public result: outputs[point][replica] must be fully populated in
 // (point, replica) order — SweepJobs order. The aggregation is the
-// identical index-order Welford merge RunSweep's fan-in nodes run, so
+// identical index-order Welford merge RunSweep's fan-ins run, so
 // the assembled result is bit-identical to the in-process run's
 // regardless of which workers computed which jobs in which order.
 func AssembleSweepResult(spec SweepSpec, outputs [][]*ReplicaOutput) (*SweepResult, error) {
@@ -194,19 +183,12 @@ func AssembleSweepResult(spec SweepSpec, outputs [][]*ReplicaOutput) (*SweepResu
 		if len(outputs[si]) != sp.Replicas {
 			return nil, fmt.Errorf("dsmc: point %d has %d outputs for %d replicas", si, len(outputs[si]), sp.Replicas)
 		}
-		rs := make([]*run.ReplicaResult, sp.Replicas)
 		for r, o := range outputs[si] {
 			if o == nil {
 				return nil, fmt.Errorf("dsmc: point %d replica %d output missing", si, r)
 			}
-			rs[r] = &run.ReplicaResult{
-				Fields:        o.Fields,
-				ShockAngleDeg: o.ShockAngleDeg,
-				Collisions:    o.Collisions,
-				NFlow:         o.NFlow,
-			}
 		}
-		aggs[si] = sp.AggregateScenario(si, rs)
+		aggs[si] = sp.AggregateScenario(si, outputs[si])
 	}
 	return assembleResult(spec.Name, plans, aggs), nil
 }

@@ -414,7 +414,7 @@ func (c *Coordinator) SaveCheckpoint(sweep, jobID, lease string, data []byte) er
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			return err
 		}
-		if err := atomicWriteFile(path, data); err != nil {
+		if err := store.AtomicWrite(path, data); err != nil {
 			return err
 		}
 	}
@@ -616,7 +616,7 @@ func (c *Coordinator) retryOrFailLocked(st *sweepState, j *job, msg string) {
 		st.failed = true
 		st.firstErr = fmt.Sprintf("job %s: %s", j.id, err)
 	}
-	// Skip propagation, mirroring the in-process DAG executor: every
+	// Skip propagation, mirroring the in-process executor: every
 	// job not yet terminal is skipped (in-flight leases are revoked —
 	// their workers learn via heartbeat/upload rejection), and so is
 	// every point aggregation that never got to run.
@@ -809,30 +809,4 @@ func (c *Coordinator) hasCheckpoint(st *sweepState, j *job) bool {
 	}
 	_, err := os.Stat(c.ckptPath(st, j))
 	return err == nil
-}
-
-// atomicWriteFile writes via a temp file + rename so a crashed
-// coordinator never leaves a half-written checkpoint behind; readers see
-// either the old bytes or the new bytes.
-func atomicWriteFile(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

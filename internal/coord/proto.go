@@ -116,37 +116,16 @@ type WorkerStatus struct {
 	LastSeenMillis int64 `json:"last_seen_ms"`
 }
 
-// The binary replica-output codec (the DSMCOUT1 frame) lives in
-// internal/store: the coordinator's upload format and the result
-// store's at-rest artifact format are deliberately one frame, so a
-// worker's completion body can be published to the store byte-for-byte.
-// JSON cannot carry the outputs — ShockAngleDeg is NaN for scenarios
-// without a wedge — and the sweep's bit-identity guarantee makes
-// "almost the same float" a corruption, so outputs travel as raw
-// IEEE-754 bits with a checksum trailer. The wrappers here convert at
-// the public-type boundary.
-
-// EncodeOutput serializes a replica output bit-exactly.
-func EncodeOutput(o *dsmc.ReplicaOutput) []byte {
-	return store.EncodeOutput(&store.Output{
-		Fields:        o.Fields,
-		ShockAngleDeg: o.ShockAngleDeg,
-		Collisions:    o.Collisions,
-		NFlow:         o.NFlow,
-	})
-}
-
-// DecodeOutput parses an encoded replica output, verifying the checksum
-// before trusting any of it.
-func DecodeOutput(data []byte) (*dsmc.ReplicaOutput, error) {
-	o, err := store.DecodeOutput(data)
-	if err != nil {
-		return nil, err
-	}
-	return &dsmc.ReplicaOutput{
-		Fields:        o.Fields,
-		ShockAngleDeg: o.ShockAngleDeg,
-		Collisions:    o.Collisions,
-		NFlow:         o.NFlow,
-	}, nil
-}
+// EncodeOutput and DecodeOutput are the result store's replica-output
+// codec (the DSMCOUT1 frame) under the names the protocol uses: the
+// coordinator's upload format and the store's at-rest artifact format
+// are deliberately one frame over one type, so a worker's completion
+// body can be published to the store byte-for-byte. JSON cannot carry
+// the outputs — ShockAngleDeg is NaN for scenarios without a wedge — and
+// the sweep's bit-identity guarantee makes "almost the same float" a
+// corruption, so outputs travel as raw IEEE-754 bits with a checksum
+// trailer that DecodeOutput verifies before trusting any of it.
+var (
+	EncodeOutput = store.EncodeOutput
+	DecodeOutput = store.DecodeOutput
+)

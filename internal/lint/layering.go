@@ -83,7 +83,7 @@ var layerAllows = map[string][]string{
 	},
 	// golden: FNV bit-identity pinning over both backends.
 	"golden": {"dsmc/internal/kernel", "dsmc/internal/obs", "dsmc/internal/sim", "dsmc/internal/sim3"},
-	// run: job DAG, aggregation, checkpoint/memoization orchestration.
+	// run: job forest, aggregation, checkpoint/memoization orchestration.
 	"run": {
 		"dsmc/internal/ckpt", "dsmc/internal/grid", "dsmc/internal/kernel",
 		"dsmc/internal/molec", "dsmc/internal/rng", "dsmc/internal/sample",

@@ -18,6 +18,7 @@ import (
 	"dsmc/internal/sample"
 	"dsmc/internal/sim"
 	"dsmc/internal/sim3"
+	"dsmc/internal/store"
 )
 
 // Scenario is one sweep point lowered to an internal configuration:
@@ -48,15 +49,9 @@ func (sc *Scenario) validate() error {
 }
 
 // ReplicaResult is one finished replica's contribution to the
-// aggregation: the requested time-averaged quantity fields, the fitted
-// shock angle (NaN for scenarios without a wedge), and the integer
-// diagnostics.
-type ReplicaResult struct {
-	Fields        map[string][]float64
-	ShockAngleDeg float64
-	Collisions    int64
-	NFlow         int
-}
+// aggregation, in the one type it is computed, stored, shipped and
+// merged as.
+type ReplicaResult = store.Output
 
 // jobCkpt describes the checkpoint policy of one replica job.
 type jobCkpt struct {

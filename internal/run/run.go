@@ -1,8 +1,8 @@
 // Package run is the run-orchestration layer over the reference
-// backends: it models an ensemble or parameter sweep as a small job DAG
-// — replica simulations fan out, per-scenario aggregations fan in — and
-// executes it over a bounded pool of concurrent whole simulations. This
-// is the outer level of parallelism the paper's single hand-launched
+// backends: it models an ensemble or parameter sweep as a forest — per
+// scenario, replica simulations fan out and one aggregation fans them in
+// — and executes it over a bounded pool of concurrent whole simulations.
+// This is the outer level of parallelism the paper's single hand-launched
 // runs lack: DSMC answers are statistical, so the production question is
 // "run N replicas per sweep point, aggregate into mean/variance/CI, and
 // serve the result", and whole-simulation jobs scale on multi-core hosts
@@ -11,7 +11,7 @@
 // Determinism: every job derives its seed from the spec's base seed
 // (rng.JobSeed — collision-free by construction), jobs never share
 // mutable state, and aggregation merges replica results strictly in
-// index order inside fan-in nodes, so a sweep's aggregates are
+// index order inside the fan-in, so a sweep's aggregates are
 // bit-identical for any pool size and any completion order. With a
 // checkpoint directory set, jobs persist engine + domain + accumulator
 // state every few steps (internal/ckpt) and resume exactly: a killed and
@@ -58,10 +58,12 @@ type Spec struct {
 	// (default 50 when a directory is set).
 	CheckpointEvery int
 	// Results, when set, memoizes the sweep against a content-addressed
-	// result store: every replica and aggregate node consults the store
-	// before computing (a verified hit skips the work entirely) and
-	// publishes its artifact after. Keys derive from the determinism
-	// contract (see memo.go), so hits are bit-identical by construction.
+	// result store: every replica job consults the store before computing
+	// (a verified hit skips the stepping entirely) and publishes its
+	// output after. Keys derive from the determinism contract (see
+	// memo.go), so hits are bit-identical by construction. Aggregates are
+	// not stored: merging the replica outputs a point already holds is
+	// cheaper than reading and verifying an artifact of the merge.
 	Results *store.Store
 }
 
@@ -109,13 +111,13 @@ func (sp *Spec) quantities() []string {
 }
 
 // JobName is the canonical ID of one replica job — the same string the
-// in-process executor uses as DAG node ID and event job name, so
+// in-process executor uses as event job name, so
 // distributed runs and local runs report identical job tables.
 func JobName(scenario string, replica int) string {
 	return fmt.Sprintf("%s/r%03d", scenario, replica)
 }
 
-// AggregateName is the canonical ID of a scenario's fan-in node.
+// AggregateName is the canonical ID of a scenario's fan-in.
 func AggregateName(scenario string) string { return scenario + "/aggregate" }
 
 // JobIO carries the side channels of a single-job execution: the
@@ -153,14 +155,14 @@ func RunJob(ctx context.Context, sp Spec, scenarioIdx, replica int, io JobIO) (*
 	if replica < 0 || replica >= sp.Replicas {
 		return nil, fmt.Errorf("run: replica %d out of range (%d replicas)", replica, sp.Replicas)
 	}
-	var ck jobCkpt
-	if io.Ckpt != nil {
-		every := io.Every
-		if every <= 0 {
-			every = 50
-		}
-		ck = jobCkpt{store: io.Ckpt, every: every}
-	}
+	return sp.replica(ctx, scenarioIdx, replica, io)
+}
+
+// replica is the one body of a replica job, shared by the in-process
+// forest and RunJob: a verified store hit returns the finished output
+// without stepping; a miss resumes from the checkpoint store if there is
+// one, steps at the job's derived seed, and publishes the output.
+func (sp *Spec) replica(ctx context.Context, scenarioIdx, replica int, io JobIO) (*ReplicaResult, error) {
 	if io.Results != nil {
 		if res, ok := memoReplica(io.Results, sp.OutputKey(scenarioIdx, replica)); ok {
 			if io.Progress != nil {
@@ -170,20 +172,30 @@ func RunJob(ctx context.Context, sp Spec, scenarioIdx, replica int, io JobIO) (*
 			return res, nil
 		}
 	}
+	var ck jobCkpt
+	if io.Ckpt != nil {
+		every := io.Every
+		if every <= 0 {
+			every = 50
+		}
+		ck = jobCkpt{store: io.Ckpt, every: every}
+	}
 	seed := jobSeed(sp.BaseSeed, scenarioIdx, replica)
 	res, err := runReplica(ctx, sp.Scenarios[scenarioIdx], sp.quantities(), seed, sp.WarmSteps, sp.SampleSteps, ck, io.Progress, io.StepTrace)
 	if err != nil {
 		return nil, err
 	}
 	if io.Results != nil {
-		publishReplica(io.Results, sp.OutputKey(scenarioIdx, replica), res)
+		// Best-effort: a publish failure costs future recomputation, never
+		// the current run.
+		io.Results.Put(sp.OutputKey(scenarioIdx, replica).ID(), store.EncodeOutput(res))
 	}
 	return res, nil
 }
 
 // AggregateScenario fans in one scenario's replica results — results
 // must be indexed by replica and fully populated — with the identical
-// index-order Welford merge the in-process fan-in node runs, so a
+// index-order Welford merge the in-process fan-in runs, so a
 // distributed sweep's aggregates are bit-identical to the local run's.
 func (sp *Spec) AggregateScenario(scenarioIdx int, results []*ReplicaResult) *Aggregate {
 	return aggregate(sp.Scenarios[scenarioIdx].Name, sp.quantities(), results)
@@ -223,7 +235,7 @@ type Event struct {
 	Err        string `json:"err,omitempty"`
 }
 
-// Run executes the spec's job DAG and returns the per-scenario
+// Run executes the spec's job forest and returns the per-scenario
 // aggregates. onEvent, when non-nil, observes progress (serialized).
 func Run(ctx context.Context, sp Spec, onEvent func(Event)) (*Result, error) {
 	if err := sp.Validate(); err != nil {
@@ -232,10 +244,6 @@ func Run(ctx context.Context, sp Spec, onEvent func(Event)) (*Result, error) {
 	pool := sp.Pool
 	if pool <= 0 {
 		pool = runtime.NumCPU()
-	}
-	ckEvery := sp.CheckpointEvery
-	if ckEvery <= 0 {
-		ckEvery = 50
 	}
 	if sp.CheckpointDir != "" {
 		if err := os.MkdirAll(sp.CheckpointDir, 0o755); err != nil {
@@ -256,88 +264,129 @@ func Run(ctx context.Context, sp Spec, onEvent func(Event)) (*Result, error) {
 	}
 
 	// Result slots are preallocated per (scenario, replica); jobs write
-	// only their own slot, aggregates read their scenario's slice after
-	// the DAG ordering guarantees it is fully populated.
+	// only their own slot, and a scenario's fan-in reads its slice after
+	// the forest has seen every one of its replicas finish.
+	names := make([]string, len(sp.Scenarios))
 	results := make([][]*ReplicaResult, len(sp.Scenarios))
 	aggs := make([]*Aggregate, len(sp.Scenarios))
-	var nodes []Node
-	for si := range sp.Scenarios {
-		si := si
-		sc := sp.Scenarios[si]
+	for si, sc := range sp.Scenarios {
+		names[si] = sc.Name
 		results[si] = make([]*ReplicaResult, sp.Replicas)
-		var deps []string
-		for r := 0; r < sp.Replicas; r++ {
-			r := r
-			id := JobName(sc.Name, r)
-			deps = append(deps, id)
-			nodes = append(nodes, Node{
-				ID: id,
-				Run: func(ctx context.Context) error {
-					if sp.Results != nil {
-						if res, ok := memoReplica(sp.Results, sp.OutputKey(si, r)); ok {
-							results[si][r] = res
-							total := sp.WarmSteps + sp.SampleSteps
-							emit(Event{Type: EventJobProgress, Job: id, Scenario: sc.Name,
-								Replica: r, StepsDone: total, StepsTotal: total})
-							return nil
-						}
-					}
-					var ck jobCkpt
-					if sp.CheckpointDir != "" {
-						ck = jobCkpt{store: FileCkptStore{Path: jobCkptPath(sp.CheckpointDir, si, r)}, every: ckEvery}
-					}
-					seed := jobSeed(sp.BaseSeed, si, r)
-					res, err := runReplica(ctx, sc, sp.quantities(), seed, sp.WarmSteps, sp.SampleSteps, ck,
-						func(done, total int) {
-							emit(Event{Type: EventJobProgress, Job: id, Scenario: sc.Name,
-								Replica: r, StepsDone: done, StepsTotal: total})
-						}, nil)
-					if err != nil {
-						return err
-					}
-					results[si][r] = res
-					if sp.Results != nil {
-						publishReplica(sp.Results, sp.OutputKey(si, r), res)
-					}
-					return nil
-				},
-			})
-		}
-		nodes = append(nodes, Node{
-			ID:   AggregateName(sc.Name),
-			Deps: deps,
-			Run: func(ctx context.Context) error {
-				if sp.Results != nil {
-					if agg, ok := memoAggregate(sp.Results, sp.AggregateKey(si), sc.Name, sp.quantities()); ok {
-						aggs[si] = agg
-						emit(Event{Type: EventAggregateDone, Job: AggregateName(sc.Name), Scenario: sc.Name})
-						return nil
-					}
-				}
-				aggs[si] = aggregate(sc.Name, sp.quantities(), results[si])
-				if sp.Results != nil {
-					publishAggregate(sp.Results, sp.AggregateKey(si), aggs[si], sp.quantities())
-				}
-				emit(Event{Type: EventAggregateDone, Job: AggregateName(sc.Name), Scenario: sc.Name})
-				return nil
-			},
-		})
 	}
-
-	err := ExecuteDAG(ctx, nodes, pool, func(id string, st NodeState, nodeErr error) {
-		switch st {
-		case NodeRunning:
-			emit(Event{Type: EventJobStarted, Job: id})
-		case NodeFailed:
-			emit(Event{Type: EventJobFailed, Job: id, Err: nodeErr.Error()})
-		case NodeSkipped:
-			emit(Event{Type: EventJobSkipped, Job: id})
-		case NodeDone:
-			emit(Event{Type: EventJobDone, Job: id})
+	job := func(ctx context.Context, si, r int) error {
+		id := JobName(names[si], r)
+		io := JobIO{Every: sp.CheckpointEvery, Results: sp.Results,
+			Progress: func(done, total int) {
+				emit(Event{Type: EventJobProgress, Job: id, Scenario: names[si],
+					Replica: r, StepsDone: done, StepsTotal: total})
+			}}
+		if sp.CheckpointDir != "" {
+			io.Ckpt = FileCkptStore{Path: jobCkptPath(sp.CheckpointDir, si, r)}
 		}
-	})
-	if err != nil {
+		res, err := sp.replica(ctx, si, r, io)
+		results[si][r] = res
+		return err
+	}
+	fanIn := func(si int) {
+		aggs[si] = sp.AggregateScenario(si, results[si])
+		emit(Event{Type: EventAggregateDone, Job: AggregateName(names[si]), Scenario: names[si]})
+	}
+	if err := runForest(ctx, names, sp.Replicas, pool, job, fanIn, emit); err != nil {
 		return nil, err
 	}
 	return &Result{Name: sp.Name, Aggregates: aggs}, nil
+}
+
+// runForest executes the one job shape a sweep has — per point, replicas
+// fan out and a single aggregate fans them in — over at most pool
+// goroutines. Replica jobs start in (point, replica) order; the goroutine
+// that finishes a point's last replica runs the point's fanIn inline, so
+// aggregation stays inside the pool bound and sees a fully populated
+// point. The first job error or a cancelled context stops new starts;
+// jobs already in flight finish; every replica never started and every
+// aggregate never run is then reported skipped, in point order, and the
+// first error (or ctx.Err()) is returned wrapped.
+//
+// Determinism note: start order is fixed but completion order follows
+// scheduling. Anything that must be reproducible — the cross-replica
+// merge — therefore runs in fanIn, which combines a point's results in
+// index order whatever order they arrived in.
+func runForest(ctx context.Context, points []string, replicas, pool int,
+	job func(ctx context.Context, point, replica int) error, fanIn func(point int), emit func(Event)) error {
+	total := len(points) * replicas
+	var (
+		mu       sync.Mutex
+		next     int // index of the next replica job to start
+		firstErr error
+		left     = make([]int, len(points)) // per point: replicas not yet done
+		fannedIn = make([]bool, len(points))
+	)
+	for p := range left {
+		left[p] = replicas
+	}
+	// stopped (call with mu held) reports that nothing new may start.
+	stopped := func() bool { return firstErr != nil || ctx.Err() != nil }
+	var wg sync.WaitGroup
+	worker := func() {
+		defer wg.Done()
+		for {
+			mu.Lock()
+			if stopped() || next == total {
+				mu.Unlock()
+				return
+			}
+			p, r := next/replicas, next%replicas
+			next++
+			mu.Unlock()
+
+			id := JobName(points[p], r)
+			emit(Event{Type: EventJobStarted, Job: id})
+			if err := job(ctx, p, r); err != nil {
+				emit(Event{Type: EventJobFailed, Job: id, Err: err.Error()})
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = fmt.Errorf("run: job %q: %w", id, err)
+				}
+				mu.Unlock()
+				continue
+			}
+			emit(Event{Type: EventJobDone, Job: id})
+
+			mu.Lock()
+			left[p]--
+			last := left[p] == 0 && !stopped()
+			if last {
+				fannedIn[p] = true
+			}
+			mu.Unlock()
+			if last {
+				agg := AggregateName(points[p])
+				emit(Event{Type: EventJobStarted, Job: agg})
+				fanIn(p)
+				emit(Event{Type: EventJobDone, Job: agg})
+			}
+		}
+	}
+	for w := 0; w < pool && w < total; w++ {
+		wg.Add(1)
+		go worker()
+	}
+	wg.Wait()
+
+	if firstErr == nil {
+		firstErr = ctx.Err()
+	}
+	if firstErr != nil {
+		for p, name := range points {
+			for r := 0; r < replicas; r++ {
+				if p*replicas+r >= next {
+					emit(Event{Type: EventJobSkipped, Job: JobName(name, r)})
+				}
+			}
+			if !fannedIn[p] {
+				emit(Event{Type: EventJobSkipped, Job: AggregateName(name)})
+			}
+		}
+	}
+	return firstErr
 }

@@ -8,7 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -80,7 +80,7 @@ func aggEqual(a, b *Aggregate) bool {
 
 // TestPoolSizeDeterminism: the same sweep at pool sizes 1 and 8 yields
 // byte-identical aggregates — pool size only changes scheduling, and
-// aggregation merges in replica-index order inside the fan-in node.
+// aggregation merges in replica-index order inside the fan-in.
 func TestPoolSizeDeterminism(t *testing.T) {
 	var got [2]*Result
 	for i, pool := range []int{1, 8} {
@@ -100,49 +100,33 @@ func TestPoolSizeDeterminism(t *testing.T) {
 	}
 }
 
-// TestCompletionOrderIndependence drives the scheduler with fan-out
-// nodes whose completion order is forcibly reversed (later replicas
-// finish first) and asserts the fan-in sees the same aggregate as the
-// in-order execution: result slots are indexed, never appended.
+// TestCompletionOrderIndependence drives the forest executor with
+// replica jobs whose completion order is forcibly reversed (later
+// replicas finish first) and asserts the fan-in sees the same aggregate
+// as the in-order execution: result slots are indexed, never appended.
 func TestCompletionOrderIndependence(t *testing.T) {
 	build := func(reverse bool) *Aggregate {
 		const n = 6
 		results := make([]*ReplicaResult, n)
 		var agg *Aggregate
-		nodes := make([]Node, 0, n+1)
-		deps := make([]string, 0, n)
-		for r := 0; r < n; r++ {
-			r := r
-			id := string(rune('a' + r))
-			deps = append(deps, id)
-			nodes = append(nodes, Node{
-				ID: id,
-				Run: func(ctx context.Context) error {
-					if reverse {
-						// Later indices finish first.
-						time.Sleep(time.Duration(n-r) * 5 * time.Millisecond)
-					}
-					results[r] = &ReplicaResult{
-						Fields: map[string][]float64{
-							"density":     {float64(r), float64(r) * 0.5},
-							"temperature": {1 + float64(r), 2 * float64(r)},
-						},
-						ShockAngleDeg: 40 + float64(r),
-						Collisions:    int64(100 * r),
-						NFlow:         1000 + r,
-					}
-					return nil
+		job := func(_ context.Context, _, r int) error {
+			if reverse {
+				// Later indices finish first.
+				time.Sleep(time.Duration(n-r) * 5 * time.Millisecond)
+			}
+			results[r] = &ReplicaResult{
+				Fields: map[string][]float64{
+					"density":     {float64(r), float64(r) * 0.5},
+					"temperature": {1 + float64(r), 2 * float64(r)},
 				},
-			})
+				ShockAngleDeg: 40 + float64(r),
+				Collisions:    int64(100 * r),
+				NFlow:         1000 + r,
+			}
+			return nil
 		}
-		nodes = append(nodes, Node{
-			ID: "agg", Deps: deps,
-			Run: func(ctx context.Context) error {
-				agg = aggregate("s", []string{"density", "temperature"}, results)
-				return nil
-			},
-		})
-		if err := ExecuteDAG(context.Background(), nodes, n, nil); err != nil {
+		fanIn := func(int) { agg = aggregate("s", []string{"density", "temperature"}, results) }
+		if err := runForest(context.Background(), []string{"s"}, n, n, job, fanIn, func(Event) {}); err != nil {
 			t.Fatal(err)
 		}
 		return agg
@@ -241,83 +225,83 @@ func TestJobSeedsDistinctAcrossScenariosAndReplicas(t *testing.T) {
 	}
 }
 
-func TestDAGValidation(t *testing.T) {
-	noop := func(ctx context.Context) error { return nil }
+// TestDAGFailurePropagation: a failing replica — or a context cancelled
+// while one is in flight — stops new starts; every replica never started
+// and every aggregate never run is reported skipped, in point order, and
+// the returned error wraps the cause.
+func TestDAGFailurePropagation(t *testing.T) {
+	boom := errors.New("boom")
 	cases := []struct {
-		name  string
-		nodes []Node
+		name string
+		job  func(cancel func()) error // the body of a/r000, the one job that starts
+		want error
 	}{
-		{"duplicate-id", []Node{{ID: "a", Run: noop}, {ID: "a", Run: noop}}},
-		{"unknown-dep", []Node{{ID: "a", Deps: []string{"ghost"}, Run: noop}}},
-		{"cycle", []Node{
-			{ID: "a", Deps: []string{"b"}, Run: noop},
-			{ID: "b", Deps: []string{"a"}, Run: noop},
-		}},
-		{"empty-id", []Node{{ID: "", Run: noop}}},
+		{"job-error", func(func()) error { return boom }, boom},
+		{"cancelled", func(cancel func()) error { cancel(); return nil }, context.Canceled},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := ExecuteDAG(context.Background(), tc.nodes, 2, nil); err == nil {
-				t.Error("invalid DAG executed without error")
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var started, skipped []string
+			fannedIn := false
+			err := runForest(ctx, []string{"a", "b"}, 2, 1,
+				func(context.Context, int, int) error { return tc.job(cancel) },
+				func(int) { fannedIn = true },
+				func(e Event) {
+					switch e.Type {
+					case EventJobStarted:
+						started = append(started, e.Job)
+					case EventJobSkipped:
+						skipped = append(skipped, e.Job)
+					}
+				})
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("error %v does not wrap %v", err, tc.want)
+			}
+			if fannedIn {
+				t.Error("an aggregate ran after the forest stopped")
+			}
+			if want := []string{"a/r000"}; !slices.Equal(started, want) {
+				t.Errorf("started = %v, want %v", started, want)
+			}
+			want := []string{"a/r001", "a/aggregate", "b/r000", "b/r001", "b/aggregate"}
+			if !slices.Equal(skipped, want) {
+				t.Errorf("skipped = %v, want %v", skipped, want)
 			}
 		})
 	}
 }
 
-// TestDAGFailurePropagation: a failing node stops new launches, its
-// dependents are reported skipped, and the first error surfaces.
-func TestDAGFailurePropagation(t *testing.T) {
-	boom := errors.New("boom")
-	var ran sync.Map
-	nodes := []Node{
-		{ID: "bad", Run: func(ctx context.Context) error { return boom }},
-		{ID: "child", Deps: []string{"bad"}, Run: func(ctx context.Context) error {
-			ran.Store("child", true)
-			return nil
-		}},
-	}
-	var skipped []string
-	err := ExecuteDAG(context.Background(), nodes, 1, func(id string, st NodeState, _ error) {
-		if st == NodeSkipped {
-			skipped = append(skipped, id)
-		}
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("error %v does not wrap the node failure", err)
-	}
-	if _, ok := ran.Load("child"); ok {
-		t.Error("dependent of failed node ran")
-	}
-	if len(skipped) != 1 || skipped[0] != "child" {
-		t.Errorf("skipped = %v, want [child]", skipped)
-	}
-}
-
-// TestDAGBoundedConcurrency: at most pool nodes run at once.
+// TestDAGBoundedConcurrency: at most pool jobs run at once, the inline
+// aggregates included.
 func TestDAGBoundedConcurrency(t *testing.T) {
 	const pool = 3
-	var cur, peak atomic.Int64
-	var nodes []Node
-	for i := 0; i < 12; i++ {
-		id := string(rune('a' + i))
-		nodes = append(nodes, Node{ID: id, Run: func(ctx context.Context) error {
-			n := cur.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
+	var cur, peak, fanIns atomic.Int64
+	busy := func() {
+		n := cur.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
 			}
-			time.Sleep(3 * time.Millisecond)
-			cur.Add(-1)
-			return nil
-		}})
+		}
+		time.Sleep(3 * time.Millisecond)
+		cur.Add(-1)
 	}
-	if err := ExecuteDAG(context.Background(), nodes, pool, nil); err != nil {
+	points := []string{"a", "b", "c", "d"}
+	err := runForest(context.Background(), points, 3, pool,
+		func(context.Context, int, int) error { busy(); return nil },
+		func(int) { fanIns.Add(1); busy() },
+		func(Event) {})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > pool {
-		t.Errorf("observed %d concurrent nodes, pool is %d", p, pool)
+		t.Errorf("observed %d concurrent jobs, pool is %d", p, pool)
+	}
+	if n := fanIns.Load(); n != int64(len(points)) {
+		t.Errorf("%d aggregates ran, want %d", n, len(points))
 	}
 }
 

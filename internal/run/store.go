@@ -3,6 +3,8 @@ package run
 import (
 	"errors"
 	"os"
+
+	"dsmc/internal/store"
 )
 
 // CkptStore is where a replica job persists its checkpoint bytes. The
@@ -43,25 +45,7 @@ func (s FileCkptStore) Load() ([]byte, error) {
 }
 
 // Save implements CkptStore.
-func (s FileCkptStore) Save(data []byte) error {
-	tmp := s.Path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, s.Path)
-}
+func (s FileCkptStore) Save(data []byte) error { return store.AtomicWrite(s.Path, data) }
 
 // Discard implements CkptStore.
 func (s FileCkptStore) Discard() error {

@@ -12,9 +12,10 @@ import (
 // Output is one finished replica job's result as it travels and rests:
 // the sampled quantity fields keyed by quantity slug, the fitted shock
 // angle (NaN for scenarios without a wedge), and the integer
-// diagnostics. It mirrors the public dsmc.ReplicaOutput field-for-field
-// — the store sits below the public package in the layer DAG, so the
-// callers on either side convert by construction, not by import.
+// diagnostics. The store is the lowest layer that handles outputs, so the
+// type is declared here and the layers above alias it (run.ReplicaResult,
+// dsmc.ReplicaOutput): one output is computed, stored, shipped and
+// aggregated as the same value, never copied between look-alike structs.
 type Output struct {
 	Fields        map[string][]float64
 	ShockAngleDeg float64

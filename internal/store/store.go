@@ -41,14 +41,16 @@ import (
 
 // Key identifies one artifact by the inputs that determine its bits:
 // the quantity-inclusive spec fingerprint, the sweep's master seed, the
-// point (scenario) index, and the replica index — or, for a point
-// aggregate, the replica count.
+// point (scenario) index, and the replica index.
 type Key struct {
 	// Kind tags the artifact type: "out" (one replica's output, DSMCOUT1
-	// frame), "agg" (one point's aggregate, DSMCAGG1 frame) or "res" (a
-	// sweep's encoded result, JSON; Point and Replica then carry the point
-	// and replica counts). dsmcd's "view-<result sha256>-<quantity>" IDs
-	// are keyed by content and are not built from a Key.
+	// frame) or "res" (a sweep's encoded result, JSON; Point and Replica
+	// then carry the point and replica counts). dsmcd's
+	// "view-<result sha256>-<quantity>" IDs are keyed by content and are
+	// not built from a Key. A point's aggregate is not an artifact: the
+	// merge of outputs already in hand is cheaper than a verified read of
+	// its result, so index entries of the former "agg" kind are never
+	// looked up and may be deleted.
 	Kind string
 	// Fp is the spec fingerprint extended with the requested quantities
 	// (the trajectory fingerprint alone under-identifies an artifact:
@@ -61,9 +63,7 @@ type Key struct {
 	// derivation, so the same physics at a different index is a
 	// different artifact.
 	Point int
-	// Replica is the replica index for "out" artifacts and the replica
-	// count for "agg" artifacts (an aggregate over fewer replicas is a
-	// different result).
+	// Replica is the replica index for "out" artifacts.
 	Replica int
 }
 
@@ -259,13 +259,13 @@ func (s *Store) Put(id string, data []byte) (sha string, err error) {
 		return "", fmt.Errorf("store: key %s already holds content %s; refusing conflicting publish %s (determinism violation?)", id, prev, sha)
 	}
 	if _, ok := s.sizes[sha]; !ok {
-		if err := atomicWrite(s.objectPath(sha), data); err != nil {
+		if err := AtomicWrite(s.objectPath(sha), data); err != nil {
 			return "", err
 		}
 		s.sizes[sha] = int64(len(data))
 		s.bytes += int64(len(data))
 	}
-	if err := atomicWrite(s.indexPath(id), []byte(sha+"\n")); err != nil {
+	if err := AtomicWrite(s.indexPath(id), []byte(sha+"\n")); err != nil {
 		return "", err
 	}
 	s.index[id] = sha
@@ -472,10 +472,13 @@ func validSHA(s string) bool {
 	return true
 }
 
-// atomicWrite writes via temp file + fsync + rename so a crash can
-// never leave a half-written object or index entry in place; the *.tmp
-// orphan a crash does leave is swept to quarantine on the next Open.
-func atomicWrite(path string, data []byte) error {
+// AtomicWrite replaces path with data via temp file + fsync + rename, so
+// a crash can never leave a half-written file in place: readers see the
+// old bytes or the new bytes. It is the one durable file write of the
+// tree (objects and index entries here, job checkpoints, dsmcd's spec
+// files). A crash can leave a path.tmp orphan; inside a store root the
+// next Open sweeps it to quarantine.
+func AtomicWrite(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {

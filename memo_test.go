@@ -72,13 +72,13 @@ func TestSweepMemoWarmBitIdentical(t *testing.T) {
 		t.Fatalf("store-backed cold run hash %016x != store-less run hash %016x", hCold, h)
 	}
 
-	// The cold run published 2 points × 2 replicas outputs + 2 aggregates.
+	// The cold run published 2 points × 2 replicas outputs.
 	idx, err := filepath.Glob(filepath.Join(dir, "index", "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idx) != 6 {
-		t.Fatalf("store index holds %d artifacts after the cold run, want 6", len(idx))
+	if len(idx) != 4 {
+		t.Fatalf("store index holds %d artifacts after the cold run, want 4", len(idx))
 	}
 
 	for _, pool := range []int{1, 4} {
@@ -187,7 +187,7 @@ func TestSweepMemoCorruptionFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idx) != 6 {
-		t.Errorf("store index holds %d artifacts after recompute, want 6", len(idx))
+	if len(idx) != 4 {
+		t.Errorf("store index holds %d artifacts after recompute, want 4", len(idx))
 	}
 }
