@@ -2,6 +2,8 @@ package ckpt_test
 
 import (
 	"bytes"
+	"hash/fnv"
+	"io"
 	"strings"
 	"testing"
 
@@ -288,6 +290,56 @@ func TestAccumulatorRoundTrip(t *testing.T) {
 	for c := range d1 {
 		if d1[c] != d2[c] {
 			t.Fatalf("density[%d] %v != %v after round trip", c, d2[c], d1[c])
+		}
+	}
+}
+
+// fnv64a hashes a checkpoint's bytes.
+func fnv64a(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
+}
+
+// TestCheckpointBytesPinned: the on-disk bytes of non-vibrational
+// checkpoints are the ones the engine wrote while every store still
+// carried a (zero) Evib column — the constants were recorded at commit
+// dc0ba4b, before the column became optional. A checkpoint written there
+// restores here and vice versa.
+func TestCheckpointBytesPinned(t *testing.T) {
+	cfg := config2D()
+	cfg.Workers = 2
+	s64, err := sim.NewOf[float64](cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s32, err := sim.NewOf[float32](cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c3 := config3D()
+	c3.Workers = 2
+	s3, err := sim3.NewOf[float64](c3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		run   func(int)
+		write func(io.Writer) error
+		want  uint64
+	}{
+		{"2D/float64", s64.Run, s64.WriteCheckpoint, 0xf6dc2de00b70d850},
+		{"2D/float32", s32.Run, s32.WriteCheckpoint, 0x966d6014a73b8fab},
+		{"3D/float64", s3.Run, s3.WriteCheckpoint, 0x134a9628fb3f1e8e},
+	} {
+		tc.run(12)
+		var buf bytes.Buffer
+		if err := tc.write(&buf); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := fnv64a(buf.Bytes()); got != tc.want {
+			t.Errorf("%s: checkpoint bytes hash %#016x (%d bytes), recorded %#016x", tc.name, got, buf.Len(), tc.want)
 		}
 	}
 }

@@ -82,7 +82,10 @@ func Invariants(a, b *State5) (mom [3]float64, energy float64) {
 }
 
 // Rule is the selection rule, eq. (7)/(8) of the paper, normalised to the
-// freestream: P = P∞ · (n/n∞) · (g/g∞)^GExp.
+// freestream: P = P∞ · (n/n∞) · (g/g∞)^GExp. The first two factors are
+// one number per cell (CellProb, the only place they are computed); the
+// third is 1 for the paper's Maxwell molecule, so only the other models
+// ever look at a pair's relative speed.
 type Rule struct {
 	Model molec.Model
 	// PInf is the freestream collision probability Δt/t_c∞.
@@ -98,18 +101,43 @@ type Rule struct {
 	CollideAll bool
 }
 
+// CellProb evaluates the part of the rule that is one number per cell:
+// the density factor p = P∞·(n/n∞) of a cell of the given population and
+// (possibly fractional) volume. whole reports that p is already every
+// candidate pair's probability, clamped to [0, 1] — the near-continuum
+// mode, an empty or zero-volume cell, and any model without a
+// relative-speed factor (the paper's Maxwell molecule: "the selection
+// rule depends only on density"), so a caller can skip the relative
+// speeds of such a cell altogether. Otherwise p is the unclamped prefix
+// Prob multiplies by Model.GFactor(g/GInf) pair by pair.
+func (r Rule) CellProb(cellCount int, cellVolume float64) (p float64, whole bool) {
+	if r.CollideAll {
+		return 1, true
+	}
+	if cellVolume <= 0 || cellCount <= 0 {
+		return 0, true
+	}
+	n := float64(cellCount) / cellVolume
+	p = r.PInf * (n / r.NInf)
+	if r.Model.GExp != 0 {
+		return p, false
+	}
+	return clamp01(p), true
+}
+
 // Prob returns the collision probability for a candidate pair in a cell
 // of the given population and (possibly fractional) volume, with
 // translational relative speed g. The result is clamped to [0, 1].
 func (r Rule) Prob(cellCount int, cellVolume, g float64) float64 {
-	if r.CollideAll {
-		return 1
+	p, whole := r.CellProb(cellCount, cellVolume)
+	if whole {
+		return p
 	}
-	if cellVolume <= 0 || cellCount <= 0 {
-		return 0
-	}
-	n := float64(cellCount) / cellVolume
-	p := r.PInf * (n / r.NInf) * r.Model.GFactor(g/r.GInf)
+	return clamp01(p * r.Model.GFactor(g/r.GInf))
+}
+
+// clamp01 limits a probability to [0, 1]; NaN passes through.
+func clamp01(p float64) float64 {
 	if p < 0 {
 		return 0
 	}

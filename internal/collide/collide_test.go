@@ -294,3 +294,84 @@ func TestCollideRandomizesDirections(t *testing.T) {
 		}
 	}
 }
+
+// probRef is Rule.Prob as it stood before the per-cell entry point: the
+// whole rule evaluated for one candidate pair. Kept verbatim as the
+// oracle CellProb and the rewritten Prob must reproduce bit for bit.
+func probRef(r Rule, cellCount int, cellVolume, g float64) float64 {
+	if r.CollideAll {
+		return 1
+	}
+	if cellVolume <= 0 || cellCount <= 0 {
+		return 0
+	}
+	n := float64(cellCount) / cellVolume
+	p := r.PInf * (n / r.NInf) * r.Model.GFactor(g/r.GInf)
+	if p < 0 {
+		return 0
+	}
+	if p > 1 {
+		return 1
+	}
+	return p
+}
+
+// TestCellProbMatchesPerPairRule: for every model, over random cells
+// including the degenerate ones (no volume, no population) and the clamp
+// at 1, the per-cell path — CellProb, completed per pair the way the
+// engine's select loops complete it — is the parent's per-pair rule bit
+// for bit, and so is Prob.
+func TestCellProbMatchesPerPairRule(t *testing.T) {
+	rules := []Rule{
+		{Model: molec.Maxwell(), PInf: 0.25, NInf: 30, GInf: 1.3},
+		{Model: molec.Maxwell(), PInf: 0.25, NInf: 30, GInf: 1.3, CollideAll: true},
+		{Model: molec.HardSphere(), PInf: 0.25, NInf: 30, GInf: 1.3},
+		{Model: molec.VHS(0.75), PInf: 0.4, NInf: 8, GInf: 0.7},
+		{Model: molec.PowerLaw(8), PInf: 0.1, NInf: 4, GInf: 2.1},
+		{Model: molec.Maxwell(), PInf: 0, NInf: 0, GInf: 1},           // 0·Inf: NaN passes through
+		{Model: molec.HardSphere(), PInf: -0.25, NInf: 30, GInf: 1.3}, // negative product clamps to 0
+	}
+	r := rng.NewStream(2024)
+	for ri, rule := range rules {
+		wantWhole := rule.CollideAll || rule.Model.GExp == 0
+		for trial := 0; trial < 20000; trial++ {
+			count := r.Intn(400) - 20 // some <= 0
+			vol := 1.5*r.Float64() - 0.1
+			switch trial % 16 {
+			case 0:
+				vol = 0
+			case 1:
+				vol = 1
+			case 2:
+				vol = 1e-6 // saturates the clamp
+			}
+			g := 6 * r.Float64()
+			if trial%32 == 3 {
+				g = 0
+			}
+			want := math.Float64bits(probRef(rule, count, vol, g))
+			if got := math.Float64bits(rule.Prob(count, vol, g)); got != want {
+				t.Fatalf("rule %d: Prob(%d, %v, %v) = %#x, reference %#x", ri, count, vol, g, got, want)
+			}
+			p, whole := rule.CellProb(count, vol)
+			if degenerate := vol <= 0 || count <= 0; whole != (wantWhole || degenerate) {
+				t.Fatalf("rule %d: CellProb(%d, %v) whole = %v", ri, count, vol, whole)
+			}
+			if !whole {
+				// The select loops compare the product unclamped: it must
+				// skip the draw exactly where the rule saturates, and accept
+				// a draw exactly where the clamped probability would.
+				pp := p * rule.Model.GFactor(g/rule.GInf)
+				ref := math.Float64frombits(want)
+				u := r.Float64()
+				if (pp >= 1) != (ref == 1) || (u < pp) != (u < ref) && ref != 1 {
+					t.Fatalf("rule %d: unclamped %v decides differently from %v at u = %v", ri, pp, ref, u)
+				}
+				p = clamp01(pp)
+			}
+			if got := math.Float64bits(p); got != want {
+				t.Fatalf("rule %d: per-cell path (%d, %v, %v) = %#x, reference %#x", ri, count, vol, g, got, want)
+			}
+		}
+	}
+}

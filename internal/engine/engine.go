@@ -238,16 +238,21 @@ func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store, shado
 	e.picksW = make([][]pairPick, w)
 	capacity := store.Cap()
 	splitStyle := !cfg.FusedSelect && cfg.Scheme == nil
+	_, cellConstant := cfg.Rule.CellProb(1, 1)
+	needSpeeds := cfg.Scheme == nil && !cellConstant
 	for b := 0; b < w; b++ {
 		// The pick buffers exist only for the split select/collide style;
 		// they get the balanced-load bound (n/2 pairs split w ways), so a
 		// pathologically imbalanced flow could grow one once, after which
 		// it too is stable. The relative-speed spans hold one cell's pairs
-		// at a time and grow (rarely) past the pre-size the same way.
+		// at a time and grow (rarely) past the pre-size the same way; a
+		// rule that is one probability per cell never reads a speed.
 		if splitStyle {
 			e.picksW[b] = make([]pairPick, 0, capacity/(2*w)+64)
 		}
-		e.gW[b] = make([]float64, 1024)
+		if needSpeeds {
+			e.gW[b] = make([]float64, 1024)
+		}
 	}
 	e.selW = make([]time.Duration, w)
 	e.colW = make([]time.Duration, w)
@@ -463,15 +468,22 @@ func (e *Engine[F]) sortByCell() {
 // arithmetic is identical on both paths, so the cutoff moves no bits.
 const smallCellPairs = kernel.Width
 
-// relSpeeds fills g[:npairs] with the relative speeds of the cell span
-// starting at lo: inline for small cells, the width-grouped kernel for
-// dense ones.
+// relSpeeds returns worker w's relative-speed span with its first npairs
+// elements set to the speeds of the cell span starting at lo: inline for
+// small cells, the width-grouped kernel for dense ones.
 //
 //dsmc:hotpath
-func relSpeeds[F kernel.Float](st *particle.Store[F], lo, npairs int, g []float64) {
+func (e *Engine[F]) relSpeeds(w, lo, npairs int) []float64 {
+	g := e.gW[w]
+	if len(g) < npairs {
+		//dsmclint:allow hotpath-alloc amortized grow: the span re-makes only when a cell outgrows it once, then is stable (AllocsPerRun pins the steady state)
+		g = make([]float64, npairs+npairs/2)
+		e.gW[w] = g
+	}
+	st := e.store
 	if npairs >= smallCellPairs {
 		kernel.PairRelSpeeds(st.U, st.V, st.W, lo, npairs, g)
-		return
+		return g
 	}
 	for k := 0; k < npairs; k++ {
 		a := lo + 2*k
@@ -480,6 +492,7 @@ func relSpeeds[F kernel.Float](st *particle.Store[F], lo, npairs int, g []float6
 		dw := st.W[a] - st.W[a+1]
 		g[k] = math.Sqrt(float64(du*du + dv*dv + dw*dw))
 	}
+	return g
 }
 
 // vol returns the gas volume of cell c (unit when no volume table is
@@ -538,10 +551,19 @@ func (e *Engine[F]) selectAndCollide() {
 }
 
 // selColSplitShard is one worker's cell range of the split select+collide
-// style. Selection streams the velocity columns of the shard's contiguous
-// particle range once — the relative speeds computed by the width-grouped
-// kernel a block of pairs at a time — recording accepted pairs; the
-// collide sub-loop then revisits only the accepted records. Selection and
+// style. Selection evaluates the rule once per cell (Rule.CellProb). When
+// that is the whole answer — the paper's Maxwell molecule, the
+// near-continuum mode — no velocity is read: a saturated cell (p = 1)
+// accepts every pair without a draw, a cell with p = 0 (no gas volume)
+// draws nothing either — its select stream is private to this cell and
+// step and no collision follows, so nothing downstream can tell the
+// draws were skipped — and any other cell costs one Float64 compare per
+// pair. Only a model with a relative-speed factor streams the cell's
+// velocity columns through the width-grouped kernel and completes the
+// probability pair by pair; the product is compared unclamped, which
+// accepts without a draw exactly where the clamped probability was 1
+// and draws-and-rejects exactly where it was 0 or NaN. The collide
+// sub-loop then revisits only the accepted records. Selection and
 // collision draw from distinct per-cell stream domains so the two
 // sub-loops stay deterministic for any worker count.
 //
@@ -552,26 +574,36 @@ func (e *Engine[F]) selColSplitShard(w, clo, chi int) {
 	zvib := e.cfg.ZVib > 0
 	t0 := now()
 	picks := e.picksW[w][:0]
-	g := e.gW[w]
+	rule := &e.cfg.Rule
 	for c := clo; c < chi; c++ {
 		lo, hi := int(cellStart[c]), int(cellStart[c+1])
 		cnt := hi - lo
 		if cnt < 2 {
 			continue
 		}
-		r := e.PhaseStream(e.cfg.Layout.Select, c)
-		vol := e.vol(c)
 		npairs := cnt / 2
-		if len(g) < npairs {
-			//dsmclint:allow hotpath-alloc amortized grow: the span re-makes only when a cell outgrows it once, then is stable (AllocsPerRun pins the steady state)
-			g = make([]float64, npairs+npairs/2)
-			e.gW[w] = g
+		p, whole := rule.CellProb(cnt, e.vol(c))
+		if whole {
+			switch {
+			case p >= 1:
+				for k := 0; k < npairs; k++ {
+					picks = append(picks, pairPick{int32(lo + 2*k), int32(c)})
+				}
+			case p > 0:
+				r := e.PhaseStream(e.cfg.Layout.Select, c)
+				for k := 0; k < npairs; k++ {
+					if r.Float64() < p {
+						picks = append(picks, pairPick{int32(lo + 2*k), int32(c)})
+					}
+				}
+			}
+			continue
 		}
-		relSpeeds(st, lo, npairs, g)
+		r := e.PhaseStream(e.cfg.Layout.Select, c)
+		g := e.relSpeeds(w, lo, npairs)
 		for k := 0; k < npairs; k++ {
-			p := e.cfg.Rule.Prob(cnt, vol, g[k])
-			//dsmclint:allow float-eq exact saturation sentinel: Prob clamps to 1, and == skips the draw without shifting the stream
-			if p == 1 || r.Float64() < p {
+			pp := p * rule.Model.GFactor(g[k]/rule.GInf)
+			if pp >= 1 || r.Float64() < pp {
 				picks = append(picks, pairPick{int32(lo + 2*k), int32(c)})
 			}
 		}
@@ -607,10 +639,13 @@ func (e *Engine[F]) selColSplitShard(w, clo, chi int) {
 
 // selColFusedShard is one worker's cell range of the fused style:
 // selection and collision interleave pair by pair on the cell's single
-// collide stream (the 3D backend's historical draw order). The relative
-// speeds still come from the width-grouped kernel a block at a time —
-// the blocking consumes no randomness, so the draw sequence is
-// untouched.
+// collide stream (the 3D backend's historical draw order). The rule is
+// evaluated per cell exactly as in selColSplitShard: a cell-constant
+// probability reads no velocity before a pair is accepted, and a cell
+// with p = 0 is skipped outright (nothing collides there, so its private
+// stream has no other reader). For the other models the relative speeds
+// still come from the width-grouped kernel a block at a time — the
+// blocking consumes no randomness, so the draw sequence is untouched.
 //
 //dsmc:hotpath
 func (e *Engine[F]) selColFusedShard(w, clo, chi int) {
@@ -618,26 +653,29 @@ func (e *Engine[F]) selColFusedShard(w, clo, chi int) {
 	cellStart := e.sorter.CellStart()
 	zvib := e.cfg.ZVib > 0
 	var coll int64
-	g := e.gW[w]
+	rule := &e.cfg.Rule
 	for c := clo; c < chi; c++ {
 		lo, hi := int(cellStart[c]), int(cellStart[c+1])
 		cnt := hi - lo
 		if cnt < 2 {
 			continue
 		}
-		r := e.PhaseStream(e.cfg.Layout.Collide, c)
-		vol := e.vol(c)
 		npairs := cnt / 2
-		if len(g) < npairs {
-			//dsmclint:allow hotpath-alloc amortized grow: the span re-makes only when a cell outgrows it once, then is stable (AllocsPerRun pins the steady state)
-			g = make([]float64, npairs+npairs/2)
-			e.gW[w] = g
+		p, whole := rule.CellProb(cnt, e.vol(c))
+		if whole && !(p > 0) {
+			continue
 		}
-		relSpeeds(st, lo, npairs, g)
+		r := e.PhaseStream(e.cfg.Layout.Collide, c)
+		var g []float64
+		if !whole {
+			g = e.relSpeeds(w, lo, npairs)
+		}
 		for k := 0; k < npairs; k++ {
-			p := e.cfg.Rule.Prob(cnt, vol, g[k])
-			//dsmclint:allow float-eq exact saturation sentinel: Prob clamps to 1, and == skips the draw without shifting the stream
-			if p == 1 || r.Float64() < p {
+			pp := p
+			if !whole {
+				pp = p * rule.Model.GFactor(g[k]/rule.GInf)
+			}
+			if pp >= 1 || r.Float64() < pp {
 				a := lo + 2*k
 				if zvib {
 					e.collideVibPair(st, a, a+1, &r)

@@ -96,9 +96,24 @@ func AddFlowCellMajor[F kernel.Float](a *Accumulator, st *particle.Store[F], cel
 	//dsmclint:allow hotpath-alloc one closure per sample call (not per particle); the capture set varies per call so it cannot be prebuilt here
 	parFor(len(cellStart)-1, func(clo, chi int) {
 		for c := clo; c < chi; c++ {
-			for i := int(cellStart[c]); i < int(cellStart[c+1]); i++ {
-				addParticle(a, st, int32(c), i)
+			lo, hi := int(cellStart[c]), int(cellStart[c+1])
+			if lo == hi {
+				continue
 			}
+			// The cell's five sums ride in locals across its span and are
+			// stored once: addParticle's additions in addParticle's order,
+			// without its five read-modify-writes of memory per particle.
+			cnt, mx, my, mz, en := a.count[c], a.momX[c], a.momY[c], a.momZ[c], a.enrg[c]
+			for i := lo; i < hi; i++ {
+				u, v, w := float64(st.U[i]), float64(st.V[i]), float64(st.W[i])
+				r1, r2 := float64(st.R1[i]), float64(st.R2[i])
+				cnt++
+				mx += u
+				my += v
+				mz += w
+				en += u*u + v*v + w*w + r1*r1 + r2*r2
+			}
+			a.count[c], a.momX[c], a.momY[c], a.momZ[c], a.enrg[c] = cnt, mx, my, mz, en
 		}
 	})
 	a.Steps++

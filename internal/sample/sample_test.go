@@ -8,7 +8,9 @@ import (
 
 	"dsmc/internal/collide"
 	"dsmc/internal/grid"
+	"dsmc/internal/kernel"
 	"dsmc/internal/particle"
+	"dsmc/internal/rng"
 )
 
 func uniformVols(g grid.Grid) []float64 {
@@ -323,4 +325,70 @@ func TestSurfaceASCII(t *testing.T) {
 	if lines[1][0] != '0' || lines[1][3] != '7' {
 		t.Errorf("bands wrong: %q", lines[1])
 	}
+}
+
+// cellMajorStore builds a random cell-major store over `cells` cells,
+// about a third of them empty, and returns it with its bucket boundaries.
+func cellMajorStore[F kernel.Float](cells int, seed uint64) (*particle.Store[F], []int32) {
+	r := rng.NewStream(seed)
+	cellStart := make([]int32, cells+1)
+	for c := 0; c < cells; c++ {
+		cnt := 0
+		if r.Intn(3) > 0 {
+			cnt = 1 + r.Intn(40)
+		}
+		cellStart[c+1] = cellStart[c] + int32(cnt)
+	}
+	n := int(cellStart[cells])
+	st := particle.NewStore[F](n)
+	for c := 0; c < cells; c++ {
+		for i := cellStart[c]; i < cellStart[c+1]; i++ {
+			k := st.Append(r.Float64(), r.Float64(), collide.State5{
+				r.Gaussian(0.4, 1), r.Gaussian(0, 1), r.Gaussian(0, 1), r.Gaussian(0, 1), r.Gaussian(0, 1),
+			})
+			st.Cell[k] = int32(c)
+		}
+	}
+	return st, cellStart
+}
+
+func addFlowOracle[F kernel.Float](t *testing.T) {
+	const cells = 700
+	st, cellStart := cellMajorStore[F](cells, 77)
+	serial := func(n int, f func(lo, hi int)) { f(0, n) }
+	sharded := func(n int, f func(lo, hi int)) {
+		// Uneven shards, run out of order: the sums may not depend on it.
+		cuts := []int{0, 1, 2, n / 3, n/3 + 1, n - 1, n}
+		for k := len(cuts) - 1; k > 0; k-- {
+			f(cuts[k-1], cuts[k])
+		}
+	}
+	for name, parFor := range map[string]func(int, func(lo, hi int)){"serial": serial, "sharded": sharded} {
+		want := NewAccumulatorCells(cells, nil, 1)
+		got := NewAccumulatorCells(cells, nil, 1)
+		for snap := 0; snap < 3; snap++ { // later snapshots add onto non-zero sums
+			AddFlow(want, st)
+			AddFlowCellMajor(got, st, cellStart, parFor)
+		}
+		if got.Steps != want.Steps {
+			t.Fatalf("%s: %d steps, want %d", name, got.Steps, want.Steps)
+		}
+		wc, wx, wy, wz, we := want.Raw()
+		gc, gx, gy, gz, ge := got.Raw()
+		for k, cols := range [][2][]float64{{wc, gc}, {wx, gx}, {wy, gy}, {wz, gz}, {we, ge}} {
+			for c := range cols[0] {
+				if math.Float64bits(cols[0][c]) != math.Float64bits(cols[1][c]) {
+					t.Fatalf("%s: moment %d of cell %d: %v, AddFlow has %v", name, k, c, cols[1][c], cols[0][c])
+				}
+			}
+		}
+	}
+}
+
+// TestAddFlowCellMajorMatchesAddFlow: the cell-major accumulation (sums
+// carried in locals across a cell's span) is the particle-by-particle
+// AddFlow bit for bit, in either precision and under any sharding.
+func TestAddFlowCellMajorMatchesAddFlow(t *testing.T) {
+	t.Run("float64", addFlowOracle[float64])
+	t.Run("float32", addFlowOracle[float32])
 }
