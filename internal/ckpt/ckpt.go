@@ -191,6 +191,19 @@ func Floats[F kernel.Float](w *Writer, xs []F) {
 	}
 }
 
+// zeroFloats writes what Floats writes for a column of n zeros, without
+// the column.
+func zeroFloats[F kernel.Float](w *Writer, n int) {
+	w.U64(uint64(n))
+	for i := 0; i < n; i++ {
+		if PrecOf[F]() == PrecF32 {
+			w.word32(0)
+		} else {
+			w.word(0)
+		}
+	}
+}
+
 // Close writes the checksum trailer and flushes. It returns the first
 // error of the whole write sequence.
 func (w *Writer) Close() error {
@@ -330,6 +343,22 @@ func ReadFloats[F kernel.Float](r *Reader, dst []F) int {
 	return n
 }
 
+// readZeroFloats consumes a column written by Floats of at most max
+// values without storing it, and reports whether every value was +0 —
+// how a store without a column reads the one the stream always has.
+func readZeroFloats[F kernel.Float](r *Reader, max int) bool {
+	n := r.lenInto("float column", max)
+	var bits uint64
+	for i := 0; i < n; i++ {
+		if PrecOf[F]() == PrecF32 {
+			bits |= uint64(r.word32())
+		} else {
+			bits |= r.word()
+		}
+	}
+	return bits == 0
+}
+
 // Close consumes the checksum trailer and verifies it against the bytes
 // read. A checkpoint truncated or corrupted anywhere fails here (or
 // earlier, on a structural error).
@@ -364,7 +393,10 @@ func CheckShape(r *Reader, kind Kind, prec Prec, cells int) error {
 }
 
 // WriteStore writes the live particle columns: count, every float column
-// at storage precision (Z only for 3D stores), and the cell indices.
+// at storage precision (Z only for 3D stores), and the cell indices. The
+// Evib column is always present in the stream: a store without one writes
+// the zeros it stands for, so the bytes do not depend on whether the
+// store carries the column.
 func WriteStore[F kernel.Float](w *Writer, st *particle.Store[F]) {
 	n := st.Len()
 	w.U64(uint64(n))
@@ -379,7 +411,11 @@ func WriteStore[F kernel.Float](w *Writer, st *particle.Store[F]) {
 	Floats(w, st.W[:n])
 	Floats(w, st.R1[:n])
 	Floats(w, st.R2[:n])
-	Floats(w, st.Evib[:n])
+	if st.Evib != nil {
+		Floats(w, st.Evib[:n])
+	} else {
+		zeroFloats[F](w, n)
+	}
 	w.I32s(st.Cell[:n])
 }
 
@@ -408,7 +444,11 @@ func ReadStore[F kernel.Float](r *Reader, st *particle.Store[F]) error {
 	ReadFloats(r, st.W[:n])
 	ReadFloats(r, st.R1[:n])
 	ReadFloats(r, st.R2[:n])
-	ReadFloats(r, st.Evib[:n])
+	if st.Evib != nil {
+		ReadFloats(r, st.Evib[:n])
+	} else if !readZeroFloats[F](r, n) && r.Err() == nil {
+		return fmt.Errorf("%w: checkpoint carries vibrational energy, the simulation has no vibrational relaxation", ErrShape)
+	}
 	r.I32s(st.Cell[:n])
 	if r.Err() != nil {
 		return r.Err()

@@ -2,6 +2,7 @@ package ckpt_test
 
 import (
 	"bytes"
+	"errors"
 	"hash/fnv"
 	"io"
 	"strings"
@@ -131,12 +132,13 @@ func TestRoundTrip3D(t *testing.T) {
 
 // TestDiffuseVibrationalRoundTrip covers the remaining randomness-
 // consuming domain paths: diffuse-isothermal walls (per-particle wall
-// streams) and vibrational relaxation (Evib column live).
+// streams) and vibrational relaxation (Evib column live), saved at one
+// worker and restored at eight.
 func TestDiffuseVibrationalRoundTrip(t *testing.T) {
 	cfg := config2D()
 	cfg.Wall = geom.DiffuseState{Model: geom.DiffuseIsothermal, WallCm: cfg.Free.Cm}
 	cfg.ZVib = 5
-	cfg.Workers = 3
+	cfg.Workers = 1
 
 	straight, err := sim.New(cfg)
 	if err != nil {
@@ -154,6 +156,7 @@ func TestDiffuseVibrationalRoundTrip(t *testing.T) {
 	if err := half.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
+	cfg.Workers = 8
 	restored, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -164,6 +167,51 @@ func TestDiffuseVibrationalRoundTrip(t *testing.T) {
 	restored.Run(20)
 	if got := golden.HashSim2D(restored); got != want {
 		t.Fatalf("diffuse+vibrational resume drifted: %#016x vs %#016x", got, want)
+	}
+}
+
+// TestVibrationalColumnAcrossStores: the Evib column is always in the
+// stream, whatever the stores on either side carry. A vibrational
+// checkpoint offered to a simulation without vibrational relaxation is a
+// shape error — its energy has nowhere to go — and never a panic; a
+// non-vibrational checkpoint restores into a vibrating simulation as the
+// zeros it always wrote.
+func TestVibrationalColumnAcrossStores(t *testing.T) {
+	t.Run("float64", vibColumnAcrossStores[float64])
+	t.Run("float32", vibColumnAcrossStores[float32])
+}
+
+func vibColumnAcrossStores[F kernel.Float](t *testing.T) {
+	plain := config2D()
+	vib := config2D()
+	vib.ZVib = 5
+	build := func(cfg sim.Config) *sim.SimOf[F] {
+		s, err := sim.NewOf[F](cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	save := func(cfg sim.Config) []byte {
+		s := build(cfg)
+		s.Run(3)
+		var buf bytes.Buffer
+		if err := s.WriteCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	vibRaw, plainRaw := save(vib), save(plain)
+
+	if err := build(plain).ReadCheckpoint(bytes.NewReader(vibRaw)); !errors.Is(err, ckpt.ErrShape) {
+		t.Errorf("vibrational checkpoint into a non-vibrational simulation: %v, want ErrShape", err)
+	}
+	if err := build(plain).ReadCheckpoint(bytes.NewReader(plainRaw)); err != nil {
+		t.Errorf("non-vibrational round trip: %v", err)
+	}
+	s := build(vib)
+	if err := s.ReadCheckpoint(bytes.NewReader(plainRaw)); err != nil || s.TotalVibEnergy() != 0 {
+		t.Errorf("non-vibrational checkpoint into a vibrating simulation: vibrational energy %v, err %v", s.TotalVibEnergy(), err)
 	}
 }
 

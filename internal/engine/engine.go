@@ -221,8 +221,14 @@ type Engine[F kernel.Float] struct {
 }
 
 // New assembles an engine over the given domain, worker pool, and
-// double-buffered stores (equal capacity, both 2D or both 3D).
+// double-buffered stores (equal capacity, both 2D or both 3D). Vibrational
+// relaxation is the one reader and writer of the stores' Evib column, so
+// New adds it to both when cfg.ZVib asks for it and to neither otherwise.
 func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store, shadow *particle.Store[F]) *Engine[F] {
+	if cfg.ZVib > 0 {
+		store.AddEvib()
+		shadow.AddEvib()
+	}
 	e := &Engine[F]{
 		cfg:    cfg,
 		dom:    dom,
@@ -781,8 +787,12 @@ func (e *Engine[F]) vibExchange(st *particle.Store[F], va, vb *collide.State5, i
 	}
 }
 
-// TotalVibEnergy returns the summed vibrational energy of the flow.
+// TotalVibEnergy returns the summed vibrational energy of the flow (zero
+// for a gas without vibrational relaxation, whose store has no column).
 func (e *Engine[F]) TotalVibEnergy() float64 {
+	if e.store.Evib == nil {
+		return 0
+	}
 	var s float64
 	for i := 0; i < e.store.Len(); i++ {
 		s += float64(e.store.Evib[i])

@@ -61,8 +61,17 @@ func HashSim2D[F kernel.Float](s *sim.SimOf[F]) uint64 {
 	h = HashWord(h, uint64(s.NFlow()))
 	h = HashWord(h, uint64(s.NReservoir()))
 	h = HashWord(h, uint64(s.Collisions()))
-	for _, col := range [][]F{st.X, st.Y, st.U, st.V, st.W, st.R1, st.R2, st.Evib} {
+	for _, col := range [][]F{st.X, st.Y, st.U, st.V, st.W, st.R1, st.R2} {
 		h = hashCol(h, col[:n])
+	}
+	if st.Evib != nil {
+		h = hashCol(h, st.Evib[:n])
+	} else {
+		// A store without the column holds n zero energies: absorb them,
+		// so the recorded hashes do not depend on how zeros are stored.
+		for i := 0; i < n; i++ {
+			h = HashWord(h, 0)
+		}
 	}
 	return hashCells(h, st.Cell[:n])
 }

@@ -14,7 +14,7 @@ import (
 //     and a serial blocked merge that assigns every worker its scatter
 //     base inside each cell;
 //  2. ScatterStore: a stable sharded scatter that writes the payload
-//     (X, Y, [Z], U, V, W, R1, R2, Evib, Cell) of a source
+//     (X, Y, [Z], U, V, W, R1, R2, [Evib], Cell) of a source
 //     particle.Store directly into a shadow store at its cell-major
 //     position — no index permutation is ever materialized, and after the
 //     caller swaps the two buffers cell c's particles occupy the
@@ -175,7 +175,8 @@ func (cs *CellSort[F]) histShard(w, lo, hi int) {
 // dst's first src.Len() slots live. The caller then swaps the two store
 // pointers — sort and physical reorder fused into this single pass. src
 // and dst must share Plan's cell slice (src.Cell) and have equal shape
-// (both 2D or both 3D, dst.Cap() >= src.Len()).
+// (both 2D or both 3D, both with or both without the Evib column,
+// dst.Cap() >= src.Len()).
 //
 //dsmc:hotpath
 func (cs *CellSort[F]) ScatterStore(src, dst *particle.Store[F]) {
@@ -194,6 +195,7 @@ func (cs *CellSort[F]) scatterShard(w, lo, hi int) {
 	fill := cs.wfill[w]
 	cell := src.Cell
 	threeD := src.Z != nil
+	vib := src.Evib != nil
 	for i := lo; i < hi; i++ {
 		c := cell[i]
 		d := fill[c]
@@ -208,7 +210,9 @@ func (cs *CellSort[F]) scatterShard(w, lo, hi int) {
 		dst.W[d] = src.W[i]
 		dst.R1[d] = src.R1[i]
 		dst.R2[d] = src.R2[i]
-		dst.Evib[d] = src.Evib[i]
+		if vib {
+			dst.Evib[d] = src.Evib[i]
+		}
 		dst.Cell[d] = c
 	}
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // fillStore populates n particles with distinct deterministic payloads
-// and pseudo-random cell assignments over [0, cells).
+// (in every column the store carries) and pseudo-random cell assignments
+// over [0, cells).
 func fillStore(st *particle.Store[float64], n, cells int, seed uint64) {
 	st.SetLen(n)
 	r := rng.NewStream(seed)
@@ -23,7 +24,9 @@ func fillStore(st *particle.Store[float64], n, cells int, seed uint64) {
 		st.W[i] = r.Float64()
 		st.R1[i] = r.Float64()
 		st.R2[i] = r.Float64()
-		st.Evib[i] = float64(i % 17)
+		if st.Evib != nil {
+			st.Evib[i] = float64(i % 17)
+		}
 		st.Cell[i] = int32(r.Intn(cells))
 	}
 }
@@ -33,13 +36,16 @@ func fillStore(st *particle.Store[float64], n, cells int, seed uint64) {
 func storesEqual(a, b *particle.Store[float64], n int) bool {
 	cols := [][2][]float64{
 		{a.X, b.X}, {a.Y, b.Y}, {a.U, b.U}, {a.V, b.V}, {a.W, b.W},
-		{a.R1, b.R1}, {a.R2, b.R2}, {a.Evib, b.Evib},
+		{a.R1, b.R1}, {a.R2, b.R2},
 	}
-	if (a.Z != nil) != (b.Z != nil) {
+	if (a.Z != nil) != (b.Z != nil) || (a.Evib != nil) != (b.Evib != nil) {
 		return false
 	}
 	if a.Z != nil {
 		cols = append(cols, [2][]float64{a.Z, b.Z})
+	}
+	if a.Evib != nil {
+		cols = append(cols, [2][]float64{a.Evib, b.Evib})
 	}
 	for _, c := range cols {
 		for i := 0; i < n; i++ {
@@ -70,6 +76,9 @@ func stableOracle(src *particle.Store[float64], n, cells int) *particle.Store[fl
 	if src.Z != nil {
 		dst = particle.NewStore3[float64](src.Cap())
 	}
+	if src.Evib != nil {
+		dst.AddEvib()
+	}
 	dst.SetLen(n)
 	for i := 0; i < n; i++ {
 		c := src.Cell[i]
@@ -80,7 +89,10 @@ func stableOracle(src *particle.Store[float64], n, cells int) *particle.Store[fl
 			dst.Z[d] = src.Z[i]
 		}
 		dst.U[d], dst.V[d], dst.W[d] = src.U[i], src.V[i], src.W[i]
-		dst.R1[d], dst.R2[d], dst.Evib[d] = src.R1[i], src.R2[i], src.Evib[i]
+		dst.R1[d], dst.R2[d] = src.R1[i], src.R2[i]
+		if src.Evib != nil {
+			dst.Evib[d] = src.Evib[i]
+		}
 		dst.Cell[d] = c
 	}
 	return dst
@@ -90,8 +102,9 @@ func stableOracle(src *particle.Store[float64], n, cells int) *particle.Store[fl
 // serial stable counting sort exactly for every worker count, on both
 // the serial and the concurrent dispatch path (n either side of
 // serialCutoff), with empty worker blocks (n = 0, n < workers), a single
-// cell, and a 3D store (the Z column); and Plan reads the cell column
-// directly (nil cellOf) or fills it from cellOf to the same effect.
+// cell, a 3D store (the Z column) and, for every shape, stores with and
+// without the Evib column; and Plan reads the cell column directly (nil
+// cellOf) or fills it from cellOf to the same effect.
 func TestScatterMatchesStableOracle(t *testing.T) {
 	var pools []*Pool
 	for _, workers := range []int{1, 3, 4, 8} {
@@ -110,10 +123,17 @@ func TestScatterMatchesStableOracle(t *testing.T) {
 		{"one cell", 5000, 1, false},
 		{"3D", 5000, 300, true},
 	}
-	for _, sh := range shapes {
-		newStore := particle.NewStore[float64]
-		if sh.threeD {
-			newStore = particle.NewStore3[float64]
+	for k := 0; k < 2*len(shapes); k++ {
+		sh, vib := shapes[k/2], k%2 == 1
+		newStore := func(capacity int) *particle.Store[float64] {
+			st := particle.NewStore[float64](capacity)
+			if sh.threeD {
+				st = particle.NewStore3[float64](capacity)
+			}
+			if vib {
+				st.AddEvib()
+			}
+			return st
 		}
 		src := newStore(sh.n + 100)
 		fillStore(src, sh.n, sh.cells, 42)
@@ -126,10 +146,10 @@ func TestScatterMatchesStableOracle(t *testing.T) {
 				dst := newStore(src.Cap())
 				cs.ScatterStore(src, dst)
 				if dst.Len() != sh.n {
-					t.Errorf("%s, workers=%d: scattered store holds %d records, want %d", sh.name, pool.Workers(), dst.Len(), sh.n)
+					t.Errorf("%s, vib=%v, workers=%d: scattered store holds %d records, want %d", sh.name, vib, pool.Workers(), dst.Len(), sh.n)
 				}
 				if !storesEqual(want, dst, sh.n) {
-					t.Errorf("%s, workers=%d, cellOf=%v: ScatterStore diverges from the stable oracle", sh.name, pool.Workers(), cellOf != nil)
+					t.Errorf("%s, vib=%v, workers=%d, cellOf=%v: ScatterStore diverges from the stable oracle", sh.name, vib, pool.Workers(), cellOf != nil)
 				}
 			}
 		}

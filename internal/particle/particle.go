@@ -18,7 +18,9 @@ import (
 // float32 halves the memory traffic of the cell-major sweeps). The
 // physical state per particle is (x, y, u, v, w, r1, r2): 7 values in
 // 2D, exactly the paper's count; 3D simulations add the Z column
-// (NewStore3). Cell is derived (computational) state.
+// (NewStore3) and vibrating gases the Evib column (AddEvib), so the
+// payload every sort moves is X, Y, [Z], U, V, W, R1, R2, [Evib]. Cell is
+// derived (computational) state.
 //
 // All randomness is drawn in float64 and rounded once on store, so the
 // RNG streams are shared between precisions and the float64
@@ -35,8 +37,8 @@ type Store[F kernel.Float] struct {
 	U, V, W []F
 	R1, R2  []F
 	// Evib is the continuous vibrational energy per particle (the
-	// future-work extension); zero unless the simulation enables
-	// vibrational relaxation.
+	// future-work extension); nil — every energy zero, and no bytes moved
+	// for it — unless the simulation enables vibrational relaxation.
 	Evib []F
 	Cell []int32
 	n    int
@@ -49,7 +51,6 @@ func NewStore[F kernel.Float](capacity int) *Store[F] {
 		U: make([]F, capacity), V: make([]F, capacity),
 		W:  make([]F, capacity),
 		R1: make([]F, capacity), R2: make([]F, capacity),
-		Evib: make([]F, capacity),
 		Cell: make([]int32, capacity),
 	}
 }
@@ -59,6 +60,14 @@ func NewStore3[F kernel.Float](capacity int) *Store[F] {
 	s := NewStore[F](capacity)
 	s.Z = make([]F, capacity)
 	return s
+}
+
+// AddEvib gives the store its vibrational-energy column, all zeros — what
+// the missing column stood for — unless it already has one.
+func (s *Store[F]) AddEvib() {
+	if s.Evib == nil {
+		s.Evib = make([]F, len(s.X))
+	}
 }
 
 // Len returns the number of live particles.
@@ -79,7 +88,9 @@ func (s *Store[F]) Append(x, y float64, v collide.State5) int {
 	i := s.n
 	s.n++
 	s.X[i], s.Y[i] = F(x), F(y)
-	s.Evib[i] = 0
+	if s.Evib != nil {
+		s.Evib[i] = 0
+	}
 	s.SetVel(i, v)
 	return i
 }
@@ -115,16 +126,18 @@ func (s *Store[F]) RemoveSwap(i int) {
 		}
 		s.U[i], s.V[i], s.W[i] = s.U[last], s.V[last], s.W[last]
 		s.R1[i], s.R2[i] = s.R1[last], s.R2[last]
-		s.Evib[i] = s.Evib[last]
+		if s.Evib != nil {
+			s.Evib[i] = s.Evib[last]
+		}
 		s.Cell[i] = s.Cell[last]
 	}
 	s.n = last
 }
 
 // Swap exchanges the physical payload of particles i and j (position,
-// velocity components, vibrational energy). Cell is NOT swapped: the
-// in-cell shuffle only ever swaps records inside one cell span, where the
-// indices are equal by the cell-major invariant.
+// velocity components, vibrational energy where carried). Cell is NOT
+// swapped: the in-cell shuffle only ever swaps records inside one cell
+// span, where the indices are equal by the cell-major invariant.
 //
 //dsmc:hotpath
 func (s *Store[F]) Swap(i, j int) {
@@ -138,7 +151,9 @@ func (s *Store[F]) Swap(i, j int) {
 	s.W[i], s.W[j] = s.W[j], s.W[i]
 	s.R1[i], s.R1[j] = s.R1[j], s.R1[i]
 	s.R2[i], s.R2[j] = s.R2[j], s.R2[i]
-	s.Evib[i], s.Evib[j] = s.Evib[j], s.Evib[i]
+	if s.Evib != nil {
+		s.Evib[i], s.Evib[j] = s.Evib[j], s.Evib[i]
+	}
 }
 
 // Reset empties the store without releasing memory.

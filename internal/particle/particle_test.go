@@ -178,3 +178,49 @@ func TestStoreReset(t *testing.T) {
 		t.Errorf("Reset must empty the store")
 	}
 }
+
+// TestEvibColumnOptional: a store has no Evib column until AddEvib, and
+// Append, Swap and RemoveSwap work on either shape — carrying the energy
+// with the record when there is a column, touching nothing otherwise.
+func TestEvibColumnOptional(t *testing.T) {
+	for _, newStore := range []func(int) *Store[float64]{NewStore[float64], NewStore3[float64]} {
+		s := newStore(4)
+		if s.Evib != nil {
+			t.Fatal("a new store carries an Evib column")
+		}
+		for k := 1; k <= 3; k++ {
+			s.Append(float64(k), float64(k), collide.State5{float64(k)})
+		}
+		s.Swap(0, 2)
+		s.RemoveSwap(0) // record 3 (swapped to the front) leaves; record 1 (now last) fills the hole
+		if s.Len() != 2 || s.X[0] != 1 || s.U[0] != 1 || s.X[1] != 2 {
+			t.Fatalf("column-less store after Swap+RemoveSwap: len %d, X %v, U %v", s.Len(), s.X[:2], s.U[:2])
+		}
+		if s.Evib != nil {
+			t.Fatal("Append/Swap/RemoveSwap grew an Evib column")
+		}
+
+		s.AddEvib()
+		if len(s.Evib) != s.Cap() {
+			t.Fatalf("AddEvib: column length %d, capacity %d", len(s.Evib), s.Cap())
+		}
+		s.Evib[0], s.Evib[1] = 0.5, 0.25
+		s.Evib[2] = 9 // stale slot: Append must zero it
+		col := &s.Evib[0]
+		s.AddEvib() // idempotent: keeps the column and its contents
+		if &s.Evib[0] != col || s.Evib[0] != 0.5 {
+			t.Fatal("second AddEvib replaced the column")
+		}
+		if i := s.Append(3, 3, collide.State5{3}); s.Evib[i] != 0 {
+			t.Errorf("Append left vibrational energy %v in the new record", s.Evib[i])
+		}
+		s.Swap(0, 1)
+		if s.Evib[0] != 0.25 || s.Evib[1] != 0.5 || s.X[0] != 2 {
+			t.Errorf("Swap did not carry Evib with the record: %v", s.Evib[:2])
+		}
+		s.RemoveSwap(0)
+		if s.Len() != 2 || s.X[0] != 3 || s.Evib[0] != 0 || s.Evib[1] != 0.5 {
+			t.Errorf("RemoveSwap did not carry Evib with the record: X %v Evib %v", s.X[:2], s.Evib[:2])
+		}
+	}
+}
