@@ -27,17 +27,6 @@ func RelMean(a, b *State5) (rel, mean State5) {
 	return rel, mean
 }
 
-// Reconstruct forms the post-collision particle states from the permuted
-// relative components and the (unchanged) mean: a' = mean + rel'/2,
-// b' = mean − rel'/2.
-func Reconstruct(a, b *State5, rel, mean *State5) {
-	for i := 0; i < 5; i++ {
-		h := rel[i] / 2
-		a[i] = mean[i] + h
-		b[i] = mean[i] - h
-	}
-}
-
 // TransRelSpeed returns the magnitude of the translational relative
 // velocity g, the quantity entering the selection rule's cross-section
 // factor.
@@ -54,17 +43,23 @@ func TransRelSpeed(a, b *State5) float64 {
 // signs; the pair is reconstructed about the unchanged mean. Any
 // post-collision set satisfying eq. 18 is valid; using the pre-collision
 // values themselves makes the construction exact.
+//
+// Per component this is RelMean, the permutation and the reconstruction
+// a' = mean + rel'/2, b' = mean − rel'/2 in one pass over copies of the
+// inputs. The sign is applied by XORing the bit into the IEEE-754 sign
+// position — negation is exactly that flip, for ±0, infinities and NaNs
+// too — because a branch on a fair coin is mispredicted half the time,
+// and there were five per collision.
 func Collide(a, b *State5, perm rng.Perm5, signs uint32) {
-	rel, mean := RelMean(a, b)
-	var newRel State5
+	a0, b0 := *a, *b
 	for i, j := range perm {
-		v := rel[j]
-		if signs>>uint(i)&1 == 1 {
-			v = -v
-		}
-		newRel[i] = v
+		rel := a0[j] - b0[j]
+		mean := (a0[i] + b0[i]) / 2
+		flip := uint64(signs>>uint(i)&1) << 63
+		h := math.Float64frombits(math.Float64bits(rel)^flip) / 2
+		a[i] = mean + h
+		b[i] = mean - h
 	}
-	Reconstruct(a, b, &newRel, &mean)
 }
 
 // Invariants returns the conserved quantities of a pair: the three

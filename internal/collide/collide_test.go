@@ -375,3 +375,91 @@ func TestCellProbMatchesPerPairRule(t *testing.T) {
 		}
 	}
 }
+
+// Reconstruct forms the post-collision particle states from the permuted
+// relative components and the (unchanged) mean: a' = mean + rel'/2,
+// b' = mean − rel'/2. It was Collide's last pass until Collide folded it
+// in; it stays here as half of the reference.
+func Reconstruct(a, b *State5, rel, mean *State5) {
+	for i := 0; i < 5; i++ {
+		h := rel[i] / 2
+		a[i] = mean[i] + h
+		b[i] = mean[i] - h
+	}
+}
+
+// collideRef is Collide as it stood before the sign flip went branch-free
+// and the three passes were folded into one: the reference the rewrite
+// must reproduce bit for bit.
+func collideRef(a, b *State5, perm rng.Perm5, signs uint32) {
+	rel, mean := RelMean(a, b)
+	var newRel State5
+	for i, j := range perm {
+		v := rel[j]
+		if signs>>uint(i)&1 == 1 {
+			v = -v
+		}
+		newRel[i] = v
+	}
+	Reconstruct(a, b, &newRel, &mean)
+}
+
+// TestCollideMatchesBranchingReference: all 120 permutations × all 32
+// sign masks, over random states salted with the values where "flip the
+// sign bit" and "negate" could conceivably part ways — signed zeros,
+// subnormals, infinities, NaNs with a payload — agree with the reference
+// in every bit of every component, the sign and payload of NaN results
+// included.
+func TestCollideMatchesBranchingReference(t *testing.T) {
+	special := []float64{
+		0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 3e-310,
+		math.Inf(1), math.Inf(-1), math.MaxFloat64,
+		math.NaN(), math.Float64frombits(0x7ff8000000abcdef), math.Float64frombits(0xfff4000000000001),
+	}
+	r := rng.NewStream(1989)
+	for _, perm := range rng.Perm5Table() {
+		for signs := uint32(0); signs < 32; signs++ {
+			for trial := 0; trial < 12; trial++ {
+				a, b := randomPair(&r)
+				// Trial 0 is all-finite; later trials plant 1–3 specials.
+				for k := 0; k < trial%4; k++ {
+					v := special[r.Intn(len(special))]
+					if r.Intn(2) == 0 {
+						a[r.Intn(5)] = v
+					} else {
+						b[r.Intn(5)] = v
+					}
+				}
+				// Bits above the five used must be ignored.
+				mask := signs | uint32(trial)<<5
+				wa, wb := a, b
+				collideRef(&wa, &wb, perm, mask)
+				ga, gb := a, b
+				Collide(&ga, &gb, perm, mask)
+				for i, j := range perm {
+					// When two NaNs meet in one commutative add — both inputs
+					// of the mean, or the mean and the permuted relative
+					// component — the result's sign and payload are those of
+					// whichever operand the compiler happened to put first
+					// (x86 returns the first source), which the language does
+					// not fix: there, and only there, NaN-ness is compared.
+					nan := math.IsNaN
+					if nan(a[i]) && nan(b[i]) || nan(a[i]+b[i]) && nan(a[j]-b[j]) {
+						if !nan(ga[i]) || !nan(gb[i]) || !nan(wa[i]) || !nan(wb[i]) {
+							t.Fatalf("perm %v signs %#x on a=%v b=%v: component %d = (%v, %v), reference (%v, %v)",
+								perm, mask, a, b, i, ga[i], gb[i], wa[i], wb[i])
+						}
+						continue
+					}
+					if math.Float64bits(ga[i]) != math.Float64bits(wa[i]) || math.Float64bits(gb[i]) != math.Float64bits(wb[i]) {
+						t.Fatalf("perm %v signs %#x on a=%v b=%v: component %d = (%#x, %#x), reference (%#x, %#x)",
+							perm, mask, a, b, i,
+							math.Float64bits(ga[i]), math.Float64bits(gb[i]),
+							math.Float64bits(wa[i]), math.Float64bits(wb[i]))
+					}
+				}
+			}
+		}
+	}
+}
