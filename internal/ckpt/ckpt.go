@@ -195,12 +195,14 @@ func Floats[F kernel.Float](w *Writer, xs []F) {
 // the column.
 func zeroFloats[F kernel.Float](w *Writer, n int) {
 	w.U64(uint64(n))
-	for i := 0; i < n; i++ {
-		if PrecOf[F]() == PrecF32 {
+	if PrecOf[F]() == PrecF32 {
+		for i := 0; i < n; i++ {
 			w.word32(0)
-		} else {
-			w.word(0)
 		}
+		return
+	}
+	for i := 0; i < n; i++ {
+		w.word(0)
 	}
 }
 
@@ -349,10 +351,12 @@ func ReadFloats[F kernel.Float](r *Reader, dst []F) int {
 func readZeroFloats[F kernel.Float](r *Reader, max int) bool {
 	n := r.lenInto("float column", max)
 	var bits uint64
-	for i := 0; i < n; i++ {
-		if PrecOf[F]() == PrecF32 {
+	if PrecOf[F]() == PrecF32 {
+		for i := 0; i < n; i++ {
 			bits |= uint64(r.word32())
-		} else {
+		}
+	} else {
+		for i := 0; i < n; i++ {
 			bits |= r.word()
 		}
 	}
@@ -446,7 +450,7 @@ func ReadStore[F kernel.Float](r *Reader, st *particle.Store[F]) error {
 	ReadFloats(r, st.R2[:n])
 	if st.Evib != nil {
 		ReadFloats(r, st.Evib[:n])
-	} else if !readZeroFloats[F](r, n) && r.Err() == nil {
+	} else if !readZeroFloats[F](r, n) {
 		return fmt.Errorf("%w: checkpoint carries vibrational energy, the simulation has no vibrational relaxation", ErrShape)
 	}
 	r.I32s(st.Cell[:n])
