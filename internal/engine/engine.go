@@ -591,8 +591,8 @@ func (e *Engine[F]) selColSplitShard(w, clo, chi int) {
 		p, whole := rule.CellProb(cnt, e.vol(c))
 		if whole {
 			// The paper's case gets its own loops: against one loop that
-			// re-tests whole and p >= 1 per pair, select reads 20% less
-			// (BENCH_PR21.md).
+			// re-tests whole and p >= 1 per pair, select reads about a
+			// tenth less (BENCH_PR21.md section 6).
 			switch {
 			case p >= 1:
 				for k := 0; k < npairs; k++ {
