@@ -1,9 +1,11 @@
 package dsmc
 
-// One benchmark per table/figure of the paper's evaluation, plus phase
-// micro-benchmarks. The custom metrics are the quantities the paper
-// reports: µs/particle/step (wall and cost-model) and the phase
-// percentages. Run everything with:
+// Benchmarks with no counterpart in the gated harness (go run
+// ./benchmark, which measures the Reference engine's step, phases,
+// kernels and sweeps): the Connection Machine model, the 3D tube, the
+// substrate primitives and the baseline schemes. The custom metrics are
+// the quantities the paper reports: µs/particle/step, wall and
+// cost-model. Run everything with:
 //
 //	go test -bench=. -benchmem
 import (
@@ -21,12 +23,11 @@ import (
 	"dsmc/internal/sim3"
 )
 
-// benchConfig is the paper's geometry at reduced particle density.
-func benchConfig(lambda float64, perCell float64) Config {
-	cfg := PaperConfig()
-	cfg.MeanFreePath = lambda
-	cfg.ParticlesPerCell = perCell
-	cfg.Seed = 1988
+// benchConfig is the paper's rarefied case (λ∞ = 0.5 cells, seed 1988)
+// at reduced particle density.
+func benchConfig() WedgeTunnel2D {
+	cfg := PaperWedgeTunnel()
+	cfg.ParticlesPerCell = 8
 	return cfg
 }
 
@@ -42,36 +43,11 @@ func stepBench(b *testing.B, s *Simulation) {
 	b.ReportMetric(perParticleNs/1000, "us/particle/step")
 }
 
-// BenchmarkFig1NearContinuumStep times the near-continuum wedge flow of
-// figures 1–3 (zero mean free path: every candidate pair collides) on the
-// reference backend.
-func BenchmarkFig1NearContinuumStep(b *testing.B) {
-	s, err := NewSimulation(benchConfig(0, 8))
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.Run(50) // past the initial transient
-	stepBench(b, s)
-}
-
-// BenchmarkFig4RarefiedStep times the rarefied case of figures 4–6
-// (λ∞ = 0.5 cells, Kn = 0.02).
-func BenchmarkFig4RarefiedStep(b *testing.B) {
-	s, err := NewSimulation(benchConfig(0.5, 8))
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.Run(50)
-	stepBench(b, s)
-}
-
-// BenchmarkFig4RarefiedStepCM is the same flow on the data-parallel
-// fixed-point Connection Machine backend — the paper's implementation.
+// BenchmarkFig4RarefiedStepCM times the rarefied case of figures 4–6
+// (λ∞ = 0.5 cells, Kn = 0.02) on the data-parallel fixed-point
+// Connection Machine backend — the paper's implementation.
 func BenchmarkFig4RarefiedStepCM(b *testing.B) {
-	cfg := benchConfig(0.5, 8)
-	cfg.Backend = ConnectionMachine
-	cfg.PhysProcs = 4096
-	s, err := NewSimulation(cfg)
+	s, err := NewConnectionMachine(benchConfig(), 4096)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -108,71 +84,6 @@ func BenchmarkFig7ParticleScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkTimingBreakdown reproduces the paper's in-text table: the
-// distribution of computational time over the four sub-steps (paper:
-// move+bc 14%, sort 27%, select 20%, collide 39%). The percentages come
-// from the CM cost model and are attached as metrics.
-func BenchmarkTimingBreakdown(b *testing.B) {
-	cfg := sim.DefaultConfig(1)
-	cfg.NPerCell = 8
-	s, err := cmsim.New(cmsim.Config{Sim: cfg, PhysProcs: 4096})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.Run(20)
-	s.Machine().ResetCost()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-	b.StopTimer()
-	book := s.Machine().Cost()
-	total := float64(book.TotalCycles())
-	if total > 0 {
-		for _, phase := range []string{"move", "sort", "select", "collide"} {
-			pct := 100 * float64(book.Phase(phase).Cycles) / total
-			b.ReportMetric(pct, phase+"-pct")
-		}
-	}
-}
-
-// BenchmarkStepWorkerSweep measures the reference backend's multicore
-// scaling on the paper-scale configuration (98×64 grid, 75 particles per
-// cell ≈ 460k flow particles): one sub-benchmark per worker count, so the
-// parallel speedup is measured rather than asserted. The determinism
-// tests guarantee every sub-benchmark computes the identical trajectory.
-func BenchmarkStepWorkerSweep(b *testing.B) {
-	for _, w := range par.SweepWorkers() {
-		b.Run(benchName("workers", w), func(b *testing.B) {
-			cfg := benchConfig(0.5, 75)
-			cfg.Workers = w
-			s, err := NewSimulation(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.Run(5) // past the initial transient
-			stepBench(b, s)
-		})
-	}
-}
-
-// BenchmarkStepWorkerSweepReduced is the same sweep at laptop density
-// (8 per cell), exposing how sharding overhead amortizes with load.
-func BenchmarkStepWorkerSweepReduced(b *testing.B) {
-	for _, w := range par.SweepWorkers() {
-		b.Run(benchName("workers", w), func(b *testing.B) {
-			cfg := benchConfig(0.5, 8)
-			cfg.Workers = w
-			s, err := NewSimulation(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.Run(20)
-			stepBench(b, s)
-		})
-	}
-}
-
 // BenchmarkShockTube3DWorkerSweep sweeps the worker count of the 3D
 // extension's piston-driven shock at a paper-comparable particle count.
 func BenchmarkShockTube3DWorkerSweep(b *testing.B) {
@@ -199,9 +110,10 @@ func BenchmarkShockTube3DWorkerSweep(b *testing.B) {
 
 // BenchmarkCraySurrogate times the float64 implementation pinned to one
 // worker (the role of the paper's 0.5 µs/particle/step single-processor
-// Cray-2 code; BenchmarkStepWorkerSweep measures the multicore version).
+// Cray-2 code; the gated wedge-paperscale-wn workload measures the
+// multicore version).
 func BenchmarkCraySurrogate(b *testing.B) {
-	cfg := benchConfig(0.5, 8)
+	cfg := benchConfig()
 	cfg.Workers = 1
 	s, err := NewSimulation(cfg)
 	if err != nil {
@@ -269,30 +181,6 @@ func BenchmarkSegScan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.SegBroadcastSum(dst, src, seg)
 	}
-}
-
-// BenchmarkCollidePair times one McDonald–Baganoff collision.
-func BenchmarkCollidePair(b *testing.B) {
-	r := rng.NewStream(3)
-	table := rng.Perm5Table()
-	v1 := collide.State5{1, 2, 3, 4, 5}
-	v2 := collide.State5{5, 4, 3, 2, 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		perm := rng.RandomPerm5(table, &r)
-		collide.Collide(&v1, &v2, perm, r.Uint32())
-	}
-}
-
-// BenchmarkSelectionRule times the probability evaluation of eq. 8.
-func BenchmarkSelectionRule(b *testing.B) {
-	rule := collide.Rule{Model: molec.Maxwell(), PInf: 0.28, NInf: 75, GInf: 0.2}
-	var acc float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc += rule.Prob(80, 0.73, 0.3)
-	}
-	_ = acc
 }
 
 // BenchmarkReservoirRelax times one reservoir relaxation sweep.

@@ -28,20 +28,22 @@
 //	GET  /debug/pprof/*           profiling (only with -pprof)
 //	GET  /healthz                 liveness
 //
-// A spec's base is either the legacy flat 2D config ("base") or a
-// first-class scenario ("scenario": {"kind": ..., "params": {...}}) —
-// any kind, including the 3D shock tube — and "quantities" selects the
-// fields sampled in the one accumulation pass (default density). Points
-// may override physics knobs and the grid shape; each point's aggregate
-// carries its own field shape.
+// A spec's base is a scenario ("scenario": {"kind": ..., "params":
+// {...}}) of any kind, including the 3D shock tube, and "quantities"
+// selects the fields sampled in the one accumulation pass (default
+// density). Points may override physics knobs and the grid shape; each
+// point's aggregate carries its own field shape. The flat "base" object
+// of earlier builds is an unknown field (400); finished sweeps stored in
+// that form are still served, unfinished ones fail on restart naming it.
 //
 // Example session:
 //
 //	dsmcd -addr :8077 -data /var/lib/dsmcd &
 //	curl -s localhost:8077/v1/sweeps -d '{
-//	  "base": {"GridNX":98,"GridNY":64,"Wedge":{"LeadX":20,"Base":25,"AngleDeg":30},
-//	           "Mach":4,"ThermalSpeed":0.125,"MeanFreePath":0.5,
-//	           "ParticlesPerCell":8,"Seed":1988},
+//	  "scenario": {"kind":"wedge-tunnel-2d","params":{
+//	    "GridNX":98,"GridNY":64,"Wedge":{"LeadX":20,"Base":25,"AngleDeg":30},
+//	    "Mach":4,"ThermalSpeed":0.125,"MeanFreePath":0.5,
+//	    "ParticlesPerCell":8,"Seed":1988}},
 //	  "quantities": ["density","temperature","mach"],
 //	  "points": [{"name":"rarefied"},{"name":"near-continuum","mean_free_path":0},
 //	             {"name":"coarse","grid_nx":64,"grid_ny":48}],

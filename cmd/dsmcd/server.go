@@ -600,8 +600,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("result_store_dir is server-managed; leave it empty"))
 		return
 	}
-	// The base may be the legacy flat config or a first-class scenario
-	// (any kind, including the 3D shock tube); validate whichever is set.
+	// The base may be a scenario of any kind, including the 3D shock tube.
 	base, err := spec.BaseScenario()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)

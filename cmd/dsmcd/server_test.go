@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,15 +17,25 @@ import (
 	"dsmc"
 )
 
-func tinySpec() dsmc.SweepSpec {
-	cfg := dsmc.PaperConfig()
+func tinyWedge() dsmc.WedgeTunnel2D {
+	cfg := dsmc.PaperWedgeTunnel()
 	cfg.GridNX, cfg.GridNY = 48, 24
-	cfg.Wedge = &dsmc.WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30}
+	cfg.Wedge = dsmc.WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30}
 	cfg.ParticlesPerCell = 3
 	cfg.Seed = 7
+	return cfg
+}
+
+func tinySpec() dsmc.SweepSpec { return tinySpecOver(tinyWedge()) }
+
+func tinySpecOver(base dsmc.WedgeTunnel2D) dsmc.SweepSpec {
+	ss, err := dsmc.NewScenarioSpec(base)
+	if err != nil {
+		panic(err)
+	}
 	return dsmc.SweepSpec{
-		Name: "smoke",
-		Base: cfg,
+		Name:     "smoke",
+		Scenario: ss,
 		Points: []dsmc.SweepPoint{
 			{Name: "rarefied"},
 		},
@@ -34,17 +45,15 @@ func tinySpec() dsmc.SweepSpec {
 	}
 }
 
-// tinyScenarioSpec is tinySpec with its base carried as a first-class
-// scenario spec.
-func tinyScenarioSpec(t testing.TB) dsmc.SweepSpec {
-	t.Helper()
-	spec := tinySpec()
-	ss, err := dsmc.NewScenarioSpec(spec.Base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Scenario = ss
-	return spec
+// legacySpecJSON is tinySpec as builds before the scenario-only API
+// wrote it, with the base as a flat "base" object: the wire and spec.json
+// format that was removed together with the shim.
+func legacySpecJSON(ckptDir string) []byte {
+	return []byte(fmt.Sprintf(`{"name":"smoke","base":{"GridNX":48,"GridNY":24,`+
+		`"Wedge":{"LeadX":10,"Base":12,"AngleDeg":30},"Mach":4,"ThermalSpeed":0.125,`+
+		`"MeanFreePath":0.5,"ParticlesPerCell":3,"Model":"maxwell","Backend":0,`+
+		`"PhysProcs":0,"Precision":"","Workers":0,"Seed":7},"points":[{"name":"rarefied"}],`+
+		`"replicas":2,"warm_steps":4,"sample_steps":4,"pool":2,"checkpoint_dir":%q}`, ckptDir))
 }
 
 func submit(t testing.TB, ts *httptest.Server, spec dsmc.SweepSpec) string {
@@ -187,9 +196,9 @@ func TestServerValidation(t *testing.T) {
 	if code := post(`{"unknown_field": 1}`); code != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d", code)
 	}
-	bad := tinySpec()
-	bad.Base.Precision = "float16"
-	raw, _ := json.Marshal(bad)
+	bad := tinyWedge()
+	bad.Precision = "float16"
+	raw, _ := json.Marshal(tinySpecOver(bad))
 	if code := post(string(raw)); code != http.StatusBadRequest {
 		t.Errorf("invalid precision: status %d", code)
 	}
@@ -213,23 +222,26 @@ func TestServerValidation(t *testing.T) {
 	}
 
 	// The deleted SortTile/SpatialRegions knobs are unknown fields like any
-	// other: rejected by name in scenario params and in the legacy base.
-	scen := tinyScenarioSpec(t)
+	// other, rejected by name in the scenario params; so is the whole
+	// "base" object of the removed flat format.
 	for _, c := range []struct {
-		spec  dsmc.SweepSpec
-		path  []string
+		body  []byte
 		field string
-		value any
 	}{
-		{scen, []string{"scenario", "params"}, "SortTile", 64},
-		{scen, []string{"scenario", "params"}, "SpatialRegions", true},
-		{tinySpec(), []string{"base"}, "SortTile", 0},
-		{tinySpec(), []string{"base"}, "SpatialRegions", false},
+		{specWithField(t, tinySpec(), []string{"scenario", "params"}, "SortTile", 64), "SortTile"},
+		{specWithField(t, tinySpec(), []string{"scenario", "params"}, "SpatialRegions", true), "SpatialRegions"},
+		{legacySpecJSON(""), `unknown field \"base\"`}, // as quoted inside the JSON reply
 	} {
-		body := string(specWithField(t, c.spec, c.path, c.field, c.value))
-		if code := post(body); code != http.StatusBadRequest || !strings.Contains(reply, c.field) {
-			t.Errorf("%s in %v: status %d, reply %q; want 400 naming the field", c.field, c.path, code, reply)
+		if code := post(string(c.body)); code != http.StatusBadRequest || !strings.Contains(reply, c.field) {
+			t.Errorf("%s: status %d, reply %q; want 400 naming the field", c.field, code, reply)
 		}
+	}
+	// Nothing above was queued or left a trace in the data directory.
+	s.mu.Lock()
+	queued := len(s.sweeps)
+	s.mu.Unlock()
+	if dirs, _ := filepath.Glob(filepath.Join(s.dataDir, "sw-*")); queued != 0 || len(dirs) != 0 {
+		t.Errorf("rejected submissions left %d sweeps registered and %v on disk", queued, dirs)
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/sweeps/sw-999999")
@@ -407,21 +419,19 @@ func specWithField(t testing.TB, spec dsmc.SweepSpec, path []string, field strin
 	return raw
 }
 
-// TestRecoveryStaleSpec: a data directory written before SortTile and
-// SpatialRegions were deleted. A finished sweep whose spec.json carries
-// them keeps serving the same bytes under the same ETag; an unfinished
-// one ends failed with the field named, whether it sits in the legacy
-// base or in the scenario params; the server starts regardless and an
-// unfinished sweep with a clean spec resumes and completes.
+// TestRecoveryStaleSpec: a data directory written by an older build —
+// before the flat "base" format went, and before SortTile and
+// SpatialRegions were deleted. A finished sweep whose spec.json is of the
+// "base" form keeps serving the same bytes under the same ETag; an
+// unfinished one ends failed with the field named, whether that is the
+// "base" object or a deleted knob in the scenario params; the server
+// starts regardless and an unfinished sweep with a clean spec resumes
+// and completes.
 func TestRecoveryStaleSpec(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1, done := doneSweep(t, dir, tinySpec())
+	_, ts1, done := doneSweep(t, dir, tinySpec())
 	pre, preBody := fetch(t, http.MethodGet, ts1.URL, done, "")
 	ts1.Close()
-	s1.mu.Lock()
-	finished := s1.sweeps[done].spec
-	s1.mu.Unlock()
-
 	persist := func(id string, spec []byte) {
 		t.Helper()
 		if err := os.MkdirAll(filepath.Join(dir, id, "ckpt"), 0o755); err != nil {
@@ -436,9 +446,9 @@ func TestRecoveryStaleSpec(t *testing.T) {
 		spec.CheckpointDir = filepath.Join(dir, id, "ckpt")
 		return spec
 	}
-	persist(done, specWithField(t, finished, []string{"base"}, "SortTile", 0))
-	persist("sw-000002", specWithField(t, unfinished("sw-000002", tinySpec()), []string{"base"}, "SpatialRegions", false))
-	persist("sw-000003", specWithField(t, unfinished("sw-000003", tinyScenarioSpec(t)), []string{"scenario", "params"}, "SortTile", 64))
+	persist(done, legacySpecJSON(filepath.Join(dir, done, "ckpt")))
+	persist("sw-000002", legacySpecJSON(filepath.Join(dir, "sw-000002", "ckpt")))
+	persist("sw-000003", specWithField(t, unfinished("sw-000003", tinySpec()), []string{"scenario", "params"}, "SortTile", 64))
 	clean, err := json.Marshal(unfinished("sw-000004", tinySpec()))
 	if err != nil {
 		t.Fatal(err)
@@ -457,7 +467,7 @@ func TestRecoveryStaleSpec(t *testing.T) {
 		t.Errorf("finished sweep: status %d, ETag %s (was %s), body equal: %v",
 			post.StatusCode, post.Header.Get("ETag"), pre.Header.Get("ETag"), bytes.Equal(postBody, preBody))
 	}
-	for id, field := range map[string]string{"sw-000002": "SpatialRegions", "sw-000003": "SortTile"} {
+	for id, field := range map[string]string{"sw-000002": `unknown field "base"`, "sw-000003": "SortTile"} {
 		if st := waitDone(t, ts2, id); st.State != stateFailed || !strings.Contains(st.Error, field) {
 			t.Errorf("%s: state %s, error %q; want failed naming %s", id, st.State, st.Error, field)
 		}

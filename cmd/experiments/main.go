@@ -14,8 +14,18 @@
 //	compare  CM backend vs sequential reference per-particle time
 //	scaling  reference-backend worker sweep (1/2/4/N cores)
 //
-// Beyond the paper's evaluation, two orchestration experiments exercise
-// the run subsystem (not part of "all"; run them explicitly):
+// Beyond the paper's evaluation (not part of "all"; run them explicitly),
+// two demonstrations of the paper's building blocks, which take no scale
+// flag but -seed:
+//
+//	relax   the paper's selection scheme against Bird's time counter,
+//	        Nanbu's and Ploss's on the rectangular -> Gaussian
+//	        relaxation (kurtosis 1.8 -> 3.0), then the reservoir doing
+//	        that same relaxation with otherwise idle processors
+//	cmdemo  the Connection Machine substrate on a 32-particle toy:
+//	        virtual processors, rank sort, segmented scans, cost model
+//
+// and three orchestration experiments that exercise the run subsystem:
 //
 //	sweep         ensemble sweep over the rarefaction parameter: -replicas
 //	              independent replicas per point, scheduled as a job DAG
@@ -77,7 +87,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 	var h harness
-	exp := flag.String("exp", "all", "experiment: all|fig1|fig2|fig3|fig4|fig5|fig6|fig7|phases|compare|scaling|sweep|sweep-resume|coord-chaos")
+	exp := flag.String("exp", "all", "experiment: all|fig1|fig2|fig3|fig4|fig5|fig6|fig7|phases|compare|scaling|relax|cmdemo|sweep|sweep-resume|coord-chaos")
 	flag.Float64Var(&h.perCell, "percell", 8, "particles per cell (75 = paper scale)")
 	flag.IntVar(&h.steps, "steps", 600, "steps to steady state (paper: 1200)")
 	flag.IntVar(&h.avg, "avg", 300, "averaging steps (paper: 2000)")
@@ -100,6 +110,8 @@ func main() {
 		"phases":       h.phases,
 		"compare":      h.compare,
 		"scaling":      h.scaling,
+		"relax":        h.relax,
+		"cmdemo":       cmdemo,
 		"sweep":        func() error { _, err := h.sweep(h.ckptDir); return err },
 		"sweep-resume": h.sweepResume,
 		"coord-chaos":  h.coordChaos,
@@ -135,7 +147,7 @@ func (h *harness) contourFigs(lambda float64) error {
 	if lambda > 0 {
 		tag = "rarefied"
 	}
-	cfg := dsmc.PaperConfig()
+	cfg := dsmc.PaperWedgeTunnel()
 	cfg.ParticlesPerCell = h.perCell
 	cfg.MeanFreePath = lambda
 	cfg.Seed = h.seed
@@ -219,7 +231,11 @@ func (h *harness) writeField(name string, f *dsmc.Field) error {
 	return f.WritePGM(pgmF)
 }
 
-// fig7 sweeps the total particle count at fixed machine size.
+// fig7 sweeps the total particle count at fixed machine size, so the
+// virtual processor ratio tracks the particle count (the paper's curve
+// falls from ~10.5 to ~7.2 µs/particle/step between 32k and 512k
+// particles, most of it from VP ratio 1 to 2, where collision pairs
+// become on-processor — the router column).
 func (h *harness) fig7() error {
 	base := sim.DefaultConfig(1)
 	base.Seed = h.seed
@@ -228,7 +244,7 @@ func (h *harness) fig7() error {
 	steps := 20
 	table := report.NewTable(
 		fmt.Sprintf("Figure 7 — fixed machine of %d processors", h.procs),
-		"particles", "vp-ratio", "model-us/p/step", "wall-us/p/step")
+		"particles", "vp-ratio", "model-us/p/step", "wall-us/p/step", "router-msgs/p/step")
 	var xs, ys []float64
 	for k := 0; k < 5; k++ {
 		cfg := base
@@ -242,7 +258,12 @@ func (h *harness) fig7() error {
 		n := float64(s.NFlow())
 		modelUs := cm.ModelSeconds(book.TotalCycles()) * 1e6 / n / float64(steps)
 		wallUs := book.TotalWall().Seconds() * 1e6 / n / float64(steps)
-		table.AddRow(s.Machine().VPs(), s.Machine().VPR(), modelUs, wallUs)
+		var router int64
+		for _, ph := range book.Phases() {
+			router += book.Phase(ph).RouterMsgs
+		}
+		table.AddRow(s.Machine().VPs(), s.Machine().VPR(), modelUs, wallUs,
+			float64(router)/n/float64(steps))
 		xs = append(xs, float64(s.Machine().VPs()))
 		ys = append(ys, modelUs)
 	}
@@ -297,7 +318,7 @@ func (h *harness) phases() error {
 // (the Cray surrogate) against the CM backend's modelled and wall time.
 func (h *harness) compare() error {
 	steps := 60
-	cfg := dsmc.PaperConfig()
+	cfg := dsmc.PaperWedgeTunnel()
 	// The headline comparison is quoted at full paper scale: 512k
 	// particles on the 32k-processor machine (VP ratio 16).
 	cfg.ParticlesPerCell = 75
@@ -314,9 +335,7 @@ func (h *harness) compare() error {
 	ref.Run(steps)
 	refUs := ref.MicrosecondsPerParticleStep()
 
-	cfg.Backend = dsmc.ConnectionMachine
-	cfg.PhysProcs = h.procs
-	cmS, err := dsmc.NewSimulation(cfg)
+	cmS, err := dsmc.NewConnectionMachine(cfg, h.procs)
 	if err != nil {
 		return err
 	}
@@ -352,7 +371,7 @@ func (h *harness) scaling() error {
 	var base float64
 	var xs, ys []float64
 	for _, w := range ws {
-		cfg := dsmc.PaperConfig()
+		cfg := dsmc.PaperWedgeTunnel()
 		cfg.ParticlesPerCell = h.perCell
 		cfg.Seed = h.seed
 		cfg.Workers = w
@@ -385,13 +404,17 @@ func (h *harness) scaling() error {
 // sweepSpec builds the rarefaction sweep: the paper's two flow regimes
 // as sweep points, -replicas independent replicas each.
 func (h *harness) sweepSpec(ckptDir string) dsmc.SweepSpec {
-	base := dsmc.PaperConfig()
+	base := dsmc.PaperWedgeTunnel()
 	base.ParticlesPerCell = h.perCell
 	base.Seed = h.seed
+	scenario, err := dsmc.NewScenarioSpec(base)
+	if err != nil {
+		log.Fatal(err)
+	}
 	lam0, lam05 := 0.0, 0.5
 	return dsmc.SweepSpec{
 		Name:       "rarefaction-sweep",
-		Base:       base,
+		Scenario:   scenario,
 		Quantities: []dsmc.Quantity{dsmc.Density, dsmc.Temperature, dsmc.MachNumber},
 		Points: []dsmc.SweepPoint{
 			{Name: "near-continuum", MeanFreePath: &lam0},
@@ -428,9 +451,13 @@ func (h *harness) sweep(ckptDir string) (*dsmc.SweepResult, error) {
 		"point", "shock angle (deg)", "ci95", "replicas used", "freestream mean")
 	for i := range res.Points {
 		p := &res.Points[i]
+		density, err := p.FieldFor(dsmc.Density)
+		if err != nil {
+			return nil, err
+		}
 		t.AddRow(p.Name,
 			p.ShockAngleDeg.Mean, p.ShockAngleDeg.CI95, p.ShockAngleDeg.N,
-			p.Field().FreestreamMean())
+			density.FreestreamMean())
 	}
 	if err := t.Render(os.Stdout); err != nil {
 		return nil, err

@@ -10,7 +10,8 @@
 //     (the role of the paper's hand-vectorized Cray-2 comparator);
 //   - ConnectionMachine: a data-parallel fixed-point (Q9.23)
 //     implementation on a simulated CM — virtual processors, scans,
-//     sort-based pairing, router cost model — the paper's actual system.
+//     sort-based pairing, router cost model — the paper's actual system,
+//     built by NewConnectionMachine for the 2D tunnel scenarios.
 //
 // The public API is organised around scenarios and quantities: a
 // Scenario (WedgeTunnel2D, EmptyTunnel2D, DoubleWedge2D, ShockTube3D)
@@ -29,9 +30,6 @@
 //	smp := s.Sample(300)              // one pass, all moments
 //	field, _ := smp.Field(dsmc.Density)
 //	fmt.Println(field.ShockAngleDeg())
-//
-// The legacy Config/PaperConfig/SampleDensity surface keeps working as a
-// thin shim over the wedge-tunnel scenario.
 package dsmc
 
 import (
@@ -108,151 +106,6 @@ const (
 	HardSphere MolecularModel = "hard-sphere"
 )
 
-// Config specifies a 2D wind-tunnel simulation through the legacy flat
-// surface. It remains fully supported as a compatibility shim: Config
-// implements Scenario, lowering to the wedge-tunnel (or empty-tunnel)
-// scenario, so NewSimulation(cfg) keeps working unchanged. New code
-// should prefer the first-class scenario types (WedgeTunnel2D etc.),
-// which also cover the 3D shock tube and the double wedge.
-type Config struct {
-	// GridNX, GridNY are the cell-grid dimensions (unit square cells).
-	GridNX, GridNY int
-	// Wedge is the body; nil runs an empty tunnel.
-	Wedge *WedgeSpec
-	// Mach is the freestream Mach number (> 1).
-	Mach float64
-	// ThermalSpeed is the freestream most-probable molecular speed in
-	// cells per time step (sets the time-step size relative to the flow).
-	ThermalSpeed float64
-	// MeanFreePath is the freestream mean free path in cells; 0 selects
-	// the near-continuum mode in which every candidate pair collides.
-	MeanFreePath float64
-	// ParticlesPerCell is the freestream simulator-particle density.
-	ParticlesPerCell float64
-	// Model is the molecular model (default Maxwell).
-	Model MolecularModel
-	// Backend selects the implementation (default Reference).
-	Backend Backend
-	// PhysProcs is the physical processor count of the ConnectionMachine
-	// backend (default 1024; the paper's machine had 32k).
-	PhysProcs int
-	// Precision selects the Reference backend's storage precision
-	// (default Float64). The ConnectionMachine backend is fixed-point;
-	// combining it with Float32 is a configuration error.
-	Precision Precision
-	// Workers is the CPU worker count the Reference backend shards its
-	// phases over (move/boundary over particle chunks, sort, select,
-	// collide and sampling over cell ranges); 0 selects runtime.NumCPU().
-	// Results are bit-identical for any worker count: randomness comes
-	// from counter-based per-cell streams, not a shared sequential one.
-	Workers int
-	// Seed seeds all randomness; runs with equal seeds are reproducible.
-	Seed uint64
-}
-
-// PaperConfig returns the configuration of the paper's simulations:
-// a 98×64 grid, the 30° wedge placed 20 cells from the upstream boundary
-// with a 25-cell base, Mach 4, and a mean free path of 0.5 cells
-// (the rarefied case of figures 4–6; set MeanFreePath = 0 for the
-// near-continuum case of figures 1–3). ParticlesPerCell = 75 corresponds
-// to the full 512k-particle run; scale it down for laptop-scale runs.
-func PaperConfig() Config {
-	return Config{
-		GridNX: 98, GridNY: 64,
-		Wedge:            &WedgeSpec{LeadX: 20, Base: 25, AngleDeg: 30},
-		Mach:             4,
-		ThermalSpeed:     0.125,
-		MeanFreePath:     0.5,
-		ParticlesPerCell: 75,
-		Model:            Maxwell,
-		Backend:          Reference,
-		Seed:             1988,
-	}
-}
-
-// Validate reports configuration errors before any lowering: unknown
-// enum values (Precision, Backend, Model), out-of-range knobs, and a
-// wedge whose geometry does not fit the grid all fail here with a
-// descriptive error instead of silently defaulting or deferring to the
-// internal validator's lower-level message. The remaining physics-level
-// checks (supersonic freestream, time-step bound) run in the internal
-// configuration's Validate; NewSimulation applies both.
-func (c Config) Validate() error {
-	if c.GridNX <= 0 || c.GridNY <= 0 {
-		return errors.New("dsmc: grid dimensions must be positive")
-	}
-	switch c.Backend {
-	case Reference, ConnectionMachine:
-	default:
-		return fmt.Errorf("dsmc: unknown backend %d", c.Backend)
-	}
-	if err := validateFlow(c.MeanFreePath, c.ParticlesPerCell, c.Model, c.Precision, c.Workers); err != nil {
-		return err
-	}
-	if c.Backend == ConnectionMachine && c.Precision == Float32 {
-		return errors.New("dsmc: the ConnectionMachine backend is fixed-point; Precision must be unset or float64")
-	}
-	if c.PhysProcs < 0 {
-		return errors.New("dsmc: PhysProcs must not be negative")
-	}
-	if c.Wedge != nil {
-		if err := validateWedgeFit(*c.Wedge, c.GridNX, c.GridNY, "wedge"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Kind returns the scenario kind the configuration lowers to:
-// KindWedgeTunnel2D, or KindEmptyTunnel2D when no wedge is set.
-func (c Config) Kind() string {
-	if c.Wedge == nil {
-		return KindEmptyTunnel2D
-	}
-	return KindWedgeTunnel2D
-}
-
-// firstClass converts the legacy configuration into its first-class
-// scenario equivalent. ConnectionMachine configs have no first-class
-// form (the fixed-point backend is reachable only through Config).
-func (c Config) firstClass() (Scenario, error) {
-	if c.Backend != Reference {
-		return nil, errors.New("dsmc: only Reference-backend configs convert to a first-class scenario")
-	}
-	if c.Wedge == nil {
-		return EmptyTunnel2D{
-			GridNX: c.GridNX, GridNY: c.GridNY,
-			Mach: c.Mach, ThermalSpeed: c.ThermalSpeed, MeanFreePath: c.MeanFreePath,
-			ParticlesPerCell: c.ParticlesPerCell, Model: c.Model,
-			Precision: c.Precision, Workers: c.Workers, Seed: c.Seed,
-		}, nil
-	}
-	return WedgeTunnel2D{
-		GridNX: c.GridNX, GridNY: c.GridNY, Wedge: *c.Wedge,
-		Mach: c.Mach, ThermalSpeed: c.ThermalSpeed, MeanFreePath: c.MeanFreePath,
-		ParticlesPerCell: c.ParticlesPerCell, Model: c.Model,
-		Precision: c.Precision, Workers: c.Workers, Seed: c.Seed,
-	}, nil
-}
-
-// lower resolves the shim to the 2D tunnel plan, carrying the backend
-// selection (Reference or ConnectionMachine) the first-class scenarios
-// do not expose.
-func (c Config) lower() (*plan, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	p, err := lower2D(c.Kind(), c.GridNX, c.GridNY, c.Wedge, nil,
-		c.Mach, c.ThermalSpeed, c.MeanFreePath, c.ParticlesPerCell,
-		c.Model, c.Precision, c.Workers, c.Seed)
-	if err != nil {
-		return nil, err
-	}
-	p.backend = c.Backend
-	p.physProcs = c.PhysProcs
-	return p, nil
-}
-
 // backend abstracts the implementations behind the minimal stepping
 // surface every backend offers.
 type backend interface {
@@ -288,8 +141,8 @@ type Simulation struct {
 	b    backend
 }
 
-// NewSimulation builds and initialises a simulation from any Scenario —
-// a first-class scenario value or the legacy Config shim.
+// NewSimulation builds and initialises a simulation of any Scenario on
+// the Reference backend.
 func NewSimulation(sc Scenario) (*Simulation, error) {
 	p, err := sc.lower()
 	if err != nil {
@@ -297,13 +150,6 @@ func NewSimulation(sc Scenario) (*Simulation, error) {
 	}
 	s := &Simulation{scen: sc, p: p}
 	switch {
-	case p.backend == ConnectionMachine:
-		cs, err := cmsim.New(cmsim.Config{Sim: *p.sim, PhysProcs: p.physProcs})
-		if err != nil {
-			return nil, err
-		}
-		s.cm = cs
-		s.b = cs
 	case p.sim != nil:
 		if p.precision == Float32 {
 			rs, err := sim.NewOf[float32](*p.sim)
@@ -318,7 +164,6 @@ func NewSimulation(sc Scenario) (*Simulation, error) {
 			}
 			s.ref = rs
 		}
-		s.b = s.ref
 	case p.sim3 != nil:
 		if p.precision == Float32 {
 			rs, err := sim3.NewOf[float32](*p.sim3)
@@ -333,11 +178,42 @@ func NewSimulation(sc Scenario) (*Simulation, error) {
 			}
 			s.ref = rs
 		}
-		s.b = s.ref
 	default:
 		return nil, fmt.Errorf("dsmc: scenario %q lowered to no backend", p.kind)
 	}
+	s.b = s.ref
 	return s, nil
+}
+
+// NewConnectionMachine builds the paper's own system: the wind tunnel on
+// the fixed-point ConnectionMachine backend, modelled over physProcs
+// physical processors (0 selects 1024; the paper's machine had 32k). The
+// backend runs WedgeTunnel2D and EmptyTunnel2D only, and stores Q9.23
+// fixed point, so Precision must be unset or Float64. It samples Density
+// alone and cannot be checkpointed, which is why it is a constructor and
+// not a scenario field: nothing a sweep spec can carry names it.
+func NewConnectionMachine(sc Scenario, physProcs int) (*Simulation, error) {
+	switch sc.(type) {
+	case WedgeTunnel2D, EmptyTunnel2D:
+	default:
+		return nil, fmt.Errorf("dsmc: the ConnectionMachine backend runs %s and %s only, not %s",
+			KindWedgeTunnel2D, KindEmptyTunnel2D, sc.Kind())
+	}
+	if physProcs < 0 {
+		return nil, errors.New("dsmc: physProcs must not be negative")
+	}
+	p, err := sc.lower()
+	if err != nil {
+		return nil, err
+	}
+	if p.precision == Float32 {
+		return nil, errors.New("dsmc: the ConnectionMachine backend is fixed-point; Precision must be unset or float64")
+	}
+	cs, err := cmsim.New(cmsim.Config{Sim: *p.sim, PhysProcs: physProcs})
+	if err != nil {
+		return nil, err
+	}
+	return &Simulation{scen: sc, p: p, cm: cs, b: cs}, nil
 }
 
 // Scenario returns the scenario the simulation was built from.
@@ -369,23 +245,11 @@ func (s *Simulation) StepCount() int { return s.b.StepCount() }
 func (s *Simulation) Collisions() int64 { return s.b.Collisions() }
 
 // Backend reports which implementation is running.
-func (s *Simulation) Backend() Backend { return s.p.backend }
-
-// SampleDensity advances the simulation `steps` further steps while
-// accumulating the time-averaged density field normalised by the
-// freestream density (the quantity plotted in the paper's figures).
-//
-// Deprecated: SampleDensity is the single-quantity shim over the
-// multi-moment sampling pass; it returns bit-identical data to
-// Sample(steps).Field(Density). New code should call Sample once and
-// derive every quantity it needs from the returned Sampling.
-func (s *Simulation) SampleDensity(steps int) *Field {
-	f, err := s.Sample(steps).Field(Density)
-	if err != nil {
-		// Density is derivable on every backend; this cannot happen.
-		panic(err)
+func (s *Simulation) Backend() Backend {
+	if s.cm != nil {
+		return ConnectionMachine
 	}
-	return f
+	return Reference
 }
 
 // PhaseSeconds returns the cumulative wall-clock seconds per algorithm

@@ -8,17 +8,17 @@ import (
 )
 
 // testConfig is a small, fast configuration exercising the full pipeline.
-func testConfig() Config {
-	cfg := PaperConfig()
+func testConfig() WedgeTunnel2D {
+	cfg := PaperWedgeTunnel()
 	cfg.GridNX, cfg.GridNY = 48, 24
-	cfg.Wedge = &WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30}
+	cfg.Wedge = WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30}
 	cfg.ParticlesPerCell = 6
 	cfg.Seed = 3
 	return cfg
 }
 
-func TestPaperConfigDefaults(t *testing.T) {
-	cfg := PaperConfig()
+func TestPaperWedgeTunnelDefaults(t *testing.T) {
+	cfg := PaperWedgeTunnel()
 	if cfg.GridNX != 98 || cfg.GridNY != 64 {
 		t.Errorf("paper grid is 98x64")
 	}
@@ -52,11 +52,12 @@ func TestConfigErrors(t *testing.T) {
 }
 
 func TestBothBackendsRun(t *testing.T) {
-	for _, backend := range []Backend{Reference, ConnectionMachine} {
-		cfg := testConfig()
-		cfg.Backend = backend
-		cfg.PhysProcs = 64
-		s, err := NewSimulation(cfg)
+	build := map[Backend]func() (*Simulation, error){
+		Reference:         func() (*Simulation, error) { return NewSimulation(testConfig()) },
+		ConnectionMachine: func() (*Simulation, error) { return NewConnectionMachine(testConfig(), 64) },
+	}
+	for backend, newSim := range build {
+		s, err := newSim()
 		if err != nil {
 			t.Fatalf("%v: %v", backend, err)
 		}
@@ -89,9 +90,7 @@ func TestModelPhaseCyclesOnlyOnCM(t *testing.T) {
 	if s.ModelPhaseCycles() != nil {
 		t.Errorf("reference backend has no cycle model")
 	}
-	cfg.Backend = ConnectionMachine
-	cfg.PhysProcs = 64
-	s, _ = NewSimulation(cfg)
+	s, _ = NewConnectionMachine(cfg, 64)
 	s.Run(3)
 	cycles := s.ModelPhaseCycles()
 	if cycles["collide"] <= 0 || cycles["sort"] <= 0 {
@@ -100,8 +99,8 @@ func TestModelPhaseCyclesOnlyOnCM(t *testing.T) {
 }
 
 func TestTheoryPaperNumbers(t *testing.T) {
-	cfg := PaperConfig()
-	s, err := NewSimulation(Config{
+	cfg := PaperWedgeTunnel()
+	s, err := NewSimulation(WedgeTunnel2D{
 		GridNX: cfg.GridNX, GridNY: cfg.GridNY, Wedge: cfg.Wedge,
 		Mach: 4, ThermalSpeed: 0.125, MeanFreePath: 0.5,
 		ParticlesPerCell: 2, Seed: 1,
@@ -138,7 +137,7 @@ func TestTheoryDetached(t *testing.T) {
 	}
 }
 
-func TestSampleDensityFieldMethods(t *testing.T) {
+func TestDensityFieldMethods(t *testing.T) {
 	cfg := testConfig()
 	cfg.ParticlesPerCell = 10
 	s, err := NewSimulation(cfg)
@@ -146,7 +145,7 @@ func TestSampleDensityFieldMethods(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(40)
-	f := s.SampleDensity(30)
+	f := s.Sample(30).MustField(Density)
 	if f.NX != cfg.GridNX || f.NY != cfg.GridNY {
 		t.Fatalf("field shape %dx%d", f.NX, f.NY)
 	}
@@ -190,7 +189,7 @@ func TestPublicAPIShockValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	cfg := PaperConfig()
+	cfg := PaperWedgeTunnel()
 	cfg.ParticlesPerCell = 8
 	cfg.Seed = 5
 	s, err := NewSimulation(cfg)
@@ -198,7 +197,7 @@ func TestPublicAPIShockValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(600)
-	f := s.SampleDensity(300)
+	f := s.Sample(300).MustField(Density)
 	th := s.Theory()
 	if got := f.ShockAngleDeg(); math.Abs(got-th.ShockAngleDeg) > 5 {
 		t.Errorf("measured shock angle %.1f°, theory %.1f°", got, th.ShockAngleDeg)
@@ -226,7 +225,7 @@ func TestPublicWorkersDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Run(15)
-		return s, s.SampleDensity(5)
+		return s, s.Sample(5).MustField(Density)
 	}
 	s1, f1 := run(1)
 	s8, f8 := run(8)
@@ -268,7 +267,7 @@ func TestPrecisionFloat32Backend(t *testing.T) {
 	if f := float64(s32.NFlow()) / float64(s64.NFlow()); f < 0.99 || f > 1.01 {
 		t.Errorf("float32 flow population %d far from float64 %d", s32.NFlow(), s64.NFlow())
 	}
-	f := s32.SampleDensity(5)
+	f := s32.Sample(5).MustField(Density)
 	mean := 0.0
 	for _, v := range f.Data {
 		mean += v

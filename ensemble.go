@@ -41,11 +41,8 @@ type SweepPoint struct {
 type SweepSpec struct {
 	// Name labels the sweep in events and results.
 	Name string `json:"name,omitempty"`
-	// Base is the legacy 2D base configuration — the compatibility
-	// surface. Ignored when Scenario is set.
-	Base Config `json:"base,omitempty"`
-	// Scenario is the first-class base scenario (any kind, including the
-	// 3D shock tube). Its seed is the sweep's base seed: every job
+	// Scenario is the base scenario (any kind, including the 3D shock
+	// tube). Its seed is the sweep's base seed: every job
 	// derives an independent seed from it, so a sweep is reproducible
 	// from the spec alone. Its Workers is the per-simulation worker
 	// count (default 1 under orchestration, so the job pool and the
@@ -82,13 +79,12 @@ type SweepSpec struct {
 	ResultStoreDir string `json:"result_store_dir,omitempty"`
 }
 
-// BaseScenario resolves the sweep's base: the first-class Scenario when
-// set, the legacy Base config otherwise.
+// BaseScenario decodes the sweep's base scenario.
 func (spec *SweepSpec) BaseScenario() (Scenario, error) {
-	if spec.Scenario != nil {
-		return spec.Scenario.Scenario()
+	if spec.Scenario == nil {
+		return nil, errors.New("dsmc: sweep spec has no scenario")
 	}
-	return spec.Base, nil
+	return spec.Scenario.Scenario()
 }
 
 // ScalarStats is a cross-replica mean/variance with its 95% confidence
@@ -122,7 +118,7 @@ type PointResult struct {
 	Kind     string `json:"kind,omitempty"` // resolved scenario kind slug
 	Replicas int    `json:"replicas"`
 	// Density is the density aggregate — always present, whatever the
-	// requested quantity list (the legacy surface).
+	// requested quantity list.
 	Density FieldStats `json:"density"`
 	// Fields holds one aggregate per requested quantity, keyed by the
 	// Quantity slug.
@@ -131,7 +127,7 @@ type PointResult struct {
 	Collisions    ScalarStats             `json:"collisions"`
 	NFlow         ScalarStats             `json:"nflow"`
 
-	plan *plan // the point's resolved plan, for Field()
+	plan *plan // the point's resolved plan, for FieldFor
 }
 
 // FieldFor returns the cross-replica mean of one sampled quantity as a
@@ -157,16 +153,6 @@ func (p *PointResult) FieldFor(q Quantity) (*Field, error) {
 		f.mach = p.plan.mach
 	}
 	return f, nil
-}
-
-// Field returns the mean density as a Field — the legacy single-quantity
-// accessor.
-func (p *PointResult) Field() *Field {
-	f, err := p.FieldFor(Density)
-	if err != nil {
-		panic(err) // density is always aggregated
-	}
-	return f
 }
 
 // SweepResult is a completed sweep: one aggregate per point, in point
@@ -224,22 +210,6 @@ func applyPoint(base Scenario, p SweepPoint) (Scenario, error) {
 		return nil
 	}
 	switch sc := base.(type) {
-	case *Config:
-		return applyPoint(*sc, p)
-	case Config:
-		if err := reject3D(sc.Kind()); err != nil {
-			return nil, err
-		}
-		p.applyCommon(&sc.Mach, &sc.MeanFreePath, &sc.ParticlesPerCell, &sc.ThermalSpeed, &sc.GridNX, &sc.GridNY)
-		if p.WedgeAngleDeg != nil {
-			if sc.Wedge == nil {
-				return nil, errOverride(p.Name, "the wedge angle", sc.Kind())
-			}
-			w := *sc.Wedge
-			w.AngleDeg = *p.WedgeAngleDeg
-			sc.Wedge = &w
-		}
-		return sc, nil
 	case WedgeTunnel2D:
 		if err := reject3D(sc.Kind()); err != nil {
 			return nil, err
@@ -314,9 +284,6 @@ func lowerSpec(spec SweepSpec) (run.Spec, []*plan, error) {
 	if err != nil {
 		return run.Spec{}, nil, err
 	}
-	if basePlan.backend != Reference {
-		return run.Spec{}, nil, errors.New("dsmc: sweeps orchestrate the Reference backend only")
-	}
 	points := spec.Points
 	if len(points) == 0 {
 		name := spec.Name
@@ -336,7 +303,7 @@ func lowerSpec(spec SweepSpec) (run.Spec, []*plan, error) {
 		hasDensity = hasDensity || q == Density
 	}
 	if !hasDensity {
-		// Density is always aggregated: the legacy result surface and the
+		// Density is always aggregated: PointResult.Density and the
 		// per-replica shock-angle fit both need it.
 		qslugs = append(qslugs, string(Density))
 	}
@@ -462,25 +429,18 @@ func assembleResult(name string, plans []*plan, aggs []*run.Aggregate) *SweepRes
 // RunEnsemble runs replicas of one scenario and aggregates them — the
 // single-point sweep. The result's CI quantifies the statistical
 // scatter DSMC answers carry. Any scenario works, including the 3D
-// shock tube; the legacy Config passes through unchanged.
+// shock tube.
 func RunEnsemble(ctx context.Context, sc Scenario, replicas, warmSteps, sampleSteps int) (*PointResult, error) {
-	spec := SweepSpec{
+	ss, err := NewScenarioSpec(sc)
+	if err != nil {
+		return nil, err
+	}
+	res, err := RunSweep(ctx, SweepSpec{
+		Scenario:    ss,
 		Replicas:    replicas,
 		WarmSteps:   warmSteps,
 		SampleSteps: sampleSteps,
-	}
-	if cfg, ok := sc.(Config); ok {
-		spec.Base = cfg
-	} else if cfg, ok := sc.(*Config); ok {
-		spec.Base = *cfg
-	} else {
-		ss, err := NewScenarioSpec(sc)
-		if err != nil {
-			return nil, err
-		}
-		spec.Scenario = ss
-	}
-	res, err := RunSweep(ctx, spec, nil)
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

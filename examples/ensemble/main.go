@@ -20,7 +20,7 @@ import (
 )
 
 func main() {
-	cfg := dsmc.PaperConfig()
+	cfg := dsmc.PaperWedgeTunnel()
 	cfg.ParticlesPerCell = 4 // laptop scale; the paper's run uses 75
 	cfg.Seed = 2026          // base seed: every replica derives its own
 
@@ -45,7 +45,10 @@ func main() {
 	fmt.Printf("collisions:   %.3g ± %.2g per replica\n",
 		res.Collisions.Mean, res.Collisions.CI95)
 
-	field := res.Field() // cross-replica mean density
+	field, err := res.FieldFor(dsmc.Density) // cross-replica mean density
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("freestream:   %5.3f (want 1.000)\n\n", field.FreestreamMean())
 	fmt.Println("mean density field (flow left to right, wedge at the bottom):")
 	fmt.Print(field.ASCII())

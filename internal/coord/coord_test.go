@@ -13,14 +13,18 @@ import (
 
 // tinySpec is a fast two-replica, one-point sweep used across tests.
 func tinySpec() dsmc.SweepSpec {
-	cfg := dsmc.PaperConfig()
+	cfg := dsmc.PaperWedgeTunnel()
 	cfg.GridNX, cfg.GridNY = 48, 24
-	cfg.Wedge = &dsmc.WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30}
+	cfg.Wedge = dsmc.WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30}
 	cfg.ParticlesPerCell = 3
 	cfg.Seed = 7
+	scenario, err := dsmc.NewScenarioSpec(cfg)
+	if err != nil {
+		panic(err)
+	}
 	return dsmc.SweepSpec{
 		Name:            "coord-test",
-		Base:            cfg,
+		Scenario:        scenario,
 		Points:          []dsmc.SweepPoint{{Name: "rarefied"}},
 		Replicas:        2,
 		WarmSteps:       2,

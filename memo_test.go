@@ -19,8 +19,8 @@ import (
 // two replicas, publishing into a result store under dir.
 func memoSweepSpec(dir string) dsmc.SweepSpec {
 	return dsmc.SweepSpec{
-		Name: "memo",
-		Base: smallPublicConfig(),
+		Name:     "memo",
+		Scenario: specOf(smallPublicConfig()),
 		Points: []dsmc.SweepPoint{
 			{Name: "near-continuum", MeanFreePath: f64(0)},
 			{Name: "rarefied", MeanFreePath: f64(0.5)},

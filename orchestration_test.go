@@ -10,32 +10,49 @@ import (
 	"dsmc"
 )
 
-func smallPublicConfig() dsmc.Config {
-	cfg := dsmc.PaperConfig()
+func smallPublicConfig() dsmc.WedgeTunnel2D {
+	cfg := dsmc.PaperWedgeTunnel()
 	cfg.GridNX, cfg.GridNY = 48, 24
-	cfg.Wedge = &dsmc.WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30}
+	cfg.Wedge = dsmc.WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30}
 	cfg.ParticlesPerCell = 4
 	cfg.Seed = 7
 	return cfg
 }
 
+// smallEmptyTunnel is smallPublicConfig's tunnel with no body.
+func smallEmptyTunnel() dsmc.EmptyTunnel2D {
+	w := smallPublicConfig()
+	return dsmc.EmptyTunnel2D{
+		GridNX: w.GridNX, GridNY: w.GridNY,
+		Mach: w.Mach, ThermalSpeed: w.ThermalSpeed, MeanFreePath: w.MeanFreePath,
+		ParticlesPerCell: w.ParticlesPerCell, Seed: w.Seed,
+	}
+}
+
+// specOf serialises a scenario as a sweep base.
+func specOf(sc dsmc.Scenario) *dsmc.ScenarioSpec {
+	ss, err := dsmc.NewScenarioSpec(sc)
+	if err != nil {
+		panic(err)
+	}
+	return ss
+}
+
 // TestConfigValidate: unknown enum values and out-of-range knobs are
-// rejected with errors instead of silently defaulting.
+// rejected with errors instead of silently defaulting — by the scenario's
+// Validate and by both constructors.
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		name    string
-		mutate  func(*dsmc.Config)
+		mutate  func(*dsmc.WedgeTunnel2D)
 		errPart string
 	}{
-		{"unknown-precision", func(c *dsmc.Config) { c.Precision = "float16" }, "precision"},
-		{"unknown-model", func(c *dsmc.Config) { c.Model = "lennard-jones" }, "model"},
-		{"unknown-backend", func(c *dsmc.Config) { c.Backend = dsmc.Backend(42) }, "backend"},
-		{"cm-float32", func(c *dsmc.Config) { c.Backend = dsmc.ConnectionMachine; c.Precision = dsmc.Float32 }, "fixed-point"},
-		{"negative-lambda", func(c *dsmc.Config) { c.MeanFreePath = -1 }, "MeanFreePath"},
-		{"zero-percell", func(c *dsmc.Config) { c.ParticlesPerCell = 0 }, "ParticlesPerCell"},
-		{"negative-workers", func(c *dsmc.Config) { c.Workers = -2 }, "Workers"},
-		{"negative-procs", func(c *dsmc.Config) { c.PhysProcs = -1 }, "PhysProcs"},
-		{"zero-grid", func(c *dsmc.Config) { c.GridNX = 0 }, "grid"},
+		{"unknown-precision", func(c *dsmc.WedgeTunnel2D) { c.Precision = "float16" }, "precision"},
+		{"unknown-model", func(c *dsmc.WedgeTunnel2D) { c.Model = "lennard-jones" }, "model"},
+		{"negative-lambda", func(c *dsmc.WedgeTunnel2D) { c.MeanFreePath = -1 }, "MeanFreePath"},
+		{"zero-percell", func(c *dsmc.WedgeTunnel2D) { c.ParticlesPerCell = 0 }, "ParticlesPerCell"},
+		{"negative-workers", func(c *dsmc.WedgeTunnel2D) { c.Workers = -2 }, "Workers"},
+		{"zero-grid", func(c *dsmc.WedgeTunnel2D) { c.GridNX = 0 }, "grid"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -51,11 +68,54 @@ func TestConfigValidate(t *testing.T) {
 			if _, err := dsmc.NewSimulation(cfg); err == nil {
 				t.Error("NewSimulation accepted the broken configuration")
 			}
+			if _, err := dsmc.NewConnectionMachine(cfg, 64); err == nil {
+				t.Error("NewConnectionMachine accepted the broken configuration")
+			}
 		})
 	}
 	cfg := smallPublicConfig()
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("valid configuration rejected: %v", err)
+	}
+
+	// What the ConnectionMachine backend cannot run is rejected by its
+	// constructor: the scenario itself is valid.
+	f32 := smallPublicConfig()
+	f32.Precision = dsmc.Float32
+	cmCases := []struct {
+		name    string
+		sc      dsmc.Scenario
+		procs   int
+		errPart string
+	}{
+		{"cm-float32", f32, 64, "fixed-point"},
+		{"negative-procs", smallPublicConfig(), -1, "physProcs"},
+		{"cm-double-wedge", dsmc.DoubleWedge2D{GridNX: 96, GridNY: 32,
+			Wedge:  dsmc.WedgeSpec{LeadX: 8, Base: 12, AngleDeg: 20},
+			Wedge2: dsmc.WedgeSpec{LeadX: 48, Base: 12, AngleDeg: 25},
+			Mach:   4, ThermalSpeed: 0.125, MeanFreePath: 0.5, ParticlesPerCell: 2, Seed: 1},
+			64, dsmc.KindDoubleWedge2D},
+		{"cm-shock-tube", dsmc.ShockTube3D{GridNX: 24, GridNY: 4, GridNZ: 4,
+			ThermalSpeed: 0.125, PistonSpeed: 0.131, ParticlesPerCell: 4, Seed: 3},
+			64, dsmc.KindShockTube3D},
+	}
+	for _, tc := range cmCases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.sc.Validate(); err != nil {
+				t.Fatalf("the scenario itself is invalid: %v", err)
+			}
+			_, err := dsmc.NewConnectionMachine(tc.sc, tc.procs)
+			if err == nil {
+				t.Fatal("NewConnectionMachine accepted it")
+			}
+			if !strings.Contains(err.Error(), tc.errPart) {
+				t.Errorf("error %q does not mention %q", err, tc.errPart)
+			}
+		})
+	}
+	if _, err := dsmc.NewConnectionMachine(dsmc.EmptyTunnel2D{GridNX: 32, GridNY: 16,
+		Mach: 4, ThermalSpeed: 0.125, MeanFreePath: 0.5, ParticlesPerCell: 2, Seed: 1}, 0); err != nil {
+		t.Errorf("empty tunnel on the default machine rejected: %v", err)
 	}
 }
 
@@ -73,7 +133,7 @@ func TestPublicCheckpointRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			straight.Run(40)
-			wantField := straight.SampleDensity(20)
+			wantField := straight.Sample(20).MustField(dsmc.Density)
 
 			half, err := dsmc.NewSimulation(cfg)
 			if err != nil {
@@ -92,7 +152,7 @@ func TestPublicCheckpointRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			restored.Run(10)
-			gotField := restored.SampleDensity(20)
+			gotField := restored.Sample(20).MustField(dsmc.Density)
 
 			if got, want := restored.StepCount(), straight.StepCount(); got != want {
 				t.Fatalf("step count %d != %d", got, want)
@@ -116,10 +176,7 @@ func TestPublicCheckpointRoundTrip(t *testing.T) {
 // TestCheckpointCMRejected: the fixed-point backend reports checkpointing
 // as unsupported rather than silently writing nothing.
 func TestCheckpointCMRejected(t *testing.T) {
-	cfg := smallPublicConfig()
-	cfg.Backend = dsmc.ConnectionMachine
-	cfg.PhysProcs = 1024
-	s, err := dsmc.NewSimulation(cfg)
+	s, err := dsmc.NewConnectionMachine(smallPublicConfig(), 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +191,8 @@ func TestCheckpointCMRejected(t *testing.T) {
 // usable mean Field.
 func TestRunSweepPublic(t *testing.T) {
 	spec := dsmc.SweepSpec{
-		Name: "lambda-sweep",
-		Base: smallPublicConfig(),
+		Name:     "lambda-sweep",
+		Scenario: specOf(smallPublicConfig()),
 		Points: []dsmc.SweepPoint{
 			{Name: "near-continuum", MeanFreePath: f64(0)},
 			{Name: "rarefied", MeanFreePath: f64(0.5)},
@@ -168,9 +225,12 @@ func TestRunSweepPublic(t *testing.T) {
 			t.Fatalf("point %q shock angle differs between pool sizes", a.Name)
 		}
 	}
-	f := results[0].Points[1].Field()
-	if f.NX != spec.Base.GridNX || f.NY != spec.Base.GridNY {
-		t.Errorf("mean field shape %dx%d, want %dx%d", f.NX, f.NY, spec.Base.GridNX, spec.Base.GridNY)
+	f, err := results[0].Points[1].FieldFor(dsmc.Density)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base := smallPublicConfig(); f.NX != base.GridNX || f.NY != base.GridNY {
+		t.Errorf("mean field shape %dx%d, want %dx%d", f.NX, f.NY, base.GridNX, base.GridNY)
 	}
 	if fs := f.FreestreamMean(); math.IsNaN(fs) || fs <= 0 {
 		t.Errorf("mean field freestream density %v, want positive", fs)
@@ -194,10 +254,8 @@ func TestRunEnsemblePublic(t *testing.T) {
 
 // TestSweepRejectsBadPoints: point overrides are validated per point.
 func TestSweepRejectsBadPoints(t *testing.T) {
-	base := smallPublicConfig()
-	base.Wedge = nil
 	_, err := dsmc.RunSweep(context.Background(), dsmc.SweepSpec{
-		Base:        base,
+		Scenario:    specOf(smallEmptyTunnel()),
 		Points:      []dsmc.SweepPoint{{Name: "angled", WedgeAngleDeg: f64(25)}},
 		Replicas:    1,
 		WarmSteps:   1,
@@ -207,7 +265,7 @@ func TestSweepRejectsBadPoints(t *testing.T) {
 		t.Error("wedge-angle override without a wedge was accepted")
 	}
 	_, err = dsmc.RunSweep(context.Background(), dsmc.SweepSpec{
-		Base:        smallPublicConfig(),
+		Scenario:    specOf(smallPublicConfig()),
 		Points:      []dsmc.SweepPoint{{Name: "subsonic", Mach: f64(0.5)}},
 		Replicas:    1,
 		WarmSteps:   1,
@@ -227,7 +285,7 @@ func iptr(v int) *int        { return &v }
 func TestSweepGridShapeOverride(t *testing.T) {
 	spec := dsmc.SweepSpec{
 		Name:       "grid-sweep",
-		Base:       smallPublicConfig(),
+		Scenario:   specOf(smallPublicConfig()),
 		Quantities: []dsmc.Quantity{dsmc.Density, dsmc.Temperature},
 		Points: []dsmc.SweepPoint{
 			{Name: "base-grid"},

@@ -147,10 +147,7 @@ func TestSamplingOnePassConsistency(t *testing.T) {
 // backend samples per-cell counts only — Density works, anything else
 // reports a descriptive error.
 func TestCMBackendQuantityRestriction(t *testing.T) {
-	cfg := goldenWedgeConfig()
-	cfg.Backend = dsmc.ConnectionMachine
-	cfg.PhysProcs = 64
-	s, err := dsmc.NewSimulation(cfg)
+	s, err := dsmc.NewConnectionMachine(goldenWedgeConfig(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +169,7 @@ func TestRankineHugoniotTemperatureRise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	cfg := dsmc.PaperConfig()
+	cfg := dsmc.PaperWedgeTunnel()
 	cfg.ParticlesPerCell = 8
 	cfg.Seed = 5
 	s, err := dsmc.NewSimulation(cfg)

@@ -18,9 +18,7 @@ import (
 // Scenario describes a complete simulation setup — geometry, freestream
 // state, grid shape, and execution knobs — that NewSimulation can
 // construct. The concrete scenarios are WedgeTunnel2D (the paper's wind
-// tunnel), EmptyTunnel2D, DoubleWedge2D, and ShockTube3D; the legacy
-// Config is a compatibility shim over the 2D tunnel scenarios, so every
-// existing NewSimulation(cfg) call keeps working.
+// tunnel), EmptyTunnel2D, DoubleWedge2D, and ShockTube3D.
 //
 // The scenario set is closed to this package (the lowering method is
 // unexported); new geometries are added here, over the internal boundary
@@ -53,14 +51,11 @@ const (
 
 // plan is a lowered scenario: everything NewSimulation, the sampling
 // layer, and the sweep lowering need to build and analyse a simulation.
-// Exactly one of sim/sim3 is set for Reference-backend plans; sim plus
-// physProcs for the ConnectionMachine backend.
+// Exactly one of sim/sim3 is set.
 type plan struct {
 	kind       string
 	nx, ny, nz int // field shape (nz = 1 for 2D)
-	backend    Backend
 	precision  Precision
-	physProcs  int
 
 	sim  *sim.Config
 	sim3 *sim3.Config
@@ -195,9 +190,8 @@ func lower2D(kind string, nx, ny int, wedge, wedge2 *WedgeSpec, mach, thermalSpe
 }
 
 // WedgeTunnel2D is the paper's scenario as a first-class value: the
-// Mach-M wind tunnel with a single wedge on the lower wall. Unlike the
-// legacy Config, the wedge is required (use EmptyTunnel2D for no body)
-// and the backend is always the Reference engine.
+// Mach-M wind tunnel with a single wedge on the lower wall. The wedge is
+// required; use EmptyTunnel2D for no body.
 type WedgeTunnel2D struct {
 	// GridNX, GridNY are the cell-grid dimensions (the paper: 98×64).
 	GridNX, GridNY int
@@ -224,8 +218,12 @@ type WedgeTunnel2D struct {
 	Seed uint64
 }
 
-// PaperWedgeTunnel returns the paper's configuration as a first-class
-// scenario — the scenario equivalent of PaperConfig.
+// PaperWedgeTunnel returns the configuration of the paper's simulations:
+// a 98×64 grid, the 30° wedge placed 20 cells from the upstream boundary
+// with a 25-cell base, Mach 4, and a mean free path of 0.5 cells
+// (the rarefied case of figures 4–6; set MeanFreePath = 0 for the
+// near-continuum case of figures 1–3). ParticlesPerCell = 75 corresponds
+// to the full 512k-particle run; scale it down for laptop-scale runs.
 func PaperWedgeTunnel() WedgeTunnel2D {
 	return WedgeTunnel2D{
 		GridNX: 98, GridNY: 64,
@@ -440,20 +438,9 @@ type ScenarioSpec struct {
 	Params json.RawMessage `json:"params,omitempty"`
 }
 
-// NewScenarioSpec serialises a scenario. The legacy Config serialises as
-// its first-class equivalent (wedge or empty tunnel), so a spec never
-// carries the shim type; ConnectionMachine configs cannot round-trip
-// through a spec and are rejected.
+// NewScenarioSpec serialises a scenario.
 func NewScenarioSpec(sc Scenario) (*ScenarioSpec, error) {
 	switch v := sc.(type) {
-	case Config:
-		fc, err := v.firstClass()
-		if err != nil {
-			return nil, err
-		}
-		return NewScenarioSpec(fc)
-	case *Config:
-		return NewScenarioSpec(*v)
 	case WedgeTunnel2D, EmptyTunnel2D, DoubleWedge2D, ShockTube3D:
 		raw, err := json.Marshal(v)
 		if err != nil {

@@ -14,10 +14,10 @@ import (
 // goldenWedgeConfig is the golden 2D wedge configuration (the public
 // twin of internal/golden's goldenConfig2D): 48×24 grid, wedge 10/12/30°,
 // 6 particles per cell, seed 7.
-func goldenWedgeConfig() dsmc.Config {
-	return dsmc.Config{
+func goldenWedgeConfig() dsmc.WedgeTunnel2D {
+	return dsmc.WedgeTunnel2D{
 		GridNX: 48, GridNY: 24,
-		Wedge:            &dsmc.WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30},
+		Wedge:            dsmc.WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30},
 		Mach:             4,
 		ThermalSpeed:     0.125,
 		MeanFreePath:     0.5,
@@ -41,44 +41,31 @@ func fnvField(data []float64) uint64 {
 	return h
 }
 
-// sampleDensityGolden is the FNV-1a hash of SampleDensity(8) after
-// Run(12) on the golden wedge config, recorded from the pre-redesign
-// code (the flat-Config, density-only API) immediately before the
-// scenario/sampling redesign. Both the deprecated shim and the new
-// multi-moment path must still produce these exact bits.
+// sampleDensityGolden is the FNV-1a hash of the density field sampled
+// over 8 steps after Run(12) on the golden wedge config, recorded from
+// the pre-redesign code (the flat, density-only API) immediately before
+// the scenario/sampling redesign. The multi-moment path must still
+// produce these exact bits.
 const sampleDensityGolden uint64 = 0xaf9acc634207fb14
 
-// TestSampleDensityBackCompatPin: the deprecated SampleDensity shim and
-// Sample(...).Field(Density) both reproduce the pre-redesign density
-// field bit for bit on the golden 2D wedge config.
-func TestSampleDensityBackCompatPin(t *testing.T) {
-	legacy, err := dsmc.NewSimulation(goldenWedgeConfig())
+// TestDensitySamplePinned: Sample(...).Field(Density) reproduces the
+// pre-redesign density field bit for bit on the golden 2D wedge config.
+func TestDensitySamplePinned(t *testing.T) {
+	s, err := dsmc.NewSimulation(goldenWedgeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy.Run(12)
-	legacyField := legacy.SampleDensity(8)
-	if got := fnvField(legacyField.Data); got != sampleDensityGolden {
-		t.Errorf("SampleDensity drifted from the pre-redesign path: hash %#016x, golden %#016x",
-			got, sampleDensityGolden)
-	}
-
-	modern, err := dsmc.NewSimulation(goldenWedgeConfig())
+	s.Run(12)
+	field, err := s.Sample(8).Field(dsmc.Density)
 	if err != nil {
 		t.Fatal(err)
 	}
-	modern.Run(12)
-	modernField, err := modern.Sample(8).Field(dsmc.Density)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fnvField(modernField.Data); got != sampleDensityGolden {
+	if got := fnvField(field.Data); got != sampleDensityGolden {
 		t.Errorf("Sample(...).Field(Density) drifted from the pre-redesign path: hash %#016x, golden %#016x",
 			got, sampleDensityGolden)
 	}
-	if modernField.NX != 48 || modernField.NY != 24 || modernField.NZ != 1 {
-		t.Errorf("field shape header %dx%dx%d, want 48x24x1",
-			modernField.NX, modernField.NY, modernField.NZ)
+	if field.NX != 48 || field.NY != 24 || field.NZ != 1 {
+		t.Errorf("field shape header %dx%dx%d, want 48x24x1", field.NX, field.NY, field.NZ)
 	}
 }
 
@@ -138,7 +125,7 @@ func TestScenarioKinds(t *testing.T) {
 
 // TestWedgeFitValidation: a wedge that does not fit the grid is rejected
 // at the public layer with a descriptive error naming the offending
-// dimension, on both the legacy Config and the first-class scenarios.
+// dimension.
 func TestWedgeFitValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -153,21 +140,9 @@ func TestWedgeFitValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := goldenWedgeConfig()
-			w := tc.wedge
-			cfg.Wedge = &w
-			err := cfg.Validate()
-			if err == nil {
-				t.Fatal("Config.Validate accepted an ill-fitting wedge")
-			}
-			if !strings.Contains(err.Error(), tc.errPart) {
-				t.Errorf("Config error %q does not mention %q", err, tc.errPart)
-			}
-			sc := dsmc.WedgeTunnel2D{
-				GridNX: cfg.GridNX, GridNY: cfg.GridNY, Wedge: w,
-				Mach: 4, ThermalSpeed: 0.125, MeanFreePath: 0.5, ParticlesPerCell: 2,
-			}
-			err = sc.Validate()
+			sc := goldenWedgeConfig()
+			sc.Wedge = tc.wedge
+			err := sc.Validate()
 			if err == nil {
 				t.Fatal("WedgeTunnel2D.Validate accepted an ill-fitting wedge")
 			}
@@ -196,8 +171,7 @@ func TestDoubleWedgeOverlapRejected(t *testing.T) {
 }
 
 // TestScenarioSpecRoundTrip: every scenario kind survives the
-// ScenarioSpec JSON envelope unchanged, and the legacy Config serialises
-// as its first-class equivalent.
+// ScenarioSpec JSON envelope unchanged.
 func TestScenarioSpecRoundTrip(t *testing.T) {
 	scenarios := []dsmc.Scenario{
 		dsmc.WedgeTunnel2D{GridNX: 48, GridNY: 24, Wedge: dsmc.WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30},
@@ -232,22 +206,6 @@ func TestScenarioSpecRoundTrip(t *testing.T) {
 				t.Errorf("round trip changed the scenario:\n got %+v\nwant %+v", got, sc)
 			}
 		})
-	}
-
-	// Legacy Config → first-class equivalent.
-	spec, err := dsmc.NewScenarioSpec(goldenWedgeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Kind != dsmc.KindWedgeTunnel2D {
-		t.Errorf("Config serialised as %q, want %q", spec.Kind, dsmc.KindWedgeTunnel2D)
-	}
-	sc, err := spec.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := sc.(dsmc.WedgeTunnel2D); !ok {
-		t.Errorf("Config deserialised as %T", sc)
 	}
 
 	// Unknown kinds are rejected.
