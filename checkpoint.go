@@ -29,7 +29,10 @@ func (s *Simulation) Checkpoint(w io.Writer) error {
 // precision are validated, so restoring a shock-tube checkpoint into a
 // wind tunnel fails with a shape error instead of corrupting state —
 // but the worker count is free to differ: per-phase randomness is
-// counter-based, so no worker-local state exists.
+// counter-based, so no worker-local state exists. The stream is read
+// whole and its checksum verified before anything is applied, so a
+// restore that fails on a torn or damaged stream leaves the simulation
+// exactly as it was.
 func (s *Simulation) Restore(r io.Reader) error {
 	if s.ref == nil {
 		return errors.New("dsmc: the ConnectionMachine backend does not support checkpointing")
@@ -40,7 +43,9 @@ func (s *Simulation) Restore(r io.Reader) error {
 // RestoreSimulation builds a simulation from any scenario (2D or 3D —
 // the restore dispatches on the checkpoint's kind header through the
 // scenario's own backend) and restores a checkpoint into it in one
-// call.
+// call. A nil scenario is an error, and so is a stream that fails its
+// checksum or does not match the scenario's shape: no half-restored
+// simulation is ever returned.
 func RestoreSimulation(sc Scenario, r io.Reader) (*Simulation, error) {
 	s, err := NewSimulation(sc)
 	if err != nil {

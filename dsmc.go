@@ -35,15 +35,12 @@ package dsmc
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
 	"dsmc/internal/cmsim"
 	"dsmc/internal/phys"
-	"dsmc/internal/sample"
-	"dsmc/internal/sim"
-	"dsmc/internal/sim3"
+	"dsmc/internal/run"
 )
 
 // Backend selects the implementation.
@@ -117,26 +114,13 @@ type backend interface {
 	Collisions() int64
 }
 
-// engineBackend is the extra surface of the engine-based Reference
-// backends beyond backend: cell-sharded moment sampling, the phase
-// timing breakdown, and binary checkpoint/restore. All four engine
-// instantiations implement it — both precisions of the 2D wind tunnel
-// (sim.SimOf) and of the 3D shock tube (sim3.SimOf).
-type engineBackend interface {
-	backend
-	SampleInto(acc *sample.Accumulator)
-	PhaseTimes() map[string]time.Duration
-	WriteCheckpoint(w io.Writer) error
-	ReadCheckpoint(r io.Reader) error
-}
-
 // Simulation is a running simulation of any scenario — the 2D wind
 // tunnel (either backend, either precision), the double wedge, or the
 // 3D shock tube — behind one type.
 type Simulation struct {
 	scen Scenario
 	p    *plan
-	ref  engineBackend
+	ref  *run.Replica // the engine-backed Reference simulation; nil on the CM
 	cm   *cmsim.Sim
 	b    backend
 }
@@ -144,46 +128,23 @@ type Simulation struct {
 // NewSimulation builds and initialises a simulation of any Scenario on
 // the Reference backend.
 func NewSimulation(sc Scenario) (*Simulation, error) {
+	if sc == nil {
+		return nil, errNilScenario
+	}
 	p, err := sc.lower()
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulation{scen: sc, p: p}
-	switch {
-	case p.sim != nil:
-		if p.precision == Float32 {
-			rs, err := sim.NewOf[float32](*p.sim)
-			if err != nil {
-				return nil, err
-			}
-			s.ref = rs
-		} else {
-			rs, err := sim.New(*p.sim)
-			if err != nil {
-				return nil, err
-			}
-			s.ref = rs
-		}
-	case p.sim3 != nil:
-		if p.precision == Float32 {
-			rs, err := sim3.NewOf[float32](*p.sim3)
-			if err != nil {
-				return nil, err
-			}
-			s.ref = rs
-		} else {
-			rs, err := sim3.New(*p.sim3)
-			if err != nil {
-				return nil, err
-			}
-			s.ref = rs
-		}
-	default:
-		return nil, fmt.Errorf("dsmc: scenario %q lowered to no backend", p.kind)
+	rp, err := run.Open(p.sc, p.seed)
+	if err != nil {
+		return nil, err
 	}
-	s.b = s.ref
-	return s, nil
+	return &Simulation{scen: sc, p: p, ref: rp, b: rp}, nil
 }
+
+// errNilScenario is what every entry point that takes a Scenario returns
+// for a nil one.
+var errNilScenario = errors.New("dsmc: nil scenario")
 
 // NewConnectionMachine builds the paper's own system: the wind tunnel on
 // the fixed-point ConnectionMachine backend, modelled over physProcs
@@ -193,6 +154,9 @@ func NewSimulation(sc Scenario) (*Simulation, error) {
 // alone and cannot be checkpointed, which is why it is a constructor and
 // not a scenario field: nothing a sweep spec can carry names it.
 func NewConnectionMachine(sc Scenario, physProcs int) (*Simulation, error) {
+	if sc == nil {
+		return nil, errNilScenario
+	}
 	switch sc.(type) {
 	case WedgeTunnel2D, EmptyTunnel2D:
 	default:
@@ -206,10 +170,10 @@ func NewConnectionMachine(sc Scenario, physProcs int) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.precision == Float32 {
+	if p.sc.Float32 {
 		return nil, errors.New("dsmc: the ConnectionMachine backend is fixed-point; Precision must be unset or float64")
 	}
-	cs, err := cmsim.New(cmsim.Config{Sim: *p.sim, PhysProcs: physProcs})
+	cs, err := cmsim.New(cmsim.Config{Sim: *p.sc.Sim, PhysProcs: physProcs})
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +287,7 @@ type Theory struct {
 // Theory computes the validation references from the scenario.
 func (s *Simulation) Theory() Theory {
 	gamma := s.p.gamma
-	if s.p.sim3 != nil {
+	if s.p.sc.Sim3 != nil {
 		// Piston-driven normal shock: Ms − 1/Ms = up(γ+1)/(2a1).
 		a1 := s.p.cm * math.Sqrt(gamma/2)
 		k := s.p.pistonSpeed * (gamma + 1) / (2 * a1)

@@ -308,19 +308,13 @@ func lowerSpec(spec SweepSpec) (run.Spec, []*plan, error) {
 		qslugs = append(qslugs, string(Density))
 	}
 
-	baseSeed := uint64(0)
-	if basePlan.sim != nil {
-		baseSeed = basePlan.sim.Seed
-	} else if basePlan.sim3 != nil {
-		baseSeed = basePlan.sim3.Seed
-	}
 	sp := run.Spec{
 		Name:            spec.Name,
 		Quantities:      qslugs,
 		Replicas:        spec.Replicas,
 		WarmSteps:       spec.WarmSteps,
 		SampleSteps:     spec.SampleSteps,
-		BaseSeed:        baseSeed,
+		BaseSeed:        basePlan.seed,
 		Pool:            spec.Pool,
 		CheckpointDir:   spec.CheckpointDir,
 		CheckpointEvery: spec.CheckpointEvery,
@@ -339,21 +333,18 @@ func lowerSpec(spec SweepSpec) (run.Spec, []*plan, error) {
 		if err != nil {
 			return run.Spec{}, nil, fmt.Errorf("dsmc: point %q: %w", name, err)
 		}
+		rsc := pl.sc
+		rsc.Name = name
 		// Under orchestration the outer pool supplies the parallelism;
 		// defaulting every job to all cores would oversubscribe.
-		if pl.sim != nil && pl.sim.Workers == 0 {
-			pl.sim.Workers = 1
+		if rsc.Sim != nil && rsc.Sim.Workers == 0 {
+			rsc.Sim.Workers = 1
 		}
-		if pl.sim3 != nil && pl.sim3.Workers == 0 {
-			pl.sim3.Workers = 1
+		if rsc.Sim3 != nil && rsc.Sim3.Workers == 0 {
+			rsc.Sim3.Workers = 1
 		}
 		plans[i] = pl
-		sp.Scenarios = append(sp.Scenarios, run.Scenario{
-			Name:    name,
-			Sim:     pl.sim,
-			Sim3:    pl.sim3,
-			Float32: pl.precision == Float32,
-		})
+		sp.Scenarios = append(sp.Scenarios, rsc)
 	}
 	return sp, plans, nil
 }

@@ -25,6 +25,7 @@ package ckpt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -81,21 +82,41 @@ func PrecOf[F kernel.Float]() Prec {
 	return PrecF64
 }
 
-// TrailerSize is the checksum trailer's byte length.
-const TrailerSize = 8
+// trailerSize is the checksum trailer's byte length.
+const trailerSize = 8
 
-// VerifyTrailer reports whether a complete checkpoint byte stream is
-// internally consistent: its FNV-1a checksum over everything but the
-// trailer matches the trailer. Callers that must not partially apply a
-// corrupt checkpoint (the job resume path) verify the whole buffer
-// before handing it to a Reader.
-func VerifyTrailer(data []byte) bool {
-	if len(data) < TrailerSize {
-		return false
+// ErrCorrupt reports a checkpoint whose bytes do not match its checksum
+// trailer: a torn write, a truncation, bit damage.
+var ErrCorrupt = errors.New("ckpt: checksum mismatch")
+
+// Restore is how checkpoint bytes reach a simulation — the standalone
+// restores and the job resume alike: verify, then apply. The complete
+// buffer is checked against its FNV-1a trailer (ErrCorrupt) and its
+// header against the format version (ErrVersion) and the restoring
+// simulation's kind, precision and cell count (ErrShape) before apply
+// reads one section, so a damaged or foreign checkpoint leaves the
+// simulation untouched.
+func Restore(data []byte, kind Kind, prec Prec, cells int, apply func(*Reader) error) error {
+	if len(data) < trailerSize {
+		return ErrCorrupt
 	}
+	body := data[:len(data)-trailerSize]
 	h := fnv.New64a()
-	h.Write(data[:len(data)-TrailerSize])
-	return h.Sum64() == binary.LittleEndian.Uint64(data[len(data)-TrailerSize:])
+	h.Write(body)
+	if h.Sum64() != binary.LittleEndian.Uint64(data[len(body):]) {
+		return ErrCorrupt
+	}
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	if err := CheckShape(r, kind, prec, cells); err != nil {
+		return err
+	}
+	if err := apply(r); err != nil {
+		return err
+	}
+	return r.Close()
 }
 
 // Writer encodes a checkpoint stream. Errors are sticky: the first I/O

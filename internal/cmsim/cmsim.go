@@ -40,8 +40,8 @@ import (
 // Config configures the data-parallel simulation.
 type Config struct {
 	// Sim carries the physical configuration (grid, wedge, freestream,
-	// densities). The pluggable Scheme and Wall fields are ignored: this
-	// backend always runs the paper's algorithm with specular walls.
+	// densities). The Wall field is ignored: this backend always runs
+	// the paper's algorithm with specular walls.
 	Sim sim.Config
 	// PhysProcs is the number of physical processors of the modelled
 	// machine (the paper uses 32k; any positive count works). The virtual

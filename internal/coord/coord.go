@@ -474,7 +474,7 @@ func (c *Coordinator) Complete(sweep, jobID, lease string, out *dsmc.ReplicaOutp
 	if !j.dispatchedAt.IsZero() {
 		mJobSeconds.Observe(now.Sub(j.dispatchedAt).Seconds())
 	}
-	c.clearWorkerJob(j.leaseWorker, now)
+	c.clearWorkerJob(j.leaseWorker)
 	c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-done", Job: j.id})
 	c.maybeAggregateLocked(st, j.point)
 	c.maybeFinishLocked(st)
@@ -513,7 +513,7 @@ func (c *Coordinator) Release(sweep, jobID, lease string, stepsDone int) error {
 	j.attempts-- // voluntary hand-back does not burn retry budget
 	j.lease = ""
 	j.stepsDone = stepsDone
-	c.clearWorkerJob(j.leaseWorker, now)
+	c.clearWorkerJob(j.leaseWorker)
 	j.leaseWorker = ""
 	c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-released", Job: j.id, StepsDone: stepsDone, StepsTotal: j.stepsTotal})
 	return nil
@@ -536,7 +536,7 @@ func (c *Coordinator) Fail(sweep, jobID, lease, msg string) error {
 		mStaleRejects.Inc()
 		return ErrStaleLease
 	}
-	c.clearWorkerJob(j.leaseWorker, now)
+	c.clearWorkerJob(j.leaseWorker)
 	c.retryOrFailLocked(st, j, msg)
 	return nil
 }
@@ -587,7 +587,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 		for _, j := range st.jobs {
 			if j.phase == jobLeased && now.After(j.expires) {
 				mLeaseExpiries.Inc()
-				c.clearWorkerJob(j.leaseWorker, now)
+				c.clearWorkerJob(j.leaseWorker)
 				c.retryOrFailLocked(st, j, fmt.Sprintf("lease expired (worker %s lost)", j.leaseWorker))
 			}
 		}
@@ -623,7 +623,7 @@ func (c *Coordinator) retryOrFailLocked(st *sweepState, j *job, msg string) {
 	for _, o := range st.jobs {
 		if o.phase == jobPending || o.phase == jobLeased {
 			if o.phase == jobLeased {
-				c.clearWorkerJob(o.leaseWorker, c.cfg.now())
+				c.clearWorkerJob(o.leaseWorker)
 			}
 			o.phase = jobSkipped
 			o.lease = ""
@@ -786,7 +786,7 @@ func (c *Coordinator) touchWorker(id string, now time.Time) {
 
 // clearWorkerJob detaches a worker's status row from a lease that ended
 // (completed, released, expired, or revoked).
-func (c *Coordinator) clearWorkerJob(workerID string, now time.Time) {
+func (c *Coordinator) clearWorkerJob(workerID string) {
 	if w := c.workers[workerID]; w != nil {
 		w.sweep, w.job = "", ""
 		w.stepsDone, w.stepsTotal = 0, 0

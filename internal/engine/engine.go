@@ -23,7 +23,6 @@ import (
 	"math"
 	"time"
 
-	"dsmc/internal/baseline"
 	"dsmc/internal/collide"
 	"dsmc/internal/kernel"
 	"dsmc/internal/obs"
@@ -140,7 +139,7 @@ type Domain[F kernel.Float] interface {
 }
 
 // Config assembles an engine. The zero value is not runnable; every
-// field except Vols, ZVib and Scheme is required.
+// field except Vols and ZVib is required.
 type Config struct {
 	// Cells is the grid's cell count.
 	Cells int
@@ -164,9 +163,6 @@ type Config struct {
 	// exchanges energy with the pair's continuous vibrational
 	// reservoirs with probability 1/ZVib.
 	ZVib float64
-	// Scheme, when non-nil, replaces the default McDonald–Baganoff
-	// select+collide with a pluggable per-cell scheme (baselines).
-	Scheme baseline.Scheme
 }
 
 // pairPick records an accepted candidate pair: the particles at indices
@@ -208,16 +204,14 @@ type Engine[F kernel.Float] struct {
 	// escape to the heap).
 	fnMoveBound func(w, lo, hi int)
 	fnSelCol    func(w, lo, hi int)
-	fnScheme    func(w, lo, hi int)
 	swapFn      func(i, j int)
 
 	// per-worker scratch, indexed by the pool's block index
-	scratchW [][]collide.State5 // scheme gather buffers
-	gW       [][]float64        // relative-speed spans (one cell at a time)
-	picksW   [][]pairPick       // accepted-pair buffers (split style)
-	selW     []time.Duration
-	colW     []time.Duration
-	colls    []int64
+	gW     [][]float64  // relative-speed spans (one cell at a time)
+	picksW [][]pairPick // accepted-pair buffers (split style)
+	selW   []time.Duration
+	colW   []time.Duration
+	colls  []int64
 }
 
 // New assembles an engine over the given domain, worker pool, and
@@ -239,13 +233,10 @@ func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store, shado
 		table:  rng.Perm5Table(),
 	}
 	w := pool.Workers()
-	e.scratchW = make([][]collide.State5, w)
 	e.gW = make([][]float64, w)
 	e.picksW = make([][]pairPick, w)
 	capacity := store.Cap()
-	splitStyle := !cfg.FusedSelect && cfg.Scheme == nil
 	_, cellConstant := cfg.Rule.CellProb(1, 1) // whole for a unit cell means whole for every cell
-	needSpeeds := cfg.Scheme == nil && !cellConstant
 	for b := 0; b < w; b++ {
 		// The pick buffers exist only for the split select/collide style;
 		// they get the balanced-load bound (n/2 pairs split w ways), so a
@@ -253,10 +244,10 @@ func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store, shado
 		// it too is stable. The relative-speed spans hold one cell's pairs
 		// at a time and grow (rarely) past the pre-size the same way; a
 		// rule that is one probability per cell never reads a speed.
-		if splitStyle {
+		if !cfg.FusedSelect {
 			e.picksW[b] = make([]pairPick, 0, capacity/(2*w)+64)
 		}
-		if needSpeeds {
+		if !cellConstant {
 			e.gW[b] = make([]float64, 1024)
 		}
 	}
@@ -269,7 +260,6 @@ func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store, shado
 	} else {
 		e.fnSelCol = e.selColSplitShard
 	}
-	e.fnScheme = e.schemeShard
 	e.swapFn = func(i, j int) { e.store.Swap(i, j) }
 	return e
 }
@@ -519,16 +509,6 @@ func (e *Engine[F]) vol(c int) float64 {
 //dsmc:hotpath
 func (e *Engine[F]) selectAndCollide() {
 	nc := e.cfg.Cells
-	if e.cfg.Scheme != nil {
-		// Pluggable scheme path (baselines): gather cells, delegate.
-		t0 := now()
-		e.pool.ForIdx(nc, e.fnScheme)
-		for _, c := range e.colls {
-			e.collisions += c
-		}
-		e.phaseTime[PhaseCollide] += since(t0)
-		return
-	}
 	if e.cfg.FusedSelect {
 		// Single-pass style: selection and collision interleave on one
 		// stream, so the timing cannot be split — book it all as collide.
@@ -711,37 +691,6 @@ func (e *Engine[F]) collideVibPair(st *particle.Store[F], ia, ib int, r *rng.Str
 	e.vibExchange(st, &va, &vb, ia, ib, r)
 	st.SetVel(ia, va)
 	st.SetVel(ib, vb)
-}
-
-// schemeShard is one worker's cell range of the pluggable-scheme path:
-// each cell span is copied contiguously into the worker's scratch buffer,
-// handed to the scheme, and written back.
-//
-//dsmc:hotpath
-func (e *Engine[F]) schemeShard(w, clo, chi int) {
-	st := e.store
-	cellStart := e.sorter.CellStart()
-	var coll int64
-	for c := clo; c < chi; c++ {
-		lo, hi := int(cellStart[c]), int(cellStart[c+1])
-		if hi-lo < 2 {
-			continue
-		}
-		if cap(e.scratchW[w]) < hi-lo {
-			//dsmclint:allow hotpath-alloc amortized grow: scheme scratch re-makes only when a cell outgrows it once, then is stable
-			e.scratchW[w] = make([]collide.State5, hi-lo)
-		}
-		cellParts := e.scratchW[w][:hi-lo]
-		for k := range cellParts {
-			cellParts[k] = st.Vel(lo + k)
-		}
-		r := e.PhaseStream(e.cfg.Layout.Collide, c)
-		coll += int64(e.cfg.Scheme.CollideCell(cellParts, e.vol(c), e.cfg.Rule, &r))
-		for k := range cellParts {
-			st.SetVel(lo+k, cellParts[k])
-		}
-	}
-	e.colls[w] = coll
 }
 
 func shardWall(concurrent bool, ds []time.Duration) time.Duration {

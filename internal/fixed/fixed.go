@@ -85,13 +85,6 @@ func Mul(x, y Fix) Fix {
 	return sat64(p)
 }
 
-// MulRound returns the fixed-point product rounded to nearest.
-func MulRound(x, y Fix) Fix {
-	p := int64(x) * int64(y)
-	p += 1 << (FracBits - 1)
-	return sat64(p >> FracBits)
-}
-
 // Div returns the fixed-point quotient x/y, truncated. Division by zero
 // saturates in the direction of the sign of x (0/0 returns Max, matching
 // the saturating behaviour documented for the substrate rather than

@@ -7,15 +7,14 @@
 // generic engine; any arithmetic re-ordering, RNG re-keying, or stream
 // drift in the unified core shows up here as a one-bit difference. The
 // scenarios cover every randomness-consuming path (specular and diffuse
-// walls, the pluggable schemes, vibrational relaxation, 3D selection with
-// and without the collide-all short-circuit) and run at several worker
-// counts, so the goldens also re-prove worker-count independence.
+// walls, vibrational relaxation, 3D selection with and without the
+// collide-all short-circuit) and run at several worker counts, so the
+// goldens also re-prove worker-count independence.
 package golden_test
 
 import (
 	"testing"
 
-	"dsmc/internal/baseline"
 	"dsmc/internal/geom"
 	"dsmc/internal/golden"
 	"dsmc/internal/sim"
@@ -49,7 +48,6 @@ func TestGolden2D(t *testing.T) {
 			c.Wall = geom.DiffuseState{Model: geom.DiffuseIsothermal, WallCm: c.Free.Cm}
 			c.ZVib = 5
 		}, 10, 0xd4634f54c0a3b959},
-		{"scheme-bird", func(c *sim.Config) { c.Scheme = baseline.NewBirdTC() }, 8, 0x32454f0b3c39974d},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -37,7 +37,8 @@ var layerAllows = map[string][]string{
 	"grid": {"dsmc/internal/geom"},
 	// sampling: moment accumulation and field derivation.
 	"sample": {"dsmc/internal/grid", "dsmc/internal/kernel", "dsmc/internal/particle", "dsmc/internal/phys"},
-	// baseline: pluggable reference collision schemes.
+	// baseline: the comparator collision schemes (Bird, Nanbu, …) — run by
+	// -exp relax and the benchmarks, imported by no simulation package.
 	"baseline": {"dsmc/internal/collide", "dsmc/internal/rng"},
 	// store: the content-addressed result store — artifact bytes, keys
 	// and codecs over the filesystem plus the obs telemetry leaf. It
@@ -52,9 +53,9 @@ var layerAllows = map[string][]string{
 	"obs": {},
 	// engine: the unified pipeline — everything below it, nothing above.
 	"engine": {
-		"dsmc/internal/baseline", "dsmc/internal/collide", "dsmc/internal/kernel",
-		"dsmc/internal/obs", "dsmc/internal/par", "dsmc/internal/particle",
-		"dsmc/internal/rng", "dsmc/internal/sample",
+		"dsmc/internal/collide", "dsmc/internal/kernel", "dsmc/internal/obs",
+		"dsmc/internal/par", "dsmc/internal/particle", "dsmc/internal/rng",
+		"dsmc/internal/sample",
 	},
 	// ckpt: engine-state serialization.
 	"ckpt": {
@@ -63,17 +64,15 @@ var layerAllows = map[string][]string{
 	},
 	// backends: geometry+config adapters over the engine.
 	"sim": {
-		"dsmc/internal/baseline", "dsmc/internal/ckpt", "dsmc/internal/collide",
-		"dsmc/internal/engine", "dsmc/internal/geom", "dsmc/internal/grid",
-		"dsmc/internal/kernel", "dsmc/internal/molec", "dsmc/internal/par",
-		"dsmc/internal/particle", "dsmc/internal/phys", "dsmc/internal/rng",
-		"dsmc/internal/sample",
+		"dsmc/internal/ckpt", "dsmc/internal/collide", "dsmc/internal/engine",
+		"dsmc/internal/geom", "dsmc/internal/grid", "dsmc/internal/kernel",
+		"dsmc/internal/molec", "dsmc/internal/par", "dsmc/internal/particle",
+		"dsmc/internal/phys", "dsmc/internal/rng",
 	},
 	"sim3": {
 		"dsmc/internal/ckpt", "dsmc/internal/collide", "dsmc/internal/engine",
 		"dsmc/internal/kernel", "dsmc/internal/molec", "dsmc/internal/par",
 		"dsmc/internal/particle", "dsmc/internal/phys", "dsmc/internal/rng",
-		"dsmc/internal/sample",
 	},
 	// cm: the instrumented Connection Machine emulation and its adapter.
 	"cm": {"dsmc/internal/par"},
@@ -86,8 +85,8 @@ var layerAllows = map[string][]string{
 	// run: job forest, aggregation, checkpoint/memoization orchestration.
 	"run": {
 		"dsmc/internal/ckpt", "dsmc/internal/grid", "dsmc/internal/kernel",
-		"dsmc/internal/molec", "dsmc/internal/rng", "dsmc/internal/sample",
-		"dsmc/internal/sim", "dsmc/internal/sim3", "dsmc/internal/store",
+		"dsmc/internal/rng", "dsmc/internal/sample", "dsmc/internal/sim",
+		"dsmc/internal/sim3", "dsmc/internal/store",
 	},
 	// coord: the distributed-sweep coordinator and pull-worker. It sits
 	// ABOVE the public package — jobs are enumerated, run and assembled

@@ -7,13 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"path/filepath"
+	"time"
 
 	"dsmc/internal/ckpt"
 	"dsmc/internal/grid"
 	"dsmc/internal/kernel"
-	"dsmc/internal/molec"
 	"dsmc/internal/rng"
 	"dsmc/internal/sample"
 	"dsmc/internal/sim"
@@ -24,9 +25,10 @@ import (
 // Scenario is one sweep point lowered to an internal configuration:
 // exactly one of the backend configs is set (2D wind tunnel or 3D shock
 // tube), plus the storage precision to instantiate it at. The Seed field
-// of the config is ignored — every job derives its own seed from the
-// spec's base seed (rng.JobSeed), so replicas are independent by
-// construction and a sweep is reproducible from (spec, base seed) alone.
+// of the config is ignored — Open is told the seed: every job derives its
+// own from the spec's base seed (rng.JobSeed), so replicas are
+// independent by construction and a sweep is reproducible from (spec,
+// base seed) alone.
 type Scenario struct {
 	Name    string
 	Sim     *sim.Config  // 2D wind tunnel
@@ -59,89 +61,103 @@ type jobCkpt struct {
 	every int       // steps between checkpoints (> 0 when store is set)
 }
 
-// replicaSim is the slice of engine-backend surface one replica job
-// drives. Both precision instantiations of both backends implement it.
-type replicaSim interface {
+// Sim is the surface of an engine-backed simulation that this layer and
+// the public package drive. All four instantiations implement it — both
+// precisions of the 2D wind tunnel and of the 3D shock tube — mostly
+// through the engine they embed.
+type Sim interface {
 	Step()
-	SampleInto(acc *sample.Accumulator)
+	Run(n int)
+	StepCount() int
 	Collisions() int64
 	NFlow() int
+	NReservoir() int
+	SampleInto(acc *sample.Accumulator)
+	PhaseTimes() map[string]time.Duration
 	SetStepObserver(fn func(step int, phaseNs [4]int64, particles int))
 	CheckpointSections(w *ckpt.Writer)
 	RestoreSections(r *ckpt.Reader) error
+	WriteCheckpoint(w io.Writer) error
+	ReadCheckpoint(r io.Reader) error
 }
 
-// replicaJob is a constructed replica: the live simulation plus the
+var (
+	_ Sim = (*sim.SimOf[float32])(nil)
+	_ Sim = (*sim.SimOf[float64])(nil)
+	_ Sim = (*sim3.SimOf[float32])(nil)
+	_ Sim = (*sim3.SimOf[float64])(nil)
+)
+
+// Replica is a scenario built at a seed: the live simulation plus the
 // scenario-derived metadata the shared stepping loop and the checkpoint
-// codec need (shape, precision tag, normalisers, analysis hook).
-type replicaJob struct {
-	sim   replicaSim
+// codec need (shape, precision tag, normalisers, analysis hook), read
+// back from the simulation so its resolved defaults are the only ones.
+type Replica struct {
+	Sim
 	prec  ckpt.Prec
 	cells int
-	acc   *sample.Accumulator
+	vols  []float64 // per-cell gas volumes; nil means unit (3D)
+	nInf  float64
 	norms sample.Norms
 	// angle fits the scenario's validation scalar from the density
 	// field; NaN when the scenario has no oblique shock to fit.
 	angle func(density []float64) float64
 }
 
-// buildReplica constructs the scenario's simulation at the given seed.
-func buildReplica(sc Scenario, seed uint64) (*replicaJob, error) {
-	switch {
-	case sc.Sim != nil:
-		if sc.Float32 {
-			return buildReplica2D[float32](sc, seed)
-		}
-		return buildReplica2D[float64](sc, seed)
-	case sc.Sim3 != nil:
-		if sc.Float32 {
-			return buildReplica3D[float32](sc, seed)
-		}
-		return buildReplica3D[float64](sc, seed)
-	}
-	return nil, fmt.Errorf("scenario %q: no backend config set", sc.Name)
+// newAccumulator returns an empty moment accumulator of the replica's
+// shape and normalisation.
+func (rp *Replica) newAccumulator() *sample.Accumulator {
+	return sample.NewAccumulatorCells(rp.cells, rp.vols, rp.nInf)
 }
 
-func buildReplica2D[F kernel.Float](sc Scenario, seed uint64) (*replicaJob, error) {
-	cfg := *sc.Sim
+// Open builds the scenario's simulation at the given seed. It is the one
+// place an engine-backed simulation is constructed: dsmc.NewSimulation
+// passes the scenario's own seed, a sweep job its derived one.
+func Open(sc Scenario, seed uint64) (*Replica, error) {
+	switch {
+	case sc.Sim != nil && sc.Float32:
+		return open2D[float32](*sc.Sim, seed)
+	case sc.Sim != nil:
+		return open2D[float64](*sc.Sim, seed)
+	case sc.Sim3 != nil && sc.Float32:
+		return open3D[float32](*sc.Sim3, seed)
+	case sc.Sim3 != nil:
+		return open3D[float64](*sc.Sim3, seed)
+	}
+	return nil, errors.New("no backend config set")
+}
+
+func open2D[F kernel.Float](cfg sim.Config, seed uint64) (*Replica, error) {
 	cfg.Seed = seed
 	s, err := sim.NewOf[F](cfg)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
+		return nil, err
 	}
-	g := grid.New(cfg.NX, cfg.NY)
-	gamma := cfg.Free.Gamma
-	if gamma == 0 {
-		gamma = cfg.Model.Gamma()
-	}
-	return &replicaJob{
-		sim:   s,
+	cfg, g := s.Config(), s.Grid()
+	return &Replica{
+		Sim:   s,
 		prec:  ckpt.PrecOf[F](),
 		cells: g.Cells(),
-		acc:   sample.NewAccumulator(g, s.Volumes(), cfg.NPerCell),
-		norms: sample.Norms{Cm: cfg.Free.Cm, Gamma: gamma},
+		vols:  s.Volumes(),
+		nInf:  cfg.NPerCell,
+		norms: sample.Norms{Cm: cfg.Free.Cm, Gamma: cfg.Free.Gamma},
 		angle: func(density []float64) float64 { return shockAngleDeg(density, g, cfg) },
 	}, nil
 }
 
-func buildReplica3D[F kernel.Float](sc Scenario, seed uint64) (*replicaJob, error) {
-	cfg := *sc.Sim3
+func open3D[F kernel.Float](cfg sim3.Config, seed uint64) (*Replica, error) {
 	cfg.Seed = seed
 	s, err := sim3.NewOf[F](cfg)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
+		return nil, err
 	}
-	model := cfg.Model
-	if model.Name == "" {
-		model = molec.Maxwell()
-	}
-	cells := sim3.Grid3{NX: cfg.NX, NY: cfg.NY, NZ: cfg.NZ}.Cells()
-	return &replicaJob{
-		sim:   s,
+	cfg = s.Config()
+	return &Replica{
+		Sim:   s,
 		prec:  ckpt.PrecOf[F](),
-		cells: cells,
-		acc:   sample.NewAccumulatorCells(cells, nil, cfg.NPerCell),
-		norms: sample.Norms{Cm: cfg.Cm, Gamma: model.Gamma()},
+		cells: s.Grid().Cells(),
+		nInf:  cfg.NPerCell,
+		norms: sample.Norms{Cm: cfg.Cm, Gamma: cfg.Model.Gamma()},
 		angle: func([]float64) float64 { return math.NaN() },
 	}, nil
 }
@@ -160,22 +176,23 @@ func buildReplica3D[F kernel.Float](sc Scenario, seed uint64) (*replicaJob, erro
 // ctx.Err(), so graceful shutdown loses no work and the resumed run is
 // still bit-identical.
 func runReplica(ctx context.Context, sc Scenario, quantities []string, seed uint64, warm, sampleSteps int, ck jobCkpt, progress func(done, total int), trace func(step int, phaseNs [4]int64, particles int)) (*ReplicaResult, error) {
-	job, err := buildReplica(sc, seed)
+	job, err := Open(sc, seed)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
+	acc := job.newAccumulator()
 	if trace != nil {
 		// The flight-recorder feed: per-step phase timings straight off
 		// the engine's existing clock chokepoint. Purely observational —
 		// the observer sees durations, never touches state.
-		job.sim.SetStepObserver(trace)
+		job.SetStepObserver(trace)
 	}
 
 	done := 0 // steps completed, warm and sampling combined
 	total := warm + sampleSteps
 	fp := specFingerprint(sc, warm, sampleSteps)
 	if ck.store != nil {
-		restored, n, err := job.loadCheckpoint(ck.store, seed, fp)
+		restored, n, err := job.loadCheckpoint(ck.store, acc, seed, fp)
 		if err != nil {
 			return nil, err
 		}
@@ -197,9 +214,9 @@ func runReplica(ctx context.Context, sc Scenario, quantities []string, seed uint
 		}
 		cancelled := false
 		for k := 0; k < chunk; k++ {
-			job.sim.Step()
+			job.Step()
 			if done+k+1 > warm {
-				job.sim.SampleInto(job.acc)
+				job.SampleInto(acc)
 			}
 			if ctx.Err() != nil {
 				done += k + 1
@@ -211,13 +228,13 @@ func runReplica(ctx context.Context, sc Scenario, quantities []string, seed uint
 			// Best-effort checkpoint of the in-flight state; the job is
 			// abandoning anyway, so a failed save only costs recomputation.
 			if ck.store != nil {
-				_ = job.saveCheckpoint(ck.store, seed, fp, done)
+				_ = job.saveCheckpoint(ck.store, acc, seed, fp, done)
 			}
 			return nil, ctx.Err()
 		}
 		done += chunk
 		if ck.store != nil {
-			if err := job.saveCheckpoint(ck.store, seed, fp, done); err != nil {
+			if err := job.saveCheckpoint(ck.store, acc, seed, fp, done); err != nil {
 				return nil, err
 			}
 		}
@@ -228,11 +245,11 @@ func runReplica(ctx context.Context, sc Scenario, quantities []string, seed uint
 
 	res := &ReplicaResult{
 		Fields:     make(map[string][]float64, len(quantities)),
-		Collisions: job.sim.Collisions(),
-		NFlow:      job.sim.NFlow(),
+		Collisions: job.Collisions(),
+		NFlow:      job.NFlow(),
 	}
 	for _, q := range quantities {
-		field, err := job.acc.FieldOf(q, job.norms)
+		field, err := acc.FieldOf(q, job.norms)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
 		}
@@ -242,7 +259,7 @@ func runReplica(ctx context.Context, sc Scenario, quantities []string, seed uint
 	// one when it was requested (the public layer always requests it).
 	density := res.Fields[sample.QDensity]
 	if density == nil {
-		d, err := job.acc.FieldOf(sample.QDensity, job.norms)
+		d, err := acc.FieldOf(sample.QDensity, job.norms)
 		if err != nil {
 			return nil, err
 		}
@@ -259,14 +276,14 @@ func runReplica(ctx context.Context, sc Scenario, quantities []string, seed uint
 // upload). If the medium still delivers a corrupt buffer later,
 // loadCheckpoint detects it by checksum and falls back to a fresh
 // (bit-identical) run rather than wedging the sweep.
-func (job *replicaJob) saveCheckpoint(store CkptStore, seed, fp uint64, done int) error {
+func (job *Replica) saveCheckpoint(store CkptStore, acc *sample.Accumulator, seed, fp uint64, done int) error {
 	var buf bytes.Buffer
 	w := ckpt.NewWriter(&buf, ckpt.KindJob, job.prec, job.cells)
 	w.U64(seed)
 	w.U64(fp)
 	w.U64(uint64(done))
-	job.sim.CheckpointSections(w)
-	ckpt.WriteAccumulator(w, job.acc)
+	job.CheckpointSections(w)
+	ckpt.WriteAccumulator(w, acc)
 	if err := w.Close(); err != nil {
 		return err
 	}
@@ -277,16 +294,18 @@ func (job *replicaJob) saveCheckpoint(store CkptStore, seed, fp uint64, done int
 // whether a restore happened and the completed step count.
 //
 // Failure policy: a checkpoint that is merely corrupt (torn write,
-// disk damage — detected by the checksum trailer before any state is
-// applied) is discarded and the job starts fresh, which is bit-identical
-// to having resumed and costs only the recomputation; a checkpoint that
-// is structurally valid but belongs to a different job or spec — wrong
-// seed, spec fingerprint (step budget or physics knobs changed), kind,
-// precision or grid, i.e. a checkpoint directory shared across specs —
-// is a hard error, because silently ignoring it would mask the
-// misconfiguration (or worse, serve the old spec's state as the new
-// spec's result).
-func (job *replicaJob) loadCheckpoint(store CkptStore, seed, fp uint64) (bool, int, error) {
+// disk damage — ckpt.Restore verifies the whole buffer before any state
+// is applied, so it can never leave the simulation half-mutated) or from
+// a different format version (pre-upgrade leftovers in a resumed sweep
+// directory) is discarded and the job starts fresh, which is
+// bit-identical to having resumed and costs only the recomputation; a
+// checkpoint that is structurally valid but belongs to a different job
+// or spec — wrong seed, spec fingerprint (step budget or physics knobs
+// changed), kind, precision or grid, i.e. a checkpoint directory shared
+// across specs — is a hard error, because silently ignoring it would
+// mask the misconfiguration (or worse, serve the old spec's state as the
+// new spec's result).
+func (job *Replica) loadCheckpoint(store CkptStore, acc *sample.Accumulator, seed, fp uint64) (bool, int, error) {
 	data, err := store.Load()
 	if err != nil {
 		return false, 0, err
@@ -294,47 +313,29 @@ func (job *replicaJob) loadCheckpoint(store CkptStore, seed, fp uint64) (bool, i
 	if data == nil {
 		return false, 0, nil
 	}
-	if !ckpt.VerifyTrailer(data) {
-		// Corrupt: discard and recompute. The whole-buffer verification
-		// runs before RestoreSections, so a bad checkpoint can never leave
-		// the simulation half-mutated.
-		store.Discard()
-		return false, 0, nil
-	}
-	r, err := ckpt.NewReader(bytes.NewReader(data))
-	if errors.Is(err, ckpt.ErrVersion) {
-		// A checkpoint from a different format version (pre-upgrade
-		// leftovers in a resumed sweep directory): recomputing from
-		// scratch is bit-identical to having resumed, so treat it like
-		// corruption rather than wedging the sweep.
+	var done int
+	err = ckpt.Restore(data, ckpt.KindJob, job.prec, job.cells, func(r *ckpt.Reader) error {
+		ckSeed, ckFp := r.U64(), r.U64()
+		done = int(r.U64())
+		if r.Err() != nil {
+			return r.Err()
+		}
+		if ckSeed != seed {
+			return fmt.Errorf("seed %#x does not match job seed %#x", ckSeed, seed)
+		}
+		if ckFp != fp {
+			return fmt.Errorf("spec fingerprint %#x does not match %#x (step budget or physics parameters changed; use a fresh checkpoint directory)", ckFp, fp)
+		}
+		if err := job.RestoreSections(r); err != nil {
+			return err
+		}
+		return ckpt.ReadAccumulator(r, acc)
+	})
+	if errors.Is(err, ckpt.ErrCorrupt) || errors.Is(err, ckpt.ErrVersion) {
 		store.Discard()
 		return false, 0, nil
 	}
 	if err != nil {
-		return false, 0, fmt.Errorf("job checkpoint: %w", err)
-	}
-	if err := ckpt.CheckShape(r, ckpt.KindJob, job.prec, job.cells); err != nil {
-		return false, 0, fmt.Errorf("job checkpoint: %w", err)
-	}
-	ckSeed := r.U64()
-	ckFp := r.U64()
-	done := int(r.U64())
-	if r.Err() != nil {
-		return false, 0, r.Err()
-	}
-	if ckSeed != seed {
-		return false, 0, fmt.Errorf("job checkpoint: seed %#x does not match job seed %#x", ckSeed, seed)
-	}
-	if ckFp != fp {
-		return false, 0, fmt.Errorf("job checkpoint: spec fingerprint %#x does not match %#x (step budget or physics parameters changed; use a fresh checkpoint directory)", ckFp, fp)
-	}
-	if err := job.sim.RestoreSections(r); err != nil {
-		return false, 0, fmt.Errorf("job checkpoint: %w", err)
-	}
-	if err := ckpt.ReadAccumulator(r, job.acc); err != nil {
-		return false, 0, fmt.Errorf("job checkpoint: %w", err)
-	}
-	if err := r.Close(); err != nil {
 		return false, 0, fmt.Errorf("job checkpoint: %w", err)
 	}
 	return true, done, nil
@@ -353,8 +354,7 @@ func jobCkptPath(dir string, scenarioIdx, replica int) string {
 // the old spec's state as the new spec's result. (The seed is checked
 // separately; requested quantities are deliberately not fingerprinted —
 // they are derived from the same accumulated moments and do not affect
-// the trajectory. The pluggable Scheme override is not reachable through
-// the sweep API and is therefore not fingerprinted either.)
+// the trajectory.)
 func specFingerprint(sc Scenario, warm, sampleSteps int) uint64 {
 	h := fnv.New64a()
 	var b [8]byte

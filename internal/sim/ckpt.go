@@ -14,7 +14,7 @@ import (
 // (internal/run wraps job progress around one) use this; standalone
 // checkpoints go through WriteCheckpoint.
 func (s *SimOf[F]) CheckpointSections(w *ckpt.Writer) {
-	ckpt.WriteEngine(w, s.eng)
+	ckpt.WriteEngine(w, s.Engine)
 	w.F64(s.dom.plungerX)
 	ckpt.WriteReservoir(w, s.dom.res)
 	ckpt.WriteStream(w, s.dom.r.State())
@@ -26,7 +26,7 @@ func (s *SimOf[F]) CheckpointSections(w *ckpt.Writer) {
 // to restore — continuing from the restored state is bit-identical to
 // never having stopped.
 func (s *SimOf[F]) RestoreSections(r *ckpt.Reader) error {
-	if err := ckpt.ReadEngine(r, s.eng); err != nil {
+	if err := ckpt.ReadEngine(r, s.Engine); err != nil {
 		return err
 	}
 	s.dom.plungerX = r.F64()
@@ -46,17 +46,13 @@ func (s *SimOf[F]) WriteCheckpoint(wr io.Writer) error {
 
 // ReadCheckpoint restores a standalone checkpoint into the simulation,
 // which must have been built from the same configuration (same grid,
-// same precision; the worker count is free to differ).
+// same precision; the worker count is free to differ). The stream is
+// read whole and verified before any of it is applied: a failed restore
+// leaves the simulation as it was.
 func (s *SimOf[F]) ReadCheckpoint(rd io.Reader) error {
-	r, err := ckpt.NewReader(rd)
+	data, err := io.ReadAll(rd)
 	if err != nil {
 		return err
 	}
-	if err := ckpt.CheckShape(r, ckpt.Kind2D, ckpt.PrecOf[F](), s.grid.Cells()); err != nil {
-		return err
-	}
-	if err := s.RestoreSections(r); err != nil {
-		return err
-	}
-	return r.Close()
+	return ckpt.Restore(data, ckpt.Kind2D, ckpt.PrecOf[F](), s.grid.Cells(), s.RestoreSections)
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"dsmc/internal/baseline"
 	"dsmc/internal/geom"
 	"dsmc/internal/sample"
 )
@@ -42,8 +41,8 @@ func sameFloats(t *testing.T, name string, a, b []float64) {
 
 // TestParallelDeterminism: the same seed must yield byte-identical
 // particle state and sampled fields at Workers=1 and Workers=8, for every
-// code path that consumes randomness (specular walls, diffuse walls, the
-// pluggable schemes, vibrational relaxation).
+// code path that consumes randomness (specular walls, diffuse walls,
+// vibrational relaxation).
 func TestParallelDeterminism(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -53,7 +52,6 @@ func TestParallelDeterminism(t *testing.T) {
 		{"diffuse-isothermal", func(c *Config) {
 			c.Wall = geom.DiffuseState{Model: geom.DiffuseIsothermal, WallCm: c.Free.Cm}
 		}},
-		{"scheme-bird", func(c *Config) { c.Scheme = baseline.NewBirdTC() }},
 		{"vibrational", func(c *Config) { c.ZVib = 5 }},
 	}
 	for _, tc := range cases {

@@ -20,9 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
-	"dsmc/internal/baseline"
 	"dsmc/internal/collide"
 	"dsmc/internal/engine"
 	"dsmc/internal/geom"
@@ -33,7 +31,6 @@ import (
 	"dsmc/internal/particle"
 	"dsmc/internal/phys"
 	"dsmc/internal/rng"
-	"dsmc/internal/sample"
 )
 
 // Config specifies a wind-tunnel simulation. The zero value is not
@@ -57,8 +54,6 @@ type Config struct {
 	PlungerTrigger float64
 	// Wall selects the gas-surface interaction (specular by default).
 	Wall geom.DiffuseState
-	// Scheme overrides the collision scheme (default McDonald–Baganoff).
-	Scheme baseline.Scheme
 	// Seed seeds all randomness.
 	Seed uint64
 	// ReservoirCapacity bounds the reservoir (default: 12% of flow).
@@ -163,13 +158,15 @@ type Sim = SimOf[float64]
 
 // SimOf is a running wind-tunnel simulation at storage precision F. The
 // phase pipeline (cell-major double-buffered store, fused passes,
-// allocation-free steady state) is the shared engine's; see that
-// package.
+// allocation-free steady state) is the shared engine's, embedded: Step,
+// Run, Store, CellStart, SampleInto, PhaseTimes, Collisions and the rest
+// of the stepping surface are the engine's own methods; see that package.
+// What is declared here is what the wind tunnel adds.
 type SimOf[F kernel.Float] struct {
+	*engine.Engine[F]
 	cfg  Config
 	grid grid.Grid
 	vols []float64
-	eng  *engine.Engine[F]
 	dom  *wedgeDomain[F]
 }
 
@@ -240,7 +237,6 @@ func NewOf[F kernel.Float](cfg Config) (*SimOf[F], error) {
 		Vols:   vols,
 		Layout: layout2D,
 		ZVib:   cfg.ZVib,
-		Scheme: cfg.Scheme,
 	}, dom, pool, store, shadow)
 	dom.eng = eng
 
@@ -256,72 +252,24 @@ func NewOf[F kernel.Float](cfg Config) (*SimOf[F], error) {
 	if cfg.ZVib > 0 {
 		dom.initVibEquilibrium(store, 0, store.Len())
 	}
-	return &SimOf[F]{cfg: cfg, grid: g, vols: vols, eng: eng, dom: dom}, nil
+	return &SimOf[F]{Engine: eng, cfg: cfg, grid: g, vols: vols, dom: dom}, nil
 }
 
-// Workers returns the resolved worker count of the phase pool.
-func (s *SimOf[F]) Workers() int { return s.eng.Workers() }
-
 // NFlow returns the number of particles currently in the flow.
-func (s *SimOf[F]) NFlow() int { return s.eng.Store().Len() }
+func (s *SimOf[F]) NFlow() int { return s.Store().Len() }
 
 // NReservoir returns the number of particles banked in the reservoir.
 func (s *SimOf[F]) NReservoir() int { return s.dom.res.Len() }
 
-// StepCount returns the number of completed time steps.
-func (s *SimOf[F]) StepCount() int { return s.eng.StepCount() }
-
-// Collisions returns the cumulative number of collisions performed.
-func (s *SimOf[F]) Collisions() int64 { return s.eng.Collisions() }
+// Config returns the configuration the simulation was built from, with
+// the defaults NewOf resolves (molecular model, γ) filled in.
+func (s *SimOf[F]) Config() Config { return s.cfg }
 
 // Grid returns the cell grid.
 func (s *SimOf[F]) Grid() grid.Grid { return s.grid }
 
 // Volumes returns the per-cell gas volumes (fractional at the wedge).
 func (s *SimOf[F]) Volumes() []float64 { return s.vols }
-
-// Rule returns the active selection rule.
-func (s *SimOf[F]) Rule() collide.Rule { return s.eng.Rule() }
-
-// PhaseTimes returns cumulative wall time per sub-step.
-func (s *SimOf[F]) PhaseTimes() map[string]time.Duration { return s.eng.PhaseTimes() }
-
-// SetStepObserver registers fn to receive each completed step's
-// per-phase wall times (nanoseconds, indexed by engine.Phase) and
-// particle count — the flight-recorder feed. fn runs on the stepping
-// goroutine; nil unregisters.
-func (s *SimOf[F]) SetStepObserver(fn func(step int, phaseNs [4]int64, particles int)) {
-	s.eng.SetStepObserver(fn)
-}
-
-// Step advances the simulation one time step through the four sub-steps.
-func (s *SimOf[F]) Step() { s.eng.Step() }
-
-// Run advances n steps.
-func (s *SimOf[F]) Run(n int) { s.eng.Run(n) }
-
-// TotalVibEnergy returns the summed vibrational energy of the flow.
-func (s *SimOf[F]) TotalVibEnergy() float64 { return s.eng.TotalVibEnergy() }
-
-// CellCounts returns the current per-cell particle counts (valid after the
-// sort of the latest step) for samplers.
-func (s *SimOf[F]) CellCounts() []int32 { return s.eng.CellCounts() }
-
-// CellStart returns the cell-major bucket boundaries of the latest sort:
-// cell c's particles are store indices [CellStart()[c], CellStart()[c+1]).
-func (s *SimOf[F]) CellStart() []int32 { return s.eng.CellStart() }
-
-// TotalEnergy returns the flow's total velocity-square sum (diagnostic).
-func (s *SimOf[F]) TotalEnergy() float64 { return s.eng.TotalEnergy() }
-
-// Store exposes the particle store for diagnostics and samplers. The
-// double-buffer swap makes the pointer alternate between two buffers, so
-// re-fetch it after every Step rather than holding it across steps.
-func (s *SimOf[F]) Store() *particle.Store[F] { return s.eng.Store() }
-
-// SampleInto accumulates the current snapshot into acc, sharded over cell
-// ranges on the simulation's worker pool.
-func (s *SimOf[F]) SampleInto(acc *sample.Accumulator) { s.eng.SampleInto(acc) }
 
 // wedgeDomain is the engine Domain of the wind tunnel: the fused boundary
 // conditions (downstream soft sink into the reservoir, upstream plunger,

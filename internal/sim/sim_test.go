@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"dsmc/internal/baseline"
 	"dsmc/internal/geom"
 	"dsmc/internal/phys"
 	"dsmc/internal/sample"
@@ -210,19 +209,6 @@ func TestPhaseTimesPopulated(t *testing.T) {
 	}
 	if pt["sort"] <= 0 {
 		t.Errorf("sort time not recorded")
-	}
-}
-
-func TestPluggableScheme(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Scheme = baseline.NewBirdTC()
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(10)
-	if s.Collisions() == 0 {
-		t.Errorf("Bird scheme produced no collisions")
 	}
 }
 

@@ -12,14 +12,14 @@ import (
 // closed (no reservoir) and its boundaries consume no serial randomness,
 // so that is the entire domain state.
 func (s *SimOf[F]) CheckpointSections(w *ckpt.Writer) {
-	ckpt.WriteEngine(w, s.eng)
+	ckpt.WriteEngine(w, s.Engine)
 	w.F64(s.dom.pistonX)
 }
 
 // RestoreSections restores state written by CheckpointSections into a
 // simulation built from the same configuration, at any worker count.
 func (s *SimOf[F]) RestoreSections(r *ckpt.Reader) error {
-	if err := ckpt.ReadEngine(r, s.eng); err != nil {
+	if err := ckpt.ReadEngine(r, s.Engine); err != nil {
 		return err
 	}
 	s.dom.pistonX = r.F64()
@@ -35,17 +35,13 @@ func (s *SimOf[F]) WriteCheckpoint(wr io.Writer) error {
 
 // ReadCheckpoint restores a standalone checkpoint into the simulation,
 // which must have been built from the same configuration (same box,
-// same precision; the worker count is free to differ).
+// same precision; the worker count is free to differ). The stream is
+// read whole and verified before any of it is applied: a failed restore
+// leaves the simulation as it was.
 func (s *SimOf[F]) ReadCheckpoint(rd io.Reader) error {
-	r, err := ckpt.NewReader(rd)
+	data, err := io.ReadAll(rd)
 	if err != nil {
 		return err
 	}
-	if err := ckpt.CheckShape(r, ckpt.Kind3D, ckpt.PrecOf[F](), s.grid.Cells()); err != nil {
-		return err
-	}
-	if err := s.RestoreSections(r); err != nil {
-		return err
-	}
-	return r.Close()
+	return ckpt.Restore(data, ckpt.Kind3D, ckpt.PrecOf[F](), s.grid.Cells(), s.RestoreSections)
 }

@@ -19,7 +19,6 @@ package sim3
 import (
 	"errors"
 	"math"
-	"time"
 
 	"dsmc/internal/collide"
 	"dsmc/internal/engine"
@@ -29,7 +28,6 @@ import (
 	"dsmc/internal/particle"
 	"dsmc/internal/phys"
 	"dsmc/internal/rng"
-	"dsmc/internal/sample"
 )
 
 // Grid3 is an NX×NY×NZ arrangement of unit cube cells.
@@ -136,11 +134,14 @@ type Sim = SimOf[float64]
 
 // SimOf is a running 3D shock-tube simulation at storage precision F,
 // on the shared cell-major engine (double-buffered scatter, in-cell
-// shuffle, allocation-free steady-state Step).
+// shuffle, allocation-free steady-state Step), embedded: the stepping
+// surface — Step (3D motion, piston + five specular walls, 3D cell sort,
+// selection and collision), Run, Store, CellStart, SampleInto, … — is
+// the engine's own; what is declared here is what the tube adds.
 type SimOf[F kernel.Float] struct {
+	*engine.Engine[F]
 	cfg  Config
 	grid Grid3
-	eng  *engine.Engine[F]
 	dom  *tubeDomain[F]
 }
 
@@ -154,10 +155,10 @@ func NewOf[F kernel.Float](cfg Config) (*SimOf[F], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	model := cfg.model()
+	cfg.Model = cfg.model()
 	g := Grid3{cfg.NX, cfg.NY, cfg.NZ}
 	n := int(cfg.NPerCell * float64(g.Cells()))
-	free := phys.Freestream{Mach: 2, Cm: cfg.Cm, Lambda: cfg.Lambda, Gamma: model.Gamma()}
+	free := phys.Freestream{Mach: 2, Cm: cfg.Cm, Lambda: cfg.Lambda, Gamma: cfg.Model.Gamma()}
 
 	pool := par.New(cfg.Workers)
 	dom := &tubeDomain[F]{
@@ -173,7 +174,7 @@ func NewOf[F kernel.Float](cfg Config) (*SimOf[F], error) {
 		Cells: g.Cells(),
 		Seed:  cfg.Seed,
 		Rule: collide.Rule{
-			Model:      model,
+			Model:      cfg.Model,
 			PInf:       free.SelectionPInf(),
 			NInf:       cfg.NPerCell,
 			GInf:       math.Sqrt2 * free.MeanSpeed(),
@@ -195,11 +196,11 @@ func NewOf[F kernel.Float](cfg Config) (*SimOf[F], error) {
 			r.Gaussian(0, sigma), r.Gaussian(0, sigma),
 		})
 	}
-	return &SimOf[F]{cfg: cfg, grid: g, eng: eng, dom: dom}, nil
+	return &SimOf[F]{Engine: eng, cfg: cfg, grid: g, dom: dom}, nil
 }
 
 // N returns the particle count.
-func (s *SimOf[F]) N() int { return s.eng.Store().Len() }
+func (s *SimOf[F]) N() int { return s.Store().Len() }
 
 // NFlow returns the particle count — the whole tube is "the flow"; the
 // name matches the 2D backend so the public layer can treat both engine
@@ -209,51 +210,15 @@ func (s *SimOf[F]) NFlow() int { return s.N() }
 // NReservoir returns 0: the shock tube is closed and banks no particles.
 func (s *SimOf[F]) NReservoir() int { return 0 }
 
+// Config returns the configuration the simulation was built from, with
+// the default molecular model NewOf resolves filled in.
+func (s *SimOf[F]) Config() Config { return s.cfg }
+
 // Grid returns the box grid.
 func (s *SimOf[F]) Grid() Grid3 { return s.grid }
 
-// PhaseTimes returns cumulative wall time per sub-step.
-func (s *SimOf[F]) PhaseTimes() map[string]time.Duration { return s.eng.PhaseTimes() }
-
-// SetStepObserver registers fn to receive each completed step's
-// per-phase wall times (nanoseconds, indexed by engine.Phase) and
-// particle count — the flight-recorder feed. fn runs on the stepping
-// goroutine; nil unregisters.
-func (s *SimOf[F]) SetStepObserver(fn func(step int, phaseNs [4]int64, particles int)) {
-	s.eng.SetStepObserver(fn)
-}
-
-// SampleInto accumulates the current snapshot into acc (which must cover
-// the box's cell count), sharded over cell ranges on the simulation's
-// worker pool — same bit-identity contract as the 2D backend.
-func (s *SimOf[F]) SampleInto(acc *sample.Accumulator) { s.eng.SampleInto(acc) }
-
-// Store exposes the particle store for diagnostics. The double-buffer
-// swap makes the pointer alternate between two buffers, so re-fetch it
-// after every Step rather than holding it across steps.
-func (s *SimOf[F]) Store() *particle.Store[F] { return s.eng.Store() }
-
-// CellStart returns the cell-major bucket boundaries of the latest sort.
-func (s *SimOf[F]) CellStart() []int32 { return s.eng.CellStart() }
-
 // PistonX returns the piston position.
 func (s *SimOf[F]) PistonX() float64 { return s.dom.pistonX }
-
-// StepCount returns completed steps.
-func (s *SimOf[F]) StepCount() int { return s.eng.StepCount() }
-
-// Workers returns the resolved worker count of the phase pool.
-func (s *SimOf[F]) Workers() int { return s.eng.Workers() }
-
-// Collisions returns the cumulative collision count.
-func (s *SimOf[F]) Collisions() int64 { return s.eng.Collisions() }
-
-// Step advances one time step: 3D motion, boundaries (piston + five
-// specular walls), 3D cell sort, selection and collision.
-func (s *SimOf[F]) Step() { s.eng.Step() }
-
-// Run advances n steps.
-func (s *SimOf[F]) Run(n int) { s.eng.Run(n) }
 
 // tubeDomain is the engine Domain of the shock tube: the piston + five
 // specular walls, with the box grid indexing folded into the same sweep.
@@ -330,7 +295,7 @@ func (t *tubeDomain[F]) PostStep() {}
 // cross-section), normalised by the initial density.
 func (s *SimOf[F]) DensityProfile() []float64 {
 	prof := make([]float64, s.cfg.NX)
-	st := s.eng.Store()
+	st := s.Store()
 	for i := 0; i < st.Len(); i++ {
 		ix := int(st.X[i])
 		if ix < 0 {
@@ -393,7 +358,7 @@ func (s *SimOf[F]) PostShockDensity() float64 {
 // TotalEnergyAndMomentum returns the conservation diagnostics (the piston
 // does work, so energy grows; y/z momentum must stay near zero).
 func (s *SimOf[F]) TotalEnergyAndMomentum() (energy, py, pz float64) {
-	st := s.eng.Store()
+	st := s.Store()
 	for i := 0; i < st.Len(); i++ {
 		u, v, w := float64(st.U[i]), float64(st.V[i]), float64(st.W[i])
 		r1, r2 := float64(st.R1[i]), float64(st.R2[i])

@@ -173,6 +173,54 @@ func TestPublicCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFailedRestoreLeavesSimulationUntouched: a checkpoint with one
+// payload byte flipped is rejected before any of it is applied — the
+// simulation's next Checkpoint writes exactly the bytes it would have
+// written had the restore never been attempted.
+func TestFailedRestoreLeavesSimulationUntouched(t *testing.T) {
+	f32 := smallPublicConfig()
+	f32.Precision = dsmc.Float32
+	cases := []struct {
+		name string
+		sc   dsmc.Scenario
+	}{
+		{"2d-float64", smallPublicConfig()},
+		{"2d-float32", f32},
+		{"3d", dsmc.ShockTube3D{
+			GridNX: 40, GridNY: 4, GridNZ: 4,
+			ThermalSpeed: 0.125, MeanFreePath: 0.5, PistonSpeed: 0.131,
+			ParticlesPerCell: 6, Seed: 11,
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := dsmc.NewSimulation(tc.sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkpoint := func() []byte {
+				var buf bytes.Buffer
+				if err := s.Checkpoint(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			s.Run(10)
+			damaged := checkpoint()
+			damaged[len(damaged)/2] ^= 0x40
+			s.Run(5)
+			before := checkpoint()
+
+			if err := s.Restore(bytes.NewReader(damaged)); err == nil {
+				t.Fatal("restore of a damaged checkpoint succeeded")
+			}
+			if !bytes.Equal(checkpoint(), before) {
+				t.Error("failed restore changed the simulation's state")
+			}
+		})
+	}
+}
+
 // TestCheckpointCMRejected: the fixed-point backend reports checkpointing
 // as unsupported rather than silently writing nothing.
 func TestCheckpointCMRejected(t *testing.T) {

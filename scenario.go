@@ -11,6 +11,7 @@ import (
 	"dsmc/internal/grid"
 	"dsmc/internal/molec"
 	"dsmc/internal/phys"
+	"dsmc/internal/run"
 	"dsmc/internal/sim"
 	"dsmc/internal/sim3"
 )
@@ -51,14 +52,15 @@ const (
 
 // plan is a lowered scenario: everything NewSimulation, the sampling
 // layer, and the sweep lowering need to build and analyse a simulation.
-// Exactly one of sim/sim3 is set.
 type plan struct {
 	kind       string
 	nx, ny, nz int // field shape (nz = 1 for 2D)
-	precision  Precision
 
-	sim  *sim.Config
-	sim3 *sim3.Config
+	// sc is the internal configuration the scenario lowers to — what
+	// run.Open builds, at seed for NewSimulation and at a derived seed for
+	// each sweep job (which also names it after its point).
+	sc   run.Scenario
+	seed uint64
 
 	nInf        float64    // freestream particles per unit cell volume
 	cm          float64    // freestream most-probable speed (normaliser)
@@ -177,15 +179,15 @@ func lower2D(kind string, nx, ny int, wedge, wedge2 *WedgeSpec, mach, thermalSpe
 	return &plan{
 		kind: kind,
 		nx:   nx, ny: ny, nz: 1,
-		precision: prec,
-		sim:       &ic,
-		nInf:      nPerCell,
-		cm:        thermalSpeed,
-		gamma:     m.Gamma(),
-		mach:      mach,
-		lambda:    meanFreePath,
-		wedge:     wedge,
-		vols:      g.Volumes(gw, gw2),
+		sc:     run.Scenario{Sim: &ic, Float32: prec == Float32},
+		seed:   seed,
+		nInf:   nPerCell,
+		cm:     thermalSpeed,
+		gamma:  m.Gamma(),
+		mach:   mach,
+		lambda: meanFreePath,
+		wedge:  wedge,
+		vols:   g.Volumes(gw, gw2),
 	}, nil
 }
 
@@ -420,8 +422,8 @@ func (s ShockTube3D) lower() (*plan, error) {
 	return &plan{
 		kind: s.Kind(),
 		nx:   s.GridNX, ny: s.GridNY, nz: s.GridNZ,
-		precision:   s.Precision,
-		sim3:        &ic,
+		sc:          run.Scenario{Sim3: &ic, Float32: s.Precision == Float32},
+		seed:        s.Seed,
 		nInf:        s.ParticlesPerCell,
 		cm:          s.ThermalSpeed,
 		gamma:       m.Gamma(),
@@ -440,6 +442,9 @@ type ScenarioSpec struct {
 
 // NewScenarioSpec serialises a scenario.
 func NewScenarioSpec(sc Scenario) (*ScenarioSpec, error) {
+	if sc == nil {
+		return nil, errNilScenario
+	}
 	switch v := sc.(type) {
 	case WedgeTunnel2D, EmptyTunnel2D, DoubleWedge2D, ShockTube3D:
 		raw, err := json.Marshal(v)

@@ -2,6 +2,7 @@ package dsmc_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -118,6 +119,31 @@ func TestScenarioKinds(t *testing.T) {
 			}
 			if len(f.Data) != tc.nx*tc.ny*tc.nz {
 				t.Errorf("field length %d, want %d", len(f.Data), tc.nx*tc.ny*tc.nz)
+			}
+		})
+	}
+}
+
+// TestNilScenarioRejected: every entry point that takes a Scenario
+// reports a nil one as an error instead of dereferencing it.
+func TestNilScenarioRejected(t *testing.T) {
+	entries := map[string]func() error{
+		"NewSimulation":        func() error { _, err := dsmc.NewSimulation(nil); return err },
+		"NewConnectionMachine": func() error { _, err := dsmc.NewConnectionMachine(nil, 0); return err },
+		"NewScenarioSpec":      func() error { _, err := dsmc.NewScenarioSpec(nil); return err },
+		"RunEnsemble": func() error {
+			_, err := dsmc.RunEnsemble(context.Background(), nil, 2, 1, 1)
+			return err
+		},
+		"RestoreSimulation": func() error {
+			_, err := dsmc.RestoreSimulation(nil, strings.NewReader(""))
+			return err
+		},
+	}
+	for name, call := range entries {
+		t.Run(name, func(t *testing.T) {
+			if err := call(); err == nil || err.Error() != "dsmc: nil scenario" {
+				t.Errorf("got %v, want dsmc: nil scenario", err)
 			}
 		})
 	}
