@@ -39,11 +39,9 @@ func TestConstructionRoutesAgree(t *testing.T) {
 			return sc
 		}},
 		{"shock-tube-3d", func(seed uint64) dsmc.Scenario {
-			return dsmc.ShockTube3D{
-				GridNX: 40, GridNY: 4, GridNZ: 4,
-				ThermalSpeed: 0.125, MeanFreePath: 0.5, PistonSpeed: 0.131,
-				ParticlesPerCell: 6, Seed: seed,
-			}
+			sc := smallShockTube()
+			sc.Seed = seed
+			return sc
 		}},
 	}
 	for _, tc := range cases {

@@ -29,6 +29,15 @@ func smallEmptyTunnel() dsmc.EmptyTunnel2D {
 	}
 }
 
+// smallShockTube is a slender 3D tube, rarefied, a few thousand particles.
+func smallShockTube() dsmc.ShockTube3D {
+	return dsmc.ShockTube3D{
+		GridNX: 40, GridNY: 4, GridNZ: 4,
+		ThermalSpeed: 0.125, MeanFreePath: 0.5, PistonSpeed: 0.131,
+		ParticlesPerCell: 6, Seed: 11,
+	}
+}
+
 // specOf serialises a scenario as a sweep base.
 func specOf(sc dsmc.Scenario) *dsmc.ScenarioSpec {
 	ss, err := dsmc.NewScenarioSpec(sc)
@@ -186,11 +195,7 @@ func TestFailedRestoreLeavesSimulationUntouched(t *testing.T) {
 	}{
 		{"2d-float64", smallPublicConfig()},
 		{"2d-float32", f32},
-		{"3d", dsmc.ShockTube3D{
-			GridNX: 40, GridNY: 4, GridNZ: 4,
-			ThermalSpeed: 0.125, MeanFreePath: 0.5, PistonSpeed: 0.131,
-			ParticlesPerCell: 6, Seed: 11,
-		}},
+		{"3d", smallShockTube()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
