@@ -1,6 +1,6 @@
 // Command dsmcd is the DSMC job server: it accepts ensemble/parameter-
-// sweep specs over HTTP, schedules them as job DAGs over a bounded pool
-// of whole simulations (dsmc.RunSweep), streams per-job progress, and
+// sweep specs over HTTP, runs their replica jobs through a coordinator
+// (internal/coord) and its pull-workers, streams per-job progress, and
 // serves the aggregated cross-replica statistics. Every job checkpoints
 // its full state (internal/ckpt), so a killed server resumes unfinished
 // sweeps on restart — bit-identically to never having died.
@@ -78,9 +78,9 @@
 // A worker whose heartbeats stop (crash, partition) loses its lease; the
 // coordinator redispatches the job and the next worker resumes from the
 // last uploaded checkpoint, bit-identical to a never-failed run. A job
-// that exhausts -max-retries dispatches fails the sweep, skipping its
-// dependents exactly like the in-process executor. GET /coord/v1/workers
-// reports the fleet.
+// that exhausts -max-retries dispatches fails the sweep, skipping what is
+// left by the in-process executor's rule (one run.Table state machine
+// serves both). GET /coord/v1/workers reports the fleet.
 //
 // # Result store and memoization
 //

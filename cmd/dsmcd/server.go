@@ -108,7 +108,8 @@ type statusView struct {
 // server owns the sweep registry and its on-disk layout:
 //
 //	<data>/<id>/spec.json    the submitted spec (resume source)
-//	<data>/<id>/ckpt/        per-job checkpoints (internal/ckpt format)
+//	<data>/<id>/ckpt/        per-job checkpoints (internal/ckpt format): the
+//	                         checkpoint_dir the submission sets in spec.json
 //	<data>/<id>/result.json  the encoded result: a hard link to the store's
 //	                         "res" object, made on completion
 //	<data>/store/            the result store (internal/store)
@@ -197,7 +198,6 @@ func newServerWith(opts serverOpts) (*server, error) {
 	s.store = st
 	s.gcStore()
 	s.coord = coord.New(coord.Config{
-		DataDir:     opts.dataDir,
 		LeaseTTL:    opts.leaseTTL,
 		MaxAttempts: opts.maxRetries,
 		OnEvent:     s.observeSweep,
@@ -600,13 +600,10 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("result_store_dir is server-managed; leave it empty"))
 		return
 	}
+	// Validate the full orchestration spec by lowering it to its job list
+	// before accepting: a bad spec must 400 now, not fail asynchronously.
 	// The base may be a scenario of any kind, including the 3D shock tube.
-	base, err := spec.BaseScenario()
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := base.Validate(); err != nil {
+	if _, err := dsmc.SweepJobs(spec); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -623,13 +620,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	spec.CheckpointDir = filepath.Join(dir, "ckpt")
 	if err := os.MkdirAll(spec.CheckpointDir, 0o755); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	// Validate the full orchestration spec by a dry lowering before
-	// accepting: a bad spec must 400 now, not fail asynchronously.
-	if _, err := dsmc.RunSweep(dryCtx, spec, nil); err != nil && !errors.Is(err, context.Canceled) {
-		os.RemoveAll(dir)
-		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	buf, err := json.MarshalIndent(spec, "", " ")
@@ -652,14 +642,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		"trace":  "/v1/sweeps/" + id + "/trace",
 	})
 }
-
-// dryCtx is pre-cancelled: RunSweep with it validates and lowers the
-// spec, then stops before any simulation step runs.
-var dryCtx = func() context.Context {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	return ctx
-}()
 
 func (s *server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()

@@ -547,19 +547,19 @@ func (h *harness) coordChaos() error {
 		return err
 	}
 
-	spec := h.sweepSpec("")
+	// The coordinator keeps the uploaded checkpoints where the spec says.
+	dataDir := filepath.Join(h.outDir, "coord-data")
+	if err := os.RemoveAll(dataDir); err != nil {
+		return err
+	}
+	spec := h.sweepSpec(filepath.Join(dataDir, "ckpt"))
 	spec.CheckpointEvery = (spec.WarmSteps + spec.SampleSteps) / 8
 	if spec.CheckpointEvery < 1 {
 		spec.CheckpointEvery = 1
 	}
 
-	dataDir := filepath.Join(h.outDir, "coord-data")
-	if err := os.RemoveAll(dataDir); err != nil {
-		return err
-	}
 	var lost atomic.Int32
 	c := coord.New(coord.Config{
-		DataDir:     dataDir,
 		LeaseTTL:    5 * time.Second,
 		MaxAttempts: 3,
 		OnEvent: func(_ string, e dsmc.SweepEvent) {

@@ -112,12 +112,11 @@ var StepPhases = [4]string{"move+boundary", "sort", "select", "collide"}
 // SweepJobIO carries the side channels of a single-job execution.
 type SweepJobIO struct {
 	// Checkpoint, when non-nil, makes the job resumable: state is saved
-	// every CheckpointEvery steps (default: the spec's CheckpointEvery,
-	// then 50) and on context cancellation, and a re-run resumes from the
-	// last save bit-identically. The spec's CheckpointDir is ignored
-	// here — the caller owns placement.
-	Checkpoint      JobCheckpoint
-	CheckpointEvery int
+	// every spec.CheckpointEvery steps (default 50) and on context
+	// cancellation, and a re-run resumes from the last save
+	// bit-identically. The spec's CheckpointDir is ignored here — the
+	// caller owns placement.
+	Checkpoint JobCheckpoint
 	// Progress observes (stepsDone, stepsTotal) at start, after every
 	// checkpoint interval, and at completion.
 	Progress func(done, total int)
@@ -132,27 +131,15 @@ type SweepJobIO struct {
 // checkpoint codec are the same code RunSweep runs in-process, so the
 // returned output is bit-identical to the contribution the same
 // (point, replica) makes inside RunSweep, wherever and however often the
-// job is attempted.
+// job is attempted. The job always runs: memoization against a result
+// store is the scheduler's (RunSweep's, the coordinator's), and the
+// spec's ResultStoreDir is ignored here.
 func RunSweepJob(ctx context.Context, spec SweepSpec, point, replica int, io SweepJobIO) (*ReplicaOutput, error) {
 	sp, _, err := lowerSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	every := io.CheckpointEvery
-	if every <= 0 {
-		every = spec.CheckpointEvery
-	}
-	jio := run.JobIO{Every: every, Progress: io.Progress}
-	if io.Checkpoint != nil {
-		jio.Ckpt = io.Checkpoint
-	}
-	if spec.ResultStoreDir != "" {
-		st, err := store.Open(spec.ResultStoreDir)
-		if err != nil {
-			return nil, fmt.Errorf("dsmc: opening result store: %w", err)
-		}
-		jio.Results = st
-	}
+	jio := run.JobIO{Ckpt: io.Checkpoint, Progress: io.Progress}
 	if trace := io.OnStepTrace; trace != nil {
 		jio.StepTrace = func(step int, phaseNs [4]int64, particles int) {
 			trace(StepTrace{Step: step, PhaseNs: phaseNs, Particles: particles})

@@ -67,13 +67,13 @@ type SweepSpec struct {
 	// checkpoints — bit-identically to an uninterrupted run.
 	CheckpointDir   string `json:"checkpoint_dir,omitempty"`
 	CheckpointEvery int    `json:"checkpoint_every,omitempty"`
-	// ResultStoreDir, when set, memoizes the sweep against a
+	// ResultStoreDir, when set, memoizes RunSweep against a
 	// content-addressed result store rooted there: finished replica
-	// outputs and point aggregates are published as checksummed
-	// artifacts keyed by (spec fingerprint, master seed, point index,
-	// replica), and a later sweep deriving the same keys — a re-run, or
-	// a sweep sharing points at the same indices — reuses the verified
-	// artifacts instead of recomputing, bit-identically. The dsmcd
+	// outputs are published as checksummed artifacts keyed by (spec
+	// fingerprint, master seed, point index, replica), and a later sweep
+	// deriving the same keys — a re-run, or a sweep sharing points at the
+	// same indices — reuses the verified artifacts instead of
+	// recomputing, bit-identically. RunSweepJob ignores it. The dsmcd
 	// server manages its own store; specs submitted to it must leave
 	// this empty.
 	ResultStoreDir string `json:"result_store_dir,omitempty"`
@@ -357,7 +357,11 @@ func lowerSpec(spec SweepSpec) (run.Spec, []*plan, error) {
 // shape. Aggregates are bit-identical for any pool size and any job
 // completion order; with a checkpoint directory, a killed and re-run
 // sweep resumes from the checkpoints and still produces identical bits.
-// onEvent, when non-nil, observes progress (serialized calls).
+// onEvent, when non-nil, observes progress (serialized calls); every
+// job-started is answered by one job-done, job-failed or job-skipped
+// before RunSweep returns. Cancelling ctx interrupts the sweep: jobs in
+// flight checkpoint where they stopped (with a checkpoint directory) and
+// are reported skipped, and the error wraps ctx.Err().
 func RunSweep(ctx context.Context, spec SweepSpec, onEvent func(SweepEvent)) (*SweepResult, error) {
 	sp, plans, err := lowerSpec(spec)
 	if err != nil {

@@ -7,23 +7,23 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"dsmc"
 	"dsmc/internal/obs"
+	"dsmc/internal/run"
 	"dsmc/internal/store"
 )
 
 // Config parameterizes a Coordinator. The zero value works for tests:
-// in-memory checkpoints, 15s leases, 3 dispatch attempts per job.
+// 15s leases, 3 dispatch attempts per job. Uploaded checkpoints go where
+// the sweep's spec says — <CheckpointDir>/job-sNNN-rNNN.ckpt, the layout
+// the in-process executor uses, so a coordinator restarted over the same
+// directory resumes from the checkpoints either path wrote — or are held
+// in memory when the spec names no directory.
 type Config struct {
-	// DataDir, when set, persists uploaded checkpoints to
-	// <DataDir>/<sweep>/ckpt/job-sNNN-rNNN.ckpt — the exact layout the
-	// in-process executor uses, so a coordinator restarted over an old
-	// data directory resumes from the checkpoints either path wrote.
-	// When empty, checkpoints are held in memory.
-	DataDir string
 	// LeaseTTL is how long a lease survives without a heartbeat before
 	// the job is taken away and redispatched (default 15s).
 	LeaseTTL time.Duration
@@ -51,10 +51,13 @@ type Config struct {
 	now func() time.Time
 }
 
-// Coordinator owns the job DAGs of one or more sweeps and hands jobs to
-// pull-based workers under leases. All state transitions happen under
-// one mutex; expiry is evaluated lazily at the top of every public call,
-// so no background goroutine is needed and tests can drive the clock.
+// Coordinator owns the job tables of one or more sweeps and hands jobs
+// to pull-based workers under leases. A sweep's job states, outputs,
+// aggregate events and failure skips are its run.Table — the state
+// machine the in-process executor drives too; the coordinator adds only
+// the leases. All state transitions happen under one mutex; expiry is
+// evaluated lazily at the top of every public call, so no background
+// goroutine is needed and tests can drive the clock.
 type Coordinator struct {
 	cfg Config
 
@@ -65,60 +68,33 @@ type Coordinator struct {
 	leaseSeq uint64
 }
 
-type jobPhase int
-
-const (
-	jobPending jobPhase = iota
-	jobLeased
-	jobDone
-	jobFailed
-	jobSkipped
-)
-
-type job struct {
+// lease is the coordinator's part of one job: who runs it and until when.
+type lease struct {
+	// id is the current lease while the job runs. It is cleared whenever
+	// the job stops running other than by completing, so after completion
+	// it is the winning lease: a redelivered Complete under it is acked
+	// while any other lease is rejected.
 	id         string
-	point      int
-	replica    int
-	stepsTotal int
-	// storeKey is the job's content-addressed result key (from
-	// dsmc.SweepJobs); empty disables memoization for the job.
-	storeKey string
-
-	phase    jobPhase
-	attempts int // dispatches consumed against MaxAttempts
-
-	// dispatchedAt stamps the current lease's grant, feeding the
-	// dispatch-to-complete latency histogram when the job completes.
-	dispatchedAt time.Time
-
-	// lease is the current lease while jobLeased; after jobDone it keeps
-	// the winning lease ID so a redelivered Complete from the winner is
-	// acked while any other lease is rejected.
-	lease       string
-	leaseWorker string
-	expires     time.Time
-	stepsDone   int
-	heartbeats  int // heartbeats seen under the current lease
-
-	output *dsmc.ReplicaOutput
-	ckpt   []byte // in-memory checkpoint when Config.DataDir is unset
+	worker     string
+	expires    time.Time
+	granted    time.Time // feeds the dispatch-to-complete histogram
+	attempts   int       // dispatches consumed against MaxAttempts
+	heartbeats int       // heartbeats seen under the current lease
+	stepsDone  int
+	ckpt       []byte // in-memory checkpoint when the spec names no directory
 }
 
 type sweepState struct {
 	id      string
 	spec    dsmc.SweepSpec
-	specRaw json.RawMessage
-	pool    int // max in-flight leases (0 = unbounded)
+	specRaw json.RawMessage // the dispatched spec: coordinator-local paths stripped
+	jobs    []dsmc.SweepJob // (point, replica) order: the table's job index
+	byID    map[string]int
+	names   []string // point names
+	leases  []lease
+	table   *run.Table
 
-	jobs   []*job // (point, replica) order — dispatch order
-	byID   map[string]*job
-	points [][]*job // jobs grouped by point index
-	names  []string // point names, for aggregate events
-
-	aggDone  []bool // per point: aggregate event emitted
-	failed   bool
-	firstErr string
-	finished bool
+	finished bool // onDone has been called
 	onDone   func(*dsmc.SweepResult, error)
 }
 
@@ -151,6 +127,23 @@ func New(cfg Config) *Coordinator {
 	}
 }
 
+// table builds the job table of a sweep's job list, emitting through
+// OnEvent under the sweep's ID, and returns the point names with it.
+func (c *Coordinator) table(id string, jobs []dsmc.SweepJob) (*run.Table, []string) {
+	var names []string
+	keys := make([]string, len(jobs))
+	for i, j := range jobs {
+		if j.Replica == 0 { // a job ID is run.JobName(point, replica)
+			names = append(names, strings.TrimSuffix(j.ID, run.JobName("", 0)))
+		}
+		keys[i] = j.StoreKey
+	}
+	emit := func(e run.Event) {
+		c.emitLocked(id, dsmc.SweepEvent{Type: string(e.Type), Job: e.Job, Scenario: e.Scenario, Err: e.Err})
+	}
+	return run.NewTable(names, len(jobs)/len(names), keys, emit), names
+}
+
 // AddSweep registers a sweep's job DAG for dispatch. onDone, when
 // non-nil, is called exactly once from a fresh goroutine when the sweep
 // finishes: with the assembled result on success, or with the first
@@ -161,10 +154,11 @@ func (c *Coordinator) AddSweep(id string, spec dsmc.SweepSpec, onDone func(*dsmc
 		return err
 	}
 	// The dispatched spec must not leak coordinator-local paths: a worker
-	// handed ResultStoreDir would open (or create) that directory on its
-	// own filesystem. Memoization is coordinator-side; workers just run.
+	// handed them would open (or create) those directories on its own
+	// filesystem. Checkpoint placement and memoization are
+	// coordinator-side; workers just run.
 	wire := spec
-	wire.ResultStoreDir = ""
+	wire.CheckpointDir, wire.ResultStoreDir = "", ""
 	raw, err := json.Marshal(wire)
 	if err != nil {
 		return err
@@ -173,26 +167,15 @@ func (c *Coordinator) AddSweep(id string, spec dsmc.SweepSpec, onDone func(*dsmc
 		id:      id,
 		spec:    spec,
 		specRaw: raw,
-		pool:    spec.Pool,
-		byID:    make(map[string]*job, len(jobs)),
+		jobs:    jobs,
+		byID:    make(map[string]int, len(jobs)),
+		leases:  make([]lease, len(jobs)),
 		onDone:  onDone,
 	}
-	for _, j := range jobs {
-		tj := &job{id: j.ID, point: j.Point, replica: j.Replica, stepsTotal: j.StepsTotal, storeKey: j.StoreKey}
-		st.jobs = append(st.jobs, tj)
-		st.byID[j.ID] = tj
-		for len(st.points) <= j.Point {
-			st.points = append(st.points, nil)
-			st.names = append(st.names, "")
-		}
-		st.points[j.Point] = append(st.points[j.Point], tj)
+	for i, j := range jobs {
+		st.byID[j.ID] = i
 	}
-	st.aggDone = make([]bool, len(st.points))
-	for _, j := range jobs {
-		if st.names[j.Point] == "" {
-			st.names[j.Point] = pointName(j)
-		}
-	}
+	st.table, st.names = c.table(id, jobs)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -206,22 +189,8 @@ func (c *Coordinator) AddSweep(id string, spec dsmc.SweepSpec, onDone func(*dsmc
 	// re-dispatch finished work. Runs once per sweep under the lock — the
 	// 25ms poll loop never touches the store.
 	if c.cfg.Store != nil {
-		touched := make([]bool, len(st.points))
-		any := false
-		for _, j := range st.jobs {
-			if c.memoLocked(st, j) {
-				touched[j.point] = true
-				any = true
-			}
-		}
-		for pt, t := range touched {
-			if t {
-				c.maybeAggregateLocked(st, pt)
-			}
-		}
-		if any {
-			c.maybeFinishLocked(st)
-		}
+		st.table.Memo(c.cfg.Store, "")
+		c.maybeFinishLocked(st)
 	}
 	return nil
 }
@@ -252,14 +221,8 @@ func (c *Coordinator) AddSweepFile(id string, spec dsmc.SweepSpec, path string, 
 			return err
 		}
 		c.mu.Lock()
-		for _, j := range jobs {
-			c.emitMemoLocked(id, j.ID)
-		}
-		for _, j := range jobs {
-			if j.Replica == 0 {
-				c.emitAggregateLocked(id, pointName(j))
-			}
-		}
+		t, _ := c.table(id, jobs)
+		t.Satisfy()
 		c.mu.Unlock()
 		go onDone(sha, len(data), nil)
 		return nil
@@ -279,11 +242,6 @@ func (c *Coordinator) AddSweepFile(id string, spec dsmc.SweepSpec, path string, 
 	})
 }
 
-// pointName recovers a job's point name from its ID, "<point>/rNNN".
-func pointName(j dsmc.SweepJob) string {
-	return j.ID[:len(j.ID)-len(fmt.Sprintf("/r%03d", j.Replica))]
-}
-
 // Poll hands the worker the next dispatchable job, or nil when no work
 // is available. Jobs dispatch in sweep-arrival then (point, replica)
 // order; a sweep with Pool > 0 holds at most Pool in-flight leases.
@@ -296,47 +254,39 @@ func (c *Coordinator) Poll(workerID string) (*Lease, error) {
 
 	for _, id := range c.order {
 		st := c.sweeps[id]
-		if st.finished || st.failed {
+		if st.finished {
 			continue
 		}
-		inflight := 0
-		for _, j := range st.jobs {
-			if j.phase == jobLeased {
-				inflight++
-			}
-		}
-		if st.pool > 0 && inflight >= st.pool {
+		if _, inflight := st.table.Counts(); st.spec.Pool > 0 && inflight >= st.spec.Pool {
 			continue
 		}
-		for _, j := range st.jobs {
-			if j.phase != jobPending {
-				continue
-			}
-			c.leaseSeq++
-			j.phase = jobLeased
-			j.attempts++
-			j.lease = fmt.Sprintf("l%06d", c.leaseSeq)
-			j.leaseWorker = workerID
-			j.expires = now.Add(c.cfg.LeaseTTL)
-			j.heartbeats = 0
-			j.dispatchedAt = now
-			mLeaseGrants.Inc()
-			w := c.workers[workerID]
-			w.sweep, w.job = st.id, j.id
-			w.stepsDone, w.stepsTotal = j.stepsDone, j.stepsTotal
-			c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-started", Job: j.id})
-			return &Lease{
-				Sweep:         st.id,
-				Job:           j.id,
-				Point:         j.point,
-				Replica:       j.replica,
-				StepsTotal:    j.stepsTotal,
-				LeaseID:       j.lease,
-				TTLMillis:     c.cfg.LeaseTTL.Milliseconds(),
-				HasCheckpoint: c.hasCheckpoint(st, j),
-				Spec:          st.specRaw,
-			}, nil
+		i, ok := st.table.Start()
+		if !ok {
+			continue
 		}
+		c.leaseSeq++
+		l, j := &st.leases[i], st.jobs[i]
+		l.id = fmt.Sprintf("l%06d", c.leaseSeq)
+		l.worker = workerID
+		l.expires = now.Add(c.cfg.LeaseTTL)
+		l.granted = now
+		l.attempts++
+		l.heartbeats = 0
+		mLeaseGrants.Inc()
+		w := c.workers[workerID]
+		w.sweep, w.job = st.id, j.ID
+		w.stepsDone, w.stepsTotal = l.stepsDone, j.StepsTotal
+		return &Lease{
+			Sweep:         st.id,
+			Job:           j.ID,
+			Point:         j.Point,
+			Replica:       j.Replica,
+			StepsTotal:    j.StepsTotal,
+			LeaseID:       l.id,
+			TTLMillis:     c.cfg.LeaseTTL.Milliseconds(),
+			HasCheckpoint: st.hasCheckpoint(i),
+			Spec:          st.specRaw,
+		}, nil
 	}
 	return nil, nil
 }
@@ -354,27 +304,24 @@ func (c *Coordinator) HandleHeartbeat(hb Heartbeat) (string, error) {
 		c.workers[hb.Worker].metrics = hb.Metrics
 	}
 
-	st, j, err := c.lookupLocked(hb.Sweep, hb.Job)
-	if err != nil {
+	st, i, err := c.lookupLocked(hb.Sweep, hb.Job)
+	if err != nil || !st.held(i, hb.Lease) {
 		mStaleRejects.Inc()
-		return HBAbandon, nil // sweep evicted or unknown: stop working
+		return HBAbandon, nil // lease gone, or sweep evicted or unknown: stop working
 	}
-	if j.phase != jobLeased || j.lease != hb.Lease {
-		mStaleRejects.Inc()
-		return HBAbandon, nil
-	}
-	j.expires = now.Add(c.cfg.LeaseTTL)
-	j.heartbeats++
+	l, j := &st.leases[i], st.jobs[i]
+	l.expires = now.Add(c.cfg.LeaseTTL)
+	l.heartbeats++
 	w := c.workers[hb.Worker]
-	w.sweep, w.job = st.id, j.id
+	w.sweep, w.job = st.id, j.ID
 	w.stepsDone, w.stepsTotal = hb.StepsDone, hb.StepsTotal
 	// Emit progress on change, and unconditionally on a lease's first
 	// heartbeat so the event stream always shows a dispatched job moving.
-	if hb.StepsDone != j.stepsDone || j.heartbeats == 1 {
-		j.stepsDone = hb.StepsDone
+	if hb.StepsDone != l.stepsDone || l.heartbeats == 1 {
+		l.stepsDone = hb.StepsDone
 		c.emitLocked(st.id, dsmc.SweepEvent{
-			Type: "job-progress", Job: j.id, Scenario: st.names[j.point], Replica: j.replica,
-			StepsDone: hb.StepsDone, StepsTotal: j.stepsTotal,
+			Type: "job-progress", Job: j.ID, Scenario: st.names[j.Point], Replica: j.Replica,
+			StepsDone: hb.StepsDone, StepsTotal: j.StepsTotal,
 		})
 	}
 	// A trace batch from the live lease holder fans out as a "trace"
@@ -383,7 +330,7 @@ func (c *Coordinator) HandleHeartbeat(hb Heartbeat) (string, error) {
 	// timeline at a time.
 	if len(hb.Trace) > 0 {
 		c.emitLocked(st.id, dsmc.SweepEvent{
-			Type: "trace", Job: j.id, Scenario: st.names[j.point], Replica: j.replica,
+			Type: "trace", Job: j.ID, Scenario: st.names[j.Point], Replica: j.Replica,
 			Trace: hb.Trace,
 		})
 	}
@@ -399,18 +346,13 @@ func (c *Coordinator) SaveCheckpoint(sweep, jobID, lease string, data []byte) er
 	now := c.cfg.now()
 	c.expireLocked(now)
 
-	st, j, err := c.lookupLocked(sweep, jobID)
+	st, i, err := c.leasedLocked(sweep, jobID, lease)
 	if err != nil {
 		return err
 	}
-	if j.phase != jobLeased || j.lease != lease {
-		mStaleRejects.Inc()
-		return ErrStaleLease
-	}
-	if c.cfg.DataDir == "" {
-		j.ckpt = append([]byte(nil), data...)
+	if path := st.ckptPath(i); path == "" {
+		st.leases[i].ckpt = append([]byte(nil), data...)
 	} else {
-		path := c.ckptPath(st, j)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			return err
 		}
@@ -418,7 +360,7 @@ func (c *Coordinator) SaveCheckpoint(sweep, jobID, lease string, data []byte) er
 			return err
 		}
 	}
-	j.expires = now.Add(c.cfg.LeaseTTL)
+	st.leases[i].expires = now.Add(c.cfg.LeaseTTL)
 	return nil
 }
 
@@ -429,18 +371,15 @@ func (c *Coordinator) LoadCheckpoint(sweep, jobID, lease string) ([]byte, error)
 	defer c.mu.Unlock()
 	c.expireLocked(c.cfg.now())
 
-	st, j, err := c.lookupLocked(sweep, jobID)
+	st, i, err := c.leasedLocked(sweep, jobID, lease)
 	if err != nil {
 		return nil, err
 	}
-	if j.phase != jobLeased || j.lease != lease {
-		mStaleRejects.Inc()
-		return nil, ErrStaleLease
+	path := st.ckptPath(i)
+	if path == "" {
+		return append([]byte(nil), st.leases[i].ckpt...), nil
 	}
-	if c.cfg.DataDir == "" {
-		return append([]byte(nil), j.ckpt...), nil
-	}
-	data, err := os.ReadFile(c.ckptPath(st, j))
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
@@ -455,28 +394,23 @@ func (c *Coordinator) Complete(sweep, jobID, lease string, out *dsmc.ReplicaOutp
 	now := c.cfg.now()
 	c.expireLocked(now)
 
-	st, j, err := c.lookupLocked(sweep, jobID)
+	st, i, err := c.lookupLocked(sweep, jobID)
 	if err != nil {
 		return err
 	}
-	if j.phase == jobDone && j.lease == lease {
-		return nil // duplicate delivery of the winning completion
-	}
-	if j.phase != jobLeased || j.lease != lease {
+	l := &st.leases[i]
+	if l.id != lease {
 		mStaleRejects.Inc()
 		return ErrStaleLease
 	}
-	j.phase = jobDone
-	j.stepsDone = j.stepsTotal
-	j.output = out
-	j.ckpt = nil
-	mCompletions.Inc()
-	if !j.dispatchedAt.IsZero() {
-		mJobSeconds.Observe(now.Sub(j.dispatchedAt).Seconds())
+	if !st.table.Running(i) {
+		return nil // duplicate delivery of the winning completion
 	}
-	c.clearWorkerJob(j.leaseWorker)
-	c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-done", Job: j.id})
-	c.maybeAggregateLocked(st, j.point)
+	st.table.Done(i, out)
+	l.ckpt = nil
+	mCompletions.Inc()
+	mJobSeconds.Observe(now.Sub(l.granted).Seconds())
+	c.clearWorkerJob(l.worker)
 	c.maybeFinishLocked(st)
 	// Publish the accepted output to the result store and immediately
 	// satisfy matching pending jobs of every other registered sweep. The
@@ -484,9 +418,14 @@ func (c *Coordinator) Complete(sweep, jobID, lease string, out *dsmc.ReplicaOutp
 	// completion of a redispatched job reaches the store; racing writers
 	// of the same key must therefore produce identical bytes, which Put
 	// verifies rather than assumes (a conflict is refused and counted).
-	if c.cfg.Store != nil && j.storeKey != "" {
-		_, _ = c.cfg.Store.Put(j.storeKey, EncodeOutput(out))
-		c.satisfyOthersLocked(st.id, j.storeKey)
+	if key := st.jobs[i].StoreKey; c.cfg.Store != nil && key != "" {
+		_, _ = c.cfg.Store.Put(key, EncodeOutput(out))
+		for _, id := range c.order {
+			if other := c.sweeps[id]; other != st && !other.finished {
+				other.table.Memo(c.cfg.Store, key)
+				c.maybeFinishLocked(other)
+			}
+		}
 	}
 	return nil
 }
@@ -497,25 +436,19 @@ func (c *Coordinator) Complete(sweep, jobID, lease string, out *dsmc.ReplicaOutp
 func (c *Coordinator) Release(sweep, jobID, lease string, stepsDone int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.cfg.now()
-	c.expireLocked(now)
+	c.expireLocked(c.cfg.now())
 
-	st, j, err := c.lookupLocked(sweep, jobID)
+	st, i, err := c.leasedLocked(sweep, jobID, lease)
 	if err != nil {
 		return err
 	}
-	if j.phase != jobLeased || j.lease != lease {
-		mStaleRejects.Inc()
-		return ErrStaleLease
-	}
 	mReleases.Inc()
-	j.phase = jobPending
-	j.attempts-- // voluntary hand-back does not burn retry budget
-	j.lease = ""
-	j.stepsDone = stepsDone
-	c.clearWorkerJob(j.leaseWorker)
-	j.leaseWorker = ""
-	c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-released", Job: j.id, StepsDone: stepsDone, StepsTotal: j.stepsTotal})
+	l, j := &st.leases[i], st.jobs[i]
+	l.attempts-- // voluntary hand-back does not burn retry budget
+	l.stepsDone = stepsDone
+	c.endLease(l)
+	st.table.Requeue(i)
+	c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-released", Job: j.ID, StepsDone: stepsDone, StepsTotal: j.StepsTotal})
 	return nil
 }
 
@@ -525,19 +458,13 @@ func (c *Coordinator) Release(sweep, jobID, lease string, stepsDone int) error {
 func (c *Coordinator) Fail(sweep, jobID, lease, msg string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.cfg.now()
-	c.expireLocked(now)
+	c.expireLocked(c.cfg.now())
 
-	st, j, err := c.lookupLocked(sweep, jobID)
+	st, i, err := c.leasedLocked(sweep, jobID, lease)
 	if err != nil {
 		return err
 	}
-	if j.phase != jobLeased || j.lease != lease {
-		mStaleRejects.Inc()
-		return ErrStaleLease
-	}
-	c.clearWorkerJob(j.leaseWorker)
-	c.retryOrFailLocked(st, j, msg)
+	c.retryOrFailLocked(st, i, msg)
 	return nil
 }
 
@@ -584,195 +511,92 @@ func (c *Coordinator) expireLocked(now time.Time) {
 		if st.finished {
 			continue
 		}
-		for _, j := range st.jobs {
-			if j.phase == jobLeased && now.After(j.expires) {
+		for i := range st.leases {
+			if l := &st.leases[i]; st.table.Running(i) && now.After(l.expires) {
 				mLeaseExpiries.Inc()
-				c.clearWorkerJob(j.leaseWorker)
-				c.retryOrFailLocked(st, j, fmt.Sprintf("lease expired (worker %s lost)", j.leaseWorker))
+				c.retryOrFailLocked(st, i, fmt.Sprintf("lease expired (worker %s lost)", l.worker))
 			}
 		}
 	}
 }
 
-// retryOrFailLocked revokes a job's lease after a loss or worker error:
-// requeue while attempts remain, else fail permanently and propagate.
-func (c *Coordinator) retryOrFailLocked(st *sweepState, j *job, msg string) {
-	j.lease = ""
-	j.leaseWorker = ""
-	if j.attempts < c.cfg.MaxAttempts {
+// retryOrFailLocked ends a job's lease after a loss or worker error:
+// requeue while attempts remain, else fail the job permanently. Every
+// other lease of the sweep is then revoked — its worker learns through
+// the heartbeat or upload rejection — and the table skips what is left.
+func (c *Coordinator) retryOrFailLocked(st *sweepState, i int, msg string) {
+	l, j := &st.leases[i], st.jobs[i]
+	c.endLease(l)
+	if l.attempts < c.cfg.MaxAttempts {
 		mRetries.Inc()
-		j.phase = jobPending
+		st.table.Requeue(i)
 		c.emitLocked(st.id, dsmc.SweepEvent{
-			Type: "job-lost", Job: j.id, StepsDone: j.stepsDone, StepsTotal: j.stepsTotal,
-			Err: fmt.Sprintf("%s; attempt %d/%d, will redispatch", msg, j.attempts, c.cfg.MaxAttempts),
+			Type: "job-lost", Job: j.ID, StepsDone: l.stepsDone, StepsTotal: j.StepsTotal,
+			Err: fmt.Sprintf("%s; attempt %d/%d, will redispatch", msg, l.attempts, c.cfg.MaxAttempts),
 		})
 		return
 	}
-	j.phase = jobFailed
 	mJobFailures.Inc()
-	err := fmt.Sprintf("%s; retry budget exhausted (%d attempts)", msg, j.attempts)
-	c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-failed", Job: j.id, Err: err})
-	if !st.failed {
-		st.failed = true
-		st.firstErr = fmt.Sprintf("job %s: %s", j.id, err)
-	}
-	// Skip propagation, mirroring the in-process executor: every
-	// job not yet terminal is skipped (in-flight leases are revoked —
-	// their workers learn via heartbeat/upload rejection), and so is
-	// every point aggregation that never got to run.
-	for _, o := range st.jobs {
-		if o.phase == jobPending || o.phase == jobLeased {
-			if o.phase == jobLeased {
-				c.clearWorkerJob(o.leaseWorker)
-			}
-			o.phase = jobSkipped
-			o.lease = ""
-			o.leaseWorker = ""
-			c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-skipped", Job: o.id})
+	for k := range st.leases {
+		if st.table.Running(k) {
+			c.endLease(&st.leases[k])
 		}
 	}
-	for pt, done := range st.aggDone {
-		if !done {
-			st.aggDone[pt] = true
-			c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-skipped", Job: dsmc.AggregateJobID(st.names[pt])})
-		}
-	}
+	st.table.Fail(i, fmt.Errorf("%s; retry budget exhausted (%d attempts)", msg, l.attempts))
 	c.maybeFinishLocked(st)
 }
 
-// memoLocked tries to satisfy one pending job from the result store.
-// On a verified hit the job completes without dispatch — its events are
-// emitted so the stream matches a computed run's shape — but no
-// completion counter fires: memoized work was not done here. A
-// checksum-valid artifact that fails frame decode is quarantined via
-// Reject so a recompute can replace it.
-func (c *Coordinator) memoLocked(st *sweepState, j *job) bool {
-	if c.cfg.Store == nil || j.storeKey == "" || j.phase != jobPending {
-		return false
-	}
-	data, _, ok := c.cfg.Store.Get(j.storeKey)
-	if !ok {
-		return false
-	}
-	out, err := DecodeOutput(data)
-	if err != nil {
-		c.cfg.Store.Reject(j.storeKey)
-		return false
-	}
-	j.phase = jobDone
-	j.stepsDone = j.stepsTotal
-	j.output = out
-	j.ckpt = nil
-	c.emitMemoLocked(st.id, j.id)
-	return true
-}
-
-// emitMemoLocked emits a memoized job's events: it starts and is done.
-func (c *Coordinator) emitMemoLocked(sweepID, jobID string) {
-	c.emitLocked(sweepID, dsmc.SweepEvent{Type: "job-started", Job: jobID})
-	c.emitLocked(sweepID, dsmc.SweepEvent{Type: "job-done", Job: jobID})
-}
-
-// satisfyOthersLocked completes every other live sweep's pending jobs
-// that share a just-published store key — the cross-sweep half of
-// memoization: overlapping sweeps converge on one computation per key.
-func (c *Coordinator) satisfyOthersLocked(origin, storeKey string) {
-	for _, id := range c.order {
-		if id == origin {
-			continue
-		}
-		st := c.sweeps[id]
-		if st.finished || st.failed {
-			continue
-		}
-		touched := make([]bool, len(st.points))
-		any := false
-		for _, j := range st.jobs {
-			if j.phase == jobPending && j.storeKey == storeKey && c.memoLocked(st, j) {
-				touched[j.point] = true
-				any = true
-			}
-		}
-		for pt, t := range touched {
-			if t {
-				c.maybeAggregateLocked(st, pt)
-			}
-		}
-		if any {
-			c.maybeFinishLocked(st)
-		}
-	}
-}
-
-// maybeAggregateLocked emits the aggregate fan-in events once a point's
-// replicas are all done, matching the in-process executor's stream.
-func (c *Coordinator) maybeAggregateLocked(st *sweepState, pt int) {
-	if st.aggDone[pt] {
-		return
-	}
-	for _, j := range st.points[pt] {
-		if j.phase != jobDone {
-			return
-		}
-	}
-	st.aggDone[pt] = true
-	c.emitAggregateLocked(st.id, st.names[pt])
-}
-
-// emitAggregateLocked emits a point's fan-in events.
-func (c *Coordinator) emitAggregateLocked(sweepID, point string) {
-	agg := dsmc.AggregateJobID(point)
-	c.emitLocked(sweepID, dsmc.SweepEvent{Type: "job-started", Job: agg})
-	c.emitLocked(sweepID, dsmc.SweepEvent{Type: "aggregate-done", Job: agg, Scenario: point})
-	c.emitLocked(sweepID, dsmc.SweepEvent{Type: "job-done", Job: agg})
-}
-
-// maybeFinishLocked fires onDone once the sweep reaches a terminal
-// state: all jobs done (assemble the result off-lock) or the failure
-// fully propagated.
+// maybeFinishLocked fires onDone once the sweep's table has finished:
+// every job done (assemble the result off-lock) or the failure fully
+// propagated. In-memory checkpoints are dropped either way.
 func (c *Coordinator) maybeFinishLocked(st *sweepState) {
-	if st.finished {
+	if st.finished || !st.table.Finished() {
 		return
-	}
-	if st.failed {
-		st.finished = true
-		if st.onDone != nil {
-			err := fmt.Errorf("coord: sweep %s failed: %s", st.id, st.firstErr)
-			go st.onDone(nil, err)
-		}
-		return
-	}
-	outputs := make([][]*dsmc.ReplicaOutput, len(st.points))
-	for pt, jobs := range st.points {
-		outputs[pt] = make([]*dsmc.ReplicaOutput, len(jobs))
-		for _, j := range jobs {
-			if j.phase != jobDone {
-				return
-			}
-			outputs[pt][j.replica] = j.output
-		}
 	}
 	st.finished = true
-	if st.onDone != nil {
-		spec := st.spec
-		onDone := st.onDone
-		go func() {
-			res, err := dsmc.AssembleSweepResult(spec, outputs)
-			onDone(res, err)
-		}()
+	for i := range st.leases {
+		st.leases[i].ckpt = nil
 	}
+	if st.onDone == nil {
+		return
+	}
+	if err := st.table.Err(); err != nil {
+		go st.onDone(nil, fmt.Errorf("coord: sweep %s failed: %w", st.id, err))
+		return
+	}
+	spec, outputs, onDone := st.spec, st.table.Outputs(), st.onDone
+	go func() {
+		res, err := dsmc.AssembleSweepResult(spec, outputs)
+		onDone(res, err)
+	}()
 }
 
-func (c *Coordinator) lookupLocked(sweep, jobID string) (*sweepState, *job, error) {
+func (c *Coordinator) lookupLocked(sweep, jobID string) (*sweepState, int, error) {
 	st, ok := c.sweeps[sweep]
 	if !ok {
-		return nil, nil, ErrUnknown
+		return nil, 0, ErrUnknown
 	}
-	j, ok := st.byID[jobID]
+	i, ok := st.byID[jobID]
 	if !ok {
-		return nil, nil, ErrUnknown
+		return nil, 0, ErrUnknown
 	}
-	return st, j, nil
+	return st, i, nil
+}
+
+// leasedLocked is lookupLocked for a mutation under lease: ErrStaleLease
+// (counted) unless lease is the running job's current lease.
+func (c *Coordinator) leasedLocked(sweep, jobID, lease string) (*sweepState, int, error) {
+	st, i, err := c.lookupLocked(sweep, jobID)
+	if err == nil && !st.held(i, lease) {
+		mStaleRejects.Inc()
+		err = ErrStaleLease
+	}
+	return st, i, err
+}
+
+// held reports whether lease is running job i's current lease.
+func (st *sweepState) held(i int, lease string) bool {
+	return st.table.Running(i) && st.leases[i].id == lease
 }
 
 func (c *Coordinator) touchWorker(id string, now time.Time) {
@@ -782,6 +606,14 @@ func (c *Coordinator) touchWorker(id string, now time.Time) {
 		c.workers[id] = w
 	}
 	w.lastSeen = now
+}
+
+// endLease revokes a lease that ended without a result (lost, released,
+// failed or skipped): its worker's status row lets go of the job, and
+// every later call under its ID is stale.
+func (c *Coordinator) endLease(l *lease) {
+	c.clearWorkerJob(l.worker)
+	l.id, l.worker = "", ""
 }
 
 // clearWorkerJob detaches a worker's status row from a lease that ended
@@ -799,14 +631,20 @@ func (c *Coordinator) emitLocked(sweepID string, e dsmc.SweepEvent) {
 	}
 }
 
-func (c *Coordinator) ckptPath(st *sweepState, j *job) string {
-	return filepath.Join(c.cfg.DataDir, st.id, "ckpt", fmt.Sprintf("job-s%03d-r%03d.ckpt", j.point, j.replica))
+// ckptPath is job i's checkpoint file under the spec's checkpoint
+// directory, or "" when the spec names none and checkpoints are held in
+// memory.
+func (st *sweepState) ckptPath(i int) string {
+	if st.spec.CheckpointDir == "" {
+		return ""
+	}
+	return run.JobCkptPath(st.spec.CheckpointDir, st.jobs[i].Point, st.jobs[i].Replica)
 }
 
-func (c *Coordinator) hasCheckpoint(st *sweepState, j *job) bool {
-	if c.cfg.DataDir == "" {
-		return len(j.ckpt) > 0
+func (st *sweepState) hasCheckpoint(i int) bool {
+	if path := st.ckptPath(i); path != "" {
+		_, err := os.Stat(path)
+		return err == nil
 	}
-	_, err := os.Stat(c.ckptPath(st, j))
-	return err == nil
+	return len(st.leases[i].ckpt) > 0
 }

@@ -30,7 +30,7 @@ func TestHTTPTransport(t *testing.T) {
 		res *dsmc.SweepResult
 		err error
 	}, 1)
-	c := New(Config{DataDir: t.TempDir(), LeaseTTL: 30 * time.Second})
+	c := New(Config{LeaseTTL: 30 * time.Second})
 	err = c.AddSweep("sw", spec, func(res *dsmc.SweepResult, err error) {
 		done <- struct {
 			res *dsmc.SweepResult
@@ -96,7 +96,7 @@ func TestHTTPTransport(t *testing.T) {
 // completes, and the sweep finishes.
 func TestUploadLimit(t *testing.T) {
 	done := make(chan error, 1)
-	c := New(Config{DataDir: t.TempDir(), LeaseTTL: 30 * time.Second})
+	c := New(Config{LeaseTTL: 30 * time.Second})
 	if err := c.AddSweep("sw", tinySpec(), func(_ *dsmc.SweepResult, err error) { done <- err }); err != nil {
 		t.Fatal(err)
 	}

@@ -49,6 +49,19 @@ var (
 		"Coordinator-call retries after transient failures (checkpoint uploads, completions).")
 )
 
+// queueLocked counts the jobs waiting for dispatch and the jobs leased
+// out across unfinished sweeps.
+func (c *Coordinator) queueLocked() (queued, inflight int) {
+	for _, id := range c.order {
+		if sw := c.sweeps[id]; !sw.finished {
+			pending, running := sw.table.Counts()
+			queued += pending
+			inflight += running
+		}
+	}
+	return queued, inflight
+}
+
 // Stats returns a point-in-time snapshot of the coordinator: leased and
 // queued job counts across unfinished sweeps, the known worker count,
 // and the age of the stalest live worker's last contact. It feeds the
@@ -58,20 +71,7 @@ func (c *Coordinator) Stats() dsmc.SweepStatus {
 	defer c.mu.Unlock()
 	now := c.cfg.now()
 	var st dsmc.SweepStatus
-	for _, id := range c.order {
-		sw := c.sweeps[id]
-		if sw.finished || sw.failed {
-			continue
-		}
-		for _, j := range sw.jobs {
-			switch j.phase {
-			case jobLeased:
-				st.ActiveJobs++
-			case jobPending:
-				st.QueueDepth++
-			}
-		}
-	}
+	st.QueueDepth, st.ActiveJobs = c.queueLocked()
 	st.Workers = len(c.workers)
 	for _, w := range c.workers {
 		if age := now.Sub(w.lastSeen).Seconds(); age > st.MaxHeartbeatAgeSec {
@@ -93,22 +93,7 @@ func (c *Coordinator) WriteMetrics(w io.Writer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.now()
-
-	var queued, inflight int
-	for _, id := range c.order {
-		sw := c.sweeps[id]
-		if sw.finished || sw.failed {
-			continue
-		}
-		for _, j := range sw.jobs {
-			switch j.phase {
-			case jobLeased:
-				inflight++
-			case jobPending:
-				queued++
-			}
-		}
-	}
+	queued, inflight := c.queueLocked()
 
 	var b strings.Builder
 	gauge := func(name, help string, v float64) {

@@ -5,7 +5,9 @@
 // uploaded outputs with dsmc.AssembleSweepResult — so a distributed
 // sweep shares every line of lowering, seeding, stepping and
 // aggregation code with the in-process path and its result is
-// bit-identical to a single-process run.
+// bit-identical to a single-process run. Its job states are the
+// in-process executor's too: each sweep is a run.Table, and the
+// coordinator adds only the leases.
 //
 // Protocol (modeled on dagu's coordinator protocol: workers poll for
 // work, the coordinator dispatches leases, heartbeats carry liveness and
@@ -29,10 +31,10 @@
 // computing) gets 410 on every mutation, so redelivered uploads and
 // completions are rejected idempotently and can never corrupt a
 // redispatched job's state. A job that exhausts its dispatch budget is
-// failed permanently and the failure skips forward through the DAG: the
-// point's aggregation and every remaining undispatched job are marked
-// skipped and the sweep reports the first error, exactly like the
-// in-process executor.
+// failed permanently and the table's one failure rule applies: every
+// other lease is revoked, every unfinished job and unrun aggregation is
+// reported skipped, point by point, and the sweep reports the first
+// error.
 package coord
 
 import (

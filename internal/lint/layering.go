@@ -91,11 +91,14 @@ var layerAllows = map[string][]string{
 	// coord: the distributed-sweep coordinator and pull-worker. It sits
 	// ABOVE the public package — jobs are enumerated, run and assembled
 	// through the dsmc distribution surface — so the only internal
-	// packages it may reach are the obs telemetry leaf and the result
-	// store it memoizes dispatch against; that keeps the wire protocol
-	// honest (a worker process has exactly the information an API client
-	// has, plus its own instruments — the store is coordinator-side).
-	"coord": {"dsmc/internal/obs", "dsmc/internal/store"},
+	// packages it may reach are the obs telemetry leaf, the result store
+	// it memoizes dispatch against, and run for two things only: the job
+	// table (run.Table, the state machine the in-process executor drives)
+	// and checkpoint file naming (run.JobCkptPath). That keeps the wire
+	// protocol honest (a worker process has exactly the information an
+	// API client has, plus its own instruments — the store and the table
+	// are coordinator-side).
+	"coord": {"dsmc/internal/obs", "dsmc/internal/run", "dsmc/internal/store"},
 	// root: the public dsmc package — composes backends and run, but
 	// never reaches under engine's hood directly.
 	"root": {

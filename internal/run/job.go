@@ -341,9 +341,10 @@ func (job *Replica) loadCheckpoint(store CkptStore, acc *sample.Accumulator, see
 	return true, done, nil
 }
 
-// jobCkptPath names a job's checkpoint file inside the sweep's
-// checkpoint directory.
-func jobCkptPath(dir string, scenarioIdx, replica int) string {
+// JobCkptPath names a job's checkpoint file inside the sweep's
+// checkpoint directory — for Run's jobs and the coordinator's uploads
+// alike, so either resumes from checkpoints the other wrote.
+func JobCkptPath(dir string, scenarioIdx, replica int) string {
 	return filepath.Join(dir, fmt.Sprintf("job-s%03d-r%03d.ckpt", scenarioIdx, replica))
 }
 

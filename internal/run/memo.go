@@ -7,9 +7,8 @@ import (
 	"dsmc/internal/store"
 )
 
-// This file is the sweep-memoization bridge between the replica job and
-// the content-addressed result store: key derivation from the
-// determinism contract and the verified load in front of every replica.
+// This file derives a replica's content-addressed result-store key from
+// the determinism contract (Table.Memo looks the keys up).
 //
 // A replica's bits are a pure function of (spec fingerprint, master
 // seed, point index, replica index) — specFingerprint pins the
@@ -42,21 +41,4 @@ func (sp *Spec) storeFingerprint(scenarioIdx int) uint64 {
 func (sp *Spec) OutputKey(scenarioIdx, replica int) store.Key {
 	return store.Key{Kind: "out", Fp: sp.storeFingerprint(scenarioIdx), Seed: sp.BaseSeed,
 		Point: scenarioIdx, Replica: replica}
-}
-
-// memoReplica consults the store for a finished replica. A verified hit
-// returns the decoded result; structurally-invalid content that slipped
-// past the hash check is rejected (quarantined) and reads as a miss, so
-// the caller recomputes.
-func memoReplica(st *store.Store, key store.Key) (*ReplicaResult, bool) {
-	data, _, ok := st.Get(key.ID())
-	if !ok {
-		return nil, false
-	}
-	res, err := store.DecodeOutput(data)
-	if err != nil {
-		st.Reject(key.ID())
-		return nil, false
-	}
-	return res, true
 }

@@ -1,12 +1,14 @@
 // Package run is the run-orchestration layer over the reference
 // backends: it models an ensemble or parameter sweep as a forest — per
 // scenario, replica simulations fan out and one aggregation fans them in
-// — and executes it over a bounded pool of concurrent whole simulations.
-// This is the outer level of parallelism the paper's single hand-launched
-// runs lack: DSMC answers are statistical, so the production question is
-// "run N replicas per sweep point, aggregate into mean/variance/CI, and
-// serve the result", and whole-simulation jobs scale on multi-core hosts
-// even where the inner worker sharding is bandwidth-bound.
+// — tracks it in a Table, and executes it over a bounded pool of
+// concurrent whole simulations (Run; internal/coord drives the same
+// Table over leases to worker processes). This is the outer level of
+// parallelism the paper's single hand-launched runs lack: DSMC answers
+// are statistical, so the production question is "run N replicas per
+// sweep point, aggregate into mean/variance/CI, and serve the result",
+// and whole-simulation jobs scale on multi-core hosts even where the
+// inner worker sharding is bandwidth-bound.
 //
 // Determinism: every job derives its seed from the spec's base seed
 // (rng.JobSeed — collision-free by construction), jobs never share
@@ -20,6 +22,7 @@ package run
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -58,12 +61,13 @@ type Spec struct {
 	// (default 50 when a directory is set).
 	CheckpointEvery int
 	// Results, when set, memoizes the sweep against a content-addressed
-	// result store: every replica job consults the store before computing
-	// (a verified hit skips the stepping entirely) and publishes its
-	// output after. Keys derive from the determinism contract (see
-	// memo.go), so hits are bit-identical by construction. Aggregates are
-	// not stored: merging the replica outputs a point already holds is
-	// cheaper than reading and verifying an artifact of the merge.
+	// result store: every job the store holds is satisfied when the
+	// sweep starts (a verified hit skips the stepping entirely), and
+	// every computed output is published. Keys derive from the
+	// determinism contract (see memo.go), so hits are bit-identical by
+	// construction. Aggregates are not stored: merging the replica
+	// outputs a point already holds is cheaper than reading and verifying
+	// an artifact of the merge.
 	Results *store.Store
 }
 
@@ -121,30 +125,24 @@ func JobName(scenario string, replica int) string {
 func AggregateName(scenario string) string { return scenario + "/aggregate" }
 
 // JobIO carries the side channels of a single-job execution: the
-// checkpoint store (nil disables checkpointing), the step interval
-// between checkpoints, the progress observer, and the per-step trace
-// observer (the flight-recorder feed; called on the stepping
+// checkpoint store (nil disables checkpointing; saves come every
+// Spec.CheckpointEvery steps), the progress observer, and the per-step
+// trace observer (the flight-recorder feed; called on the stepping
 // goroutine after every step with that step's per-phase wall times in
 // nanoseconds and the particle count).
 type JobIO struct {
 	Ckpt      CkptStore
-	Every     int
 	Progress  func(done, total int)
 	StepTrace func(step int, phaseNs [4]int64, particles int)
-	// Results, when set, memoizes the job: a verified store hit returns
-	// the finished output without stepping, a miss computes and
-	// publishes it.
-	Results *store.Store
 }
 
-// RunJob executes exactly one replica job of a validated spec — the
-// distributed-execution entry. A coordinator enumerates the (scenario,
-// replica) pairs; pull-workers call RunJob with a checkpoint store that
-// uploads to the coordinator. The seed derivation, stepping loop and
-// checkpoint codec are the very functions the in-process Run path uses,
-// so a job executed remotely — or re-executed elsewhere after a worker
-// loss, resuming from the last uploaded checkpoint — contributes bits
-// identical to the never-failed local run.
+// RunJob executes exactly one replica job of a spec: it resumes from the
+// checkpoint store if there is one and steps at the job's derived seed.
+// It is the one job body — Run's pool calls it, and so do pull-workers
+// with a checkpoint store that uploads to the coordinator — so a job
+// executed remotely, or re-executed elsewhere after a worker loss and
+// resumed from the last uploaded checkpoint, contributes bits identical
+// to the never-failed local run. Memoization is the drivers' (Table.Memo).
 func RunJob(ctx context.Context, sp Spec, scenarioIdx, replica int, io JobIO) (*ReplicaResult, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -155,42 +153,15 @@ func RunJob(ctx context.Context, sp Spec, scenarioIdx, replica int, io JobIO) (*
 	if replica < 0 || replica >= sp.Replicas {
 		return nil, fmt.Errorf("run: replica %d out of range (%d replicas)", replica, sp.Replicas)
 	}
-	return sp.replica(ctx, scenarioIdx, replica, io)
-}
-
-// replica is the one body of a replica job, shared by the in-process
-// forest and RunJob: a verified store hit returns the finished output
-// without stepping; a miss resumes from the checkpoint store if there is
-// one, steps at the job's derived seed, and publishes the output.
-func (sp *Spec) replica(ctx context.Context, scenarioIdx, replica int, io JobIO) (*ReplicaResult, error) {
-	if io.Results != nil {
-		if res, ok := memoReplica(io.Results, sp.OutputKey(scenarioIdx, replica)); ok {
-			if io.Progress != nil {
-				total := sp.WarmSteps + sp.SampleSteps
-				io.Progress(total, total)
-			}
-			return res, nil
-		}
-	}
 	var ck jobCkpt
 	if io.Ckpt != nil {
-		every := io.Every
-		if every <= 0 {
-			every = 50
+		ck = jobCkpt{store: io.Ckpt, every: sp.CheckpointEvery}
+		if ck.every <= 0 {
+			ck.every = 50
 		}
-		ck = jobCkpt{store: io.Ckpt, every: every}
 	}
 	seed := jobSeed(sp.BaseSeed, scenarioIdx, replica)
-	res, err := runReplica(ctx, sp.Scenarios[scenarioIdx], sp.quantities(), seed, sp.WarmSteps, sp.SampleSteps, ck, io.Progress, io.StepTrace)
-	if err != nil {
-		return nil, err
-	}
-	if io.Results != nil {
-		// Best-effort: a publish failure costs future recomputation, never
-		// the current run.
-		io.Results.Put(sp.OutputKey(scenarioIdx, replica).ID(), store.EncodeOutput(res))
-	}
-	return res, nil
+	return runReplica(ctx, sp.Scenarios[scenarioIdx], sp.quantities(), seed, sp.WarmSteps, sp.SampleSteps, ck, io.Progress, io.StepTrace)
 }
 
 // AggregateScenario fans in one scenario's replica results — results
@@ -235,8 +206,10 @@ type Event struct {
 	Err        string `json:"err,omitempty"`
 }
 
-// Run executes the spec's job forest and returns the per-scenario
-// aggregates. onEvent, when non-nil, observes progress (serialized).
+// Run executes the spec's jobs and returns the per-scenario aggregates.
+// onEvent, when non-nil, observes progress (serialized). With a result
+// store the jobs it holds are satisfied before any job starts, and every
+// computed output is published.
 func Run(ctx context.Context, sp Spec, onEvent func(Event)) (*Result, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -263,130 +236,90 @@ func Run(ctx context.Context, sp Spec, onEvent func(Event)) (*Result, error) {
 		onEvent(e)
 	}
 
-	// Result slots are preallocated per (scenario, replica); jobs write
-	// only their own slot, and a scenario's fan-in reads its slice after
-	// the forest has seen every one of its replicas finish.
 	names := make([]string, len(sp.Scenarios))
-	results := make([][]*ReplicaResult, len(sp.Scenarios))
-	aggs := make([]*Aggregate, len(sp.Scenarios))
+	var keys []string
 	for si, sc := range sp.Scenarios {
 		names[si] = sc.Name
-		results[si] = make([]*ReplicaResult, sp.Replicas)
-	}
-	job := func(ctx context.Context, si, r int) error {
-		id := JobName(names[si], r)
-		io := JobIO{Every: sp.CheckpointEvery, Results: sp.Results,
-			Progress: func(done, total int) {
-				emit(Event{Type: EventJobProgress, Job: id, Scenario: names[si],
-					Replica: r, StepsDone: done, StepsTotal: total})
-			}}
-		if sp.CheckpointDir != "" {
-			io.Ckpt = FileCkptStore{Path: jobCkptPath(sp.CheckpointDir, si, r)}
+		for r := 0; sp.Results != nil && r < sp.Replicas; r++ {
+			keys = append(keys, sp.OutputKey(si, r).ID())
 		}
-		res, err := sp.replica(ctx, si, r, io)
-		results[si][r] = res
-		return err
 	}
-	fanIn := func(si int) {
-		aggs[si] = sp.AggregateScenario(si, results[si])
-		emit(Event{Type: EventAggregateDone, Job: AggregateName(names[si]), Scenario: names[si]})
+	t := NewTable(names, sp.Replicas, keys, emit)
+	if sp.Results != nil {
+		t.Memo(sp.Results, "")
 	}
-	if err := runForest(ctx, names, sp.Replicas, pool, job, fanIn, emit); err != nil {
-		return nil, err
+	drive(ctx, t, pool, func(ctx context.Context, si, r int) (*ReplicaResult, error) {
+		io := JobIO{Progress: func(done, total int) {
+			emit(Event{Type: EventJobProgress, Job: JobName(names[si], r), Scenario: names[si],
+				Replica: r, StepsDone: done, StepsTotal: total})
+		}}
+		if sp.CheckpointDir != "" {
+			io.Ckpt = FileCkptStore{Path: JobCkptPath(sp.CheckpointDir, si, r)}
+		}
+		res, err := RunJob(ctx, sp, si, r, io)
+		if err == nil && sp.Results != nil {
+			// Best-effort: a publish failure costs future recomputation,
+			// never the current run.
+			sp.Results.Put(keys[si*sp.Replicas+r], store.EncodeOutput(res))
+		}
+		return res, err
+	})
+	if err := t.Err(); err != nil {
+		return nil, fmt.Errorf("run: %w", err)
 	}
-	return &Result{Name: sp.Name, Aggregates: aggs}, nil
+	res := &Result{Name: sp.Name}
+	for si, outputs := range t.Outputs() {
+		res.Aggregates = append(res.Aggregates, sp.AggregateScenario(si, outputs))
+	}
+	return res, nil
 }
 
-// runForest executes the one job shape a sweep has — per point, replicas
-// fan out and a single aggregate fans them in — over at most pool
-// goroutines. Replica jobs start in (point, replica) order; the goroutine
-// that finishes a point's last replica runs the point's fanIn inline, so
-// aggregation stays inside the pool bound and sees a fully populated
-// point. The first job error or a cancelled context stops new starts;
-// jobs already in flight finish; every replica never started and every
-// aggregate never run is then reported skipped, in point order, and the
-// first error (or ctx.Err()) is returned wrapped.
+// drive runs the table's pending jobs on at most pool goroutines, each
+// starting the next job in (point, replica) order until none is left. A
+// job error fails the sweep: the table skips what is left and the jobs
+// still in flight are cancelled, their results discarded. A job error
+// that is the context's own, or a context cancelled between jobs, stops
+// the table with ctx.Err() instead — the sweep was interrupted, not
+// failed, and a job it interrupted has checkpointed where it stopped.
 //
 // Determinism note: start order is fixed but completion order follows
-// scheduling. Anything that must be reproducible — the cross-replica
-// merge — therefore runs in fanIn, which combines a point's results in
-// index order whatever order they arrived in.
-func runForest(ctx context.Context, points []string, replicas, pool int,
-	job func(ctx context.Context, point, replica int) error, fanIn func(point int), emit func(Event)) error {
-	total := len(points) * replicas
-	var (
-		mu       sync.Mutex
-		next     int // index of the next replica job to start
-		firstErr error
-		left     = make([]int, len(points)) // per point: replicas not yet done
-		fannedIn = make([]bool, len(points))
-	)
-	for p := range left {
-		left[p] = replicas
-	}
-	// stopped (call with mu held) reports that nothing new may start.
-	stopped := func() bool { return firstErr != nil || ctx.Err() != nil }
+// scheduling, so anything that must be reproducible — the cross-replica
+// merge — reads the table's outputs by index once drive returns.
+func drive(ctx context.Context, t *Table, pool int, job func(ctx context.Context, point, replica int) (*ReplicaResult, error)) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var mu sync.Mutex
 	var wg sync.WaitGroup
 	worker := func() {
 		defer wg.Done()
 		for {
 			mu.Lock()
-			if stopped() || next == total {
-				mu.Unlock()
+			if err := ctx.Err(); err != nil {
+				t.Stop(err)
+			}
+			i, ok := t.Start()
+			mu.Unlock()
+			if !ok {
 				return
 			}
-			p, r := next/replicas, next%replicas
-			next++
-			mu.Unlock()
-
-			id := JobName(points[p], r)
-			emit(Event{Type: EventJobStarted, Job: id})
-			if err := job(ctx, p, r); err != nil {
-				emit(Event{Type: EventJobFailed, Job: id, Err: err.Error()})
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("run: job %q: %w", id, err)
-				}
-				mu.Unlock()
-				continue
-			}
-			emit(Event{Type: EventJobDone, Job: id})
-
+			out, err := job(ctx, i/t.replicas, i%t.replicas)
 			mu.Lock()
-			left[p]--
-			last := left[p] == 0 && !stopped()
-			if last {
-				fannedIn[p] = true
+			switch {
+			case err == nil:
+				t.Done(i, out)
+			case ctx.Err() != nil && errors.Is(err, ctx.Err()):
+				t.Stop(ctx.Err())
+			default:
+				t.Fail(i, err)
+				cancel()
 			}
 			mu.Unlock()
-			if last {
-				agg := AggregateName(points[p])
-				emit(Event{Type: EventJobStarted, Job: agg})
-				fanIn(p)
-				emit(Event{Type: EventJobDone, Job: agg})
-			}
 		}
 	}
-	for w := 0; w < pool && w < total; w++ {
+	pending, _ := t.Counts()
+	for w := 0; w < pool && w < pending; w++ {
 		wg.Add(1)
 		go worker()
 	}
 	wg.Wait()
-
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	if firstErr != nil {
-		for p, name := range points {
-			for r := 0; r < replicas; r++ {
-				if p*replicas+r >= next {
-					emit(Event{Type: EventJobSkipped, Job: JobName(name, r)})
-				}
-			}
-			if !fannedIn[p] {
-				emit(Event{Type: EventJobSkipped, Job: AggregateName(name)})
-			}
-		}
-	}
-	return firstErr
 }

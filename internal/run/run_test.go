@@ -100,21 +100,19 @@ func TestPoolSizeDeterminism(t *testing.T) {
 	}
 }
 
-// TestCompletionOrderIndependence drives the forest executor with
-// replica jobs whose completion order is forcibly reversed (later
-// replicas finish first) and asserts the fan-in sees the same aggregate
-// as the in-order execution: result slots are indexed, never appended.
+// TestCompletionOrderIndependence drives the table with replica jobs
+// whose completion order is forcibly reversed (later replicas finish
+// first) and asserts the fan-in sees the same aggregate as the in-order
+// execution: result slots are indexed, never appended.
 func TestCompletionOrderIndependence(t *testing.T) {
 	build := func(reverse bool) *Aggregate {
 		const n = 6
-		results := make([]*ReplicaResult, n)
-		var agg *Aggregate
-		job := func(_ context.Context, _, r int) error {
+		job := func(_ context.Context, _, r int) (*ReplicaResult, error) {
 			if reverse {
 				// Later indices finish first.
 				time.Sleep(time.Duration(n-r) * 5 * time.Millisecond)
 			}
-			results[r] = &ReplicaResult{
+			return &ReplicaResult{
 				Fields: map[string][]float64{
 					"density":     {float64(r), float64(r) * 0.5},
 					"temperature": {1 + float64(r), 2 * float64(r)},
@@ -122,14 +120,14 @@ func TestCompletionOrderIndependence(t *testing.T) {
 				ShockAngleDeg: 40 + float64(r),
 				Collisions:    int64(100 * r),
 				NFlow:         1000 + r,
-			}
-			return nil
+			}, nil
 		}
-		fanIn := func(int) { agg = aggregate("s", []string{"density", "temperature"}, results) }
-		if err := runForest(context.Background(), []string{"s"}, n, n, job, fanIn, func(Event) {}); err != nil {
+		tab := NewTable([]string{"s"}, n, nil, func(Event) {})
+		drive(context.Background(), tab, n, job)
+		if err := tab.Err(); err != nil {
 			t.Fatal(err)
 		}
-		return agg
+		return aggregate("s", []string{"density", "temperature"}, tab.Outputs()[0])
 	}
 	if a, b := build(false), build(true); !aggEqual(a, b) {
 		t.Error("aggregate depends on completion order")
@@ -228,7 +226,7 @@ func TestJobSeedsDistinctAcrossScenariosAndReplicas(t *testing.T) {
 // TestDAGFailurePropagation: a failing replica — or a context cancelled
 // while one is in flight — stops new starts; every replica never started
 // and every aggregate never run is reported skipped, in point order, and
-// the returned error wraps the cause.
+// the table's error wraps the cause.
 func TestDAGFailurePropagation(t *testing.T) {
 	boom := errors.New("boom")
 	cases := []struct {
@@ -245,18 +243,18 @@ func TestDAGFailurePropagation(t *testing.T) {
 			defer cancel()
 			var started, skipped []string
 			fannedIn := false
-			err := runForest(ctx, []string{"a", "b"}, 2, 1,
-				func(context.Context, int, int) error { return tc.job(cancel) },
-				func(int) { fannedIn = true },
-				func(e Event) {
-					switch e.Type {
-					case EventJobStarted:
-						started = append(started, e.Job)
-					case EventJobSkipped:
-						skipped = append(skipped, e.Job)
-					}
-				})
-			if !errors.Is(err, tc.want) {
+			tab := NewTable([]string{"a", "b"}, 2, nil, func(e Event) {
+				switch e.Type {
+				case EventJobStarted:
+					started = append(started, e.Job)
+				case EventJobSkipped:
+					skipped = append(skipped, e.Job)
+				case EventAggregateDone:
+					fannedIn = true
+				}
+			})
+			drive(ctx, tab, 1, func(context.Context, int, int) (*ReplicaResult, error) { return nil, tc.job(cancel) })
+			if err := tab.Err(); !errors.Is(err, tc.want) {
 				t.Fatalf("error %v does not wrap %v", err, tc.want)
 			}
 			if fannedIn {
@@ -273,8 +271,8 @@ func TestDAGFailurePropagation(t *testing.T) {
 	}
 }
 
-// TestDAGBoundedConcurrency: at most pool jobs run at once, the inline
-// aggregates included.
+// TestDAGBoundedConcurrency: at most pool jobs run at once, and every
+// point is aggregated.
 func TestDAGBoundedConcurrency(t *testing.T) {
 	const pool = 3
 	var cur, peak, fanIns atomic.Int64
@@ -290,11 +288,14 @@ func TestDAGBoundedConcurrency(t *testing.T) {
 		cur.Add(-1)
 	}
 	points := []string{"a", "b", "c", "d"}
-	err := runForest(context.Background(), points, 3, pool,
-		func(context.Context, int, int) error { busy(); return nil },
-		func(int) { fanIns.Add(1); busy() },
-		func(Event) {})
-	if err != nil {
+	tab := NewTable(points, 3, nil, func(e Event) {
+		if e.Type == EventAggregateDone {
+			fanIns.Add(1)
+		}
+	})
+	drive(context.Background(), tab, pool,
+		func(context.Context, int, int) (*ReplicaResult, error) { busy(); return nil, nil })
+	if err := tab.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > pool {
@@ -344,7 +345,7 @@ func TestCorruptCheckpointFallsBackToFreshRun(t *testing.T) {
 	if _, err := Run(context.Background(), sp, nil); err != nil {
 		t.Fatal(err)
 	}
-	path := jobCkptPath(dir, 0, 0)
+	path := JobCkptPath(dir, 0, 0)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -399,7 +400,7 @@ func TestStaleVersionCheckpointFallsBackToFreshRun(t *testing.T) {
 	// Rewrite the header's version word to a foreign value and re-seal
 	// the checksum trailer, simulating a checkpoint from another format
 	// version that is otherwise intact.
-	path := jobCkptPath(dir, 0, 0)
+	path := JobCkptPath(dir, 0, 0)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
