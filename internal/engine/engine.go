@@ -1,6 +1,7 @@
 // Package engine is the generic cell-major core both reference backends
-// run on: one phase pipeline — fused move+boundary, fused sort+scatter,
-// in-cell shuffle, per-shard select/collide, sampling — parameterized
+// run on: one phase pipeline — fused move+boundary, a one-pass sort
+// (rank, in-cell index shuffle, gather), per-shard select/collide,
+// sampling — parameterized
 // over the storage precision (float32 halves the memory traffic of the
 // cell-major sweeps; float64 reproduces the pre-unification backends bit
 // for bit) and over a small Domain interface carrying the
@@ -66,7 +67,7 @@ type Phase int
 // higher and sort as much lower.
 const (
 	PhaseMove    Phase = iota // collisionless motion + boundary conditions + cell indexing
-	PhaseSort                 // ordering by the cell column: histogram, scatter, in-cell shuffle
+	PhaseSort                 // ordering by the cell column: histogram, rank, in-cell shuffle, gather
 	PhaseSelect               // candidate pairing and the selection rule
 	PhaseCollide              // collision of selected partners
 	numPhases
@@ -183,7 +184,7 @@ type Engine[F kernel.Float] struct {
 	dom Domain[F]
 
 	store  *particle.Store[F] // live buffer, cell-major after each sort
-	shadow *particle.Store[F] // scatter target, swapped with store each step
+	shadow *particle.Store[F] // sort target, swapped with store each step
 
 	pool   *par.Pool
 	sorter *par.CellSort[F]
@@ -204,7 +205,6 @@ type Engine[F kernel.Float] struct {
 	// escape to the heap).
 	fnMoveBound func(w, lo, hi int)
 	fnSelCol    func(w, lo, hi int)
-	swapFn      func(i, j int)
 
 	// per-worker scratch, indexed by the pool's block index
 	gW     [][]float64  // relative-speed spans (one cell at a time)
@@ -260,7 +260,6 @@ func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store, shado
 	} else {
 		e.fnSelCol = e.selColSplitShard
 	}
-	e.swapFn = func(i, j int) { e.store.Swap(i, j) }
 	return e
 }
 
@@ -439,22 +438,27 @@ func (e *Engine[F]) moveBoundShard(w, lo, hi int) {
 	}
 }
 
-// sortByCell makes the store cell-major: the cell column the move pass
-// left current is histogrammed, the stable scatter writes the full
-// payload into the shadow store at its cell-major position, the buffers
-// are swapped — sort and physical reorder fused into one sharded pass —
-// and the records inside each cell span are shuffled in place (the role
-// of the paper's sort with the scaled-and-dithered key, candidates
-// re-randomised every step). After this, cell c's particles are the
-// contiguous index range cellStart[c]:cellStart[c+1] of the arrays.
+// sortByCell makes the store cell-major and re-randomises the collision
+// candidates — the role of the paper's one sort on a scaled-and-dithered
+// key: the cell column the move pass left current is histogrammed
+// (Plan), and ScatterShuffled ranks the particles into the shadow
+// store's Cell column as int32 source indices, Fisher–Yates-shuffles each
+// cell's index span from the (seed, epoch, cell) stream and gathers the
+// payload through the result, so the payload moves once; then the buffers
+// are swapped. After this, cell c's particles are the contiguous index
+// range cellStart[c]:cellStart[c+1] of the arrays.
+//
+// The shadow's Cell column is scratch during the sort, but the gather
+// must write the cell column back: it has readers before the next move
+// rewrites it — golden.HashSim2D/HashSim3D, ckpt's WriteStore and
+// sample.AddFlow.
 //
 //dsmc:hotpath
 func (e *Engine[F]) sortByCell() {
 	st := e.store
 	e.sorter.Plan(st.Len(), st.Cell, nil)
-	e.sorter.ScatterStore(st, e.shadow)
+	e.sorter.ScatterShuffled(st, e.shadow, e.cfg.Seed, e.Epoch(e.cfg.Layout.Sort))
 	e.store, e.shadow = e.shadow, e.store
-	e.sorter.Shuffle(e.cfg.Seed, e.Epoch(e.cfg.Layout.Sort), e.swapFn)
 }
 
 // smallCellPairs is the span below which the select sweep computes its

@@ -7,31 +7,41 @@ import (
 )
 
 // CellSort is the sharded cell-major sort shared by the reference
-// backends. It fuses the classic "sort then reorder" into one stable
-// counting sort whose scatter pass moves the particle payload itself:
+// backends. It groups the particles by cell and re-randomises the order
+// inside every cell — the work of the paper's one sort on a
+// scaled-and-dithered key — moving the particle payload exactly once:
 //
 //  1. Plan: per-worker histograms over the pool's equal element blocks
 //     and a serial blocked merge that assigns every worker its scatter
 //     base inside each cell;
-//  2. ScatterStore: a stable sharded scatter that writes the payload
-//     (X, Y, [Z], U, V, W, R1, R2, [Evib], Cell) of a source
-//     particle.Store directly into a shadow store at its cell-major
-//     position — no index permutation is ever materialized, and after the
-//     caller swaps the two buffers cell c's particles occupy the
-//     contiguous range CellStart()[c]:CellStart()[c+1];
-//  3. Shuffle: an in-place per-cell-span record shuffle drawing each
-//     cell's permutation from its own counter-based stream.
+//  2. rank: a stable sharded scatter of int32 source indices, not of
+//     records — dst.Cell[fill[c]++] = i — so the destination store's Cell
+//     column, dead until the sort writes it, holds the permutation and no
+//     capacity-sized array is added;
+//  3. shuffle (ScatterShuffled only): the per-cell Fisher–Yates over each
+//     cell's index span, drawing each cell's permutation from its own
+//     counter-based stream (seed, epoch, cell), sharded over cell ranges;
+//  4. gather: sharded by destination range, every payload column (X, Y,
+//     [Z], U, V, W, R1, R2, [Evib]) is copied from src[s] to dst[d] for
+//     s = dst.Cell[d], writing sequentially, and then dst.Cell[d] =
+//     src.Cell[s] restores the cell column.
 //
-// The scatter is one direct pass over each worker's block. Bucketing a
-// block by destination cell window first, to keep the write set
-// cache-resident, measured slower or at parity at every scale this repo
-// runs (BENCH_PR15.md), so there is no tiled variant and no knob.
+// After the caller swaps the two stores, cell c's particles occupy the
+// contiguous range CellStart()[c]:CellStart()[c+1]. Swapping index
+// entries is the same permutation as swapping the records they name, so
+// the result is bit-identical to a record scatter followed by an in-place
+// record shuffle from the same streams, at one pass over the payload
+// instead of two. Bucketing a block by destination cell window first, to
+// keep the write set cache-resident, measured slower or at parity at
+// every scale this repo runs (BENCH_PR15.md), so there is no tiled
+// variant and no knob.
 //
-// The resulting order is the serial counting sort's (ascending
-// pre-scatter index within each cell) for any worker count — the
-// invariant the deterministic collide phase relies on. All dispatch
-// closures are built once at construction, so steady-state sorting
-// performs zero heap allocations.
+// Before the shuffle, the order is the serial counting sort's (ascending
+// pre-scatter index within each cell) for any worker count; the shuffle
+// draws depend only on (seed, epoch, cell), so the final order is worker
+// invariant too — the invariant the deterministic collide phase relies
+// on. All dispatch closures are built once at construction, so
+// steady-state sorting performs zero heap allocations.
 type CellSort[F kernel.Float] struct {
 	pool      *Pool
 	counts    []int32
@@ -44,8 +54,9 @@ type CellSort[F kernel.Float] struct {
 	// Prebuilt shard bodies (allocation-free dispatch) and the per-call
 	// state they read. The fields are only live during the owning call.
 	histFn    func(w, lo, hi int)
-	scatterFn func(w, lo, hi int)
+	rankFn    func(w, lo, hi int)
 	shuffleFn func(w, clo, chi int)
+	gatherFn  func(w, lo, hi int)
 	cell      []int32
 	cellOf    func(i int) int32
 	src, dst  *particle.Store[F]
@@ -78,8 +89,9 @@ func NewCellSort[F kernel.Float](pool *Pool, cells, _, _ int) *CellSort[F] {
 		cs.wfill[w] = make([]int32, cells)
 	}
 	cs.histFn = cs.histShard
-	cs.scatterFn = cs.scatterShard
+	cs.rankFn = cs.rankShard
 	cs.shuffleFn = cs.shuffleShard
+	cs.gatherFn = cs.gatherShard
 	return cs
 }
 
@@ -92,9 +104,10 @@ func (cs *CellSort[F]) CellStart() []int32 { return cs.cellStart }
 
 // Plan computes the per-cell counts and bucket boundaries of cell[:n]
 // and every worker's scatter base inside each cell. It must precede
-// ScatterStore. A nil cellOf means the cell column is current (the
-// engine's move pass maintains it) and the histogram is a sequential
-// sweep of it; otherwise cell[i] = cellOf(i) is computed first.
+// ScatterShuffled (or ScatterStore). A nil cellOf means the cell column
+// is current (the engine's move pass maintains it) and the histogram is a
+// sequential sweep of it; otherwise cell[i] = cellOf(i) is computed
+// first.
 //
 //dsmc:hotpath
 func (cs *CellSort[F]) Plan(n int, cell []int32, cellOf func(i int) int32) {
@@ -170,60 +183,104 @@ func (cs *CellSort[F]) histShard(w, lo, hi int) {
 	}
 }
 
-// ScatterStore performs the stable sharded scatter of the latest Plan,
-// writing src's payload into dst at cell-major positions and marking
-// dst's first src.Len() slots live. The caller then swaps the two store
-// pointers — sort and physical reorder fused into this single pass. src
-// and dst must share Plan's cell slice (src.Cell) and have equal shape
-// (both 2D or both 3D, both with or both without the Evib column,
-// dst.Cap() >= src.Len()).
+// ScatterShuffled sorts src into dst by the latest Plan and shuffles
+// every cell span — rank, per-cell index shuffle, gather — and marks
+// dst's first src.Len() slots live; the caller then swaps the two store
+// pointers. The order is exactly that of ScatterStore followed by
+// Shuffle(seed, epoch, dst.Swap): the same draws from the same
+// (seed, epoch, cell) streams, applied to index entries instead of
+// records. src and dst must be distinct, share Plan's cell slice
+// (src.Cell) and have equal shape (both 2D or both 3D, both with or both
+// without the Evib column, dst.Cap() >= src.Len()). dst's Cell column is
+// scratch until the gather rewrites it.
+//
+//dsmc:hotpath
+func (cs *CellSort[F]) ScatterShuffled(src, dst *particle.Store[F], seed, epoch uint64) {
+	cs.rank(src, dst)
+	cs.seed, cs.epoch = seed, epoch
+	cs.pool.ForIdx(len(cs.counts), cs.shuffleFn)
+	cs.gather()
+}
+
+// ScatterStore is ScatterShuffled without the shuffle: the stable sort of
+// the latest Plan, cell-major and in ascending source index within each
+// cell.
 //
 //dsmc:hotpath
 func (cs *CellSort[F]) ScatterStore(src, dst *particle.Store[F]) {
-	cs.src, cs.dst = src, dst
-	cs.pool.ForIdx(src.Len(), cs.scatterFn)
-	cs.src, cs.dst = nil, nil
-	dst.SetLen(src.Len())
+	cs.rank(src, dst)
+	cs.gather()
 }
 
-// scatterShard scatters worker w's element block [lo, hi) through the
-// per-cell cursors merge gave it.
+// rank binds the call's stores and writes the stable permutation into
+// dst.Cell: slot d of cell c's span names the source index it receives.
 //
 //dsmc:hotpath
-func (cs *CellSort[F]) scatterShard(w, lo, hi int) {
-	src, dst := cs.src, cs.dst
+func (cs *CellSort[F]) rank(src, dst *particle.Store[F]) {
+	cs.src, cs.dst = src, dst
+	cs.pool.ForIdx(src.Len(), cs.rankFn)
+}
+
+// gather moves the payload through the permutation in dst.Cell, marks
+// dst live and unbinds the stores.
+//
+//dsmc:hotpath
+func (cs *CellSort[F]) gather() {
+	n := cs.src.Len()
+	cs.pool.ForIdx(n, cs.gatherFn)
+	cs.dst.SetLen(n)
+	cs.src, cs.dst = nil, nil
+}
+
+// rankShard ranks worker w's element block [lo, hi) through the per-cell
+// cursors merge gave it.
+//
+//dsmc:hotpath
+func (cs *CellSort[F]) rankShard(w, lo, hi int) {
 	fill := cs.wfill[w]
-	cell := src.Cell
-	threeD := src.Z != nil
-	vib := src.Evib != nil
+	cell, idx := cs.src.Cell, cs.dst.Cell
 	for i := lo; i < hi; i++ {
 		c := cell[i]
 		d := fill[c]
 		fill[c] = d + 1
-		dst.X[d] = src.X[i]
-		dst.Y[d] = src.Y[i]
-		if threeD {
-			dst.Z[d] = src.Z[i]
-		}
-		dst.U[d] = src.U[i]
-		dst.V[d] = src.V[i]
-		dst.W[d] = src.W[i]
-		dst.R1[d] = src.R1[i]
-		dst.R2[d] = src.R2[i]
-		if vib {
-			dst.Evib[d] = src.Evib[i]
-		}
-		dst.Cell[d] = c
+		idx[d] = int32(i)
 	}
 }
 
-// Shuffle randomizes the record order within each cell span in place —
-// collision candidates must change between time steps or the same
-// partners collide repeatedly, leading to correlated velocity
-// distributions — drawing each cell's permutation from its own
-// counter-based stream (seed, epoch, cell), sharded over cell ranges.
-// swap exchanges two records of the scattered payload (e.g. the bound
-// store's Swap); it is only ever called with indices of one cell span.
+// gatherShard fills destination slots [lo, hi): the one loop that moves
+// the payload.
+//
+//dsmc:hotpath
+func (cs *CellSort[F]) gatherShard(_, lo, hi int) {
+	src, dst := cs.src, cs.dst
+	idx := dst.Cell
+	threeD := src.Z != nil
+	vib := src.Evib != nil
+	for d := lo; d < hi; d++ {
+		s := idx[d]
+		dst.X[d] = src.X[s]
+		dst.Y[d] = src.Y[s]
+		if threeD {
+			dst.Z[d] = src.Z[s]
+		}
+		dst.U[d] = src.U[s]
+		dst.V[d] = src.V[s]
+		dst.W[d] = src.W[s]
+		dst.R1[d] = src.R1[s]
+		dst.R2[d] = src.R2[s]
+		if vib {
+			dst.Evib[d] = src.Evib[s]
+		}
+		idx[d] = src.Cell[s]
+	}
+}
+
+// Shuffle randomizes the record order within each cell span in place
+// through swap, with the draws of ScatterShuffled's shuffle pass. No
+// simulation calls it — the step shuffles index entries inside
+// ScatterShuffled — it stays only because the frozen benchmark/probes.go
+// times it (cs.Shuffle(1, rep, src.Swap)); ROADMAP item 2(a), which moves
+// the probes onto ScatterShuffled, deletes it.
 //
 //dsmc:hotpath
 func (cs *CellSort[F]) Shuffle(seed, epoch uint64, swap func(i, j int)) {
@@ -232,9 +289,19 @@ func (cs *CellSort[F]) Shuffle(seed, epoch uint64, swap func(i, j int)) {
 	cs.swap = nil
 }
 
+// shuffleShard runs the per-cell Fisher–Yates over cells [clo, chi):
+// collision candidates must change between time steps or the same
+// partners collide repeatedly, leading to correlated velocity
+// distributions. It swaps the index entries in dst.Cell, or the records
+// through Shuffle's swap when one is bound.
+//
 //dsmc:hotpath
 func (cs *CellSort[F]) shuffleShard(_, clo, chi int) {
 	swap := cs.swap
+	var idx []int32
+	if swap == nil {
+		idx = cs.dst.Cell
+	}
 	for c := clo; c < chi; c++ {
 		lo := int(cs.cellStart[c])
 		cnt := int(cs.cellStart[c+1]) - lo
@@ -242,9 +309,17 @@ func (cs *CellSort[F]) shuffleShard(_, clo, chi int) {
 			continue
 		}
 		r := rng.StreamAt(cs.seed, cs.epoch, uint64(c))
+		if swap != nil {
+			for i := cnt - 1; i > 0; i-- {
+				j := r.Intn(i + 1)
+				swap(lo+i, lo+j)
+			}
+			continue
+		}
+		span := idx[lo : lo+cnt]
 		for i := cnt - 1; i > 0; i-- {
 			j := r.Intn(i + 1)
-			swap(lo+i, lo+j)
+			span[i], span[j] = span[j], span[i]
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package par
 
 import (
+	"fmt"
 	"testing"
 
+	"dsmc/internal/kernel"
 	"dsmc/internal/particle"
 	"dsmc/internal/rng"
 )
@@ -10,22 +12,22 @@ import (
 // fillStore populates n particles with distinct deterministic payloads
 // (in every column the store carries) and pseudo-random cell assignments
 // over [0, cells).
-func fillStore(st *particle.Store[float64], n, cells int, seed uint64) {
+func fillStore[F kernel.Float](st *particle.Store[F], n, cells int, seed uint64) {
 	st.SetLen(n)
 	r := rng.NewStream(seed)
 	for i := 0; i < n; i++ {
-		st.X[i] = float64(i) + 0.25
-		st.Y[i] = float64(i) + 0.5
+		st.X[i] = F(i) + 0.25
+		st.Y[i] = F(i) + 0.5
 		if st.Z != nil {
-			st.Z[i] = float64(i) + 0.75
+			st.Z[i] = F(i) + 0.75
 		}
-		st.U[i] = r.Float64()
-		st.V[i] = r.Float64()
-		st.W[i] = r.Float64()
-		st.R1[i] = r.Float64()
-		st.R2[i] = r.Float64()
+		st.U[i] = F(r.Float64())
+		st.V[i] = F(r.Float64())
+		st.W[i] = F(r.Float64())
+		st.R1[i] = F(r.Float64())
+		st.R2[i] = F(r.Float64())
 		if st.Evib != nil {
-			st.Evib[i] = float64(i % 17)
+			st.Evib[i] = F(i % 17)
 		}
 		st.Cell[i] = int32(r.Intn(cells))
 	}
@@ -33,8 +35,8 @@ func fillStore(st *particle.Store[float64], n, cells int, seed uint64) {
 
 // storesEqual reports whether the first n records of the two stores are
 // bit-identical in every column.
-func storesEqual(a, b *particle.Store[float64], n int) bool {
-	cols := [][2][]float64{
+func storesEqual[F kernel.Float](a, b *particle.Store[F], n int) bool {
+	cols := [][2][]F{
 		{a.X, b.X}, {a.Y, b.Y}, {a.U, b.U}, {a.V, b.V}, {a.W, b.W},
 		{a.R1, b.R1}, {a.R2, b.R2},
 	}
@@ -42,10 +44,10 @@ func storesEqual(a, b *particle.Store[float64], n int) bool {
 		return false
 	}
 	if a.Z != nil {
-		cols = append(cols, [2][]float64{a.Z, b.Z})
+		cols = append(cols, [2][]F{a.Z, b.Z})
 	}
 	if a.Evib != nil {
-		cols = append(cols, [2][]float64{a.Evib, b.Evib})
+		cols = append(cols, [2][]F{a.Evib, b.Evib})
 	}
 	for _, c := range cols {
 		for i := 0; i < n; i++ {
@@ -64,7 +66,7 @@ func storesEqual(a, b *particle.Store[float64], n int) bool {
 
 // stableOracle computes the serial stable counting sort the scatter must
 // reproduce: cell-major, ascending pre-sort index within each cell.
-func stableOracle(src *particle.Store[float64], n, cells int) *particle.Store[float64] {
+func stableOracle[F kernel.Float](src *particle.Store[F], n, cells int) *particle.Store[F] {
 	counts := make([]int32, cells+1)
 	for i := 0; i < n; i++ {
 		counts[src.Cell[i]+1]++
@@ -72,13 +74,7 @@ func stableOracle(src *particle.Store[float64], n, cells int) *particle.Store[fl
 	for c := 0; c < cells; c++ {
 		counts[c+1] += counts[c]
 	}
-	dst := particle.NewStore[float64](src.Cap())
-	if src.Z != nil {
-		dst = particle.NewStore3[float64](src.Cap())
-	}
-	if src.Evib != nil {
-		dst.AddEvib()
-	}
+	dst := newStoreLike(src, src.Cap())
 	dst.SetLen(n)
 	for i := 0; i < n; i++ {
 		c := src.Cell[i]
@@ -98,6 +94,97 @@ func stableOracle(src *particle.Store[float64], n, cells int) *particle.Store[fl
 	return dst
 }
 
+// newStoreLike returns an empty store of the given capacity with src's
+// columns.
+func newStoreLike[F kernel.Float](src *particle.Store[F], capacity int) *particle.Store[F] {
+	dst := particle.NewStore[F](capacity)
+	if src.Z != nil {
+		dst = particle.NewStore3[F](capacity)
+	}
+	if src.Evib != nil {
+		dst.AddEvib()
+	}
+	return dst
+}
+
+// shuffledOracle is the cell sort written the way it reads in the paper:
+// the stable sort of stableOracle, then a per-cell Fisher–Yates over the
+// records themselves, each cell drawing from its own (seed, epoch, cell)
+// stream. It shares no code with CellSort.
+func shuffledOracle[F kernel.Float](src *particle.Store[F], n, cells int, seed, epoch uint64) *particle.Store[F] {
+	dst := stableOracle(src, n, cells)
+	swap := func(i, j int) {
+		dst.X[i], dst.X[j] = dst.X[j], dst.X[i]
+		dst.Y[i], dst.Y[j] = dst.Y[j], dst.Y[i]
+		if dst.Z != nil {
+			dst.Z[i], dst.Z[j] = dst.Z[j], dst.Z[i]
+		}
+		dst.U[i], dst.U[j] = dst.U[j], dst.U[i]
+		dst.V[i], dst.V[j] = dst.V[j], dst.V[i]
+		dst.W[i], dst.W[j] = dst.W[j], dst.W[i]
+		dst.R1[i], dst.R1[j] = dst.R1[j], dst.R1[i]
+		dst.R2[i], dst.R2[j] = dst.R2[j], dst.R2[i]
+		if dst.Evib != nil {
+			dst.Evib[i], dst.Evib[j] = dst.Evib[j], dst.Evib[i]
+		}
+		dst.Cell[i], dst.Cell[j] = dst.Cell[j], dst.Cell[i]
+	}
+	for lo := 0; lo < n; {
+		hi := lo
+		for hi < n && dst.Cell[hi] == dst.Cell[lo] {
+			hi++
+		}
+		r := rng.StreamAt(seed, epoch, uint64(dst.Cell[lo]))
+		for i := hi - lo - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			swap(lo+i, lo+j)
+		}
+		lo = hi
+	}
+	return dst
+}
+
+// sortShapes are the store shapes every cell-sort test covers: the serial
+// and the concurrent dispatch path (n either side of serialCutoff), empty
+// worker blocks (n = 0, n < workers), a single cell and a 3D store (the Z
+// column).
+var sortShapes = []struct {
+	name     string
+	n, cells int
+	threeD   bool
+}{
+	{"empty", 0, 300, false},
+	{"fewer than workers", 2, 300, false},
+	{"below cutoff", serialCutoff - 1, 300, false},
+	{"at cutoff", serialCutoff, 300, false},
+	{"above cutoff", serialCutoff + 1, 300, false},
+	{"large", 5000, 300, false},
+	{"one cell", 5000, 1, false},
+	{"3D", 5000, 300, true},
+}
+
+// testPools returns pools of 1, 3, 4 and 8 workers.
+func testPools() []*Pool {
+	var pools []*Pool
+	for _, workers := range []int{1, 3, 4, 8} {
+		pools = append(pools, New(workers))
+	}
+	return pools
+}
+
+// newShapeStore returns an empty store of the given shape and capacity,
+// with the Evib column when vib is set.
+func newShapeStore[F kernel.Float](threeD, vib bool, capacity int) *particle.Store[F] {
+	st := particle.NewStore[F](capacity)
+	if threeD {
+		st = particle.NewStore3[F](capacity)
+	}
+	if vib {
+		st.AddEvib()
+	}
+	return st
+}
+
 // TestScatterMatchesStableOracle: the sharded scatter reproduces the
 // serial stable counting sort exactly for every worker count, on both
 // the serial and the concurrent dispatch path (n either side of
@@ -106,36 +193,10 @@ func stableOracle(src *particle.Store[float64], n, cells int) *particle.Store[fl
 // without the Evib column; and Plan reads the cell column directly (nil
 // cellOf) or fills it from cellOf to the same effect.
 func TestScatterMatchesStableOracle(t *testing.T) {
-	var pools []*Pool
-	for _, workers := range []int{1, 3, 4, 8} {
-		pools = append(pools, New(workers))
-	}
-	shapes := []struct {
-		name     string
-		n, cells int
-		threeD   bool
-	}{
-		{"empty", 0, 300, false},
-		{"fewer than workers", 2, 300, false},
-		{"below cutoff", serialCutoff - 1, 300, false},
-		{"at cutoff", serialCutoff, 300, false},
-		{"above cutoff", 5000, 300, false},
-		{"one cell", 5000, 1, false},
-		{"3D", 5000, 300, true},
-	}
-	for k := 0; k < 2*len(shapes); k++ {
-		sh, vib := shapes[k/2], k%2 == 1
-		newStore := func(capacity int) *particle.Store[float64] {
-			st := particle.NewStore[float64](capacity)
-			if sh.threeD {
-				st = particle.NewStore3[float64](capacity)
-			}
-			if vib {
-				st.AddEvib()
-			}
-			return st
-		}
-		src := newStore(sh.n + 100)
+	pools := testPools()
+	for k := 0; k < 2*len(sortShapes); k++ {
+		sh, vib := sortShapes[k/2], k%2 == 1
+		src := newShapeStore[float64](sh.threeD, vib, sh.n+100)
 		fillStore(src, sh.n, sh.cells, 42)
 		want := stableOracle(src, sh.n, sh.cells)
 		cells := append([]int32(nil), src.Cell[:sh.n]...)
@@ -143,7 +204,7 @@ func TestScatterMatchesStableOracle(t *testing.T) {
 			cs := NewCellSort[float64](pool, sh.cells, 0, 0)
 			for _, cellOf := range []func(i int) int32{nil, func(i int) int32 { return cells[i] }} {
 				cs.Plan(sh.n, src.Cell, cellOf)
-				dst := newStore(src.Cap())
+				dst := newStoreLike(src, src.Cap())
 				cs.ScatterStore(src, dst)
 				if dst.Len() != sh.n {
 					t.Errorf("%s, vib=%v, workers=%d: scattered store holds %d records, want %d", sh.name, vib, pool.Workers(), dst.Len(), sh.n)
@@ -152,6 +213,72 @@ func TestScatterMatchesStableOracle(t *testing.T) {
 					t.Errorf("%s, vib=%v, workers=%d, cellOf=%v: ScatterStore diverges from the stable oracle", sh.name, vib, pool.Workers(), cellOf != nil)
 				}
 			}
+		}
+	}
+}
+
+// TestScatterShuffledMatchesOracle: rank, per-cell index shuffle and
+// gather reproduce, bit for bit, the stable sort followed by a per-cell
+// Fisher–Yates over the records from the same streams — for every shape
+// of TestScatterMatchesStableOracle, with and without Evib, on pools of
+// 1, 3, 4 and 8 workers, at both precisions and two (seed, epoch) pairs.
+// The Cell column of the destination, which holds the index permutation
+// during the sort, ends as exactly the sorted cell column.
+func TestScatterShuffledMatchesOracle(t *testing.T) {
+	t.Run("float64", scatterShuffledMatchesOracle[float64])
+	t.Run("float32", scatterShuffledMatchesOracle[float32])
+}
+
+func scatterShuffledMatchesOracle[F kernel.Float](t *testing.T) {
+	pools := testPools()
+	keys := [][2]uint64{{1988, 7}, {42, 1 << 40}}
+	for k := 0; k < 2*len(sortShapes); k++ {
+		sh, vib := sortShapes[k/2], k%2 == 1
+		src := newShapeStore[F](sh.threeD, vib, sh.n+100)
+		fillStore(src, sh.n, sh.cells, 42)
+		for _, key := range keys {
+			want := shuffledOracle(src, sh.n, sh.cells, key[0], key[1])
+			for _, pool := range pools {
+				name := fmt.Sprintf("%s, vib=%v, workers=%d, seed=%d, epoch=%d", sh.name, vib, pool.Workers(), key[0], key[1])
+				cs := NewCellSort[F](pool, sh.cells, 0, 0)
+				cs.Plan(sh.n, src.Cell, nil)
+				dst := newStoreLike(src, src.Cap())
+				cs.ScatterShuffled(src, dst, key[0], key[1])
+				if dst.Len() != sh.n {
+					t.Errorf("%s: sorted store holds %d records, want %d", name, dst.Len(), sh.n)
+				}
+				if !storesEqual(want, dst, sh.n) {
+					t.Errorf("%s: ScatterShuffled diverges from the stable sort + record Fisher–Yates oracle", name)
+				}
+				for c := 0; c < sh.cells; c++ {
+					for d := cs.CellStart()[c]; d < cs.CellStart()[c+1]; d++ {
+						if dst.Cell[d] != int32(c) {
+							t.Fatalf("%s: dst.Cell[%d] = %d after the gather, want the cell %d", name, d, dst.Cell[d], c)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScatterShuffledAllocs: a steady Plan + ScatterShuffled allocates
+// nothing, on the serial and on the concurrent dispatch path.
+func TestScatterShuffledAllocs(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		src := newShapeStore[float64](false, true, 5000)
+		fillStore(src, 5000, 300, 42)
+		dst := newStoreLike(src, src.Cap())
+		cs := NewCellSort[float64](New(workers), 300, 0, 0)
+		epoch := uint64(0)
+		sort := func() {
+			cs.Plan(src.Len(), src.Cell, nil)
+			cs.ScatterShuffled(src, dst, 1988, epoch)
+			epoch++
+		}
+		sort()
+		if avg := testing.AllocsPerRun(20, sort); avg != 0 {
+			t.Errorf("workers=%d: steady ScatterShuffled allocates %.1f times per call, want 0", workers, avg)
 		}
 	}
 }

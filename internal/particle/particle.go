@@ -26,10 +26,15 @@ import (
 // RNG streams are shared between precisions and the float64
 // instantiation reproduces the pre-generic store exactly.
 //
-// The simulations keep the store cell-major: every step the sort's
-// scatter pass physically reorders the payload into a shadow store and
-// the buffers are swapped, so cell c's particles occupy the contiguous
-// index range cellStart[c]:cellStart[c+1] and Cell is non-decreasing.
+// The simulations keep the store cell-major: every step the sort
+// (par.CellSort.ScatterShuffled) gathers the payload into a shadow store
+// and the buffers are swapped, so cell c's particles occupy the
+// contiguous index range cellStart[c]:cellStart[c+1] and Cell is
+// non-decreasing. During the sort the shadow's Cell column is scratch —
+// it holds the int32 source index of each slot — and the gather then
+// writes the cell column back, because it has readers before the next
+// move rewrites it: the golden hashes, the checkpoint writer and
+// sample.AddFlow.
 type Store[F kernel.Float] struct {
 	X, Y []F
 	// Z is the third coordinate of 3D stores; nil in 2D.
@@ -136,8 +141,11 @@ func (s *Store[F]) RemoveSwap(i int) {
 
 // Swap exchanges the physical payload of particles i and j (position,
 // velocity components, vibrational energy where carried). Cell is NOT
-// swapped: the in-cell shuffle only ever swaps records inside one cell
-// span, where the indices are equal by the cell-major invariant.
+// swapped: a record shuffle only ever swaps records inside one cell span,
+// where the indices are equal by the cell-major invariant. No simulation
+// calls it — the step shuffles index entries inside the sort — it stays
+// only because the frozen benchmark/probes.go passes it to
+// par.CellSort.Shuffle; ROADMAP item 2(a) deletes both.
 //
 //dsmc:hotpath
 func (s *Store[F]) Swap(i, j int) {
