@@ -97,14 +97,7 @@ func stableOracle[F kernel.Float](src *particle.Store[F], n, cells int) *particl
 // newStoreLike returns an empty store of the given capacity with src's
 // columns.
 func newStoreLike[F kernel.Float](src *particle.Store[F], capacity int) *particle.Store[F] {
-	dst := particle.NewStore[F](capacity)
-	if src.Z != nil {
-		dst = particle.NewStore3[F](capacity)
-	}
-	if src.Evib != nil {
-		dst.AddEvib()
-	}
-	return dst
+	return newShapeStore[F](src.Z != nil, src.Evib != nil, capacity)
 }
 
 // shuffledOracle is the cell sort written the way it reads in the paper:
