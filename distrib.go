@@ -86,6 +86,8 @@ type ReplicaOutput = store.Output
 // JobCheckpoint is where a running sweep job persists its state: Load
 // returns the last saved checkpoint (nil when none), Save durably
 // replaces it, Discard removes a checkpoint found corrupt or stale.
+// Save must not retain data after it returns: the job encodes its next
+// checkpoint into the same buffer.
 // The distributed worker backs this with coordinator uploads; RunSweep's
 // local jobs back it with an atomically written file.
 type JobCheckpoint interface {

@@ -9,11 +9,36 @@
 //
 // The format is a fixed header (magic, version, kind, precision, cell
 // count), a sequence of sections written through the primitive codecs
-// below, and an FNV-1a trailer over every payload byte; the reader
-// recomputes the checksum as it consumes the stream and Close fails on
-// any corruption. All words are little-endian. Floats are stored at
-// their native storage precision (float32 columns cost 4 bytes per
-// value), so a checkpoint is approximately the size of the live store.
+// below, and one 64-bit trailer word over every byte before it. All
+// words are little-endian. Floats are stored at their native storage
+// precision (float32 columns cost 4 bytes per value), so a checkpoint is
+// approximately the size of the live store.
+//
+// A checkpoint is one pass over memory each way. The Writer appends into
+// a caller-supplied byte slice, filling each column in one loop, and
+// Finish seals the body. The slice is allocated once at its exact length
+// (Size runs the same section writers counting instead of storing), and
+// a job reuses it across its saves.
+// Restore reads the header, verifies the trailer once over the complete
+// buffer, and only then decodes the sections straight from the verified
+// bytes; every declared length is checked against the bytes that remain
+// before it sizes anything, so no input can make a restore allocate more
+// than its own length.
+//
+// The trailer is CRC-32C (Castagnoli) in the high half and CRC-32 (IEEE)
+// in the low half. Both run in hardware on amd64 and arm64 — on a 2-vCPU
+// x86-64 VM they checksum a 3.5 MB checkpoint at about 21 GB/s each,
+// where the byte-serial FNV-1a of format version 2 ran at 0.7 GB/s and
+// was half of the encode. Two polynomials keep the trailer 64 bits wide,
+// as FNV's was, so random damage slips past with probability 2^-64; each
+// CRC on its own detects every burst of up to 32 bits, which FNV does
+// not guarantee. A CRC is a checksum against accidental damage — torn
+// writes, truncation, bit rot — not a MAC.
+//
+// Version 3 changed only the trailer; the payload bytes are those of
+// version 2. Restore reports a checkpoint of another version as
+// ErrVersion before it looks at the trailer, so a pre-upgrade checkpoint
+// is a version error, not corruption.
 //
 // Layering: this package owns the encoding and the codecs for the shared
 // containers (store, reservoir, stream, accumulator, engine counters);
@@ -24,15 +49,12 @@
 package ckpt
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/fnv"
-	"io"
+	"hash/crc32"
 	"math"
+	"slices"
 
 	"dsmc/internal/collide"
 	"dsmc/internal/engine"
@@ -47,8 +69,9 @@ const Magic uint64 = 0x44534d43434b5054
 
 // Version is the current format version; readers reject others.
 // Version 2 added the Σw moment column to the accumulator section (the
-// multi-quantity sampling redesign).
-const Version uint32 = 2
+// multi-quantity sampling redesign); version 3 replaced the FNV-1a
+// trailer with CRC-32C‖CRC-32 and left the payload as it was.
+const Version uint32 = 3
 
 // Kind tags the simulation family a checkpoint belongs to.
 type Kind uint8
@@ -82,118 +105,175 @@ func PrecOf[F kernel.Float]() Prec {
 	return PrecF64
 }
 
-// trailerSize is the checksum trailer's byte length.
-const trailerSize = 8
+// floatSize is the byte width of one stored F.
+func floatSize[F kernel.Float]() int {
+	if PrecOf[F]() == PrecF32 {
+		return 4
+	}
+	return 8
+}
 
-// ErrCorrupt reports a checkpoint whose bytes do not match its checksum
-// trailer: a torn write, a truncation, bit damage.
-var ErrCorrupt = errors.New("ckpt: checksum mismatch")
+const (
+	// headerSize is the byte length of the five header words.
+	headerSize = 5 * 8
+	// trailerSize is the checksum trailer's byte length.
+	trailerSize = 8
+)
+
+// castagnoli is the CRC-32C table; crc32 uses the SSE4.2/ARMv8 CRC
+// instructions for it where the CPU has them.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// seal returns the trailer word of a checkpoint body.
+func seal(body []byte) uint64 {
+	return uint64(crc32.Checksum(body, castagnoli))<<32 | uint64(crc32.ChecksumIEEE(body))
+}
+
+// ErrCorrupt reports bytes that are not a sealed checkpoint: too short,
+// without the magic, or not matching their checksum trailer — a torn
+// write, a truncation, bit damage.
+var ErrCorrupt = errors.New("ckpt: corrupt checkpoint")
+
+// ErrVersion reports a checkpoint written by a different format version.
+// Callers with a cheap recompute path (the job resume) treat it like
+// corruption — discard and start fresh — instead of failing hard.
+var ErrVersion = errors.New("ckpt: unsupported format version")
+
+// ErrShape reports a checkpoint/simulation shape mismatch.
+var ErrShape = errors.New("ckpt: checkpoint does not match the simulation shape")
 
 // Restore is how checkpoint bytes reach a simulation — the standalone
-// restores and the job resume alike: verify, then apply. The complete
-// buffer is checked against its FNV-1a trailer (ErrCorrupt) and its
-// header against the format version (ErrVersion) and the restoring
-// simulation's kind, precision and cell count (ErrShape) before apply
-// reads one section, so a damaged or foreign checkpoint leaves the
-// simulation untouched.
+// restores and the job resume alike: verify, then apply. The header's
+// magic (ErrCorrupt) and format version (ErrVersion) are read first; then
+// the complete buffer is checked against its trailer (ErrCorrupt) and the
+// header against the restoring simulation's kind, precision and cell
+// count (ErrShape), all before apply reads one section, so a damaged,
+// pre-upgrade or foreign checkpoint leaves the simulation untouched.
+// apply decodes from the verified bytes, and Restore fails unless it
+// consumed every one of them.
 func Restore(data []byte, kind Kind, prec Prec, cells int, apply func(*Reader) error) error {
-	if len(data) < trailerSize {
-		return ErrCorrupt
+	if len(data) < headerSize+trailerSize {
+		return fmt.Errorf("%w: %d bytes is shorter than a header and trailer", ErrCorrupt, len(data))
 	}
 	body := data[:len(data)-trailerSize]
-	h := fnv.New64a()
-	h.Write(body)
-	if h.Sum64() != binary.LittleEndian.Uint64(data[len(body):]) {
-		return ErrCorrupt
+	r := &Reader{b: body}
+	if m := r.U64(); m != Magic {
+		return fmt.Errorf("%w: bad magic %#016x", ErrCorrupt, m)
 	}
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		return err
+	if v := r.U64(); v != uint64(Version) {
+		return fmt.Errorf("%w %d (this build reads version %d)", ErrVersion, v, Version)
 	}
-	if err := CheckShape(r, kind, prec, cells); err != nil {
-		return err
+	if got, want := binary.LittleEndian.Uint64(data[len(body):]), seal(body); got != want {
+		return fmt.Errorf("%w: trailer %#016x, the body seals to %#016x", ErrCorrupt, got, want)
+	}
+	if k := r.U64(); k != uint64(kind) {
+		return fmt.Errorf("%w: kind %d, simulation wants %d", ErrShape, k, kind)
+	}
+	if p := r.U64(); p != uint64(prec) {
+		return fmt.Errorf("%w: precision %d, simulation wants %d", ErrShape, p, prec)
+	}
+	if c := r.U64(); c != uint64(cells) {
+		return fmt.Errorf("%w: %d cells, simulation has %d", ErrShape, c, cells)
 	}
 	if err := apply(r); err != nil {
 		return err
 	}
-	return r.Close()
+	return r.close()
 }
 
-// Writer encodes a checkpoint stream. Errors are sticky: the first I/O
-// failure is remembered and returned by Close, so section writers can
-// stream without per-call checks.
+// Writer appends a checkpoint to a byte slice. Encoding cannot fail: the
+// sections only append.
 type Writer struct {
-	w    *bufio.Writer
-	sum  hash.Hash64
-	err  error
-	buf  [8]byte
-	kind Kind
-	prec Prec
+	buf   []byte
+	start int // offset of this checkpoint's header in buf
+	// sizing marks the writer Size runs sections through: it counts the
+	// bytes in n instead of storing them.
+	sizing bool
+	n      int
 }
 
-// NewWriter writes the header (magic, version, kind, precision, cells)
-// and returns a writer positioned at the first section. cells pins the
-// grid size so a checkpoint cannot be restored into a differently
-// shaped simulation.
-func NewWriter(w io.Writer, kind Kind, prec Prec, cells int) *Writer {
-	cw := &Writer{w: bufio.NewWriterSize(w, 1<<16), sum: fnv.New64a(), kind: kind, prec: prec}
-	cw.U64(Magic)
-	cw.U64(uint64(Version))
-	cw.U64(uint64(kind))
-	cw.U64(uint64(prec))
-	cw.U64(uint64(cells))
-	return cw
+// NewWriter appends the header (magic, version, kind, precision, cells)
+// to dst and returns a writer positioned at the first section. cells pins
+// the grid size so a checkpoint cannot be restored into a differently
+// shaped simulation. A caller that saves repeatedly passes its previous
+// Finish result resliced to zero length: the next checkpoint of the same
+// simulation reuses the buffer unless the state has outgrown it.
+func NewWriter(dst []byte, kind Kind, prec Prec, cells int) *Writer {
+	w := &Writer{buf: dst, start: len(dst)}
+	w.U64(Magic)
+	w.U64(uint64(Version))
+	w.U64(uint64(kind))
+	w.U64(uint64(prec))
+	w.U64(uint64(cells))
+	return w
 }
 
-func (w *Writer) word(v uint64) {
-	if w.err != nil {
-		return
+// Size returns the length of the sealed checkpoint whose sections the
+// function writes, by running it through a writer that counts the bytes
+// instead of storing them. Callers size a buffer once with it rather than
+// grow one by appending, which leaves a chain of discarded copies behind
+// and up to a quarter of the buffer unused.
+func Size(sections func(*Writer)) int {
+	w := &Writer{sizing: true}
+	sections(w)
+	return headerSize + w.n + trailerSize
+}
+
+// grow extends the buffer by n bytes and returns them for the caller to
+// fill; a sizing writer counts them and returns nil.
+func (w *Writer) grow(n int) []byte {
+	if w.sizing {
+		w.n += n
+		return nil
 	}
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.sum.Write(w.buf[:])
-	_, w.err = w.w.Write(w.buf[:])
-}
-
-func (w *Writer) word32(v uint32) {
-	if w.err != nil {
-		return
-	}
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.sum.Write(w.buf[:4])
-	_, w.err = w.w.Write(w.buf[:4])
+	w.buf = slices.Grow(w.buf, n)
+	m := len(w.buf)
+	w.buf = w.buf[:m+n]
+	return w.buf[m:]
 }
 
 // U64 writes one unsigned word.
-func (w *Writer) U64(v uint64) { w.word(v) }
+func (w *Writer) U64(v uint64) {
+	if w.sizing {
+		w.n += 8
+		return
+	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+}
 
 // I64 writes one signed word.
-func (w *Writer) I64(v int64) { w.word(uint64(v)) }
+func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 
 // F64 writes one float64 by IEEE-754 bits.
-func (w *Writer) F64(v float64) { w.word(math.Float64bits(v)) }
+func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
-// Bool writes a boolean as one word.
+// Bool writes a boolean as one word, 0 or 1.
 func (w *Writer) Bool(v bool) {
 	var u uint64
 	if v {
 		u = 1
 	}
-	w.word(u)
+	w.U64(u)
 }
+
+// The column writers below fill xs[:len(b)/size]: all of xs, or nothing
+// for a sizing writer.
 
 // I32s writes an int32 slice (length-prefixed).
 func (w *Writer) I32s(xs []int32) {
 	w.U64(uint64(len(xs)))
-	for _, x := range xs {
-		w.word32(uint32(x))
+	b := w.grow(4 * len(xs))
+	for i, x := range xs[:len(b)/4] {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
 	}
 }
 
 // F64s writes a float64 slice (length-prefixed).
 func (w *Writer) F64s(xs []float64) {
 	w.U64(uint64(len(xs)))
-	for _, x := range xs {
-		w.word(math.Float64bits(x))
+	b := w.grow(8 * len(xs))
+	for i, x := range xs[:len(b)/8] {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
 }
 
@@ -201,14 +281,15 @@ func (w *Writer) F64s(xs []float64) {
 // (length-prefixed): float32 values cost 4 bytes, float64 values 8.
 func Floats[F kernel.Float](w *Writer, xs []F) {
 	w.U64(uint64(len(xs)))
+	b := w.grow(floatSize[F]() * len(xs))
 	if PrecOf[F]() == PrecF32 {
-		for _, x := range xs {
-			w.word32(math.Float32bits(float32(x)))
+		for i, x := range xs[:len(b)/4] {
+			binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(float32(x)))
 		}
 		return
 	}
-	for _, x := range xs {
-		w.word(math.Float64bits(float64(x)))
+	for i, x := range xs[:len(b)/8] {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(float64(x)))
 	}
 }
 
@@ -216,203 +297,150 @@ func Floats[F kernel.Float](w *Writer, xs []F) {
 // the column.
 func zeroFloats[F kernel.Float](w *Writer, n int) {
 	w.U64(uint64(n))
-	if PrecOf[F]() == PrecF32 {
-		for i := 0; i < n; i++ {
-			w.word32(0)
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		w.word(0)
-	}
+	clear(w.grow(floatSize[F]() * n))
 }
 
-// Close writes the checksum trailer and flushes. It returns the first
-// error of the whole write sequence.
-func (w *Writer) Close() error {
-	sum := w.sum.Sum64() // the trailer itself is not part of the checksum
-	w.word(sum)
-	if w.err != nil {
-		return w.err
-	}
-	return w.w.Flush()
+// Finish appends the trailer and returns the buffer: dst as passed to
+// NewWriter, followed by the sealed checkpoint.
+func (w *Writer) Finish() []byte {
+	w.U64(seal(w.buf[w.start:]))
+	return w.buf
 }
 
-// Reader decodes a checkpoint stream, verifying the header eagerly and
-// the checksum trailer at Close. Errors are sticky.
+// Reader decodes the sections of a checkpoint Restore has verified,
+// straight from its bytes. Errors are sticky: the first structural error
+// is remembered, later reads return zeros, and Err reports it, so section
+// readers can decode a run of words and check once.
 type Reader struct {
-	r     *bufio.Reader
-	sum   hash.Hash64
-	err   error
-	buf   [8]byte
-	kind  Kind
-	prec  Prec
-	cells int
+	b   []byte // header and sections, trailer excluded
+	off int
+	err error
 }
-
-// ErrVersion reports a checkpoint written by a different format version.
-// Callers with a cheap recompute path (the job resume) treat it like
-// corruption — discard and start fresh — instead of failing hard.
-var ErrVersion = errors.New("ckpt: unsupported format version")
-
-// NewReader consumes and validates the header. The caller checks Kind,
-// Precision and Cells against the simulation it is restoring into.
-func NewReader(r io.Reader) (*Reader, error) {
-	cr := &Reader{r: bufio.NewReaderSize(r, 1<<16), sum: fnv.New64a()}
-	if m := cr.U64(); m != Magic {
-		return nil, fmt.Errorf("ckpt: bad magic %#016x", m)
-	}
-	if v := cr.U64(); v != uint64(Version) {
-		return nil, fmt.Errorf("%w: %d (want %d)", ErrVersion, v, Version)
-	}
-	cr.kind = Kind(cr.U64())
-	cr.prec = Prec(cr.U64())
-	cr.cells = int(cr.U64())
-	if cr.err != nil {
-		return nil, cr.err
-	}
-	return cr, nil
-}
-
-// Kind returns the header's simulation family tag.
-func (r *Reader) Kind() Kind { return r.kind }
-
-// Precision returns the header's storage-precision tag.
-func (r *Reader) Precision() Prec { return r.prec }
-
-// Cells returns the header's grid cell count.
-func (r *Reader) Cells() int { return r.cells }
 
 // Err returns the first decoding error, if any.
 func (r *Reader) Err() error { return r.err }
 
-func (r *Reader) word() uint64 {
+// take consumes the next n bytes; nil once an error is set.
+func (r *Reader) take(n int) []byte {
 	if r.err != nil {
-		return 0
+		return nil
 	}
-	if _, r.err = io.ReadFull(r.r, r.buf[:]); r.err != nil {
-		return 0
+	if n > len(r.b)-r.off {
+		r.err = fmt.Errorf("ckpt: a %d-byte read at offset %d overruns the %d-byte checkpoint", n, r.off, len(r.b))
+		return nil
 	}
-	r.sum.Write(r.buf[:])
-	return binary.LittleEndian.Uint64(r.buf[:])
+	r.off += n
+	return r.b[r.off-n : r.off]
 }
 
-func (r *Reader) word32() uint32 {
+// count reads a declared element count and checks that count elements of
+// size bytes fit in what remains, so no length can size an allocation
+// beyond the input.
+func (r *Reader) count(what string, size int) int {
+	n := r.U64()
+	if rem := len(r.b) - r.off; r.err == nil && n > uint64(rem/size) {
+		r.err = fmt.Errorf("ckpt: %s of %d declared, %d bytes remain", what, n, rem)
+	}
 	if r.err != nil {
 		return 0
 	}
-	if _, r.err = io.ReadFull(r.r, r.buf[:4]); r.err != nil {
-		return 0
+	return int(n)
+}
+
+// column reads a length-prefixed column of exactly n elements of size
+// bytes and returns its bytes; nil on error.
+func (r *Reader) column(what string, n, size int) []byte {
+	if m := r.count(what, size); r.err == nil && m != n {
+		r.err = fmt.Errorf("%w: %s of %d values, want %d", ErrShape, what, m, n)
 	}
-	r.sum.Write(r.buf[:4])
-	return binary.LittleEndian.Uint32(r.buf[:4])
+	return r.take(n * size)
 }
 
 // U64 reads one unsigned word.
-func (r *Reader) U64() uint64 { return r.word() }
-
-// I64 reads one signed word.
-func (r *Reader) I64() int64 { return int64(r.word()) }
-
-// F64 reads one float64.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.word()) }
-
-// Bool reads a boolean.
-func (r *Reader) Bool() bool { return r.word() != 0 }
-
-// lenInto validates a length prefix against a destination capacity.
-func (r *Reader) lenInto(what string, capacity int) int {
-	n := int(r.U64())
-	if r.err == nil && (n < 0 || n > capacity) {
-		r.err = fmt.Errorf("ckpt: %s length %d exceeds capacity %d", what, n, capacity)
-	}
-	if r.err != nil {
+func (r *Reader) U64() uint64 {
+	b := r.take(8)
+	if b == nil {
 		return 0
 	}
-	return n
+	return binary.LittleEndian.Uint64(b)
 }
 
-// I32s reads an int32 slice into dst, returning the element count.
-func (r *Reader) I32s(dst []int32) int {
-	n := r.lenInto("int32 column", len(dst))
-	for i := 0; i < n; i++ {
-		dst[i] = int32(r.word32())
+// I64 reads one signed word.
+func (r *Reader) I64() int64 { return int64(r.U64()) }
+
+// F64 reads one float64.
+func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+
+// Bool reads a boolean; a word other than 0 or 1 is an error, so every
+// accepted checkpoint re-encodes to its own bytes.
+func (r *Reader) Bool() bool {
+	v := r.U64()
+	if v > 1 && r.err == nil {
+		r.err = fmt.Errorf("ckpt: boolean word %d at offset %d", v, r.off-8)
 	}
-	return n
+	return v == 1
 }
 
-// F64s reads a float64 slice into dst, returning the element count.
-func (r *Reader) F64s(dst []float64) int {
-	n := r.lenInto("float64 column", len(dst))
-	for i := 0; i < n; i++ {
-		dst[i] = math.Float64frombits(r.word())
+// I32s reads a column written by Writer.I32s into dst, which it must fill
+// exactly.
+func (r *Reader) I32s(dst []int32) {
+	b := r.column("int32 column", len(dst), 4)
+	if r.err != nil {
+		return
 	}
-	return n
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+	}
 }
 
-// ReadFloats reads a column written by Floats into dst (which must be at
-// least as long as the stored column), returning the element count.
-func ReadFloats[F kernel.Float](r *Reader, dst []F) int {
-	n := r.lenInto("float column", len(dst))
+// F64s reads a column written by Writer.F64s into dst, which it must fill
+// exactly.
+func (r *Reader) F64s(dst []float64) {
+	b := r.column("float64 column", len(dst), 8)
+	if r.err != nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
+
+// ReadFloats reads a column written by Floats into dst, which it must
+// fill exactly.
+func ReadFloats[F kernel.Float](r *Reader, dst []F) {
+	b := r.column("float column", len(dst), floatSize[F]())
+	if r.err != nil {
+		return
+	}
 	if PrecOf[F]() == PrecF32 {
-		for i := 0; i < n; i++ {
-			dst[i] = F(math.Float32frombits(r.word32()))
+		for i := range dst {
+			dst[i] = F(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:])))
 		}
-		return n
+		return
 	}
-	for i := 0; i < n; i++ {
-		dst[i] = F(math.Float64frombits(r.word()))
+	for i := range dst {
+		dst[i] = F(math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
 	}
-	return n
 }
 
-// readZeroFloats consumes a column written by Floats of at most max
-// values without storing it, and reports whether every value was +0 —
-// how a store without a column reads the one the stream always has.
-func readZeroFloats[F kernel.Float](r *Reader, max int) bool {
-	n := r.lenInto("float column", max)
-	var bits uint64
-	if PrecOf[F]() == PrecF32 {
-		for i := 0; i < n; i++ {
-			bits |= uint64(r.word32())
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			bits |= r.word()
-		}
+// readZeroFloats consumes a column of n values written by Floats without
+// storing it, and reports whether every value was +0 — how a store
+// without a column reads the one the stream always has.
+func readZeroFloats[F kernel.Float](r *Reader, n int) bool {
+	var bits byte
+	for _, x := range r.column("float column", n, floatSize[F]()) {
+		bits |= x
 	}
 	return bits == 0
 }
 
-// Close consumes the checksum trailer and verifies it against the bytes
-// read. A checkpoint truncated or corrupted anywhere fails here (or
-// earlier, on a structural error).
-func (r *Reader) Close() error {
-	want := r.sum.Sum64() // trailer excluded from the checksum, mirror the writer
-	got := r.word()
+// close reports the first decoding error, or bytes that no section read.
+func (r *Reader) close() error {
 	if r.err != nil {
 		return r.err
 	}
-	if got != want {
-		return fmt.Errorf("ckpt: checksum mismatch: stored %#016x, computed %#016x", got, want)
-	}
-	return nil
-}
-
-// ErrShape reports a checkpoint/simulation shape mismatch.
-var ErrShape = errors.New("ckpt: checkpoint does not match the simulation shape")
-
-// CheckShape validates a reader's header against the restoring
-// simulation's kind, precision and cell count.
-func CheckShape(r *Reader, kind Kind, prec Prec, cells int) error {
-	if r.Kind() != kind {
-		return fmt.Errorf("%w: kind %d, simulation wants %d", ErrShape, r.Kind(), kind)
-	}
-	if r.Precision() != prec {
-		return fmt.Errorf("%w: precision %d, simulation wants %d", ErrShape, r.Precision(), prec)
-	}
-	if r.Cells() != cells {
-		return fmt.Errorf("%w: %d cells, simulation has %d", ErrShape, r.Cells(), cells)
+	if r.off != len(r.b) {
+		return fmt.Errorf("ckpt: %d bytes after the last section", len(r.b)-r.off)
 	}
 	return nil
 }
@@ -448,7 +476,7 @@ func WriteStore[F kernel.Float](w *Writer, st *particle.Store[F]) {
 // have the same dimensionality and sufficient capacity (both hold for a
 // store built from the checkpointed configuration).
 func ReadStore[F kernel.Float](r *Reader, st *particle.Store[F]) error {
-	n := int(r.U64())
+	n := r.count("particle count", floatSize[F]())
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -456,7 +484,7 @@ func ReadStore[F kernel.Float](r *Reader, st *particle.Store[F]) error {
 		return fmt.Errorf("%w: %d particles, store capacity %d", ErrShape, n, st.Cap())
 	}
 	threeD := r.Bool()
-	if threeD != (st.Z != nil) {
+	if r.Err() == nil && threeD != (st.Z != nil) {
 		return fmt.Errorf("%w: dimensionality differs (checkpoint 3D=%v)", ErrShape, threeD)
 	}
 	ReadFloats(r, st.X[:n])
@@ -515,13 +543,9 @@ func WriteReservoir(w *Writer, rv *particle.Reservoir) {
 
 // ReadReservoir restores a reservoir written by WriteReservoir.
 func ReadReservoir(r *Reader, rv *particle.Reservoir) error {
-	n := int(r.U64())
+	n := r.count("reservoir", 5*8)
 	if r.Err() != nil {
 		return r.Err()
-	}
-	const maxReservoir = 1 << 30 // structural sanity bound before allocating
-	if n < 0 || n > maxReservoir {
-		return fmt.Errorf("ckpt: implausible reservoir size %d", n)
 	}
 	vels := make([]collide.State5, n)
 	for i := range vels {
@@ -560,14 +584,13 @@ func WriteAccumulator(w *Writer, a *sample.Accumulator) {
 }
 
 // ReadAccumulator restores an accumulator written by WriteAccumulator.
-// The accumulator must cover the same grid (equal column lengths).
+// The accumulator must cover the same grid (equal column lengths; a
+// different length is ErrShape).
 func ReadAccumulator(r *Reader, a *sample.Accumulator) error {
 	count, momX, momY, momZ, enrg := a.Raw()
 	steps := int(r.U64())
 	for _, col := range [][]float64{count, momX, momY, momZ, enrg} {
-		if n := r.F64s(col); r.Err() == nil && n != len(col) {
-			return fmt.Errorf("%w: accumulator column length %d, grid wants %d", ErrShape, n, len(col))
-		}
+		r.F64s(col)
 	}
 	if r.Err() != nil {
 		return r.Err()

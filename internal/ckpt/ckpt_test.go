@@ -2,9 +2,12 @@ package ckpt_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"hash/fnv"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -298,6 +301,74 @@ func TestShapeMismatches(t *testing.T) {
 	})
 }
 
+// TestSizeIsExact: Size counts exactly the bytes the sections encode to,
+// header and trailer included, for every section kind — both column
+// precisions, the Evib column live and written as zeros, 3D's Z column.
+func TestSizeIsExact(t *testing.T) {
+	vib := config2D()
+	vib.ZVib = 5
+	s64, err := sim.NewOf[float64](config2D())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s32, err := sim.NewOf[float32](vib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3, err := sim3.New(config3D())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		run      func(int)
+		sections func(*ckpt.Writer)
+		write    func(io.Writer) error
+	}{
+		{"2D/float64", s64.Run, s64.CheckpointSections, s64.WriteCheckpoint},
+		{"2D/float32/vibrational", s32.Run, s32.CheckpointSections, s32.WriteCheckpoint},
+		{"3D/float64", s3.Run, s3.CheckpointSections, s3.WriteCheckpoint},
+	} {
+		tc.run(4)
+		var buf bytes.Buffer
+		if err := tc.write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := ckpt.Size(tc.sections); got != buf.Len() {
+			t.Errorf("%s: Size says %d bytes, the checkpoint is %d", tc.name, got, buf.Len())
+		}
+	}
+}
+
+// TestHugeReservoirRejected: a correctly sealed checkpoint that declares
+// a reservoir far beyond its own bytes is an error before anything is
+// sized from the count — the restore allocates less than twice the input,
+// not the 40 GiB the count asks for.
+func TestHugeReservoirRejected(t *testing.T) {
+	s, err := sim.New(config2D())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(3)
+	cells := s.Grid().Cells()
+	w := ckpt.NewWriter(nil, ckpt.Kind2D, ckpt.PrecF64, cells)
+	ckpt.WriteEngine(w, s.Engine)
+	w.F64(0)       // plunger position
+	w.U64(1 << 30) // reservoir count: 1<<30 velocities of 40 bytes
+	data := w.Finish()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = ckpt.Restore(data, ckpt.Kind2D, ckpt.PrecF64, cells, s.RestoreSections)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a checkpoint declaring 1<<30 reservoir entries restored")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 2*uint64(len(data)) {
+		t.Errorf("rejecting it allocated %d bytes, input is %d", d, len(data))
+	}
+}
+
 // TestAccumulatorRoundTrip: the sampling state checkpoints bit-for-bit
 // (the piece that makes mid-sampling job resume exact).
 func TestAccumulatorRoundTrip(t *testing.T) {
@@ -313,22 +384,15 @@ func TestAccumulatorRoundTrip(t *testing.T) {
 		s.SampleInto(acc)
 	}
 
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf, ckpt.KindJob, ckpt.PrecF64, g.Cells())
+	w := ckpt.NewWriter(nil, ckpt.KindJob, ckpt.PrecF64, g.Cells())
 	ckpt.WriteAccumulator(w, acc)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	data := w.Finish()
 
-	r, err := ckpt.NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	acc2 := sample.NewAccumulator(g, s.Volumes(), cfg.NPerCell)
-	if err := ckpt.ReadAccumulator(r, acc2); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
+	err = ckpt.Restore(data, ckpt.KindJob, ckpt.PrecF64, g.Cells(), func(r *ckpt.Reader) error {
+		return ckpt.ReadAccumulator(r, acc2)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if acc2.Steps != acc.Steps {
@@ -349,11 +413,35 @@ func fnv64a(b []byte) uint64 {
 	return h.Sum64()
 }
 
-// TestCheckpointBytesPinned: the on-disk bytes of non-vibrational
+// asVersion2 returns the bytes format version 2 would have written for
+// a version-3 checkpoint: the same payload, the version word 2, and the
+// FNV-1a trailer — exactly what a build before the CRC trailer writes.
+func asVersion2(v3 []byte) []byte {
+	b := bytes.Clone(v3)
+	binary.LittleEndian.PutUint64(b[8:16], 2)
+	body := b[:len(b)-8]
+	binary.LittleEndian.PutUint64(b[len(body):], fnv64a(body))
+	return b
+}
+
+// reseal rewrites b's trailer to match its body: CRC-32C of the body in
+// the high half, CRC-32 (IEEE) in the low half.
+func reseal(b []byte) {
+	if len(b) < 8 {
+		return
+	}
+	body := b[:len(b)-8]
+	binary.LittleEndian.PutUint64(b[len(body):],
+		uint64(crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))<<32|uint64(crc32.ChecksumIEEE(body)))
+}
+
+// TestCheckpointBytesPinned: the payload bytes of non-vibrational
 // checkpoints are the ones the engine wrote while every store still
 // carried a (zero) Evib column — the constants were recorded at commit
-// dc0ba4b, before the column became optional. A checkpoint written there
-// restores here and vice versa.
+// dc0ba4b, before the column became optional, as hashes of whole
+// format-version-2 files. Version 3 changed only the version word and
+// the trailer, so each checkpoint is hashed after asVersion2 sets the
+// word back to 2 and re-seals it with FNV-1a: the payload has not moved.
 func TestCheckpointBytesPinned(t *testing.T) {
 	cfg := config2D()
 	cfg.Workers = 2
@@ -386,7 +474,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		if err := tc.write(&buf); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := fnv64a(buf.Bytes()); got != tc.want {
+		if got := fnv64a(asVersion2(buf.Bytes())); got != tc.want {
 			t.Errorf("%s: checkpoint bytes hash %#016x (%d bytes), recorded %#016x", tc.name, got, buf.Len(), tc.want)
 		}
 	}

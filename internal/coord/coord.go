@@ -351,6 +351,8 @@ func (c *Coordinator) SaveCheckpoint(sweep, jobID, lease string, data []byte) er
 		return err
 	}
 	if path := st.ckptPath(i); path == "" {
+		// Copy: an embedded worker's data is its replica's checkpoint
+		// buffer, which the job reuses for its next save.
 		st.leases[i].ckpt = append([]byte(nil), data...)
 	} else {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -1,7 +1,6 @@
 package run
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -102,6 +101,9 @@ type Replica struct {
 	// angle fits the scenario's validation scalar from the density
 	// field; NaN when the scenario has no oblique shock to fit.
 	angle func(density []float64) float64
+	// ckbuf holds the last checkpoint saveCheckpoint encoded; the next
+	// save reuses it, so a job allocates its checkpoint buffer once.
+	ckbuf []byte
 }
 
 // newAccumulator returns an empty moment accumulator of the replica's
@@ -275,19 +277,27 @@ func runReplica(ctx context.Context, sc Scenario, quantities []string, seed uint
 // write-temp/fsync/rename, the distributed worker via an idempotent
 // upload). If the medium still delivers a corrupt buffer later,
 // loadCheckpoint detects it by checksum and falls back to a fresh
-// (bit-identical) run rather than wedging the sweep.
+// (bit-identical) run rather than wedging the sweep. The bytes are
+// encoded into the replica's reused buffer, which is why Save must not
+// retain them.
 func (job *Replica) saveCheckpoint(store CkptStore, acc *sample.Accumulator, seed, fp uint64, done int) error {
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf, ckpt.KindJob, job.prec, job.cells)
-	w.U64(seed)
-	w.U64(fp)
-	w.U64(uint64(done))
-	job.CheckpointSections(w)
-	ckpt.WriteAccumulator(w, acc)
-	if err := w.Close(); err != nil {
-		return err
+	sections := func(w *ckpt.Writer) {
+		w.U64(seed)
+		w.U64(fp)
+		w.U64(uint64(done))
+		job.CheckpointSections(w)
+		ckpt.WriteAccumulator(w, acc)
 	}
-	return store.Save(buf.Bytes())
+	if job.ckbuf == nil {
+		// Size the buffer once, with room for the particle count to
+		// fluctuate by a sixteenth before a later save must grow it.
+		n := ckpt.Size(sections)
+		job.ckbuf = make([]byte, 0, n+n/16)
+	}
+	w := ckpt.NewWriter(job.ckbuf[:0], ckpt.KindJob, job.prec, job.cells)
+	sections(w)
+	job.ckbuf = w.Finish()
+	return store.Save(job.ckbuf)
 }
 
 // loadCheckpoint restores a job checkpoint if one exists, returning

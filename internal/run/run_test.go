@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"hash/fnv"
 	"math"
 	"os"
@@ -380,7 +381,9 @@ func TestCorruptCheckpointFallsBackToFreshRun(t *testing.T) {
 // TestStaleVersionCheckpointFallsBackToFreshRun: a structurally intact
 // job checkpoint from a different format version (pre-upgrade leftovers)
 // is discarded and recomputed fresh — bit-identically — instead of
-// failing the sweep.
+// failing the sweep. Two forgeries of the header's version word: a
+// foreign version sealed with the current trailer, and version 2 sealed
+// with FNV-1a, exactly what a build before the CRC trailer wrote.
 func TestStaleVersionCheckpointFallsBackToFreshRun(t *testing.T) {
 	sp := testSpec()
 	sp.Scenarios = sp.Scenarios[:1]
@@ -397,28 +400,85 @@ func TestStaleVersionCheckpointFallsBackToFreshRun(t *testing.T) {
 	if _, err := Run(context.Background(), sp, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the header's version word to a foreign value and re-seal
-	// the checksum trailer, simulating a checkpoint from another format
-	// version that is otherwise intact.
-	path := JobCkptPath(dir, 0, 0)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	crc := func(body []byte) uint64 {
+		return uint64(crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))<<32 | uint64(crc32.ChecksumIEEE(body))
 	}
-	binary.LittleEndian.PutUint64(raw[8:16], 999)
-	h := fnv.New64a()
-	h.Write(raw[:len(raw)-8])
-	binary.LittleEndian.PutUint64(raw[len(raw)-8:], h.Sum64())
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
+	fnv64a := func(body []byte) uint64 {
+		h := fnv.New64a()
+		h.Write(body)
+		return h.Sum64()
 	}
+	for _, forgery := range []struct {
+		name    string
+		version uint64
+		seal    func([]byte) uint64
+	}{
+		{"foreign-version", 999, crc},
+		{"version-2-fnv", 2, fnv64a},
+	} {
+		t.Run(forgery.name, func(t *testing.T) {
+			// Each run leaves a fresh final checkpoint for the next forgery.
+			path := JobCkptPath(dir, 0, 0)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint64(raw[8:16], forgery.version)
+			binary.LittleEndian.PutUint64(raw[len(raw)-8:], forgery.seal(raw[:len(raw)-8]))
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	res, err := Run(context.Background(), sp, nil)
-	if err != nil {
-		t.Fatalf("run over stale-version checkpoint failed instead of recomputing: %v", err)
+			res, err := Run(context.Background(), sp, nil)
+			if err != nil {
+				t.Fatalf("run over stale-version checkpoint failed instead of recomputing: %v", err)
+			}
+			if !aggEqual(straight.Aggregates[0], res.Aggregates[0]) {
+				t.Error("recomputation after version mismatch drifted from the straight run")
+			}
+		})
 	}
-	if !aggEqual(straight.Aggregates[0], res.Aggregates[0]) {
-		t.Error("recomputation after version mismatch drifted from the straight run")
+}
+
+// nopCkptStore accepts saves and keeps nothing.
+type nopCkptStore struct{}
+
+func (nopCkptStore) Load() ([]byte, error) { return nil, nil }
+func (nopCkptStore) Save([]byte) error     { return nil }
+func (nopCkptStore) Discard() error        { return nil }
+
+// TestCheckpointEncodeAllocs: a steady job save encodes into the
+// replica's warm buffer — O(1) allocations per save, and the buffer the
+// first save grew is the one every later save writes.
+func TestCheckpointEncodeAllocs(t *testing.T) {
+	const seed = 1988
+	sc := testScenario("rarefied", 0.5, false)
+	job, err := Open(sc, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := job.newAccumulator()
+	fp := specFingerprint(sc, 8, 8)
+	done := 0
+	save := func() {
+		if err := job.saveCheckpoint(nopCkptStore{}, acc, seed, fp, done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job.Run(8)
+	done = 8
+	save()
+	warm := &job.ckbuf[0]
+	for k := 0; k < 4; k++ {
+		job.Step()
+		job.SampleInto(acc)
+		done++
+		if n := testing.AllocsPerRun(5, save); n > 2 {
+			t.Errorf("save %d allocates %.1f times, want O(1)", k, n)
+		}
+		if &job.ckbuf[0] != warm {
+			t.Fatalf("save %d reallocated the checkpoint buffer", k)
+		}
 	}
 }
 

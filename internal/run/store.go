@@ -17,7 +17,9 @@ import (
 type CkptStore interface {
 	// Load returns the last saved checkpoint, or nil when none exists.
 	Load() ([]byte, error)
-	// Save durably replaces the checkpoint.
+	// Save durably replaces the checkpoint. It must not retain data
+	// after it returns: the job encodes its next checkpoint into the
+	// same buffer.
 	Save(data []byte) error
 	// Discard removes a checkpoint found corrupt or stale so it is not
 	// re-read; losing it only costs recomputation.

@@ -26,11 +26,14 @@ func (s *SimOf[F]) RestoreSections(r *ckpt.Reader) error {
 	return r.Err()
 }
 
-// WriteCheckpoint writes a standalone checkpoint of the simulation.
+// WriteCheckpoint writes a standalone checkpoint of the simulation in
+// one Write, encoded into a buffer of exactly its size.
 func (s *SimOf[F]) WriteCheckpoint(wr io.Writer) error {
-	w := ckpt.NewWriter(wr, ckpt.Kind3D, ckpt.PrecOf[F](), s.grid.Cells())
+	buf := make([]byte, 0, ckpt.Size(s.CheckpointSections))
+	w := ckpt.NewWriter(buf, ckpt.Kind3D, ckpt.PrecOf[F](), s.grid.Cells())
 	s.CheckpointSections(w)
-	return w.Close()
+	_, err := wr.Write(w.Finish())
+	return err
 }
 
 // ReadCheckpoint restores a standalone checkpoint into the simulation,

@@ -3,11 +3,15 @@ package dsmc_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
 
 	"dsmc"
+	"dsmc/internal/ckpt"
 )
 
 func smallPublicConfig() dsmc.WedgeTunnel2D {
@@ -223,6 +227,37 @@ func TestFailedRestoreLeavesSimulationUntouched(t *testing.T) {
 				t.Error("failed restore changed the simulation's state")
 			}
 		})
+	}
+}
+
+// TestPreUpgradeCheckpointIsVersionError: a checkpoint written by a build
+// of format version 2 — the same payload, the version word 2 and an FNV-1a
+// trailer — fails RestoreSimulation as ckpt.ErrVersion naming both
+// versions, not as corruption.
+func TestPreUpgradeCheckpointIsVersionError(t *testing.T) {
+	s, err := dsmc.NewSimulation(smallPublicConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(5)
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	v2 := buf.Bytes()
+	binary.LittleEndian.PutUint64(v2[8:16], 2)
+	h := fnv.New64a()
+	h.Write(v2[:len(v2)-8])
+	binary.LittleEndian.PutUint64(v2[len(v2)-8:], h.Sum64())
+
+	_, err = dsmc.RestoreSimulation(smallPublicConfig(), bytes.NewReader(v2))
+	if !errors.Is(err, ckpt.ErrVersion) || errors.Is(err, ckpt.ErrCorrupt) {
+		t.Fatalf("restoring a version-2 checkpoint: %v, want ErrVersion", err)
+	}
+	for _, want := range []string{"version 2", "version 3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }
 
