@@ -10,6 +10,7 @@ import (
 	"net/url"
 
 	"dsmc"
+	"dsmc/internal/store"
 )
 
 // HTTPQueue speaks the coordinator wire protocol. It is a dumb
@@ -112,7 +113,7 @@ func (q *HTTPQueue) SaveCheckpoint(ctx context.Context, l *Lease, data []byte) e
 }
 
 func (q *HTTPQueue) Complete(ctx context.Context, l *Lease, out *dsmc.ReplicaOutput) error {
-	_, err := q.do(ctx, http.MethodPost, jobQuery("/coord/v1/complete", l), "application/octet-stream", EncodeOutput(out))
+	_, err := q.do(ctx, http.MethodPost, jobQuery("/coord/v1/complete", l), "application/octet-stream", store.EncodeOutput(out))
 	return err
 }
 

@@ -421,7 +421,7 @@ func (c *Coordinator) Complete(sweep, jobID, lease string, out *dsmc.ReplicaOutp
 	// of the same key must therefore produce identical bytes, which Put
 	// verifies rather than assumes (a conflict is refused and counted).
 	if key := st.jobs[i].StoreKey; c.cfg.Store != nil && key != "" {
-		_, _ = c.cfg.Store.Put(key, EncodeOutput(out))
+		_, _ = c.cfg.Store.Put(key, store.EncodeOutput(out))
 		for _, id := range c.order {
 			if other := c.sweeps[id]; other != st && !other.finished {
 				other.table.Memo(c.cfg.Store, key)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dsmc"
+	"dsmc/internal/store"
 )
 
 // tinySpec is a fast two-replica, one-point sweep used across tests.
@@ -123,7 +124,7 @@ func TestOutputCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeOutput(EncodeOutput(out))
+	dec, err := store.DecodeOutput(store.EncodeOutput(out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +151,9 @@ func TestOutputCodecRoundTrip(t *testing.T) {
 	}
 
 	// Corruption must be detected, not decoded.
-	enc := EncodeOutput(out)
+	enc := store.EncodeOutput(out)
 	enc[len(enc)/2] ^= 0x40
-	if _, err := DecodeOutput(enc); err == nil {
+	if _, err := store.DecodeOutput(enc); err == nil {
 		t.Fatal("corrupted output decoded without error")
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+
+	"dsmc/internal/store"
 )
 
 // Handler exposes the coordinator protocol over HTTP under /coord/v1/.
@@ -104,7 +106,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	out, err := DecodeOutput(data)
+	out, err := store.DecodeOutput(data)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -1,9 +1,12 @@
 package coord
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +15,8 @@ import (
 	"time"
 
 	"dsmc"
+	"dsmc/internal/frame"
+	"dsmc/internal/store"
 )
 
 // TestHTTPTransport drives real workers through the wire protocol —
@@ -91,9 +96,11 @@ func TestHTTPTransport(t *testing.T) {
 
 // TestUploadLimit: the two endpoints that buffer a whole body refuse one
 // over the limit with 413 — by its declared length before a byte is read,
-// or while reading when the length is not declared — and the refusal
-// leaves the lease as it was: the same lease then uploads checkpoints and
-// completes, and the sweep finishes.
+// or while reading when the length is not declared — the completion
+// endpoint refuses a sealed output frame declaring ~2^64 fields with 400
+// before sizing anything from the count, and the refusals leave the lease
+// as it was: the same lease then uploads checkpoints and completes, and
+// the sweep finishes.
 func TestUploadLimit(t *testing.T) {
 	done := make(chan error, 1)
 	c := New(Config{LeaseTTL: 30 * time.Second})
@@ -129,6 +136,21 @@ func TestUploadLimit(t *testing.T) {
 		if ok != tc.ok || (ok && string(data) != tc.body) || (!ok && rec.Code != http.StatusRequestEntityTooLarge) {
 			t.Errorf("readUpload of %d undeclared bytes, limit 8: ok=%v status %d data %q", len(tc.body), ok, rec.Code, data)
 		}
+	}
+
+	// A 56-byte completion body with a valid trailer: the header of a real
+	// output frame, a field count of 2^64-1, the three scalars.
+	zero := store.EncodeOutput(&store.Output{})
+	w := frame.NewWriter(nil, binary.LittleEndian.Uint64(zero), uint32(binary.LittleEndian.Uint64(zero[8:])))
+	w.U64(math.MaxUint64)
+	w.F64(0)
+	w.I64(0)
+	w.I64(0)
+	req := httptest.NewRequest(http.MethodPost, jobQuery("/coord/v1/complete", l), bytes.NewReader(w.Finish()))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("completion declaring 2^64-1 fields: status %d, want 400 (%s)", rec.Code, rec.Body)
 	}
 
 	// The refused requests changed nothing: l is still the live lease.

@@ -43,7 +43,6 @@ import (
 
 	"dsmc"
 	"dsmc/internal/obs"
-	"dsmc/internal/store"
 )
 
 // Sentinel errors of the coordinator API. The HTTP layer maps them to
@@ -117,17 +116,3 @@ type WorkerStatus struct {
 	// LastSeenMillis is the age of the last contact, in milliseconds.
 	LastSeenMillis int64 `json:"last_seen_ms"`
 }
-
-// EncodeOutput and DecodeOutput are the result store's replica-output
-// codec (the DSMCOUT1 frame) under the names the protocol uses: the
-// coordinator's upload format and the store's at-rest artifact format
-// are deliberately one frame over one type, so a worker's completion
-// body can be published to the store byte-for-byte. JSON cannot carry
-// the outputs — ShockAngleDeg is NaN for scenarios without a wedge — and
-// the sweep's bit-identity guarantee makes "almost the same float" a
-// corruption, so outputs travel as raw IEEE-754 bits with a checksum
-// trailer that DecodeOutput verifies before trusting any of it.
-var (
-	EncodeOutput = store.EncodeOutput
-	DecodeOutput = store.DecodeOutput
-)

@@ -40,11 +40,16 @@ var layerAllows = map[string][]string{
 	// baseline: the comparator collision schemes (Bird, Nanbu, …) — run by
 	// -exp relax and the benchmarks, imported by no simulation package.
 	"baseline": {"dsmc/internal/collide", "dsmc/internal/rng"},
+	// frame: the one binary frame (words, columns, CRC trailer, bounded
+	// reader) of checkpoints and replica outputs. A leaf so that ckpt and
+	// store, which sit on different branches of the DAG, can share it
+	// without either importing the other or anything of the engine.
+	"frame": {},
 	// store: the content-addressed result store — artifact bytes, keys
 	// and codecs over the filesystem plus the obs telemetry leaf. It
 	// knows nothing of specs or scheduling: key derivation lives in run,
 	// so the store can sit below run, coord and the public package alike.
-	"store": {"dsmc/internal/obs"},
+	"store": {"dsmc/internal/frame", "dsmc/internal/obs"},
 	// obs: the metrics registry — a leaf importable from the engine up
 	// (engine, coord, run, cmd), never from the compute layers below
 	// (kernel, par, particle): the width-grouped loops and the store
@@ -59,8 +64,9 @@ var layerAllows = map[string][]string{
 	},
 	// ckpt: engine-state serialization.
 	"ckpt": {
-		"dsmc/internal/collide", "dsmc/internal/engine", "dsmc/internal/kernel",
-		"dsmc/internal/particle", "dsmc/internal/rng", "dsmc/internal/sample",
+		"dsmc/internal/collide", "dsmc/internal/engine", "dsmc/internal/frame",
+		"dsmc/internal/kernel", "dsmc/internal/particle", "dsmc/internal/rng",
+		"dsmc/internal/sample",
 	},
 	// backends: geometry+config adapters over the engine.
 	"sim": {
@@ -133,6 +139,7 @@ var layerOf = map[string]string{
 	"dsmc/internal/obs":      "obs",
 	"dsmc/internal/engine":   "engine",
 	"dsmc/internal/ckpt":     "ckpt",
+	"dsmc/internal/frame":    "frame",
 	"dsmc/internal/sim":      "sim",
 	"dsmc/internal/sim3":     "sim3",
 	"dsmc/internal/cm":       "cm",

@@ -43,8 +43,8 @@ import (
 // the quantity-inclusive spec fingerprint, the sweep's master seed, the
 // point (scenario) index, and the replica index.
 type Key struct {
-	// Kind tags the artifact type: "out" (one replica's output, DSMCOUT1
-	// frame) or "res" (a sweep's encoded result, JSON; Point and Replica
+	// Kind tags the artifact type: "out" (one replica's output,
+	// EncodeOutput's frame) or "res" (a sweep's encoded result, JSON; Point and Replica
 	// then carry the point and replica counts). dsmcd's
 	// "view-<result sha256>-<quantity>" IDs are keyed by content and are
 	// not built from a Key. A point's aggregate is not an artifact: the

@@ -1,13 +1,18 @@
 package store
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"dsmc/internal/frame"
 )
 
 func testOutput() *Output {
@@ -58,8 +63,46 @@ func TestOutputCodecRoundTrip(t *testing.T) {
 	// Any flipped byte must fail the checksum, not decode quietly.
 	bad := append([]byte(nil), data...)
 	bad[len(bad)/2] ^= 0x01
-	if _, err := DecodeOutput(bad); err == nil {
-		t.Fatal("flipped byte decoded without error")
+	if _, err := DecodeOutput(bad); !errors.Is(err, frame.ErrCorrupt) {
+		t.Fatalf("flipped byte: %v, want frame.ErrCorrupt", err)
+	}
+	// Another format version is a version error, whatever its trailer.
+	other := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint64(other[8:], uint64(outputVersion)+1)
+	if _, err := DecodeOutput(other); !errors.Is(err, frame.ErrVersion) {
+		t.Fatalf("version %d: %v, want frame.ErrVersion", outputVersion+1, err)
+	}
+}
+
+// TestHugeCountsRejected: sealed outputs whose counts declare far more
+// than their own bytes — ~2^64 fields, or one field of 2^61 cells — are
+// errors before anything is sized from the count. Decoding allocates less
+// than twice the input plus 64 KiB, not the exabytes the counts ask for.
+func TestHugeCountsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		fields func(w *frame.Writer)
+	}{
+		{"fields", func(w *frame.Writer) { w.U64(math.MaxUint64) }},
+		{"cells", func(w *frame.Writer) { w.U64(1); w.Text("density"); w.U64(1 << 61) }},
+	} {
+		w := frame.NewWriter(nil, outputMagic, outputVersion)
+		tc.fields(w)
+		w.F64(math.NaN())
+		w.I64(0)
+		w.I64(0)
+		data := w.Finish()
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeOutput(data)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, frame.ErrMalformed) {
+			t.Errorf("%s: %d-byte frame: %v, want frame.ErrMalformed", tc.name, len(data), err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 2*uint64(len(data))+1<<16 {
+			t.Errorf("%s: rejecting %d bytes allocated %d", tc.name, len(data), d)
+		}
 	}
 }
 
