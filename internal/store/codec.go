@@ -33,8 +33,6 @@ type Output struct {
 //	  name (byte string), cells (float64 column)
 //	f64 shock angle, i64 collisions, i64 nflow
 //	trailer
-//
-// Version 1 (magic "DSMCOUT1", u32 counts, FNV-1a trailer) is not read.
 const (
 	outputMagic   uint64 = 0x44534d435f4f5554
 	outputVersion uint32 = 2
