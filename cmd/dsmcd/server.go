@@ -295,17 +295,22 @@ func (s *server) recover() error {
 		if !errors.Is(err, fs.ErrNotExist) {
 			log.Printf("recover %s: unusable result.json: %v", id, err)
 		}
-		// A sweep still to be run goes through the same strict decoder as a
-		// submission: a field this build does not know fails the sweep by
-		// name rather than being ignored on resume.
-		if _, err := decodeSpec(bytes.NewReader(raw)); err != nil {
+		// A sweep still to be run goes through the same strict decoder and
+		// lowering as a submission: a field this build does not know fails
+		// the sweep by name rather than being ignored on resume.
+		strict, err := decodeSpec(bytes.NewReader(raw))
+		var sw *dsmc.Sweep
+		if err == nil {
+			sw, err = dsmc.NewSweep(strict)
+		}
+		if err != nil {
 			err = fmt.Errorf("persisted spec.json: %w", err)
 			run.finish("", 0, err)
 			log.Printf("recover %s: failed: %v", id, err)
 			continue
 		}
 		log.Printf("recover %s: resuming from checkpoints", id)
-		go s.execute(run)
+		go s.execute(run, sw)
 	}
 	return nil
 }
@@ -359,12 +364,13 @@ func (s *server) resultPath(id string) string {
 	return filepath.Join(s.dataDir, id, "result.json")
 }
 
-// execute hands the sweep to the coordinator, which leaves result.json —
-// the representation /result serves — as a link to the store's copy of
-// the encoded result: assembled from the jobs the embedded (and any
-// remote) workers pull, or found already stored under the sweep's key.
-func (s *server) execute(run *sweepRun) {
-	err := s.coord.AddSweepFile(run.ID, run.spec, s.resultPath(run.ID), func(sha string, size int, err error) {
+// execute hands the lowered sweep to the coordinator, which leaves
+// result.json — the representation /result serves — as a link to the
+// store's copy of the encoded result: assembled from the jobs the
+// embedded (and any remote) workers pull, or found already stored under
+// the sweep's key.
+func (s *server) execute(run *sweepRun, sw *dsmc.Sweep) {
+	err := s.coord.AddSweepFile(run.ID, sw, s.resultPath(run.ID), func(sha string, size int, err error) {
 		run.finish(`"`+sha+`"`, size, err)
 		if err != nil {
 			log.Printf("%s failed: %v", run.ID, err)
@@ -497,15 +503,12 @@ func (r *sweepRun) status() statusView {
 		ID: r.ID, State: r.State, Error: r.Error,
 		Submitted: r.Submitted, Resumed: r.Resumed,
 		Name: r.spec.Name, Replicas: r.spec.Replicas,
-		Points: len(r.spec.Points),
+		Points: len(r.spec.PointNames()),
 		Links: map[string]string{
 			"events": "/v1/sweeps/" + r.ID + "/events",
 			"result": "/v1/sweeps/" + r.ID + "/result",
 			"trace":  "/v1/sweeps/" + r.ID + "/trace",
 		},
-	}
-	if v.Points == 0 {
-		v.Points = 1 // an empty point list runs the base as one ensemble
 	}
 	for _, js := range r.jobs {
 		v.Jobs = append(v.Jobs, *js)
@@ -600,10 +603,11 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("result_store_dir is server-managed; leave it empty"))
 		return
 	}
-	// Validate the full orchestration spec by lowering it to its job list
-	// before accepting: a bad spec must 400 now, not fail asynchronously.
+	// Lower the spec once, before accepting: a bad spec must 400 now, not
+	// fail asynchronously, and the coordinator runs this very lowering.
 	// The base may be a scenario of any kind, including the 3D shock tube.
-	if _, err := dsmc.SweepJobs(spec); err != nil {
+	sw, err := dsmc.NewSweep(spec)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -613,16 +617,18 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	s.nextID++
 	s.mu.Unlock()
 
-	if spec.Pool == 0 {
-		spec.Pool = s.pool
+	// Pool and CheckpointDir are execution fields the lowering does not
+	// read, so they are set on the lowered sweep's spec.
+	if sw.Spec.Pool == 0 {
+		sw.Spec.Pool = s.pool
 	}
 	dir := filepath.Join(s.dataDir, id)
-	spec.CheckpointDir = filepath.Join(dir, "ckpt")
-	if err := os.MkdirAll(spec.CheckpointDir, 0o755); err != nil {
+	sw.Spec.CheckpointDir = filepath.Join(dir, "ckpt")
+	if err := os.MkdirAll(sw.Spec.CheckpointDir, 0o755); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	buf, err := json.MarshalIndent(spec, "", " ")
+	buf, err := json.MarshalIndent(sw.Spec, "", " ")
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -632,8 +638,8 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	run := s.register(id, spec, false)
-	go s.execute(run)
+	run := s.register(id, sw.Spec, false)
+	go s.execute(run, sw)
 	writeJSON(w, http.StatusAccepted, map[string]string{
 		"id":     id,
 		"status": "/v1/sweeps/" + id,
@@ -846,10 +852,7 @@ func viewKey(resultETag string, q dsmc.Quantity) string {
 // verified read. The first request for any view of a result decodes
 // result.json once and publishes the views of every sampled quantity.
 func (s *server) serveQuantity(w http.ResponseWriter, req *http.Request, run *sweepRun, etag string, size int, q dsmc.Quantity) {
-	sampled := run.spec.Quantities
-	if !slices.Contains(sampled, dsmc.Density) {
-		sampled = append(slices.Clip(sampled), dsmc.Density) // always aggregated
-	}
+	sampled := run.spec.SampledQuantities()
 	if !slices.Contains(sampled, q) {
 		writeErr(w, http.StatusNotFound,
 			fmt.Errorf("quantity %q was not sampled by this sweep (add it to the spec's \"quantities\")", q))

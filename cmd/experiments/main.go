@@ -572,10 +572,14 @@ func (h *harness) coordChaos() error {
 			}
 		},
 	})
+	sw, err := dsmc.NewSweep(spec)
+	if err != nil {
+		return err
+	}
 	done := make(chan struct{})
 	var chaosRes *dsmc.SweepResult
 	var chaosErr error
-	if err := c.AddSweep("coord-chaos", spec, func(r *dsmc.SweepResult, err error) {
+	if err := c.AddSweep("coord-chaos", sw, func(r *dsmc.SweepResult, err error) {
 		chaosRes, chaosErr = r, err
 		close(done)
 	}); err != nil {

@@ -3,25 +3,24 @@ package dsmc
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"hash/fnv"
 
 	"dsmc/internal/run"
 	"dsmc/internal/store"
 )
 
-// This file is the distributed-execution surface of a sweep: a sweep's
-// job list, single-job execution, and result assembly as three separate
-// entry points. A coordinator process enumerates the jobs with
-// SweepJobs, hands them to pull-workers that execute them with
-// RunSweepJob (uploading checkpoints through the JobCheckpoint they are
-// given), and assembles the uploaded outputs with AssembleSweepResult.
+// This file is the distributed-execution surface of a sweep: its job
+// list, single-job execution, and result assembly as three separate
+// steps. A coordinator process lowers the spec once with NewSweep and
+// enumerates the jobs from Sweep.Jobs, hands them to pull-workers that
+// execute them with RunSweepJob (uploading checkpoints through the
+// JobCheckpoint they are given), and assembles the uploaded outputs with
+// Sweep.Assemble.
 //
-// The three functions deliberately share every line of lowering,
-// seeding, stepping and aggregation code with the in-process RunSweep,
-// so a sweep computed by any number of workers — including workers that
-// crashed and were re-dispatched, resuming from their last uploaded
-// checkpoint — produces a result bit-identical to RunSweep's.
+// The three steps deliberately share every line of lowering, seeding,
+// stepping and aggregation code with the in-process RunSweep, so a sweep
+// computed by any number of workers — including workers that crashed and
+// were re-dispatched, resuming from their last uploaded checkpoint —
+// produces a result bit-identical to RunSweep's.
 
 // SweepJob identifies one replica job of a sweep: the point (scenario)
 // index, the replica index, and the canonical job ID that RunSweep's
@@ -38,33 +37,6 @@ type SweepJob struct {
 	// uses it to satisfy jobs from finished artifacts instead of
 	// dispatching them.
 	StoreKey string `json:"store_key,omitempty"`
-}
-
-// SweepJobs enumerates the replica jobs of a validated spec in
-// deterministic (point, replica) order. The list is a pure function of
-// the spec, so every process that holds the spec agrees on the job set.
-func SweepJobs(spec SweepSpec) ([]SweepJob, error) {
-	sp, _, err := lowerSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	total := sp.WarmSteps + sp.SampleSteps
-	jobs := make([]SweepJob, 0, len(sp.Scenarios)*sp.Replicas)
-	for si := range sp.Scenarios {
-		for r := 0; r < sp.Replicas; r++ {
-			jobs = append(jobs, SweepJob{
-				ID:         run.JobName(sp.Scenarios[si].Name, r),
-				Point:      si,
-				Replica:    r,
-				StepsTotal: total,
-				StoreKey:   sp.OutputKey(si, r).ID(),
-			})
-		}
-	}
-	return jobs, nil
 }
 
 // AggregateJobID is the canonical ID of a point's fan-in node in status
@@ -137,7 +109,7 @@ type SweepJobIO struct {
 // store is the scheduler's (RunSweep's, the coordinator's), and the
 // spec's ResultStoreDir is ignored here.
 func RunSweepJob(ctx context.Context, spec SweepSpec, point, replica int, io SweepJobIO) (*ReplicaOutput, error) {
-	sp, _, err := lowerSpec(spec)
+	sw, err := NewSweep(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -147,39 +119,21 @@ func RunSweepJob(ctx context.Context, spec SweepSpec, point, replica int, io Swe
 			trace(StepTrace{Step: step, PhaseNs: phaseNs, Particles: particles})
 		}
 	}
-	return run.RunJob(ctx, sp, point, replica, jio)
+	return run.RunJob(ctx, sw.sp, point, replica, jio)
 }
 
-// AssembleSweepResult fans a sweep's collected job outputs into the
-// public result: outputs[point][replica] must be fully populated in
-// (point, replica) order — SweepJobs order. The aggregation is the
-// identical index-order Welford merge RunSweep's fan-ins run, so
-// the assembled result is bit-identical to the in-process run's
-// regardless of which workers computed which jobs in which order.
-func AssembleSweepResult(spec SweepSpec, outputs [][]*ReplicaOutput) (*SweepResult, error) {
-	sp, plans, err := lowerSpec(spec)
-	if err != nil {
-		return nil, err
+// Assemble fans a sweep's collected job outputs into the public result:
+// outputs[point][replica], fully populated in Jobs order — what a
+// finished run.Table's Outputs hold. The aggregation is the identical
+// index-order Welford merge RunSweep's fan-ins run, so the assembled
+// result is bit-identical to the in-process run's regardless of which
+// workers computed which jobs in which order.
+func (sw *Sweep) Assemble(outputs [][]*ReplicaOutput) *SweepResult {
+	aggs := make([]*run.Aggregate, len(outputs))
+	for si, outs := range outputs {
+		aggs[si] = sw.sp.AggregateScenario(si, outs)
 	}
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	if len(outputs) != len(sp.Scenarios) {
-		return nil, fmt.Errorf("dsmc: %d output groups for %d points", len(outputs), len(sp.Scenarios))
-	}
-	aggs := make([]*run.Aggregate, len(sp.Scenarios))
-	for si := range sp.Scenarios {
-		if len(outputs[si]) != sp.Replicas {
-			return nil, fmt.Errorf("dsmc: point %d has %d outputs for %d replicas", si, len(outputs[si]), sp.Replicas)
-		}
-		for r, o := range outputs[si] {
-			if o == nil {
-				return nil, fmt.Errorf("dsmc: point %d replica %d output missing", si, r)
-			}
-		}
-		aggs[si] = sp.AggregateScenario(si, outputs[si])
-	}
-	return assembleResult(spec.Name, plans, aggs), nil
+	return sw.assemble(aggs)
 }
 
 // EncodeSweepResult is the one function that turns a sweep result into
@@ -195,33 +149,6 @@ func EncodeSweepResult(res *SweepResult) ([]byte, error) {
 }
 
 // resultEncoding versions EncodeSweepResult's output inside
-// SweepResultKey, so bytes stored under an older encoding are never
+// Sweep.ResultKey, so bytes stored under an older encoding are never
 // served as the current one.
 const resultEncoding = 1
-
-// SweepResultKey is the result-store key ID of a sweep's encoded result
-// ("res" artifacts). The determinism contract one level up: the bytes
-// EncodeSweepResult(AssembleSweepResult(spec, outputs)) are a pure
-// function of the spec, so the key covers every input of the two — the
-// encoding version, the sweep name and, per point in order, the resolved
-// name, the scenario kind and the quantity-inclusive store fingerprint
-// (physics, grid shape, step counts, quantities) in the hash; the master
-// seed, point count and replica count in the clear. Whatever changes a
-// byte of the result changes the key; execution knobs (pool, workers,
-// checkpoint placement) change neither.
-func SweepResultKey(spec SweepSpec) (string, error) {
-	sp, plans, err := lowerSpec(spec)
-	if err != nil {
-		return "", err
-	}
-	if err := sp.Validate(); err != nil {
-		return "", err
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d %q", resultEncoding, spec.Name)
-	for i, pl := range plans {
-		fmt.Fprintf(h, " %q %q %016x", sp.Scenarios[i].Name, pl.kind, sp.OutputKey(i, 0).Fp)
-	}
-	return store.Key{Kind: "res", Fp: h.Sum64(), Seed: sp.BaseSeed,
-		Point: len(plans), Replica: sp.Replicas}.ID(), nil
-}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"slices"
 
 	"dsmc/internal/grid"
 	"dsmc/internal/run"
@@ -87,6 +89,39 @@ func (spec *SweepSpec) BaseScenario() (Scenario, error) {
 	return spec.Scenario.Scenario()
 }
 
+// PointNames returns the sweep's resolved point names in point order:
+// the sweep's Name (else "ensemble") when it has no points, and
+// "point-%03d" for a point without a name. They name the points in jobs,
+// events and results.
+func (spec *SweepSpec) PointNames() []string {
+	if len(spec.Points) == 0 {
+		if spec.Name == "" {
+			return []string{"ensemble"}
+		}
+		return []string{spec.Name}
+	}
+	names := make([]string, len(spec.Points))
+	for i, p := range spec.Points {
+		names[i] = p.Name
+		if names[i] == "" {
+			names[i] = fmt.Sprintf("point-%03d", i)
+		}
+	}
+	return names
+}
+
+// SampledQuantities returns the quantities every replica samples and
+// every point aggregates, in order: the requested ones (Density when
+// none), with Density appended when missing — PointResult.Density and
+// the per-replica shock-angle fit both need it.
+func (spec *SweepSpec) SampledQuantities() []Quantity {
+	qs := append([]Quantity(nil), spec.Quantities...)
+	if !slices.Contains(qs, Density) {
+		qs = append(qs, Density)
+	}
+	return qs
+}
+
 // ScalarStats is a cross-replica mean/variance with its 95% confidence
 // half-width (normal approximation). Dropped counts replicas whose
 // measurement was undefined (e.g. no shock front found).
@@ -147,10 +182,14 @@ func (p *PointResult) FieldFor(q Quantity) (*Field, error) {
 	if f.NZ == 0 {
 		f.NZ = 1
 	}
-	if p.plan != nil {
-		f.vols = p.plan.vols
-		f.wedge = p.plan.wedge
-		f.mach = p.plan.mach
+	if pl := p.plan; pl != nil {
+		// The cut-cell volumes are computed here, from the same wedges the
+		// point's simulations built theirs from: a lowering holds none.
+		if cfg := pl.sc.Sim; cfg != nil {
+			f.vols = f.grid.Volumes(cfg.Wedge, cfg.Wedge2)
+		}
+		f.wedge = pl.wedge
+		f.mach = pl.mach
 	}
 	return f, nil
 }
@@ -272,66 +311,72 @@ func applyI(dst *int, v *int) {
 	}
 }
 
-// lowerSpec translates the public spec to the orchestration layer's:
-// every point's scenario is resolved, lowered, and handed to
-// internal/run with its own grid shape.
-func lowerSpec(spec SweepSpec) (run.Spec, []*plan, error) {
+// Sweep is a SweepSpec lowered and validated once: the job list, the
+// result key and the per-point plans its results are assembled from.
+// Build it with NewSweep and hand it around — the coordinator and dsmcd
+// run a sweep from its Sweep and never lower its spec again.
+type Sweep struct {
+	// Spec is the spec the sweep was lowered from. Pool and CheckpointDir
+	// are execution fields the lowering does not read: an executor may
+	// set them after NewSweep (dsmcd does) without touching Jobs or
+	// ResultKey.
+	Spec SweepSpec
+	// Jobs are the replica jobs in deterministic (point, replica) order.
+	// The list is a pure function of the spec, so every process that
+	// holds the spec agrees on the job set and its store keys.
+	Jobs []SweepJob
+	// ResultKey is the result-store key ID of the sweep's encoded result
+	// ("res" artifacts). The determinism contract one level up: the bytes
+	// EncodeSweepResult(sw.Assemble(outputs)) are a pure function of the
+	// spec, so the key covers every input of the two — the encoding
+	// version, the sweep name and, per point in order, the resolved name,
+	// the scenario kind and the quantity-inclusive store fingerprint
+	// (physics, grid shape, step counts, quantities) in the hash; the
+	// master seed, point count and replica count in the clear. Whatever
+	// changes a byte of the result changes the key; execution knobs (pool,
+	// workers, checkpoint placement) change neither.
+	ResultKey string
+
+	sp    run.Spec // the lowered spec, without the execution fields
+	plans []*plan  // per point: kind, field shape, analysis context
+}
+
+// NewSweep lowers and validates a spec — the one place a SweepSpec is
+// lowered: every point's scenario is resolved, lowered, and handed to
+// internal/run with its own grid shape. A lowering holds no per-cell
+// array, so it costs O(points) whatever the grids.
+func NewSweep(spec SweepSpec) (*Sweep, error) {
 	base, err := spec.BaseScenario()
 	if err != nil {
-		return run.Spec{}, nil, err
+		return nil, err
 	}
 	basePlan, err := base.lower()
 	if err != nil {
-		return run.Spec{}, nil, err
+		return nil, err
 	}
-	points := spec.Points
-	if len(points) == 0 {
-		name := spec.Name
-		if name == "" {
-			name = "ensemble"
-		}
-		points = []SweepPoint{{Name: name}}
-	}
-	quantities := spec.Quantities
-	if len(quantities) == 0 {
-		quantities = []Quantity{Density}
-	}
-	hasDensity := false
-	qslugs := make([]string, 0, len(quantities)+1)
-	for _, q := range quantities {
-		qslugs = append(qslugs, string(q))
-		hasDensity = hasDensity || q == Density
-	}
-	if !hasDensity {
-		// Density is always aggregated: PointResult.Density and the
-		// per-replica shock-angle fit both need it.
-		qslugs = append(qslugs, string(Density))
-	}
-
-	sp := run.Spec{
+	sw := &Sweep{Spec: spec, sp: run.Spec{
 		Name:            spec.Name,
-		Quantities:      qslugs,
 		Replicas:        spec.Replicas,
 		WarmSteps:       spec.WarmSteps,
 		SampleSteps:     spec.SampleSteps,
 		BaseSeed:        basePlan.seed,
-		Pool:            spec.Pool,
-		CheckpointDir:   spec.CheckpointDir,
 		CheckpointEvery: spec.CheckpointEvery,
+	}}
+	for _, q := range spec.SampledQuantities() {
+		sw.sp.Quantities = append(sw.sp.Quantities, string(q))
 	}
-	plans := make([]*plan, len(points))
-	for i, p := range points {
-		name := p.Name
-		if name == "" {
-			name = fmt.Sprintf("point-%03d", i)
-		}
-		sc, err := applyPoint(base, p)
+	points := spec.Points
+	if len(points) == 0 {
+		points = []SweepPoint{{}}
+	}
+	for i, name := range spec.PointNames() {
+		sc, err := applyPoint(base, points[i])
 		if err != nil {
-			return run.Spec{}, nil, err
+			return nil, err
 		}
 		pl, err := sc.lower()
 		if err != nil {
-			return run.Spec{}, nil, fmt.Errorf("dsmc: point %q: %w", name, err)
+			return nil, fmt.Errorf("dsmc: point %q: %w", name, err)
 		}
 		rsc := pl.sc
 		rsc.Name = name
@@ -343,10 +388,29 @@ func lowerSpec(spec SweepSpec) (run.Spec, []*plan, error) {
 		if rsc.Sim3 != nil && rsc.Sim3.Workers == 0 {
 			rsc.Sim3.Workers = 1
 		}
-		plans[i] = pl
-		sp.Scenarios = append(sp.Scenarios, rsc)
+		sw.plans = append(sw.plans, pl)
+		sw.sp.Scenarios = append(sw.sp.Scenarios, rsc)
 	}
-	return sp, plans, nil
+	if err := sw.sp.Validate(); err != nil {
+		return nil, err
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d %q", resultEncoding, spec.Name)
+	for si, rsc := range sw.sp.Scenarios {
+		for r := 0; r < spec.Replicas; r++ {
+			sw.Jobs = append(sw.Jobs, SweepJob{
+				ID:         run.JobName(rsc.Name, r),
+				Point:      si,
+				Replica:    r,
+				StepsTotal: spec.WarmSteps + spec.SampleSteps,
+				StoreKey:   sw.sp.OutputKey(si, r).ID(),
+			})
+		}
+		fmt.Fprintf(h, " %q %q %016x", rsc.Name, sw.plans[si].kind, sw.sp.OutputKey(si, 0).Fp)
+	}
+	sw.ResultKey = store.Key{Kind: "res", Fp: h.Sum64(), Seed: sw.sp.BaseSeed,
+		Point: len(sw.plans), Replica: spec.Replicas}.ID()
+	return sw, nil
 }
 
 // RunSweep executes the sweep's job DAG — replicas fan out over a
@@ -363,10 +427,12 @@ func lowerSpec(spec SweepSpec) (run.Spec, []*plan, error) {
 // flight checkpoint where they stopped (with a checkpoint directory) and
 // are reported skipped, and the error wraps ctx.Err().
 func RunSweep(ctx context.Context, spec SweepSpec, onEvent func(SweepEvent)) (*SweepResult, error) {
-	sp, plans, err := lowerSpec(spec)
+	sw, err := NewSweep(spec)
 	if err != nil {
 		return nil, err
 	}
+	sp := sw.sp
+	sp.Pool, sp.CheckpointDir = spec.Pool, spec.CheckpointDir
 	if spec.ResultStoreDir != "" {
 		st, err := store.Open(spec.ResultStoreDir)
 		if err != nil {
@@ -387,18 +453,18 @@ func RunSweep(ctx context.Context, spec SweepSpec, onEvent func(SweepEvent)) (*S
 	if err != nil {
 		return nil, err
 	}
-	return assembleResult(spec.Name, plans, res.Aggregates), nil
+	return sw.assemble(res.Aggregates), nil
 }
 
-// assembleResult converts the orchestration layer's per-scenario
-// aggregates into the public sweep result, attaching each point's
-// resolved plan (kind, field shape, analysis context). Both the
-// in-process RunSweep and the distributed AssembleSweepResult end here,
-// so the two execution paths can never drift in shape or convention.
-func assembleResult(name string, plans []*plan, aggs []*run.Aggregate) *SweepResult {
-	out := &SweepResult{Name: name}
+// assemble converts the orchestration layer's per-scenario aggregates
+// into the public sweep result, attaching each point's resolved plan
+// (kind, field shape, analysis context). Both the in-process RunSweep
+// and the distributed Assemble end here, so the two execution paths can
+// never drift in shape or convention.
+func (sw *Sweep) assemble(aggs []*run.Aggregate) *SweepResult {
+	out := &SweepResult{Name: sw.Spec.Name}
 	for i, agg := range aggs {
-		pl := plans[i]
+		pl := sw.plans[i]
 		pr := PointResult{
 			Name:          agg.Scenario,
 			Kind:          pl.kind,

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -86,9 +85,8 @@ type lease struct {
 
 type sweepState struct {
 	id      string
-	spec    dsmc.SweepSpec
+	sweep   *dsmc.Sweep     // its Jobs are in (point, replica) order: the table's job index
 	specRaw json.RawMessage // the dispatched spec: coordinator-local paths stripped
-	jobs    []dsmc.SweepJob // (point, replica) order: the table's job index
 	byID    map[string]int
 	names   []string // point names
 	leases  []lease
@@ -127,37 +125,32 @@ func New(cfg Config) *Coordinator {
 	}
 }
 
-// table builds the job table of a sweep's job list, emitting through
-// OnEvent under the sweep's ID, and returns the point names with it.
-func (c *Coordinator) table(id string, jobs []dsmc.SweepJob) (*run.Table, []string) {
-	var names []string
-	keys := make([]string, len(jobs))
-	for i, j := range jobs {
-		if j.Replica == 0 { // a job ID is run.JobName(point, replica)
-			names = append(names, strings.TrimSuffix(j.ID, run.JobName("", 0)))
-		}
+// table builds the job table of a sweep, emitting through OnEvent under
+// the sweep's ID, and returns the point names with it.
+func (c *Coordinator) table(id string, sw *dsmc.Sweep) (*run.Table, []string) {
+	names := sw.Spec.PointNames()
+	keys := make([]string, len(sw.Jobs))
+	for i, j := range sw.Jobs {
 		keys[i] = j.StoreKey
 	}
 	emit := func(e run.Event) {
 		c.emitLocked(id, dsmc.SweepEvent{Type: string(e.Type), Job: e.Job, Scenario: e.Scenario, Err: e.Err})
 	}
-	return run.NewTable(names, len(jobs)/len(names), keys, emit), names
+	return run.NewTable(names, sw.Spec.Replicas, keys, emit), names
 }
 
-// AddSweep registers a sweep's job DAG for dispatch. onDone, when
+// AddSweep registers a sweep's job DAG for dispatch: sw's Jobs, run under
+// the execution fields of sw.Spec (Pool, CheckpointDir). onDone, when
 // non-nil, is called exactly once from a fresh goroutine when the sweep
-// finishes: with the assembled result on success, or with the first
-// error once the failure has propagated through the DAG.
-func (c *Coordinator) AddSweep(id string, spec dsmc.SweepSpec, onDone func(*dsmc.SweepResult, error)) error {
-	jobs, err := dsmc.SweepJobs(spec)
-	if err != nil {
-		return err
-	}
+// finishes: with sw.Assemble's result on success, or with the first
+// error once the failure has propagated through the DAG. The coordinator
+// never lowers the spec again; only a worker's RunSweepJob does.
+func (c *Coordinator) AddSweep(id string, sw *dsmc.Sweep, onDone func(*dsmc.SweepResult, error)) error {
 	// The dispatched spec must not leak coordinator-local paths: a worker
 	// handed them would open (or create) those directories on its own
 	// filesystem. Checkpoint placement and memoization are
 	// coordinator-side; workers just run.
-	wire := spec
+	wire := sw.Spec
 	wire.CheckpointDir, wire.ResultStoreDir = "", ""
 	raw, err := json.Marshal(wire)
 	if err != nil {
@@ -165,17 +158,16 @@ func (c *Coordinator) AddSweep(id string, spec dsmc.SweepSpec, onDone func(*dsmc
 	}
 	st := &sweepState{
 		id:      id,
-		spec:    spec,
+		sweep:   sw,
 		specRaw: raw,
-		jobs:    jobs,
-		byID:    make(map[string]int, len(jobs)),
-		leases:  make([]lease, len(jobs)),
+		byID:    make(map[string]int, len(sw.Jobs)),
+		leases:  make([]lease, len(sw.Jobs)),
 		onDone:  onDone,
 	}
-	for i, j := range jobs {
+	for i, j := range sw.Jobs {
 		st.byID[j.ID] = i
 	}
-	st.table, st.names = c.table(id, jobs)
+	st.table, st.names = c.table(id, sw)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -198,43 +190,35 @@ func (c *Coordinator) AddSweep(id string, spec dsmc.SweepSpec, onDone func(*dsmc
 // AddSweepFile is AddSweep for a caller whose product is the sweep's
 // encoded result as a file (dsmcd's result.json): onDone receives the
 // SHA-256 and size of the bytes now at path, a hard link to the store's
-// "res" artifact under dsmc.SweepResultKey(spec). The key extends the
-// determinism contract one level up, so a sweep whose result the store
-// already holds never becomes a job DAG: one verified read, one link(2),
-// and the events the per-job memo pass would have emitted — no output
-// decoded, nothing aggregated, marshalled or written. A miss, or a hit
-// that fails verification (the store quarantines it), is AddSweep plus a
-// publish and a link of the encoded result on completion; an error from
-// either fails the sweep. Requires Config.Store.
-func (c *Coordinator) AddSweepFile(id string, spec dsmc.SweepSpec, path string, onDone func(sha string, size int, err error)) error {
+// "res" artifact under sw.ResultKey. The key extends the determinism
+// contract one level up, so a sweep whose result the store already
+// holds never becomes a job DAG: one verified read, one link(2), and the
+// events the per-job memo pass would have emitted — no spec lowered, no
+// output decoded, nothing aggregated, marshalled or written. A miss, or
+// a hit that fails verification (the store quarantines it), is AddSweep
+// plus a publish and a link of the encoded result on completion; an
+// error from either fails the sweep. Requires Config.Store.
+func (c *Coordinator) AddSweepFile(id string, sw *dsmc.Sweep, path string, onDone func(sha string, size int, err error)) error {
 	st := c.cfg.Store
 	if st == nil {
 		return errors.New("coord: AddSweepFile needs a result store")
 	}
-	key, err := dsmc.SweepResultKey(spec)
-	if err != nil {
-		return err
-	}
-	if data, sha, ok := st.Get(key); ok && st.Link(sha, path) == nil {
-		jobs, err := dsmc.SweepJobs(spec)
-		if err != nil {
-			return err
-		}
+	if data, sha, ok := st.Get(sw.ResultKey); ok && st.Link(sha, path) == nil {
 		c.mu.Lock()
-		t, _ := c.table(id, jobs)
+		t, _ := c.table(id, sw)
 		t.Satisfy()
 		c.mu.Unlock()
 		go onDone(sha, len(data), nil)
 		return nil
 	}
-	return c.AddSweep(id, spec, func(res *dsmc.SweepResult, err error) {
+	return c.AddSweep(id, sw, func(res *dsmc.SweepResult, err error) {
 		var data []byte
 		var sha string
 		if err == nil {
 			data, err = dsmc.EncodeSweepResult(res)
 		}
 		if err == nil {
-			if sha, err = st.Put(key, data); err == nil {
+			if sha, err = st.Put(sw.ResultKey, data); err == nil {
 				err = st.Link(sha, path)
 			}
 		}
@@ -257,7 +241,7 @@ func (c *Coordinator) Poll(workerID string) (*Lease, error) {
 		if st.finished {
 			continue
 		}
-		if _, inflight := st.table.Counts(); st.spec.Pool > 0 && inflight >= st.spec.Pool {
+		if _, inflight := st.table.Counts(); st.sweep.Spec.Pool > 0 && inflight >= st.sweep.Spec.Pool {
 			continue
 		}
 		i, ok := st.table.Start()
@@ -265,7 +249,7 @@ func (c *Coordinator) Poll(workerID string) (*Lease, error) {
 			continue
 		}
 		c.leaseSeq++
-		l, j := &st.leases[i], st.jobs[i]
+		l, j := &st.leases[i], st.sweep.Jobs[i]
 		l.id = fmt.Sprintf("l%06d", c.leaseSeq)
 		l.worker = workerID
 		l.expires = now.Add(c.cfg.LeaseTTL)
@@ -309,7 +293,7 @@ func (c *Coordinator) HandleHeartbeat(hb Heartbeat) (string, error) {
 		mStaleRejects.Inc()
 		return HBAbandon, nil // lease gone, or sweep evicted or unknown: stop working
 	}
-	l, j := &st.leases[i], st.jobs[i]
+	l, j := &st.leases[i], st.sweep.Jobs[i]
 	l.expires = now.Add(c.cfg.LeaseTTL)
 	l.heartbeats++
 	w := c.workers[hb.Worker]
@@ -420,7 +404,7 @@ func (c *Coordinator) Complete(sweep, jobID, lease string, out *dsmc.ReplicaOutp
 	// completion of a redispatched job reaches the store; racing writers
 	// of the same key must therefore produce identical bytes, which Put
 	// verifies rather than assumes (a conflict is refused and counted).
-	if key := st.jobs[i].StoreKey; c.cfg.Store != nil && key != "" {
+	if key := st.sweep.Jobs[i].StoreKey; c.cfg.Store != nil && key != "" {
 		_, _ = c.cfg.Store.Put(key, store.EncodeOutput(out))
 		for _, id := range c.order {
 			if other := c.sweeps[id]; other != st && !other.finished {
@@ -445,7 +429,7 @@ func (c *Coordinator) Release(sweep, jobID, lease string, stepsDone int) error {
 		return err
 	}
 	mReleases.Inc()
-	l, j := &st.leases[i], st.jobs[i]
+	l, j := &st.leases[i], st.sweep.Jobs[i]
 	l.attempts-- // voluntary hand-back does not burn retry budget
 	l.stepsDone = stepsDone
 	c.endLease(l)
@@ -527,7 +511,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 // other lease of the sweep is then revoked — its worker learns through
 // the heartbeat or upload rejection — and the table skips what is left.
 func (c *Coordinator) retryOrFailLocked(st *sweepState, i int, msg string) {
-	l, j := &st.leases[i], st.jobs[i]
+	l, j := &st.leases[i], st.sweep.Jobs[i]
 	c.endLease(l)
 	if l.attempts < c.cfg.MaxAttempts {
 		mRetries.Inc()
@@ -566,11 +550,8 @@ func (c *Coordinator) maybeFinishLocked(st *sweepState) {
 		go st.onDone(nil, fmt.Errorf("coord: sweep %s failed: %w", st.id, err))
 		return
 	}
-	spec, outputs, onDone := st.spec, st.table.Outputs(), st.onDone
-	go func() {
-		res, err := dsmc.AssembleSweepResult(spec, outputs)
-		onDone(res, err)
-	}()
+	sw, outputs, onDone := st.sweep, st.table.Outputs(), st.onDone
+	go func() { onDone(sw.Assemble(outputs), nil) }()
 }
 
 func (c *Coordinator) lookupLocked(sweep, jobID string) (*sweepState, int, error) {
@@ -637,10 +618,11 @@ func (c *Coordinator) emitLocked(sweepID string, e dsmc.SweepEvent) {
 // directory, or "" when the spec names none and checkpoints are held in
 // memory.
 func (st *sweepState) ckptPath(i int) string {
-	if st.spec.CheckpointDir == "" {
+	dir := st.sweep.Spec.CheckpointDir
+	if dir == "" {
 		return ""
 	}
-	return run.JobCkptPath(st.spec.CheckpointDir, st.jobs[i].Point, st.jobs[i].Replica)
+	return run.JobCkptPath(dir, st.sweep.Jobs[i].Point, st.sweep.Jobs[i].Replica)
 }
 
 func (st *sweepState) hasCheckpoint(i int) bool {

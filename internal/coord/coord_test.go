@@ -34,6 +34,15 @@ func tinySpec() dsmc.SweepSpec {
 	}
 }
 
+// sweepOf lowers a spec for AddSweep.
+func sweepOf(spec dsmc.SweepSpec) *dsmc.Sweep {
+	sw, err := dsmc.NewSweep(spec)
+	if err != nil {
+		panic(err)
+	}
+	return sw
+}
+
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -166,7 +175,7 @@ func TestLeaseExpiryEdgeCases(t *testing.T) {
 	clk := newFakeClock()
 	var log eventLog
 	c := New(Config{LeaseTTL: 10 * time.Second, MaxAttempts: 3, OnEvent: log.add, now: clk.now})
-	if err := c.AddSweep("sw", tinySpec(), nil); err != nil {
+	if err := c.AddSweep("sw", sweepOf(tinySpec()), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -222,7 +231,7 @@ func TestLeaseExpiryEdgeCases(t *testing.T) {
 func TestDoubleDispatchPrevention(t *testing.T) {
 	clk := newFakeClock()
 	c := New(Config{LeaseTTL: 10 * time.Second, now: clk.now})
-	if err := c.AddSweep("sw", tinySpec(), nil); err != nil {
+	if err := c.AddSweep("sw", sweepOf(tinySpec()), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -260,7 +269,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	var log eventLog
 	done := make(chan error, 1)
 	c := New(Config{LeaseTTL: 10 * time.Second, MaxAttempts: 2, OnEvent: log.add, now: clk.now})
-	err := c.AddSweep("sw", tinySpec(), func(res *dsmc.SweepResult, err error) {
+	err := c.AddSweep("sw", sweepOf(tinySpec()), func(res *dsmc.SweepResult, err error) {
 		if res != nil {
 			done <- errors.New("got a result from a failed sweep")
 			return
@@ -331,7 +340,7 @@ func TestRedispatchResumeBitIdentity(t *testing.T) {
 		err error
 	}, 1)
 	c := New(Config{LeaseTTL: 10 * time.Second, now: clk.now})
-	err = c.AddSweep("sw", spec, func(res *dsmc.SweepResult, err error) {
+	err = c.AddSweep("sw", sweepOf(spec), func(res *dsmc.SweepResult, err error) {
 		done <- struct {
 			res *dsmc.SweepResult
 			err error
@@ -416,7 +425,7 @@ func TestWorkersEndToEnd(t *testing.T) {
 		err error
 	}, 1)
 	c := New(Config{LeaseTTL: 30 * time.Second, OnEvent: log.add})
-	err = c.AddSweep("sw", spec, func(res *dsmc.SweepResult, err error) {
+	err = c.AddSweep("sw", sweepOf(spec), func(res *dsmc.SweepResult, err error) {
 		done <- struct {
 			res *dsmc.SweepResult
 			err error
@@ -491,7 +500,7 @@ func TestGracefulReleaseResume(t *testing.T) {
 		err error
 	}, 1)
 	c := New(Config{LeaseTTL: 30 * time.Second, OnEvent: log.add})
-	err = c.AddSweep("sw", spec, func(res *dsmc.SweepResult, err error) {
+	err = c.AddSweep("sw", sweepOf(spec), func(res *dsmc.SweepResult, err error) {
 		done <- struct {
 			res *dsmc.SweepResult
 			err error

@@ -106,9 +106,9 @@ type Replica struct {
 	ckbuf []byte
 }
 
-// newAccumulator returns an empty moment accumulator of the replica's
-// shape and normalisation.
-func (rp *Replica) newAccumulator() *sample.Accumulator {
+// NewAccumulator returns an empty moment accumulator of the replica's
+// shape, cut-cell volumes and normalisation.
+func (rp *Replica) NewAccumulator() *sample.Accumulator {
 	return sample.NewAccumulatorCells(rp.cells, rp.vols, rp.nInf)
 }
 
@@ -182,7 +182,7 @@ func runReplica(ctx context.Context, sc Scenario, quantities []string, seed uint
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
-	acc := job.newAccumulator()
+	acc := job.NewAccumulator()
 	if trace != nil {
 		// The flight-recorder feed: per-step phase timings straight off
 		// the engine's existing clock chokepoint. Purely observational —

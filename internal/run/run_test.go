@@ -457,7 +457,7 @@ func TestCheckpointEncodeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := job.newAccumulator()
+	acc := job.NewAccumulator()
 	fp := specFingerprint(sc, 8, 8)
 	done := 0
 	save := func() {

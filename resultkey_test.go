@@ -3,6 +3,7 @@ package dsmc_test
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -22,11 +23,11 @@ func TestSweepResultKeyCoverage(t *testing.T) {
 	}
 	key := func(spec dsmc.SweepSpec) string {
 		t.Helper()
-		k, err := dsmc.SweepResultKey(spec)
+		sw, err := dsmc.NewSweep(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return k
+		return sw.ResultKey
 	}
 	want := key(base())
 	if !strings.HasPrefix(want, "res-") {
@@ -98,5 +99,67 @@ func TestSweepResultKeyCoverage(t *testing.T) {
 			t.Errorf("%s: key %s collides with %s", c.name, got, prev)
 		}
 		seen[got] = c.name
+	}
+}
+
+// TestSweepKeysPinned holds the literal store keys of memoSweepSpec —
+// the result key and every job's output key, recorded before the sweep
+// lowering was restructured — so no refactor of the lowering can rotate
+// a key and silently orphan a store's artifacts.
+func TestSweepKeysPinned(t *testing.T) {
+	sw, err := dsmc.NewSweep(memoSweepSpec(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "res-6b97a9b18cb079c2-0000000000000007-p002-r002"; sw.ResultKey != want {
+		t.Errorf("result key %s, want %s", sw.ResultKey, want)
+	}
+	want := [][2]string{
+		{"near-continuum/r000", "out-5d552a858f54bf55-0000000000000007-p000-r000"},
+		{"near-continuum/r001", "out-5d552a858f54bf55-0000000000000007-p000-r001"},
+		{"rarefied/r000", "out-65eb747976486cec-0000000000000007-p001-r000"},
+		{"rarefied/r001", "out-65eb747976486cec-0000000000000007-p001-r001"},
+	}
+	if len(sw.Jobs) != len(want) {
+		t.Fatalf("%d jobs, want %d", len(sw.Jobs), len(want))
+	}
+	for i, j := range sw.Jobs {
+		if got := [2]string{j.ID, j.StoreKey}; got != want[i] {
+			t.Errorf("job %d: %v, want %v", i, got, want[i])
+		}
+	}
+}
+
+// TestSweepLoweringAllocs: lowering a sweep costs O(points), not
+// O(cells) — no per-cell table is built at submit, however large the
+// grid. The spec has the benchmark's shape: the paper wedge, two points,
+// two replicas, three quantities.
+func TestSweepLoweringAllocs(t *testing.T) {
+	const budget = 64 << 10
+	for _, n := range [][2]int{{98, 64}, {1000, 1000}} {
+		sc := dsmc.PaperWedgeTunnel()
+		sc.GridNX, sc.GridNY = n[0], n[1]
+		spec := dsmc.SweepSpec{
+			Name:       "allocs",
+			Scenario:   specOf(sc),
+			Quantities: []dsmc.Quantity{dsmc.Density, dsmc.Temperature, dsmc.MachNumber},
+			Points:     []dsmc.SweepPoint{{Name: "rarefied"}, {Name: "near-continuum", MeanFreePath: f64(0)}},
+			Replicas:   2, WarmSteps: 10, SampleSteps: 10,
+		}
+		// The least of a few tries: TotalAlloc is process-wide.
+		least := uint64(1 << 63)
+		for try := 0; try < 3; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := dsmc.NewSweep(spec); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > budget {
+			t.Errorf("%d×%d: lowering allocated %d bytes, want at most %d", n[0], n[1], least, budget)
+		}
+		t.Logf("%d×%d: %d bytes", n[0], n[1], least)
 	}
 }

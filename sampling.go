@@ -55,7 +55,12 @@ type Sampling struct {
 // same worker-count bit-identity contract as the simulation itself. Use
 // the returned Sampling's Field to derive quantity fields.
 func (s *Simulation) Sample(steps int) *Sampling {
-	acc := sample.NewAccumulatorCells(s.p.cells(), s.p.vols, s.p.nInf)
+	var acc *sample.Accumulator
+	if s.ref != nil {
+		acc = s.ref.NewAccumulator()
+	} else {
+		acc = sample.NewAccumulator(s.cm.Grid(), s.cm.Volumes(), s.p.nInf)
+	}
 	for k := 0; k < steps; k++ {
 		s.Step()
 		if s.ref != nil {
@@ -89,7 +94,7 @@ func (sp *Sampling) Field(q Quantity) (*Field, error) {
 		Quantity: q,
 		Data:     data,
 		grid:     grid.New(sp.p.nx, sp.p.ny),
-		vols:     sp.p.vols,
+		vols:     sp.acc.Vols,
 		wedge:    sp.p.wedge,
 		mach:     sp.p.mach,
 	}, nil

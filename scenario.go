@@ -8,7 +8,6 @@ import (
 	"math"
 
 	"dsmc/internal/geom"
-	"dsmc/internal/grid"
 	"dsmc/internal/molec"
 	"dsmc/internal/phys"
 	"dsmc/internal/run"
@@ -52,6 +51,8 @@ const (
 
 // plan is a lowered scenario: everything NewSimulation, the sampling
 // layer, and the sweep lowering need to build and analyse a simulation.
+// It holds no per-cell array, so lowering costs O(1) in the grid size:
+// the cut-cell volume table is built by the backend that steps the grid.
 type plan struct {
 	kind       string
 	nx, ny, nz int // field shape (nz = 1 for 2D)
@@ -69,11 +70,7 @@ type plan struct {
 	lambda      float64    // freestream mean free path
 	pistonSpeed float64    // 3D shock tube only
 	wedge       *WedgeSpec // primary body, for the Field analysis
-	vols        []float64  // per-cell gas volumes (nil = unit, 3D)
 }
-
-// cells returns the plan's total cell count.
-func (p *plan) cells() int { return p.nx * p.ny * p.nz }
 
 // norms returns the freestream normalisers of the derived quantities.
 func (p *plan) norms() (cm, gamma float64) { return p.cm, p.gamma }
@@ -175,7 +172,6 @@ func lower2D(kind string, nx, ny int, wedge, wedge2 *WedgeSpec, mach, thermalSpe
 	if err := ic.Validate(); err != nil {
 		return nil, err
 	}
-	g := grid.New(nx, ny)
 	return &plan{
 		kind: kind,
 		nx:   nx, ny: ny, nz: 1,
@@ -187,7 +183,6 @@ func lower2D(kind string, nx, ny int, wedge, wedge2 *WedgeSpec, mach, thermalSpe
 		mach:   mach,
 		lambda: meanFreePath,
 		wedge:  wedge,
-		vols:   g.Volumes(gw, gw2),
 	}, nil
 }
 

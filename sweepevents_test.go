@@ -110,8 +110,15 @@ func TestSweepInterruptIsNotFailure(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var midJob atomic.Bool
+	stepping := map[string]bool{} // jobs that reported progress; events are serialized
 	_, events, err := recordSweep(ctx, spec, func(e dsmc.SweepEvent) {
-		if e.Type == "job-progress" && e.StepsDone >= 4 && e.StepsDone < e.StepsTotal {
+		if e.Type != "job-progress" {
+			return
+		}
+		stepping[e.Job] = true
+		// Cancel mid-job only once both replicas run, or the second one
+		// may never start and never checkpoint.
+		if len(stepping) == spec.Replicas && e.StepsDone >= 4 && e.StepsDone < e.StepsTotal {
 			midJob.Store(true)
 			cancel()
 		}
