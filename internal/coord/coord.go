@@ -192,7 +192,8 @@ func (c *Coordinator) AddSweep(id string, sw *dsmc.Sweep, onDone func(*dsmc.Swee
 // SHA-256 and size of the bytes now at path, a hard link to the store's
 // "res" artifact under sw.ResultKey. The key extends the determinism
 // contract one level up, so a sweep whose result the store already
-// holds never becomes a job DAG: one verified read, one link(2), and the
+// holds never becomes a job DAG: one verification (the object hashed
+// through a fixed buffer, never read into memory), one link(2), and the
 // events the per-job memo pass would have emitted — no spec lowered, no
 // output decoded, nothing aggregated, marshalled or written. A miss, or
 // a hit that fails verification (the store quarantines it), is AddSweep
@@ -203,12 +204,12 @@ func (c *Coordinator) AddSweepFile(id string, sw *dsmc.Sweep, path string, onDon
 	if st == nil {
 		return errors.New("coord: AddSweepFile needs a result store")
 	}
-	if data, sha, ok := st.Get(sw.ResultKey); ok && st.Link(sha, path) == nil {
+	if sha, size, ok := st.Verify(sw.ResultKey); ok && st.Link(sha, path) == nil {
 		c.mu.Lock()
 		t, _ := c.table(id, sw)
 		t.Satisfy()
 		c.mu.Unlock()
-		go onDone(sha, len(data), nil)
+		go onDone(sha, int(size), nil)
 		return nil
 	}
 	return c.AddSweep(id, sw, func(res *dsmc.SweepResult, err error) {

@@ -1,9 +1,12 @@
 package coord
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -583,4 +586,44 @@ type localProgressQueue struct {
 func (q localProgressQueue) Heartbeat(ctx context.Context, hb Heartbeat) (string, error) {
 	q.onHB(hb)
 	return q.LocalQueue.Heartbeat(ctx, hb)
+}
+
+// TestSweepFileHitAllocs: a sweep whose encoded result the store already
+// holds is verified by hashing the object through a fixed buffer, so a
+// multi-megabyte result costs the submit a few kilobytes, not its size.
+func TestSweepFileHitAllocs(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := sweepOf(tinySpec())
+	result := bytes.Repeat([]byte("0123456789abcdef"), 4<<20/16)
+	sha, err := st.Put(sw.ResultKey, result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{Store: st})
+	type fin struct {
+		sha  string
+		size int
+		err  error
+	}
+	done := make(chan fin, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = c.AddSweepFile("sw", sw, filepath.Join(dir, "result.json"), func(sha string, size int, err error) {
+		done <- fin{sha, size, err}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := <-done
+	runtime.ReadMemStats(&after)
+	if got.err != nil || got.sha != sha || got.size != len(result) {
+		t.Fatalf("hit finished with sha %s, size %d, err %v; want %s, %d, nil", got.sha, got.size, got.err, sha, len(result))
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 256<<10 {
+		t.Errorf("a store hit on a %d-byte result allocated %d bytes, want <= 256 KiB", len(result), d)
+	}
 }

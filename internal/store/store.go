@@ -170,15 +170,30 @@ func (s *Store) Lookup(id string) (sha string, ok bool) {
 // with every index entry referencing it — and reported as a miss, so
 // the caller recomputes instead of serving garbage.
 func (s *Store) Get(id string) (data []byte, sha string, ok bool) {
+	sha, data, _, ok = s.get(id, true)
+	return data, sha, ok
+}
+
+// Verify is Get for a caller that needs a key's content hash and size
+// but not its bytes (a link to the object): the object is hashed through
+// a fixed buffer and never held in memory, and is quarantined and
+// counted exactly as Get would.
+func (s *Store) Verify(id string) (sha string, size int64, ok bool) {
+	sha, _, size, ok = s.get(id, false)
+	return sha, size, ok
+}
+
+// get is a memoization probe, Get's or Verify's: one hit or one miss.
+func (s *Store) get(id string, keep bool) (sha string, data []byte, size int64, ok bool) {
 	if sha, ok = s.Lookup(id); ok {
-		data, ok = s.read(sha)
+		data, size, ok = s.read(sha, keep)
 	}
 	if !ok {
 		mMisses.Inc()
-		return nil, "", false
+		return "", nil, 0, false
 	}
 	mHits.Inc()
-	return data, sha, true
+	return sha, data, size, true
 }
 
 // GetBySHA returns an object's bytes by content hash (the HTTP artifact
@@ -191,39 +206,61 @@ func (s *Store) GetBySHA(sha string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return s.read(sha)
+	data, _, ok := s.read(sha, true)
+	return data, ok
 }
 
-// read loads and verifies one object without holding the store mutex:
-// objects are immutable and replaced only by rename, so a reader needs no
-// exclusion, and a multi-megabyte read-and-hash must not stall every Put
-// and every other reader. Only a failure takes the lock, and repeats the
-// check under it before rejecting: the object may have been quarantined
-// or collected (then it is a plain miss, counted once by whoever did it)
-// or republished since the unlocked attempt.
-func (s *Store) read(sha string) ([]byte, bool) {
-	if data, ok := s.readObject(sha); ok {
-		return data, true
+// read verifies one object — and with keep returns its bytes — without
+// holding the store mutex: objects are immutable and replaced only by
+// rename, so a reader needs no exclusion, and a multi-megabyte
+// read-and-hash must not stall every Put and every other reader. Only a
+// failure takes the lock, and repeats the check under it before
+// rejecting: the object may have been quarantined or collected (then it
+// is a plain miss, counted once by whoever did it) or republished since
+// the unlocked attempt.
+func (s *Store) read(sha string, keep bool) ([]byte, int64, bool) {
+	if data, size, ok := s.readObject(sha, keep); ok {
+		return data, size, true
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, live := s.sizes[sha]; !live {
-		return nil, false
+		return nil, 0, false
 	}
-	data, ok := s.readObject(sha)
+	data, size, ok := s.readObject(sha, keep)
 	if !ok {
 		s.rejectLocked(sha)
 	}
-	return data, ok
+	return data, size, ok
 }
 
-// readObject returns an object's bytes if they hash to its name.
-func (s *Store) readObject(sha string) ([]byte, bool) {
-	data, err := os.ReadFile(s.objectPath(sha))
-	if err != nil || hashOf(data) != sha {
-		return nil, false
+// readObject reports whether an object hashes to its name, and its size.
+// With keep it reads the object whole and returns its bytes; without, it
+// streams the file through the hash and holds none of it.
+func (s *Store) readObject(sha string, keep bool) (data []byte, size int64, ok bool) {
+	var sum string
+	if keep {
+		var err error
+		if data, err = os.ReadFile(s.objectPath(sha)); err != nil {
+			return nil, 0, false
+		}
+		sum, size = hashOf(data), int64(len(data))
+	} else {
+		f, err := os.Open(s.objectPath(sha))
+		if err != nil {
+			return nil, 0, false
+		}
+		defer f.Close()
+		h := sha256.New()
+		if size, err = io.Copy(h, f); err != nil {
+			return nil, 0, false
+		}
+		sum = hex.EncodeToString(h.Sum(nil))
 	}
-	return data, true
+	if sum != sha {
+		return nil, 0, false
+	}
+	return data, size, true
 }
 
 // Link makes path a hard link to an object, replacing whatever is there:
