@@ -9,14 +9,15 @@ import (
 )
 
 // This file is the distributed-execution surface of a sweep: its job
-// list, single-job execution, and result assembly as three separate
-// steps. A coordinator process lowers the spec once with NewSweep and
-// enumerates the jobs from Sweep.Jobs, hands them to pull-workers that
-// execute them with RunSweepJob (uploading checkpoints through the
-// JobCheckpoint they are given), and assembles the uploaded outputs with
-// Sweep.Assemble.
+// list and table, single-job execution, and result assembly as separate
+// steps. A coordinator process lowers the spec once with NewSweep,
+// enumerates the jobs from Sweep.Jobs and tracks them in Sweep.NewTable,
+// hands them to pull-workers that execute them with RunSweepJob
+// (uploading checkpoints through the JobCheckpoint they are given), feeds
+// the uploaded outputs to the table, which folds them as they land, and
+// assembles its finished aggregates with Sweep.Assemble.
 //
-// The three steps deliberately share every line of lowering, seeding,
+// The steps deliberately share every line of lowering, seeding,
 // stepping and aggregation code with the in-process RunSweep, so a sweep
 // computed by any number of workers — including workers that crashed and
 // were re-dispatched, resuming from their last uploaded checkpoint —
@@ -122,18 +123,41 @@ func RunSweepJob(ctx context.Context, spec SweepSpec, point, replica int, io Swe
 	return run.RunJob(ctx, sw.sp, point, replica, jio)
 }
 
-// Assemble fans a sweep's collected job outputs into the public result:
-// outputs[point][replica], fully populated in Jobs order — what a
-// finished run.Table's Outputs hold. The aggregation is the identical
-// index-order Welford merge RunSweep's fan-ins run, so the assembled
-// result is bit-identical to the in-process run's regardless of which
+// NewTable builds the sweep's job table — its Jobs, keyed by StoreKey,
+// with one aggregate per point folded as outputs land — emitting
+// through emit.
+func (sw *Sweep) NewTable(emit func(run.Event)) *run.Table { return run.NewTable(&sw.sp, emit) }
+
+// Assemble turns the finished table's aggregates (Table.Aggregates, one
+// per point in point order) into the public result, attaching each
+// point's resolved plan (kind, field shape, analysis context). RunSweep
+// and a coordinator both end here, so the two execution paths can never
+// drift in shape or convention, and a result is bit-identical whichever
 // workers computed which jobs in which order.
-func (sw *Sweep) Assemble(outputs [][]*ReplicaOutput) *SweepResult {
-	aggs := make([]*run.Aggregate, len(outputs))
-	for si, outs := range outputs {
-		aggs[si] = sw.sp.AggregateScenario(si, outs)
+func (sw *Sweep) Assemble(aggs []*run.Aggregate) *SweepResult {
+	out := &SweepResult{Name: sw.Spec.Name}
+	for i, agg := range aggs {
+		pl := sw.plans[i]
+		pr := PointResult{
+			Name:          agg.Scenario,
+			Kind:          pl.kind,
+			Replicas:      agg.Replicas,
+			Fields:        make(map[Quantity]FieldStats, len(agg.Fields)),
+			ShockAngleDeg: ScalarStats(agg.ShockAngleDeg),
+			Collisions:    ScalarStats(agg.Collisions),
+			NFlow:         ScalarStats(agg.NFlow),
+			plan:          pl,
+		}
+		for q, fs := range agg.Fields {
+			pr.Fields[Quantity(q)] = FieldStats{
+				NX: pl.nx, NY: pl.ny, NZ: pl.nz,
+				Mean: fs.Mean, Variance: fs.Variance, CI95: fs.CI95,
+			}
+		}
+		pr.Density = pr.Fields[Density]
+		out.Points = append(out.Points, pr)
 	}
-	return sw.assemble(aggs)
+	return out
 }
 
 // EncodeSweepResult is the one function that turns a sweep result into

@@ -327,7 +327,7 @@ type Sweep struct {
 	Jobs []SweepJob
 	// ResultKey is the result-store key ID of the sweep's encoded result
 	// ("res" artifacts). The determinism contract one level up: the bytes
-	// EncodeSweepResult(sw.Assemble(outputs)) are a pure function of the
+	// EncodeSweepResult(sw.Assemble(aggs)) are a pure function of the
 	// spec, so the key covers every input of the two — the encoding
 	// version, the sweep name and, per point in order, the resolved name,
 	// the scenario kind and the quantity-inclusive store fingerprint
@@ -453,38 +453,7 @@ func RunSweep(ctx context.Context, spec SweepSpec, onEvent func(SweepEvent)) (*S
 	if err != nil {
 		return nil, err
 	}
-	return sw.assemble(res.Aggregates), nil
-}
-
-// assemble converts the orchestration layer's per-scenario aggregates
-// into the public sweep result, attaching each point's resolved plan
-// (kind, field shape, analysis context). Both the in-process RunSweep
-// and the distributed Assemble end here, so the two execution paths can
-// never drift in shape or convention.
-func (sw *Sweep) assemble(aggs []*run.Aggregate) *SweepResult {
-	out := &SweepResult{Name: sw.Spec.Name}
-	for i, agg := range aggs {
-		pl := sw.plans[i]
-		pr := PointResult{
-			Name:          agg.Scenario,
-			Kind:          pl.kind,
-			Replicas:      agg.Replicas,
-			Fields:        make(map[Quantity]FieldStats, len(agg.Fields)),
-			ShockAngleDeg: ScalarStats(agg.ShockAngleDeg),
-			Collisions:    ScalarStats(agg.Collisions),
-			NFlow:         ScalarStats(agg.NFlow),
-			plan:          pl,
-		}
-		for q, fs := range agg.Fields {
-			pr.Fields[Quantity(q)] = FieldStats{
-				NX: pl.nx, NY: pl.ny, NZ: pl.nz,
-				Mean: fs.Mean, Variance: fs.Variance, CI95: fs.CI95,
-			}
-		}
-		pr.Density = pr.Fields[Density]
-		out.Points = append(out.Points, pr)
-	}
-	return out
+	return sw.Assemble(res.Aggregates), nil
 }
 
 // RunEnsemble runs replicas of one scenario and aggregates them — the

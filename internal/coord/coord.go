@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -51,17 +52,20 @@ type Config struct {
 }
 
 // Coordinator owns the job tables of one or more sweeps and hands jobs
-// to pull-based workers under leases. A sweep's job states, outputs,
-// aggregate events and failure skips are its run.Table — the state
-// machine the in-process executor drives too; the coordinator adds only
-// the leases. All state transitions happen under one mutex; expiry is
-// evaluated lazily at the top of every public call, so no background
-// goroutine is needed and tests can drive the clock.
+// to pull-based workers under leases. A sweep's job states, the fold of
+// its outputs into aggregates, aggregate events and failure skips are
+// its run.Table — the state machine the in-process executor drives too;
+// the coordinator adds only the leases. A finished sweep keeps its table
+// for the job states alone (stale-lease answers, duplicate-completion
+// acks): its outputs were folded and dropped as they landed, and its
+// aggregates went to onDone. All state transitions happen under one
+// mutex; expiry is evaluated lazily at the top of every public call, so
+// no background goroutine is needed and tests can drive the clock.
 type Coordinator struct {
 	cfg Config
 
 	mu       sync.Mutex
-	order    []string // sweep IDs in arrival order (dispatch priority)
+	order    []string // unfinished sweep IDs in arrival order (dispatch priority)
 	sweeps   map[string]*sweepState
 	workers  map[string]*workerState
 	leaseSeq uint64
@@ -91,9 +95,7 @@ type sweepState struct {
 	names   []string // point names
 	leases  []lease
 	table   *run.Table
-
-	finished bool // onDone has been called
-	onDone   func(*dsmc.SweepResult, error)
+	onDone  func(*dsmc.SweepResult, error)
 }
 
 type workerState struct {
@@ -126,17 +128,11 @@ func New(cfg Config) *Coordinator {
 }
 
 // table builds the job table of a sweep, emitting through OnEvent under
-// the sweep's ID, and returns the point names with it.
-func (c *Coordinator) table(id string, sw *dsmc.Sweep) (*run.Table, []string) {
-	names := sw.Spec.PointNames()
-	keys := make([]string, len(sw.Jobs))
-	for i, j := range sw.Jobs {
-		keys[i] = j.StoreKey
-	}
-	emit := func(e run.Event) {
+// the sweep's ID.
+func (c *Coordinator) table(id string, sw *dsmc.Sweep) *run.Table {
+	return sw.NewTable(func(e run.Event) {
 		c.emitLocked(id, dsmc.SweepEvent{Type: string(e.Type), Job: e.Job, Scenario: e.Scenario, Err: e.Err})
-	}
-	return run.NewTable(names, sw.Spec.Replicas, keys, emit), names
+	})
 }
 
 // AddSweep registers a sweep's job DAG for dispatch: sw's Jobs, run under
@@ -161,13 +157,14 @@ func (c *Coordinator) AddSweep(id string, sw *dsmc.Sweep, onDone func(*dsmc.Swee
 		sweep:   sw,
 		specRaw: raw,
 		byID:    make(map[string]int, len(sw.Jobs)),
+		names:   sw.Spec.PointNames(),
 		leases:  make([]lease, len(sw.Jobs)),
+		table:   c.table(id, sw),
 		onDone:  onDone,
 	}
 	for i, j := range sw.Jobs {
 		st.byID[j.ID] = i
 	}
-	st.table, st.names = c.table(id, sw)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -206,8 +203,7 @@ func (c *Coordinator) AddSweepFile(id string, sw *dsmc.Sweep, path string, onDon
 	}
 	if sha, size, ok := st.Verify(sw.ResultKey); ok && st.Link(sha, path) == nil {
 		c.mu.Lock()
-		t, _ := c.table(id, sw)
-		t.Satisfy()
+		c.table(id, sw).Satisfy()
 		c.mu.Unlock()
 		go onDone(sha, int(size), nil)
 		return nil
@@ -239,9 +235,6 @@ func (c *Coordinator) Poll(workerID string) (*Lease, error) {
 
 	for _, id := range c.order {
 		st := c.sweeps[id]
-		if st.finished {
-			continue
-		}
 		if _, inflight := st.table.Counts(); st.sweep.Spec.Pool > 0 && inflight >= st.sweep.Spec.Pool {
 			continue
 		}
@@ -408,7 +401,7 @@ func (c *Coordinator) Complete(sweep, jobID, lease string, out *dsmc.ReplicaOutp
 	if key := st.sweep.Jobs[i].StoreKey; c.cfg.Store != nil && key != "" {
 		_, _ = c.cfg.Store.Put(key, store.EncodeOutput(out))
 		for _, id := range c.order {
-			if other := c.sweeps[id]; other != st && !other.finished {
+			if other := c.sweeps[id]; other != st {
 				other.table.Memo(c.cfg.Store, key)
 				c.maybeFinishLocked(other)
 			}
@@ -495,9 +488,6 @@ func (c *Coordinator) Workers() []WorkerStatus {
 func (c *Coordinator) expireLocked(now time.Time) {
 	for _, id := range c.order {
 		st := c.sweeps[id]
-		if st.finished {
-			continue
-		}
 		for i := range st.leases {
 			if l := &st.leases[i]; st.table.Running(i) && now.After(l.expires) {
 				mLeaseExpiries.Inc()
@@ -534,16 +524,21 @@ func (c *Coordinator) retryOrFailLocked(st *sweepState, i int, msg string) {
 }
 
 // maybeFinishLocked fires onDone once the sweep's table has finished:
-// every job done (assemble the result off-lock) or the failure fully
-// propagated. In-memory checkpoints are dropped either way.
+// every job done (with the aggregates the table hands over) or the
+// failure fully propagated. Either way the sweep leaves the dispatch
+// order and drops its in-memory checkpoints.
 func (c *Coordinator) maybeFinishLocked(st *sweepState) {
-	if st.finished || !st.table.Finished() {
-		return
+	i := slices.Index(c.order, st.id)
+	if i < 0 || !st.table.Finished() {
+		return // finished before, or not yet
 	}
-	st.finished = true
+	// A new slice, not an edit in place: a caller ranging over the order
+	// (expiry, the memo pass) finishes over the one it started with.
+	c.order = append(c.order[:i:i], c.order[i+1:]...)
 	for i := range st.leases {
 		st.leases[i].ckpt = nil
 	}
+	aggs := st.table.Aggregates()
 	if st.onDone == nil {
 		return
 	}
@@ -551,8 +546,7 @@ func (c *Coordinator) maybeFinishLocked(st *sweepState) {
 		go st.onDone(nil, fmt.Errorf("coord: sweep %s failed: %w", st.id, err))
 		return
 	}
-	sw, outputs, onDone := st.sweep, st.table.Outputs(), st.onDone
-	go func() { onDone(sw.Assemble(outputs), nil) }()
+	go st.onDone(st.sweep.Assemble(aggs), nil)
 }
 
 func (c *Coordinator) lookupLocked(sweep, jobID string) (*sweepState, int, error) {

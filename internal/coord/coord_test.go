@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -626,4 +627,41 @@ func TestSweepFileHitAllocs(t *testing.T) {
 	if d := after.TotalAlloc - before.TotalAlloc; d > 256<<10 {
 		t.Errorf("a store hit on a %d-byte result allocated %d bytes, want <= 256 KiB", len(result), d)
 	}
+}
+
+// TestFinishedSweepReleasesOutputs: the coordinator folds each replica
+// output into its point's aggregate as it lands and keeps none of them —
+// once onDone has run, every output handed to Complete is garbage.
+func TestFinishedSweepReleasesOutputs(t *testing.T) {
+	spec := tinySpec()
+	spec.Replicas = 3
+	done := make(chan error, 1)
+	c := New(Config{LeaseTTL: time.Minute})
+	if err := c.AddSweep("sw", sweepOf(spec), func(_ *dsmc.SweepResult, err error) { done <- err }); err != nil {
+		t.Fatal(err)
+	}
+	var freed atomic.Int64
+	complete := func(l *Lease) {
+		out := runLeasedJob(t, c, l)
+		runtime.SetFinalizer(out, func(*dsmc.ReplicaOutput) { freed.Add(1) })
+		if err := c.Complete(l.Sweep, l.Job, l.LeaseID, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Replica 0 lands last, so the others wait for it out of order.
+	leases := []*Lease{mustPoll(t, c, "w"), mustPoll(t, c, "w"), mustPoll(t, c, "w")}
+	complete(leases[2])
+	complete(leases[1])
+	complete(leases[0])
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); freed.Load() < int64(spec.Replicas); {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d outputs collected: the finished sweep still holds the rest", freed.Load(), spec.Replicas)
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	runtime.KeepAlive(c)
 }

@@ -53,11 +53,9 @@ var (
 // out across unfinished sweeps.
 func (c *Coordinator) queueLocked() (queued, inflight int) {
 	for _, id := range c.order {
-		if sw := c.sweeps[id]; !sw.finished {
-			pending, running := sw.table.Counts()
-			queued += pending
-			inflight += running
-		}
+		pending, running := c.sweeps[id].table.Counts()
+		queued += pending
+		inflight += running
 	}
 	return queued, inflight
 }

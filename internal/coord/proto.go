@@ -1,8 +1,9 @@
 // Package coord distributes a sweep's job DAG across worker processes
 // and survives their failure. It sits above the public dsmc API — the
 // coordinator takes a sweep lowered once by dsmc.NewSweep and dispatches
-// its Jobs, pull-based workers execute them with dsmc.RunSweepJob, and
-// the coordinator assembles the uploaded outputs with Sweep.Assemble —
+// its Jobs, pull-based workers execute them with dsmc.RunSweepJob, the
+// sweep's table folds each uploaded output as it lands, and the
+// coordinator assembles the finished aggregates with Sweep.Assemble —
 // so a distributed sweep shares every line of lowering, seeding,
 // stepping and aggregation code with the in-process path and its result
 // is bit-identical to a single-process run. Its job states are the

@@ -32,88 +32,79 @@ type Aggregate struct {
 	NFlow         ScalarStats           `json:"nflow"`
 }
 
-// welford is the textbook single-pass mean/M2 accumulator. Merging
-// replicas strictly in index order makes every aggregate bit-identical
-// regardless of pool size or completion order — the executor hands the
-// fan-in the full result slice, never a stream.
-type welford struct {
-	n    int
-	mean float64
-	m2   float64
+// The fan-in is Welford's single-pass mean and M2 update, run for each
+// (quantity, cell) and each scalar over a point's replicas strictly in
+// replica-index order — a left fold, so folding a point's outputs one at
+// a time as its done prefix extends (the Table does) gives the bits a
+// merge of the whole slice would, for any pool size and completion
+// order. The fold state is the Aggregate itself: a column's Variance,
+// and a scalar's, holds M2 until finish turns it into the variance and
+// fills CI95.
+
+// welfordAdd folds the n-th sample x into a running mean and M2.
+func welfordAdd(n int, mean, m2 *float64, x float64) {
+	d := x - *mean
+	*mean += d / float64(n)
+	*m2 += d * (x - *mean)
 }
 
-func (w *welford) add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-func (w *welford) variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// ci95 is the normal-approximation 95% half-width of the mean; zero for
+// spread turns the M2 of n samples into their sample variance and the
+// normal-approximation 95% half-width of their mean; both are zero for
 // fewer than two samples. (With the small replica counts of a typical
 // ensemble this understates the Student-t interval slightly; it is a
 // consistent, distribution-free-of-tables convention.)
-func (w *welford) ci95() float64 {
-	if w.n < 2 {
-		return 0
+func spread(n int, m2 float64) (variance, ci95 float64) {
+	if n < 2 {
+		return 0, 0
 	}
-	return 1.96 * math.Sqrt(w.variance()/float64(w.n))
+	variance = m2 / float64(n-1)
+	return variance, 1.96 * math.Sqrt(variance/float64(n))
 }
 
-func (w *welford) scalar(dropped int) ScalarStats {
-	return ScalarStats{Mean: w.mean, Variance: w.variance(), CI95: w.ci95(), N: w.n, Dropped: dropped}
+func (s *ScalarStats) add(x float64) {
+	s.N++
+	welfordAdd(s.N, &s.Mean, &s.Variance, x)
 }
 
-// aggregate fans in one scenario's replica results, merging in replica-
-// index order (per quantity, so every field's statistics are bit-
-// identical for any pool size). results must be fully populated (the
-// executor guarantees it: a point's fan-in runs after its last replica).
-func aggregate(scenario string, quantities []string, results []*ReplicaResult) *Aggregate {
-	agg := &Aggregate{Scenario: scenario, Replicas: len(results), Fields: map[string]FieldStats{}}
-	if len(results) == 0 {
-		return agg
+func (s *ScalarStats) finish() { s.Variance, s.CI95 = spread(s.N, s.Variance) }
+
+// add folds the next replica's output of the point into its aggregate.
+// The first output sizes each quantity's columns; a nil output (a job
+// done without one: Table.Satisfy) folds nothing.
+func (a *Aggregate) add(quantities []string, out *ReplicaResult) {
+	if out == nil {
+		return
 	}
+	a.Replicas++
 	for _, q := range quantities {
-		cells := len(results[0].Fields[q])
-		field := make([]welford, cells)
-		for _, r := range results {
-			col := r.Fields[q]
-			for c := 0; c < cells; c++ {
-				field[c].add(col[c])
-			}
+		col := out.Fields[q]
+		fs, ok := a.Fields[q]
+		if !ok {
+			fs = FieldStats{Mean: make([]float64, len(col)), Variance: make([]float64, len(col)), CI95: make([]float64, len(col))}
+			a.Fields[q] = fs
 		}
-		fs := FieldStats{
-			Mean:     make([]float64, cells),
-			Variance: make([]float64, cells),
-			CI95:     make([]float64, cells),
+		for c := range fs.Mean {
+			welfordAdd(a.Replicas, &fs.Mean[c], &fs.Variance[c], col[c])
 		}
-		for c := 0; c < cells; c++ {
-			fs.Mean[c] = field[c].mean
-			fs.Variance[c] = field[c].variance()
-			fs.CI95[c] = field[c].ci95()
-		}
-		agg.Fields[q] = fs
 	}
-	var angle, colls, nflow welford
-	angleDropped := 0
-	for _, r := range results {
-		if math.IsNaN(r.ShockAngleDeg) {
-			angleDropped++
-		} else {
-			angle.add(r.ShockAngleDeg)
-		}
-		colls.add(float64(r.Collisions))
-		nflow.add(float64(r.NFlow))
+	if math.IsNaN(out.ShockAngleDeg) {
+		a.ShockAngleDeg.Dropped++
+	} else {
+		a.ShockAngleDeg.add(out.ShockAngleDeg)
 	}
-	agg.ShockAngleDeg = angle.scalar(angleDropped)
-	agg.Collisions = colls.scalar(0)
-	agg.NFlow = nflow.scalar(0)
-	return agg
+	a.Collisions.add(float64(out.Collisions))
+	a.NFlow.add(float64(out.NFlow))
+}
+
+// finish completes a point's fold once its last replica is in.
+func (a *Aggregate) finish(quantities []string) {
+	for _, q := range quantities {
+		fs := a.Fields[q]
+		for c, m2 := range fs.Variance {
+			fs.Variance[c], fs.CI95[c] = spread(a.Replicas, m2)
+		}
+	}
+	a.ShockAngleDeg.finish()
+	a.Collisions.finish()
+	a.NFlow.finish()
 }

@@ -12,9 +12,11 @@
 //
 // Determinism: every job derives its seed from the spec's base seed
 // (rng.JobSeed — collision-free by construction), jobs never share
-// mutable state, and aggregation merges replica results strictly in
-// index order inside the fan-in, so a sweep's aggregates are
-// bit-identical for any pool size and any completion order. With a
+// mutable state, and the Table folds each point's replica results into
+// its aggregate strictly in replica-index order as they land, so a
+// sweep's aggregates are bit-identical for any pool size and any
+// completion order, and a sweep holds only the outputs that landed out
+// of order. With a
 // checkpoint directory set, jobs persist engine + domain + accumulator
 // state every few steps (internal/ckpt) and resume exactly: a killed and
 // restarted sweep produces the same bits as an uninterrupted one.
@@ -65,9 +67,9 @@ type Spec struct {
 	// sweep starts (a verified hit skips the stepping entirely), and
 	// every computed output is published. Keys derive from the
 	// determinism contract (see memo.go), so hits are bit-identical by
-	// construction. Aggregates are not stored: merging the replica
-	// outputs a point already holds is cheaper than reading and verifying
-	// an artifact of the merge.
+	// construction. Aggregates are not stored: folding the replica
+	// outputs as they land is cheaper than reading and verifying an
+	// artifact of the fold.
 	Results *store.Store
 }
 
@@ -164,14 +166,6 @@ func RunJob(ctx context.Context, sp Spec, scenarioIdx, replica int, io JobIO) (*
 	return runReplica(ctx, sp.Scenarios[scenarioIdx], sp.quantities(), seed, sp.WarmSteps, sp.SampleSteps, ck, io.Progress, io.StepTrace)
 }
 
-// AggregateScenario fans in one scenario's replica results — results
-// must be indexed by replica and fully populated — with the identical
-// index-order Welford merge the in-process fan-in runs, so a
-// distributed sweep's aggregates are bit-identical to the local run's.
-func (sp *Spec) AggregateScenario(scenarioIdx int, results []*ReplicaResult) *Aggregate {
-	return aggregate(sp.Scenarios[scenarioIdx].Name, sp.quantities(), results)
-}
-
 // Result is a completed sweep: one aggregate per scenario, in scenario
 // order.
 type Result struct {
@@ -236,21 +230,13 @@ func Run(ctx context.Context, sp Spec, onEvent func(Event)) (*Result, error) {
 		onEvent(e)
 	}
 
-	names := make([]string, len(sp.Scenarios))
-	var keys []string
-	for si, sc := range sp.Scenarios {
-		names[si] = sc.Name
-		for r := 0; sp.Results != nil && r < sp.Replicas; r++ {
-			keys = append(keys, sp.OutputKey(si, r).ID())
-		}
-	}
-	t := NewTable(names, sp.Replicas, keys, emit)
+	t := NewTable(&sp, emit)
 	if sp.Results != nil {
 		t.Memo(sp.Results, "")
 	}
 	drive(ctx, t, pool, func(ctx context.Context, si, r int) (*ReplicaResult, error) {
 		io := JobIO{Progress: func(done, total int) {
-			emit(Event{Type: EventJobProgress, Job: JobName(names[si], r), Scenario: names[si],
+			emit(Event{Type: EventJobProgress, Job: JobName(t.names[si], r), Scenario: t.names[si],
 				Replica: r, StepsDone: done, StepsTotal: total})
 		}}
 		if sp.CheckpointDir != "" {
@@ -260,18 +246,14 @@ func Run(ctx context.Context, sp Spec, onEvent func(Event)) (*Result, error) {
 		if err == nil && sp.Results != nil {
 			// Best-effort: a publish failure costs future recomputation,
 			// never the current run.
-			sp.Results.Put(keys[si*sp.Replicas+r], store.EncodeOutput(res))
+			sp.Results.Put(t.keys[si*sp.Replicas+r], store.EncodeOutput(res))
 		}
 		return res, err
 	})
 	if err := t.Err(); err != nil {
 		return nil, fmt.Errorf("run: %w", err)
 	}
-	res := &Result{Name: sp.Name}
-	for si, outputs := range t.Outputs() {
-		res.Aggregates = append(res.Aggregates, sp.AggregateScenario(si, outputs))
-	}
-	return res, nil
+	return &Result{Name: sp.Name, Aggregates: t.Aggregates()}, nil
 }
 
 // drive runs the table's pending jobs on at most pool goroutines, each
@@ -283,8 +265,7 @@ func Run(ctx context.Context, sp Spec, onEvent func(Event)) (*Result, error) {
 // failed, and a job it interrupted has checkpointed where it stopped.
 //
 // Determinism note: start order is fixed but completion order follows
-// scheduling, so anything that must be reproducible — the cross-replica
-// merge — reads the table's outputs by index once drive returns.
+// scheduling; the table's fold restores replica order per point.
 func drive(ctx context.Context, t *Table, pool int, job func(ctx context.Context, point, replica int) (*ReplicaResult, error)) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -103,8 +103,8 @@ func TestPoolSizeDeterminism(t *testing.T) {
 
 // TestCompletionOrderIndependence drives the table with replica jobs
 // whose completion order is forcibly reversed (later replicas finish
-// first) and asserts the fan-in sees the same aggregate as the in-order
-// execution: result slots are indexed, never appended.
+// first) and asserts the table folds the same aggregate as the in-order
+// execution: outputs fold in replica order, never in landing order.
 func TestCompletionOrderIndependence(t *testing.T) {
 	build := func(reverse bool) *Aggregate {
 		const n = 6
@@ -123,12 +123,12 @@ func TestCompletionOrderIndependence(t *testing.T) {
 				NFlow:         1000 + r,
 			}, nil
 		}
-		tab := NewTable([]string{"s"}, n, nil, func(Event) {})
+		tab := NewTable(pointSpec([]string{"s"}, n, "density", "temperature"), func(Event) {})
 		drive(context.Background(), tab, n, job)
 		if err := tab.Err(); err != nil {
 			t.Fatal(err)
 		}
-		return aggregate("s", []string{"density", "temperature"}, tab.Outputs()[0])
+		return tab.Aggregates()[0]
 	}
 	if a, b := build(false), build(true); !aggEqual(a, b) {
 		t.Error("aggregate depends on completion order")
@@ -244,7 +244,7 @@ func TestDAGFailurePropagation(t *testing.T) {
 			defer cancel()
 			var started, skipped []string
 			fannedIn := false
-			tab := NewTable([]string{"a", "b"}, 2, nil, func(e Event) {
+			tab := NewTable(pointSpec([]string{"a", "b"}, 2), func(e Event) {
 				switch e.Type {
 				case EventJobStarted:
 					started = append(started, e.Job)
@@ -289,7 +289,7 @@ func TestDAGBoundedConcurrency(t *testing.T) {
 		cur.Add(-1)
 	}
 	points := []string{"a", "b", "c", "d"}
-	tab := NewTable(points, 3, nil, func(e Event) {
+	tab := NewTable(pointSpec(points, 3), func(e Event) {
 		if e.Type == EventAggregateDone {
 			fanIns.Add(1)
 		}

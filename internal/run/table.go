@@ -2,6 +2,7 @@ package run
 
 import (
 	"fmt"
+	"slices"
 
 	"dsmc/internal/store"
 )
@@ -9,20 +10,29 @@ import (
 // Table is the state machine of one sweep's jobs — per point, replicas
 // fan out and one aggregate fans them in — and the one both drivers
 // share: Run's goroutine pool and the coordinator's lease layer
-// (internal/coord). It holds every replica job's state and output, each
-// point's count of replicas still to finish and whether its aggregate
-// has been reported, and the sweep's first error, and it emits the
-// sweep's events synchronously through the driver's callback. Jobs are
-// indexed in (point, replica) order: job i is replica i%replicas of
-// point i/replicas.
+// (internal/coord). It holds every replica job's state, each point's
+// running aggregate and whether it has been reported, and the sweep's
+// first error, and it emits the sweep's events synchronously through the
+// driver's callback. Jobs are indexed in (point, replica) order: job i
+// is replica i%replicas of point i/replicas.
+//
+// The fan-in happens here, as outputs land. A point's outputs fold into
+// its Aggregate in replica-index order as soon as the point's done
+// prefix extends (Done, Memo); an output that lands ahead of an older
+// replica of its point waits in the table until that replica is in, and
+// every output is dropped once folded. So a point holds at most
+// replicas − 1 outputs, and only while they are out of order. The
+// finished aggregates are handed over once (Aggregates), after which the
+// table references no output and no aggregate.
 //
 // One rule each, for both drivers:
 //   - a point's aggregate is reported (job-started, aggregate-done,
 //     job-done) once, when its last replica is done;
 //   - a permanent failure, or Stop, reports every unfinished job and
 //     every aggregate not yet reported job-skipped, point by point
-//     (replicas, then the aggregate), and a result that arrives for a
-//     skipped job afterwards is discarded;
+//     (replicas, then the aggregate), drops every waiting output and
+//     every aggregate, and a result that arrives for a skipped job
+//     afterwards is discarded;
 //   - a job satisfied from the result store (Memo, Satisfy) is started
 //     and done at once, without a progress event.
 //
@@ -31,15 +41,17 @@ import (
 // when a lease ends and the job is queued to start again. A Table is not
 // safe for concurrent use: each driver calls it under its own lock.
 type Table struct {
-	names    []string // point names
-	replicas int
-	keys     []string // per job: result-store key ID; nil: no job is memoized
-	emit     func(Event)
+	names      []string // point names
+	replicas   int
+	quantities []string // folded per cell: the spec's, sorted, each once
+	keys       []string // per job: result-store key ID
+	emit       func(Event)
 
 	state   []jobState
-	outputs []*ReplicaResult
-	left    []int  // per point: replicas not yet done
-	aggDone []bool // per point: aggregate reported (done or skipped)
+	folded  []int                  // per point: replicas folded, a prefix in replica order
+	early   map[int]*ReplicaResult // by job: outputs waiting for an older replica of their point
+	aggs    []*Aggregate           // per point: the fold, finished when every replica is in
+	aggDone []bool                 // per point: aggregate reported (done or skipped)
 	err     error
 }
 
@@ -54,19 +66,22 @@ const (
 	jobSkipped
 )
 
-// NewTable builds the table of len(points) × replicas pending jobs.
-// keys, when non-nil, holds every job's result-store key ID in job order
-// (OutputKey(point, replica).ID()), which Memo looks up; emit receives
-// every event.
-func NewTable(points []string, replicas int, keys []string, emit func(Event)) *Table {
-	n := len(points) * replicas
+// NewTable builds the table of sp's len(Scenarios) × Replicas pending
+// jobs, keyed by OutputKey for Memo; emit receives every event.
+func NewTable(sp *Spec, emit func(Event)) *Table {
+	n := len(sp.Scenarios) * sp.Replicas
 	t := &Table{
-		names: points, replicas: replicas, keys: keys, emit: emit,
-		state: make([]jobState, n), outputs: make([]*ReplicaResult, n),
-		left: make([]int, len(points)), aggDone: make([]bool, len(points)),
+		replicas: sp.Replicas, emit: emit,
+		state: make([]jobState, n), early: map[int]*ReplicaResult{},
+		folded: make([]int, len(sp.Scenarios)), aggDone: make([]bool, len(sp.Scenarios)),
+		quantities: slices.Compact(slices.Sorted(slices.Values(sp.quantities()))),
 	}
-	for p := range t.left {
-		t.left[p] = replicas
+	for si, sc := range sp.Scenarios {
+		t.names = append(t.names, sc.Name)
+		t.aggs = append(t.aggs, &Aggregate{Scenario: sc.Name, Fields: map[string]FieldStats{}})
+		for r := 0; r < sp.Replicas; r++ {
+			t.keys = append(t.keys, sp.OutputKey(si, r).ID())
+		}
 	}
 	return t
 }
@@ -98,10 +113,11 @@ func (t *Table) Requeue(i int) {
 	}
 }
 
-// Done records running job i's output and emits job-done, then the
-// point's aggregate if that was its last replica. A job that is no longer
-// running — skipped by a failure or a Stop — is ignored: its result is
-// discarded.
+// Done folds running job i's output into its point's aggregate (or
+// holds it until the point's older replicas are in) and emits job-done,
+// then the point's aggregate if that was its last replica. A job that is
+// no longer running — skipped by a failure or a Stop — is ignored: its
+// result is discarded.
 func (t *Table) Done(i int, out *ReplicaResult) {
 	if t.state[i] != jobRunning {
 		return
@@ -123,13 +139,16 @@ func (t *Table) Fail(i int, err error) {
 }
 
 // Stop ends an unfinished sweep with err: every pending or running job
-// and every aggregate not yet reported is skipped, point by point, and
-// nothing starts afterwards. A finished sweep keeps its outcome.
+// and every aggregate not yet reported is skipped, point by point, the
+// waiting outputs and the aggregates are dropped, and nothing starts
+// afterwards. A finished sweep keeps its outcome.
 func (t *Table) Stop(err error) {
 	if t.Finished() {
 		return
 	}
 	t.err = err
+	clear(t.early)
+	t.aggs = nil
 	for p, name := range t.names {
 		for i := p * t.replicas; i < (p+1)*t.replicas; i++ {
 			if s := t.state[i]; s == jobPending || s == jobRunning {
@@ -187,20 +206,37 @@ func (t *Table) settle(i int, out *ReplicaResult) {
 	t.emit(Event{Type: EventJobDone, Job: t.job(i)})
 }
 
+// complete marks job i done and extends its point's folded prefix as far
+// as the outputs in hand allow; an output ahead of the prefix waits.
 func (t *Table) complete(i int, out *ReplicaResult) {
 	t.state[i] = jobDone
-	t.outputs[i] = out
-	t.left[i/t.replicas]--
+	p := i / t.replicas
+	if i%t.replicas > t.folded[p] {
+		t.early[i] = out
+		return
+	}
+	for {
+		t.aggs[p].add(t.quantities, out)
+		t.folded[p]++
+		i++
+		var ok bool
+		if out, ok = t.early[i]; !ok {
+			return
+		}
+		delete(t.early, i)
+	}
 }
 
-// aggregate reports point p's aggregate once its replicas are all done.
+// aggregate reports point p's aggregate once its replicas are all done,
+// finishing the fold between the fan-in's job-started and job-done.
 func (t *Table) aggregate(p int) {
-	if t.left[p] > 0 || t.aggDone[p] {
+	if t.folded[p] < t.replicas || t.aggDone[p] {
 		return
 	}
 	t.aggDone[p] = true
 	id := AggregateName(t.names[p])
 	t.emit(Event{Type: EventJobStarted, Job: id})
+	t.aggs[p].finish(t.quantities)
 	t.emit(Event{Type: EventAggregateDone, Job: id, Scenario: t.names[p]})
 	t.emit(Event{Type: EventJobDone, Job: id})
 }
@@ -238,12 +274,14 @@ func (t *Table) Finished() bool {
 // Err returns the error the sweep stopped with, nil while it has not.
 func (t *Table) Err() error { return t.err }
 
-// Outputs returns the replica outputs per point, in replica order; a job
-// that is not done has none. The slices alias the table's.
-func (t *Table) Outputs() [][]*ReplicaResult {
-	out := make([][]*ReplicaResult, len(t.names))
-	for p := range out {
-		out[p] = t.outputs[p*t.replicas : (p+1)*t.replicas]
+// Aggregates hands over a finished sweep's aggregates, one per point in
+// point order, and lets go of them: a later call, like a call before the
+// sweep finished or after it stopped, returns nil.
+func (t *Table) Aggregates() []*Aggregate {
+	if !t.Finished() {
+		return nil
 	}
-	return out
+	aggs := t.aggs
+	t.aggs = nil
+	return aggs
 }
