@@ -80,7 +80,8 @@ func (a *Aggregate) add(quantities []string, out *ReplicaResult) {
 		col := out.Fields[q]
 		fs, ok := a.Fields[q]
 		if !ok {
-			fs = FieldStats{Mean: make([]float64, len(col)), Variance: make([]float64, len(col)), CI95: make([]float64, len(col))}
+			n := len(col)
+			fs = FieldStats{Mean: make([]float64, n), Variance: make([]float64, n), CI95: make([]float64, n)}
 			a.Fields[q] = fs
 		}
 		for c := range fs.Mean {

@@ -293,7 +293,7 @@ func TestTableFoldBitIdentical(t *testing.T) {
 
 // outputs returns n replica outputs of the given cell count with
 // density, temperature and mach fields drawn from seed, on scales that
-// vary by replica, with special values mixed in: a NaN shock angle on
+// vary by quantity and replica, with special values mixed in: a NaN shock angle on
 // every third replica, -0 and +0 cells and, when special is odd, an
 // infinite cell and a NaN cell.
 func outputs(seed uint64, n, cells int, special uint64) []*ReplicaResult {
