@@ -331,10 +331,11 @@ type Sweep struct {
 	// spec, so the key covers every input of the two — the encoding
 	// version, the sweep name and, per point in order, the resolved name,
 	// the scenario kind and the quantity-inclusive store fingerprint
-	// (physics, grid shape, step counts, quantities) in the hash; the
-	// master seed, point count and replica count in the clear. Whatever
-	// changes a byte of the result changes the key; execution knobs (pool,
-	// workers, checkpoint placement) change neither.
+	// (physics epoch, every trajectory field of the lowered scenario, step
+	// counts, quantities) in the hash; the master seed, point count and
+	// replica count in the clear. Whatever changes a byte of the result
+	// changes the key; execution knobs (pool, workers, checkpoint
+	// placement) change neither.
 	ResultKey string
 
 	sp    run.Spec // the lowered spec, without the execution fields

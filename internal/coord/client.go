@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strings"
 
 	"dsmc"
 	"dsmc/internal/store"
@@ -15,9 +16,10 @@ import (
 
 // HTTPQueue speaks the coordinator wire protocol. It is a dumb
 // transport: retries and backoff live in the Worker, so transient
-// network errors and 5xx responses surface as plain errors, while 410
-// and 404 map back to the protocol sentinels ErrStaleLease/ErrUnknown
-// (which the worker treats as permanent answers, never retried).
+// network errors and 5xx responses surface as plain errors, while 410,
+// 404 and 400 map back to the protocol sentinels ErrStaleLease,
+// ErrUnknown and ErrBadOutput (which the worker treats as permanent
+// answers, never retried).
 type HTTPQueue struct {
 	// Base is the coordinator root, e.g. "http://127.0.0.1:8077".
 	Base string
@@ -61,6 +63,12 @@ func (q *HTTPQueue) do(ctx context.Context, method, path string, contentType str
 		return nil, ErrStaleLease
 	case resp.StatusCode == http.StatusNotFound:
 		return nil, ErrUnknown
+	case resp.StatusCode == http.StatusBadRequest:
+		// This client malforms no request, so a 400 is a refused
+		// completion; the body is the coordinator's ErrBadOutput text.
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		detail := strings.TrimPrefix(string(bytes.TrimSpace(msg)), ErrBadOutput.Error()+": ")
+		return nil, fmt.Errorf("%w: %s", ErrBadOutput, detail)
 	default:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("coord: %s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(msg))

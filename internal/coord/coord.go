@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"crypto/rand"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -64,6 +65,11 @@ type Config struct {
 type Coordinator struct {
 	cfg Config
 
+	// epoch prefixes every lease ID this coordinator grants. It is random
+	// per New, so a restarted coordinator never re-issues a lease a worker
+	// of its predecessor still holds, though dispatch order is the same.
+	epoch string
+
 	mu       sync.Mutex
 	order    []string // unfinished sweep IDs in arrival order (dispatch priority)
 	sweeps   map[string]*sweepState
@@ -122,6 +128,7 @@ func New(cfg Config) *Coordinator {
 	}
 	return &Coordinator{
 		cfg:     cfg,
+		epoch:   rand.Text(),
 		sweeps:  make(map[string]*sweepState),
 		workers: make(map[string]*workerState),
 	}
@@ -244,7 +251,7 @@ func (c *Coordinator) Poll(workerID string) (*Lease, error) {
 		}
 		c.leaseSeq++
 		l, j := &st.leases[i], st.sweep.Jobs[i]
-		l.id = fmt.Sprintf("l%06d", c.leaseSeq)
+		l.id = fmt.Sprintf("%s-l%06d", c.epoch, c.leaseSeq)
 		l.worker = workerID
 		l.expires = now.Add(c.cfg.LeaseTTL)
 		l.granted = now
@@ -368,6 +375,8 @@ func (c *Coordinator) LoadCheckpoint(sweep, jobID, lease string) ([]byte, error)
 
 // Complete records a job's output. Idempotent: a redelivered Complete
 // under the winning lease is acked; any other lease gets ErrStaleLease.
+// An output whose shape does not fit the lowered spec gets ErrBadOutput
+// and changes nothing: the lease stays live.
 func (c *Coordinator) Complete(sweep, jobID, lease string, out *dsmc.ReplicaOutput) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -385,6 +394,9 @@ func (c *Coordinator) Complete(sweep, jobID, lease string, out *dsmc.ReplicaOutp
 	}
 	if !st.table.Running(i) {
 		return nil // duplicate delivery of the winning completion
+	}
+	if err := st.table.Check(i, out); err != nil {
+		return fmt.Errorf("%w: job %s: %v", ErrBadOutput, jobID, err)
 	}
 	st.table.Done(i, out)
 	l.ckpt = nil

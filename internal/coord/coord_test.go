@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -664,4 +666,84 @@ func TestFinishedSweepReleasesOutputs(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	runtime.KeepAlive(c)
+}
+
+// refusingQueue is a LocalQueue whose coordinator refuses every
+// completion's output, counting the completions and failures it sees.
+type refusingQueue struct {
+	LocalQueue
+	completes, fails *atomic.Int32
+}
+
+func (q refusingQueue) Complete(context.Context, *Lease, *dsmc.ReplicaOutput) error {
+	q.completes.Add(1)
+	return fmt.Errorf("%w: job a/r000: output has no \"density\" field", ErrBadOutput)
+}
+
+func (q refusingQueue) Fail(ctx context.Context, l *Lease, msg string) error {
+	q.fails.Add(1)
+	return q.LocalQueue.Fail(ctx, l, msg)
+}
+
+// TestRefusedOutputFailsOnce: a worker whose completion is refused as
+// ErrBadOutput does not send it again. It reports the job failed once,
+// and the job fails through its retry budget with the refusal named.
+func TestRefusedOutputFailsOnce(t *testing.T) {
+	var log eventLog
+	c := New(Config{LeaseTTL: 30 * time.Second, MaxAttempts: 1, OnEvent: log.add})
+	if err := c.AddSweep("sw", sweepOf(tinySpec()), nil); err != nil {
+		t.Fatal(err)
+	}
+	var completes, fails atomic.Int32
+	w := NewWorker(WorkerConfig{
+		ID:        "w1",
+		Queue:     refusingQueue{LocalQueue{c}, &completes, &fails},
+		RetryBase: time.Millisecond,
+	})
+	l := mustPoll(t, c, "w1")
+	w.runJob(context.Background(), l)
+	if completes.Load() != 1 || fails.Load() != 1 {
+		t.Fatalf("%d completions and %d failures sent, want 1 and 1", completes.Load(), fails.Load())
+	}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	for _, e := range log.events {
+		if e.Type == "job-failed" && e.Job == l.Job {
+			if !strings.Contains(e.Err, ErrBadOutput.Error()) {
+				t.Errorf("job-failed names %q, not the refusal", e.Err)
+			}
+			return
+		}
+	}
+	t.Errorf("no job-failed for %s", l.Job)
+}
+
+// TestLeaseFenceAcrossRestart: a coordinator restarted over the same spec
+// and checkpoint directory dispatches in the same order, yet a lease its
+// predecessor granted is stale: the old worker's heartbeat is told to
+// abandon, and its upload and completion are refused.
+func TestLeaseFenceAcrossRestart(t *testing.T) {
+	spec := tinySpec()
+	spec.CheckpointDir = t.TempDir()
+	start := func() *Coordinator {
+		c := New(Config{LeaseTTL: 30 * time.Second})
+		if err := c.AddSweep("sw", sweepOf(spec), nil); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	old := mustPoll(t, start(), "w1")
+	restarted := start()
+	if l := mustPoll(t, restarted, "w2"); l.Job != old.Job {
+		t.Fatalf("the restarted coordinator dispatched %s first, its predecessor %s", l.Job, old.Job)
+	}
+	if status, err := restarted.HandleHeartbeat(Heartbeat{Worker: "w1", Sweep: old.Sweep, Job: old.Job, Lease: old.LeaseID}); err != nil || status != HBAbandon {
+		t.Errorf("heartbeat under the predecessor's lease: %q, %v; want abandon", status, err)
+	}
+	if err := restarted.SaveCheckpoint(old.Sweep, old.Job, old.LeaseID, []byte("x")); !errors.Is(err, ErrStaleLease) {
+		t.Errorf("upload under the predecessor's lease: %v, want ErrStaleLease", err)
+	}
+	if err := restarted.Complete(old.Sweep, old.Job, old.LeaseID, &dsmc.ReplicaOutput{}); !errors.Is(err, ErrStaleLease) {
+		t.Errorf("completion under the predecessor's lease: %v, want ErrStaleLease", err)
+	}
 }

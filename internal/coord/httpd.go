@@ -13,9 +13,9 @@ import (
 // Handler exposes the coordinator protocol over HTTP under /coord/v1/.
 // Job IDs contain slashes ("<point>/r000"), so requests address jobs
 // with ?sweep=&job=&lease= query parameters rather than path segments.
-// Error mapping: stale lease → 410 Gone, unknown sweep/job → 404; the
-// client maps them back to the same sentinel errors the in-process
-// queue returns.
+// Error mapping: stale lease → 410 Gone, unknown sweep/job → 404, a
+// refused completion → 400; the client maps them back to the same
+// sentinel errors the in-process queue returns.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /coord/v1/poll", c.handlePoll)
@@ -108,7 +108,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	out, err := store.DecodeOutput(data)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		coordError(w, fmt.Errorf("%w: %v", ErrBadOutput, err))
 		return
 	}
 	if err := c.Complete(sweep, job, lease, out); err != nil {
@@ -204,6 +204,8 @@ func coordError(w http.ResponseWriter, err error) {
 		http.Error(w, err.Error(), http.StatusGone)
 	case errors.Is(err, ErrUnknown):
 		http.Error(w, err.Error(), http.StatusNotFound)
+	case errors.Is(err, ErrBadOutput):
+		http.Error(w, err.Error(), http.StatusBadRequest)
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}

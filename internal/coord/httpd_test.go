@@ -172,3 +172,79 @@ func TestUploadLimit(t *testing.T) {
 		t.Fatal("sweep never finished after the refused uploads")
 	}
 }
+
+// TestCompletionShapeRefused: a completion under the live lease whose
+// output does not fit the lowered spec — a short column, a long column, a
+// missing quantity — is a 400, which the client maps back to
+// ErrBadOutput, and changes nothing: the lease still heartbeats ok, the
+// same lease then completes with the real output, and the sweep lands on
+// the in-process run's bits.
+func TestCompletionShapeRefused(t *testing.T) {
+	spec := tinySpec()
+	spec.Quantities = []dsmc.Quantity{dsmc.Density, dsmc.Temperature}
+	want, err := dsmc.RunSweep(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(want)
+
+	done := make(chan *dsmc.SweepResult, 1)
+	c := New(Config{LeaseTTL: 30 * time.Second})
+	err = c.AddSweep("sw", sweepOf(spec), func(res *dsmc.SweepResult, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	q := &HTTPQueue{Base: ts.URL}
+
+	l := mustPoll(t, c, "w1")
+	out := runLeasedJob(t, c, l)
+	reshape := func(edit func(fields map[string][]float64)) *dsmc.ReplicaOutput {
+		bad := *out
+		bad.Fields = map[string][]float64{}
+		for q, col := range out.Fields {
+			bad.Fields[q] = col
+		}
+		edit(bad.Fields)
+		return &bad
+	}
+	density := string(dsmc.Density)
+	for _, tc := range []struct {
+		name string
+		out  *dsmc.ReplicaOutput
+	}{
+		{"short column", reshape(func(f map[string][]float64) { f[density] = f[density][1:] })},
+		{"long column", reshape(func(f map[string][]float64) { f[density] = append(f[density], 0) })},
+		{"missing quantity", reshape(func(f map[string][]float64) { delete(f, density) })},
+	} {
+		if err := q.Complete(context.Background(), l, tc.out); !errors.Is(err, ErrBadOutput) {
+			t.Fatalf("%s: completion answered %v, want ErrBadOutput", tc.name, err)
+		}
+		if status, err := c.HandleHeartbeat(Heartbeat{Worker: "w1", Sweep: l.Sweep, Job: l.Job, Lease: l.LeaseID}); err != nil || status != HBOK {
+			t.Fatalf("%s: heartbeat after the refusal: status %q, err %v", tc.name, status, err)
+		}
+	}
+	if err := c.Complete(l.Sweep, l.Job, l.LeaseID, reshape(func(f map[string][]float64) { f["extra"] = f[density] })); !errors.Is(err, ErrBadOutput) {
+		t.Fatalf("in-process completion with an extra quantity: %v, want ErrBadOutput", err)
+	}
+
+	for ; l != nil; l, _ = c.Poll("w1") {
+		if err := q.Complete(context.Background(), l, runLeasedJob(t, c, l)); err != nil {
+			t.Fatalf("complete %s: %v", l.Job, err)
+		}
+	}
+	select {
+	case res := <-done:
+		if gotJSON, _ := json.Marshal(res); string(gotJSON) != string(wantJSON) {
+			t.Fatal("the sweep's result differs from the in-process run")
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("the sweep never finished after the refused completions")
+	}
+}

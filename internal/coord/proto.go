@@ -19,7 +19,7 @@
 //	                                                 → {"status": "ok" | "abandon"}
 //	GET  /coord/v1/checkpoint?sweep=&job=&lease=     → 200 bytes | 204 none
 //	PUT  /coord/v1/checkpoint?sweep=&job=&lease=     → 204 (idempotent)
-//	POST /coord/v1/complete?sweep=&job=&lease=       → 204 (idempotent; body: binary output)
+//	POST /coord/v1/complete?sweep=&job=&lease=       → 204 (idempotent; body: binary output) | 400 refused output
 //	POST /coord/v1/release?sweep=&job=&lease=        → 204 (graceful hand-back)
 //	POST /coord/v1/fail?sweep=&job=&lease=           → 204 (body: {"error": msg})
 //	GET  /coord/v1/workers                           → {"workers": [...]}
@@ -29,13 +29,16 @@
 // last uploaded checkpoint — because seeds and accumulators are
 // deterministic, the retried job contributes the same bits as the
 // never-failed run. A stale worker (its lease expired while it kept
-// computing) gets 410 on every mutation, so redelivered uploads and
-// completions are rejected idempotently and can never corrupt a
-// redispatched job's state. A job that exhausts its dispatch budget is
-// failed permanently and the table's one failure rule applies: every
-// other lease is revoked, every unfinished job and unrun aggregation is
-// reported skipped, point by point, and the sweep reports the first
-// error.
+// computing, or a coordinator restarted since granting it: lease IDs
+// carry a per-coordinator random prefix) gets 410 on every mutation, so
+// redelivered uploads and completions are rejected idempotently and can
+// never corrupt a redispatched job's state. A completion whose output
+// does not fit the lowered spec is a 400 that leaves the lease live; the
+// worker then reports the job failed. A job that exhausts its dispatch
+// budget is failed permanently and the table's one failure rule applies:
+// every other lease is revoked, every unfinished job and unrun
+// aggregation is reported skipped, point by point, and the sweep reports
+// the first error.
 package coord
 
 import (
@@ -59,6 +62,13 @@ var (
 	// ErrUnknown rejects references to sweeps or jobs the coordinator
 	// does not track.
 	ErrUnknown = errors.New("coord: unknown sweep or job")
+	// ErrBadOutput refuses a completion under the live lease whose output
+	// does not decode, or does not have the shape the lowered spec gives
+	// the job: exactly the sweep's quantities, each a column of the
+	// point's cell count. Nothing changes — the lease stays live — and
+	// sending the same output again cannot succeed, so the worker reports
+	// the job failed instead, naming the mismatch.
+	ErrBadOutput = errors.New("coord: output does not fit the sweep")
 )
 
 // Lease is a dispatched job: the sweep spec to lower, the (point,

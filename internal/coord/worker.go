@@ -259,9 +259,19 @@ func (w *Worker) runJob(ctx context.Context, l *Lease) {
 	case err == nil:
 		// Flush the completion even if shutdown races it — the work is
 		// done, and an unflushed result would force a redispatch.
-		if cerr := w.retry(context.Background(), func(c context.Context) error {
+		cerr := w.retry(context.Background(), func(c context.Context) error {
 			return w.cfg.Queue.Complete(c, l, out)
-		}); cerr != nil && !errors.Is(cerr, ErrStaleLease) {
+		})
+		switch {
+		case errors.Is(cerr, ErrBadOutput):
+			// The coordinator refused the output itself, so sending it
+			// again cannot succeed: fail the job once, naming why, and let
+			// its retry budget decide.
+			_ = w.retry(context.Background(), func(c context.Context) error {
+				return w.cfg.Queue.Fail(c, l, cerr.Error())
+			})
+			w.logf("worker %s: job %s output refused: %v", w.cfg.ID, l.Job, cerr)
+		case cerr != nil && !errors.Is(cerr, ErrStaleLease):
 			w.logf("worker %s: job %s completion upload failed: %v", w.cfg.ID, l.Job, cerr)
 		}
 	case jobCtx.Err() != nil:
@@ -322,16 +332,16 @@ func (s *queueCkpt) Save(data []byte) error {
 func (s *queueCkpt) Discard() error { return nil }
 
 // retry runs op with jittered exponential backoff on transient errors.
-// Stale-lease and unknown-job rejections are permanent (they are
-// protocol answers, not failures) and context cancellation stops the
-// loop immediately.
+// Stale-lease, unknown-job and refused-output rejections are permanent
+// (they are protocol answers, not failures) and context cancellation
+// stops the loop immediately.
 func (w *Worker) retry(ctx context.Context, op func(context.Context) error) error {
 	var err error
 	for attempt := 0; attempt < 6; attempt++ {
 		ioCtx, cancel := context.WithTimeout(ctx, w.cfg.IOTimeout)
 		err = op(ioCtx)
 		cancel()
-		if err == nil || errors.Is(err, ErrStaleLease) || errors.Is(err, ErrUnknown) {
+		if err == nil || errors.Is(err, ErrStaleLease) || errors.Is(err, ErrUnknown) || errors.Is(err, ErrBadOutput) {
 			return err
 		}
 		if ctx.Err() != nil {

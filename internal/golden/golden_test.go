@@ -13,13 +13,63 @@
 package golden_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"dsmc/internal/geom"
 	"dsmc/internal/golden"
+	"dsmc/internal/run"
 	"dsmc/internal/sim"
 	"dsmc/internal/sim3"
 )
+
+// goldens is every recorded state hash, named by the test that pins it.
+// It is the physics epoch's definition: re-recording a golden here moves
+// the digest TestPhysicsEpoch checks, which rotates every store key and
+// checkpoint fingerprint derived from run.PhysicsEpoch.
+var goldens = []struct {
+	test string
+	hash uint64
+}{
+	{"TestGolden2D/specular", 0x5fc1c3b82b975c74},
+	{"TestGolden2D/diffuse-vibrational", 0xd4634f54c0a3b959},
+	{"TestGolden3D/rarefied", 0x5a415e622c33dc10},
+	{"TestGolden3D/collide-all", 0x1f27ff05c400ccde},
+	// Recorded at commit dc0ba4b, when the selection rule was still
+	// evaluated whole for every candidate pair.
+	{"TestGoldenModels/2D/hard-sphere/float64", 0x40fbf8c8538b1285},
+	{"TestGoldenModels/2D/vhs-0.75/float32", 0x4c9d7f6d61673fde},
+	{"TestGoldenModels/2D/power-law-8/float64", 0xae570824f2340f20},
+	{"TestGoldenModels/3D/hard-sphere/float64", 0x34ab048e4f126263},
+	{"TestGoldenModels/3D/vhs-0.75/float32", 0xd1ebcfbc2df5e045},
+}
+
+// recorded returns the golden hash the named test pins.
+func recorded(t *testing.T, test string) uint64 {
+	t.Helper()
+	for _, g := range goldens {
+		if g.test == test {
+			return g.hash
+		}
+	}
+	t.Fatalf("no golden is recorded for %s", test)
+	return 0
+}
+
+// TestPhysicsEpoch ties the memo keys to the goldens: run.PhysicsEpoch
+// must be the FNV-1a digest of the recorded hashes, each absorbed as an
+// 8-byte little-endian word in table order.
+func TestPhysicsEpoch(t *testing.T) {
+	h := fnv.New64a()
+	for _, g := range goldens {
+		h.Write(binary.LittleEndian.AppendUint64(nil, g.hash))
+	}
+	if got := h.Sum64(); got != run.PhysicsEpoch {
+		t.Fatalf("the recorded goldens digest to %#016x, run.PhysicsEpoch is %#016x: "+
+			"a golden was re-recorded, so set run.PhysicsEpoch to %#016x", got, run.PhysicsEpoch, got)
+	}
+}
 
 // goldenConfig2D is the cheap wedge configuration the 2D scenarios
 // perturb (the unit tests' smallConfig, pinned here so test-helper edits
@@ -41,16 +91,16 @@ func TestGolden2D(t *testing.T) {
 		name   string
 		mutate func(*sim.Config)
 		steps  int
-		want   uint64
 	}{
-		{"specular", func(c *sim.Config) {}, 12, 0x5fc1c3b82b975c74},
+		{"specular", func(c *sim.Config) {}, 12},
 		{"diffuse-vibrational", func(c *sim.Config) {
 			c.Wall = geom.DiffuseState{Model: geom.DiffuseIsothermal, WallCm: c.Free.Cm}
 			c.ZVib = 5
-		}, 10, 0xd4634f54c0a3b959},
+		}, 10},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			want := recorded(t, t.Name())
 			for _, workers := range []int{1, 3} {
 				cfg := goldenConfig2D()
 				tc.mutate(&cfg)
@@ -60,9 +110,9 @@ func TestGolden2D(t *testing.T) {
 					t.Fatal(err)
 				}
 				s.Run(tc.steps)
-				if got := golden.HashSim2D(s); got != tc.want {
+				if got := golden.HashSim2D(s); got != want {
 					t.Errorf("workers=%d: state hash %#016x, golden %#016x",
-						workers, got, tc.want)
+						workers, got, want)
 				}
 			}
 		})
@@ -77,21 +127,21 @@ func TestGolden3D(t *testing.T) {
 		name  string
 		cfg   sim3.Config
 		steps int
-		want  uint64
 	}{
 		{"rarefied", sim3.Config{
 			NX: 40, NY: 4, NZ: 4,
 			Cm: 0.125, Lambda: 0.5, PistonSpeed: 0.131,
 			NPerCell: 8, Seed: 99,
-		}, 12, 0x5a415e622c33dc10},
+		}, 12},
 		{"collide-all", sim3.Config{
 			NX: 32, NY: 4, NZ: 4,
 			Cm: 0.125, Lambda: 0, PistonSpeed: 0.131,
 			NPerCell: 8, Seed: 5,
-		}, 8, 0x1f27ff05c400ccde},
+		}, 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			want := recorded(t, t.Name())
 			for _, workers := range []int{1, 4} {
 				cfg := tc.cfg
 				cfg.Workers = workers
@@ -100,9 +150,9 @@ func TestGolden3D(t *testing.T) {
 					t.Fatal(err)
 				}
 				s.Run(tc.steps)
-				if got := golden.HashSim3D(s); got != tc.want {
+				if got := golden.HashSim3D(s); got != want {
 					t.Errorf("workers=%d: state hash %#016x, golden %#016x",
-						workers, got, tc.want)
+						workers, got, want)
 				}
 			}
 		})

@@ -11,10 +11,9 @@ import (
 )
 
 // TestGoldenModels pins the selection rule's per-pair half — the models
-// with a relative-speed factor, which the scenarios of golden_test.go
-// (all Maxwell or collide-all) never reach — through both selection
-// styles and both precisions. Recorded at commit dc0ba4b, when the rule
-// was still evaluated whole for every candidate pair.
+// with a relative-speed factor, which the other scenarios of
+// golden_test.go (all Maxwell or collide-all) never reach — through both
+// selection styles and both precisions.
 func TestGoldenModels(t *testing.T) {
 	run2D := func(m molec.Model, f32 bool, workers int) uint64 {
 		cfg := goldenConfig2D()
@@ -41,19 +40,19 @@ func TestGoldenModels(t *testing.T) {
 		run  func(m molec.Model, f32 bool, workers int) uint64
 		m    molec.Model
 		f32  bool
-		want uint64
 	}{
-		{"2D/hard-sphere/float64", run2D, molec.HardSphere(), false, 0x40fbf8c8538b1285},
-		{"2D/vhs-0.75/float32", run2D, molec.VHS(0.75), true, 0x4c9d7f6d61673fde},
-		{"2D/power-law-8/float64", run2D, molec.PowerLaw(8), false, 0xae570824f2340f20},
-		{"3D/hard-sphere/float64", run3D, molec.HardSphere(), false, 0x34ab048e4f126263},
-		{"3D/vhs-0.75/float32", run3D, molec.VHS(0.75), true, 0xd1ebcfbc2df5e045},
+		{"2D/hard-sphere/float64", run2D, molec.HardSphere(), false},
+		{"2D/vhs-0.75/float32", run2D, molec.VHS(0.75), true},
+		{"2D/power-law-8/float64", run2D, molec.PowerLaw(8), false},
+		{"3D/hard-sphere/float64", run3D, molec.HardSphere(), false},
+		{"3D/vhs-0.75/float32", run3D, molec.VHS(0.75), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			want := recorded(t, t.Name())
 			for _, workers := range []int{1, 3} {
-				if got := tc.run(tc.m, tc.f32, workers); got != tc.want {
-					t.Errorf("workers=%d: state hash %#016x, golden %#016x", workers, got, tc.want)
+				if got := tc.run(tc.m, tc.f32, workers); got != want {
+					t.Errorf("workers=%d: state hash %#016x, golden %#016x", workers, got, want)
 				}
 			}
 		})

@@ -22,7 +22,7 @@ import (
 // feed off already-computed phase durations — but a regression that
 // reintroduces one would likely surface here first.
 func TestGoldenWithConcurrentScrape(t *testing.T) {
-	const want = 0x5fc1c3b82b975c74 // TestGolden2D "specular" golden
+	want := recorded(t, "TestGolden2D/specular")
 
 	cfg := goldenConfig2D()
 	cfg.Workers = 3

@@ -70,7 +70,11 @@ func (s *ScalarStats) finish() { s.Variance, s.CI95 = spread(s.N, s.Variance) }
 
 // add folds the next replica's output of the point into its aggregate.
 // The first output sizes each quantity's columns; a nil output (a job
-// done without one: Table.Satisfy) folds nothing.
+// done without one: Table.Satisfy) folds nothing. It assumes the shape
+// Table.Check holds an output to: every quantity present, each column of
+// the point's cell count. The coordinator's completions and stored
+// outputs are checked before they get here; Run's own jobs produce that
+// shape.
 func (a *Aggregate) add(quantities []string, out *ReplicaResult) {
 	if out == nil {
 		return

@@ -2,13 +2,13 @@ package run
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"time"
 
 	"dsmc/internal/ckpt"
@@ -47,6 +47,15 @@ func (sc *Scenario) validate() error {
 		return sc.Sim3.Validate()
 	}
 	return errors.New("no backend config set")
+}
+
+// cells is the scenario's cell count: the length of every field its
+// replicas output.
+func (sc *Scenario) cells() int {
+	if sc.Sim3 != nil {
+		return sc.Sim3.NX * sc.Sim3.NY * sc.Sim3.NZ
+	}
+	return sc.Sim.NX * sc.Sim.NY
 }
 
 // ReplicaResult is one finished replica's contribution to the
@@ -358,75 +367,89 @@ func JobCkptPath(dir string, scenarioIdx, replica int) string {
 	return filepath.Join(dir, fmt.Sprintf("job-s%03d-r%03d.ckpt", scenarioIdx, replica))
 }
 
-// specFingerprint hashes every job parameter that determines the job's
-// trajectory — step budget, grid, physics knobs, wall model, wedges,
-// molecular model, precision, dimensionality — so a checkpoint directory
-// reused after the spec changed is rejected instead of silently serving
-// the old spec's state as the new spec's result. (The seed is checked
-// separately; requested quantities are deliberately not fingerprinted —
-// they are derived from the same accumulated moments and do not affect
-// the trajectory.)
-func specFingerprint(sc Scenario, warm, sampleSteps int) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	word := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
+// PhysicsEpoch is the first word of every trajectory fingerprint: the
+// FNV-1a digest of the recorded goldens, held equal to it by
+// internal/golden's TestPhysicsEpoch. Re-recording a golden rotates every
+// out and res key and job checkpoint fingerprint with it.
+const PhysicsEpoch uint64 = 0xd59a3ff71f29ae06
+
+// execOnly is the one list of Scenario fields that do not steer the
+// trajectory: Open is told the job's seed, and the bits do not depend on
+// the worker count. Every other field is fingerprinted, new ones too.
+var execOnly = map[reflect.Type][]string{
+	reflect.TypeFor[Scenario]():    {"Name"},
+	reflect.TypeFor[sim.Config]():  {"Seed", "Workers"},
+	reflect.TypeFor[sim3.Config](): {"Seed", "Workers"},
+}
+
+// specFingerprint hashes the physics epoch, the step budget, every
+// scenario field but execOnly's, then extra (a store key's quantities,
+// which do not steer the trajectory), so a checkpoint directory reused
+// after the spec changed is rejected. The seed is checked separately.
+func specFingerprint(sc Scenario, warm, sampleSteps int, extra ...string) uint64 {
+	h := fnv1a(14695981039346656037) // the offset basis
+	h.word(PhysicsEpoch)
+	h.word(uint64(warm))
+	h.word(uint64(sampleSteps))
+	h.walk(reflect.ValueOf(&sc).Elem())
+	for _, s := range extra {
+		h.text(s)
 	}
-	f := func(v float64) { word(math.Float64bits(v)) }
-	word(uint64(warm))
-	word(uint64(sampleSteps))
-	if sc.Float32 {
-		word(1)
-	} else {
-		word(0)
+	return uint64(h)
+}
+
+// fnv1a is an FNV-1a state absorbing 8-byte little-endian words.
+type fnv1a uint64
+
+func (h *fnv1a) word(v uint64) {
+	for i := 0; i < 64; i += 8 {
+		*h = (*h ^ fnv1a(byte(v>>i))) * 1099511628211
 	}
-	switch {
-	case sc.Sim != nil:
-		cfg := sc.Sim
-		word(2) // dimensionality tag
-		word(uint64(cfg.NX))
-		word(uint64(cfg.NY))
-		f(cfg.NPerCell)
-		f(cfg.Free.Mach)
-		f(cfg.Free.Cm)
-		f(cfg.Free.Lambda)
-		f(cfg.Free.Gamma)
-		f(cfg.PlungerTrigger)
-		f(cfg.ZVib)
-		word(uint64(cfg.Wall.Model))
-		f(cfg.Wall.WallCm)
-		word(uint64(cfg.ReservoirCapacity))
-		if cfg.Wedge != nil {
-			word(1)
-			f(cfg.Wedge.LeadX)
-			f(cfg.Wedge.Base)
-			f(cfg.Wedge.Angle)
-		} else {
-			word(0)
+}
+
+// text absorbs a length-prefixed string.
+func (h *fnv1a) text(s string) {
+	h.word(uint64(len(s)))
+	for i := range len(s) {
+		*h = (*h ^ fnv1a(s[i])) * 1099511628211
+	}
+}
+
+// walk absorbs v: a bool (0 or 1), integer or float (its bits) as a word,
+// a string length-prefixed, a pointer as a presence bool and its pointee,
+// a struct as each field's name and value but execOnly's. Any other kind
+// is a field nobody classified, and panics.
+func (h *fnv1a) walk(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		var b uint64
+		if v.Bool() {
+			b = 1
 		}
-		if cfg.Wedge2 != nil {
-			word(1)
-			f(cfg.Wedge2.LeadX)
-			f(cfg.Wedge2.Base)
-			f(cfg.Wedge2.Angle)
-		} else {
-			word(0)
+		h.word(b)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		h.word(uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		h.word(v.Uint())
+	case reflect.Float32, reflect.Float64:
+		h.word(math.Float64bits(v.Float()))
+	case reflect.String:
+		h.text(v.String())
+	case reflect.Pointer:
+		h.walk(reflect.ValueOf(!v.IsNil()))
+		if !v.IsNil() {
+			h.walk(v.Elem())
 		}
-		h.Write([]byte(cfg.Model.Name))
-	case sc.Sim3 != nil:
-		cfg := sc.Sim3
-		word(3) // dimensionality tag
-		word(uint64(cfg.NX))
-		word(uint64(cfg.NY))
-		word(uint64(cfg.NZ))
-		f(cfg.NPerCell)
-		f(cfg.Cm)
-		f(cfg.Lambda)
-		f(cfg.PistonSpeed)
-		h.Write([]byte(cfg.Model.Name))
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if name := v.Type().Field(i).Name; !slices.Contains(execOnly[v.Type()], name) {
+				h.text(name)
+				h.walk(v.Field(i))
+			}
+		}
+	default:
+		panic(fmt.Sprintf("run: the trajectory fingerprint cannot hash a %s; hash it deliberately or add it to execOnly", v.Type()))
 	}
-	return h.Sum64()
 }
 
 // jobSeed derives the simulation seed of (scenario, replica) from the

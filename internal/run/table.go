@@ -3,6 +3,7 @@ package run
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"dsmc/internal/store"
 )
@@ -42,6 +43,7 @@ import (
 // safe for concurrent use: each driver calls it under its own lock.
 type Table struct {
 	names      []string // point names
+	cells      []int    // per point: the length of every output field
 	replicas   int
 	quantities []string // folded per cell: the spec's, sorted, each once
 	keys       []string // per job: result-store key ID
@@ -78,6 +80,7 @@ func NewTable(sp *Spec, emit func(Event)) *Table {
 	}
 	for si, sc := range sp.Scenarios {
 		t.names = append(t.names, sc.Name)
+		t.cells = append(t.cells, sc.cells())
 		t.aggs = append(t.aggs, &Aggregate{Scenario: sc.Name, Fields: map[string]FieldStats{}})
 		for r := 0; r < sp.Replicas; r++ {
 			t.keys = append(t.keys, sp.OutputKey(si, r).ID())
@@ -100,6 +103,28 @@ func (t *Table) Start() (i int, ok bool) {
 		}
 	}
 	return 0, false
+}
+
+// Check reports how out differs from the shape of job i's output in the
+// lowered spec — exactly the table's quantities, each a column of the
+// point's cell count — or nil when it does not. The coordinator checks a
+// completion before Done, and Memo a stored output, so the fold
+// (Aggregate.add) may assume the shape.
+func (t *Table) Check(i int, out *ReplicaResult) error {
+	cells := t.cells[i/t.replicas]
+	for _, q := range t.quantities {
+		col, ok := out.Fields[q]
+		if !ok {
+			return fmt.Errorf("output has no %q field", q)
+		}
+		if len(col) != cells {
+			return fmt.Errorf("output field %q has %d cells, want %d", q, len(col), cells)
+		}
+	}
+	if len(out.Fields) != len(t.quantities) {
+		return fmt.Errorf("output has %d fields, want %d (%s)", len(out.Fields), len(t.quantities), strings.Join(t.quantities, ", "))
+	}
+	return nil
 }
 
 // Running reports whether job i has started and not ended.
@@ -166,9 +191,9 @@ func (t *Table) Stop(err error) {
 // Memo satisfies pending jobs from the result store: every pending job,
 // or when key is not empty only those whose key it is. A verified hit is
 // decoded and its job started and done without running; content that
-// passes the store's hash check but not the frame decode is rejected
-// (quarantined) and reads as a miss. The aggregates of the points it
-// completes follow the jobs, in point order.
+// passes the store's hash check but not the frame decode or Check is
+// rejected (quarantined) and reads as a miss. The aggregates of the
+// points it completes follow the jobs, in point order.
 func (t *Table) Memo(st *store.Store, key string) {
 	for i, k := range t.keys {
 		if t.state[i] != jobPending || k == "" || (key != "" && k != key) {
@@ -179,6 +204,9 @@ func (t *Table) Memo(st *store.Store, key string) {
 			continue
 		}
 		out, err := store.DecodeOutput(data)
+		if err == nil {
+			err = t.Check(i, out)
+		}
 		if err != nil {
 			st.Reject(k)
 			continue

@@ -8,15 +8,17 @@ import (
 	"testing"
 
 	"dsmc/internal/rng"
+	"dsmc/internal/sim"
 	"dsmc/internal/store"
 )
 
-// pointSpec is what a table reads of a sweep: the named points, replicas
-// each, sampling the given quantities (density when none).
+// pointSpec is what a table reads of a sweep: the named points, each a
+// one-cell grid, replicas each, sampling the given quantities (density
+// when none).
 func pointSpec(points []string, replicas int, quantities ...string) *Spec {
 	sp := &Spec{Replicas: replicas, Quantities: quantities}
 	for _, p := range points {
-		sp.Scenarios = append(sp.Scenarios, Scenario{Name: p})
+		sp.Scenarios = append(sp.Scenarios, Scenario{Name: p, Sim: &sim.Config{NX: 1, NY: 1}})
 	}
 	return sp
 }

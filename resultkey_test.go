@@ -103,22 +103,24 @@ func TestSweepResultKeyCoverage(t *testing.T) {
 }
 
 // TestSweepKeysPinned holds the literal store keys of memoSweepSpec —
-// the result key and every job's output key, recorded before the sweep
-// lowering was restructured — so no refactor of the lowering can rotate
-// a key and silently orphan a store's artifacts.
+// the result key and every job's output key — so no refactor of the
+// lowering can rotate a key and silently orphan a store's artifacts.
+// Recorded when the trajectory fingerprint became a walk over the
+// lowered scenario that starts with run.PhysicsEpoch; they change again
+// only with the physics epoch or the fingerprint's definition.
 func TestSweepKeysPinned(t *testing.T) {
 	sw, err := dsmc.NewSweep(memoSweepSpec(""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "res-6b97a9b18cb079c2-0000000000000007-p002-r002"; sw.ResultKey != want {
+	if want := "res-cc8dc71b486f8370-0000000000000007-p002-r002"; sw.ResultKey != want {
 		t.Errorf("result key %s, want %s", sw.ResultKey, want)
 	}
 	want := [][2]string{
-		{"near-continuum/r000", "out-5d552a858f54bf55-0000000000000007-p000-r000"},
-		{"near-continuum/r001", "out-5d552a858f54bf55-0000000000000007-p000-r001"},
-		{"rarefied/r000", "out-65eb747976486cec-0000000000000007-p001-r000"},
-		{"rarefied/r001", "out-65eb747976486cec-0000000000000007-p001-r001"},
+		{"near-continuum/r000", "out-2cd77d9ca65732f3-0000000000000007-p000-r000"},
+		{"near-continuum/r001", "out-2cd77d9ca65732f3-0000000000000007-p000-r001"},
+		{"rarefied/r000", "out-3df4fe6d5df14b90-0000000000000007-p001-r000"},
+		{"rarefied/r001", "out-3df4fe6d5df14b90-0000000000000007-p001-r001"},
 	}
 	if len(sw.Jobs) != len(want) {
 		t.Fatalf("%d jobs, want %d", len(sw.Jobs), len(want))

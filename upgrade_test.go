@@ -112,3 +112,67 @@ func TestPreUpgradeOutputRecomputes(t *testing.T) {
 		t.Errorf("the key now names %q (%v), want the recomputed object %s", got, err, sha)
 	}
 }
+
+// TestMisshapenStoredOutputRecomputes: a stored "out" artifact that passes
+// the store's hash and decodes, but whose density column is one cell
+// short of its point's grid, is rejected like a frame that does not
+// decode: one verification failure, the object quarantined, the job
+// recomputed and republished, and the result on its pinned bits.
+func TestMisshapenStoredOutputRecomputes(t *testing.T) {
+	spec := memoSweepSpec(filepath.Join(t.TempDir(), "store"))
+	runMemoSweep(t, spec)
+
+	ids, err := filepath.Glob(filepath.Join(spec.ResultStoreDir, "index", "out-*-p000-r000"))
+	if err != nil || len(ids) != 1 {
+		t.Fatalf("replica artifact index entry: %v (err %v)", ids, err)
+	}
+	shaRaw, err := os.ReadFile(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sha := strings.TrimSpace(string(shaRaw))
+	objects := filepath.Join(spec.ResultStoreDir, "objects")
+	data, err := os.ReadFile(filepath.Join(objects, sha))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := store.DecodeOutput(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	density := string(dsmc.Density)
+	out.Fields[density] = out.Fields[density][1:]
+	short := store.EncodeOutput(out)
+	sum := sha256.Sum256(short)
+	shortSHA := hex.EncodeToString(sum[:])
+	if err := os.WriteFile(filepath.Join(objects, shortSHA), short, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ids[0], []byte(shortSHA+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	failures := storeCounter(t, "dsmc_store_verify_failures_total")
+	publishes := storeCounter(t, "dsmc_store_publishes_total")
+	buf, err := dsmc.EncodeSweepResult(runMemoSweep(t, spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(buf)
+	if h.Sum64() != pinnedSweepResultFNV {
+		t.Errorf("result hash %#016x, pinned %#016x", h.Sum64(), pinnedSweepResultFNV)
+	}
+	if d := storeCounter(t, "dsmc_store_verify_failures_total") - failures; d != 1 {
+		t.Errorf("%v verification failures, want 1", d)
+	}
+	if d := storeCounter(t, "dsmc_store_publishes_total") - publishes; d != 1 {
+		t.Errorf("%v publishes, want 1 (the recomputed job)", d)
+	}
+	if _, err := os.Stat(filepath.Join(spec.ResultStoreDir, "quarantine", shortSHA)); err != nil {
+		t.Errorf("the short object is not in quarantine/: %v", err)
+	}
+	if got, err := os.ReadFile(ids[0]); err != nil || strings.TrimSpace(string(got)) != sha {
+		t.Errorf("the key now names %q (%v), want the recomputed object %s", got, err, sha)
+	}
+}
