@@ -56,18 +56,9 @@ func AggregateJobID(pointName string) string { return run.AggregateName(pointNam
 // field.
 type ReplicaOutput = store.Output
 
-// JobCheckpoint is where a running sweep job persists its state: Load
-// returns the last saved checkpoint (nil when none), Save durably
-// replaces it, Discard removes a checkpoint found corrupt or stale.
-// Save must not retain data after it returns: the job encodes its next
-// checkpoint into the same buffer.
-// The distributed worker backs this with coordinator uploads; RunSweep's
-// local jobs back it with an atomically written file.
-type JobCheckpoint interface {
-	Load() ([]byte, error)
-	Save(data []byte) error
-	Discard() error
-}
+// JobCheckpoint is where a running sweep job persists its state; the
+// contract of its Load, Save and Discard is run.CkptStore's.
+type JobCheckpoint = run.CkptStore
 
 // StepTrace is one completed engine step's flight-recorder record:
 // the step index, that step's wall time per pipeline phase in

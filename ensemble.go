@@ -66,7 +66,8 @@ type SweepSpec struct {
 	// CheckpointDir, when set, makes jobs resumable: each persists its
 	// full state there every CheckpointEvery steps (default 50), and a
 	// re-run of the same spec over the same directory continues from the
-	// checkpoints — bit-identically to an uninterrupted run.
+	// checkpoints — bit-identically to an uninterrupted run. A
+	// coordinator requires one: it stores its workers' uploads there.
 	CheckpointDir   string `json:"checkpoint_dir,omitempty"`
 	CheckpointEvery int    `json:"checkpoint_every,omitempty"`
 	// ResultStoreDir, when set, memoizes RunSweep against a

@@ -19,7 +19,7 @@ func TestRetryExhaustionEventBalance(t *testing.T) {
 	var log eventLog
 	atDone := make(chan []dsmc.SweepEvent, 1)
 	c := New(Config{LeaseTTL: 10 * time.Second, MaxAttempts: 2, OnEvent: log.add, now: clk.now})
-	err := c.AddSweep("sw", sweepOf(tinySpec()), func(_ *dsmc.SweepResult, err error) {
+	err := c.AddSweep("sw", sweepOf(t, tinySpec()), func(_ *dsmc.SweepResult, err error) {
 		if err == nil {
 			t.Error("the sweep succeeded")
 		}

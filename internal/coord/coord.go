@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
@@ -19,11 +18,10 @@ import (
 )
 
 // Config parameterizes a Coordinator. The zero value works for tests:
-// 15s leases, 3 dispatch attempts per job. Uploaded checkpoints go where
-// the sweep's spec says — <CheckpointDir>/job-sNNN-rNNN.ckpt, the layout
-// the in-process executor uses, so a coordinator restarted over the same
-// directory resumes from the checkpoints either path wrote — or are held
-// in memory when the spec names no directory.
+// 15s leases, 3 dispatch attempts per job. Uploaded checkpoints are files
+// where the sweep's spec says — <CheckpointDir>/job-sNNN-rNNN.ckpt, the
+// layout the in-process executor uses, so a coordinator restarted over
+// the same directory resumes from the checkpoints either path wrote.
 type Config struct {
 	// LeaseTTL is how long a lease survives without a heartbeat before
 	// the job is taken away and redispatched (default 15s).
@@ -36,10 +34,10 @@ type Config struct {
 	// result store: a sweep's jobs are satisfied from finished artifacts
 	// at registration (never dispatched), every accepted completion is
 	// published under the job's store key, and a publish immediately
-	// completes matching pending jobs of every other registered sweep.
-	// Reads are checksum-verified by the store; publishes of conflicting
-	// bytes under a live key are refused and counted, never silently
-	// accepted.
+	// settles the matching pending jobs of every other unfinished sweep
+	// with the output in hand. Reads are checksum-verified by the store;
+	// publishes of conflicting bytes under a live key are refused and
+	// counted, never silently accepted, and settle nobody.
 	Store *store.Store
 	// OnEvent, when non-nil, observes sweep progress with the same event
 	// vocabulary as dsmc.RunSweep, plus "job-lost" (lease expired or
@@ -56,12 +54,13 @@ type Config struct {
 // to pull-based workers under leases. A sweep's job states, the fold of
 // its outputs into aggregates, aggregate events and failure skips are
 // its run.Table — the state machine the in-process executor drives too;
-// the coordinator adds only the leases. A finished sweep keeps its table
-// for the job states alone (stale-lease answers, duplicate-completion
-// acks): its outputs were folded and dropped as they landed, and its
-// aggregates went to onDone. All state transitions happen under one
-// mutex; expiry is evaluated lazily at the top of every public call, so
-// no background goroutine is needed and tests can drive the clock.
+// the coordinator adds only the leases, and reads the worker roster from
+// them. A finished sweep keeps its table for the job states alone
+// (stale-lease answers, duplicate-completion acks): its outputs were
+// folded and dropped as they landed, and its aggregates went to onDone.
+// All state transitions happen under one mutex; expiry is evaluated
+// lazily at the top of every public call, so no background goroutine is
+// needed and tests can drive the clock.
 type Coordinator struct {
 	cfg Config
 
@@ -90,7 +89,6 @@ type lease struct {
 	attempts   int       // dispatches consumed against MaxAttempts
 	heartbeats int       // heartbeats seen under the current lease
 	stepsDone  int
-	ckpt       []byte // in-memory checkpoint when the spec names no directory
 }
 
 type sweepState struct {
@@ -104,12 +102,11 @@ type sweepState struct {
 	onDone  func(*dsmc.SweepResult, error)
 }
 
+// workerState is what the coordinator knows of a worker beyond the
+// leases that name it: when it last called, and what it last reported.
 type workerState struct {
-	id         string
-	lastSeen   time.Time
-	sweep, job string // current lease, if any
-	stepsDone  int
-	stepsTotal int
+	id       string
+	lastSeen time.Time
 	// metrics is the worker's last heartbeat-piggybacked instrument
 	// snapshot, re-emitted by WriteMetrics under dsmc_fleet_*.
 	metrics []obs.Sample
@@ -143,12 +140,20 @@ func (c *Coordinator) table(id string, sw *dsmc.Sweep) *run.Table {
 }
 
 // AddSweep registers a sweep's job DAG for dispatch: sw's Jobs, run under
-// the execution fields of sw.Spec (Pool, CheckpointDir). onDone, when
-// non-nil, is called exactly once from a fresh goroutine when the sweep
-// finishes: with sw.Assemble's result on success, or with the first
-// error once the failure has propagated through the DAG. The coordinator
-// never lowers the spec again; only a worker's RunSweepJob does.
+// the execution fields of sw.Spec (Pool, CheckpointDir). The spec must
+// name a checkpoint directory, which AddSweep creates: uploaded
+// checkpoints are files there. onDone, when non-nil, is called exactly
+// once from a fresh goroutine when the sweep finishes: with
+// sw.Assemble's result on success, or with the first error once the
+// failure has propagated through the DAG. The coordinator never lowers
+// the spec again; only a worker's RunSweepJob does.
 func (c *Coordinator) AddSweep(id string, sw *dsmc.Sweep, onDone func(*dsmc.SweepResult, error)) error {
+	if sw.Spec.CheckpointDir == "" {
+		return fmt.Errorf("coord: sweep %q names no checkpoint directory", id)
+	}
+	if err := os.MkdirAll(sw.Spec.CheckpointDir, 0o755); err != nil {
+		return err
+	}
 	// The dispatched spec must not leak coordinator-local paths: a worker
 	// handed them would open (or create) those directories on its own
 	// filesystem. Checkpoint placement and memoization are
@@ -185,7 +190,7 @@ func (c *Coordinator) AddSweep(id string, sw *dsmc.Sweep, onDone func(*dsmc.Swee
 	// re-dispatch finished work. Runs once per sweep under the lock — the
 	// 25ms poll loop never touches the store.
 	if c.cfg.Store != nil {
-		st.table.Memo(c.cfg.Store, "")
+		st.table.Memo(c.cfg.Store)
 		c.maybeFinishLocked(st)
 	}
 	return nil
@@ -258,9 +263,6 @@ func (c *Coordinator) Poll(workerID string) (*Lease, error) {
 		l.attempts++
 		l.heartbeats = 0
 		mLeaseGrants.Inc()
-		w := c.workers[workerID]
-		w.sweep, w.job = st.id, j.ID
-		w.stepsDone, w.stepsTotal = l.stepsDone, j.StepsTotal
 		return &Lease{
 			Sweep:         st.id,
 			Job:           j.ID,
@@ -297,9 +299,6 @@ func (c *Coordinator) HandleHeartbeat(hb Heartbeat) (string, error) {
 	l, j := &st.leases[i], st.sweep.Jobs[i]
 	l.expires = now.Add(c.cfg.LeaseTTL)
 	l.heartbeats++
-	w := c.workers[hb.Worker]
-	w.sweep, w.job = st.id, j.ID
-	w.stepsDone, w.stepsTotal = hb.StepsDone, hb.StepsTotal
 	// Emit progress on change, and unconditionally on a lease's first
 	// heartbeat so the event stream always shows a dispatched job moving.
 	if hb.StepsDone != l.stepsDone || l.heartbeats == 1 {
@@ -335,17 +334,8 @@ func (c *Coordinator) SaveCheckpoint(sweep, jobID, lease string, data []byte) er
 	if err != nil {
 		return err
 	}
-	if path := st.ckptPath(i); path == "" {
-		// Copy: an embedded worker's data is its replica's checkpoint
-		// buffer, which the job reuses for its next save.
-		st.leases[i].ckpt = append([]byte(nil), data...)
-	} else {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return err
-		}
-		if err := store.AtomicWrite(path, data); err != nil {
-			return err
-		}
+	if err := st.ckpt(i).Save(data); err != nil {
+		return err
 	}
 	st.leases[i].expires = now.Add(c.cfg.LeaseTTL)
 	return nil
@@ -362,15 +352,7 @@ func (c *Coordinator) LoadCheckpoint(sweep, jobID, lease string) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	path := st.ckptPath(i)
-	if path == "" {
-		return append([]byte(nil), st.leases[i].ckpt...), nil
-	}
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	return data, err
+	return st.ckpt(i).Load()
 }
 
 // Complete records a job's output. Idempotent: a redelivered Complete
@@ -399,22 +381,25 @@ func (c *Coordinator) Complete(sweep, jobID, lease string, out *dsmc.ReplicaOutp
 		return fmt.Errorf("%w: job %s: %v", ErrBadOutput, jobID, err)
 	}
 	st.table.Done(i, out)
-	l.ckpt = nil
 	mCompletions.Inc()
 	mJobSeconds.Observe(now.Sub(l.granted).Seconds())
-	c.clearWorkerJob(l.worker)
 	c.maybeFinishLocked(st)
-	// Publish the accepted output to the result store and immediately
-	// satisfy matching pending jobs of every other registered sweep. The
-	// publish sits behind the lease fence above, so only the winning
-	// completion of a redispatched job reaches the store; racing writers
-	// of the same key must therefore produce identical bytes, which Put
-	// verifies rather than assumes (a conflict is refused and counted).
-	if key := st.sweep.Jobs[i].StoreKey; c.cfg.Store != nil && key != "" {
-		_, _ = c.cfg.Store.Put(key, store.EncodeOutput(out))
+	// Publish the accepted output to the result store, and settle the
+	// matching pending jobs of every other live sweep with the output in
+	// hand. The publish sits behind the lease fence above, so only the
+	// winning completion of a redispatched job reaches the store; racing
+	// writers of the same key must therefore produce identical bytes,
+	// which Put verifies rather than assumes. A refused (conflicting) or
+	// failed publish settles nobody: the other sweeps run the job
+	// themselves, and the completion stands.
+	if c.cfg.Store == nil {
+		return nil
+	}
+	key := st.sweep.Jobs[i].StoreKey
+	if _, err := c.cfg.Store.Put(key, store.EncodeOutput(out)); err == nil {
 		for _, id := range c.order {
 			if other := c.sweeps[id]; other != st {
-				other.table.Memo(c.cfg.Store, key)
+				other.table.Offer(key, out)
 				c.maybeFinishLocked(other)
 			}
 		}
@@ -438,7 +423,7 @@ func (c *Coordinator) Release(sweep, jobID, lease string, stepsDone int) error {
 	l, j := &st.leases[i], st.sweep.Jobs[i]
 	l.attempts-- // voluntary hand-back does not burn retry budget
 	l.stepsDone = stepsDone
-	c.endLease(l)
+	l.end()
 	st.table.Requeue(i)
 	c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-released", Job: j.ID, StepsDone: stepsDone, StepsTotal: j.StepsTotal})
 	return nil
@@ -460,29 +445,39 @@ func (c *Coordinator) Fail(sweep, jobID, lease, msg string) error {
 	return nil
 }
 
-// Workers reports the fleet as seen by the coordinator, sorted by ID.
-// A worker silent for three lease TTLs is reported lost.
+// Workers reports the fleet as seen by the coordinator, sorted by ID. A
+// worker's sweep, job and steps are those of the running lease that names
+// it — the newer grant, should a restarted worker ID hold two. A worker
+// silent for three lease TTLs is reported lost.
 func (c *Coordinator) Workers() []WorkerStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.now()
 	c.expireLocked(now)
 
+	// The running lease that names each worker, the newer grant winning.
+	// Only an unfinished sweep has running jobs.
+	type held struct {
+		st *sweepState
+		i  int
+	}
+	holds := map[string]held{}
+	for _, id := range c.order {
+		st := c.sweeps[id]
+		for i, l := range st.leases {
+			if h, ok := holds[l.worker]; st.table.Running(i) && (!ok || l.granted.After(h.st.leases[h.i].granted)) {
+				holds[l.worker] = held{st, i}
+			}
+		}
+	}
 	out := make([]WorkerStatus, 0, len(c.workers))
 	for _, w := range c.workers {
-		ws := WorkerStatus{
-			ID:             w.id,
-			State:          "idle",
-			Sweep:          w.sweep,
-			Job:            w.job,
-			StepsDone:      w.stepsDone,
-			StepsTotal:     w.stepsTotal,
-			LastSeenMillis: now.Sub(w.lastSeen).Milliseconds(),
+		ws := WorkerStatus{ID: w.id, State: "idle", LastSeenMillis: now.Sub(w.lastSeen).Milliseconds()}
+		if h, ok := holds[w.id]; ok {
+			l, j := h.st.leases[h.i], h.st.sweep.Jobs[h.i]
+			ws.State, ws.Sweep, ws.Job, ws.StepsDone, ws.StepsTotal = "running", h.st.id, j.ID, l.stepsDone, j.StepsTotal
 		}
-		if w.job != "" {
-			ws.State = "running"
-		}
-		if now.Sub(w.lastSeen) > 3*c.cfg.LeaseTTL {
+		if c.lost(w, now) {
 			ws.State = "lost"
 		}
 		out = append(out, ws)
@@ -515,7 +510,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 // the heartbeat or upload rejection — and the table skips what is left.
 func (c *Coordinator) retryOrFailLocked(st *sweepState, i int, msg string) {
 	l, j := &st.leases[i], st.sweep.Jobs[i]
-	c.endLease(l)
+	l.end()
 	if l.attempts < c.cfg.MaxAttempts {
 		mRetries.Inc()
 		st.table.Requeue(i)
@@ -528,7 +523,7 @@ func (c *Coordinator) retryOrFailLocked(st *sweepState, i int, msg string) {
 	mJobFailures.Inc()
 	for k := range st.leases {
 		if st.table.Running(k) {
-			c.endLease(&st.leases[k])
+			st.leases[k].end()
 		}
 	}
 	st.table.Fail(i, fmt.Errorf("%s; retry budget exhausted (%d attempts)", msg, l.attempts))
@@ -538,18 +533,16 @@ func (c *Coordinator) retryOrFailLocked(st *sweepState, i int, msg string) {
 // maybeFinishLocked fires onDone once the sweep's table has finished:
 // every job done (with the aggregates the table hands over) or the
 // failure fully propagated. Either way the sweep leaves the dispatch
-// order and drops its in-memory checkpoints.
+// order.
 func (c *Coordinator) maybeFinishLocked(st *sweepState) {
 	i := slices.Index(c.order, st.id)
 	if i < 0 || !st.table.Finished() {
 		return // finished before, or not yet
 	}
 	// A new slice, not an edit in place: a caller ranging over the order
-	// (expiry, the memo pass) finishes over the one it started with.
+	// (expiry, a completion's offer to the other sweeps) finishes over the
+	// one it started with.
 	c.order = append(c.order[:i:i], c.order[i+1:]...)
-	for i := range st.leases {
-		st.leases[i].ckpt = nil
-	}
 	aggs := st.table.Aggregates()
 	if st.onDone == nil {
 		return
@@ -598,21 +591,16 @@ func (c *Coordinator) touchWorker(id string, now time.Time) {
 	w.lastSeen = now
 }
 
-// endLease revokes a lease that ended without a result (lost, released,
-// failed or skipped): its worker's status row lets go of the job, and
-// every later call under its ID is stale.
-func (c *Coordinator) endLease(l *lease) {
-	c.clearWorkerJob(l.worker)
-	l.id, l.worker = "", ""
+// lost reports whether a worker has been silent for three lease TTLs.
+func (c *Coordinator) lost(w *workerState, now time.Time) bool {
+	return now.Sub(w.lastSeen) > 3*c.cfg.LeaseTTL
 }
 
-// clearWorkerJob detaches a worker's status row from a lease that ended
-// (completed, released, expired, or revoked).
-func (c *Coordinator) clearWorkerJob(workerID string) {
-	if w := c.workers[workerID]; w != nil {
-		w.sweep, w.job = "", ""
-		w.stepsDone, w.stepsTotal = 0, 0
-	}
+// end revokes a lease that ended without a result (lost, released,
+// failed or skipped): every later call under its ID is stale, and no
+// worker's status row shows the job.
+func (l *lease) end() {
+	l.id, l.worker = "", ""
 }
 
 func (c *Coordinator) emitLocked(sweepID string, e dsmc.SweepEvent) {
@@ -621,21 +609,14 @@ func (c *Coordinator) emitLocked(sweepID string, e dsmc.SweepEvent) {
 	}
 }
 
-// ckptPath is job i's checkpoint file under the spec's checkpoint
-// directory, or "" when the spec names none and checkpoints are held in
-// memory.
-func (st *sweepState) ckptPath(i int) string {
-	dir := st.sweep.Spec.CheckpointDir
-	if dir == "" {
-		return ""
-	}
-	return run.JobCkptPath(dir, st.sweep.Jobs[i].Point, st.sweep.Jobs[i].Replica)
+// ckpt is job i's checkpoint file under the spec's checkpoint directory,
+// the name the in-process executor gives it.
+func (st *sweepState) ckpt(i int) run.FileCkptStore {
+	j := st.sweep.Jobs[i]
+	return run.FileCkptStore{Path: run.JobCkptPath(st.sweep.Spec.CheckpointDir, j.Point, j.Replica)}
 }
 
 func (st *sweepState) hasCheckpoint(i int) bool {
-	if path := st.ckptPath(i); path != "" {
-		_, err := os.Stat(path)
-		return err == nil
-	}
-	return len(st.leases[i].ckpt) > 0
+	_, err := os.Stat(st.ckpt(i).Path)
+	return err == nil
 }

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"dsmc"
+	"dsmc/internal/obs"
 	"dsmc/internal/store"
 )
 
@@ -40,8 +43,12 @@ func tinySpec() dsmc.SweepSpec {
 	}
 }
 
-// sweepOf lowers a spec for AddSweep.
-func sweepOf(spec dsmc.SweepSpec) *dsmc.Sweep {
+// sweepOf lowers a spec for AddSweep, giving it a temporary checkpoint
+// directory when it names none.
+func sweepOf(t testing.TB, spec dsmc.SweepSpec) *dsmc.Sweep {
+	if spec.CheckpointDir == "" {
+		spec.CheckpointDir = t.TempDir()
+	}
 	sw, err := dsmc.NewSweep(spec)
 	if err != nil {
 		panic(err)
@@ -181,7 +188,7 @@ func TestLeaseExpiryEdgeCases(t *testing.T) {
 	clk := newFakeClock()
 	var log eventLog
 	c := New(Config{LeaseTTL: 10 * time.Second, MaxAttempts: 3, OnEvent: log.add, now: clk.now})
-	if err := c.AddSweep("sw", sweepOf(tinySpec()), nil); err != nil {
+	if err := c.AddSweep("sw", sweepOf(t, tinySpec()), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -237,7 +244,7 @@ func TestLeaseExpiryEdgeCases(t *testing.T) {
 func TestDoubleDispatchPrevention(t *testing.T) {
 	clk := newFakeClock()
 	c := New(Config{LeaseTTL: 10 * time.Second, now: clk.now})
-	if err := c.AddSweep("sw", sweepOf(tinySpec()), nil); err != nil {
+	if err := c.AddSweep("sw", sweepOf(t, tinySpec()), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -275,7 +282,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	var log eventLog
 	done := make(chan error, 1)
 	c := New(Config{LeaseTTL: 10 * time.Second, MaxAttempts: 2, OnEvent: log.add, now: clk.now})
-	err := c.AddSweep("sw", sweepOf(tinySpec()), func(res *dsmc.SweepResult, err error) {
+	err := c.AddSweep("sw", sweepOf(t, tinySpec()), func(res *dsmc.SweepResult, err error) {
 		if res != nil {
 			done <- errors.New("got a result from a failed sweep")
 			return
@@ -346,7 +353,7 @@ func TestRedispatchResumeBitIdentity(t *testing.T) {
 		err error
 	}, 1)
 	c := New(Config{LeaseTTL: 10 * time.Second, now: clk.now})
-	err = c.AddSweep("sw", sweepOf(spec), func(res *dsmc.SweepResult, err error) {
+	err = c.AddSweep("sw", sweepOf(t, spec), func(res *dsmc.SweepResult, err error) {
 		done <- struct {
 			res *dsmc.SweepResult
 			err error
@@ -431,7 +438,7 @@ func TestWorkersEndToEnd(t *testing.T) {
 		err error
 	}, 1)
 	c := New(Config{LeaseTTL: 30 * time.Second, OnEvent: log.add})
-	err = c.AddSweep("sw", sweepOf(spec), func(res *dsmc.SweepResult, err error) {
+	err = c.AddSweep("sw", sweepOf(t, spec), func(res *dsmc.SweepResult, err error) {
 		done <- struct {
 			res *dsmc.SweepResult
 			err error
@@ -506,7 +513,7 @@ func TestGracefulReleaseResume(t *testing.T) {
 		err error
 	}, 1)
 	c := New(Config{LeaseTTL: 30 * time.Second, OnEvent: log.add})
-	err = c.AddSweep("sw", sweepOf(spec), func(res *dsmc.SweepResult, err error) {
+	err = c.AddSweep("sw", sweepOf(t, spec), func(res *dsmc.SweepResult, err error) {
 		done <- struct {
 			res *dsmc.SweepResult
 			err error
@@ -600,7 +607,7 @@ func TestSweepFileHitAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := sweepOf(tinySpec())
+	sw := sweepOf(t, tinySpec())
 	result := bytes.Repeat([]byte("0123456789abcdef"), 4<<20/16)
 	sha, err := st.Put(sw.ResultKey, result)
 	if err != nil {
@@ -639,7 +646,7 @@ func TestFinishedSweepReleasesOutputs(t *testing.T) {
 	spec.Replicas = 3
 	done := make(chan error, 1)
 	c := New(Config{LeaseTTL: time.Minute})
-	if err := c.AddSweep("sw", sweepOf(spec), func(_ *dsmc.SweepResult, err error) { done <- err }); err != nil {
+	if err := c.AddSweep("sw", sweepOf(t, spec), func(_ *dsmc.SweepResult, err error) { done <- err }); err != nil {
 		t.Fatal(err)
 	}
 	var freed atomic.Int64
@@ -691,7 +698,7 @@ func (q refusingQueue) Fail(ctx context.Context, l *Lease, msg string) error {
 func TestRefusedOutputFailsOnce(t *testing.T) {
 	var log eventLog
 	c := New(Config{LeaseTTL: 30 * time.Second, MaxAttempts: 1, OnEvent: log.add})
-	if err := c.AddSweep("sw", sweepOf(tinySpec()), nil); err != nil {
+	if err := c.AddSweep("sw", sweepOf(t, tinySpec()), nil); err != nil {
 		t.Fatal(err)
 	}
 	var completes, fails atomic.Int32
@@ -727,7 +734,7 @@ func TestLeaseFenceAcrossRestart(t *testing.T) {
 	spec.CheckpointDir = t.TempDir()
 	start := func() *Coordinator {
 		c := New(Config{LeaseTTL: 30 * time.Second})
-		if err := c.AddSweep("sw", sweepOf(spec), nil); err != nil {
+		if err := c.AddSweep("sw", sweepOf(t, spec), nil); err != nil {
 			t.Fatal(err)
 		}
 		return c
@@ -745,5 +752,195 @@ func TestLeaseFenceAcrossRestart(t *testing.T) {
 	}
 	if err := restarted.Complete(old.Sweep, old.Job, old.LeaseID, &dsmc.ReplicaOutput{}); !errors.Is(err, ErrStaleLease) {
 		t.Errorf("completion under the predecessor's lease: %v, want ErrStaleLease", err)
+	}
+}
+
+// TestAddSweepNeedsCheckpointDir: checkpoints are files, so a sweep whose
+// spec names no checkpoint directory is refused, and one that does gets
+// the directory created.
+func TestAddSweepNeedsCheckpointDir(t *testing.T) {
+	c := New(Config{})
+	sw, err := dsmc.NewSweep(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddSweep("none", sw, nil); err == nil {
+		t.Error("a sweep without a checkpoint directory was registered")
+	}
+	spec := tinySpec()
+	spec.CheckpointDir = filepath.Join(t.TempDir(), "a", "ckpt")
+	if err := c.AddSweep("dir", sweepOf(t, spec), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(spec.CheckpointDir); err != nil {
+		t.Errorf("the checkpoint directory was not created: %v", err)
+	}
+}
+
+// TestStatsIgnoresLostWorkers: the stalest heartbeat a keepalive reports
+// is a live worker's. A worker silent for three lease TTLs is lost, as
+// Workers reports it, and its ever-growing age is not the fleet's.
+func TestStatsIgnoresLostWorkers(t *testing.T) {
+	clk := newFakeClock()
+	c := New(Config{LeaseTTL: 10 * time.Second, now: clk.now})
+	if _, err := c.Poll("w1"); err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(40 * time.Second)
+	if _, err := c.Poll("w2"); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.MaxHeartbeatAgeSec != 0 || st.Workers != 2 {
+		t.Errorf("stalest live heartbeat %gs over %d workers, want 0s over 2", st.MaxHeartbeatAgeSec, st.Workers)
+	}
+	if ws := c.Workers(); len(ws) != 2 || ws[0].State != "lost" || ws[1].State != "idle" {
+		t.Errorf("workers %+v, want w1 lost and w2 idle", ws)
+	}
+}
+
+// TestWorkersReadFromLeases: a worker's row shows the running lease that
+// names it. A restarted worker that holds its predecessor's lease and a
+// new one shows the newer grant, and keeps showing it when the older
+// lease expires; a worker whose lease ended is idle.
+func TestWorkersReadFromLeases(t *testing.T) {
+	clk := newFakeClock()
+	c := New(Config{LeaseTTL: 10 * time.Second, now: clk.now})
+	if err := c.AddSweep("sw", sweepOf(t, tinySpec()), nil); err != nil {
+		t.Fatal(err)
+	}
+	row := func() WorkerStatus {
+		t.Helper()
+		ws := c.Workers()
+		if len(ws) != 1 {
+			t.Fatalf("workers %+v, want one", ws)
+		}
+		return ws[0]
+	}
+	old := mustPoll(t, c, "w")
+	clk.advance(6 * time.Second)
+	renewed := mustPoll(t, c, "w")
+	if status, _ := c.HandleHeartbeat(Heartbeat{Worker: "w", Sweep: renewed.Sweep, Job: renewed.Job, Lease: renewed.LeaseID, StepsDone: 3}); status != HBOK {
+		t.Fatalf("heartbeat: %q", status)
+	}
+	if r := row(); r.State != "running" || r.Job != renewed.Job || r.StepsDone != 3 || r.StepsTotal != renewed.StepsTotal {
+		t.Errorf("with two leases: %+v, want %s at step 3 of %d", r, renewed.Job, renewed.StepsTotal)
+	}
+	clk.advance(6 * time.Second) // the old lease expires
+	if r := row(); r.State != "running" || r.Job != renewed.Job {
+		t.Errorf("after %s expired: %+v, want %s", old.Job, r, renewed.Job)
+	}
+	if err := c.Release(renewed.Sweep, renewed.Job, renewed.LeaseID, 3); err != nil {
+		t.Fatal(err)
+	}
+	if r := row(); r.State != "idle" || r.Job != "" || r.StepsDone != 0 {
+		t.Errorf("after the release: %+v, want idle", r)
+	}
+}
+
+// storeHits reads dsmc_store_hits_total.
+func storeHits(t *testing.T) float64 {
+	t.Helper()
+	for _, s := range obs.Default.Snapshot("dsmc_store_hits_total") {
+		if s.Name == "dsmc_store_hits_total" {
+			return s.Value
+		}
+	}
+	t.Fatal("dsmc_store_hits_total is not registered")
+	return 0
+}
+
+// TestCompletionSettlesSiblingSweep: sweeps A and B share a point and are
+// both registered before either runs. Each of A's completions of the
+// shared point is published and settles B's job under the same key with
+// the output in hand — no lease for it and no store read — and B's result
+// is a cold run's bits. When the store already holds different bytes
+// under a shared key, A's publish of that job is refused, the refusal
+// settles nobody, and B leases the job and runs it itself.
+func TestCompletionSettlesSiblingSweep(t *testing.T) {
+	specA := tinySpec()
+	specA.Name = "sibling-a"
+	specB := tinySpec()
+	specB.Name = "sibling-b"
+	mfp := 0.75
+	specB.Points = append(specB.Points, dsmc.SweepPoint{Name: "fresh", MeanFreePath: &mfp})
+	want, err := dsmc.RunSweep(context.Background(), specB, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(want)
+	// Valid bytes for the shared point that are not replica 0's.
+	other, err := dsmc.RunSweepJob(context.Background(), specA, 0, 1, dsmc.SweepJobIO{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, planted := range []bool{false, true} {
+		t.Run(map[bool]string{false: "published", true: "refused"}[planted], func(t *testing.T) {
+			st, err := store.Open(filepath.Join(t.TempDir(), "store"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := New(Config{LeaseTTL: time.Minute, Store: st})
+			swA, swB := sweepOf(t, specA), sweepOf(t, specB)
+			done := make(chan []byte, 1)
+			if err := c.AddSweep("a", swA, nil); err != nil {
+				t.Fatal(err)
+			}
+			err = c.AddSweep("b", swB, func(res *dsmc.SweepResult, err error) {
+				if err != nil {
+					t.Error(err)
+				}
+				got, _ := json.Marshal(res)
+				done <- got
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			refused := swA.Jobs[0]
+			if planted {
+				if _, err := st.Put(refused.StoreKey, store.EncodeOutput(other)); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			hits, grants := storeHits(t), mLeaseGrants.Value()
+			for range swA.Jobs {
+				l := mustPoll(t, c, "w")
+				if l.Sweep != "a" {
+					t.Fatalf("%s/%s leased before sweep a's jobs", l.Sweep, l.Job)
+				}
+				if err := c.Complete(l.Sweep, l.Job, l.LeaseID, runLeasedJob(t, c, l)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var leased []string
+			for l, _ := c.Poll("w"); l != nil; l, _ = c.Poll("w") {
+				leased = append(leased, l.Job)
+				if err := c.Complete(l.Sweep, l.Job, l.LeaseID, runLeasedJob(t, c, l)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantLeased := []string{"fresh/r000", "fresh/r001"}
+			if planted {
+				wantLeased = append([]string{refused.ID}, wantLeased...)
+			}
+			if !slices.Equal(leased, wantLeased) {
+				t.Errorf("sweep b leased %q, want %q", leased, wantLeased)
+			}
+			if n := mLeaseGrants.Value() - grants; n != uint64(len(swA.Jobs)+len(wantLeased)) {
+				t.Errorf("%d leases granted, want %d", n, len(swA.Jobs)+len(wantLeased))
+			}
+			if d := storeHits(t) - hits; d != 0 {
+				t.Errorf("the completions read the store: %g hits", d)
+			}
+			select {
+			case got := <-done:
+				if string(got) != string(wantJSON) {
+					t.Error("sweep b's result differs from a cold run")
+				}
+			case <-time.After(60 * time.Second):
+				t.Fatal("sweep b never finished")
+			}
+		})
 	}
 }

@@ -36,7 +36,7 @@ func TestHTTPTransport(t *testing.T) {
 		err error
 	}, 1)
 	c := New(Config{LeaseTTL: 30 * time.Second})
-	err = c.AddSweep("sw", sweepOf(spec), func(res *dsmc.SweepResult, err error) {
+	err = c.AddSweep("sw", sweepOf(t, spec), func(res *dsmc.SweepResult, err error) {
 		done <- struct {
 			res *dsmc.SweepResult
 			err error
@@ -104,7 +104,7 @@ func TestHTTPTransport(t *testing.T) {
 func TestUploadLimit(t *testing.T) {
 	done := make(chan error, 1)
 	c := New(Config{LeaseTTL: 30 * time.Second})
-	if err := c.AddSweep("sw", sweepOf(tinySpec()), func(_ *dsmc.SweepResult, err error) { done <- err }); err != nil {
+	if err := c.AddSweep("sw", sweepOf(t, tinySpec()), func(_ *dsmc.SweepResult, err error) { done <- err }); err != nil {
 		t.Fatal(err)
 	}
 	h := c.Handler()
@@ -190,7 +190,7 @@ func TestCompletionShapeRefused(t *testing.T) {
 
 	done := make(chan *dsmc.SweepResult, 1)
 	c := New(Config{LeaseTTL: 30 * time.Second})
-	err = c.AddSweep("sw", sweepOf(spec), func(res *dsmc.SweepResult, err error) {
+	err = c.AddSweep("sw", sweepOf(t, spec), func(res *dsmc.SweepResult, err error) {
 		if err != nil {
 			t.Error(err)
 		}

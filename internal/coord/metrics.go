@@ -62,8 +62,9 @@ func (c *Coordinator) queueLocked() (queued, inflight int) {
 
 // Stats returns a point-in-time snapshot of the coordinator: leased and
 // queued job counts across unfinished sweeps, the known worker count,
-// and the age of the stalest live worker's last contact. It feeds the
-// NDJSON keepalive records dsmcd emits.
+// and the age of the stalest live worker's last contact — a lost worker
+// (Workers' rule) is not live. It feeds the NDJSON keepalive records
+// dsmcd emits.
 func (c *Coordinator) Stats() dsmc.SweepStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -72,7 +73,7 @@ func (c *Coordinator) Stats() dsmc.SweepStatus {
 	st.QueueDepth, st.ActiveJobs = c.queueLocked()
 	st.Workers = len(c.workers)
 	for _, w := range c.workers {
-		if age := now.Sub(w.lastSeen).Seconds(); age > st.MaxHeartbeatAgeSec {
+		if age := now.Sub(w.lastSeen).Seconds(); !c.lost(w, now) && age > st.MaxHeartbeatAgeSec {
 			st.MaxHeartbeatAgeSec = age
 		}
 	}

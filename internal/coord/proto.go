@@ -8,7 +8,9 @@
 // stepping and aggregation code with the in-process path and its result
 // is bit-identical to a single-process run. Its job states are the
 // in-process executor's too: each sweep is a run.Table, and the
-// coordinator adds only the leases.
+// coordinator adds only the leases. So are its checkpoints: a worker's
+// upload is written to the file the executor would have written, in the
+// directory the sweep's spec names.
 //
 // Protocol (modeled on dagu's coordinator protocol: workers poll for
 // work, the coordinator dispatches leases, heartbeats carry liveness and

@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,9 +90,6 @@ type Worker struct {
 	jobsSeen int
 
 	chaosUploadsLeft atomic.Int32
-
-	rngMu sync.Mutex
-	rng   uint64
 }
 
 // NewWorker builds a worker; defaults are filled in.
@@ -112,13 +109,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.RetryMax <= 0 {
 		cfg.RetryMax = 5 * time.Second
 	}
-	h := fnv.New64a()
-	h.Write([]byte(cfg.ID))
-	seed := h.Sum64() ^ uint64(time.Now().UnixNano())
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
-	}
-	w := &Worker{cfg: cfg, rng: seed}
+	w := &Worker{cfg: cfg}
 	w.chaosUploadsLeft.Store(int32(cfg.Chaos.FailUploads))
 	return w
 }
@@ -146,7 +137,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		pollFails = 0
 		if lease == nil {
-			w.sleep(ctx, w.cfg.PollEvery+w.jitter(w.cfg.PollEvery/2))
+			w.sleep(ctx, w.cfg.PollEvery+jitter(w.cfg.PollEvery/2))
 			continue
 		}
 		w.runJob(ctx, lease)
@@ -328,7 +319,7 @@ func (s *queueCkpt) Save(data []byte) error {
 }
 
 // Discard is a no-op: the coordinator's copy is superseded by the next
-// Save and deleted with the job on completion.
+// Save.
 func (s *queueCkpt) Discard() error { return nil }
 
 // retry runs op with jittered exponential backoff on transient errors.
@@ -364,25 +355,17 @@ func (w *Worker) backoff(n int) time.Duration {
 	if d > w.cfg.RetryMax {
 		d = w.cfg.RetryMax
 	}
-	return d + w.jitter(d)
+	return d + jitter(d)
 }
 
-// jitter returns a duration in [0, d) from a per-worker xorshift stream.
-// (math/rand would work here — coord is outside the determinism-linted
-// engine — but a local generator keeps the package free of global
-// seeding questions.)
-func (w *Worker) jitter(d time.Duration) time.Duration {
+// jitter returns a uniform duration in [0, d) from math/rand/v2's global
+// generator, which seeds itself per process, so a fleet is decorrelated.
+// (coord is outside the determinism-linted engine.)
+func jitter(d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0
 	}
-	w.rngMu.Lock()
-	x := w.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	w.rng = x
-	w.rngMu.Unlock()
-	return time.Duration(x % uint64(d))
+	return rand.N(d)
 }
 
 func (w *Worker) sleep(ctx context.Context, d time.Duration) {

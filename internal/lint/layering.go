@@ -100,10 +100,11 @@ var layerAllows = map[string][]string{
 	// packages it may reach are the obs telemetry leaf, the result store
 	// it memoizes dispatch against, and run for two things only: the job
 	// table (run.Table, the state machine the in-process executor drives)
-	// and checkpoint file naming (run.JobCkptPath). That keeps the wire
-	// protocol honest (a worker process has exactly the information an
-	// API client has, plus its own instruments — the store and the table
-	// are coordinator-side).
+	// and the checkpoint files (run.FileCkptStore at run.JobCkptPath, the
+	// executor's own). That keeps the wire protocol honest (a worker
+	// process has exactly the information an API client has, plus its own
+	// instruments — the store, the table and the checkpoint files are
+	// coordinator-side).
 	"coord": {"dsmc/internal/obs", "dsmc/internal/run", "dsmc/internal/store"},
 	// root: the public dsmc package — composes backends and run, but
 	// never reaches under engine's hood directly.

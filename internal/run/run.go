@@ -232,7 +232,7 @@ func Run(ctx context.Context, sp Spec, onEvent func(Event)) (*Result, error) {
 
 	t := NewTable(&sp, emit)
 	if sp.Results != nil {
-		t.Memo(sp.Results, "")
+		t.Memo(sp.Results)
 	}
 	drive(ctx, t, pool, func(ctx context.Context, si, r int) (*ReplicaResult, error) {
 		io := JobIO{Progress: func(done, total int) {

@@ -7,11 +7,12 @@ import (
 	"dsmc/internal/store"
 )
 
-// CkptStore is where a replica job persists its checkpoint bytes. The
-// local path stores to a file next to the sweep spec; the distributed
-// worker uploads to the coordinator. Whatever the medium, Save must be
-// atomic from the reader's point of view: Load returns either a
-// previously completed Save or nothing, never a torn prefix. (The
+// CkptStore is where a replica job persists its checkpoint bytes. Run's
+// jobs store to a file in the sweep's checkpoint directory; the
+// distributed worker uploads to the coordinator, which stores the upload
+// to the same file. Whatever the medium, Save must be atomic from the
+// reader's point of view: Load returns either a previously completed
+// Save or nothing, never a torn prefix. (The
 // checksum trailer inside the checkpoint catches media that break this
 // promise anyway — loadCheckpoint falls back to a fresh run.)
 type CkptStore interface {

@@ -19,9 +19,9 @@ import (
 //
 // The fan-in happens here, as outputs land. A point's outputs fold into
 // its Aggregate in replica-index order as soon as the point's done
-// prefix extends (Done, Memo); an output that lands ahead of an older
-// replica of its point waits in the table until that replica is in, and
-// every output is dropped once folded. So a point holds at most
+// prefix extends (Done, Memo, Offer); an output that lands ahead of an
+// older replica of its point waits in the table until that replica is
+// in, and every output is dropped once folded. So a point holds at most
 // replicas − 1 outputs, and only while they are out of order. The
 // finished aggregates are handed over once (Aggregates), after which the
 // table references no output and no aggregate.
@@ -34,8 +34,9 @@ import (
 //     (replicas, then the aggregate), drops every waiting output and
 //     every aggregate, and a result that arrives for a skipped job
 //     afterwards is discarded;
-//   - a job satisfied from the result store (Memo, Satisfy) is started
-//     and done at once, without a progress event.
+//   - a job satisfied from the result store, or from an output another
+//     sweep published (Memo, Offer, Satisfy), is started and done at
+//     once, without a progress event.
 //
 // So every job-started is answered by exactly one job-done, job-failed
 // or job-skipped — or, in the coordinator, by job-lost or job-released
@@ -69,7 +70,7 @@ const (
 )
 
 // NewTable builds the table of sp's len(Scenarios) × Replicas pending
-// jobs, keyed by OutputKey for Memo; emit receives every event.
+// jobs, keyed by OutputKey for Memo and Offer; emit receives every event.
 func NewTable(sp *Spec, emit func(Event)) *Table {
 	n := len(sp.Scenarios) * sp.Replicas
 	t := &Table{
@@ -188,15 +189,14 @@ func (t *Table) Stop(err error) {
 	}
 }
 
-// Memo satisfies pending jobs from the result store: every pending job,
-// or when key is not empty only those whose key it is. A verified hit is
-// decoded and its job started and done without running; content that
-// passes the store's hash check but not the frame decode or Check is
-// rejected (quarantined) and reads as a miss. The aggregates of the
+// Memo satisfies every pending job the result store holds. A verified
+// hit is decoded and its job started and done without running; content
+// that passes the store's hash check but not the frame decode or Check
+// is rejected (quarantined) and reads as a miss. The aggregates of the
 // points it completes follow the jobs, in point order.
-func (t *Table) Memo(st *store.Store, key string) {
+func (t *Table) Memo(st *store.Store) {
 	for i, k := range t.keys {
-		if t.state[i] != jobPending || k == "" || (key != "" && k != key) {
+		if t.state[i] != jobPending {
 			continue
 		}
 		data, _, ok := st.Get(k)
@@ -212,6 +212,20 @@ func (t *Table) Memo(st *store.Store, key string) {
 			continue
 		}
 		t.settle(i, out)
+	}
+	t.aggregateAll()
+}
+
+// Offer settles every pending job whose key is key with out, an output
+// another table checked and published under that key — a key fixes the
+// quantities and the cell counts, so the shape holds here too — with
+// Memo's events: the jobs, then the aggregates of the points they
+// complete.
+func (t *Table) Offer(key string, out *ReplicaResult) {
+	for i, k := range t.keys {
+		if k == key && t.state[i] == jobPending {
+			t.settle(i, out)
+		}
 	}
 	t.aggregateAll()
 }

@@ -42,11 +42,12 @@ func output(k int) *ReplicaResult {
 	return &ReplicaResult{Fields: map[string][]float64{"density": {float64(k)}}, NFlow: k}
 }
 
-// TestTableMemo: Memo with no key satisfies every stored job, with one
-// key only the jobs under it; hits are started and done at once and the
-// points they complete aggregate after them, in point order. An artifact
-// that passes the store's hash but not the frame decode is rejected —
-// quarantined, the key a miss from then on — and its job stays pending.
+// TestTableMemo: Memo satisfies every stored job, Offer only the job
+// under its key, with the output offered; hits are started and done at
+// once and the points they complete aggregate after them, in point
+// order. An artifact that passes the store's hash but not the frame
+// decode is rejected — quarantined, the key a miss from then on — and
+// its job stays pending.
 func TestTableMemo(t *testing.T) {
 	st, err := store.Open(filepath.Join(t.TempDir(), "store"))
 	if err != nil {
@@ -60,16 +61,18 @@ func TestTableMemo(t *testing.T) {
 	}
 
 	one, oneLog := tableLog(keys)
-	one.Memo(st, "k1")
+	one.Offer("k1", output(7))
+	one.Offer("k1", output(8))
+	one.Offer("k9", output(9))
 	if want := []string{"job-started a/r001", "job-done a/r001"}; !slices.Equal(*oneLog, want) {
-		t.Errorf("Memo(k1) events %q, want %q", *oneLog, want)
+		t.Errorf("Offer(k1) events %q, want %q", *oneLog, want)
 	}
-	if pending, _ := one.Counts(); pending != 3 {
-		t.Errorf("Memo(k1) left %d jobs pending, want 3", pending)
+	if pending, _ := one.Counts(); pending != 3 || one.early[1] == nil || one.early[1].NFlow != 7 {
+		t.Errorf("Offer(k1) left %d jobs pending, want 3, or did not hold the first output offered", pending)
 	}
 
 	all, allLog := tableLog(keys)
-	all.Memo(st, "")
+	all.Memo(st)
 	want := []string{
 		"job-started a/r000", "job-done a/r000",
 		"job-started a/r001", "job-done a/r001",
@@ -87,7 +90,7 @@ func TestTableMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	*allLog = nil
-	all.Memo(st, "")
+	all.Memo(st)
 	if len(*allLog) != 0 {
 		t.Errorf("a corrupt artifact emitted %q", *allLog)
 	}
