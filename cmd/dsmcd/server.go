@@ -575,13 +575,21 @@ func (s *server) handleTrace(w http.ResponseWriter, req *http.Request) {
 }
 
 // decodeSpec is the strict SweepSpec decoder of submissions and of
-// resumed sweeps: a field this build does not know is an error naming it.
+// resumed sweeps: a field this build does not know is an error naming it,
+// and so is anything but whitespace after the object — a second value
+// would otherwise be dropped unread.
 func decodeSpec(r io.Reader) (dsmc.SweepSpec, error) {
 	var spec dsmc.SweepSpec
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		return spec, fmt.Errorf("decoding spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("a second JSON value")
+		}
+		return spec, fmt.Errorf("decoding spec: after the object: %w", err)
 	}
 	return spec, nil
 }

@@ -55,7 +55,8 @@ type SweepSpec struct {
 	Quantities []Quantity `json:"quantities,omitempty"`
 	// Points are the sweep points; empty runs the base alone.
 	Points []SweepPoint `json:"points,omitempty"`
-	// Replicas is the number of independent replicas per point (>= 1).
+	// Replicas is the number of independent replicas per point (>= 1);
+	// points × replicas is at most 4096 jobs.
 	Replicas int `json:"replicas"`
 	// WarmSteps run before sampling; SampleSteps are averaged.
 	WarmSteps   int `json:"warm_steps"`
@@ -343,6 +344,10 @@ type Sweep struct {
 	plans []*plan  // per point: kind, field shape, analysis context
 }
 
+// maxSweepJobs bounds a sweep's points × replicas, and with it what a
+// lowering allocates: about 450 bytes per job and 4 KB per point.
+const maxSweepJobs = 4096
+
 // NewSweep lowers and validates a spec — the one place a SweepSpec is
 // lowered: every point's scenario is resolved, lowered, and handed to
 // internal/run with its own grid shape. A lowering holds no per-cell
@@ -370,6 +375,12 @@ func NewSweep(spec SweepSpec) (*Sweep, error) {
 	points := spec.Points
 	if len(points) == 0 {
 		points = []SweepPoint{{}}
+	}
+	// The job list is points × replicas entries whatever the spec's
+	// length: bound it, and the points, before lowering a point, or a few
+	// bytes of JSON could ask for gigabytes.
+	if len(points) > maxSweepJobs/max(spec.Replicas, 1) {
+		return nil, fmt.Errorf("dsmc: %d points × %d replicas exceeds %d jobs", len(points), spec.Replicas, maxSweepJobs)
 	}
 	for i, name := range spec.PointNames() {
 		sc, err := applyPoint(base, points[i])

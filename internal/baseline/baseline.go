@@ -34,12 +34,10 @@ type Scheme interface {
 // order within the cell) are paired even/odd, a collision probability is
 // computed per candidate pair from the selection rule, and accepted pairs
 // collide via the 5-component permutation algorithm.
-type BM struct {
-	Table []rng.Perm5
-}
+type BM struct{}
 
 // NewBM returns the paper's scheme.
-func NewBM() *BM { return &BM{Table: rng.Perm5Table()} }
+func NewBM() *BM { return &BM{} }
 
 // Name implements Scheme.
 func (b *BM) Name() string { return "mcdonald-baganoff" }
@@ -53,7 +51,7 @@ func (b *BM) CollideCell(parts []collide.State5, vol float64, rule collide.Rule,
 		p := rule.Prob(count, vol, g)
 		//dsmclint:allow float-eq exact saturation sentinel: Prob clamps to 1, and == skips the draw without shifting the stream
 		if p == 1 || r.Float64() < p {
-			perm := rng.RandomPerm5(b.Table, r)
+			perm := rng.RandomPerm5(r)
 			collide.Collide(&parts[i], &parts[i+1], perm, r.Uint32())
 			collisions++
 		}
@@ -66,12 +64,10 @@ func (b *BM) CollideCell(parts []collide.State5, vol float64, rule collide.Rule,
 // exceeds the global simulation time (one step here). As the paper notes,
 // it parallelizes only at the cell level and is strongly influenced by
 // statistical fluctuations in the cell population.
-type BirdTC struct {
-	Table []rng.Perm5
-}
+type BirdTC struct{}
 
 // NewBirdTC returns Bird's scheme.
-func NewBirdTC() *BirdTC { return &BirdTC{Table: rng.Perm5Table()} }
+func NewBirdTC() *BirdTC { return &BirdTC{} }
 
 // Name implements Scheme.
 func (b *BirdTC) Name() string { return "bird-time-counter" }
@@ -112,7 +108,7 @@ func (b *BirdTC) CollideCell(parts []collide.State5, vol float64, rule collide.R
 		if cellTime+dt > 1 && collisions > 0 && r.Float64() > (1-cellTime)/dt {
 			break
 		}
-		perm := rng.RandomPerm5(b.Table, r)
+		perm := rng.RandomPerm5(r)
 		collide.Collide(&parts[i], &parts[j], perm, r.Uint32())
 		collisions++
 		cellTime += dt

@@ -85,7 +85,6 @@ type Sim struct {
 	resCtx    []bool
 
 	lanes []rng.Stream
-	table []rng.Perm5
 
 	// fixed-point constants
 	uInfF    fixed.Fix
@@ -149,7 +148,6 @@ func New(cfg Config) (*Sim, error) {
 		flowCtx:   make([]bool, m.VPs()),
 		resCtx:    make([]bool, m.VPs()),
 		lanes:     rng.Streams(c.Seed+1, m.VPs()),
-		table:     rng.Perm5Table(),
 	}
 	s.vols = make([]fixed.Fix, len(volF))
 	for i, v := range volF {
@@ -211,7 +209,7 @@ func (s *Sim) initParticles(flowTarget int) {
 		} else {
 			s.depositLane(i)
 		}
-		s.permF[i] = rng.RandomPerm5(s.table, r).Pack()
+		s.permF[i] = rng.RandomPerm5(r).Pack()
 	})
 	s.nFlow = flowTarget
 }

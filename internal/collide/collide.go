@@ -44,22 +44,36 @@ func TransRelSpeed(a, b *State5) float64 {
 // post-collision set satisfying eq. 18 is valid; using the pre-collision
 // values themselves makes the construction exact.
 //
-// Per component this is RelMean, the permutation and the reconstruction
-// a' = mean + rel'/2, b' = mean − rel'/2 in one pass over copies of the
-// inputs. The sign is applied by XORing the bit into the IEEE-754 sign
-// position — negation is exactly that flip, for ±0, infinities and NaNs
-// too — because a branch on a fair coin is mispredicted half the time,
-// and there were five per collision.
+// The ten components are read once and the five relative components
+// formed before anything is written; each output component is then one
+// inlined Exchange, unrolled. A loop over perm with copies of both
+// arrays cost as much again as the arithmetic.
+//
+//dsmc:hotpath
 func Collide(a, b *State5, perm rng.Perm5, signs uint32) {
-	a0, b0 := *a, *b
-	for i, j := range perm {
-		rel := a0[j] - b0[j]
-		mean := (a0[i] + b0[i]) / 2
-		flip := uint64(signs>>uint(i)&1) << 63
-		h := math.Float64frombits(math.Float64bits(rel)^flip) / 2
-		a[i] = mean + h
-		b[i] = mean - h
-	}
+	a0, a1, a2, a3, a4 := a[0], a[1], a[2], a[3], a[4]
+	b0, b1, b2, b3, b4 := b[0], b[1], b[2], b[3], b[4]
+	rel := State5{a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4}
+	a[0], b[0] = Exchange(a0, b0, rel[perm[0]], signs)
+	a[1], b[1] = Exchange(a1, b1, rel[perm[1]], signs>>1)
+	a[2], b[2] = Exchange(a2, b2, rel[perm[2]], signs>>2)
+	a[3], b[3] = Exchange(a3, b3, rel[perm[3]], signs>>3)
+	a[4], b[4] = Exchange(a4, b4, rel[perm[4]], signs>>4)
+}
+
+// Exchange is one component of the exchange: given the pair's values ai
+// and bi of component i and the relative component rel it receives, it
+// returns a' = mean + h and b' = mean − h, with mean = (ai+bi)/2 and
+// h = ±rel/2, negated when the low bit of sign is set. The sign is
+// applied by XORing the bit into the IEEE-754 sign position — negation
+// is exactly that flip, for ±0, infinities and NaNs too — because a
+// branch on a fair coin is mispredicted half the time, and there are
+// five per collision. It is the one definition of the formula: Collide
+// and kernel.ExchangePair both inline it.
+func Exchange(ai, bi, rel float64, sign uint32) (a, b float64) {
+	mean := (ai + bi) / 2
+	h := math.Float64frombits(math.Float64bits(rel)^uint64(sign&1)<<63) / 2
+	return mean + h, mean - h
 }
 
 // Invariants returns the conserved quantities of a pair: the three

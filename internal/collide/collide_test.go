@@ -24,11 +24,10 @@ func randomPair(r *rng.Stream) (State5, State5) {
 // up to rounding.
 func TestCollideConservesInvariants(t *testing.T) {
 	r := rng.NewStream(1)
-	table := rng.Perm5Table()
 	for i := 0; i < 5000; i++ {
 		a, b := randomPair(&r)
 		momBefore, eBefore := Invariants(&a, &b)
-		perm := rng.RandomPerm5(table, &r)
+		perm := rng.RandomPerm5(&r)
 		Collide(&a, &b, perm, r.Uint32())
 		momAfter, eAfter := Invariants(&a, &b)
 		for k := 0; k < 3; k++ {
@@ -266,7 +265,6 @@ func TestVibExchangeRespectsZVib(t *testing.T) {
 // mechanism thermalises the gas.
 func TestCollideRandomizesDirections(t *testing.T) {
 	r := rng.NewStream(10)
-	table := rng.Perm5Table()
 	const n = 4000
 	parts := make([]State5, n)
 	for i := range parts {
@@ -276,7 +274,7 @@ func TestCollideRandomizesDirections(t *testing.T) {
 	for step := 0; step < 300; step++ {
 		for i := 0; i+1 < n; i += 2 {
 			j := i + 1 + r.Intn(n-i-1)
-			perm := rng.RandomPerm5(table, &r)
+			perm := rng.RandomPerm5(&r)
 			Collide(&parts[i], &parts[j], perm, r.Uint32())
 		}
 		if step >= 100 { // time-average the equilibrated tail
@@ -457,6 +455,66 @@ func TestCollideMatchesBranchingReference(t *testing.T) {
 							perm, mask, a, b, i,
 							math.Float64bits(ga[i]), math.Float64bits(gb[i]),
 							math.Float64bits(wa[i]), math.Float64bits(wb[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// referenceCollide is Collide as it stood before it was unrolled: one
+// loop over perm on copies of both states. The straight-line Collide
+// must reproduce it bit for bit (TestCollideMatchesLoopReference).
+func referenceCollide(a, b *State5, perm rng.Perm5, signs uint32) {
+	a0, b0 := *a, *b
+	for i, j := range perm {
+		rel := a0[j] - b0[j]
+		mean := (a0[i] + b0[i]) / 2
+		flip := uint64(signs>>uint(i)&1) << 63
+		h := math.Float64frombits(math.Float64bits(rel)^flip) / 2
+		a[i] = mean + h
+		b[i] = mean - h
+	}
+}
+
+// hardComponent draws a velocity component that is, in turn, a signed
+// zero, a subnormal, a magnitude near 1e300 or a standard normal.
+func hardComponent(r *rng.Stream) float64 {
+	sign := math.Float64frombits(uint64(r.Bit()) << 63)
+	switch r.Intn(6) {
+	case 0:
+		return sign
+	case 1:
+		return math.Copysign(math.Float64frombits(r.Uint64()&(1<<52-1)|1), sign)
+	case 2:
+		return math.Copysign((1+r.Float64())*1e300, sign)
+	default:
+		return r.Normal()
+	}
+}
+
+// TestCollideMatchesLoopReference: all 120 permutations × all 32 sign
+// masks (with junk above the five used bits), over pairs mixing signed
+// zeros, subnormals, magnitudes near 1e300 and random normals, the
+// straight-line Collide equals the loop it replaced in every bit.
+func TestCollideMatchesLoopReference(t *testing.T) {
+	r := rng.NewStream(34)
+	for _, perm := range rng.Perm5Table() {
+		for signs := uint32(0); signs < 32; signs++ {
+			for trial := 0; trial < 16; trial++ {
+				var a, b State5
+				for i := range a {
+					a[i], b[i] = hardComponent(&r), hardComponent(&r)
+				}
+				mask := signs | r.Uint32()<<5
+				wa, wb := a, b
+				referenceCollide(&wa, &wb, perm, mask)
+				ga, gb := a, b
+				Collide(&ga, &gb, perm, mask)
+				for i := range ga {
+					if math.Float64bits(ga[i]) != math.Float64bits(wa[i]) || math.Float64bits(gb[i]) != math.Float64bits(wb[i]) {
+						t.Fatalf("perm %v signs %#x on a=%v b=%v: component %d = (%v, %v), reference (%v, %v)",
+							perm, mask, a, b, i, ga[i], gb[i], wa[i], wb[i])
 					}
 				}
 			}

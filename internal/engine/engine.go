@@ -188,7 +188,6 @@ type Engine[F kernel.Float] struct {
 
 	pool   *par.Pool
 	sorter *par.CellSort[F]
-	table  []rng.Perm5
 
 	step       int
 	collisions int64
@@ -230,7 +229,6 @@ func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store, shado
 		shadow: shadow,
 		pool:   pool,
 		sorter: par.NewCellSort[F](pool, cfg.Cells, 0, 0),
-		table:  rng.Perm5Table(),
 	}
 	w := pool.Workers()
 	e.gW = make([][]float64, w)
@@ -621,7 +619,7 @@ func (e *Engine[F]) selColSplitShard(w, clo, chi int) {
 			}
 			ia := int(pk.a)
 			kernel.ExchangePair(st.U, st.V, st.W, st.R1, st.R2, ia, ia+1,
-				rng.RandomPerm5(e.table, &r), r.Uint32())
+				rng.RandomPerm5(&r), r.Uint32())
 		}
 	}
 	coll = int64(len(picks))
@@ -674,7 +672,7 @@ func (e *Engine[F]) selColFusedShard(w, clo, chi int) {
 					e.collideVibPair(st, a, a+1, &r)
 				} else {
 					kernel.ExchangePair(st.U, st.V, st.W, st.R1, st.R2, a, a+1,
-						rng.RandomPerm5(e.table, &r), r.Uint32())
+						rng.RandomPerm5(&r), r.Uint32())
 				}
 				coll++
 			}
@@ -689,7 +687,7 @@ func (e *Engine[F]) selColFusedShard(w, clo, chi int) {
 //
 //dsmc:hotpath
 func (e *Engine[F]) collideVibPair(st *particle.Store[F], ia, ib int, r *rng.Stream) {
-	perm := rng.RandomPerm5(e.table, r)
+	perm := rng.RandomPerm5(r)
 	va, vb := st.Vel(ia), st.Vel(ib)
 	collide.Collide(&va, &vb, perm, r.Uint32())
 	e.vibExchange(st, &va, &vb, ia, ib, r)

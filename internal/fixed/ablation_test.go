@@ -31,13 +31,13 @@ func halfStochasticZero(x Fix, bit uint32) Fix {
 // the supplied halving function, the same construction as the paper's
 // collision algorithm: rel and mean per component, halve the relative
 // components, rebuild a = mean + h, b = mean − h.
-func collideFixed(a, b *[5]Fix, half func(Fix) Fix, r *rng.Stream, table []rng.Perm5) {
+func collideFixed(a, b *[5]Fix, half func(Fix) Fix, r *rng.Stream) {
 	var rel, mean [5]Fix
 	for k := 0; k < 5; k++ {
 		rel[k] = Sub(a[k], b[k])
 		mean[k] = half(Add(a[k], b[k]))
 	}
-	perm := rng.RandomPerm5(table, r)
+	perm := rng.RandomPerm5(r)
 	signs := r.Uint32()
 	var newRel [5]Fix
 	for k, src := range perm {
@@ -74,7 +74,6 @@ func ensembleEnergy(parts [][5]Fix) float64 {
 func TestAblationTruncationDrainsEnergy(t *testing.T) {
 	const n = 2000
 	const steps = 400
-	table := rng.Perm5Table()
 
 	run := func(half func(Fix, *rng.Stream) Fix, seed uint64) (lossFrac float64) {
 		r := rng.NewStream(seed)
@@ -92,7 +91,7 @@ func TestAblationTruncationDrainsEnergy(t *testing.T) {
 			for i := 0; i+1 < n; i += 2 {
 				j := i + 1 + r.Intn(n-i-1)
 				parts[i+1], parts[j] = parts[j], parts[i+1]
-				collideFixed(&parts[i], &parts[i+1], h, &r, table)
+				collideFixed(&parts[i], &parts[i+1], h, &r)
 			}
 		}
 		return (e0 - ensembleEnergy(parts)) / e0
@@ -114,7 +113,6 @@ func TestAblationTruncationDrainsEnergy(t *testing.T) {
 // doubling the number of steps roughly doubles the loss — the reason it
 // matters most in stagnation regions, where the collision rate peaks.
 func TestAblationDrainScalesWithCollisions(t *testing.T) {
-	table := rng.Perm5Table()
 	run := func(steps int) float64 {
 		const n = 1000
 		r := rng.NewStream(3)
@@ -129,7 +127,7 @@ func TestAblationDrainScalesWithCollisions(t *testing.T) {
 			for i := 0; i+1 < n; i += 2 {
 				j := i + 1 + r.Intn(n-i-1)
 				parts[i+1], parts[j] = parts[j], parts[i+1]
-				collideFixed(&parts[i], &parts[i+1], truncTowardZero, &r, table)
+				collideFixed(&parts[i], &parts[i+1], truncTowardZero, &r)
 			}
 		}
 		return (e0 - ensembleEnergy(parts)) / e0

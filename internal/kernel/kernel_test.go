@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"dsmc/internal/collide"
 	"dsmc/internal/rng"
 )
 
@@ -108,7 +109,6 @@ func TestPairRelSpeeds32(t *testing.T) {
 func testExchangePair[F Float](t *testing.T, tol float64) {
 	t.Helper()
 	r := rng.NewStream(7)
-	table := rng.Perm5Table()
 	n := 10
 	u, v, w := make([]F, n), make([]F, n), make([]F, n)
 	r1, r2 := make([]F, n), make([]F, n)
@@ -127,7 +127,7 @@ func testExchangePair[F Float](t *testing.T, tol float64) {
 		for _, c := range [][]F{u, v, w, r1, r2} {
 			e0 += float64(c[ia])*float64(c[ia]) + float64(c[ib])*float64(c[ib])
 		}
-		ExchangePair(u, v, w, r1, r2, ia, ib, rng.RandomPerm5(table, &r), r.Uint32())
+		ExchangePair(u, v, w, r1, r2, ia, ib, rng.RandomPerm5(&r), r.Uint32())
 		mom1 := [3]float64{
 			float64(u[ia]) + float64(u[ib]),
 			float64(v[ia]) + float64(v[ib]),
@@ -150,3 +150,68 @@ func testExchangePair[F Float](t *testing.T, tol float64) {
 
 func TestExchangePair64(t *testing.T) { testExchangePair[float64](t, 1e-12) }
 func TestExchangePair32(t *testing.T) { testExchangePair[float32](t, 1e-5) }
+
+// hardComponent draws a velocity component that is, in turn, a signed
+// zero, a subnormal, a magnitude near the top of the range (1e300 in
+// float64, 1e37 in float32) or a standard normal, at precision F.
+func hardComponent[F Float](r *rng.Stream) F {
+	neg := r.Bit() == 1
+	var x F
+	switch r.Intn(6) {
+	case 0:
+	case 1:
+		if _, wide := any(x).(float64); wide {
+			x = F(math.Float64frombits(r.Uint64()&(1<<52-1) | 1))
+		} else {
+			x = F(math.Float32frombits(r.Uint32()&(1<<23-1) | 1))
+		}
+	case 2:
+		if _, wide := any(x).(float64); wide {
+			x = F((1 + r.Float64()) * 1e300)
+		} else {
+			x = F((1 + r.Float64()) * 1e37)
+		}
+	default:
+		return F(r.Normal())
+	}
+	if neg {
+		x = -x
+	}
+	return x
+}
+
+// testExchangePairBits: over all 120 permutations × 32 sign masks on
+// pairs of hardComponent values, ExchangePair equals collide.Collide on
+// the pair widened to float64, each result rounded once to F — bit for
+// bit, so the float64 instantiation is the reference exchange itself
+// (collide's TestCollideMatchesLoopReference fences Collide against the
+// loop it replaced).
+func testExchangePairBits[F Float](t *testing.T) {
+	r := rng.NewStream(34)
+	cols := [5][]F{make([]F, 2), make([]F, 2), make([]F, 2), make([]F, 2), make([]F, 2)}
+	for _, perm := range rng.Perm5Table() {
+		for signs := uint32(0); signs < 32; signs++ {
+			for trial := 0; trial < 8; trial++ {
+				var a, b collide.State5
+				for k := range cols {
+					cols[k][0], cols[k][1] = hardComponent[F](&r), hardComponent[F](&r)
+					a[k], b[k] = float64(cols[k][0]), float64(cols[k][1])
+				}
+				mask := signs | r.Uint32()<<5
+				collide.Collide(&a, &b, perm, mask)
+				ExchangePair(cols[0], cols[1], cols[2], cols[3], cols[4], 0, 1, perm, mask)
+				for k := range cols {
+					if got, want := float64(cols[k][0]), float64(F(a[k])); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("perm %v signs %#x: column %d of a = %v, reference %v", perm, mask, k, got, want)
+					}
+					if got, want := float64(cols[k][1]), float64(F(b[k])); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("perm %v signs %#x: column %d of b = %v, reference %v", perm, mask, k, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestExchangePair64MatchesCollide(t *testing.T) { testExchangePairBits[float64](t) }
+func TestExchangePair32RoundsOnce(t *testing.T)     { testExchangePairBits[float32](t) }

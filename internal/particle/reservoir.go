@@ -17,7 +17,6 @@ import (
 type Reservoir struct {
 	vels  []collide.State5
 	sigma float64
-	table []rng.Perm5
 }
 
 // NewReservoir creates a reservoir for a gas with the given freestream
@@ -26,7 +25,6 @@ func NewReservoir(capacity int, sigma float64) *Reservoir {
 	return &Reservoir{
 		vels:  make([]collide.State5, 0, capacity),
 		sigma: sigma,
-		table: rng.Perm5Table(),
 	}
 }
 
@@ -89,7 +87,7 @@ func (rv *Reservoir) Relax(r *rng.Stream) {
 		rv.vels[i], rv.vels[j] = rv.vels[j], rv.vels[i]
 	}
 	for i := 0; i+1 < n; i += 2 {
-		perm := rng.RandomPerm5(rv.table, r)
+		perm := rng.RandomPerm5(r)
 		collide.Collide(&rv.vels[i], &rv.vels[i+1], perm, r.Uint32())
 	}
 }

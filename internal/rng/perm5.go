@@ -47,15 +47,16 @@ func (p Perm5) RandomTransposition(r *Stream) Perm5 {
 	return p.Transpose(0, j)
 }
 
-// Perm5Table is the front-end table of all 120 permutations of five
-// elements, generated deterministically in lexicographic order. The CM-2
-// implementation initialises particles with random rows of this table.
-func Perm5Table() []Perm5 {
-	var out []Perm5
+// perm5Table is the front-end table of all 120 permutations of five
+// elements, in lexicographic order. It is an array so that RandomPerm5's
+// modulus is a constant.
+var perm5Table = func() (t [120]Perm5) {
+	n := 0
 	var rec func(prefix Perm5, used uint8, depth int)
 	rec = func(prefix Perm5, used uint8, depth int) {
 		if depth == 5 {
-			out = append(out, prefix)
+			t[n] = prefix
+			n++
 			return
 		}
 		for v := uint8(0); v < 5; v++ {
@@ -66,7 +67,16 @@ func Perm5Table() []Perm5 {
 		}
 	}
 	rec(Perm5{}, 0, 0)
-	return out
+	return t
+}()
+
+// Perm5Table returns a copy of the front-end table of all 120
+// permutations of five elements, generated deterministically in
+// lexicographic order. The CM-2 implementation initialises particles
+// with random rows of this table.
+func Perm5Table() []Perm5 {
+	t := perm5Table
+	return t[:]
 }
 
 // Pack encodes the permutation into 15 bits (3 bits per element) so it can
@@ -93,8 +103,11 @@ func UnpackPerm5(v int32) Perm5 {
 	return p
 }
 
-// RandomPerm5 returns a uniformly random permutation drawn via table lookup,
-// the initialisation path used for new particles.
-func RandomPerm5(table []Perm5, r *Stream) Perm5 {
-	return table[r.Intn(len(table))]
+// RandomPerm5 returns a uniformly random permutation drawn via table
+// lookup, the initialisation path used for new particles and the draw of
+// every collision. The row is r.Uint64() % 120 — the value Intn(120)
+// draws — but a constant modulus compiles to a multiply and a shift
+// where a variable one is a 64-bit divide.
+func RandomPerm5(r *Stream) Perm5 {
+	return perm5Table[r.Uint64()%uint64(len(perm5Table))]
 }

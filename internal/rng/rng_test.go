@@ -263,13 +263,19 @@ func TestTranspositionMixing(t *testing.T) {
 	}
 }
 
+// TestRandomPerm5FromTable: the constant-modulus draw is the row the
+// variable-modulus table[Intn(len(table))] drew, and consumes one word.
 func TestRandomPerm5FromTable(t *testing.T) {
 	table := Perm5Table()
-	r := NewStream(10)
-	for i := 0; i < 100; i++ {
-		if !RandomPerm5(table, &r).Valid() {
-			t.Fatalf("RandomPerm5 returned invalid permutation")
+	r, twin := NewStream(10), NewStream(10)
+	for i := 0; i < 100000; i++ {
+		got := RandomPerm5(&r)
+		if want := table[twin.Intn(len(table))]; got != want {
+			t.Fatalf("draw %d: RandomPerm5 = %v, table[Intn] = %v", i, got, want)
 		}
+	}
+	if r.Uint64() != twin.Uint64() {
+		t.Fatalf("RandomPerm5 consumed a different number of words")
 	}
 }
 

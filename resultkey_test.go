@@ -3,6 +3,7 @@ package dsmc_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -163,5 +164,43 @@ func TestSweepLoweringAllocs(t *testing.T) {
 			t.Errorf("%d×%d: lowering allocated %d bytes, want at most %d", n[0], n[1], least, budget)
 		}
 		t.Logf("%d×%d: %d bytes", n[0], n[1], least)
+	}
+}
+
+// TestSweepJobCap: a spec whose points × replicas exceeds the job cap is
+// refused before any point is lowered, whatever the replica count (a few
+// bytes of JSON used to allocate the whole job list), and one at the cap
+// is accepted.
+func TestSweepJobCap(t *testing.T) {
+	spec := dsmc.SweepSpec{
+		Scenario: specOf(dsmc.PaperWedgeTunnel()),
+		Points:   []dsmc.SweepPoint{{Name: "a"}, {Name: "b"}},
+		Replicas: 2048, SampleSteps: 1,
+	}
+	sw, err := dsmc.NewSweep(spec)
+	if err != nil || len(sw.Jobs) != 4096 {
+		t.Fatalf("4096 jobs: err %v", err)
+	}
+	for _, replicas := range []int{2049, 1 << 40, math.MaxInt} {
+		spec.Replicas = replicas
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := dsmc.NewSweep(spec)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "exceeds 4096 jobs") {
+			t.Errorf("%d replicas: err %v, want the job cap", replicas, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Errorf("%d replicas: refusing allocated %d bytes", replicas, n)
+		}
+	}
+	// More points than the cap is refused before any is lowered, also
+	// when the replica count is itself invalid.
+	spec.Points = make([]dsmc.SweepPoint, 4097)
+	for _, replicas := range []int{1, 0} {
+		spec.Replicas = replicas
+		if _, err := dsmc.NewSweep(spec); err == nil || !strings.Contains(err.Error(), "exceeds 4096 jobs") {
+			t.Errorf("4097 points, %d replicas: err %v, want the job cap", replicas, err)
+		}
 	}
 }
