@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -100,13 +101,13 @@ func TestResultHeadAndLength(t *testing.T) {
 // every read. With one byte flipped, the tail cut off, or the file gone, a
 // GET is a 500 that names the sweep and carries no validator — never a
 // 200 — while a conditional GET with the original ETag is still a bare
-// 304 (it reads nothing). A restart over a truncated or missing file
-// gets the sweep back from the result store, dispatching no job, and
-// serves the bytes and ETag it served before the damage: a private copy or
-// a missing file is re-linked to the stored result (one store hit); a
-// truncated link IS the stored result — one inode — so the store's
-// verify-on-read quarantines it and the result is re-assembled from the
-// job hits and republished.
+// 304 (it reads nothing). A restart over a truncated or missing file, or
+// one with a digit changed that still parses, gets the sweep back from
+// the result store, dispatching no job, and serves the bytes and ETag it
+// served before the damage: a private copy or a missing file is
+// re-linked to the stored result (one store hit); a damaged link IS the
+// stored result — one inode — so the store's verify-on-read quarantines
+// it and the result is re-assembled from the job hits and republished.
 func TestResultIntegrity(t *testing.T) {
 	dir := t.TempDir()
 	s, ts, id := doneSweep(t, dir, tinySpec())
@@ -168,10 +169,16 @@ func TestResultIntegrity(t *testing.T) {
 		}
 	}
 
-	// Restarts. A flipped byte that still parses is beyond what recovery can
-	// tell from the file alone; a file that no longer parses, or is gone, is
-	// rebuilt. The loop above left result.json a private copy (it was deleted
-	// and rewritten), each restart leaves it a link again.
+	// Restarts. A file that is not the stored result — it no longer parses,
+	// is gone, or has one digit changed and still parses — is rebuilt. The
+	// loop above left result.json a private copy (it was deleted and
+	// rewritten), each restart leaves it a link again.
+	digit := bytes.Clone(want)
+	i := len(digit)/2 + bytes.IndexAny(digit[len(digit)/2:], "0123456789")
+	digit[i] = '1' + (digit[i]-'0')%9 // another digit, never a leading zero
+	if !json.Valid(digit) {
+		t.Fatal("the changed digit broke the JSON")
+	}
 	jobs := float64(tinySpec().Replicas)
 	for _, d := range []struct {
 		name           string
@@ -182,6 +189,16 @@ func TestResultIntegrity(t *testing.T) {
 		{"truncated", damage[1].apply, false, 1, 0},
 		{"deleted", damage[2].apply, true, 1, 0},
 		{"truncated", damage[1].apply, true, jobs, 1},
+		// A private copy with a changed digit is re-linked to the stored
+		// result; the same change made through the link rots the object
+		// too, which is quarantined and re-assembled from the job hits.
+		{"changed digit (copy)", func() error {
+			if err := os.Remove(path); err != nil {
+				return err
+			}
+			return os.WriteFile(path, digit, 0o644)
+		}, true, 1, 0},
+		{"changed digit (linked)", func() error { return os.WriteFile(path, digit, 0o644) }, true, jobs, 1},
 	} {
 		if linked() != d.linked {
 			t.Fatalf("before the %s restart: result.json linked to the store object: %v, want %v", d.name, linked(), d.linked)

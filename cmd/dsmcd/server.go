@@ -280,13 +280,22 @@ func (s *server) recover() error {
 			continue
 		}
 		run := s.register(id, spec, true)
+		// A sweep still to be run goes through the same strict decoder and
+		// lowering as a submission: a field this build does not know fails
+		// the sweep by name rather than being ignored on resume.
+		strict, lowerErr := decodeSpec(bytes.NewReader(raw))
+		var sw *dsmc.Sweep
+		if lowerErr == nil {
+			sw, lowerErr = dsmc.NewSweep(strict)
+		}
 		// result.json is the served representation: its bytes as found are
-		// what this process serves and tags. A file that is no longer JSON
-		// (torn, truncated) is discarded by re-running the sweep, which
-		// links the same bytes back from the result store.
+		// what this process serves and tags, once checked. One that is not
+		// the result the store indexes under the sweep's key — torn,
+		// truncated, a digit changed — is discarded by re-running the
+		// sweep, which links the stored bytes back.
 		encoded, err := os.ReadFile(s.resultPath(id))
-		if err == nil && !json.Valid(encoded) {
-			err = errors.New("not valid JSON")
+		if err == nil {
+			err = s.checkResult(sw, encoded)
 		}
 		if err == nil {
 			run.finish(etagOf(encoded), len(encoded), nil)
@@ -295,22 +304,34 @@ func (s *server) recover() error {
 		if !errors.Is(err, fs.ErrNotExist) {
 			log.Printf("recover %s: unusable result.json: %v", id, err)
 		}
-		// A sweep still to be run goes through the same strict decoder and
-		// lowering as a submission: a field this build does not know fails
-		// the sweep by name rather than being ignored on resume.
-		strict, err := decodeSpec(bytes.NewReader(raw))
-		var sw *dsmc.Sweep
-		if err == nil {
-			sw, err = dsmc.NewSweep(strict)
-		}
-		if err != nil {
-			err = fmt.Errorf("persisted spec.json: %w", err)
+		if lowerErr != nil {
+			err = fmt.Errorf("persisted spec.json: %w", lowerErr)
 			run.finish("", 0, err)
 			log.Printf("recover %s: failed: %v", id, err)
 			continue
 		}
 		log.Printf("recover %s: resuming from checkpoints", id)
 		go s.execute(run, sw)
+	}
+	return nil
+}
+
+// checkResult reports whether a recovered result.json may be served:
+// its SHA-256 must be the one the store's index holds for the sweep's
+// ResultKey. Where there is no entry to compare against — the persisted
+// spec no longer lowers, or the store's GC evicted the entry while the
+// file kept the object's inode — a file that is still JSON is accepted.
+func (s *server) checkResult(sw *dsmc.Sweep, encoded []byte) error {
+	if sw != nil {
+		if sha, ok := s.store.Lookup(sw.ResultKey); ok {
+			if etagOf(encoded) != `"`+sha+`"` {
+				return fmt.Errorf("its SHA-256 is not the stored result's %s", sha)
+			}
+			return nil
+		}
+	}
+	if !json.Valid(encoded) {
+		return errors.New("not valid JSON")
 	}
 	return nil
 }
@@ -641,7 +662,8 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	if err := store.AtomicWrite(filepath.Join(dir, "spec.json"), append(buf, '\n')); err != nil {
+	buf = append(buf, '\n')
+	if err := store.AtomicWrite(filepath.Join(dir, "spec.json"), func(w io.Writer) error { _, err := w.Write(buf); return err }); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}

@@ -57,7 +57,14 @@ func AggregateJobID(pointName string) string { return run.AggregateName(pointNam
 type ReplicaOutput = store.Output
 
 // JobCheckpoint is where a running sweep job persists its state; the
-// contract of its Load, Save and Discard is run.CkptStore's.
+// contract of its Load, Save and Discard is run.CkptStore's. An
+// implementation that also has the method
+//
+//	SaveStream(write func(io.Writer) error) error
+//
+// (run.CkptStreamer) receives each checkpoint as it streams from the
+// job's live state, and the job then holds no checkpoint-sized buffer;
+// one with only Save gets the bytes, from a buffer the job reuses.
 type JobCheckpoint = run.CkptStore
 
 // StepTrace is one completed engine step's flight-recorder record:

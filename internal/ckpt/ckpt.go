@@ -10,7 +10,9 @@
 // A checkpoint is an internal/frame frame (magic "DSMCCKPT", version 3):
 // three shape words (kind, precision, cell count), then the sections the
 // codecs below write. Float columns are stored at their native precision,
-// so a checkpoint is about the size of the live store.
+// so a checkpoint is about the size of the live store. The sections
+// stream from the live columns to the writer's sink through the frame's
+// fixed chunk: saving holds no checkpoint-sized buffer.
 //
 // Layering: this package owns the checkpoint layout and the codecs for
 // the shared containers (store, reservoir, stream, accumulator, engine
@@ -22,6 +24,7 @@ package ckpt
 
 import (
 	"fmt"
+	"io"
 
 	"dsmc/internal/collide"
 	"dsmc/internal/engine"
@@ -118,22 +121,23 @@ func Restore(data []byte, kind Kind, prec Prec, cells int, apply func(*Reader) e
 	return r.Close()
 }
 
-// NewWriter appends the header (magic, version, kind, precision, cells)
-// to dst, as frame.NewWriter does, and returns a writer positioned at the
+// NewWriter returns a writer streaming a checkpoint to dst, its header
+// (magic, version, kind, precision, cells) staged, positioned at the
 // first section. cells pins the grid size so a checkpoint cannot be
 // restored into a differently shaped simulation.
-func NewWriter(dst []byte, kind Kind, prec Prec, cells int) *Writer {
-	w := frame.NewWriter(dst, Magic, Version)
-	w.U64(uint64(kind))
-	w.U64(uint64(prec))
-	w.U64(uint64(cells))
+func NewWriter(dst io.Writer, kind Kind, prec Prec, cells int) *Writer {
+	w := new(Writer)
+	Reset(w, dst, kind, prec, cells)
 	return w
 }
 
-// Size returns the length of the sealed checkpoint whose sections the
-// function writes: frame.Size and the three shape words.
-func Size(sections func(*Writer)) int {
-	return frame.Size(sections) + 3*8
+// Reset starts a checkpoint on dst in w, as NewWriter does, reusing w's
+// staging chunk: a job that saves repeatedly keeps one Writer.
+func Reset(w *Writer, dst io.Writer, kind Kind, prec Prec, cells int) {
+	w.Reset(dst, Magic, Version)
+	w.U64(uint64(kind))
+	w.U64(uint64(prec))
+	w.U64(uint64(cells))
 }
 
 // WriteStore writes the live particle columns: count, every float column

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dsmc/internal/ckpt"
+	"dsmc/internal/frame"
 	"dsmc/internal/geom"
 	"dsmc/internal/golden"
 	"dsmc/internal/grid"
@@ -301,9 +302,10 @@ func TestShapeMismatches(t *testing.T) {
 	})
 }
 
-// TestSizeIsExact: Size counts exactly the bytes the sections encode to,
-// header and trailer included, for every section kind — both column
-// precisions, the Evib column live and written as zeros, 3D's Z column.
+// TestSizeIsExact: frame.Size counts exactly the bytes the sections
+// encode to, header and trailer included, for every section kind — both
+// column precisions, the Evib column live and written as zeros, 3D's Z
+// column — though nothing but a counter sees them.
 func TestSizeIsExact(t *testing.T) {
 	vib := config2D()
 	vib.ZVib = 5
@@ -334,7 +336,7 @@ func TestSizeIsExact(t *testing.T) {
 		if err := tc.write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if got := ckpt.Size(tc.sections); got != buf.Len() {
+		if got := frame.Size(tc.sections) + 3*8; got != buf.Len() { // + the shape words
 			t.Errorf("%s: Size says %d bytes, the checkpoint is %d", tc.name, got, buf.Len())
 		}
 	}
@@ -351,11 +353,13 @@ func TestHugeReservoirRejected(t *testing.T) {
 	}
 	s.Run(3)
 	cells := s.Grid().Cells()
-	w := ckpt.NewWriter(nil, ckpt.Kind2D, ckpt.PrecF64, cells)
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf, ckpt.Kind2D, ckpt.PrecF64, cells)
 	ckpt.WriteEngine(w, s.Engine)
 	w.F64(0)       // plunger position
 	w.U64(1 << 30) // reservoir count: 1<<30 velocities of 40 bytes
-	data := w.Finish()
+	w.Finish()
+	data := buf.Bytes()
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -384,9 +388,11 @@ func TestAccumulatorRoundTrip(t *testing.T) {
 		s.SampleInto(acc)
 	}
 
-	w := ckpt.NewWriter(nil, ckpt.KindJob, ckpt.PrecF64, g.Cells())
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf, ckpt.KindJob, ckpt.PrecF64, g.Cells())
 	ckpt.WriteAccumulator(w, acc)
-	data := w.Finish()
+	w.Finish()
+	data := buf.Bytes()
 
 	acc2 := sample.NewAccumulator(g, s.Volumes(), cfg.NPerCell)
 	err = ckpt.Restore(data, ckpt.KindJob, ckpt.PrecF64, g.Cells(), func(r *ckpt.Reader) error {

@@ -124,13 +124,15 @@ func jobTarget(f *testing.F) fuzzTarget {
 			})
 		},
 		encode: func() []byte {
-			w := ckpt.NewWriter(nil, ckpt.KindJob, ckpt.PrecF64, g.Cells())
+			var buf bytes.Buffer
+			w := ckpt.NewWriter(&buf, ckpt.KindJob, ckpt.PrecF64, g.Cells())
 			for _, v := range progress {
 				w.U64(v)
 			}
 			s.CheckpointSections(w)
 			ckpt.WriteAccumulator(w, acc)
-			return w.Finish()
+			w.Finish()
+			return buf.Bytes()
 		},
 	}
 }

@@ -97,7 +97,7 @@ func TestRetryExhaustionEventBalance(t *testing.T) {
 	if status, _ := c.HandleHeartbeat(Heartbeat{Worker: "w2", Sweep: live.Sweep, Job: live.Job, Lease: live.LeaseID}); status != HBAbandon {
 		t.Errorf("heartbeat of the revoked lease: %q, want abandon", status)
 	}
-	if err := c.SaveCheckpoint(live.Sweep, live.Job, live.LeaseID, []byte("x")); !errors.Is(err, ErrStaleLease) {
+	if err := c.SaveCheckpoint(live.Sweep, live.Job, live.LeaseID, payload([]byte("x"))); !errors.Is(err, ErrStaleLease) {
 		t.Errorf("upload under the revoked lease: %v, want ErrStaleLease", err)
 	}
 	for _, w := range c.Workers() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -42,7 +43,12 @@ func (q *HTTPQueue) do(ctx context.Context, method, path string, contentType str
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, q.Base+path, rd)
+	return q.send(ctx, method, path, contentType, rd)
+}
+
+// send is do for a body read as the request goes out.
+func (q *HTTPQueue) send(ctx context.Context, method, path string, contentType string, body io.Reader) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, q.Base+path, body)
 	if err != nil {
 		return nil, err
 	}
@@ -115,8 +121,22 @@ func (q *HTTPQueue) LoadCheckpoint(ctx context.Context, l *Lease) ([]byte, error
 	return q.do(ctx, http.MethodGet, jobQuery("/coord/v1/checkpoint", l), "", nil)
 }
 
-func (q *HTTPQueue) SaveCheckpoint(ctx context.Context, l *Lease, data []byte) error {
-	_, err := q.do(ctx, http.MethodPut, jobQuery("/coord/v1/checkpoint", l), "application/octet-stream", data)
+// SaveCheckpoint streams the checkpoint as the request body: write fills
+// a pipe the transport drains, so no checkpoint-sized buffer is held on
+// either side. It returns only after write has: the job's state must not
+// change under it.
+func (q *HTTPQueue) SaveCheckpoint(ctx context.Context, l *Lease, write func(io.Writer) error) error {
+	pr, pw := io.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		pw.CloseWithError(write(pw))
+	}()
+	_, err := q.send(ctx, http.MethodPut, jobQuery("/coord/v1/checkpoint", l), "application/octet-stream", pr)
+	// A request that ended before reading the whole body leaves write
+	// blocked on the pipe; closing the read end releases it.
+	pr.CloseWithError(errors.New("coord: checkpoint upload ended"))
+	<-done
 	return err
 }
 

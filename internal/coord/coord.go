@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"sort"
@@ -88,6 +89,7 @@ type lease struct {
 	granted    time.Time // feeds the dispatch-to-complete histogram
 	attempts   int       // dispatches consumed against MaxAttempts
 	heartbeats int       // heartbeats seen under the current lease
+	saves      int       // checkpoint saves begun, naming each one's temp file
 	stepsDone  int
 }
 
@@ -321,20 +323,47 @@ func (c *Coordinator) HandleHeartbeat(hb Heartbeat) (string, error) {
 	return HBOK, nil
 }
 
-// SaveCheckpoint stores a job's checkpoint upload and renews the lease.
-// Saves are idempotent (last write wins); a stale lease gets
-// ErrStaleLease and must abandon the job.
-func (c *Coordinator) SaveCheckpoint(sweep, jobID, lease string, data []byte) error {
+// SaveCheckpoint stores a job's checkpoint upload, streamed by write, and
+// renews the lease. Saves are idempotent (last write wins); a stale lease
+// gets ErrStaleLease and must abandon the job.
+//
+// The disk work runs outside c.mu. The lease is checked under the lock,
+// then write fills and fsyncs a temp file named from the coordinator's
+// own grant record (lease ID and save number), so no two writes share a
+// file. Then, under the lock again, the lease is checked once more: a
+// holder that went stale meanwhile gets ErrStaleLease and its temp file
+// is removed, and a live one has its file renamed into place and its
+// lease renewed. An orphan left by a crash is a *.tmp file, which dsmcd's
+// restart sweeps.
+func (c *Coordinator) SaveCheckpoint(sweep, jobID, lease string, write func(io.Writer) error) error {
+	c.mu.Lock()
+	c.expireLocked(c.cfg.now())
+	st, i, err := c.leasedLocked(sweep, jobID, lease)
+	var path, tmp string
+	if err == nil {
+		l := &st.leases[i]
+		l.saves++
+		path = st.ckpt(i).Path
+		tmp = fmt.Sprintf("%s.%s-%d.tmp", path, l.id, l.saves)
+	}
+	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
+
+	if err := store.WriteSynced(tmp, write); err != nil {
+		return err
+	}
+
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.now()
 	c.expireLocked(now)
-
-	st, i, err := c.leasedLocked(sweep, jobID, lease)
-	if err != nil {
-		return err
+	if st, i, err = c.leasedLocked(sweep, jobID, lease); err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := st.ckpt(i).Save(data); err != nil {
+	if err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	st.leases[i].expires = now.Add(c.cfg.LeaseTTL)
@@ -342,17 +371,21 @@ func (c *Coordinator) SaveCheckpoint(sweep, jobID, lease string, data []byte) er
 }
 
 // LoadCheckpoint returns the job's last uploaded checkpoint (nil when
-// none) to the current lease holder.
+// none) to the current lease holder. The file is read outside c.mu; a
+// save's rename replaces it whole, so the read sees one save or another.
 func (c *Coordinator) LoadCheckpoint(sweep, jobID, lease string) ([]byte, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.expireLocked(c.cfg.now())
-
 	st, i, err := c.leasedLocked(sweep, jobID, lease)
+	var ck run.FileCkptStore
+	if err == nil {
+		ck = st.ckpt(i)
+	}
+	c.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	return st.ckpt(i).Load()
+	return ck.Load()
 }
 
 // Complete records a job's output. Idempotent: a redelivered Complete

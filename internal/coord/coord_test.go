@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -106,11 +107,17 @@ type testStore struct {
 	l *Lease
 }
 
-func (s testStore) Load() ([]byte, error) { return s.c.LoadCheckpoint(s.l.Sweep, s.l.Job, s.l.LeaseID) }
-func (s testStore) Save(data []byte) error {
-	return s.c.SaveCheckpoint(s.l.Sweep, s.l.Job, s.l.LeaseID, data)
+func (s testStore) Load() ([]byte, error)  { return s.c.LoadCheckpoint(s.l.Sweep, s.l.Job, s.l.LeaseID) }
+func (s testStore) Save(data []byte) error { return s.SaveStream(payload(data)) }
+func (s testStore) SaveStream(write func(io.Writer) error) error {
+	return s.c.SaveCheckpoint(s.l.Sweep, s.l.Job, s.l.LeaseID, write)
 }
 func (s testStore) Discard() error { return nil }
+
+// payload is a checkpoint write function that writes data.
+func payload(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error { _, err := w.Write(data); return err }
+}
 
 func runLeasedJob(t *testing.T, c *Coordinator, l *Lease) *dsmc.ReplicaOutput {
 	t.Helper()
@@ -204,7 +211,7 @@ func TestLeaseExpiryEdgeCases(t *testing.T) {
 		t.Fatalf("post-expiry heartbeat: got %q, %v; want abandon", status, err)
 	}
 	// Stale uploads and completions are rejected idempotently.
-	if err := c.SaveCheckpoint(l1.Sweep, l1.Job, l1.LeaseID, []byte("x")); !errors.Is(err, ErrStaleLease) {
+	if err := c.SaveCheckpoint(l1.Sweep, l1.Job, l1.LeaseID, payload([]byte("x"))); !errors.Is(err, ErrStaleLease) {
 		t.Fatalf("stale upload: got %v, want ErrStaleLease", err)
 	}
 	if err := c.Complete(l1.Sweep, l1.Job, l1.LeaseID, &dsmc.ReplicaOutput{}); !errors.Is(err, ErrStaleLease) {
@@ -747,7 +754,7 @@ func TestLeaseFenceAcrossRestart(t *testing.T) {
 	if status, err := restarted.HandleHeartbeat(Heartbeat{Worker: "w1", Sweep: old.Sweep, Job: old.Job, Lease: old.LeaseID}); err != nil || status != HBAbandon {
 		t.Errorf("heartbeat under the predecessor's lease: %q, %v; want abandon", status, err)
 	}
-	if err := restarted.SaveCheckpoint(old.Sweep, old.Job, old.LeaseID, []byte("x")); !errors.Is(err, ErrStaleLease) {
+	if err := restarted.SaveCheckpoint(old.Sweep, old.Job, old.LeaseID, payload([]byte("x"))); !errors.Is(err, ErrStaleLease) {
 		t.Errorf("upload under the predecessor's lease: %v, want ErrStaleLease", err)
 	}
 	if err := restarted.Complete(old.Sweep, old.Job, old.LeaseID, &dsmc.ReplicaOutput{}); !errors.Is(err, ErrStaleLease) {

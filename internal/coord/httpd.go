@@ -82,19 +82,36 @@ func (c *Coordinator) handleGetCheckpoint(w http.ResponseWriter, r *http.Request
 }
 
 func (c *Coordinator) handlePutCheckpoint(w http.ResponseWriter, r *http.Request) {
+	c.putCheckpoint(w, r, maxUploadBytes)
+}
+
+// putCheckpoint streams a checkpoint PUT of at most limit bytes into the
+// job's checkpoint file. A longer body — declared, or found while
+// streaming, which fails the write and removes the temp file — is
+// refused with 413, and the checkpoint and lease stay as they were.
+func (c *Coordinator) putCheckpoint(w http.ResponseWriter, r *http.Request, limit int64) {
 	sweep, job, lease, ok := jobParams(w, r)
 	if !ok {
 		return
 	}
-	data, ok := readUpload(w, r, maxUploadBytes)
-	if !ok {
+	if r.ContentLength > limit {
+		tooLarge(w, limit)
 		return
 	}
-	if err := c.SaveCheckpoint(sweep, job, lease, data); err != nil {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	err := c.SaveCheckpoint(sweep, job, lease, func(dst io.Writer) error {
+		_, err := io.Copy(dst, body)
+		return err
+	})
+	var over *http.MaxBytesError
+	switch {
+	case errors.As(err, &over):
+		tooLarge(w, limit)
+	case err != nil:
 		coordError(w, err)
-		return
+	default:
+		w.WriteHeader(http.StatusNoContent)
 	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
@@ -161,11 +178,11 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 }
 
 // maxUploadBytes caps the body of a checkpoint PUT and of a completion
-// POST, the two requests whose bodies the coordinator buffers whole. A
-// checkpoint of the paper-scale flow (98x64 cells at 75 particles per
-// cell, 0.5 M particles) is 31 MiB and a replica output is far smaller,
-// so 256 MiB leaves 8x headroom while bounding what one request can make
-// the coordinator allocate.
+// POST. A checkpoint of the paper-scale flow (98x64 cells at 75
+// particles per cell, 0.5 M particles) is 31 MiB and a replica output is
+// far smaller, so 256 MiB leaves 8x headroom while bounding what one
+// request can make the coordinator allocate (a completion, which it
+// buffers whole) or write to disk (a checkpoint, which it streams).
 const maxUploadBytes = 256 << 20
 
 // readUpload reads a request body of at most limit bytes. A longer one —
@@ -178,14 +195,19 @@ func readUpload(w http.ResponseWriter, r *http.Request, limit int64) (data []byt
 		if err == nil {
 			return data, true
 		}
-		var tooLarge *http.MaxBytesError
-		if !errors.As(err, &tooLarge) {
+		var over *http.MaxBytesError
+		if !errors.As(err, &over) {
 			http.Error(w, "bad body", http.StatusBadRequest)
 			return nil, false
 		}
 	}
-	http.Error(w, fmt.Sprintf("body exceeds the %d-byte upload limit", limit), http.StatusRequestEntityTooLarge)
+	tooLarge(w, limit)
 	return nil, false
+}
+
+// tooLarge refuses an upload over limit bytes.
+func tooLarge(w http.ResponseWriter, limit int64) {
+	http.Error(w, fmt.Sprintf("body exceeds the %d-byte upload limit", limit), http.StatusRequestEntityTooLarge)
 }
 
 func jobParams(w http.ResponseWriter, r *http.Request) (sweep, job, lease string, ok bool) {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -85,11 +86,11 @@ func TestHTTPTransport(t *testing.T) {
 	// Wire-level error mapping: a bogus lease is 410 → ErrStaleLease, an
 	// unknown sweep is 404 → ErrUnknown.
 	bogus := &Lease{Sweep: "sw", Job: "rarefied/r000", LeaseID: "l999999"}
-	if err := q.SaveCheckpoint(context.Background(), bogus, []byte("x")); !errors.Is(err, ErrStaleLease) {
+	if err := q.SaveCheckpoint(context.Background(), bogus, payload([]byte("x"))); !errors.Is(err, ErrStaleLease) {
 		t.Fatalf("bogus lease upload: got %v, want ErrStaleLease", err)
 	}
 	missing := &Lease{Sweep: "nope", Job: "rarefied/r000", LeaseID: "l1"}
-	if err := q.SaveCheckpoint(context.Background(), missing, []byte("x")); !errors.Is(err, ErrUnknown) {
+	if err := q.SaveCheckpoint(context.Background(), missing, payload([]byte("x"))); !errors.Is(err, ErrUnknown) {
 		t.Fatalf("unknown sweep upload: got %v, want ErrUnknown", err)
 	}
 }
@@ -138,15 +139,38 @@ func TestUploadLimit(t *testing.T) {
 		}
 	}
 
+	// A checkpoint streams to its file, so its limit is found while
+	// writing: the oversized body leaves neither a checkpoint nor a temp
+	// file, and the lease takes the next upload.
+	for _, tc := range []struct {
+		body string
+		code int
+		kept string
+	}{{"123456789", http.StatusRequestEntityTooLarge, ""}, {"12345678", http.StatusNoContent, "12345678"}} {
+		req := httptest.NewRequest(http.MethodPut, jobQuery("/coord/v1/checkpoint", l), strings.NewReader(tc.body))
+		req.ContentLength = -1
+		rec := httptest.NewRecorder()
+		c.putCheckpoint(rec, req, 8)
+		data, err := c.LoadCheckpoint(l.Sweep, l.Job, l.LeaseID)
+		if rec.Code != tc.code || err != nil || string(data) != tc.kept {
+			t.Errorf("checkpoint PUT of %d undeclared bytes, limit 8: status %d, checkpoint %q, %v", len(tc.body), rec.Code, data, err)
+		}
+		if tmps, _ := filepath.Glob(filepath.Join(c.sweeps[l.Sweep].sweep.Spec.CheckpointDir, "*.tmp")); len(tmps) > 0 {
+			t.Errorf("checkpoint PUT of %d undeclared bytes left %v", len(tc.body), tmps)
+		}
+	}
+
 	// A 56-byte completion body with a valid trailer: the header of a real
 	// output frame, a field count of 2^64-1, the three scalars.
 	zero := store.EncodeOutput(&store.Output{})
-	w := frame.NewWriter(nil, binary.LittleEndian.Uint64(zero), uint32(binary.LittleEndian.Uint64(zero[8:])))
+	var buf bytes.Buffer
+	w := frame.NewWriter(&buf, binary.LittleEndian.Uint64(zero), uint32(binary.LittleEndian.Uint64(zero[8:])))
 	w.U64(math.MaxUint64)
 	w.F64(0)
 	w.I64(0)
 	w.I64(0)
-	req := httptest.NewRequest(http.MethodPost, jobQuery("/coord/v1/complete", l), bytes.NewReader(w.Finish()))
+	w.Finish()
+	req := httptest.NewRequest(http.MethodPost, jobQuery("/coord/v1/complete", l), bytes.NewReader(buf.Bytes()))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {

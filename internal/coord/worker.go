@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -23,7 +24,9 @@ type Queue interface {
 	Poll(ctx context.Context, workerID string) (*Lease, error)
 	Heartbeat(ctx context.Context, hb Heartbeat) (string, error)
 	LoadCheckpoint(ctx context.Context, l *Lease) ([]byte, error)
-	SaveCheckpoint(ctx context.Context, l *Lease, data []byte) error
+	// SaveCheckpoint uploads the checkpoint write streams; see
+	// run.CkptStreamer for write's contract.
+	SaveCheckpoint(ctx context.Context, l *Lease, write func(io.Writer) error) error
 	Complete(ctx context.Context, l *Lease, out *dsmc.ReplicaOutput) error
 	Release(ctx context.Context, l *Lease, stepsDone int) error
 	Fail(ctx context.Context, l *Lease, msg string) error
@@ -41,8 +44,8 @@ func (q LocalQueue) Heartbeat(_ context.Context, hb Heartbeat) (string, error) {
 func (q LocalQueue) LoadCheckpoint(_ context.Context, l *Lease) ([]byte, error) {
 	return q.C.LoadCheckpoint(l.Sweep, l.Job, l.LeaseID)
 }
-func (q LocalQueue) SaveCheckpoint(_ context.Context, l *Lease, data []byte) error {
-	return q.C.SaveCheckpoint(l.Sweep, l.Job, l.LeaseID, data)
+func (q LocalQueue) SaveCheckpoint(_ context.Context, l *Lease, write func(io.Writer) error) error {
+	return q.C.SaveCheckpoint(l.Sweep, l.Job, l.LeaseID, write)
 }
 func (q LocalQueue) Complete(_ context.Context, l *Lease, out *dsmc.ReplicaOutput) error {
 	return q.C.Complete(l.Sweep, l.Job, l.LeaseID, out)
@@ -282,7 +285,9 @@ func (w *Worker) runJob(ctx context.Context, l *Lease) {
 }
 
 // queueCkpt backs dsmc.JobCheckpoint with coordinator round-trips. Saves
-// retry transient failures; a stale-lease rejection aborts the job.
+// stream, and retry transient failures by streaming again: the job is
+// blocked in the save, so each attempt writes the same bytes. A
+// stale-lease rejection aborts the job.
 type queueCkpt struct {
 	w         *Worker
 	l         *Lease
@@ -305,11 +310,16 @@ func (s *queueCkpt) Load() ([]byte, error) {
 }
 
 func (s *queueCkpt) Save(data []byte) error {
+	return s.SaveStream(func(w io.Writer) error { _, err := w.Write(data); return err })
+}
+
+// SaveStream implements run.CkptStreamer.
+func (s *queueCkpt) SaveStream(write func(io.Writer) error) error {
 	err := s.w.retry(context.Background(), func(c context.Context) error {
 		if s.chaotic && s.w.failUpload() {
 			return errInjectedUpload
 		}
-		return s.w.cfg.Queue.SaveCheckpoint(c, s.l, data)
+		return s.w.cfg.Queue.SaveCheckpoint(c, s.l, write)
 	})
 	if errors.Is(err, ErrStaleLease) || errors.Is(err, ErrUnknown) {
 		s.abandoned.Store(true)

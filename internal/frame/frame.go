@@ -3,6 +3,12 @@
 // format owns its layout; this package owns how values are written, how
 // a frame is sealed, and how it is read back without trusting it.
 //
+// Frames are written as a stream: a Writer stages values in one fixed
+// 64 KiB chunk and hands each full chunk to an io.Writer, folding it into
+// the trailer's CRCs on the way, so a frame of any size reaches a file
+// from the live columns without a frame-sized buffer. A caller that needs
+// the bytes writes to a bytes.Buffer.
+//
 // A frame is a magic word, a format-version word, the format's values and
 // a trailer word. Words are 8 bytes little-endian: integers, float64 by
 // IEEE-754 bits, booleans as 0 or 1. A column is a u64 count and the
@@ -28,8 +34,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
-	"slices"
 )
 
 // The frame's error conditions, one value each; a format returns them
@@ -55,7 +61,8 @@ const (
 // instructions for it where the CPU has them.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// seal returns the trailer word of a frame body.
+// seal returns the trailer word of a frame body: the Writer's CRCs,
+// computed over the whole body at once.
 func seal(body []byte) uint64 {
 	return uint64(crc32.Checksum(body, castagnoli))<<32 | uint64(crc32.ChecksumIEEE(body))
 }
@@ -72,57 +79,68 @@ func Width[F Float]() int {
 	return 8
 }
 
-// Writer appends a frame to a byte slice. Encoding cannot fail: the
-// values only append.
+// chunkSize is the Writer's staging buffer: values are encoded into it
+// and reach the sink a chunk at a time, so a frame of any size costs its
+// writer this much memory and no more.
+const chunkSize = 64 << 10
+
+// Writer streams a frame to an io.Writer. Values are staged in a fixed
+// chunk and flushed to the sink when it fills; the trailer's CRCs run
+// over each chunk as it is flushed, so nothing the size of the frame is
+// ever held. Errors are sticky: after the sink fails, later values are
+// dropped and Finish reports the first error. The zero Writer is ready
+// for Reset.
 type Writer struct {
-	buf   []byte
-	start int // offset of this frame's magic word in buf
-	// sizing marks the writer Size runs a body through: it counts the
-	// bytes in n instead of storing them.
-	sizing bool
-	n      int
+	sink io.Writer
+	buf  []byte // staged bytes, at most chunkSize
+	c32c uint32 // CRC-32C of the bytes flushed so far
+	c32  uint32 // CRC-32 (IEEE) of the same bytes
+	err  error
 }
 
-// NewWriter appends the header (magic and version words) to dst and
-// returns a writer positioned after it. A caller that encodes repeatedly
-// passes its previous Finish result resliced to zero length: the next
-// frame reuses the buffer unless it has outgrown it.
-func NewWriter(dst []byte, magic uint64, version uint32) *Writer {
-	w := &Writer{buf: dst, start: len(dst)}
-	w.U64(magic)
-	w.U64(uint64(version))
+// NewWriter returns a writer streaming a frame to dst, its header (magic
+// and version words) staged.
+func NewWriter(dst io.Writer, magic uint64, version uint32) *Writer {
+	w := new(Writer)
+	w.Reset(dst, magic, version)
 	return w
 }
 
-// Size returns the length of the sealed frame whose values body writes
-// after the header, by running it through a writer that counts the bytes
-// instead of storing them. Callers size a buffer once with it rather than
-// grow one by appending, which leaves discarded copies and slack behind.
-func Size(body func(*Writer)) int {
-	w := &Writer{sizing: true}
-	body(w)
-	return headerSize + w.n + trailerSize
+// Reset starts a new frame on dst and stages its header, reusing w's
+// staging buffer: a caller that writes frames repeatedly keeps one
+// Writer and allocates its chunk once.
+func (w *Writer) Reset(dst io.Writer, magic uint64, version uint32) {
+	if w.buf == nil {
+		w.buf = make([]byte, 0, chunkSize)
+	}
+	w.sink, w.buf, w.c32c, w.c32, w.err = dst, w.buf[:0], 0, 0, nil
+	w.U64(magic)
+	w.U64(uint64(version))
 }
 
-// grow extends the buffer by n bytes and returns them for the caller to
-// fill; a sizing writer counts them and returns nil.
-func (w *Writer) grow(n int) []byte {
-	if w.sizing {
-		w.n += n
-		return nil
+// flush hands the staged bytes to the sink and folds them into the CRCs.
+func (w *Writer) flush() {
+	if w.err == nil && len(w.buf) > 0 {
+		w.c32c = crc32.Update(w.c32c, castagnoli, w.buf)
+		w.c32 = crc32.Update(w.c32, crc32.IEEETable, w.buf)
+		_, w.err = w.sink.Write(w.buf)
 	}
-	w.buf = slices.Grow(w.buf, n)
-	m := len(w.buf)
-	w.buf = w.buf[:m+n]
-	return w.buf[m:]
+	w.buf = w.buf[:0]
+}
+
+// room returns staging space for at least min bytes, flushing the chunk
+// first when less than that is left; the caller fills a prefix of it and
+// reslices w.buf over what it filled.
+func (w *Writer) room(min int) []byte {
+	if cap(w.buf)-len(w.buf) < min {
+		w.flush()
+	}
+	return w.buf[len(w.buf):cap(w.buf)]
 }
 
 // U64 writes one unsigned word.
 func (w *Writer) U64(v uint64) {
-	if w.sizing {
-		w.n += 8
-		return
-	}
+	w.room(8)
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 }
 
@@ -144,18 +162,23 @@ func (w *Writer) Bool(v bool) {
 // Text writes a byte string (length-prefixed).
 func (w *Writer) Text(s string) {
 	w.U64(uint64(len(s)))
-	copy(w.grow(len(s)), s)
+	for len(s) > 0 {
+		n := copy(w.room(1), s)
+		w.buf = w.buf[:len(w.buf)+n]
+		s = s[n:]
+	}
 }
-
-// The column writers below fill xs[:len(b)/size]: all of xs, or nothing
-// for a sizing writer.
 
 // I32s writes an int32 slice (length-prefixed).
 func (w *Writer) I32s(xs []int32) {
 	w.U64(uint64(len(xs)))
-	b := w.grow(4 * len(xs))
-	for i, x := range xs[:len(b)/4] {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
+	for len(xs) > 0 {
+		b := w.room(4)
+		n := min(len(b)/4, len(xs))
+		for i, x := range xs[:n] {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
+		}
+		w.buf, xs = w.buf[:len(w.buf)+4*n], xs[n:]
 	}
 }
 
@@ -163,15 +186,20 @@ func (w *Writer) I32s(xs []int32) {
 // (length-prefixed): float32 values cost 4 bytes, float64 values 8.
 func Floats[F Float](w *Writer, xs []F) {
 	w.U64(uint64(len(xs)))
-	b := w.grow(Width[F]() * len(xs))
-	if Width[F]() == 4 {
-		for i, x := range xs[:len(b)/4] {
-			binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(float32(x)))
+	size := Width[F]()
+	for len(xs) > 0 {
+		b := w.room(size)
+		n := min(len(b)/size, len(xs))
+		if size == 4 {
+			for i, x := range xs[:n] {
+				binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(float32(x)))
+			}
+		} else {
+			for i, x := range xs[:n] {
+				binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(float64(x)))
+			}
 		}
-		return
-	}
-	for i, x := range xs[:len(b)/8] {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(float64(x)))
+		w.buf, xs = w.buf[:len(w.buf)+size*n], xs[n:]
 	}
 }
 
@@ -179,14 +207,44 @@ func Floats[F Float](w *Writer, xs []F) {
 // the column.
 func ZeroFloats[F Float](w *Writer, n int) {
 	w.U64(uint64(n))
-	clear(w.grow(Width[F]() * n))
+	for left := Width[F]() * n; left > 0; {
+		b := w.room(1)
+		k := min(len(b), left)
+		clear(b[:k])
+		w.buf, left = w.buf[:len(w.buf)+k], left-k
+	}
 }
 
-// Finish appends the trailer and returns the buffer: dst as passed to
-// NewWriter, followed by the sealed frame.
-func (w *Writer) Finish() []byte {
-	w.U64(seal(w.buf[w.start:]))
-	return w.buf
+// Finish seals the frame: it flushes what is staged, then writes the
+// trailer word, and returns the first error the sink reported.
+func (w *Writer) Finish() error {
+	w.flush()
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(w.c32c)<<32|uint64(w.c32))
+	if w.err == nil {
+		_, w.err = w.sink.Write(w.buf)
+	}
+	w.buf = w.buf[:0]
+	return w.err
+}
+
+// counter is a sink that keeps only the number of bytes written to it.
+type counter int
+
+func (c *counter) Write(p []byte) (int, error) {
+	*c += counter(len(p))
+	return len(p), nil
+}
+
+// Size returns the length of the sealed frame whose values body writes
+// after the header, counted through a sink that keeps no bytes. A caller
+// that needs a frame in memory sizes its buffer once with it rather than
+// grow one by appending, which leaves discarded copies and slack behind.
+func Size(body func(*Writer)) int {
+	var n counter
+	w := NewWriter(&n, 0, 0)
+	body(w)
+	w.Finish()
+	return int(n)
 }
 
 // Open verifies that data is one sealed frame with the given magic and

@@ -145,13 +145,15 @@ func FuzzOpen(f *testing.F) {
 			words[i] = binary.LittleEndian.Uint64(data[8*i:])
 		}
 		tail := string(data[8*len(words):])
-		w := frame.NewWriter(nil, formats[0].magic, formats[0].version)
+		var buf bytes.Buffer
+		w := frame.NewWriter(&buf, formats[0].magic, formats[0].version)
 		for _, v := range words {
 			w.U64(v)
 		}
 		w.Text(tail)
 		frame.Floats(w, []float64{math.Float64frombits(uint64(len(words)))})
-		r, err := frame.Open(w.Finish(), formats[0].magic, formats[0].version)
+		w.Finish()
+		r, err := frame.Open(buf.Bytes(), formats[0].magic, formats[0].version)
 		if err != nil {
 			t.Fatalf("a written frame does not open: %v", err)
 		}

@@ -136,6 +136,15 @@ func escapeLabel(v string) string {
 	return r.Replace(v)
 }
 
+// escapeHelp escapes help text per the text format: a backslash and a
+// newline, which would otherwise end the comment line.
+func escapeHelp(h string) string {
+	if !strings.ContainsAny(h, "\\\n") {
+		return h
+	}
+	return strings.NewReplacer(`\`, `\\`, "\n", `\n`).Replace(h)
+}
+
 // register attaches a child to the named family, creating the family
 // on first use and panicking on help/type mismatch or a duplicate
 // label set — registration happens at init, so conflicts are bugs.
@@ -334,7 +343,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 
 	var b strings.Builder
 	for _, f := range fams {
-		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
+		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
 		for _, ch := range f.children {
 			writeChild(&b, f, ch)

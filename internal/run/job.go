@@ -1,6 +1,7 @@
 package run
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -110,9 +111,11 @@ type Replica struct {
 	// angle fits the scenario's validation scalar from the density
 	// field; NaN when the scenario has no oblique shock to fit.
 	angle func(density []float64) float64
-	// ckbuf holds the last checkpoint saveCheckpoint encoded; the next
-	// save reuses it, so a job allocates its checkpoint buffer once.
-	ckbuf []byte
+	// ckw is the checkpoint writer every save reuses, so a job allocates
+	// its staging chunk once; ckbuf holds the last checkpoint encoded for
+	// a store without SaveStream, and is reused the same way.
+	ckw   ckpt.Writer
+	ckbuf bytes.Buffer
 }
 
 // NewAccumulator returns an empty moment accumulator of the replica's
@@ -281,32 +284,32 @@ func runReplica(ctx context.Context, sc Scenario, quantities []string, seed uint
 }
 
 // saveCheckpoint serializes the job state — progress counters, the full
-// simulation, and the sampling accumulator — and hands the bytes to the
-// store, which persists them atomically (the file store via
+// simulation, and the sampling accumulator — and hands it to the store,
+// which persists it atomically (the file store via
 // write-temp/fsync/rename, the distributed worker via an idempotent
-// upload). If the medium still delivers a corrupt buffer later,
+// upload). If the medium still delivers a corrupt checkpoint later,
 // loadCheckpoint detects it by checksum and falls back to a fresh
-// (bit-identical) run rather than wedging the sweep. The bytes are
-// encoded into the replica's reused buffer, which is why Save must not
-// retain them.
-func (job *Replica) saveCheckpoint(store CkptStore, acc *sample.Accumulator, seed, fp uint64, done int) error {
-	sections := func(w *ckpt.Writer) {
+// (bit-identical) run rather than wedging the sweep. A store with
+// SaveStream takes the checkpoint as it streams from the live columns;
+// any other gets it encoded, by the same writer, into the replica's
+// reused buffer, which is why Save must not retain the bytes.
+func (job *Replica) saveCheckpoint(st CkptStore, acc *sample.Accumulator, seed, fp uint64, done int) error {
+	write := func(dst io.Writer) error {
+		w := &job.ckw
+		ckpt.Reset(w, dst, ckpt.KindJob, job.prec, job.cells)
 		w.U64(seed)
 		w.U64(fp)
 		w.U64(uint64(done))
 		job.CheckpointSections(w)
 		ckpt.WriteAccumulator(w, acc)
+		return w.Finish()
 	}
-	if job.ckbuf == nil {
-		// Size the buffer once, with room for the particle count to
-		// fluctuate by a sixteenth before a later save must grow it.
-		n := ckpt.Size(sections)
-		job.ckbuf = make([]byte, 0, n+n/16)
+	if s, ok := st.(CkptStreamer); ok {
+		return s.SaveStream(write)
 	}
-	w := ckpt.NewWriter(job.ckbuf[:0], ckpt.KindJob, job.prec, job.cells)
-	sections(w)
-	job.ckbuf = w.Finish()
-	return store.Save(job.ckbuf)
+	job.ckbuf.Reset()
+	write(&job.ckbuf) // a bytes.Buffer takes every write
+	return st.Save(job.ckbuf.Bytes())
 }
 
 // loadCheckpoint restores a job checkpoint if one exists, returning

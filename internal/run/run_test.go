@@ -1,14 +1,17 @@
 package run
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"hash/fnv"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -440,17 +443,124 @@ func TestStaleVersionCheckpointFallsBackToFreshRun(t *testing.T) {
 	}
 }
 
-// nopCkptStore accepts saves and keeps nothing.
-type nopCkptStore struct{}
+// bytesCkptStore is a store without SaveStream: it keeps a copy of the
+// last checkpoint it was handed.
+type bytesCkptStore struct{ last []byte }
 
-func (nopCkptStore) Load() ([]byte, error) { return nil, nil }
-func (nopCkptStore) Save([]byte) error     { return nil }
-func (nopCkptStore) Discard() error        { return nil }
+func (s *bytesCkptStore) Load() ([]byte, error) { return nil, nil }
+func (s *bytesCkptStore) Save(data []byte) error {
+	s.last = append(s.last[:0], data...)
+	return nil
+}
+func (s *bytesCkptStore) Discard() error { return nil }
 
-// TestCheckpointEncodeAllocs: a steady job save encodes into the
-// replica's warm buffer — O(1) allocations per save, and the buffer the
-// first save grew is the one every later save writes.
+// sinkCkptStore is a streaming store that writes every checkpoint to sink
+// and keeps nothing.
+type sinkCkptStore struct{ sink io.Writer }
+
+func (s sinkCkptStore) Load() ([]byte, error) { return nil, nil }
+func (s sinkCkptStore) Save(data []byte) error {
+	_, err := s.sink.Write(data)
+	return err
+}
+func (s sinkCkptStore) SaveStream(write func(io.Writer) error) error { return write(s.sink) }
+func (s sinkCkptStore) Discard() error                               { return nil }
+
+// TestCheckpointEncodeAllocs: a job saving to a streaming store holds no
+// checkpoint-sized buffer. Its first save and four more, a step apart,
+// allocate under 256 KiB in total (the writer's one 64 KiB chunk and a
+// closure per save) at the test's particle count, whose checkpoint is
+// about 0.3 MB, and at eight times that. A store without SaveStream gets
+// the same bytes from the same writer, in a buffer the job reuses.
 func TestCheckpointEncodeAllocs(t *testing.T) {
+	const seed = 1988
+	for _, perCell := range []float64{4, 32} {
+		sc := testScenario("rarefied", 0.5, false)
+		sc.Sim.NPerCell = perCell
+		job, err := Open(sc, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc := job.NewAccumulator()
+		fp := specFingerprint(sc, 8, 8)
+		job.Run(8)
+		var total uint64
+		var kept bytesCkptStore
+		streamed := fnv.New64a() // a sink that allocates nothing
+		for done := 8; done < 13; done++ {
+			streamed.Reset()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := job.saveCheckpoint(sinkCkptStore{streamed}, acc, seed, fp, done)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += after.TotalAlloc - before.TotalAlloc
+
+			if err := job.saveCheckpoint(&kept, acc, seed, fp, done); err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			h.Write(kept.last)
+			if h.Sum64() != streamed.Sum64() {
+				t.Fatalf("%g per cell, save %d: a bytes-only store got other bytes than the stream", perCell, done)
+			}
+			job.Step()
+			job.SampleInto(acc)
+		}
+		if total >= 256<<10 {
+			t.Errorf("%g per cell: five streamed saves of a %d-byte checkpoint allocated %d bytes, want < 256 KiB", perCell, len(kept.last), total)
+		}
+
+		warm := &job.ckbuf.Bytes()[0]
+		save := func() {
+			if err := job.saveCheckpoint(&kept, acc, seed, fp, 13); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(5, save); n > 2 {
+			t.Errorf("%g per cell: a bytes-only save allocates %.1f times, want O(1)", perCell, n)
+		}
+		if &job.ckbuf.Bytes()[0] != warm {
+			t.Errorf("%g per cell: a bytes-only save reallocated the job's buffer", perCell)
+		}
+	}
+}
+
+// failAt passes the first n bytes written through to w, then fails.
+type failAt struct {
+	w io.Writer
+	n int
+}
+
+var errSinkFull = errors.New("sink full")
+
+func (f *failAt) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		k, _ := f.w.Write(p[:f.n])
+		f.n = 0
+		return k, errSinkFull
+	}
+	f.n -= len(p)
+	return f.w.Write(p)
+}
+
+// failingFileStore is a FileCkptStore whose file fails at byte n.
+type failingFileStore struct {
+	FileCkptStore
+	n int
+}
+
+func (s failingFileStore) SaveStream(write func(io.Writer) error) error {
+	return s.FileCkptStore.SaveStream(func(w io.Writer) error { return write(&failAt{w, s.n}) })
+}
+
+// TestFailedSaveKeepsCheckpoint: a save whose file fails at byte k —
+// at the start, inside the first chunk, on either side of a chunk
+// boundary, one byte short — returns the error, leaves the previous
+// checkpoint byte-identical, and leaves no temp file.
+func TestFailedSaveKeepsCheckpoint(t *testing.T) {
 	const seed = 1988
 	sc := testScenario("rarefied", 0.5, false)
 	job, err := Open(sc, seed)
@@ -459,25 +569,30 @@ func TestCheckpointEncodeAllocs(t *testing.T) {
 	}
 	acc := job.NewAccumulator()
 	fp := specFingerprint(sc, 8, 8)
-	done := 0
-	save := func() {
-		if err := job.saveCheckpoint(nopCkptStore{}, acc, seed, fp, done); err != nil {
-			t.Fatal(err)
-		}
+	dir := t.TempDir()
+	st := FileCkptStore{Path: JobCkptPath(dir, 0, 0)}
+	job.Run(4)
+	if err := job.saveCheckpoint(st, acc, seed, fp, 4); err != nil {
+		t.Fatal(err)
 	}
-	job.Run(8)
-	done = 8
-	save()
-	warm := &job.ckbuf[0]
-	for k := 0; k < 4; k++ {
-		job.Step()
-		job.SampleInto(acc)
-		done++
-		if n := testing.AllocsPerRun(5, save); n > 2 {
-			t.Errorf("save %d allocates %.1f times, want O(1)", k, n)
+	good, err := os.ReadFile(st.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.Run(4)
+	var next bytes.Buffer
+	if err := job.saveCheckpoint(sinkCkptStore{&next}, acc, seed, fp, 8); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, 1, 1000, 64<<10 - 1, 64 << 10, 64<<10 + 1, next.Len() - 1} {
+		if err := job.saveCheckpoint(failingFileStore{st, k}, acc, seed, fp, 8); !errors.Is(err, errSinkFull) {
+			t.Errorf("failing at byte %d: save returned %v, want the sink's error", k, err)
 		}
-		if &job.ckbuf[0] != warm {
-			t.Fatalf("save %d reallocated the checkpoint buffer", k)
+		if now, err := os.ReadFile(st.Path); err != nil || !bytes.Equal(now, good) {
+			t.Errorf("failing at byte %d: the previous checkpoint changed (err %v)", k, err)
+		}
+		if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) > 0 {
+			t.Errorf("failing at byte %d: left %v", k, tmps)
 		}
 	}
 }

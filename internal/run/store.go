@@ -2,6 +2,7 @@ package run
 
 import (
 	"errors"
+	"io"
 	"os"
 
 	"dsmc/internal/store"
@@ -14,7 +15,9 @@ import (
 // reader's point of view: Load returns either a previously completed
 // Save or nothing, never a torn prefix. (The
 // checksum trailer inside the checkpoint catches media that break this
-// promise anyway — loadCheckpoint falls back to a fresh run.)
+// promise anyway — loadCheckpoint falls back to a fresh run.) A store
+// that can take a checkpoint as it is encoded also implements
+// CkptStreamer, and the job then holds no checkpoint-sized buffer.
 type CkptStore interface {
 	// Load returns the last saved checkpoint, or nil when none exists.
 	Load() ([]byte, error)
@@ -25,6 +28,18 @@ type CkptStore interface {
 	// Discard removes a checkpoint found corrupt or stale so it is not
 	// re-read; losing it only costs recomputation.
 	Discard() error
+}
+
+// CkptStreamer is the optional streaming half of a CkptStore: SaveStream
+// durably replaces the checkpoint with what write writes, under Save's
+// atomicity. write streams the checkpoint from the job's live state to
+// the io.Writer it is given and returns the first error that writer
+// reported. The job is blocked inside SaveStream, so its state does not
+// change while it runs: a store may call write more than once (a retried
+// upload) and gets the same bytes each time, but must not call it after
+// SaveStream returns.
+type CkptStreamer interface {
+	SaveStream(write func(io.Writer) error) error
 }
 
 // FileCkptStore persists checkpoints to one file with the
@@ -48,7 +63,15 @@ func (s FileCkptStore) Load() ([]byte, error) {
 }
 
 // Save implements CkptStore.
-func (s FileCkptStore) Save(data []byte) error { return store.AtomicWrite(s.Path, data) }
+func (s FileCkptStore) Save(data []byte) error {
+	return s.SaveStream(func(w io.Writer) error { _, err := w.Write(data); return err })
+}
+
+// SaveStream implements CkptStreamer: the checkpoint streams into the
+// temp file, which is fsynced and renamed over the last one.
+func (s FileCkptStore) SaveStream(write func(io.Writer) error) error {
+	return store.AtomicWrite(s.Path, write)
+}
 
 // Discard implements CkptStore.
 func (s FileCkptStore) Discard() error {

@@ -37,14 +37,12 @@ func (s *SimOf[F]) RestoreSections(r *ckpt.Reader) error {
 	return r.Err()
 }
 
-// WriteCheckpoint writes a standalone checkpoint of the simulation in
-// one Write, encoded into a buffer of exactly its size.
+// WriteCheckpoint streams a standalone checkpoint of the simulation to
+// wr, from the live columns through the frame's fixed chunk.
 func (s *SimOf[F]) WriteCheckpoint(wr io.Writer) error {
-	buf := make([]byte, 0, ckpt.Size(s.CheckpointSections))
-	w := ckpt.NewWriter(buf, ckpt.Kind2D, ckpt.PrecOf[F](), s.grid.Cells())
+	w := ckpt.NewWriter(wr, ckpt.Kind2D, ckpt.PrecOf[F](), s.grid.Cells())
 	s.CheckpointSections(w)
-	_, err := wr.Write(w.Finish())
-	return err
+	return w.Finish()
 }
 
 // ReadCheckpoint restores a standalone checkpoint into the simulation,

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"slices"
@@ -54,9 +55,11 @@ func EncodeOutput(o *Output) []byte {
 		w.I64(o.Collisions)
 		w.I64(int64(o.NFlow))
 	}
-	w := frame.NewWriter(make([]byte, 0, frame.Size(body)), outputMagic, outputVersion)
+	buf := bytes.NewBuffer(make([]byte, 0, frame.Size(body)))
+	w := frame.NewWriter(buf, outputMagic, outputVersion)
 	body(w)
-	return w.Finish()
+	w.Finish() // a bytes.Buffer takes every write
+	return buf.Bytes()
 }
 
 // DecodeOutput parses an encoded replica output from the bytes its

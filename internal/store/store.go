@@ -296,13 +296,13 @@ func (s *Store) Put(id string, data []byte) (sha string, err error) {
 		return "", fmt.Errorf("store: key %s already holds content %s; refusing conflicting publish %s (determinism violation?)", id, prev, sha)
 	}
 	if _, ok := s.sizes[sha]; !ok {
-		if err := AtomicWrite(s.objectPath(sha), data); err != nil {
+		if err := AtomicWrite(s.objectPath(sha), func(w io.Writer) error { _, err := w.Write(data); return err }); err != nil {
 			return "", err
 		}
 		s.sizes[sha] = int64(len(data))
 		s.bytes += int64(len(data))
 	}
-	if err := AtomicWrite(s.indexPath(id), []byte(sha+"\n")); err != nil {
+	if err := AtomicWrite(s.indexPath(id), func(w io.Writer) error { _, err := io.WriteString(w, sha+"\n"); return err }); err != nil {
 		return "", err
 	}
 	s.index[id] = sha
@@ -509,19 +509,33 @@ func validSHA(s string) bool {
 	return true
 }
 
-// AtomicWrite replaces path with data via temp file + fsync + rename, so
-// a crash can never leave a half-written file in place: readers see the
-// old bytes or the new bytes. It is the one durable file write of the
-// tree (objects and index entries here, job checkpoints, dsmcd's spec
-// files). A crash can leave a path.tmp orphan; inside a store root the
-// next Open sweeps it to quarantine.
-func AtomicWrite(path string, data []byte) error {
+// AtomicWrite replaces path with what write writes, via temp file +
+// fsync + rename, so a crash can never leave a half-written file in
+// place: readers see the old bytes or the new bytes. It is the one
+// durable file write of the tree (objects and index entries here, job
+// checkpoints, dsmcd's spec files). write streams the content to the
+// temp file and returns the first error it met; on any error the temp
+// file is removed and path is left as it was. A crash can leave a
+// path.tmp orphan; inside a store root the next Open sweeps it to
+// quarantine.
+func AtomicWrite(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	if err := WriteSynced(tmp, write); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
+// WriteSynced is AtomicWrite's first half, for a caller that decides
+// separately whether to rename the file into place: it creates path,
+// streams write into it, fsyncs and closes it, and removes it on any
+// error.
+func WriteSynced(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(data)
+	err = write(f)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -529,8 +543,7 @@ func AtomicWrite(path string, data []byte) error {
 		err = cerr
 	}
 	if err != nil {
-		os.Remove(tmp)
-		return err
+		os.Remove(path)
 	}
-	return os.Rename(tmp, path)
+	return err
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -86,12 +87,14 @@ func TestHugeCountsRejected(t *testing.T) {
 		{"fields", func(w *frame.Writer) { w.U64(math.MaxUint64) }},
 		{"cells", func(w *frame.Writer) { w.U64(1); w.Text("density"); w.U64(1 << 61) }},
 	} {
-		w := frame.NewWriter(nil, outputMagic, outputVersion)
+		var buf bytes.Buffer
+		w := frame.NewWriter(&buf, outputMagic, outputVersion)
 		tc.fields(w)
 		w.F64(math.NaN())
 		w.I64(0)
 		w.I64(0)
-		data := w.Finish()
+		w.Finish()
+		data := buf.Bytes()
 
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
