@@ -110,10 +110,11 @@ type StreamLayout struct {
 	Wall uint64
 }
 
-// Domain supplies the dimension-specific parts of the pipeline. Methods
-// prefixed Pre/Post run serially on the stepping goroutine; Boundary
-// runs inside the sharded move pass and must only touch shard-local or
-// read-only state (plus its disjoint particle range).
+// Domain supplies the dimension-specific parts of the pipeline. PreMove
+// and PostMove run serially on the stepping goroutine; Boundary runs
+// inside the sharded move pass and must only touch shard-local or
+// read-only state (plus its disjoint particle range); Relax runs beside
+// the sort, select and collide passes.
 //
 // The cell column is the domain's to keep: the move pass is the only
 // sweep of a step that reads positions, and the sort plans from
@@ -135,8 +136,13 @@ type Domain[F kernel.Float] interface {
 	// PostMove runs after the move pass (remove exited particles, refill
 	// the plunger void).
 	PostMove()
-	// PostStep runs at the end of the step (relax the reservoir).
-	PostStep()
+	// Relax is the domain's end-of-step work (relax the reservoir). It
+	// runs on the worker pool concurrently with the sort, select and
+	// collide passes, and the engine waits for it before Step returns; on
+	// a one-worker pool it runs on the stepping goroutine after collide.
+	// It may touch only domain state those passes do not read, never the
+	// stores, and it must not use the pool.
+	Relax()
 }
 
 // Config assembles an engine. The zero value is not runnable; every
@@ -204,6 +210,7 @@ type Engine[F kernel.Float] struct {
 	// escape to the heap).
 	fnMoveBound func(w, lo, hi int)
 	fnSelCol    func(w, lo, hi int)
+	fnRelax     func()
 
 	// per-worker scratch, indexed by the pool's block index
 	gW     [][]float64  // relative-speed spans (one cell at a time)
@@ -236,12 +243,14 @@ func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store, shado
 	capacity := store.Cap()
 	_, cellConstant := cfg.Rule.CellProb(1, 1) // whole for a unit cell means whole for every cell
 	for b := 0; b < w; b++ {
-		// The pick buffers exist only for the split select/collide style;
-		// they get the balanced-load bound (n/2 pairs split w ways), so a
-		// pathologically imbalanced flow could grow one once, after which
-		// it too is stable. The relative-speed spans hold one cell's pairs
-		// at a time and grow (rarely) past the pre-size the same way; a
-		// rule that is one probability per cell never reads a speed.
+		// The pick buffers exist only for the split select/collide style.
+		// ForCells gives a block at most its share of the particles plus
+		// one cell's, so the balanced-load bound (n/2 pairs split w ways)
+		// holds up to the slack; a cell larger than the slack grows a
+		// buffer once, after which it too is stable. The relative-speed
+		// spans hold one cell's pairs at a time and grow (rarely) past the
+		// pre-size the same way; a rule that is one probability per cell
+		// never reads a speed.
 		if !cfg.FusedSelect {
 			e.picksW[b] = make([]pairPick, 0, capacity/(2*w)+64)
 		}
@@ -253,6 +262,7 @@ func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store, shado
 	e.colW = make([]time.Duration, w)
 	e.colls = make([]int64, w)
 	e.fnMoveBound = e.moveBoundShard
+	e.fnRelax = dom.Relax
 	if cfg.FusedSelect {
 		e.fnSelCol = e.selColFusedShard
 	} else {
@@ -337,6 +347,9 @@ func (e *Engine[F]) SetStepObserver(fn func(step int, phaseNs [numPhases]int64, 
 }
 
 // Step advances the simulation one time step through the four sub-steps.
+// The domain's Relax shares the pool with the sort, select and collide
+// passes: it draws only from the domain's own state, and those passes only
+// from per-cell streams, so the overlap moves no bit.
 //
 //dsmc:hotpath
 func (e *Engine[F]) Step() {
@@ -345,11 +358,12 @@ func (e *Engine[F]) Step() {
 	e.moveBoundaries()
 	t1 := now()
 	e.phaseTime[PhaseMove] += t1.Sub(t0)
+	e.pool.Go(e.fnRelax)
 	e.sortByCell()
 	t2 := now()
 	e.phaseTime[PhaseSort] += t2.Sub(t1)
 	e.selectAndCollide()
-	e.dom.PostStep()
+	e.pool.Join()
 	e.step++
 	e.recordStep(prev)
 }
@@ -386,14 +400,14 @@ func (e *Engine[F]) Run(n int) {
 }
 
 // SampleInto accumulates the current snapshot into acc, sharded over cell
-// ranges on the engine's worker pool. Valid after a completed step (the
-// cell-major layout of the latest sort must be current). The per-cell
-// accumulation order follows the store order, so the sums are
-// bit-identical for any worker count.
+// ranges of about equal particle count on the engine's worker pool. Valid
+// after a completed step (the cell-major layout of the latest sort must be
+// current). The per-cell accumulation order follows the store order, so
+// the sums are bit-identical for any worker count.
 //
 //dsmc:hotpath
 func (e *Engine[F]) SampleInto(acc *sample.Accumulator) {
-	sample.AddFlowCellMajor(acc, e.store, e.sorter.CellStart(), e.pool.For)
+	sample.AddFlowCellMajor(acc, e.store, e.sorter.CellStart(), e.pool.ForCells)
 }
 
 // moveBoundaries performs the collisionless motion (the width-grouped
@@ -504,9 +518,9 @@ func (e *Engine[F]) vol(c int) float64 {
 
 // selectAndCollide pairs adjacent candidates within each cell-major span,
 // applies the selection rule, and collides accepted pairs. The work is
-// sharded over cell ranges: cells own disjoint contiguous index ranges
-// and each draws from its own streams, so any worker count produces
-// identical collisions.
+// sharded over cell ranges of about equal particle count: cells own disjoint
+// contiguous index ranges and each draws from its own streams, so any
+// worker count produces identical collisions.
 //
 //dsmc:hotpath
 func (e *Engine[F]) selectAndCollide() {
@@ -515,7 +529,7 @@ func (e *Engine[F]) selectAndCollide() {
 		// Single-pass style: selection and collision interleave on one
 		// stream, so the timing cannot be split — book it all as collide.
 		t0 := now()
-		e.pool.ForIdx(nc, e.fnSelCol)
+		e.pool.ForCells(e.sorter.CellStart(), e.fnSelCol)
 		for _, c := range e.colls {
 			e.collisions += c
 		}
@@ -526,7 +540,7 @@ func (e *Engine[F]) selectAndCollide() {
 	// then collides the accepted pairs, so the paper's select/collide
 	// breakdown costs three clock reads per shard instead of two per
 	// non-empty cell.
-	e.pool.ForIdx(nc, e.fnSelCol)
+	e.pool.ForCells(e.sorter.CellStart(), e.fnSelCol)
 	// A concurrent section's wall time is its slowest shard; if the pool
 	// fell back to serial dispatch the shards ran back-to-back and their
 	// times add instead. Per-worker times are written before the pool's

@@ -18,7 +18,7 @@ type stubDomain[F kernel.Float] struct{}
 func (stubDomain[F]) PreMove()                                      {}
 func (stubDomain[F]) Boundary(st *particle.Store[F], w, lo, hi int) {}
 func (stubDomain[F]) PostMove()                                     {}
-func (stubDomain[F]) PostStep()                                     {}
+func (stubDomain[F]) Relax()                                        {}
 
 // TestVibExchangeConservesPairEnergy verifies the rescaling path: a
 // forced exchange pair conserves translational+vibrational energy to

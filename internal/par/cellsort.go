@@ -20,7 +20,8 @@ import (
 //     capacity-sized array is added;
 //  3. shuffle (ScatterShuffled only): the per-cell Fisher–Yates over each
 //     cell's index span, drawing each cell's permutation from its own
-//     counter-based stream (seed, epoch, cell), sharded over cell ranges;
+//     counter-based stream (seed, epoch, cell), sharded over cell ranges
+//     of about equal particle count (Pool.ForCells);
 //  4. gather: sharded by destination range, every payload column (X, Y,
 //     [Z], U, V, W, R1, R2, [Evib]) is copied from src[s] to dst[d] for
 //     s = dst.Cell[d], writing sequentially, and then dst.Cell[d] =
@@ -198,7 +199,7 @@ func (cs *CellSort[F]) histShard(w, lo, hi int) {
 func (cs *CellSort[F]) ScatterShuffled(src, dst *particle.Store[F], seed, epoch uint64) {
 	cs.rank(src, dst)
 	cs.seed, cs.epoch = seed, epoch
-	cs.pool.ForIdx(len(cs.counts), cs.shuffleFn)
+	cs.pool.ForCells(cs.cellStart, cs.shuffleFn)
 	cs.gather()
 }
 
@@ -285,7 +286,7 @@ func (cs *CellSort[F]) gatherShard(_, lo, hi int) {
 //dsmc:hotpath
 func (cs *CellSort[F]) Shuffle(seed, epoch uint64, swap func(i, j int)) {
 	cs.seed, cs.epoch, cs.swap = seed, epoch, swap
-	cs.pool.ForIdx(len(cs.counts), cs.shuffleFn)
+	cs.pool.ForCells(cs.cellStart, cs.shuffleFn)
 	cs.swap = nil
 }
 

@@ -2,10 +2,13 @@
 // shard their phases over. It generalises the chunked executor of
 // internal/cm/machine.go: work over [0, n) is split into a fixed block
 // decomposition — one contiguous block per worker, the last possibly
-// short or empty — that depends only on n and the worker count, never on
-// scheduling. Phases that need deterministic results for any worker count
-// rely on this fixed decomposition together with counter-based RNG
-// streams (rng.StreamAt) keyed by cell or particle index.
+// short or empty — that depends only on n and the worker count (ForIdx),
+// or, for a pass over cells, on the cell layout and the worker count
+// (ForCells); never on scheduling. Phases that need deterministic results
+// for any worker count rely on this decomposition together with
+// counter-based RNG streams (rng.StreamAt) keyed by cell or particle
+// index. One background task at a time (Go, Join) may share the workers
+// with those passes.
 package par
 
 import (
@@ -28,6 +31,12 @@ type Pool struct {
 	// heap allocation. Safe because calls must not nest or overlap (see
 	// ForIdx); a pool serves one phase of one simulation at a time.
 	wg sync.WaitGroup
+	// bg is the background task between Go and Join. On a pool with more
+	// than one worker it is queued as a task running bgRun (prebuilt, so Go
+	// allocates nothing), and bgWG waits for it.
+	bg    func()
+	bgRun func(w, lo, hi int)
+	bgWG  sync.WaitGroup
 }
 
 type task struct {
@@ -45,7 +54,10 @@ func New(workers int) *Pool {
 	}
 	p := &Pool{workers: workers}
 	if workers > 1 {
-		p.tasks = make(chan task, workers)
+		// One slot per block of a dispatch plus one for the background
+		// task, so neither Go nor ForIdx waits for a worker to take a task.
+		p.tasks = make(chan task, workers+1)
+		p.bgRun = p.runBg
 		for i := 0; i < workers; i++ {
 			go work(p.tasks)
 		}
@@ -62,6 +74,8 @@ func work(tasks <-chan task) {
 		t.wg.Done()
 	}
 }
+
+func (p *Pool) runBg(_, _, _ int) { p.bg() }
 
 // Workers returns the pool's worker count.
 func (p *Pool) Workers() int { return p.workers }
@@ -122,6 +136,89 @@ func (p *Pool) ForIdx(n int, f func(w, lo, hi int)) {
 		p.tasks <- task{f: f, w: b, lo: lo, hi: hi, wg: &p.wg}
 	}
 	p.wg.Wait()
+}
+
+// ForCells runs f once per block b of a decomposition of the cells
+// [0, len(start)-1) into contiguous ranges [lo, hi) of about equal
+// particle count: start holds cell-major bucket boundaries (cell c's
+// particles are [start[c], start[c+1])), and block b is the cells whose
+// particles start in the b-th of Workers() equal shares of
+// [0, start[len(start)-1]). A block then holds at most ⌈n/Workers()⌉
+// particles plus one cell's. The decomposition depends only on start and
+// the worker count. Below the serial cutoff in cells it is ForIdx's: the
+// fixed decomposition of the cell range, run on the calling goroutine.
+// As with ForIdx, f is invoked exactly Workers() times, and calls must
+// not nest.
+//
+//dsmc:hotpath
+func (p *Pool) ForCells(start []int32, f func(w, lo, hi int)) {
+	cells := len(start) - 1
+	if !p.Parallel(cells) {
+		p.ForIdx(cells, f)
+		return
+	}
+	step := p.BlockStep(int(start[cells]))
+	p.wg.Add(p.workers)
+	lo := 0
+	for b := 0; b < p.workers; b++ {
+		hi := cells
+		if b+1 < p.workers {
+			hi = lowerBound(start[:cells], int32((b+1)*step), lo)
+		}
+		p.tasks <- task{f: f, w: b, lo: lo, hi: hi, wg: &p.wg}
+		lo = hi
+	}
+	p.wg.Wait()
+}
+
+// lowerBound returns the first index i >= from with s[i] >= v, or len(s);
+// s is non-decreasing.
+func lowerBound(s []int32, v int32, from int) int {
+	lo, hi := from, len(s)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// Go starts f as the pool's one background task; Join waits for it. On a
+// pool with more than one worker f is queued to the workers like a block
+// of a dispatch: while it runs, the other workers serve ForIdx and
+// ForCells blocks, and its own worker serves them once f returns. On a
+// one-worker pool Go only records f and Join runs it on the caller, so
+// nothing starts and nothing runs concurrently. f must not touch what
+// the passes between Go and Join read or write. Go must not be called
+// again before Join.
+//
+//dsmc:hotpath
+func (p *Pool) Go(f func()) {
+	p.bg = f
+	if p.workers == 1 {
+		return
+	}
+	p.bgWG.Add(1)
+	p.tasks <- task{f: p.bgRun, wg: &p.bgWG}
+}
+
+// Join returns once the task of the last Go has run (on a one-worker
+// pool, by running it). Without a pending task it returns at once.
+//
+//dsmc:hotpath
+func (p *Pool) Join() {
+	if p.bg == nil {
+		return
+	}
+	if p.workers == 1 {
+		p.bg()
+	} else {
+		p.bgWG.Wait()
+	}
+	p.bg = nil
 }
 
 // For runs f over [0, n) split into the fixed block decomposition,

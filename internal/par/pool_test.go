@@ -102,3 +102,168 @@ func TestSweepWorkersClippedAscending(t *testing.T) {
 		t.Errorf("sweep must end at the full machine (%d): %v", n, ws)
 	}
 }
+
+// cellLayout returns the bucket boundaries of the given per-cell counts.
+func cellLayout(counts []int) []int32 {
+	start := make([]int32, len(counts)+1)
+	for c, n := range counts {
+		start[c+1] = start[c] + int32(n)
+	}
+	return start
+}
+
+// forCellsSpans runs ForCells over start and returns each block's span,
+// failing unless f ran exactly once per worker.
+func forCellsSpans(t *testing.T, p *Pool, start []int32) [][2]int {
+	t.Helper()
+	got := make([][2]int, p.Workers())
+	calls := int32(0)
+	p.ForCells(start, func(w, lo, hi int) {
+		atomic.AddInt32(&calls, 1)
+		got[w] = [2]int{lo, hi}
+	})
+	if int(calls) != p.Workers() {
+		t.Fatalf("%d calls, want one per worker (%d)", calls, p.Workers())
+	}
+	return got
+}
+
+// TestForCellsBalancesParticles: above the cutoff, ForCells' blocks are
+// contiguous, cover every cell once, and hold at most ⌈n/W⌉ particles plus
+// the largest cell, however the particles are spread over the cells.
+func TestForCellsBalancesParticles(t *testing.T) {
+	cells := 3*serialCutoff + 17
+	skewed := make([]int, cells) // a dense first half, a sparse second
+	for c := range skewed {
+		skewed[c] = 1
+		if c < cells/2 {
+			skewed[c] = 7 + c%5
+		}
+	}
+	one := make([]int, cells) // every particle in one cell
+	one[cells/3] = 50000
+	layouts := map[string][]int{
+		"skewed":   skewed,
+		"one-cell": one,
+		"empty":    make([]int, cells),
+	}
+	for _, workers := range []int{1, 2, 3, 4, 8} {
+		p := New(workers)
+		for name, counts := range layouts {
+			start := cellLayout(counts)
+			n := int(start[cells])
+			largest := 0
+			for _, k := range counts {
+				largest = max(largest, k)
+			}
+			prev := 0
+			for b, sp := range forCellsSpans(t, p, start) {
+				if sp[0] != prev || sp[1] < sp[0] {
+					t.Fatalf("workers=%d %s: block %d [%d,%d) does not continue from %d", workers, name, b, sp[0], sp[1], prev)
+				}
+				prev = sp[1]
+				if got, bound := int(start[sp[1]]-start[sp[0]]), (n+workers-1)/workers+largest; got > bound {
+					t.Errorf("workers=%d %s: block %d holds %d particles, bound %d", workers, name, b, got, bound)
+				}
+			}
+			if prev != cells {
+				t.Fatalf("workers=%d %s: blocks end at cell %d of %d", workers, name, prev, cells)
+			}
+		}
+	}
+}
+
+// TestForCellsSerialBelowCutoff: below the cutoff in cells ForCells is
+// ForIdx over the cell range, whatever the particle layout.
+func TestForCellsSerialBelowCutoff(t *testing.T) {
+	p := New(4)
+	for _, cells := range []int{0, 1, 10, serialCutoff - 1} {
+		counts := make([]int, cells)
+		if cells > 0 {
+			counts[0] = 3 * serialCutoff
+		}
+		got := forCellsSpans(t, p, cellLayout(counts))
+		for b := range got {
+			if lo, hi := p.span(b, cells); got[b] != [2]int{lo, hi} {
+				t.Fatalf("cells=%d block %d: [%d,%d), ForIdx's is [%d,%d)", cells, b, got[b][0], got[b][1], lo, hi)
+			}
+		}
+	}
+}
+
+// TestGoJoinOneWorker: a one-worker pool runs the background task in
+// Join, on the caller, and not before.
+func TestGoJoinOneWorker(t *testing.T) {
+	p := New(1)
+	ran := false
+	p.Go(func() { ran = true })
+	p.ForIdx(10*serialCutoff, func(w, lo, hi int) {})
+	if ran {
+		t.Fatal("the task ran before Join")
+	}
+	p.Join()
+	if !ran {
+		t.Fatal("Join returned without running the task")
+	}
+	p.Join() // no task pending: returns at once
+}
+
+// TestGoBesideForIdx: a background task that blocks does not keep a
+// dispatch from completing every block, and Join waits for the task.
+func TestGoBesideForIdx(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		p := New(workers)
+		release := make(chan struct{})
+		var done atomic.Bool
+		p.Go(func() {
+			<-release
+			done.Store(true)
+		})
+		for _, n := range []int{10 * serialCutoff, 100} {
+			var blocks atomic.Int32
+			p.ForIdx(n, func(w, lo, hi int) { blocks.Add(1) })
+			if int(blocks.Load()) != workers {
+				t.Fatalf("workers=%d n=%d: %d blocks ran beside the task, want %d", workers, n, blocks.Load(), workers)
+			}
+		}
+		start := cellLayout(make([]int, 2*serialCutoff))
+		var blocks atomic.Int32
+		p.ForCells(start, func(w, lo, hi int) { blocks.Add(1) })
+		if int(blocks.Load()) != workers {
+			t.Fatalf("workers=%d: ForCells ran %d blocks beside the task, want %d", workers, blocks.Load(), workers)
+		}
+		if done.Load() {
+			t.Fatalf("workers=%d: the task finished before it was released", workers)
+		}
+		close(release)
+		p.Join()
+		if !done.Load() {
+			t.Fatalf("workers=%d: Join returned before the task finished", workers)
+		}
+	}
+}
+
+// TestGoForJoinAllocationFree: a step's use of the pool — a background
+// task beside ForIdx and ForCells dispatches, then Join — allocates
+// nothing, on the serial and the concurrent paths.
+func TestGoForJoinAllocationFree(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		p := New(workers)
+		counts := make([]int, 2*serialCutoff)
+		for c := range counts {
+			counts[c] = c % 3
+		}
+		start := cellLayout(counts)
+		var sink [8]int
+		bg := func() { sink[7]++ }
+		f := func(w, lo, hi int) { sink[w] += hi - lo }
+		if avg := testing.AllocsPerRun(50, func() {
+			p.Go(bg)
+			p.ForIdx(4*serialCutoff, f)
+			p.ForCells(start, f)
+			p.Join()
+		}); avg != 0 {
+			t.Errorf("workers=%d: Go+ForIdx+ForCells+Join allocates %.2f times, want 0", workers, avg)
+		}
+	}
+}

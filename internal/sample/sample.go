@@ -87,14 +87,15 @@ func AddFlow[F kernel.Float](a *Accumulator, st *particle.Store[F]) {
 // layout the step's sort produces): cell c's particles are the contiguous
 // store indices [cellStart[c], cellStart[c+1]), so each cell's moments
 // stream a contiguous slice of every column. parFor shards the cell range
-// (pass a serial loop or a worker pool's For); workers touch disjoint
-// cells and the per-cell summation order follows the store order, so the
-// accumulation is race-free and bit-identical for any sharding.
+// given the bucket boundaries (pass a serial loop or a worker pool's
+// ForCells); workers touch disjoint cells and the per-cell summation order
+// follows the store order, so the accumulation is race-free and
+// bit-identical for any sharding.
 //
 //dsmc:hotpath
-func AddFlowCellMajor[F kernel.Float](a *Accumulator, st *particle.Store[F], cellStart []int32, parFor func(n int, f func(lo, hi int))) {
+func AddFlowCellMajor[F kernel.Float](a *Accumulator, st *particle.Store[F], cellStart []int32, parFor func(start []int32, f func(w, clo, chi int))) {
 	//dsmclint:allow hotpath-alloc one closure per sample call (not per particle); the capture set varies per call so it cannot be prebuilt here
-	parFor(len(cellStart)-1, func(clo, chi int) {
+	parFor(cellStart, func(_, clo, chi int) {
 		for c := clo; c < chi; c++ {
 			lo, hi := int(cellStart[c]), int(cellStart[c+1])
 			if lo == hi {

@@ -355,15 +355,16 @@ func cellMajorStore[F kernel.Float](cells int, seed uint64) (*particle.Store[F],
 func addFlowOracle[F kernel.Float](t *testing.T) {
 	const cells = 700
 	st, cellStart := cellMajorStore[F](cells, 77)
-	serial := func(n int, f func(lo, hi int)) { f(0, n) }
-	sharded := func(n int, f func(lo, hi int)) {
+	serial := func(start []int32, f func(w, lo, hi int)) { f(0, 0, len(start)-1) }
+	sharded := func(start []int32, f func(w, lo, hi int)) {
 		// Uneven shards, run out of order: the sums may not depend on it.
+		n := len(start) - 1
 		cuts := []int{0, 1, 2, n / 3, n/3 + 1, n - 1, n}
 		for k := len(cuts) - 1; k > 0; k-- {
-			f(cuts[k-1], cuts[k])
+			f(k-1, cuts[k-1], cuts[k])
 		}
 	}
-	for name, parFor := range map[string]func(int, func(lo, hi int)){"serial": serial, "sharded": sharded} {
+	for name, parFor := range map[string]func([]int32, func(w, lo, hi int)){"serial": serial, "sharded": sharded} {
 		want := NewAccumulatorCells(cells, nil, 1)
 		got := NewAccumulatorCells(cells, nil, 1)
 		for snap := 0; snap < 3; snap++ { // later snapshots add onto non-zero sums

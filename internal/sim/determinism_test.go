@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -148,5 +149,64 @@ func TestWorkersDefaultResolved(t *testing.T) {
 	s.Run(5)
 	if s.Collisions() == 0 {
 		t.Error("no collisions with default workers")
+	}
+}
+
+// TestCheckpointBytesAcrossWorkers compares the whole state, not a hash
+// of part of it: the checkpoint carries the store, the plunger, the
+// reservoir's velocities and the serial stream, so a reservoir relaxation
+// that raced the step's passes or drew out of order shows here even where
+// the flow has not yet felt it. The paper grid at low density crosses
+// par's serial cutoff in particles and in cells, so every sharded pass and
+// the background relaxation take their concurrent paths, and the run
+// spans at least two plunger refills, which withdraw from the relaxed
+// reservoir.
+func TestCheckpointBytesAcrossWorkers(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"specular", func(c *Config) {}},
+		{"diffuse-isothermal", func(c *Config) {
+			c.Wall = geom.DiffuseState{Model: geom.DiffuseIsothermal, WallCm: c.Free.Cm}
+		}},
+		{"vibrational", func(c *Config) { c.ZVib = 5 }},
+	}
+	const steps = 30
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []byte
+			for _, workers := range []int{1, 2, 3, 8} {
+				cfg := DefaultConfig(1)
+				cfg.NPerCell = 2
+				cfg.Seed = 23
+				cfg.Workers = workers
+				tc.mutate(&cfg)
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				refills := 0
+				for k := 0; k < steps; k++ {
+					if stepRefilled(s) {
+						refills++
+					}
+				}
+				if refills < 2 {
+					t.Fatalf("workers=%d: %d plunger refills in %d steps, want at least 2", workers, refills, steps)
+				}
+				var buf bytes.Buffer
+				if err := s.WriteCheckpoint(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = buf.Bytes()
+					continue
+				}
+				if !bytes.Equal(buf.Bytes(), want) {
+					t.Fatalf("workers=%d: checkpoint differs from one worker's (%d vs %d bytes)", workers, buf.Len(), len(want))
+				}
+			}
+		})
 	}
 }

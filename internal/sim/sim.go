@@ -64,8 +64,10 @@ type Config struct {
 	ZVib float64
 	// Workers is the CPU worker count the phases are sharded over
 	// (move/boundary over contiguous particle chunks, sort scatter over
-	// particle chunks, shuffle/select/collide/sample over cell ranges).
-	// 0 selects runtime.NumCPU(). Results are bit-identical for any
+	// particle chunks, shuffle/select/collide/sample over cell ranges of
+	// about equal particle count); beyond one worker the reservoir relaxes
+	// on the pool beside the sort, select and collide passes. 0 selects
+	// runtime.NumCPU(). Results are bit-identical for any
 	// worker count: every cell (and, at diffuse walls, every particle)
 	// draws from its own counter-based stream keyed by (seed, step,
 	// phase, index) rather than from a shared sequential stream.
@@ -360,8 +362,11 @@ func (d *wedgeDomain[F]) PostMove() {
 	}
 }
 
-// PostStep relaxes the reservoir bath one step.
-func (d *wedgeDomain[F]) PostStep() { d.res.Relax(&d.r) }
+// Relax relaxes the reservoir bath one step. It runs beside the sort,
+// select and collide passes (see engine.Domain): it touches only the
+// reservoir and the serial stream d.r, which those passes never read, so
+// d.r's draws keep their order — PostMove, Relax, the next PostMove.
+func (d *wedgeDomain[F]) Relax() { d.res.Relax(&d.r) }
 
 // depositToReservoir moves particle i into the reservoir (velocity is
 // re-drawn there from the rectangular distribution). The resolved

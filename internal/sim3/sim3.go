@@ -288,8 +288,8 @@ func (t *tubeDomain[F]) Boundary(st *particle.Store[F], _, lo, hi int) {
 // PostMove is a no-op: the shock tube is closed, no particle ever leaves.
 func (t *tubeDomain[F]) PostMove() {}
 
-// PostStep is a no-op: there is no reservoir.
-func (t *tubeDomain[F]) PostStep() {}
+// Relax is a no-op: there is no reservoir.
+func (t *tubeDomain[F]) Relax() {}
 
 // DensityProfile returns the particle density along x (averaged over the
 // cross-section), normalised by the initial density.
