@@ -191,7 +191,7 @@ func TestChaosWorkerKill(t *testing.T) {
 	// The chaos worker runs alone first so it deterministically leases a
 	// job, checkpoints (every 8 steps), and dies at step 32.
 	chaotic := exec.Command(bin, "-worker", "-coord", ts.URL, "-worker-id", "chaotic",
-		"-heartbeat", "200ms", "-chaos-kill-after-steps", "32")
+		"-chaos-kill-after-steps", "32")
 	if err := chaotic.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestChaosWorkerKill(t *testing.T) {
 	// Healthy workers finish the sweep, resuming the dead worker's job
 	// once its lease expires.
 	for _, wid := range []string{"healthy-1", "healthy-2"} {
-		w := exec.Command(bin, "-worker", "-coord", ts.URL, "-worker-id", wid, "-heartbeat", "200ms")
+		w := exec.Command(bin, "-worker", "-coord", ts.URL, "-worker-id", wid)
 		if err := w.Start(); err != nil {
 			t.Fatal(err)
 		}

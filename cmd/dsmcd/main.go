@@ -75,9 +75,11 @@
 //	dsmcd -addr :8077 -data /var/lib/dsmcd &     # coordinator + embedded workers
 //	dsmcd -worker -coord http://host:8077 &      # extra pull-worker, any machine
 //
-// A worker whose heartbeats stop (crash, partition) loses its lease; the
-// coordinator redispatches the job and the next worker resumes from the
-// last uploaded checkpoint, bit-identical to a never-failed run. A job
+// Every worker heartbeats at an eighth of the lease's TTL, so -lease-ttl
+// alone sets the pace (1.875 s at the default 15 s). A worker whose
+// heartbeats stop (crash, partition) loses its lease; the coordinator
+// redispatches the job and the next worker resumes from the last
+// uploaded checkpoint, bit-identical to a never-failed run. A job
 // that exhausts -max-retries dispatches fails the sweep, skipping what is
 // left by the in-process executor's rule (one run.Table state machine
 // serves both). GET /coord/v1/workers reports the fleet.
@@ -167,8 +169,7 @@ func main() {
 	addr := flag.String("addr", ":8077", "listen address")
 	data := flag.String("data", "dsmcd-data", "data directory (specs, checkpoints, results)")
 	pool := flag.Int("pool", 0, "embedded worker count = max concurrent simulations (0 = NumCPU)")
-	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "job lease TTL; a worker silent this long loses its job")
-	heartbeat := flag.Duration("heartbeat", 2*time.Second, "worker heartbeat interval (must be well under the lease TTL)")
+	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "job lease TTL; a worker silent this long loses its job (workers heartbeat every TTL/8)")
 	maxRetries := flag.Int("max-retries", 3, "dispatch attempts per job before the sweep fails")
 	keepalive := flag.Duration("keepalive", 15*time.Second, "NDJSON event-stream keepalive interval")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 30*time.Second, "graceful shutdown deadline for the HTTP server")
@@ -187,7 +188,7 @@ func main() {
 	defer stop()
 
 	if *workerMode {
-		runWorker(ctx, *coordURL, *workerID, *heartbeat, coord.Chaos{
+		runWorker(ctx, *coordURL, *workerID, coord.Chaos{
 			KillAfterSteps: *chaosKill,
 			DropHeartbeats: *chaosDropHB,
 			FailUploads:    *chaosFailUploads,
@@ -199,7 +200,6 @@ func main() {
 		dataDir:     *data,
 		workers:     *pool,
 		leaseTTL:    *leaseTTL,
-		heartbeat:   *heartbeat,
 		maxRetries:  *maxRetries,
 		keepalive:   *keepalive,
 		pprof:       *pprofOn,
@@ -235,7 +235,7 @@ func main() {
 
 // runWorker is worker mode: pull jobs from a remote coordinator until
 // the process is signalled, then checkpoint, release, and exit.
-func runWorker(ctx context.Context, coordURL, id string, heartbeat time.Duration, chaos coord.Chaos) {
+func runWorker(ctx context.Context, coordURL, id string, chaos coord.Chaos) {
 	if id == "" {
 		host, _ := os.Hostname()
 		if host == "" {
@@ -246,11 +246,10 @@ func runWorker(ctx context.Context, coordURL, id string, heartbeat time.Duration
 	log.SetPrefix("dsmcd-worker: ")
 	log.Printf("worker %s pulling from %s", id, coordURL)
 	w := coord.NewWorker(coord.WorkerConfig{
-		ID:             id,
-		Queue:          &coord.HTTPQueue{Base: coordURL},
-		HeartbeatEvery: heartbeat,
-		Chaos:          chaos,
-		Logf:           log.Printf,
+		ID:    id,
+		Queue: &coord.HTTPQueue{Base: coordURL},
+		Chaos: chaos,
+		Logf:  log.Printf,
 	})
 	w.Run(ctx)
 	log.Printf("worker %s drained", id)

@@ -155,7 +155,6 @@ type serverOpts struct {
 	dataDir     string
 	workers     int           // embedded worker count (0 = NumCPU, < 0 = none: external workers only)
 	leaseTTL    time.Duration // coordinator lease TTL (0 = 15s)
-	heartbeat   time.Duration // embedded-worker heartbeat (0 = 2s)
 	maxRetries  int           // dispatch attempts per job (0 = 3)
 	keepalive   time.Duration // NDJSON keepalive interval (0 = 15s)
 	pprof       bool          // serve net/http/pprof under /debug/pprof/
@@ -210,10 +209,9 @@ func newServerWith(opts serverOpts) (*server, error) {
 	s.stopWorkers = cancel
 	for i := 0; i < opts.workers; i++ {
 		w := coord.NewWorker(coord.WorkerConfig{
-			ID:             fmt.Sprintf("embedded-%d", i),
-			Queue:          coord.LocalQueue{C: s.coord},
-			HeartbeatEvery: opts.heartbeat,
-			PollEvery:      25 * time.Millisecond,
+			ID:        fmt.Sprintf("embedded-%d", i),
+			Queue:     coord.LocalQueue{C: s.coord},
+			PollEvery: 25 * time.Millisecond,
 		})
 		s.workerWG.Add(1)
 		go func() {

@@ -141,9 +141,9 @@ func (sw *Sweep) Assemble(aggs []*run.Aggregate) *SweepResult {
 			Kind:          pl.kind,
 			Replicas:      agg.Replicas,
 			Fields:        make(map[Quantity]FieldStats, len(agg.Fields)),
-			ShockAngleDeg: ScalarStats(agg.ShockAngleDeg),
-			Collisions:    ScalarStats(agg.Collisions),
-			NFlow:         ScalarStats(agg.NFlow),
+			ShockAngleDeg: agg.ShockAngleDeg,
+			Collisions:    agg.Collisions,
+			NFlow:         agg.NFlow,
 			plan:          pl,
 		}
 		for q, fs := range agg.Fields {

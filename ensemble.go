@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"slices"
+	"strings"
 
 	"dsmc/internal/grid"
 	"dsmc/internal/run"
@@ -14,26 +16,27 @@ import (
 
 // SweepPoint is one point of a parameter sweep: a name plus optional
 // overrides applied to the sweep's base scenario. Nil fields keep the
-// base value, so a point only states what it varies. Overriding a knob
-// the base scenario does not have (e.g. WedgeAngleDeg on a shock tube,
-// or GridNZ on a 2D tunnel) is a validation error.
+// base value, so a point only states what it varies. Each override's
+// knob tag names the scenario field it sets; a point may override any
+// knob its base scenario has, and overriding one it lacks (e.g.
+// wedge_angle_deg on a shock tube, or grid_nz on a 2D tunnel) is a
+// validation error. Adding a knob is adding one tagged field.
 type SweepPoint struct {
 	Name             string   `json:"name"`
-	Mach             *float64 `json:"mach,omitempty"`
-	MeanFreePath     *float64 `json:"mean_free_path,omitempty"`
-	ParticlesPerCell *float64 `json:"particles_per_cell,omitempty"`
-	ThermalSpeed     *float64 `json:"thermal_speed,omitempty"`
-	// WedgeAngleDeg overrides the (first) wedge's ramp angle; the base
-	// scenario must have a wedge.
-	WedgeAngleDeg *float64 `json:"wedge_angle_deg,omitempty"`
+	Mach             *float64 `json:"mach,omitempty" knob:"Mach"`
+	MeanFreePath     *float64 `json:"mean_free_path,omitempty" knob:"MeanFreePath"`
+	ParticlesPerCell *float64 `json:"particles_per_cell,omitempty" knob:"ParticlesPerCell"`
+	ThermalSpeed     *float64 `json:"thermal_speed,omitempty" knob:"ThermalSpeed"`
+	// WedgeAngleDeg overrides the (first) wedge's ramp angle.
+	WedgeAngleDeg *float64 `json:"wedge_angle_deg,omitempty" knob:"Wedge.AngleDeg"`
 	// GridNX/GridNY/GridNZ override the grid shape — points of one sweep
 	// may run different grids, and the aggregate carries per-point field
 	// shapes. GridNZ applies to 3D scenarios only.
-	GridNX *int `json:"grid_nx,omitempty"`
-	GridNY *int `json:"grid_ny,omitempty"`
-	GridNZ *int `json:"grid_nz,omitempty"`
+	GridNX *int `json:"grid_nx,omitempty" knob:"GridNX"`
+	GridNY *int `json:"grid_ny,omitempty" knob:"GridNY"`
+	GridNZ *int `json:"grid_nz,omitempty" knob:"GridNZ"`
 	// PistonSpeed overrides the 3D shock tube's piston speed.
-	PistonSpeed *float64 `json:"piston_speed,omitempty"`
+	PistonSpeed *float64 `json:"piston_speed,omitempty" knob:"PistonSpeed"`
 }
 
 // SweepSpec describes an ensemble or parameter sweep: a base scenario,
@@ -127,13 +130,7 @@ func (spec *SweepSpec) SampledQuantities() []Quantity {
 // ScalarStats is a cross-replica mean/variance with its 95% confidence
 // half-width (normal approximation). Dropped counts replicas whose
 // measurement was undefined (e.g. no shock front found).
-type ScalarStats struct {
-	Mean     float64 `json:"mean"`
-	Variance float64 `json:"variance"`
-	CI95     float64 `json:"ci95"`
-	N        int     `json:"n"`
-	Dropped  int     `json:"dropped,omitempty"`
-}
+type ScalarStats = run.ScalarStats
 
 // FieldStats carries per-cell cross-replica statistics of a sampled
 // field, row-major over the grid like Field.Data, with the point's own
@@ -233,84 +230,42 @@ type SweepStatus struct {
 	MaxHeartbeatAgeSec float64 `json:"max_heartbeat_age_sec"`
 }
 
-// errOverride formats the standard knob-not-in-scenario error.
-func errOverride(point, knob, kind string) error {
-	return fmt.Errorf("dsmc: point %q overrides %s but the base scenario (%s) has no such knob", point, knob, kind)
-}
-
 // applyPoint returns a copy of the base scenario with the point's
-// overrides applied; overrides the scenario cannot express are errors.
+// overrides set along their knob paths; an override whose path the
+// scenario lacks is an error.
 func applyPoint(base Scenario, p SweepPoint) (Scenario, error) {
-	reject3D := func(kind string) error {
-		if p.GridNZ != nil {
-			return errOverride(p.Name, "GridNZ", kind)
+	sc := reflect.New(reflect.TypeOf(base)).Elem()
+	sc.Set(reflect.ValueOf(base))
+	pv := reflect.ValueOf(p)
+	for i := range pv.NumField() {
+		f := pv.Type().Field(i)
+		path, v := f.Tag.Get("knob"), pv.Field(i)
+		if path == "" || v.IsNil() {
+			continue
 		}
-		if p.PistonSpeed != nil {
-			return errOverride(p.Name, "PistonSpeed", kind)
+		dst, ok := knobField(sc, path, f.Type.Elem())
+		if !ok {
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			return nil, fmt.Errorf("dsmc: point %q overrides %s but the base scenario (%s) has no such knob", p.Name, name, base.Kind())
 		}
-		return nil
+		dst.Set(v.Elem())
 	}
-	switch sc := base.(type) {
-	case WedgeTunnel2D:
-		if err := reject3D(sc.Kind()); err != nil {
-			return nil, err
-		}
-		p.applyCommon(&sc.Mach, &sc.MeanFreePath, &sc.ParticlesPerCell, &sc.ThermalSpeed, &sc.GridNX, &sc.GridNY)
-		applyF(&sc.Wedge.AngleDeg, p.WedgeAngleDeg)
-		return sc, nil
-	case EmptyTunnel2D:
-		if err := reject3D(sc.Kind()); err != nil {
-			return nil, err
-		}
-		if p.WedgeAngleDeg != nil {
-			return nil, errOverride(p.Name, "the wedge angle", sc.Kind())
-		}
-		p.applyCommon(&sc.Mach, &sc.MeanFreePath, &sc.ParticlesPerCell, &sc.ThermalSpeed, &sc.GridNX, &sc.GridNY)
-		return sc, nil
-	case DoubleWedge2D:
-		if err := reject3D(sc.Kind()); err != nil {
-			return nil, err
-		}
-		p.applyCommon(&sc.Mach, &sc.MeanFreePath, &sc.ParticlesPerCell, &sc.ThermalSpeed, &sc.GridNX, &sc.GridNY)
-		applyF(&sc.Wedge.AngleDeg, p.WedgeAngleDeg)
-		return sc, nil
-	case ShockTube3D:
-		if p.Mach != nil {
-			return nil, errOverride(p.Name, "Mach", sc.Kind())
-		}
-		if p.WedgeAngleDeg != nil {
-			return nil, errOverride(p.Name, "the wedge angle", sc.Kind())
-		}
-		p.applyCommon(nil, &sc.MeanFreePath, &sc.ParticlesPerCell, &sc.ThermalSpeed, &sc.GridNX, &sc.GridNY)
-		applyF(&sc.PistonSpeed, p.PistonSpeed)
-		applyI(&sc.GridNZ, p.GridNZ)
-		return sc, nil
-	}
-	return nil, fmt.Errorf("dsmc: point %q: base scenario kind %q cannot be swept", p.Name, base.Kind())
+	return sc.Interface().(Scenario), nil
 }
 
-// applyCommon applies the overrides every scenario shares onto the
-// destination fields; a nil destination means the scenario has no such
-// knob (the caller rejects the override explicitly before this runs).
-func (p SweepPoint) applyCommon(mach, meanFreePath, particlesPerCell, thermalSpeed *float64, gridNX, gridNY *int) {
-	applyF(mach, p.Mach)
-	applyF(meanFreePath, p.MeanFreePath)
-	applyF(particlesPerCell, p.ParticlesPerCell)
-	applyF(thermalSpeed, p.ThermalSpeed)
-	applyI(gridNX, p.GridNX)
-	applyI(gridNY, p.GridNY)
-}
-
-func applyF(dst *float64, v *float64) {
-	if dst != nil && v != nil {
-		*dst = *v
+// knobField resolves a dotted field path (e.g. "Wedge.AngleDeg") in a
+// scenario struct value; ok is false when the struct has no field there
+// or the field is not of type t.
+func knobField(v reflect.Value, path string, t reflect.Type) (reflect.Value, bool) {
+	for name := range strings.SplitSeq(path, ".") {
+		if v.Kind() != reflect.Struct {
+			return reflect.Value{}, false
+		}
+		if v = v.FieldByName(name); !v.IsValid() {
+			return v, false
+		}
 	}
-}
-
-func applyI(dst *int, v *int) {
-	if dst != nil && v != nil {
-		*dst = *v
-	}
+	return v, v.Type() == t
 }
 
 // Sweep is a SweepSpec lowered and validated once: the job list, the

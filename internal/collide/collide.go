@@ -155,12 +155,3 @@ func clamp01(p float64) float64 {
 	}
 	return p
 }
-
-// MeanFreePathEstimate inverts the rule at freestream conditions: the
-// mean free path implied by PInf is c̄∞/P∞ per unit time step.
-func (r Rule) MeanFreePathEstimate(meanSpeed float64) float64 {
-	if r.PInf <= 0 {
-		return math.Inf(1)
-	}
-	return meanSpeed / r.PInf
-}

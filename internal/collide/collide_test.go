@@ -144,16 +144,6 @@ func TestRuleDegenerateCells(t *testing.T) {
 	}
 }
 
-func TestMeanFreePathEstimate(t *testing.T) {
-	rule := Rule{PInf: 0.25}
-	if got := rule.MeanFreePathEstimate(0.125); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("lambda = %v, want 0.5", got)
-	}
-	if !math.IsInf(Rule{}.MeanFreePathEstimate(1), 1) {
-		t.Errorf("PInf=0 implies infinite mean free path")
-	}
-}
-
 func TestVHSIsotropicConserves(t *testing.T) {
 	r := rng.NewStream(5)
 	for i := 0; i < 2000; i++ {

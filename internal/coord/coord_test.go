@@ -444,7 +444,7 @@ func TestWorkersEndToEnd(t *testing.T) {
 		res *dsmc.SweepResult
 		err error
 	}, 1)
-	c := New(Config{LeaseTTL: 30 * time.Second, OnEvent: log.add})
+	c := New(Config{LeaseTTL: time.Second, OnEvent: log.add})
 	err = c.AddSweep("sw", sweepOf(t, spec), func(res *dsmc.SweepResult, err error) {
 		done <- struct {
 			res *dsmc.SweepResult
@@ -460,11 +460,10 @@ func TestWorkersEndToEnd(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		cfg := WorkerConfig{
-			ID:             map[int]string{0: "flaky", 1: "steady"}[i],
-			Queue:          LocalQueue{c},
-			HeartbeatEvery: 50 * time.Millisecond,
-			PollEvery:      10 * time.Millisecond,
-			RetryBase:      5 * time.Millisecond,
+			ID:        map[int]string{0: "flaky", 1: "steady"}[i],
+			Queue:     LocalQueue{c},
+			PollEvery: 10 * time.Millisecond,
+			RetryBase: 5 * time.Millisecond,
 		}
 		if i == 0 {
 			cfg.Chaos = Chaos{FailUploads: 2}
@@ -519,7 +518,7 @@ func TestGracefulReleaseResume(t *testing.T) {
 		res *dsmc.SweepResult
 		err error
 	}, 1)
-	c := New(Config{LeaseTTL: 30 * time.Second, OnEvent: log.add})
+	c := New(Config{LeaseTTL: time.Second, OnEvent: log.add})
 	err = c.AddSweep("sw", sweepOf(t, spec), func(res *dsmc.SweepResult, err error) {
 		done <- struct {
 			res *dsmc.SweepResult
@@ -540,8 +539,7 @@ func TestGracefulReleaseResume(t *testing.T) {
 				once.Do(func() { close(started) })
 			}
 		}},
-		HeartbeatEvery: 20 * time.Millisecond, PollEvery: 5 * time.Millisecond,
-		RetryBase: 5 * time.Millisecond,
+		PollEvery: 5 * time.Millisecond, RetryBase: 5 * time.Millisecond,
 	})
 	w1done := make(chan struct{})
 	go func() {
@@ -568,8 +566,7 @@ func TestGracefulReleaseResume(t *testing.T) {
 	defer cancel2()
 	w2 := NewWorker(WorkerConfig{
 		ID: "finisher", Queue: LocalQueue{c},
-		HeartbeatEvery: 20 * time.Millisecond, PollEvery: 5 * time.Millisecond,
-		RetryBase: 5 * time.Millisecond,
+		PollEvery: 5 * time.Millisecond, RetryBase: 5 * time.Millisecond,
 	})
 	w2done := make(chan struct{})
 	go func() {
@@ -730,6 +727,41 @@ func TestRefusedOutputFailsOnce(t *testing.T) {
 		}
 	}
 	t.Errorf("no job-failed for %s", l.Job)
+}
+
+// TestMalformedLeaseFails: a lease without a positive TTL cannot pace
+// heartbeats (a ticker panics on one). The worker runs nothing and
+// reports the job failed once, naming the lease as malformed.
+func TestMalformedLeaseFails(t *testing.T) {
+	for _, ttl := range []int64{0, -1500} {
+		var log eventLog
+		c := New(Config{LeaseTTL: 30 * time.Second, MaxAttempts: 1, OnEvent: log.add})
+		if err := c.AddSweep("sw", sweepOf(t, tinySpec()), nil); err != nil {
+			t.Fatal(err)
+		}
+		var completes, fails atomic.Int32
+		w := NewWorker(WorkerConfig{
+			ID:        "w1",
+			Queue:     refusingQueue{LocalQueue{c}, &completes, &fails},
+			RetryBase: time.Millisecond,
+		})
+		l := mustPoll(t, c, "w1")
+		l.TTLMillis = ttl
+		w.runJob(context.Background(), l)
+		if completes.Load() != 0 || fails.Load() != 1 {
+			t.Fatalf("ttl %d: %d completions and %d failures sent, want 0 and 1", ttl, completes.Load(), fails.Load())
+		}
+		if n := log.count("job-failed", l.Job); n != 1 {
+			t.Fatalf("ttl %d: %d job-failed events, want 1", ttl, n)
+		}
+		log.mu.Lock()
+		for _, e := range log.events {
+			if e.Type == "job-failed" && !strings.Contains(e.Err, "malformed lease") {
+				t.Errorf("ttl %d: job-failed names %q, not the malformed lease", ttl, e.Err)
+			}
+		}
+		log.mu.Unlock()
+	}
 }
 
 // TestLeaseFenceAcrossRestart: a coordinator restarted over the same spec

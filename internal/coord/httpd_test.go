@@ -36,7 +36,7 @@ func TestHTTPTransport(t *testing.T) {
 		res *dsmc.SweepResult
 		err error
 	}, 1)
-	c := New(Config{LeaseTTL: 30 * time.Second})
+	c := New(Config{LeaseTTL: time.Second})
 	err = c.AddSweep("sw", sweepOf(t, spec), func(res *dsmc.SweepResult, err error) {
 		done <- struct {
 			res *dsmc.SweepResult
@@ -55,11 +55,10 @@ func TestHTTPTransport(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		w := NewWorker(WorkerConfig{
-			ID:             []string{"h1", "h2"}[i],
-			Queue:          q,
-			HeartbeatEvery: 50 * time.Millisecond,
-			PollEvery:      10 * time.Millisecond,
-			RetryBase:      5 * time.Millisecond,
+			ID:        []string{"h1", "h2"}[i],
+			Queue:     q,
+			PollEvery: 10 * time.Millisecond,
+			RetryBase: 5 * time.Millisecond,
 		})
 		wg.Add(1)
 		go func() {

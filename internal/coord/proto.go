@@ -75,8 +75,9 @@ var (
 
 // Lease is a dispatched job: the sweep spec to lower, the (point,
 // replica) coordinates to run, and the lease the worker must present on
-// every subsequent call. TTLMillis tells the worker how often it must
-// heartbeat to keep the lease alive (heartbeat interval ≪ TTL).
+// every subsequent call. TTLMillis is how long the lease survives
+// without a heartbeat; the worker heartbeats at an eighth of it, and
+// fails a lease whose TTL is not positive as malformed.
 type Lease struct {
 	Sweep         string          `json:"sweep"`
 	Job           string          `json:"job"`

@@ -61,26 +61,30 @@ func (q LocalQueue) Fail(_ context.Context, l *Lease, msg string) error {
 type WorkerConfig struct {
 	ID    string
 	Queue Queue
-	// HeartbeatEvery is the lease-renewal interval (default 2s); it must
-	// be well under the coordinator's lease TTL. Progress changes also
-	// heartbeat immediately, so event streams track chunk completions.
-	HeartbeatEvery time.Duration
 	// PollEvery is the idle re-poll interval (default 250ms), jittered to
 	// decorrelate a fleet.
 	PollEvery time.Duration
-	// IOTimeout bounds each coordinator call made outside the worker's
-	// run context — checkpoint uploads, completion, release — so shutdown
-	// still flushes state but cannot hang (default 15s).
-	IOTimeout time.Duration
-	// RetryBase/RetryMax shape the jittered exponential backoff on
-	// transient coordinator errors (defaults 100ms / 5s, 6 attempts).
+	// RetryBase is the first delay of the jittered exponential backoff on
+	// transient coordinator errors (default 100ms; doubling up to
+	// retryMax, 6 attempts).
 	RetryBase time.Duration
-	RetryMax  time.Duration
 	// Chaos injects faults for testing; the zero value injects nothing.
 	Chaos Chaos
 	// Logf, when non-nil, receives worker lifecycle lines.
 	Logf func(format string, args ...any)
 }
+
+const (
+	// ioTimeout bounds each coordinator call made outside the worker's
+	// run context — checkpoint uploads, completion, release — so shutdown
+	// still flushes state but cannot hang.
+	ioTimeout = 15 * time.Second
+	// retryMax caps the backoff between retries.
+	retryMax = 5 * time.Second
+	// heartbeatsPerTTL is how many heartbeats a worker sends per lease
+	// TTL: a lease survives seven lost or late ones.
+	heartbeatsPerTTL = 8
+)
 
 // maxTraceBatch bounds the flight-recorder records a single heartbeat
 // carries; older records are dropped, keeping heartbeats small.
@@ -97,20 +101,11 @@ type Worker struct {
 
 // NewWorker builds a worker; defaults are filled in.
 func NewWorker(cfg WorkerConfig) *Worker {
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = 2 * time.Second
-	}
 	if cfg.PollEvery <= 0 {
 		cfg.PollEvery = 250 * time.Millisecond
 	}
-	if cfg.IOTimeout <= 0 {
-		cfg.IOTimeout = 15 * time.Second
-	}
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 100 * time.Millisecond
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = 5 * time.Second
 	}
 	w := &Worker{cfg: cfg}
 	w.chaosUploadsLeft.Store(int32(cfg.Chaos.FailUploads))
@@ -153,6 +148,14 @@ func (w *Worker) runJob(ctx context.Context, l *Lease) {
 	mWorkerJobs.Inc()
 	chaotic := w.jobsSeen == 1 // fault injection targets a worker's first job
 
+	// The lease comes from outside the process: one whose TTL cannot pace
+	// heartbeats is reported failed, not run.
+	if l.TTLMillis <= 0 {
+		_ = w.retry(ctx, func(c context.Context) error {
+			return w.cfg.Queue.Fail(c, l, fmt.Sprintf("malformed lease: ttl %d ms", l.TTLMillis))
+		})
+		return
+	}
 	var spec dsmc.SweepSpec
 	if err := json.Unmarshal(l.Spec, &spec); err != nil {
 		_ = w.retry(ctx, func(c context.Context) error {
@@ -188,7 +191,7 @@ func (w *Worker) runJob(ctx context.Context, l *Lease) {
 		if chaotic && w.cfg.Chaos.DropHeartbeats {
 			return
 		}
-		hbCtx, cancelHB := context.WithTimeout(context.Background(), w.cfg.IOTimeout)
+		hbCtx, cancelHB := context.WithTimeout(context.Background(), ioTimeout)
 		status, err := w.cfg.Queue.Heartbeat(hbCtx, Heartbeat{
 			Worker: w.cfg.ID, Sweep: l.Sweep, Job: l.Job, Lease: l.LeaseID,
 			StepsDone: done, StepsTotal: l.StepsTotal,
@@ -203,13 +206,15 @@ func (w *Worker) runJob(ctx context.Context, l *Lease) {
 	}
 
 	// The ticker covers quiet phases between progress callbacks (large
-	// chunks, slow steps); progress callbacks heartbeat immediately.
+	// chunks, slow steps); progress callbacks heartbeat immediately. It
+	// ticks at a fixed fraction of the lease's TTL, so the coordinator's
+	// TTL alone sets the pace.
 	hbStop := make(chan struct{})
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
 	go func() {
 		defer hbWG.Done()
-		t := time.NewTicker(w.cfg.HeartbeatEvery)
+		t := time.NewTicker(time.Duration(l.TTLMillis) * time.Millisecond / heartbeatsPerTTL)
 		defer t.Stop()
 		for {
 			select {
@@ -339,7 +344,7 @@ func (s *queueCkpt) Discard() error { return nil }
 func (w *Worker) retry(ctx context.Context, op func(context.Context) error) error {
 	var err error
 	for attempt := 0; attempt < 6; attempt++ {
-		ioCtx, cancel := context.WithTimeout(ctx, w.cfg.IOTimeout)
+		ioCtx, cancel := context.WithTimeout(ctx, ioTimeout)
 		err = op(ioCtx)
 		cancel()
 		if err == nil || errors.Is(err, ErrStaleLease) || errors.Is(err, ErrUnknown) || errors.Is(err, ErrBadOutput) {
@@ -355,16 +360,14 @@ func (w *Worker) retry(ctx context.Context, op func(context.Context) error) erro
 }
 
 // backoff returns base·2^(n-1) plus up to 100% jitter, capped at
-// RetryMax. Jitter decorrelates a worker fleet hammering a coordinator
+// retryMax. Jitter decorrelates a worker fleet hammering a coordinator
 // that just came back.
 func (w *Worker) backoff(n int) time.Duration {
 	d := w.cfg.RetryBase
-	for i := 1; i < n && d < w.cfg.RetryMax; i++ {
+	for i := 1; i < n && d < retryMax; i++ {
 		d *= 2
 	}
-	if d > w.cfg.RetryMax {
-		d = w.cfg.RetryMax
-	}
+	d = min(d, retryMax)
 	return d + jitter(d)
 }
 

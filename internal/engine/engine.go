@@ -98,8 +98,8 @@ type StreamLayout struct {
 	NumDomains uint64
 	// Sort is the in-cell shuffle domain (lane = cell).
 	Sort uint64
-	// Select is the candidate-selection domain (lane = cell); unused
-	// when FusedSelect is set.
+	// Select is the candidate-selection domain (lane = cell). Equal to
+	// Collide, it selects the fused style (see fused).
 	Select uint64
 	// Collide is the collision domain (lane = cell). Fused backends draw
 	// the selection probabilities from this stream too, interleaved with
@@ -109,6 +109,15 @@ type StreamLayout struct {
 	// only consumed by domains with randomized boundaries.
 	Wall uint64
 }
+
+// fused reports whether selection draws from the collide stream, which
+// fixes the select+collide style. Fused (the 3D backend's), selection
+// and collision draw interleaved from the Collide stream of each cell in
+// one pass. Split (the 2D backend's), selection streams all pairs of a
+// shard first (recording picks) and collision revisits them with the
+// separate Collide stream, which also yields the select/collide timing
+// split.
+func (l StreamLayout) fused() bool { return l.Select == l.Collide }
 
 // Domain supplies the dimension-specific parts of the pipeline. PreMove
 // and PostMove run serially on the stepping goroutine; Boundary runs
@@ -157,15 +166,9 @@ type Config struct {
 	// Vols are the per-cell gas volumes entering the selection rule;
 	// nil means unit volumes everywhere.
 	Vols []float64
-	// Layout is the backend's stream-domain encoding.
+	// Layout is the backend's stream-domain encoding; it also fixes the
+	// select+collide style (StreamLayout.fused).
 	Layout StreamLayout
-	// FusedSelect selects the single-pass select+collide style (the 3D
-	// backend's): selection and collision draw interleaved from the
-	// Collide stream of each cell. Off, selection streams all pairs of a
-	// shard first (recording picks) and collision revisits them with the
-	// separate Collide stream — the 2D backend's style, which also
-	// yields the select/collide timing split.
-	FusedSelect bool
 	// ZVib enables vibrational relaxation when positive: each collision
 	// exchanges energy with the pair's continuous vibrational
 	// reservoirs with probability 1/ZVib.
@@ -251,7 +254,7 @@ func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store, shado
 		// spans hold one cell's pairs at a time and grow (rarely) past the
 		// pre-size the same way; a rule that is one probability per cell
 		// never reads a speed.
-		if !cfg.FusedSelect {
+		if !cfg.Layout.fused() {
 			e.picksW[b] = make([]pairPick, 0, capacity/(2*w)+64)
 		}
 		if !cellConstant {
@@ -263,7 +266,7 @@ func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store, shado
 	e.colls = make([]int64, w)
 	e.fnMoveBound = e.moveBoundShard
 	e.fnRelax = dom.Relax
-	if cfg.FusedSelect {
+	if cfg.Layout.fused() {
 		e.fnSelCol = e.selColFusedShard
 	} else {
 		e.fnSelCol = e.selColSplitShard
@@ -291,9 +294,6 @@ func (e *Engine[F]) PhaseStream(domain uint64, lane int) rng.Stream {
 // Step rather than holding it across steps.
 func (e *Engine[F]) Store() *particle.Store[F] { return e.store }
 
-// Pool returns the phase worker pool.
-func (e *Engine[F]) Pool() *par.Pool { return e.pool }
-
 // Workers returns the resolved worker count of the phase pool.
 func (e *Engine[F]) Workers() int { return e.pool.Workers() }
 
@@ -302,9 +302,6 @@ func (e *Engine[F]) StepCount() int { return e.step }
 
 // Collisions returns the cumulative number of collisions performed.
 func (e *Engine[F]) Collisions() int64 { return e.collisions }
-
-// Rule returns the active selection rule.
-func (e *Engine[F]) Rule() collide.Rule { return e.cfg.Rule }
 
 // RestoreCounters resets the step and collision counters to a
 // checkpointed value. The caller must also restore the store contents
@@ -318,9 +315,6 @@ func (e *Engine[F]) RestoreCounters(step int, collisions int64) {
 	// and a backward jump must not wrap the per-step counter delta.
 	e.prevColl = collisions
 }
-
-// CellCounts returns the per-cell particle counts of the latest sort.
-func (e *Engine[F]) CellCounts() []int32 { return e.sorter.Counts() }
 
 // CellStart returns the cell-major bucket boundaries of the latest sort:
 // cell c's particles are store indices [CellStart()[c], CellStart()[c+1]).
@@ -525,7 +519,7 @@ func (e *Engine[F]) vol(c int) float64 {
 //dsmc:hotpath
 func (e *Engine[F]) selectAndCollide() {
 	nc := e.cfg.Cells
-	if e.cfg.FusedSelect {
+	if e.cfg.Layout.fused() {
 		// Single-pass style: selection and collision interleave on one
 		// stream, so the timing cannot be split — book it all as collide.
 		t0 := now()

@@ -57,12 +57,6 @@ func (g Grid) CellOf(x, y float64) int {
 	return g.Index(ix, iy)
 }
 
-// Center returns the center of cell idx.
-func (g Grid) Center(idx int) (x, y float64) {
-	ix, iy := g.Coords(idx)
-	return float64(ix) + 0.5, float64(iy) + 0.5
-}
-
 // Volumes returns the gas-accessible volume (area, in 2D) of every cell:
 // 1 for free cells, the fractional volume for cells divided by a wedge,
 // and 0 for cells entirely inside a body. The paper notes this special

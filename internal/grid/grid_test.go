@@ -45,14 +45,6 @@ func TestCellOf(t *testing.T) {
 	}
 }
 
-func TestCenter(t *testing.T) {
-	g := New(10, 10)
-	x, y := g.Center(g.Index(3, 7))
-	if x != 3.5 || y != 7.5 {
-		t.Errorf("Center = %v,%v", x, y)
-	}
-}
-
 func TestNewPanicsOnBadDims(t *testing.T) {
 	defer func() {
 		if recover() == nil {

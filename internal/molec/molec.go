@@ -48,13 +48,6 @@ func VHS(omega float64) Model {
 	return Model{Name: "vhs", GExp: 2 - 2*omega, RotDOF: 2}
 }
 
-// Monatomic strips the rotational degrees of freedom from a model.
-func Monatomic(m Model) Model {
-	m.RotDOF = 0
-	m.Name = m.Name + "-monatomic"
-	return m
-}
-
 // Gamma returns the ratio of specific heats implied by the model's
 // degrees of freedom: (dof+2)/dof with dof = 3 + RotDOF.
 func (m Model) Gamma() float64 {

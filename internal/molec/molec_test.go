@@ -63,7 +63,7 @@ func TestGamma(t *testing.T) {
 	if got := Maxwell().Gamma(); math.Abs(got-1.4) > 1e-12 {
 		t.Errorf("diatomic gamma = %v, want 7/5", got)
 	}
-	if got := Monatomic(Maxwell()).Gamma(); math.Abs(got-5.0/3) > 1e-12 {
+	if got := (Model{}).Gamma(); math.Abs(got-5.0/3) > 1e-12 {
 		t.Errorf("monatomic gamma = %v, want 5/3", got)
 	}
 }

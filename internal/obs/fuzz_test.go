@@ -53,7 +53,7 @@ func fuzzRegistry(data []byte) (*Registry, int) {
 	r := NewRegistry()
 	series := 0
 	for fam := range int(b.byte() % 9) {
-		name, help, kind := fmt.Sprintf("m%d", fam), b.text(), b.byte()%4
+		name, help, kind := fmt.Sprintf("m%d", fam), b.text(), b.byte()%3
 		var upper []float64
 		for range int(b.byte() % 5) {
 			step := math.Abs(math.Float64frombits(b.word()))
@@ -87,10 +87,6 @@ func fuzzRegistry(data []byte) (*Registry, int) {
 				r.NewGauge(name, help, labels...).Set(math.Float64frombits(b.word()))
 				series++
 			case 2:
-				v := math.Float64frombits(b.word())
-				r.NewGaugeFunc(name, help, func() float64 { return v }, labels...)
-				series++
-			case 3:
 				h := r.NewHistogram(name, help, upper, labels...)
 				for range int(b.byte() % 8) {
 					h.Observe(math.Float64frombits(b.word()))

@@ -77,7 +77,6 @@ type child struct {
 	labels string // rendered, sorted; "" when unlabelled
 	c      *Counter
 	g      *Gauge
-	gf     func() float64
 	h      *Histogram
 }
 
@@ -240,14 +239,6 @@ func (g *Gauge) Add(delta float64) {
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// NewGaugeFunc registers a gauge whose value is computed at scrape
-// time by f. Use it for values that already live somewhere under a
-// lock (queue depths, worker counts) rather than mirroring them into
-// a stored gauge on every mutation.
-func (r *Registry) NewGaugeFunc(name, help string, f func() float64, labels ...L) {
-	r.register(name, help, typeGauge, child{labels: renderLabels(labels), gf: f})
-}
-
 // Histogram is a fixed-bucket histogram. Buckets are upper bounds in
 // ascending order; an implicit +Inf bucket is appended. Observe finds
 // the bucket by linear scan (bucket counts are small and fixed) and
@@ -359,8 +350,6 @@ func writeChild(b *strings.Builder, f *family, ch child) {
 		fmt.Fprintf(b, "%s%s %s\n", f.name, ch.labels, fmtVal(float64(ch.c.Value())))
 	case ch.g != nil:
 		fmt.Fprintf(b, "%s%s %s\n", f.name, ch.labels, fmtVal(ch.g.Value()))
-	case ch.gf != nil:
-		fmt.Fprintf(b, "%s%s %s\n", f.name, ch.labels, fmtVal(ch.gf()))
 	case ch.h != nil:
 		var cum uint64
 		for i, u := range ch.h.upper {
@@ -410,8 +399,6 @@ func (r *Registry) Snapshot(prefix string) []Sample {
 				out = append(out, Sample{f.name, ch.labels, float64(ch.c.Value())})
 			case ch.g != nil:
 				out = append(out, Sample{f.name, ch.labels, ch.g.Value()})
-			case ch.gf != nil:
-				out = append(out, Sample{f.name, ch.labels, ch.gf()})
 			case ch.h != nil:
 				out = append(out, Sample{f.name + "_sum", ch.labels, ch.h.Sum()})
 				out = append(out, Sample{f.name + "_count", ch.labels, float64(ch.h.Count())})

@@ -11,7 +11,6 @@ func TestExpositionAndParseRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("test_requests_total", "Requests served.")
 	g := r.NewGauge("test_queue_depth", "Jobs queued.", L{"queue", "main"})
-	r.NewGaugeFunc("test_workers", "Live workers.", func() float64 { return 3 })
 	h := r.NewHistogram("test_phase_seconds", "Phase time.", []float64{0.001, 0.01, 0.1}, L{"phase", "sort"})
 
 	c.Add(41)
@@ -33,7 +32,6 @@ func TestExpositionAndParseRoundTrip(t *testing.T) {
 		"# TYPE test_requests_total counter",
 		"test_requests_total 42",
 		`test_queue_depth{queue="main"} 5`,
-		"test_workers 3",
 		"# TYPE test_phase_seconds histogram",
 		`test_phase_seconds_bucket{phase="sort",le="0.001"} 1`,
 		`test_phase_seconds_bucket{phase="sort",le="0.1"} 2`,

@@ -180,16 +180,6 @@ func (s *Store[F]) TotalEnergy() float64 {
 	return e
 }
 
-// TotalMomentum returns the summed translational momentum components.
-func (s *Store[F]) TotalMomentum() (px, py, pz float64) {
-	for i := 0; i < s.n; i++ {
-		px += float64(s.U[i])
-		py += float64(s.V[i])
-		pz += float64(s.W[i])
-	}
-	return px, py, pz
-}
-
 // InitFreestream fills the store with count particles uniformly
 // distributed over the region accepted by inRegion, with drifting
 // Maxwellian velocities: mean (uDrift, 0, 0), each component std sigma.

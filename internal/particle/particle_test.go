@@ -72,7 +72,11 @@ func TestTotalEnergyMomentum(t *testing.T) {
 	if got := s.TotalEnergy(); math.Abs(got-wantE) > 1e-12 {
 		t.Errorf("TotalEnergy = %v, want %v", got, wantE)
 	}
-	px, py, pz := s.TotalMomentum()
+	var px, py, pz float64
+	for i := range s.Len() {
+		v := s.Vel(i)
+		px, py, pz = px+v[0], py+v[1], pz+v[2]
+	}
 	if px != 0 || py != 0 || pz != 0 {
 		t.Errorf("momentum should cancel: %v %v %v", px, py, pz)
 	}

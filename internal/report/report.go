@@ -46,9 +46,6 @@ func (t *Table) AddRow(cells ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // Render writes the aligned table.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Headers))

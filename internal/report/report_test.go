@@ -25,9 +25,6 @@ func TestTableRender(t *testing.T) {
 	if len(lines) != 7 {
 		t.Errorf("line count %d:\n%s", len(lines), out)
 	}
-	if tb.Rows() != 3 {
-		t.Errorf("Rows = %d", tb.Rows())
-	}
 	// Columns aligned: header and rows share the name-column width.
 	if !strings.HasPrefix(lines[5], "beta-longer") {
 		t.Errorf("row order or format wrong: %q", lines[5])

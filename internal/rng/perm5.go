@@ -21,13 +21,6 @@ func (p Perm5) Valid() bool {
 	return true
 }
 
-// Apply permutes the 5-vector src into dst: dst[i] = src[p[i]].
-func (p Perm5) Apply(dst, src *[5]float64) {
-	for i, j := range p {
-		dst[i] = src[j]
-	}
-}
-
 // Transpose swaps elements j and k of the permutation, returning the new
 // permutation. One such random transposition is performed per collision;
 // the paper (citing Aldous–Diaconis) notes n·log n ≈ 10 transpositions

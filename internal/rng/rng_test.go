@@ -210,17 +210,6 @@ func TestUnpackInvalidFallsBackToIdentity(t *testing.T) {
 	}
 }
 
-func TestPerm5Apply(t *testing.T) {
-	p := Perm5{4, 3, 2, 1, 0}
-	src := [5]float64{10, 20, 30, 40, 50}
-	var dst [5]float64
-	p.Apply(&dst, &src)
-	want := [5]float64{50, 40, 30, 20, 10}
-	if dst != want {
-		t.Errorf("Apply = %v, want %v", dst, want)
-	}
-}
-
 func TestTransposePreservesValidity(t *testing.T) {
 	f := func(j, k uint8) bool {
 		p := Perm5{2, 0, 4, 1, 3}

@@ -155,21 +155,6 @@ func (a *Accumulator) Density() []float64 {
 	return out
 }
 
-// Velocity returns the time-averaged mean in-plane velocity components
-// per cell (unnormalised, cells/step).
-func (a *Accumulator) Velocity() (ux, uy []float64) {
-	n := len(a.count)
-	ux = make([]float64, n)
-	uy = make([]float64, n)
-	for c := 0; c < n; c++ {
-		if a.count[c] > 0 {
-			ux[c] = a.momX[c] / a.count[c]
-			uy[c] = a.momY[c] / a.count[c]
-		}
-	}
-	return ux, uy
-}
-
 // thermal returns cell c's mean thermal (peculiar) energy per degree of
 // freedom: the mean square 5-component velocity minus the square of the
 // mean bulk velocity, over 5 dof. Negative rounding residue clamps to 0.
@@ -183,21 +168,6 @@ func (a *Accumulator) thermal(c int) float64 {
 		therm = 0
 	}
 	return therm / 5
-}
-
-// Temperature returns a per-cell temperature proxy: the mean thermal
-// (peculiar) energy per degree of freedom, in units of cm∞²/2 when
-// normalised by the caller. Cells without samples return 0.
-func (a *Accumulator) Temperature() []float64 {
-	n := len(a.count)
-	out := make([]float64, n)
-	for c := 0; c < n; c++ {
-		if a.count[c] <= 0 {
-			continue
-		}
-		out[c] = a.thermal(c)
-	}
-	return out
 }
 
 // Quantity slugs — the shared vocabulary between the public sampling
@@ -295,24 +265,6 @@ func (a *Accumulator) meanOver(mom []float64, norm float64) []float64 {
 // At reads a field at cell coordinates.
 func At(field []float64, g grid.Grid, ix, iy int) float64 {
 	return field[g.Index(ix, iy)]
-}
-
-// Column returns the field values of column ix (bottom to top).
-func Column(field []float64, g grid.Grid, ix int) []float64 {
-	out := make([]float64, g.NY)
-	for iy := 0; iy < g.NY; iy++ {
-		out[iy] = field[g.Index(ix, iy)]
-	}
-	return out
-}
-
-// Row returns the field values of row iy (upstream to downstream).
-func Row(field []float64, g grid.Grid, iy int) []float64 {
-	out := make([]float64, g.NX)
-	for ix := 0; ix < g.NX; ix++ {
-		out[ix] = field[g.Index(ix, iy)]
-	}
-	return out
 }
 
 // Window copies the sub-field [x0,x1)×[y0,y1) (the stagnation-region zoom

@@ -103,14 +103,21 @@ func TestAccumulatorVelocityTemperature(t *testing.T) {
 	i1 := st.Append(0.5, 0.5, collide.State5{4, 0, 0, 0, 0})
 	st.Cell[i0], st.Cell[i1] = 0, 0
 	AddFlow(acc, st)
-	ux, uy := acc.Velocity()
-	if math.Abs(ux[0]-3) > 1e-12 || uy[0] != 0 {
-		t.Errorf("mean velocity %v,%v", ux[0], uy[0])
+	n := Norms{Cm: 1, Gamma: 1.4}
+	field := func(q string) float64 {
+		f, err := acc.FieldOf(q, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f[0]
 	}
-	// Thermal energy: mean square 10, mean 3 → peculiar 1; over 5 dof 0.2.
-	temp := acc.Temperature()
-	if math.Abs(temp[0]-0.2) > 1e-12 {
-		t.Errorf("temperature %v, want 0.2", temp[0])
+	if ux, uy := field(QVelocityX), field(QVelocityY); math.Abs(ux-3) > 1e-12 || uy != 0 {
+		t.Errorf("mean velocity %v,%v", ux, uy)
+	}
+	// Thermal energy: mean square 10, mean 3 → peculiar 1; over 5 dof 0.2,
+	// in units of cm∞²/2 = 0.5.
+	if temp := field(QTemperature); math.Abs(temp-0.4) > 1e-12 {
+		t.Errorf("temperature %v, want 0.4", temp)
 	}
 }
 
@@ -134,13 +141,13 @@ func TestRowColumnWindowAt(t *testing.T) {
 	if At(f, g, 2, 1) != 5 {
 		t.Errorf("At")
 	}
-	row := Row(f, g, 1)
+	row, _, _ := Window(f, g, 0, 1, 3, 2)
 	if row[0] != 3 || row[2] != 5 {
-		t.Errorf("Row = %v", row)
+		t.Errorf("row window = %v", row)
 	}
-	col := Column(f, g, 1)
+	col, _, _ := Window(f, g, 1, 0, 2, 2)
 	if col[0] != 1 || col[1] != 4 {
-		t.Errorf("Column = %v", col)
+		t.Errorf("column window = %v", col)
 	}
 	win, w, h := Window(f, g, 1, 0, 3, 2)
 	if w != 2 || h != 2 || win[0] != 1 || win[3] != 5 {

@@ -125,8 +125,9 @@ func (c *Config) model() molec.Model {
 // layout3D is the 3D backend's stream-domain encoding, preserved exactly
 // from the pre-unification code: two domains per step — the in-cell
 // shuffle and the collide stream, which the fused selection also draws
-// from. Select/Wall alias Collide but are never consumed (FusedSelect,
-// specular walls).
+// from. Select aliases Collide, which makes the engine fuse selection
+// into the collide pass; Wall aliases it too but is never consumed
+// (specular walls).
 var layout3D = engine.StreamLayout{NumDomains: 2, Sort: 0, Select: 1, Collide: 1, Wall: 1}
 
 // Sim is the float64 shock-tube simulation — the reference precision.
@@ -180,8 +181,7 @@ func NewOf[F kernel.Float](cfg Config) (*SimOf[F], error) {
 			GInf:       math.Sqrt2 * free.MeanSpeed(),
 			CollideAll: cfg.Lambda <= 0,
 		},
-		Layout:      layout3D,
-		FusedSelect: true,
+		Layout: layout3D,
 	}, dom, pool, store, shadow)
 
 	r := rng.NewStream(cfg.Seed)

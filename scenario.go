@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 
 	"dsmc/internal/geom"
 	"dsmc/internal/molec"
@@ -435,62 +436,46 @@ type ScenarioSpec struct {
 	Params json.RawMessage `json:"params,omitempty"`
 }
 
+// scenarioKinds maps each kind slug to its scenario type: the one list
+// of what a ScenarioSpec serialises and decodes to.
+var scenarioKinds = map[string]reflect.Type{
+	KindWedgeTunnel2D: reflect.TypeFor[WedgeTunnel2D](),
+	KindEmptyTunnel2D: reflect.TypeFor[EmptyTunnel2D](),
+	KindDoubleWedge2D: reflect.TypeFor[DoubleWedge2D](),
+	KindShockTube3D:   reflect.TypeFor[ShockTube3D](),
+}
+
 // NewScenarioSpec serialises a scenario.
 func NewScenarioSpec(sc Scenario) (*ScenarioSpec, error) {
 	if sc == nil {
 		return nil, errNilScenario
 	}
-	switch v := sc.(type) {
-	case WedgeTunnel2D, EmptyTunnel2D, DoubleWedge2D, ShockTube3D:
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return nil, err
-		}
-		return &ScenarioSpec{Kind: sc.Kind(), Params: raw}, nil
+	if scenarioKinds[sc.Kind()] != reflect.TypeOf(sc) {
+		return nil, fmt.Errorf("dsmc: cannot serialise scenario kind %q", sc.Kind())
 	}
-	return nil, fmt.Errorf("dsmc: cannot serialise scenario kind %q", sc.Kind())
+	raw, err := json.Marshal(sc)
+	if err != nil {
+		return nil, err
+	}
+	return &ScenarioSpec{Kind: sc.Kind(), Params: raw}, nil
 }
 
 // Scenario deserialises the spec back into its concrete scenario value.
 // Unknown kinds and unknown fields are rejected.
 func (s ScenarioSpec) Scenario() (Scenario, error) {
+	t, ok := scenarioKinds[s.Kind]
+	if !ok {
+		return nil, fmt.Errorf("dsmc: unknown scenario kind %q", s.Kind)
+	}
 	params := s.Params
 	if len(params) == 0 {
 		params = json.RawMessage("{}")
 	}
-	decode := func(dst any) error {
-		dec := json.NewDecoder(bytes.NewReader(params))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(dst); err != nil {
-			return fmt.Errorf("dsmc: scenario %q params: %w", s.Kind, err)
-		}
-		return nil
+	v := reflect.New(t)
+	dec := json.NewDecoder(bytes.NewReader(params))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v.Interface()); err != nil {
+		return nil, fmt.Errorf("dsmc: scenario %q params: %w", s.Kind, err)
 	}
-	switch s.Kind {
-	case KindWedgeTunnel2D:
-		var v WedgeTunnel2D
-		if err := decode(&v); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case KindEmptyTunnel2D:
-		var v EmptyTunnel2D
-		if err := decode(&v); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case KindDoubleWedge2D:
-		var v DoubleWedge2D
-		if err := decode(&v); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case KindShockTube3D:
-		var v ShockTube3D
-		if err := decode(&v); err != nil {
-			return nil, err
-		}
-		return v, nil
-	}
-	return nil, fmt.Errorf("dsmc: unknown scenario kind %q", s.Kind)
+	return v.Elem().Interface().(Scenario), nil
 }
