@@ -10,7 +10,7 @@
 //	POST /v1/sweeps               submit a dsmc.SweepSpec; 202 + {id, links}
 //	GET  /v1/sweeps               list sweeps with state
 //	GET  /v1/sweeps/{id}          status: per-job states and step progress
-//	GET  /v1/sweeps/{id}/events   NDJSON progress stream (history + live)
+//	GET  /v1/sweeps/{id}/events   NDJSON progress stream (event log + live)
 //	GET  /v1/sweeps/{id}/result   aggregated result (409 while running): the
 //	                              bytes of <data>/<id>/result.json, ETag =
 //	                              their SHA-256, verified on every read;
@@ -36,32 +36,7 @@
 // of earlier builds is an unknown field (400); finished sweeps stored in
 // that form are still served, unfinished ones fail on restart naming it.
 //
-// Example session:
-//
-//	dsmcd -addr :8077 -data /var/lib/dsmcd &
-//	curl -s localhost:8077/v1/sweeps -d '{
-//	  "scenario": {"kind":"wedge-tunnel-2d","params":{
-//	    "GridNX":98,"GridNY":64,"Wedge":{"LeadX":20,"Base":25,"AngleDeg":30},
-//	    "Mach":4,"ThermalSpeed":0.125,"MeanFreePath":0.5,
-//	    "ParticlesPerCell":8,"Seed":1988}},
-//	  "quantities": ["density","temperature","mach"],
-//	  "points": [{"name":"rarefied"},{"name":"near-continuum","mean_free_path":0},
-//	             {"name":"coarse","grid_nx":64,"grid_ny":48}],
-//	  "replicas": 4, "warm_steps": 600, "sample_steps": 300}'
-//	curl -s localhost:8077/v1/sweeps/sw-000000           # poll status
-//	curl -sN localhost:8077/v1/sweeps/sw-000000/events   # stream progress
-//	curl -s localhost:8077/v1/sweeps/sw-000000/result | jq '.points[].shock_angle_deg'
-//	curl -s 'localhost:8077/v1/sweeps/sw-000000/result?quantity=temperature'
-//
-// A 3D base:
-//
-//	curl -s localhost:8077/v1/sweeps -d '{
-//	  "scenario": {"kind":"shock-tube-3d","params":{
-//	    "GridNX":120,"GridNY":8,"GridNZ":8,"ThermalSpeed":0.125,
-//	    "PistonSpeed":0.131,"ParticlesPerCell":8,"Seed":3}},
-//	  "quantities": ["density","velocity-x","temperature"],
-//	  "points": [{"name":"long","grid_nx":160},{"name":"fast","piston_speed":0.2}],
-//	  "replicas": 2, "warm_steps": 100, "sample_steps": 100}'
+// README's dsmcd section has a curl session, over a 2D and a 3D base.
 //
 // # Distributed execution
 //
@@ -128,14 +103,15 @@
 // flight recorder — the most recent per-step phase timings, fed by the
 // same heartbeats — and -pprof enables net/http/pprof at /debug/pprof/.
 //
-// The NDJSON event stream emits {"type":"keepalive","status":{...}}
-// records during quiet phases (every -keepalive), carrying a
-// coordinator snapshot: active and queued jobs, worker count, and the
-// stalest heartbeat age. "trace" records carry flight-recorder batches
-// live (not replayed in history). Consumers must ignore unknown record
-// types. On SIGINT/SIGTERM the server drains: in-flight jobs checkpoint
-// their exact position and release their leases, and the HTTP listener
-// shuts down within -shutdown-timeout; a restart resumes bit-identically.
+// The NDJSON event stream replays <data>/<id>/events.ndjson — every
+// event but the trace batches, which /trace serves — from disk, across
+// restarts, with nothing dropped, then tails it. In quiet phases it emits
+// {"type":"keepalive","status":{...}} records (every -keepalive): active
+// and queued jobs, worker count, and the stalest heartbeat age.
+// Consumers must ignore unknown record types. On SIGINT/SIGTERM the
+// server drains: in-flight jobs checkpoint their exact position and
+// release their leases, and the HTTP listener shuts down within
+// -shutdown-timeout; a restart resumes bit-identically.
 package main
 
 import (

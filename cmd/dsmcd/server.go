@@ -10,13 +10,13 @@ import (
 	"io"
 	"io/fs"
 	"log"
+	"maps"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,6 +25,7 @@ import (
 	"dsmc"
 	"dsmc/internal/coord"
 	"dsmc/internal/obs"
+	"dsmc/internal/run"
 	"dsmc/internal/store"
 )
 
@@ -37,19 +38,10 @@ const (
 	stateFailed  sweepState = "failed"
 )
 
-// jobStatus is the latest view of one job of a sweep.
-type jobStatus struct {
-	Job        string `json:"job"`
-	State      string `json:"state"`
-	StepsDone  int    `json:"steps_done,omitempty"`
-	StepsTotal int    `json:"steps_total,omitempty"`
-	Err        string `json:"err,omitempty"`
-}
-
-// sweepRun is the in-memory record of one sweep: its spec, live job
-// table, buffered event history with fan-out to NDJSON subscribers, and,
-// once finished, the identity of result.json — never its bytes, nor a
-// decoded copy.
+// sweepRun is the in-memory record of one sweep: its spec and state, the
+// flight recorder, and, once finished, the identity of result.json —
+// never its bytes, nor a decoded copy. Its event history is a log on
+// disk, and its job rows are the coordinator's (coord.Jobs).
 type sweepRun struct {
 	ID        string     `json:"id"`
 	State     sweepState `json:"state"`
@@ -59,11 +51,14 @@ type sweepRun struct {
 
 	spec dsmc.SweepSpec
 
-	mu     sync.Mutex
-	jobs   map[string]*jobStatus
-	events []dsmc.SweepEvent
-	subs   map[chan dsmc.SweepEvent]struct{}
-	done   chan struct{}
+	mu sync.Mutex
+	// The event log, <data>/<id>/events.ndjson: logFile appends to it while
+	// the sweep runs, logSize is the length of its whole lines (all a
+	// reader may serve), and grew is closed to wake its readers — and
+	// replaced — on every append, and closed at finish.
+	logFile *os.File
+	logSize int64
+	grew    chan struct{}
 	// resultETag is the quoted SHA-256 of result.json as it was linked
 	// (or, after a restart, as recovery read it) and resultSize its length.
 	// Together they answer 304s and HEADs without touching the file, and
@@ -73,9 +68,8 @@ type sweepRun struct {
 
 	// The flight recorder: a bounded ring of the sweep's most recent
 	// per-step phase timings, fed by "trace" events (worker heartbeat
-	// batches) and served at /v1/sweeps/{id}/trace. Trace events fan out
-	// to live NDJSON subscribers but are kept out of the replayable
-	// history — the recorder is a window, not an archive.
+	// batches) and served at /v1/sweeps/{id}/trace. Trace events are kept
+	// out of the event log — the recorder is a window, not an archive.
 	traceRing []traceRecord
 	traceNext int // overwrite cursor once the ring is full
 }
@@ -101,18 +95,20 @@ type statusView struct {
 	Name      string            `json:"name,omitempty"`
 	Replicas  int               `json:"replicas"`
 	Points    int               `json:"points"`
-	Jobs      []jobStatus       `json:"jobs"`
+	Jobs      []coord.JobStatus `json:"jobs"`
 	Links     map[string]string `json:"links"`
 }
 
 // server owns the sweep registry and its on-disk layout:
 //
-//	<data>/<id>/spec.json    the submitted spec (resume source)
-//	<data>/<id>/ckpt/        per-job checkpoints (internal/ckpt format): the
-//	                         checkpoint_dir the submission sets in spec.json
-//	<data>/<id>/result.json  the encoded result: a hard link to the store's
-//	                         "res" object, made on completion
-//	<data>/store/            the result store (internal/store)
+//	<data>/<id>/spec.json      the submitted spec (resume source)
+//	<data>/<id>/events.ndjson  the event log /events replays and tails:
+//	                           every non-trace event, appended unsynced
+//	<data>/<id>/ckpt/          per-job checkpoints (internal/ckpt format): the
+//	                           checkpoint_dir the submission sets in spec.json
+//	<data>/<id>/result.json    the encoded result: a hard link to the store's
+//	                           "res" object, made on completion
+//	<data>/store/              the result store (internal/store)
 //
 // On startup every spec without a result is relaunched; the job
 // checkpoints make the relaunch continue where the killed process
@@ -159,10 +155,6 @@ type serverOpts struct {
 	keepalive   time.Duration // NDJSON keepalive interval (0 = 15s)
 	pprof       bool          // serve net/http/pprof under /debug/pprof/
 	storeBudget int64         // result-store size budget in bytes (0 = unlimited)
-}
-
-func newServer(dataDir string, pool int) (*server, error) {
-	return newServerWith(serverOpts{dataDir: dataDir, workers: pool})
 }
 
 func newServerWith(opts serverOpts) (*server, error) {
@@ -230,7 +222,7 @@ func (s *server) close() {
 	s.workerWG.Wait()
 }
 
-// observeSweep routes coordinator events into the sweep's history/fan-out.
+// observeSweep routes coordinator events into the sweep's event log.
 func (s *server) observeSweep(sweepID string, e dsmc.SweepEvent) {
 	s.mu.Lock()
 	run := s.sweeps[sweepID]
@@ -256,14 +248,11 @@ func (s *server) recover() error {
 	if err != nil {
 		return err
 	}
-	var ids []string
-	for _, e := range entries {
-		if e.IsDir() && strings.HasPrefix(e.Name(), "sw-") {
-			ids = append(ids, e.Name())
+	for _, e := range entries { // sorted by name
+		id := e.Name()
+		if !e.IsDir() || !strings.HasPrefix(id, "sw-") {
+			continue
 		}
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
 		if n := idNumber(id); n >= s.nextID {
 			s.nextID = n + 1
 		}
@@ -360,7 +349,10 @@ func idNumber(id string) int {
 	return n
 }
 
-// register creates the in-memory record (state running).
+// register creates the in-memory record (state running) and opens its
+// event log for appending: created if missing (older builds wrote none),
+// cut back to its last newline if a crash tore the unsynced last line. A
+// log that cannot be opened is logged; the sweep then runs without one.
 func (s *server) register(id string, spec dsmc.SweepSpec, resumed bool) *sweepRun {
 	run := &sweepRun{
 		ID:        id,
@@ -368,14 +360,33 @@ func (s *server) register(id string, spec dsmc.SweepSpec, resumed bool) *sweepRu
 		Submitted: time.Now().UTC(),
 		Resumed:   resumed,
 		spec:      spec,
-		jobs:      map[string]*jobStatus{},
-		subs:      map[chan dsmc.SweepEvent]struct{}{},
-		done:      make(chan struct{}),
+		grew:      make(chan struct{}),
+	}
+	path := s.eventsPath(id)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		err = nil
+	}
+	run.logSize = int64(bytes.LastIndexByte(data, '\n') + 1)
+	if torn := int64(len(data)) - run.logSize; err == nil && torn > 0 {
+		log.Printf("%s: dropping a torn last line (%d bytes)", path, torn)
+		err = os.Truncate(path, run.logSize)
+	}
+	if err == nil {
+		run.logFile, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	}
+	if err != nil {
+		log.Printf("%s: opening events.ndjson: %v", id, err)
 	}
 	s.mu.Lock()
 	s.sweeps[id] = run
 	s.mu.Unlock()
 	return run
+}
+
+// eventsPath is where a sweep's event log lives.
+func (s *server) eventsPath(id string) string {
+	return filepath.Join(s.dataDir, id, "events.ndjson")
 }
 
 // resultPath is where a sweep's encoded result lives.
@@ -413,16 +424,13 @@ func (s *server) gcStore() {
 	}
 }
 
-// observe records an event into the history, updates the job table and
-// fans out to subscribers (dropping on full buffers so a stalled client
-// cannot block the sweep).
+// observe appends an event to the sweep's log with one unsynced
+// write(2), under the coordinator's lock, and wakes the log's readers; a
+// failed append is logged and cut back. Trace batches feed the recorder.
 func (r *sweepRun) observe(e dsmc.SweepEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e.Type == "trace" {
-		// Feed the flight recorder and fan out live, but skip the job
-		// table and the replayable history: trace batches are bulky and
-		// only the recent window is interesting.
 		for _, tr := range e.Trace {
 			rec := traceRecord{Job: e.Job, StepTrace: tr}
 			if len(r.traceRing) < traceRingCap {
@@ -432,50 +440,30 @@ func (r *sweepRun) observe(e dsmc.SweepEvent) {
 				r.traceNext = (r.traceNext + 1) % traceRingCap
 			}
 		}
-		for ch := range r.subs {
-			select {
-			case ch <- e:
-			default:
-			}
+		return
+	}
+	if r.logFile == nil {
+		return // finished (nothing is emitted after the end), or no log
+	}
+	line, err := json.Marshal(e)
+	if err == nil {
+		_, err = r.logFile.Write(append(line, '\n'))
+	}
+	if err != nil {
+		log.Printf("%s: appending %s to events.ndjson: %v", r.ID, e.Type, err)
+		if r.logFile.Truncate(r.logSize) != nil {
+			r.logFile.Close() // a log not cut back to its whole lines records no more
+			r.logFile = nil
 		}
 		return
 	}
-	r.events = append(r.events, e)
-	js := r.jobs[e.Job]
-	if js == nil {
-		js = &jobStatus{Job: e.Job}
-		r.jobs[e.Job] = js
-	}
-	switch e.Type {
-	case "job-started":
-		js.State = "running"
-	case "job-progress":
-		js.State = "running"
-		js.StepsDone, js.StepsTotal = e.StepsDone, e.StepsTotal
-	case "job-done", "aggregate-done":
-		js.State = "done"
-	case "job-failed":
-		js.State = "failed"
-		js.Err = e.Err
-	case "job-skipped":
-		js.State = "skipped"
-	case "job-lost", "job-released":
-		// The lease ended without a result (worker lost, or drained on
-		// shutdown); the job is queued for redispatch and will resume
-		// from its last uploaded checkpoint.
-		js.State = "queued"
-		js.StepsDone, js.StepsTotal = e.StepsDone, e.StepsTotal
-	}
-	for ch := range r.subs {
-		select {
-		case ch <- e:
-		default:
-		}
-	}
+	r.logSize += int64(len(line)) + 1
+	close(r.grew)
+	r.grew = make(chan struct{})
 }
 
-// finish closes the run and wakes event subscribers. etag and size
-// identify the content of result.json.
+// finish closes the run and its log and wakes the log's readers. etag
+// and size identify the content of result.json.
 func (r *sweepRun) finish(etag string, size int, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -486,23 +474,9 @@ func (r *sweepRun) finish(etag string, size int, err error) {
 		r.State = stateDone
 		r.resultETag, r.resultSize = etag, size
 	}
-	close(r.done)
-}
-
-// subscribe registers an event channel and returns the history snapshot
-// taken atomically with the registration, so the caller replays history
-// and then streams live without gaps or duplicates.
-func (r *sweepRun) subscribe(buf int) (history []dsmc.SweepEvent, ch chan dsmc.SweepEvent, cancel func()) {
-	ch = make(chan dsmc.SweepEvent, buf)
-	r.mu.Lock()
-	history = append([]dsmc.SweepEvent(nil), r.events...)
-	r.subs[ch] = struct{}{}
-	r.mu.Unlock()
-	return history, ch, func() {
-		r.mu.Lock()
-		delete(r.subs, ch)
-		r.mu.Unlock()
-	}
+	r.logFile.Close()
+	r.logFile = nil
+	close(r.grew)
 }
 
 // traceSnapshot returns the flight recorder's contents, oldest first.
@@ -515,10 +489,11 @@ func (r *sweepRun) traceSnapshot() []traceRecord {
 	return out
 }
 
+// status is the sweep's view without its job rows.
 func (r *sweepRun) status() statusView {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	v := statusView{
+	return statusView{
 		ID: r.ID, State: r.State, Error: r.Error,
 		Submitted: r.Submitted, Resumed: r.Resumed,
 		Name: r.spec.Name, Replicas: r.spec.Replicas,
@@ -529,11 +504,6 @@ func (r *sweepRun) status() statusView {
 			"trace":  "/v1/sweeps/" + r.ID + "/trace",
 		},
 	}
-	for _, js := range r.jobs {
-		v.Jobs = append(v.Jobs, *js)
-	}
-	sort.Slice(v.Jobs, func(i, j int) bool { return v.Jobs[i].Job < v.Jobs[j].Job })
-	return v
 }
 
 // handler builds the route table.
@@ -679,20 +649,12 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 
 func (s *server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	ids := make([]string, 0, len(s.sweeps))
-	for id := range s.sweeps {
-		ids = append(ids, id)
-	}
+	runs := slices.Collect(maps.Values(s.sweeps))
 	s.mu.Unlock()
-	sort.Strings(ids)
-	out := make([]statusView, 0, len(ids))
-	for _, id := range ids {
-		s.mu.Lock()
-		run := s.sweeps[id]
-		s.mu.Unlock()
-		v := run.status()
-		v.Jobs = nil // keep the listing light; per-sweep status has the table
-		out = append(out, v)
+	slices.SortFunc(runs, func(a, b *sweepRun) int { return strings.Compare(a.ID, b.ID) })
+	out := make([]statusView, 0, len(runs))
+	for _, run := range runs {
+		out = append(out, run.status()) // no job rows: per-sweep status has them
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"sweeps": out})
 }
@@ -708,78 +670,80 @@ func (s *server) lookup(w http.ResponseWriter, req *http.Request) *sweepRun {
 	return run
 }
 
+// handleStatus serves the sweep's view with its job rows, sorted: the
+// coordinator's, read without r.mu (observe takes it under the
+// coordinator's lock), or, for a done sweep it never held (a store hit, a
+// sweep recovered done), every replica and aggregate of the spec, done.
 func (s *server) handleStatus(w http.ResponseWriter, req *http.Request) {
-	if run := s.lookup(w, req); run != nil {
-		writeJSON(w, http.StatusOK, run.status())
+	r := s.lookup(w, req)
+	if r == nil {
+		return
 	}
+	v := r.status()
+	rows, held := s.coord.Jobs(r.ID)
+	if !held && v.State == stateDone {
+		for _, p := range r.spec.PointNames() {
+			for i := range r.spec.Replicas {
+				rows = append(rows, coord.JobStatus{Job: run.JobName(p, i), State: "done"})
+			}
+			rows = append(rows, coord.JobStatus{Job: run.AggregateName(p), State: "done"})
+		}
+	}
+	slices.SortFunc(rows, func(a, b coord.JobStatus) int { return strings.Compare(a.Job, b.Job) })
+	v.Jobs = rows
+	writeJSON(w, http.StatusOK, v)
 }
 
-// handleEvents streams the sweep's progress as NDJSON: the buffered
-// history first, then live events until the sweep finishes or the
-// client goes away. During quiet phases (long warm-up chunks, a stalled
-// worker being timed out) the stream emits a keepalive record every
-// keepalive interval — {"type":"keepalive","status":{...}} with a
+// handleEvents streams the sweep's progress as NDJSON: its event log —
+// every event but the "trace" batches, which /trace serves — from the
+// first line, then each line as it is appended, until the sweep has
+// finished and the log is drained or the client goes away. The log is on
+// disk, so a slow client misses nothing and a restarted server replays
+// the history from before the restart. In quiet phases the stream emits
+// {"type":"keepalive","status":{...}} every keepalive interval: a
 // coordinator snapshot (active/queued jobs, worker count, heartbeat
-// staleness) — so clients and intermediaries can distinguish a slow
-// sweep from a dead connection and see why it is quiet. "trace" records
-// (flight-recorder batches) appear live but are not replayed in the
-// history. Consumers must ignore record types they do not know.
+// staleness) that tells a slow sweep from a dead connection. Consumers
+// must ignore record types they do not know.
 func (s *server) handleEvents(w http.ResponseWriter, req *http.Request) {
 	run := s.lookup(w, req)
 	if run == nil {
 		return
 	}
+	f, err := os.Open(s.eventsPath(run.ID))
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	defer f.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
-	history, ch, cancel := run.subscribe(1024)
-	defer cancel()
-	for _, e := range history {
-		if enc.Encode(e) != nil {
-			return
-		}
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
+	rc := http.NewResponseController(w)
 	keepalive := time.NewTicker(s.keepalive)
 	defer keepalive.Stop()
+	var sent int64
 	for {
-		select {
-		case e := <-ch:
-			if enc.Encode(e) != nil {
+		run.mu.Lock()
+		size, grew, running := run.logSize, run.grew, run.State == stateRunning
+		run.mu.Unlock()
+		if size > sent {
+			if _, err := io.Copy(w, io.NewSectionReader(f, sent, size-sent)); err != nil {
 				return
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+			sent = size
 			keepalive.Reset(s.keepalive)
+		}
+		rc.Flush()
+		if !running {
+			return // nothing is appended after the finish: the log is drained
+		}
+		select {
+		case <-grew:
 		case <-keepalive.C:
 			// Keepalives double as status beacons: the coordinator
 			// snapshot tells a quiet stream's consumer whether jobs are
 			// leased out, queued, and how stale the fleet's heartbeats are.
 			st := s.coord.Stats()
-			if enc.Encode(dsmc.SweepEvent{Type: "keepalive", Status: &st}) != nil {
+			if json.NewEncoder(w).Encode(dsmc.SweepEvent{Type: "keepalive", Status: &st}) != nil {
 				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		case <-run.done:
-			// Drain anything that raced the close, then end the stream.
-			for {
-				select {
-				case e := <-ch:
-					if enc.Encode(e) != nil {
-						return
-					}
-				default:
-					if flusher != nil {
-						flusher.Flush()
-					}
-					return
-				}
 			}
 		case <-req.Context().Done():
 			return

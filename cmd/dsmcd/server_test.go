@@ -17,6 +17,12 @@ import (
 	"dsmc"
 )
 
+// newServer is a server over dataDir with pool embedded workers and
+// every other option at its default.
+func newServer(dataDir string, pool int) (*server, error) {
+	return newServerWith(serverOpts{dataDir: dataDir, workers: pool})
+}
+
 func tinyWedge() dsmc.WedgeTunnel2D {
 	cfg := dsmc.PaperWedgeTunnel()
 	cfg.GridNX, cfg.GridNY = 48, 24
@@ -350,7 +356,8 @@ func iptr(v int) *int { return &v }
 // TestServerRecovery: a new server over an existing data directory
 // serves finished sweeps and their results without re-running them — the
 // same bytes under the same ETag as before the restart, because both
-// processes serve result.json and tag it with its hash.
+// processes serve result.json and tag it with its hash — and replays
+// the same event history, read from the sweep's log.
 func TestServerRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := newServer(dir, 2)
@@ -364,6 +371,7 @@ func TestServerRecovery(t *testing.T) {
 		t.Fatalf("first run state %s", st.State)
 	}
 	pre, preBody := fetch(t, http.MethodGet, ts1.URL, id, "")
+	_, preEvents := get(t, ts1.URL+"/v1/sweeps/"+id+"/events", "")
 	ts1.Close()
 	if pre.StatusCode != http.StatusOK || pre.Header.Get("ETag") == "" {
 		t.Fatalf("first run result: status %d, ETag %q", pre.StatusCode, pre.Header.Get("ETag"))
@@ -393,6 +401,47 @@ func TestServerRecovery(t *testing.T) {
 	}
 	if cond, _ := fetch(t, http.MethodGet, ts2.URL, id, pre.Header.Get("ETag")); cond.StatusCode != http.StatusNotModified {
 		t.Errorf("pre-restart ETag against the recovered server: status %d, want 304", cond.StatusCode)
+	}
+	if _, postEvents := get(t, ts2.URL+"/v1/sweeps/"+id+"/events", ""); len(preEvents) == 0 || !bytes.Equal(postEvents, preEvents) {
+		t.Errorf("recovered /events: %d bytes, want the %d bytes served before the restart", len(postEvents), len(preEvents))
+	}
+}
+
+// TestEventLogTornLine: the event log's append is not synced, so a crash
+// can leave a torn last line. The restart cuts the log back to its last
+// newline: every /events line parses, and the stream is the one served
+// before the crash.
+func TestEventLogTornLine(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1, id := doneSweep(t, dir, tinySpec())
+	_, pre := get(t, ts1.URL+"/v1/sweeps/"+id+"/events", "")
+	ts1.Close()
+	s1.close()
+	f, err := os.OpenFile(filepath.Join(dir, id, "events.ndjson"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"type":"job-progress","job":"rarefied/r0`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s2, err := newServer(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s2.close)
+	ts2 := httptest.NewServer(s2.handler())
+	defer ts2.Close()
+	waitDone(t, ts2, id)
+	_, post := get(t, ts2.URL+"/v1/sweeps/"+id+"/events", "")
+	for _, line := range bytes.SplitAfter(post, []byte("\n")) {
+		if len(line) > 0 && (!json.Valid(line) || line[len(line)-1] != '\n') {
+			t.Errorf("/events served a partial line %q", line)
+		}
+	}
+	if len(pre) == 0 || !bytes.Equal(post, pre) {
+		t.Errorf("/events after the torn append: %d bytes, want the %d bytes served before it", len(post), len(pre))
 	}
 }
 

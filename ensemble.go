@@ -201,10 +201,10 @@ type SweepResult struct {
 }
 
 // SweepEvent is one observation of sweep progress, delivered serially
-// to the RunSweep observer. The distributed server reuses the type on
-// its NDJSON stream for two additional event kinds: "trace" events
-// carry a batch of flight-recorder records from a running job, and
-// "keepalive" events carry a coordinator status snapshot.
+// to the RunSweep observer. dsmcd adds two kinds: "trace" events carry a
+// running job's flight-recorder batch, served at /v1/sweeps/{id}/trace
+// only, and "keepalive" events a coordinator snapshot on /events, which
+// replays every other event from the sweep's log on disk, across restarts.
 type SweepEvent struct {
 	Type       string `json:"type"`
 	Job        string `json:"job,omitempty"`

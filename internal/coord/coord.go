@@ -86,7 +86,7 @@ type lease struct {
 	id         string
 	worker     string
 	expires    time.Time
-	granted    time.Time // feeds the dispatch-to-complete histogram
+	granted    time.Time // the latest grant, zero before the first; feeds the job-seconds histogram
 	attempts   int       // dispatches consumed against MaxAttempts
 	heartbeats int       // heartbeats seen under the current lease
 	saves      int       // checkpoint saves begun, naming each one's temp file
@@ -310,7 +310,7 @@ func (c *Coordinator) HandleHeartbeat(hb Heartbeat) (string, error) {
 			StepsDone: hb.StepsDone, StepsTotal: j.StepsTotal,
 		})
 	}
-	// A trace batch from the live lease holder fans out as a "trace"
+	// A trace batch from the live lease holder is emitted as a "trace"
 	// event — the flight-recorder feed. Batches from stale leases never
 	// reach here, so a redispatched job's recorder shows one worker's
 	// timeline at a time.
@@ -517,6 +517,49 @@ func (c *Coordinator) Workers() []WorkerStatus {
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out
+}
+
+// Jobs reads a sweep's job rows from its run.Table and leases: replicas
+// in (point, replica) order, then aggregates; ok is false for a sweep
+// not held. A job requeued after a lease ended reads "queued" with the
+// lease's steps, and the failed job carries the table's error.
+func (c *Coordinator) Jobs(sweepID string) (rows []JobStatus, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.expireLocked(c.cfg.now())
+	st, ok := c.sweeps[sweepID]
+	if !ok {
+		return nil, false
+	}
+	done := make([]int, len(st.names)) // per point: replicas done
+	for i, j := range st.sweep.Jobs {
+		l := &st.leases[i]
+		row := JobStatus{Job: j.ID, State: st.table.State(i)}
+		if row.State == "pending" && !l.granted.IsZero() {
+			row.State = "queued"
+		}
+		switch row.State {
+		case "running", "queued":
+			row.StepsDone, row.StepsTotal = l.stepsDone, j.StepsTotal
+		case "failed":
+			row.Err = st.table.Err().Error()
+		case "done":
+			done[j.Point]++
+		}
+		rows = append(rows, row)
+	}
+	// An aggregate is reported in the same call as its point's last
+	// replica, and a failure skips every aggregate not yet reported.
+	for p, name := range st.names {
+		row := JobStatus{Job: dsmc.AggregateJobID(name), State: "pending"}
+		if done[p] == st.sweep.Spec.Replicas {
+			row.State = "done"
+		} else if st.table.Err() != nil {
+			row.State = "skipped"
+		}
+		rows = append(rows, row)
+	}
+	return rows, true
 }
 
 // --- internals (all require c.mu) ---

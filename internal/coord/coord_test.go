@@ -876,6 +876,83 @@ func TestWorkersReadFromLeases(t *testing.T) {
 	}
 }
 
+// TestJobsReadFromTableAndLeases: a sweep's job rows are its table's
+// states and its leases' steps. A grant reads running with a heartbeat's
+// steps, an expired lease and a released one read queued with the steps
+// kept, and the release burns no attempt: the next worker error still
+// requeues. The permanent failure reads failed with the table's error,
+// and the rest of the sweep skipped.
+func TestJobsReadFromTableAndLeases(t *testing.T) {
+	clk := newFakeClock()
+	var log eventLog
+	c := New(Config{LeaseTTL: 10 * time.Second, MaxAttempts: 3, OnEvent: log.add, now: clk.now})
+	if err := c.AddSweep("sw", sweepOf(t, tinySpec()), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Jobs("other"); ok {
+		t.Error("Jobs reports a sweep the coordinator does not hold")
+	}
+	agg := dsmc.AggregateJobID("rarefied")
+	check := func(stage string, want ...JobStatus) {
+		t.Helper()
+		rows, ok := c.Jobs("sw")
+		if !ok || !slices.Equal(rows, want) {
+			t.Errorf("%s: rows %+v, want %+v", stage, rows, want)
+		}
+	}
+
+	check("before a grant",
+		JobStatus{Job: "rarefied/r000", State: "pending"},
+		JobStatus{Job: "rarefied/r001", State: "pending"},
+		JobStatus{Job: agg, State: "pending"})
+
+	l := mustPoll(t, c, "w1")
+	total := l.StepsTotal
+	if status, _ := c.HandleHeartbeat(Heartbeat{Worker: "w1", Sweep: l.Sweep, Job: l.Job, Lease: l.LeaseID, StepsDone: 3}); status != HBOK {
+		t.Fatalf("heartbeat: %q", status)
+	}
+	check("granted",
+		JobStatus{Job: l.Job, State: "running", StepsDone: 3, StepsTotal: total},
+		JobStatus{Job: "rarefied/r001", State: "pending"},
+		JobStatus{Job: agg, State: "pending"})
+
+	clk.advance(11 * time.Second)
+	check("lease expired",
+		JobStatus{Job: l.Job, State: "queued", StepsDone: 3, StepsTotal: total},
+		JobStatus{Job: "rarefied/r001", State: "pending"},
+		JobStatus{Job: agg, State: "pending"})
+
+	l = mustPoll(t, c, "w2")
+	if err := c.Release(l.Sweep, l.Job, l.LeaseID, 5); err != nil {
+		t.Fatal(err)
+	}
+	check("released",
+		JobStatus{Job: l.Job, State: "queued", StepsDone: 5, StepsTotal: total},
+		JobStatus{Job: "rarefied/r001", State: "pending"},
+		JobStatus{Job: agg, State: "pending"})
+
+	// Attempt 2 of 3: the worker error requeues the job.
+	l = mustPoll(t, c, "w3")
+	if err := c.Fail(l.Sweep, l.Job, l.LeaseID, "boom"); err != nil {
+		t.Fatal(err)
+	}
+	if rows, _ := c.Jobs("sw"); rows[0].State != "queued" {
+		t.Fatalf("after a worker error on attempt 2 of 3: %+v, want queued (the release burned an attempt)", rows[0])
+	}
+
+	l = mustPoll(t, c, "w4")
+	if err := c.Fail(l.Sweep, l.Job, l.LeaseID, "boom"); err != nil {
+		t.Fatal(err)
+	}
+	if n := log.count("job-failed", l.Job); n != 1 {
+		t.Fatalf("job-failed events: got %d, want 1", n)
+	}
+	check("failed",
+		JobStatus{Job: l.Job, State: "failed", Err: "job " + l.Job + ": boom; retry budget exhausted (3 attempts)"},
+		JobStatus{Job: "rarefied/r001", State: "skipped"},
+		JobStatus{Job: agg, State: "skipped"})
+}
+
 // storeHits reads dsmc_store_hits_total.
 func storeHits(t *testing.T) float64 {
 	t.Helper()

@@ -94,7 +94,7 @@ type Lease struct {
 // current lease, plus two optional telemetry piggybacks: a compact
 // snapshot of the worker's engine instruments (re-emitted by the
 // coordinator's /metrics with a worker label) and the recent
-// flight-recorder batch (fanned out as "trace" events). Both ride the
+// flight-recorder batch (emitted as "trace" events). Both ride the
 // heartbeat the worker already sends, so telemetry costs no extra
 // round-trips and stops flowing exactly when liveness does.
 type Heartbeat struct {
@@ -117,6 +117,17 @@ const (
 	// redispatched): stop working on the job and poll for new work.
 	HBAbandon = "abandon"
 )
+
+// JobStatus is one row of a sweep's job table: a replica job's or a
+// point aggregate's state, with the steps of its lease while it runs or
+// waits to run again and the error of the job that failed.
+type JobStatus struct {
+	Job        string `json:"job"`
+	State      string `json:"state"` // "pending" | "running" | "queued" | "done" | "failed" | "skipped"
+	StepsDone  int    `json:"steps_done,omitempty"`
+	StepsTotal int    `json:"steps_total,omitempty"`
+	Err        string `json:"err,omitempty"`
+}
 
 // WorkerStatus is one row of the workers endpoint: the operator's view
 // of the fleet.

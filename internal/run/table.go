@@ -69,6 +69,8 @@ const (
 	jobSkipped
 )
 
+var jobStateNames = [...]string{"pending", "running", "done", "failed", "skipped"}
+
 // NewTable builds the table of sp's len(Scenarios) × Replicas pending
 // jobs, keyed by OutputKey for Memo and Offer; emit receives every event.
 func NewTable(sp *Spec, emit func(Event)) *Table {
@@ -130,6 +132,9 @@ func (t *Table) Check(i int, out *ReplicaResult) error {
 
 // Running reports whether job i has started and not ended.
 func (t *Table) Running(i int) bool { return t.state[i] == jobRunning }
+
+// State names job i's state: pending, running, done, failed or skipped.
+func (t *Table) State(i int) string { return jobStateNames[t.state[i]] }
 
 // Requeue returns running job i to pending. It emits nothing: the driver
 // reports why the job stopped (the coordinator's job-lost, job-released).
