@@ -155,20 +155,14 @@ func main() {
 	workerMode := flag.Bool("worker", false, "run as a pull-worker against -coord instead of serving")
 	coordURL := flag.String("coord", "http://127.0.0.1:8077", "coordinator base URL (worker mode)")
 	workerID := flag.String("worker-id", "", "worker identity (worker mode; default host-pid)")
-	chaosKill := flag.Int("chaos-kill-after-steps", 0, "CHAOS TESTING: crash the process once the first job reaches this step")
-	chaosDropHB := flag.Bool("chaos-drop-heartbeats", false, "CHAOS TESTING: silence heartbeats during the first job")
-	chaosFailUploads := flag.Int("chaos-fail-uploads", 0, "CHAOS TESTING: fail the first N checkpoint-upload attempts")
+	chaosKill := flag.Int("chaos-kill-after-steps", 0, "CHAOS TESTING: exit with code 2, releasing nothing, once a job reaches this step (worker mode)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	if *workerMode {
-		runWorker(ctx, *coordURL, *workerID, coord.Chaos{
-			KillAfterSteps: *chaosKill,
-			DropHeartbeats: *chaosDropHB,
-			FailUploads:    *chaosFailUploads,
-		})
+		runWorker(ctx, *coordURL, *workerID, *chaosKill)
 		return
 	}
 
@@ -211,7 +205,7 @@ func main() {
 
 // runWorker is worker mode: pull jobs from a remote coordinator until
 // the process is signalled, then checkpoint, release, and exit.
-func runWorker(ctx context.Context, coordURL, id string, chaos coord.Chaos) {
+func runWorker(ctx context.Context, coordURL, id string, killAfterSteps int) {
 	if id == "" {
 		host, _ := os.Hostname()
 		if host == "" {
@@ -222,10 +216,10 @@ func runWorker(ctx context.Context, coordURL, id string, chaos coord.Chaos) {
 	log.SetPrefix("dsmcd-worker: ")
 	log.Printf("worker %s pulling from %s", id, coordURL)
 	w := coord.NewWorker(coord.WorkerConfig{
-		ID:    id,
-		Queue: &coord.HTTPQueue{Base: coordURL},
-		Chaos: chaos,
-		Logf:  log.Printf,
+		ID:             id,
+		Queue:          &coord.HTTPQueue{Base: coordURL},
+		KillAfterSteps: killAfterSteps,
+		Logf:           log.Printf,
 	})
 	w.Run(ctx)
 	log.Printf("worker %s drained", id)

@@ -25,22 +25,12 @@
 //	cmdemo  the Connection Machine substrate on a 32-particle toy:
 //	        virtual processors, rank sort, segmented scans, cost model
 //
-// and three orchestration experiments that exercise the run subsystem:
+// and one ensemble run through the run subsystem:
 //
-//	sweep         ensemble sweep over the rarefaction parameter: -replicas
-//	              independent replicas per point, scheduled as a job DAG
-//	              over -jobpool concurrent simulations, aggregated into
-//	              mean ± CI (writes sweep.json)
-//	sweep-resume  self-verifying checkpoint/restore: runs the sweep,
-//	              kills it mid-flight, resumes from the checkpoints, and
-//	              fails unless the aggregates are bit-identical to the
-//	              uninterrupted run
-//	coord-chaos   self-verifying distributed fault tolerance: runs the
-//	              sweep through the coordinator/pull-worker machinery
-//	              (internal/coord), crashes one worker mid-job with the
-//	              chaos harness, lets the survivors resume its lease from
-//	              the last uploaded checkpoint, and fails unless the
-//	              aggregates are bit-identical to the in-process run
+//	sweep   the rarefaction parameter swept: -replicas independent
+//	        replicas per point, scheduled as a job DAG over -jobpool
+//	        concurrent simulations, aggregated into mean ± CI (writes
+//	        sweep.json); with -ckpt it checkpoints and resumes there
 //
 // Run all paper experiments with defaults (a few minutes):
 //
@@ -50,7 +40,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -58,13 +47,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"dsmc"
 	"dsmc/internal/cm"
 	"dsmc/internal/cmsim"
-	"dsmc/internal/coord"
 	"dsmc/internal/par"
 	"dsmc/internal/report"
 	"dsmc/internal/sim"
@@ -87,7 +74,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 	var h harness
-	exp := flag.String("exp", "all", "experiment: all|fig1|fig2|fig3|fig4|fig5|fig6|fig7|phases|compare|scaling|relax|cmdemo|sweep|sweep-resume|coord-chaos")
+	exp := flag.String("exp", "all", "experiment: all|fig1|fig2|fig3|fig4|fig5|fig6|fig7|phases|compare|scaling|relax|cmdemo|sweep")
 	flag.Float64Var(&h.perCell, "percell", 8, "particles per cell (75 = paper scale)")
 	flag.IntVar(&h.steps, "steps", 600, "steps to steady state (paper: 1200)")
 	flag.IntVar(&h.avg, "avg", 300, "averaging steps (paper: 2000)")
@@ -95,26 +82,24 @@ func main() {
 	flag.IntVar(&h.workers, "workers", 0, "reference-backend CPU workers (0 = NumCPU)")
 	flag.Uint64Var(&h.seed, "seed", 1988, "random seed")
 	flag.StringVar(&h.outDir, "out", "results", "output directory")
-	flag.IntVar(&h.replicas, "replicas", 4, "replicas per sweep point (sweep experiments)")
+	flag.IntVar(&h.replicas, "replicas", 4, "replicas per point of -exp sweep")
 	flag.IntVar(&h.jobpool, "jobpool", 0, "concurrent simulations of the sweep scheduler (0 = NumCPU)")
-	flag.StringVar(&h.ckptDir, "ckpt", "", "sweep checkpoint directory: -exp sweep resumes over it when set (empty = no checkpoints); -exp sweep-resume defaults it to <out>/ckpt")
+	flag.StringVar(&h.ckptDir, "ckpt", "", "sweep checkpoint directory: -exp sweep checkpoints there and resumes over it (empty = no checkpoints)")
 	flag.Parse()
 
 	if err := os.MkdirAll(h.outDir, 0o755); err != nil {
 		log.Fatal(err)
 	}
 	run := map[string]func() error{
-		"fig1":         func() error { return h.contourFigs(0) },
-		"fig4":         func() error { return h.contourFigs(0.5) },
-		"fig7":         h.fig7,
-		"phases":       h.phases,
-		"compare":      h.compare,
-		"scaling":      h.scaling,
-		"relax":        h.relax,
-		"cmdemo":       cmdemo,
-		"sweep":        func() error { _, err := h.sweep(h.ckptDir); return err },
-		"sweep-resume": h.sweepResume,
-		"coord-chaos":  h.coordChaos,
+		"fig1":    func() error { return h.contourFigs(0) },
+		"fig4":    func() error { return h.contourFigs(0.5) },
+		"fig7":    h.fig7,
+		"phases":  h.phases,
+		"compare": h.compare,
+		"scaling": h.scaling,
+		"relax":   h.relax,
+		"cmdemo":  cmdemo,
+		"sweep":   h.sweep,
 	}
 	// figs 2/3 and 5/6 are produced by the same runs as 1 and 4.
 	run["fig2"], run["fig3"] = run["fig1"], run["fig1"]
@@ -401,18 +386,20 @@ func (h *harness) scaling() error {
 	return report.Series(out, "Reference backend scaling", "workers", "us/particle/step", xs, ys)
 }
 
-// sweepSpec builds the rarefaction sweep: the paper's two flow regimes
-// as sweep points, -replicas independent replicas each.
-func (h *harness) sweepSpec(ckptDir string) dsmc.SweepSpec {
+// sweep runs the rarefaction ensemble sweep — the paper's two flow
+// regimes as sweep points, -replicas independent replicas each — and
+// reports per-point cross-replica statistics; checkpoints land in -ckpt
+// when set.
+func (h *harness) sweep() error {
 	base := dsmc.PaperWedgeTunnel()
 	base.ParticlesPerCell = h.perCell
 	base.Seed = h.seed
 	scenario, err := dsmc.NewScenarioSpec(base)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	lam0, lam05 := 0.0, 0.5
-	return dsmc.SweepSpec{
+	spec := dsmc.SweepSpec{
 		Name:       "rarefaction-sweep",
 		Scenario:   scenario,
 		Quantities: []dsmc.Quantity{dsmc.Density, dsmc.Temperature, dsmc.MachNumber},
@@ -424,14 +411,8 @@ func (h *harness) sweepSpec(ckptDir string) dsmc.SweepSpec {
 		WarmSteps:     h.steps,
 		SampleSteps:   h.avg,
 		Pool:          h.jobpool,
-		CheckpointDir: ckptDir,
+		CheckpointDir: h.ckptDir,
 	}
-}
-
-// sweep runs the rarefaction ensemble sweep and reports per-point
-// cross-replica statistics; checkpoints land in ckptDir when set.
-func (h *harness) sweep(ckptDir string) (*dsmc.SweepResult, error) {
-	spec := h.sweepSpec(ckptDir)
 	fmt.Printf("sweep: %d points x %d replicas, %d+%d steps each, pool %d\n",
 		len(spec.Points), spec.Replicas, spec.WarmSteps, spec.SampleSteps, h.jobpool)
 	var jobsDone int
@@ -445,7 +426,7 @@ func (h *harness) sweep(ckptDir string) (*dsmc.SweepResult, error) {
 		}
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	t := report.NewTable("Rarefaction sweep, cross-replica aggregates",
 		"point", "shock angle (deg)", "ci95", "replicas used", "freestream mean")
@@ -453,238 +434,18 @@ func (h *harness) sweep(ckptDir string) (*dsmc.SweepResult, error) {
 		p := &res.Points[i]
 		density, err := p.FieldFor(dsmc.Density)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		t.AddRow(p.Name,
 			p.ShockAngleDeg.Mean, p.ShockAngleDeg.CI95, p.ShockAngleDeg.N,
 			density.FreestreamMean())
 	}
 	if err := t.Render(os.Stdout); err != nil {
-		return nil, err
+		return err
 	}
 	buf, err := json.MarshalIndent(res, "", " ")
 	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(filepath.Join(h.outDir, "sweep.json"), append(buf, '\n'), 0o644); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// sweepResume is the self-verifying kill/resume check: the sweep is run
-// uninterrupted, then run again with checkpoints enabled but cancelled
-// as soon as every job has committed at least one checkpoint, then
-// resumed from those checkpoints. The resumed aggregates must match the
-// uninterrupted run bit for bit.
-func (h *harness) sweepResume() error {
-	straight, err := h.sweep("")
-	if err != nil {
 		return err
 	}
-
-	ckptDir := h.ckptDir
-	if ckptDir == "" {
-		ckptDir = filepath.Join(h.outDir, "ckpt")
-	}
-	if err := os.RemoveAll(ckptDir); err != nil {
-		return err
-	}
-	spec := h.sweepSpec(ckptDir)
-	// Checkpoint at half a job's steps so cancellation always lands
-	// mid-flight with state on disk.
-	spec.CheckpointEvery = (spec.WarmSteps + spec.SampleSteps) / 2
-	if spec.CheckpointEvery < 1 {
-		spec.CheckpointEvery = 1
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	checkpointed := make(map[string]bool)
-	totalJobs := len(spec.Points) * spec.Replicas
-	_, err = dsmc.RunSweep(ctx, spec, func(e dsmc.SweepEvent) {
-		if e.Type == "job-progress" && e.StepsDone >= spec.CheckpointEvery {
-			checkpointed[e.Job] = true
-			if len(checkpointed) == totalJobs {
-				cancel()
-			}
-		}
-	})
-	cancel()
-	if err == nil {
-		// The whole sweep finished before every job checkpointed (tiny
-		// configurations); the resume below then just re-verifies the
-		// completed checkpoints, which is still a valid check.
-		fmt.Println("sweep-resume: sweep finished before cancellation; resuming over final checkpoints")
-	} else {
-		fmt.Printf("sweep-resume: killed mid-flight (%v); resuming from %s\n", err, ckptDir)
-	}
-
-	resumed, err := h.sweep(ckptDir)
-	if err != nil {
-		return fmt.Errorf("resume: %w", err)
-	}
-	if err := compareSweeps(straight, resumed); err != nil {
-		return fmt.Errorf("sweep-resume FAILED: %w", err)
-	}
-	fmt.Println("sweep-resume: PASS — resumed aggregates are bit-identical to the uninterrupted run")
-	return nil
-}
-
-// errChaosCrash is the sentinel thrown by the in-process chaos "crash":
-// panicking through the worker's exit hook kills its goroutine the way
-// os.Exit kills a worker process, without taking the experiment down.
-var errChaosCrash = errors.New("chaos: injected worker crash")
-
-// coordChaos is the self-verifying distributed fault-tolerance check:
-// the sweep runs once in process (the reference), then again through the
-// coordinator with pull-workers, where the first worker crashes hard mid
-// job — after it has uploaded a checkpoint, with its heartbeats silenced
-// so nothing keeps the lease alive. The coordinator expires the lease,
-// redispatches, and a surviving worker resumes from the uploaded
-// checkpoint. The final aggregates must match the reference bit for bit.
-func (h *harness) coordChaos() error {
-	straight, err := h.sweep("")
-	if err != nil {
-		return err
-	}
-
-	// The coordinator keeps the uploaded checkpoints where the spec says.
-	dataDir := filepath.Join(h.outDir, "coord-data")
-	if err := os.RemoveAll(dataDir); err != nil {
-		return err
-	}
-	spec := h.sweepSpec(filepath.Join(dataDir, "ckpt"))
-	spec.CheckpointEvery = (spec.WarmSteps + spec.SampleSteps) / 8
-	if spec.CheckpointEvery < 1 {
-		spec.CheckpointEvery = 1
-	}
-
-	var lost atomic.Int32
-	c := coord.New(coord.Config{
-		LeaseTTL:    5 * time.Second,
-		MaxAttempts: 3,
-		OnEvent: func(_ string, e dsmc.SweepEvent) {
-			switch e.Type {
-			case "job-lost":
-				lost.Add(1)
-				fmt.Printf("  coordinator: %s lost (%s)\n", e.Job, e.Err)
-			case "job-failed", "job-skipped":
-				fmt.Printf("  coordinator: %s %s (%s)\n", e.Job, e.Type, e.Err)
-			}
-		},
-	})
-	sw, err := dsmc.NewSweep(spec)
-	if err != nil {
-		return err
-	}
-	done := make(chan struct{})
-	var chaosRes *dsmc.SweepResult
-	var chaosErr error
-	if err := c.AddSweep("coord-chaos", sw, func(r *dsmc.SweepResult, err error) {
-		chaosRes, chaosErr = r, err
-		close(done)
-	}); err != nil {
-		return err
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	// The crash worker runs alone first so it deterministically leases a
-	// job; it dies one chunk after its first checkpoint upload.
-	crashed := make(chan struct{})
-	crash := coord.NewWorker(coord.WorkerConfig{
-		ID:        "crash-worker",
-		Queue:     coord.LocalQueue{C: c},
-		PollEvery: 10 * time.Millisecond,
-		Chaos: coord.Chaos{
-			KillAfterSteps: spec.CheckpointEvery + 1,
-			DropHeartbeats: true,
-			Exit:           func(int) { panic(errChaosCrash) },
-		},
-	})
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if r != errChaosCrash {
-					panic(r)
-				}
-				close(crashed)
-			}
-		}()
-		crash.Run(ctx)
-	}()
-	select {
-	case <-crashed:
-		fmt.Println("coord-chaos: crash worker died mid-job; survivors take over")
-	case <-time.After(10 * time.Minute):
-		return fmt.Errorf("coord-chaos: crash worker never crashed")
-	}
-
-	for i := 0; i < 2; i++ {
-		w := coord.NewWorker(coord.WorkerConfig{
-			ID:        fmt.Sprintf("survivor-%d", i),
-			Queue:     coord.LocalQueue{C: c},
-			PollEvery: 10 * time.Millisecond,
-		})
-		go w.Run(ctx)
-	}
-
-	<-done
-	if chaosErr != nil {
-		return fmt.Errorf("coord-chaos sweep failed: %w", chaosErr)
-	}
-	if lost.Load() == 0 {
-		return fmt.Errorf("coord-chaos FAILED: the crash was never detected as a lost lease")
-	}
-	if err := compareSweeps(straight, chaosRes); err != nil {
-		return fmt.Errorf("coord-chaos FAILED: %w", err)
-	}
-	fmt.Println("coord-chaos: PASS — aggregates after a worker crash and lease-expiry resume are bit-identical to the in-process run")
-	return nil
-}
-
-// compareSweeps demands bit-identical aggregates (NaN-safe): every
-// scalar statistic including its sample counts, and the full per-cell
-// stats of every sampled quantity.
-func compareSweeps(a, b *dsmc.SweepResult) error {
-	if len(a.Points) != len(b.Points) {
-		return fmt.Errorf("point counts differ: %d vs %d", len(a.Points), len(b.Points))
-	}
-	bits := math.Float64bits
-	scalarsDiffer := func(x, y dsmc.ScalarStats) bool {
-		return bits(x.Mean) != bits(y.Mean) || bits(x.Variance) != bits(y.Variance) ||
-			bits(x.CI95) != bits(y.CI95) || x.N != y.N || x.Dropped != y.Dropped
-	}
-	for i := range a.Points {
-		pa, pb := &a.Points[i], &b.Points[i]
-		if pa.Name != pb.Name || pa.Replicas != pb.Replicas {
-			return fmt.Errorf("point %d metadata differs", i)
-		}
-		if scalarsDiffer(pa.ShockAngleDeg, pb.ShockAngleDeg) {
-			return fmt.Errorf("point %q shock-angle stats differ", pa.Name)
-		}
-		if scalarsDiffer(pa.Collisions, pb.Collisions) {
-			return fmt.Errorf("point %q collision stats differ", pa.Name)
-		}
-		if scalarsDiffer(pa.NFlow, pb.NFlow) {
-			return fmt.Errorf("point %q flow-count stats differ", pa.Name)
-		}
-		if len(pa.Fields) != len(pb.Fields) {
-			return fmt.Errorf("point %q quantity sets differ", pa.Name)
-		}
-		for q, fa := range pa.Fields {
-			fb, ok := pb.Fields[q]
-			if !ok {
-				return fmt.Errorf("point %q missing quantity %q in resumed run", pa.Name, q)
-			}
-			for c := range fa.Mean {
-				if bits(fa.Mean[c]) != bits(fb.Mean[c]) ||
-					bits(fa.Variance[c]) != bits(fb.Variance[c]) ||
-					bits(fa.CI95[c]) != bits(fb.CI95[c]) {
-					return fmt.Errorf("point %q %s stats differ at cell %d", pa.Name, q, c)
-				}
-			}
-		}
-	}
-	return nil
+	return os.WriteFile(filepath.Join(h.outDir, "sweep.json"), append(buf, '\n'), 0o644)
 }

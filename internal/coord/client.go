@@ -20,20 +20,11 @@ import (
 // network errors and 5xx responses surface as plain errors, while 410,
 // 404 and 400 map back to the protocol sentinels ErrStaleLease,
 // ErrUnknown and ErrBadOutput (which the worker treats as permanent
-// answers, never retried).
+// answers, never retried). Requests go through http.DefaultClient; per-call
+// deadlines come from the contexts the worker passes in.
 type HTTPQueue struct {
 	// Base is the coordinator root, e.g. "http://127.0.0.1:8077".
 	Base string
-	// Client defaults to http.DefaultClient; per-call deadlines come from
-	// the contexts the worker passes in.
-	Client *http.Client
-}
-
-func (q *HTTPQueue) client() *http.Client {
-	if q.Client != nil {
-		return q.Client
-	}
-	return http.DefaultClient
 }
 
 // do issues one request and returns the response body for 2xx statuses
@@ -55,7 +46,7 @@ func (q *HTTPQueue) send(ctx context.Context, method, path string, contentType s
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
-	resp, err := q.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

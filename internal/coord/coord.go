@@ -289,14 +289,15 @@ func (c *Coordinator) HandleHeartbeat(hb Heartbeat) (string, error) {
 	c.expireLocked(now)
 	c.touchWorker(hb.Worker, now)
 	mHeartbeats.Inc()
-	if len(hb.Metrics) > 0 {
-		c.workers[hb.Worker].metrics = hb.Metrics
-	}
 
 	st, i, err := c.lookupLocked(hb.Sweep, hb.Job)
 	if err != nil || !st.held(i, hb.Lease) {
 		mStaleRejects.Inc()
 		return HBAbandon, nil // lease gone, or sweep evicted or unknown: stop working
+	}
+	// Only the live lease holder's engine snapshot is kept for /metrics.
+	if len(hb.Metrics) > 0 {
+		c.workers[hb.Worker].metrics = hb.Metrics
 	}
 	l, j := &st.leases[i], st.sweep.Jobs[i]
 	l.expires = now.Add(c.cfg.LeaseTTL)

@@ -427,8 +427,22 @@ func TestRedispatchResumeBitIdentity(t *testing.T) {
 	}
 }
 
+// flakyUploads fails checkpoint uploads while left is positive, as a
+// dropped connection would, and forwards the rest.
+type flakyUploads struct {
+	Queue
+	left *atomic.Int32
+}
+
+func (q flakyUploads) SaveCheckpoint(ctx context.Context, l *Lease, write func(io.Writer) error) error {
+	if q.left.Add(-1) >= 0 {
+		return errors.New("injected upload failure")
+	}
+	return q.Queue.SaveCheckpoint(ctx, l, write)
+}
+
 // TestWorkersEndToEnd runs real pull-workers against an in-process
-// coordinator — one worker with injected upload failures (absorbed by
+// coordinator — one worker whose first two uploads fail (absorbed by
 // retry/backoff) — and checks the assembled result is bit-identical to
 // dsmc.RunSweep.
 func TestWorkersEndToEnd(t *testing.T) {
@@ -458,17 +472,15 @@ func TestWorkersEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		cfg := WorkerConfig{
-			ID:        map[int]string{0: "flaky", 1: "steady"}[i],
-			Queue:     LocalQueue{c},
+	var failsLeft atomic.Int32
+	failsLeft.Store(2)
+	for i, q := range []Queue{flakyUploads{LocalQueue{c}, &failsLeft}, LocalQueue{c}} {
+		w := NewWorker(WorkerConfig{
+			ID:        []string{"flaky", "steady"}[i],
+			Queue:     q,
 			PollEvery: 10 * time.Millisecond,
 			RetryBase: 5 * time.Millisecond,
-		}
-		if i == 0 {
-			cfg.Chaos = Chaos{FailUploads: 2}
-		}
-		w := NewWorker(cfg)
+		})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -497,6 +509,283 @@ func TestWorkersEndToEnd(t *testing.T) {
 	ws := c.Workers()
 	if len(ws) != 2 {
 		t.Fatalf("worker fleet: got %d, want 2", len(ws))
+	}
+}
+
+// errDark is the answer to every call a dark worker makes.
+var errDark = errors.New("worker is dark")
+
+// darkQueue forwards a worker's calls until its first checkpoint upload
+// lands, then goes dark: every later call fails and none is forwarded,
+// as if the worker's host had dropped off the network mid-job.
+type darkQueue struct {
+	LocalQueue
+	dark chan struct{} // closed when the queue goes dark
+	once *sync.Once
+}
+
+func (q darkQueue) gone() bool {
+	select {
+	case <-q.dark:
+		return true
+	default:
+		return false
+	}
+}
+
+func (q darkQueue) Poll(ctx context.Context, workerID string) (*Lease, error) {
+	if q.gone() {
+		return nil, errDark
+	}
+	return q.LocalQueue.Poll(ctx, workerID)
+}
+func (q darkQueue) Heartbeat(ctx context.Context, hb Heartbeat) (string, error) {
+	if q.gone() {
+		return "", errDark
+	}
+	return q.LocalQueue.Heartbeat(ctx, hb)
+}
+func (q darkQueue) LoadCheckpoint(ctx context.Context, l *Lease) ([]byte, error) {
+	if q.gone() {
+		return nil, errDark
+	}
+	return q.LocalQueue.LoadCheckpoint(ctx, l)
+}
+func (q darkQueue) SaveCheckpoint(ctx context.Context, l *Lease, write func(io.Writer) error) error {
+	if q.gone() {
+		return errDark
+	}
+	err := q.LocalQueue.SaveCheckpoint(ctx, l, write)
+	if err == nil {
+		q.once.Do(func() { close(q.dark) })
+	}
+	return err
+}
+func (q darkQueue) Complete(ctx context.Context, l *Lease, out *dsmc.ReplicaOutput) error {
+	if q.gone() {
+		return errDark
+	}
+	return q.LocalQueue.Complete(ctx, l, out)
+}
+func (q darkQueue) Release(ctx context.Context, l *Lease, stepsDone int) error {
+	if q.gone() {
+		return errDark
+	}
+	return q.LocalQueue.Release(ctx, l, stepsDone)
+}
+func (q darkQueue) Fail(ctx context.Context, l *Lease, msg string) error {
+	if q.gone() {
+		return errDark
+	}
+	return q.LocalQueue.Fail(ctx, l, msg)
+}
+
+// TestDarkWorkerLeaseExpiry: a worker goes dark mid-job, after uploading
+// a checkpoint. Nothing it sends arrives any more, so its lease expires
+// on the real clock; two surviving workers take the job over from the
+// uploaded checkpoint and finish the sweep, whose result is bit-identical
+// to dsmc.RunSweep.
+func TestDarkWorkerLeaseExpiry(t *testing.T) {
+	spec := tinySpec()
+	want, err := dsmc.RunSweep(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(want)
+
+	var log eventLog
+	done := make(chan *dsmc.SweepResult, 1)
+	c := New(Config{LeaseTTL: 300 * time.Millisecond, MaxAttempts: 3, OnEvent: log.add})
+	err = c.AddSweep("sw", sweepOf(t, spec), func(res *dsmc.SweepResult, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var wg sync.WaitGroup
+	run := func(id string, q Queue) {
+		w := NewWorker(WorkerConfig{ID: id, Queue: q, PollEvery: 10 * time.Millisecond, RetryBase: 5 * time.Millisecond})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.Run(ctx)
+		}()
+	}
+	// The dark worker runs alone first, so it leases a job and uploads a
+	// checkpoint of it before anyone else polls.
+	dq := darkQueue{LocalQueue{c}, make(chan struct{}), new(sync.Once)}
+	run("dark", dq)
+	select {
+	case <-dq.dark:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the dark worker never uploaded a checkpoint")
+	}
+	run("survivor-0", LocalQueue{c})
+	run("survivor-1", LocalQueue{c})
+
+	select {
+	case res := <-done:
+		if gotJSON, _ := json.Marshal(res); string(gotJSON) != string(wantJSON) {
+			t.Fatal("the sweep a dark worker left differs from the in-process run")
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("the survivors never finished the sweep")
+	}
+	cancel()
+	wg.Wait()
+
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	for _, e := range log.events {
+		if e.Type == "job-lost" && strings.Contains(e.Err, "lease expired (worker dark lost)") {
+			return
+		}
+	}
+	t.Error("the dark worker's lease never expired")
+}
+
+// staleUpload answers the first checkpoint upload with ErrStaleLease, as
+// a coordinator that has redispatched the job would, then records the
+// calls the worker makes under that lease and closes polled on its next
+// poll.
+type staleUpload struct {
+	LocalQueue
+	polled chan struct{}
+
+	mu    sync.Mutex
+	stale string   // the lease the upload was refused under
+	after []string // calls made under it since
+}
+
+// refused reports whether l is the stale lease, recording call if so;
+// the first upload's lease becomes it.
+func (q *staleUpload) refused(l *Lease, call string) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	switch {
+	case q.stale == "" && call == "upload":
+		q.stale = l.LeaseID
+	case q.stale == l.LeaseID:
+		q.after = append(q.after, call)
+	default:
+		return false
+	}
+	return true
+}
+
+func (q *staleUpload) Poll(ctx context.Context, workerID string) (*Lease, error) {
+	q.mu.Lock()
+	if q.stale != "" && q.polled != nil {
+		close(q.polled)
+		q.polled = nil
+	}
+	q.mu.Unlock()
+	return q.LocalQueue.Poll(ctx, workerID)
+}
+func (q *staleUpload) SaveCheckpoint(ctx context.Context, l *Lease, write func(io.Writer) error) error {
+	if q.refused(l, "upload") {
+		return ErrStaleLease
+	}
+	return q.LocalQueue.SaveCheckpoint(ctx, l, write)
+}
+func (q *staleUpload) Complete(ctx context.Context, l *Lease, out *dsmc.ReplicaOutput) error {
+	if q.refused(l, "complete") {
+		return ErrStaleLease
+	}
+	return q.LocalQueue.Complete(ctx, l, out)
+}
+func (q *staleUpload) Release(ctx context.Context, l *Lease, stepsDone int) error {
+	if q.refused(l, "release") {
+		return ErrStaleLease
+	}
+	return q.LocalQueue.Release(ctx, l, stepsDone)
+}
+func (q *staleUpload) Fail(ctx context.Context, l *Lease, msg string) error {
+	if q.refused(l, "fail") {
+		return ErrStaleLease
+	}
+	return q.LocalQueue.Fail(ctx, l, msg)
+}
+
+// TestStaleUploadAbandonsJob: a checkpoint upload answered ErrStaleLease
+// means the job is someone else's. The worker abandons it, sends nothing
+// more under that lease (no completion, release or failure) and goes
+// back to polling.
+func TestStaleUploadAbandonsJob(t *testing.T) {
+	c := New(Config{LeaseTTL: 30 * time.Second})
+	if err := c.AddSweep("sw", sweepOf(t, tinySpec()), nil); err != nil {
+		t.Fatal(err)
+	}
+	polled := make(chan struct{})
+	q := &staleUpload{LocalQueue: LocalQueue{c}, polled: polled}
+	w := NewWorker(WorkerConfig{ID: "w1", Queue: q, PollEvery: 5 * time.Millisecond, RetryBase: time.Millisecond})
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		w.Run(ctx)
+	}()
+	select {
+	case <-polled:
+	case <-time.After(30 * time.Second):
+		t.Error("the worker never polled again after its upload was refused as stale")
+	}
+	cancel()
+	<-stopped
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.stale == "" {
+		t.Fatal("the worker uploaded no checkpoint")
+	}
+	if len(q.after) > 0 {
+		t.Fatalf("after the stale upload the worker sent %v under lease %s", q.after, q.stale)
+	}
+}
+
+// TestHeartbeatCannotCorruptMetrics: the coordinator's /metrics
+// re-emits only the live lease holder's engine snapshot, drops a sample
+// that would not render as one exposition line, and escapes the worker
+// label, so no heartbeat can make the scrape unparsable or plant a
+// metric family in it.
+func TestHeartbeatCannotCorruptMetrics(t *testing.T) {
+	c := New(Config{LeaseTTL: 30 * time.Second})
+	if err := c.AddSweep("sw", sweepOf(t, tinySpec()), nil); err != nil {
+		t.Fatal(err)
+	}
+	const id = "w\"1\\\n" // a quote, a backslash and a newline
+	l := mustPoll(t, c, id)
+	injected := obs.Sample{Name: "dsmc_engine_steps_total", Labels: "{a=\"1\"}\ninjected_total 1\n", Value: 1}
+	planted := obs.Sample{Name: "dsmc_engine_planted_total", Value: 1}
+	if status, _ := c.HandleHeartbeat(Heartbeat{Worker: "stranger", Sweep: "nope", Job: l.Job, Lease: l.LeaseID,
+		Metrics: []obs.Sample{injected, planted}}); status != HBAbandon {
+		t.Fatalf("heartbeat for an unknown sweep: %q, want abandon", status)
+	}
+	if status, _ := c.HandleHeartbeat(Heartbeat{Worker: id, Sweep: l.Sweep, Job: l.Job, Lease: l.LeaseID,
+		Metrics: []obs.Sample{injected, {Name: "bad name", Value: 1}, {Name: "dsmc_engine_steps_total", Labels: `{phase="sort"}`, Value: 7}},
+	}); status != HBOK {
+		t.Fatalf("live holder's heartbeat: %q, want ok", status)
+	}
+	var b strings.Builder
+	if err := c.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	got, err := obs.ParseText(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatalf("the scrape does not parse: %v\n%s", err, b.String())
+	}
+	for key := range got {
+		if strings.HasPrefix(key, "injected") || strings.Contains(key, "planted") {
+			t.Errorf("the scrape has %s, planted by a heartbeat", key)
+		}
+	}
+	if v, ok := got[`dsmc_fleet_engine_steps_total{worker="w\"1\\\n",phase="sort"}`]; !ok || v != 7 {
+		t.Errorf("the live holder's valid sample is missing from the scrape:\n%s", b.String())
 	}
 }
 

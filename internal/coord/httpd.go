@@ -33,7 +33,10 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Worker string `json:"worker"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
+	if !decodeJSON(w, r, &req, "bad poll request") {
+		return
+	}
+	if req.Worker == "" {
 		http.Error(w, "bad poll request", http.StatusBadRequest)
 		return
 	}
@@ -51,8 +54,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var hb Heartbeat
-	if err := json.NewDecoder(r.Body).Decode(&hb); err != nil {
-		http.Error(w, "bad heartbeat", http.StatusBadRequest)
+	if !decodeJSON(w, r, &hb, "bad heartbeat") {
 		return
 	}
 	status, err := c.HandleHeartbeat(hb)
@@ -143,8 +145,7 @@ func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		StepsDone int `json:"steps_done"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad release", http.StatusBadRequest)
+	if !decodeJSON(w, r, &req, "bad release") {
 		return
 	}
 	if err := c.Release(sweep, job, lease, req.StepsDone); err != nil {
@@ -162,8 +163,7 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Error string `json:"error"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad fail request", http.StatusBadRequest)
+	if !decodeJSON(w, r, &req, "bad fail request") {
 		return
 	}
 	if err := c.Fail(sweep, job, lease, req.Error); err != nil {
@@ -203,6 +203,32 @@ func readUpload(w http.ResponseWriter, r *http.Request, limit int64) (data []byt
 	}
 	tooLarge(w, limit)
 	return nil, false
+}
+
+// maxJSONBytes caps the body of a poll, heartbeat, release or fail. The
+// largest of them is a heartbeat, which carries at most maxTraceBatch
+// (16) trace records and one engine snapshot: 2.2 KB measured with a
+// full batch and the 11-sample snapshot, so 64 KiB leaves ~30x headroom.
+const maxJSONBytes = 64 << 10
+
+// decodeJSON decodes a JSON request body of at most maxJSONBytes into v.
+// A longer one is refused with 413 and any other decode error with 400
+// naming what, before any coordinator state is touched. ok is false when
+// the response has been written.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any, what string) (ok bool) {
+	if r.ContentLength > maxJSONBytes {
+		tooLarge(w, maxJSONBytes)
+		return false
+	}
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBytes)).Decode(v)
+	var over *http.MaxBytesError
+	switch {
+	case errors.As(err, &over):
+		tooLarge(w, maxJSONBytes)
+	case err != nil:
+		http.Error(w, what, http.StatusBadRequest)
+	}
+	return err == nil
 }
 
 // tooLarge refuses an upload over limit bytes.

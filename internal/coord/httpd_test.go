@@ -96,7 +96,8 @@ func TestHTTPTransport(t *testing.T) {
 
 // TestUploadLimit: the two endpoints that buffer a whole body refuse one
 // over the limit with 413 — by its declared length before a byte is read,
-// or while reading when the length is not declared — the completion
+// or while reading when the length is not declared — and so do the four
+// JSON endpoints over theirs; the completion
 // endpoint refuses a sealed output frame declaring ~2^64 fields with 400
 // before sizing anything from the count, and the refusals leave the lease
 // as it was: the same lease then uploads checkpoints and completes, and
@@ -121,6 +122,23 @@ func TestUploadLimit(t *testing.T) {
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusRequestEntityTooLarge {
 			t.Fatalf("%s %s declaring %d bytes: status %d, want 413", target.method, target.path, req.ContentLength, rec.Code)
+		}
+	}
+
+	// Poll, heartbeat, release and fail decode their JSON bodies: one over
+	// maxJSONBytes is refused with 413 whether its length is declared or
+	// found while decoding, and a refused release or fail leaves the lease.
+	pad := strings.Repeat("x", maxJSONBytes)
+	body, _ := json.Marshal(map[string]string{"worker": "w1", "sweep": l.Sweep, "job": l.Job, "lease": l.LeaseID, "error": "x", "pad": pad})
+	for _, path := range []string{"/coord/v1/poll", "/coord/v1/heartbeat", jobQuery("/coord/v1/release", l), jobQuery("/coord/v1/fail", l)} {
+		for _, declared := range []int64{int64(len(body)), -1} {
+			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+			req.ContentLength = declared
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("POST %s of %d bytes declaring %d: status %d, want 413", path, len(body), declared, rec.Code)
+			}
 		}
 	}
 

@@ -112,21 +112,26 @@ func (c *Coordinator) WriteMetrics(w io.Writer) error {
 		b.WriteString("# HELP dsmc_coord_worker_heartbeat_age_seconds Seconds since the worker's last contact.\n")
 		b.WriteString("# TYPE dsmc_coord_worker_heartbeat_age_seconds gauge\n")
 		for _, id := range ids {
-			fmt.Fprintf(&b, "dsmc_coord_worker_heartbeat_age_seconds{worker=%q} %g\n",
-				id, now.Sub(c.workers[id].lastSeen).Seconds())
+			fmt.Fprintf(&b, "dsmc_coord_worker_heartbeat_age_seconds{worker=\"%s\"} %g\n",
+				obs.EscapeLabel(id), now.Sub(c.workers[id].lastSeen).Seconds())
 		}
 	}
 
 	// Fleet re-emission, grouped per family name so TYPE comments are
-	// emitted once. Snapshot samples carry no type; untyped is honest.
+	// emitted once. Snapshot samples carry no type; untyped is honest. A
+	// sample that would not render as one exposition line is dropped: the
+	// snapshot came over the wire.
 	fleet := map[string][]string{}
 	var fleetNames []string
 	for _, id := range ids {
 		for _, s := range c.workers[id].metrics {
+			if !s.Valid() {
+				continue
+			}
 			name := "dsmc_fleet_" + strings.TrimPrefix(s.Name, "dsmc_")
-			labels := fmt.Sprintf("{worker=%q", id)
-			if s.Labels != "" {
-				labels += "," + strings.TrimPrefix(s.Labels, "{")
+			labels := `{worker="` + obs.EscapeLabel(id) + `"`
+			if len(s.Labels) > 2 {
+				labels += "," + s.Labels[1:]
 			} else {
 				labels += "}"
 			}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,8 +69,10 @@ type WorkerConfig struct {
 	// transient coordinator errors (default 100ms; doubling up to
 	// retryMax, 6 attempts).
 	RetryBase time.Duration
-	// Chaos injects faults for testing; the zero value injects nothing.
-	Chaos Chaos
+	// KillAfterSteps, when positive, exits the process with code 2 once a
+	// job reaches that many steps: a hard crash for chaos testing, with
+	// no release, its lease left to expire.
+	KillAfterSteps int
 	// Logf, when non-nil, receives worker lifecycle lines.
 	Logf func(format string, args ...any)
 }
@@ -93,10 +96,7 @@ const maxTraceBatch = 16
 // Worker pulls jobs from a coordinator and runs them with
 // dsmc.RunSweepJob, heartbeating and uploading checkpoints as it goes.
 type Worker struct {
-	cfg      WorkerConfig
-	jobsSeen int
-
-	chaosUploadsLeft atomic.Int32
+	cfg WorkerConfig
 }
 
 // NewWorker builds a worker; defaults are filled in.
@@ -107,9 +107,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 100 * time.Millisecond
 	}
-	w := &Worker{cfg: cfg}
-	w.chaosUploadsLeft.Store(int32(cfg.Chaos.FailUploads))
-	return w
+	return &Worker{cfg: cfg}
 }
 
 // Run pulls and executes jobs until ctx is cancelled. On cancellation
@@ -144,9 +142,7 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // runJob executes one leased job end to end.
 func (w *Worker) runJob(ctx context.Context, l *Lease) {
-	w.jobsSeen++
 	mWorkerJobs.Inc()
-	chaotic := w.jobsSeen == 1 // fault injection targets a worker's first job
 
 	// The lease comes from outside the process: one whose TTL cannot pace
 	// heartbeats is reported failed, not run.
@@ -188,9 +184,6 @@ func (w *Worker) runJob(ctx context.Context, l *Lease) {
 	// lease answer cancels the job immediately so no further work is
 	// wasted.
 	sendHB := func(done int) {
-		if chaotic && w.cfg.Chaos.DropHeartbeats {
-			return
-		}
 		hbCtx, cancelHB := context.WithTimeout(context.Background(), ioTimeout)
 		status, err := w.cfg.Queue.Heartbeat(hbCtx, Heartbeat{
 			Worker: w.cfg.ID, Sweep: l.Sweep, Job: l.Job, Lease: l.LeaseID,
@@ -226,7 +219,7 @@ func (w *Worker) runJob(ctx context.Context, l *Lease) {
 		}
 	}()
 
-	store := &queueCkpt{w: w, l: l, abandoned: &abandoned, cancel: cancel, chaotic: chaotic}
+	store := &queueCkpt{w: w, l: l, abandoned: &abandoned, cancel: cancel}
 	out, err := dsmc.RunSweepJob(jobCtx, spec, l.Point, l.Replica, dsmc.SweepJobIO{
 		Checkpoint: store,
 		OnStepTrace: func(tr dsmc.StepTrace) {
@@ -240,9 +233,9 @@ func (w *Worker) runJob(ctx context.Context, l *Lease) {
 		},
 		Progress: func(done, total int) {
 			stepsDone.Store(int64(done))
-			if chaotic && w.cfg.Chaos.KillAfterSteps > 0 && done >= w.cfg.Chaos.KillAfterSteps {
+			if w.cfg.KillAfterSteps > 0 && done >= w.cfg.KillAfterSteps {
 				w.logf("chaos: killing worker at step %d of job %s", done, l.Job)
-				w.cfg.Chaos.exit(2)
+				os.Exit(2)
 			}
 			sendHB(done)
 		},
@@ -298,7 +291,6 @@ type queueCkpt struct {
 	l         *Lease
 	abandoned *atomic.Bool
 	cancel    context.CancelFunc
-	chaotic   bool
 }
 
 func (s *queueCkpt) Load() ([]byte, error) {
@@ -321,9 +313,6 @@ func (s *queueCkpt) Save(data []byte) error {
 // SaveStream implements run.CkptStreamer.
 func (s *queueCkpt) SaveStream(write func(io.Writer) error) error {
 	err := s.w.retry(context.Background(), func(c context.Context) error {
-		if s.chaotic && s.w.failUpload() {
-			return errInjectedUpload
-		}
 		return s.w.cfg.Queue.SaveCheckpoint(c, s.l, write)
 	})
 	if errors.Is(err, ErrStaleLease) || errors.Is(err, ErrUnknown) {
@@ -387,19 +376,6 @@ func (w *Worker) sleep(ctx context.Context, d time.Duration) {
 	select {
 	case <-ctx.Done():
 	case <-t.C:
-	}
-}
-
-// failUpload consumes one chaos-injected upload failure, if any remain.
-func (w *Worker) failUpload() bool {
-	for {
-		n := w.chaosUploadsLeft.Load()
-		if n <= 0 {
-			return false
-		}
-		if w.chaosUploadsLeft.CompareAndSwap(n, n-1) {
-			return true
-		}
 	}
 }
 

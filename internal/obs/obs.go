@@ -66,6 +66,18 @@ type Sample struct {
 // parser also uses as map key.
 func (s Sample) Key() string { return s.Name + s.Labels }
 
+// Valid reports whether s renders as one line ParseText accepts: a
+// metric name, and a label block that is empty or one braced block with
+// no newline. A snapshot from another process is checked with it before
+// it is written into an exposition.
+func (s Sample) Valid() bool {
+	if !validName(s.Name) {
+		return false
+	}
+	return s.Labels == "" || s.Labels[0] == '{' && labelsEnd(s.Labels) == len(s.Labels)-1 &&
+		!strings.Contains(s.Labels, "\n")
+}
+
 const (
 	typeCounter   = "counter"
 	typeGauge     = "gauge"
@@ -120,14 +132,16 @@ func renderLabels(labels []L) string {
 		}
 		b.WriteString(l.K)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.V))
+		b.WriteString(EscapeLabel(l.V))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-func escapeLabel(v string) string {
+// EscapeLabel escapes a label value per the text format: a backslash, a
+// double quote and a newline.
+func EscapeLabel(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}

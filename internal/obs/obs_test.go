@@ -194,3 +194,32 @@ func mustPanic(t *testing.T, what string, f func()) {
 	}()
 	f()
 }
+
+// TestSampleValid: a sample is valid exactly when it renders as one line
+// that ParseText reads back under its key.
+func TestSampleValid(t *testing.T) {
+	for _, tc := range []struct {
+		s    Sample
+		want bool
+	}{
+		{Sample{Name: "a_total"}, true},
+		{Sample{Name: "a_total", Labels: `{phase="sort",w="x\"}\n"}`}, true},
+		{Sample{Name: "bad name"}, false},
+		{Sample{Name: "9a"}, false},
+		{Sample{Name: "a", Labels: `phase="sort"`}, false},
+		{Sample{Name: "a", Labels: `{phase="sort"`}, false},
+		{Sample{Name: "a", Labels: `{a="1"} 1` + "\ninjected_total 1\nb{c=\"2\"}"}, false},
+		{Sample{Name: "a", Labels: "{a=\"1\ninjected_total 1\n\"}"}, false},
+	} {
+		if got := tc.s.Valid(); got != tc.want {
+			t.Errorf("%q%q: Valid() = %v, want %v", tc.s.Name, tc.s.Labels, got, tc.want)
+		}
+		if !tc.want {
+			continue
+		}
+		got, err := ParseText(strings.NewReader(tc.s.Key() + " 1\n"))
+		if err != nil || len(got) != 1 || got[tc.s.Key()] != 1 {
+			t.Errorf("%q: parsed %v, %v", tc.s.Key(), got, err)
+		}
+	}
+}
