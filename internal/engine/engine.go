@@ -182,9 +182,8 @@ type pairPick struct{ a, c int32 }
 
 // Engine is the unified cell-major pipeline over one particle store.
 //
-// The store is double-buffered: every step the sort's scatter writes the
-// payload into the shadow buffer at its cell-major position and the two
-// are swapped, so the select/collide/sample sweeps walk contiguous
+// Every step the sort permutes the store in place into cell-major order,
+// so the select/collide/sample sweeps walk contiguous
 // cellStart[c]:cellStart[c+1] ranges with no index indirection. All
 // dispatch closures and per-worker scratch are built once at
 // construction; a steady-state Step performs zero heap allocations.
@@ -192,8 +191,7 @@ type Engine[F kernel.Float] struct {
 	cfg Config
 	dom Domain[F]
 
-	store  *particle.Store[F] // live buffer, cell-major after each sort
-	shadow *particle.Store[F] // sort target, swapped with store each step
+	store *particle.Store[F] // cell-major after each sort
 
 	pool   *par.Pool
 	sorter *par.CellSort[F]
@@ -223,22 +221,19 @@ type Engine[F kernel.Float] struct {
 	colls  []int64
 }
 
-// New assembles an engine over the given domain, worker pool, and
-// double-buffered stores (equal capacity, both 2D or both 3D). Vibrational
-// relaxation is the one reader and writer of the stores' Evib column, so
-// New adds it to both when cfg.ZVib asks for it and to neither otherwise.
-func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store, shadow *particle.Store[F]) *Engine[F] {
+// New assembles an engine over the given domain, worker pool and store.
+// Vibrational relaxation is the one reader and writer of the store's Evib
+// column, so New adds it when cfg.ZVib asks for it and not otherwise.
+func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store *particle.Store[F]) *Engine[F] {
 	if cfg.ZVib > 0 {
 		store.AddEvib()
-		shadow.AddEvib()
 	}
 	e := &Engine[F]{
 		cfg:    cfg,
 		dom:    dom,
 		store:  store,
-		shadow: shadow,
 		pool:   pool,
-		sorter: par.NewCellSort[F](pool, cfg.Cells, 0, 0),
+		sorter: par.NewCellSort[F](pool, cfg.Cells, 0, store.Cap()),
 	}
 	w := pool.Workers()
 	e.gW = make([][]float64, w)
@@ -289,9 +284,11 @@ func (e *Engine[F]) PhaseStream(domain uint64, lane int) rng.Stream {
 	return rng.StreamAt(e.cfg.Seed, e.Epoch(domain), uint64(lane))
 }
 
-// Store exposes the live particle store. The double-buffer swap makes
-// the pointer alternate between two buffers, so re-fetch it after every
-// Step rather than holding it across steps.
+// Store exposes the particle store. The pointer is the same for the
+// engine's life, but every sort swaps each payload column for another
+// array (one of the sorter's scratch columns), so no caller may hold a
+// column slice across a Step: read the columns through the store after
+// it.
 func (e *Engine[F]) Store() *particle.Store[F] { return e.store }
 
 // Workers returns the resolved worker count of the phase pool.
@@ -447,24 +444,22 @@ func (e *Engine[F]) moveBoundShard(w, lo, hi int) {
 // sortByCell makes the store cell-major and re-randomises the collision
 // candidates — the role of the paper's one sort on a scaled-and-dithered
 // key: the cell column the move pass left current is histogrammed
-// (Plan), and ScatterShuffled ranks the particles into the shadow
-// store's Cell column as int32 source indices, Fisher–Yates-shuffles each
-// cell's index span from the (seed, epoch, cell) stream and gathers the
-// payload through the result, so the payload moves once; then the buffers
-// are swapped. After this, cell c's particles are the contiguous index
-// range cellStart[c]:cellStart[c+1] of the arrays.
+// (Plan), and Sort ranks the particles into the sorter's int32
+// permutation, Fisher–Yates-shuffles each cell's span of it from the
+// (seed, epoch, cell) stream and gathers the store's payload through it
+// in place, two columns at a time through two scratch columns. After
+// this, cell c's particles are the contiguous index range
+// cellStart[c]:cellStart[c+1] of the arrays.
 //
-// The shadow's Cell column is scratch during the sort, but the gather
-// must write the cell column back: it has readers before the next move
-// rewrites it — golden.HashSim2D/HashSim3D, ckpt's WriteStore and
-// sample.AddFlow.
+// The sort rewrites the cell column from the bucket boundaries: it has
+// readers before the next move rewrites it — golden.HashSim2D/HashSim3D,
+// ckpt's WriteStore and sample.AddFlow.
 //
 //dsmc:hotpath
 func (e *Engine[F]) sortByCell() {
 	st := e.store
 	e.sorter.Plan(st.Len(), st.Cell, nil)
-	e.sorter.ScatterShuffled(st, e.shadow, e.cfg.Seed, e.Epoch(e.cfg.Layout.Sort))
-	e.store, e.shadow = e.shadow, e.store
+	e.sorter.Sort(st, e.cfg.Seed, e.Epoch(e.cfg.Layout.Sort))
 }
 
 // smallCellPairs is the span below which the select sweep computes its

@@ -26,13 +26,12 @@ func (stubDomain[F]) Relax()                                        {}
 func TestVibExchangeConservesPairEnergy(t *testing.T) {
 	pool := par.New(1)
 	store := particle.NewStore[float64](4)
-	shadow := particle.NewStore[float64](4)
 	e := New(Config{
 		Cells:  1,
 		Seed:   3,
 		Layout: StreamLayout{NumDomains: 4, Sort: 0, Select: 1, Collide: 2, Wall: 3},
 		ZVib:   1, // exchange on every collision
-	}, stubDomain[float64]{}, pool, store, shadow)
+	}, stubDomain[float64]{}, pool, store)
 	r := rng.NewStream(9)
 	for i := 0; i < 2; i++ {
 		store.Append(0.5, 0.5, collide.State5{
@@ -67,7 +66,7 @@ func TestEpochEncoding(t *testing.T) {
 		Cells:  1,
 		Seed:   1,
 		Layout: StreamLayout{NumDomains: 4, Sort: 0, Select: 1, Collide: 2, Wall: 3},
-	}, stubDomain[float64]{}, pool, particle.NewStore[float64](1), particle.NewStore[float64](1))
+	}, stubDomain[float64]{}, pool, particle.NewStore[float64](1))
 	seen := map[uint64]bool{}
 	for step := 0; step < 3; step++ {
 		e.step = step

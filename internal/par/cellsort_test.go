@@ -3,6 +3,7 @@ package par
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"dsmc/internal/kernel"
 	"dsmc/internal/particle"
@@ -194,7 +195,7 @@ func TestScatterMatchesStableOracle(t *testing.T) {
 		want := stableOracle(src, sh.n, sh.cells)
 		cells := append([]int32(nil), src.Cell[:sh.n]...)
 		for _, pool := range pools {
-			cs := NewCellSort[float64](pool, sh.cells, 0, 0)
+			cs := NewCellSort[float64](pool, sh.cells, 0, src.Cap())
 			for _, cellOf := range []func(i int) int32{nil, func(i int) int32 { return cells[i] }} {
 				cs.Plan(sh.n, src.Cell, cellOf)
 				dst := newStoreLike(src, src.Cap())
@@ -210,13 +211,33 @@ func TestScatterMatchesStableOracle(t *testing.T) {
 	}
 }
 
-// TestScatterShuffledMatchesOracle: rank, per-cell index shuffle and
-// gather reproduce, bit for bit, the stable sort followed by a per-cell
-// Fisher–Yates over the records from the same streams — for every shape
-// of TestScatterMatchesStableOracle, with and without Evib, on pools of
-// 1, 3, 4 and 8 workers, at both precisions and two (seed, epoch) pairs.
-// The Cell column of the destination, which holds the index permutation
-// during the sort, ends as exactly the sorted cell column.
+// cloneStore returns a store of src's shape and capacity holding a copy
+// of every column.
+func cloneStore[F kernel.Float](src *particle.Store[F]) *particle.Store[F] {
+	dst := newStoreLike(src, src.Cap())
+	copy(dst.X, src.X)
+	copy(dst.Y, src.Y)
+	copy(dst.Z, src.Z)
+	copy(dst.U, src.U)
+	copy(dst.V, src.V)
+	copy(dst.W, src.W)
+	copy(dst.R1, src.R1)
+	copy(dst.R2, src.R2)
+	copy(dst.Evib, src.Evib)
+	copy(dst.Cell, src.Cell)
+	dst.SetLen(src.Len())
+	return dst
+}
+
+// TestScatterShuffledMatchesOracle: the in-place Sort — rank, per-cell
+// permutation shuffle and column-at-a-time gather — reproduces, bit for
+// bit, the stable sort followed by a per-cell Fisher–Yates over the
+// records from the same streams, for every shape of
+// TestScatterMatchesStableOracle, with and without Evib, on pools of 1,
+// 3, 4 and 8 workers, at both precisions and two (seed, epoch) pairs.
+// The cell column, refilled from the bucket boundaries, ends as exactly
+// the sorted cell column. (The name is that of the two-store sort Sort
+// replaced.)
 func TestScatterShuffledMatchesOracle(t *testing.T) {
 	t.Run("float64", scatterShuffledMatchesOracle[float64])
 	t.Run("float32", scatterShuffledMatchesOracle[float32])
@@ -233,20 +254,20 @@ func scatterShuffledMatchesOracle[F kernel.Float](t *testing.T) {
 			want := shuffledOracle(src, sh.n, sh.cells, key[0], key[1])
 			for _, pool := range pools {
 				name := fmt.Sprintf("%s, vib=%v, workers=%d, seed=%d, epoch=%d", sh.name, vib, pool.Workers(), key[0], key[1])
-				cs := NewCellSort[F](pool, sh.cells, 0, 0)
-				cs.Plan(sh.n, src.Cell, nil)
-				dst := newStoreLike(src, src.Cap())
-				cs.ScatterShuffled(src, dst, key[0], key[1])
-				if dst.Len() != sh.n {
-					t.Errorf("%s: sorted store holds %d records, want %d", name, dst.Len(), sh.n)
+				cs := NewCellSort[F](pool, sh.cells, 0, src.Cap())
+				st := cloneStore(src)
+				cs.Plan(sh.n, st.Cell, nil)
+				cs.Sort(st, key[0], key[1])
+				if st.Len() != sh.n {
+					t.Errorf("%s: sorted store holds %d records, want %d", name, st.Len(), sh.n)
 				}
-				if !storesEqual(want, dst, sh.n) {
-					t.Errorf("%s: ScatterShuffled diverges from the stable sort + record Fisher–Yates oracle", name)
+				if !storesEqual(want, st, sh.n) {
+					t.Errorf("%s: Sort diverges from the stable sort + record Fisher–Yates oracle", name)
 				}
 				for c := 0; c < sh.cells; c++ {
 					for d := cs.CellStart()[c]; d < cs.CellStart()[c+1]; d++ {
-						if dst.Cell[d] != int32(c) {
-							t.Fatalf("%s: dst.Cell[%d] = %d after the gather, want the cell %d", name, d, dst.Cell[d], c)
+						if st.Cell[d] != int32(c) {
+							t.Fatalf("%s: Cell[%d] = %d after the sort, want the cell %d", name, d, st.Cell[d], c)
 						}
 					}
 				}
@@ -255,23 +276,65 @@ func scatterShuffledMatchesOracle[F kernel.Float](t *testing.T) {
 	}
 }
 
-// TestScatterShuffledAllocs: a steady Plan + ScatterShuffled allocates
-// nothing, on the serial and on the concurrent dispatch path.
+// TestScatterShuffledAllocs: a steady Plan + Sort allocates nothing, on
+// the serial and on the concurrent dispatch path, at both precisions.
 func TestScatterShuffledAllocs(t *testing.T) {
+	scatterShuffledAllocs[float64](t)
+	scatterShuffledAllocs[float32](t)
+}
+
+func scatterShuffledAllocs[F kernel.Float](t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		src := newShapeStore[float64](false, true, 5000)
-		fillStore(src, 5000, 300, 42)
-		dst := newStoreLike(src, src.Cap())
-		cs := NewCellSort[float64](New(workers), 300, 0, 0)
+		st := newShapeStore[F](false, true, 5000)
+		fillStore(st, 5000, 300, 42)
+		cs := NewCellSort[F](New(workers), 300, 0, st.Cap())
 		epoch := uint64(0)
 		sort := func() {
-			cs.Plan(src.Len(), src.Cell, nil)
-			cs.ScatterShuffled(src, dst, 1988, epoch)
+			cs.Plan(st.Len(), st.Cell, nil)
+			cs.Sort(st, 1988, epoch)
 			epoch++
 		}
 		sort()
 		if avg := testing.AllocsPerRun(20, sort); avg != 0 {
-			t.Errorf("workers=%d: steady ScatterShuffled allocates %.1f times per call, want 0", workers, avg)
+			t.Errorf("workers=%d: steady Sort allocates %.1f times per call, want 0", workers, avg)
+		}
+	}
+}
+
+// TestSortNoAliasing: the header swaps keep every payload column and both
+// scratch columns on their own backing arrays, each as long as the store's
+// capacity, after each of several sorts of a 2D store with Evib and of a
+// 3D store. A swap that hands one array to two columns can still pass a
+// single oracle sort, but not this.
+func TestSortNoAliasing(t *testing.T) {
+	for _, threeD := range []bool{false, true} {
+		const n, capacity, cells = 5000, 5100, 300
+		st := newShapeStore[float64](threeD, !threeD, capacity)
+		fillStore(st, n, cells, 42)
+		cs := NewCellSort[float64](New(3), cells, 0, capacity)
+		for sort := 0; sort < 5; sort++ {
+			cs.Plan(n, st.Cell, nil)
+			cs.Sort(st, 1988, uint64(sort))
+			cols := [][]float64{cs.scratch[0], cs.scratch[1]}
+			payload, m := payload(st)
+			for _, col := range payload[:m] {
+				cols = append(cols, *col)
+			}
+			// X, Y, U, V, W, R1, R2 and one of Z or Evib, and two scratch.
+			if len(cols) != 10 {
+				t.Fatalf("threeD=%v: %d columns with the scratch columns, want 10", threeD, len(cols))
+			}
+			seen := map[*float64]int{}
+			for i, col := range cols {
+				if len(col) != capacity || st.Cap() != capacity {
+					t.Errorf("threeD=%v, sort %d: column %d has length %d and the store capacity %d, want %d", threeD, sort, i, len(col), st.Cap(), capacity)
+				}
+				p := unsafe.SliceData(col)
+				if j, ok := seen[p]; ok {
+					t.Errorf("threeD=%v, sort %d: columns %d and %d share a backing array", threeD, sort, j, i)
+				}
+				seen[p] = i
+			}
 		}
 	}
 }

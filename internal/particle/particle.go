@@ -27,13 +27,13 @@ import (
 // instantiation reproduces the pre-generic store exactly.
 //
 // The simulations keep the store cell-major: every step the sort
-// (par.CellSort.ScatterShuffled) gathers the payload into a shadow store
-// and the buffers are swapped, so cell c's particles occupy the
-// contiguous index range cellStart[c]:cellStart[c+1] and Cell is
-// non-decreasing. During the sort the shadow's Cell column is scratch —
-// it holds the int32 source index of each slot — and the gather then
-// writes the cell column back, because it has readers before the next
-// move rewrites it: the golden hashes, the checkpoint writer and
+// (par.CellSort.Sort) permutes it in place, gathering each payload
+// column into one of the sorter's scratch columns and swapping the two
+// slice headers, so cell c's particles occupy the contiguous index range
+// cellStart[c]:cellStart[c+1] and Cell is non-decreasing. A column slice
+// taken from the store is therefore stale after the next sort. The sort
+// rewrites Cell from the bucket boundaries, because it has readers before
+// the next move rewrites it: the golden hashes, the checkpoint writer and
 // sample.AddFlow.
 type Store[F kernel.Float] struct {
 	X, Y []F

@@ -21,9 +21,10 @@ func allocConfig() Config {
 }
 
 // testStepAllocationFree: a steady-state Step must perform zero heap
-// allocations in either storage precision — the sort scatters into the
-// pre-allocated shadow store, all shard closures are prebuilt, per-worker
-// scratch is pre-sized, and the reservoir is capacity-bounded.
+// allocations in either storage precision — the sort gathers through its
+// pre-allocated permutation and scratch columns, all shard closures are
+// prebuilt, per-worker scratch is pre-sized, and the reservoir is
+// capacity-bounded.
 func testStepAllocationFree[F kernel.Float](t *testing.T, workers int) {
 	t.Helper()
 	cfg := allocConfig()

@@ -225,7 +225,6 @@ func NewOf[F kernel.Float](cfg Config) (*SimOf[F], error) {
 	}
 
 	store := particle.NewStore[F](capacity)
-	shadow := particle.NewStore[F](capacity)
 	eng := engine.New(engine.Config{
 		Cells: g.Cells(),
 		Seed:  cfg.Seed,
@@ -239,7 +238,7 @@ func NewOf[F kernel.Float](cfg Config) (*SimOf[F], error) {
 		Vols:   vols,
 		Layout: layout2D,
 		ZVib:   cfg.ZVib,
-	}, dom, pool, store, shadow)
+	}, dom, pool, store)
 	dom.eng = eng
 
 	// Fill the tunnel with freestream gas and bank the paper's ~10% extra

@@ -170,7 +170,6 @@ func NewOf[F kernel.Float](cfg Config) (*SimOf[F], error) {
 		speed: cfg.PistonSpeed,
 	}
 	store := particle.NewStore3[F](n)
-	shadow := particle.NewStore3[F](n)
 	eng := engine.New(engine.Config{
 		Cells: g.Cells(),
 		Seed:  cfg.Seed,
@@ -182,7 +181,7 @@ func NewOf[F kernel.Float](cfg Config) (*SimOf[F], error) {
 			CollideAll: cfg.Lambda <= 0,
 		},
 		Layout: layout3D,
-	}, dom, pool, store, shadow)
+	}, dom, pool, store)
 
 	r := rng.NewStream(cfg.Seed)
 	sigma := free.ComponentSigma()
