@@ -35,9 +35,9 @@ import (
 // bit-identical to a record scatter followed by an in-place record
 // shuffle from the same streams. The sort needs two columns and one int32
 // per particle of capacity beyond the store, not a second store: one
-// spare column would do, but a dispatch per column measured 4% slower
-// per multi-worker step than the two-store gather, and two per dispatch
-// 5% faster (BENCH_PR43.md).
+// spare column would do, but on the two-worker paper wedge a dispatch per
+// column measured 4% slower per step than the two-store gather it
+// replaced, and two columns per dispatch 5% faster.
 //
 // Bucketing a block by destination cell window first, to keep the write
 // set cache-resident, measured slower or at parity at every scale this
