@@ -89,7 +89,7 @@ func BenchmarkFig7ParticleScaling(b *testing.B) {
 func BenchmarkShockTube3DWorkerSweep(b *testing.B) {
 	for _, w := range par.SweepWorkers() {
 		b.Run(benchName("workers", w), func(b *testing.B) {
-			s, err := sim3.New(sim3.Config{
+			s, err := sim3.NewOf[float64](sim3.Config{
 				NX: 160, NY: 16, NZ: 16,
 				Cm: 0.125, PistonSpeed: 0.131, NPerCell: 12, Seed: 3,
 				Workers: w,
@@ -215,7 +215,7 @@ func BenchmarkBaselineSchemes(b *testing.B) {
 // BenchmarkShockTube3D times the 3D extension (piston-driven normal
 // shock, the paper's future-work geometry).
 func BenchmarkShockTube3D(b *testing.B) {
-	s, err := sim3.New(sim3.Config{
+	s, err := sim3.NewOf[float64](sim3.Config{
 		NX: 160, NY: 4, NZ: 4,
 		Cm: 0.125, PistonSpeed: 0.131, NPerCell: 14, Seed: 3,
 	})

@@ -123,6 +123,9 @@ type Simulation struct {
 	ref  *run.Replica // the engine-backed Reference simulation; nil on the CM
 	cm   *cmsim.Sim
 	b    backend
+	// timed counts the steps run through this Simulation, the ones its
+	// phase times cover; a restored checkpoint's steps are not among them.
+	timed int
 }
 
 // NewSimulation builds and initialises a simulation of any Scenario on
@@ -191,10 +194,10 @@ func (s *Simulation) Kind() string { return s.p.kind }
 func (s *Simulation) Shape() (nx, ny, nz int) { return s.p.nx, s.p.ny, s.p.nz }
 
 // Step advances one time step.
-func (s *Simulation) Step() { s.b.Step() }
+func (s *Simulation) Step() { s.b.Step(); s.timed++ }
 
 // Run advances n time steps.
-func (s *Simulation) Run(n int) { s.b.Run(n) }
+func (s *Simulation) Run(n int) { s.b.Run(n); s.timed += max(n, 0) }
 
 // NFlow returns the number of particles in the flow.
 func (s *Simulation) NFlow() int { return s.b.NFlow() }
@@ -250,10 +253,10 @@ func (s *Simulation) ModelPhaseCycles() map[string]int64 {
 }
 
 // MicrosecondsPerParticleStep reports the average wall-clock cost per
-// particle per time step so far — the paper's headline metric
-// (7.2 µs on the 32k-processor CM-2, 0.5 µs on the Cray-2).
+// particle per time step this Simulation has run — the paper's headline
+// metric (7.2 µs on the 32k-processor CM-2, 0.5 µs on the Cray-2).
 func (s *Simulation) MicrosecondsPerParticleStep() float64 {
-	if s.StepCount() == 0 || s.NFlow() == 0 {
+	if s.timed == 0 || s.NFlow() == 0 {
 		return 0
 	}
 	var total time.Duration
@@ -264,7 +267,7 @@ func (s *Simulation) MicrosecondsPerParticleStep() float64 {
 	} else {
 		total = s.cm.Machine().Cost().TotalWall()
 	}
-	return total.Seconds() * 1e6 / float64(s.StepCount()) / float64(s.NFlow())
+	return total.Seconds() * 1e6 / float64(s.timed) / float64(s.NFlow())
 }
 
 // Theory returns the inviscid-theory references for this scenario —
@@ -288,10 +291,8 @@ type Theory struct {
 func (s *Simulation) Theory() Theory {
 	gamma := s.p.gamma
 	if s.p.sc.Sim3 != nil {
-		// Piston-driven normal shock: Ms − 1/Ms = up(γ+1)/(2a1).
 		a1 := s.p.cm * math.Sqrt(gamma/2)
-		k := s.p.pistonSpeed * (gamma + 1) / (2 * a1)
-		ms := (k + math.Sqrt(k*k+4)) / 2
+		ms := phys.PistonShockMach(s.p.pistonSpeed, a1, gamma)
 		return Theory{
 			ShockSpeed:       ms * a1,
 			DensityRatio:     phys.RHDensityRatio(ms, gamma),

@@ -144,14 +144,14 @@ func TestDiffuseVibrationalRoundTrip(t *testing.T) {
 	cfg.ZVib = 5
 	cfg.Workers = 1
 
-	straight, err := sim.New(cfg)
+	straight, err := sim.NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	straight.Run(40)
 	want := golden.HashSim2D(straight)
 
-	half, err := sim.New(cfg)
+	half, err := sim.NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestDiffuseVibrationalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Workers = 8
-	restored, err := sim.New(cfg)
+	restored, err := sim.NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func vibColumnAcrossStores[F kernel.Float](t *testing.T) {
 
 func checkpoint2D(t *testing.T, cfg sim.Config, steps int) []byte {
 	t.Helper()
-	s, err := sim.New(cfg)
+	s, err := sim.NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func checkpoint2D(t *testing.T, cfg sim.Config, steps int) []byte {
 func TestCorruptionDetected(t *testing.T) {
 	cfg := config2D()
 	raw := checkpoint2D(t, cfg, 5)
-	s, err := sim.New(cfg)
+	s, err := sim.NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestShapeMismatches(t *testing.T) {
 		}
 	})
 	t.Run("wrong-kind", func(t *testing.T) {
-		s3, err := sim3.New(config3D())
+		s3, err := sim3.NewOf[float64](config3D())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestShapeMismatches(t *testing.T) {
 	t.Run("wrong-grid", func(t *testing.T) {
 		other := cfg
 		other.NX = 32
-		s, err := sim.New(other)
+		s, err := sim.NewOf[float64](other)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +291,7 @@ func TestShapeMismatches(t *testing.T) {
 		}
 	})
 	t.Run("bad-magic", func(t *testing.T) {
-		s, err := sim.New(cfg)
+		s, err := sim.NewOf[float64](cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestSizeIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3, err := sim3.New(config3D())
+	s3, err := sim3.NewOf[float64](config3D())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestSizeIsExact(t *testing.T) {
 // sized from the count — the restore allocates less than twice the input,
 // not the 40 GiB the count asks for.
 func TestHugeReservoirRejected(t *testing.T) {
-	s, err := sim.New(config2D())
+	s, err := sim.NewOf[float64](config2D())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestHugeReservoirRejected(t *testing.T) {
 // (the piece that makes mid-sampling job resume exact).
 func TestAccumulatorRoundTrip(t *testing.T) {
 	cfg := config2D()
-	s, err := sim.New(cfg)
+	s, err := sim.NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func standaloneTarget2D[F kernel.Float](f *testing.F) fuzzTarget {
 
 // standaloneTarget3D wraps a stepped 3D simulation.
 func standaloneTarget3D(f *testing.F) fuzzTarget {
-	s, err := sim3.New(fuzzConfig3D())
+	s, err := sim3.NewOf[float64](fuzzConfig3D())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func standaloneTarget3D(f *testing.F) fuzzTarget {
 // simulation's sections, the accumulator.
 func jobTarget(f *testing.F) fuzzTarget {
 	cfg := fuzzConfig2D()
-	s, err := sim.New(cfg)
+	s, err := sim.NewOf[float64](cfg)
 	if err != nil {
 		f.Fatal(err)
 	}

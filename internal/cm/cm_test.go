@@ -24,13 +24,6 @@ func TestNewMinimumOneVPPerProcessor(t *testing.T) {
 	}
 }
 
-func TestChunkOf(t *testing.T) {
-	m := New(4, 16)
-	if m.ChunkOf(0) != 0 || m.ChunkOf(3) != 0 || m.ChunkOf(4) != 1 || m.ChunkOf(15) != 3 {
-		t.Errorf("ChunkOf wrong for VPR=4")
-	}
-}
-
 func TestFillCopyMapZip(t *testing.T) {
 	m := New(4, 64)
 	a, b, c := m.NewField(), m.NewField(), m.NewField()
@@ -46,10 +39,14 @@ func TestFillCopyMapZip(t *testing.T) {
 			t.Fatalf("Map failed")
 		}
 	}
-	m.Zip(OpALU, c, a, b, func(x, y int32) int32 { return x + y })
+	all := make([]bool, m.VPs())
+	for i := range all {
+		all[i] = true
+	}
+	m.ZipWhere(OpALU, all, c, a, b, func(x, y int32) int32 { return x + y })
 	for _, v := range c {
 		if v != 21 {
-			t.Fatalf("Zip failed")
+			t.Fatalf("ZipWhere over every processor failed")
 		}
 	}
 	m.Copy(a, c)
@@ -60,52 +57,38 @@ func TestFillCopyMapZip(t *testing.T) {
 	}
 }
 
-func TestMapWhereRespectsContext(t *testing.T) {
+func TestZipWhereRespectsContext(t *testing.T) {
 	m := New(2, 8)
-	ctx := m.NewContext()
+	ctx := make([]bool, m.VPs())
 	for i := range ctx {
 		ctx[i] = i%2 == 0
 	}
 	a := m.NewField()
 	m.Fill(a, 1)
-	m.MapWhere(OpALU, ctx, a, a, func(x int32) int32 { return 99 })
+	m.ZipWhere(OpALU, ctx, a, a, a, func(x, y int32) int32 { return 99 })
 	for i, v := range a {
 		want := int32(1)
 		if i%2 == 0 {
 			want = 99
 		}
 		if v != want {
-			t.Fatalf("MapWhere at %d = %d, want %d", i, v, want)
+			t.Fatalf("ZipWhere at %d = %d, want %d", i, v, want)
 		}
 	}
 }
 
-func TestSelectMaskCount(t *testing.T) {
+func TestMask(t *testing.T) {
 	m := New(2, 10)
-	a, b, c := m.NewField(), m.NewField(), m.NewField()
-	m.Fill(a, 1)
-	m.Fill(b, 2)
-	ctx := m.NewContext()
-	for i := range ctx {
-		ctx[i] = i < 5
-	}
-	m.Select(ctx, c, a, b)
-	for i, v := range c {
-		if (i < 5 && v != 1) || (i >= 5 && v != 2) {
-			t.Fatalf("Select wrong at %d", i)
-		}
-	}
-	if got := m.Count(ctx); got != 5 {
-		t.Errorf("Count = %d", got)
+	a := m.NewField()
+	for i := range a {
+		a[i] = int32(i)
 	}
 	mask := make([]bool, m.VPs())
-	m.Mask(mask, c, func(x int32) bool { return x == 2 })
-	if got := m.Count(mask); got != 5 {
-		t.Errorf("Mask/Count = %d", got)
-	}
-	m.MaskAnd(mask, c, func(x int32) bool { return false })
-	if got := m.Count(mask); got != 0 {
-		t.Errorf("MaskAnd should clear all: %d", got)
+	m.Mask(mask, a, func(x int32) bool { return x%3 == 0 })
+	for i, v := range mask {
+		if v != (i%3 == 0) {
+			t.Fatalf("Mask at %d = %v", i, v)
+		}
 	}
 }
 
@@ -114,10 +97,6 @@ func TestReduce(t *testing.T) {
 	a := m.NewField()
 	for i := range a {
 		a[i] = int32(i)
-	}
-	want := int64(len(a)-1) * int64(len(a)) / 2
-	if got := m.Reduce(a); got != want {
-		t.Errorf("Reduce = %d, want %d", got, want)
 	}
 	if got := m.ReduceMax(a); got != int32(len(a)-1) {
 		t.Errorf("ReduceMax = %d", got)
@@ -228,30 +207,6 @@ func TestSegPlusScanMatchesReference(t *testing.T) {
 	}
 }
 
-func TestSegCopyScan(t *testing.T) {
-	for _, n := range []int{64, 20000} {
-		m := New(16, n)
-		src := m.NewField()
-		seg := make([]bool, m.VPs())
-		rng := rand.New(rand.NewSource(int64(n) + 13))
-		for i := range src {
-			src[i] = int32(rng.Intn(1000))
-			seg[i] = rng.Intn(17) == 0
-		}
-		dst := m.NewField()
-		m.SegCopyScan(dst, src, seg)
-		cur := src[0]
-		for i := range dst {
-			if seg[i] {
-				cur = src[i]
-			}
-			if dst[i] != cur {
-				t.Fatalf("n=%d: copyscan[%d] = %d, want %d", n, i, dst[i], cur)
-			}
-		}
-	}
-}
-
 func TestSegBroadcastSum(t *testing.T) {
 	for _, n := range []int{64, 4096, 30000} {
 		m := New(16, n)
@@ -292,7 +247,7 @@ func TestSegBroadcastSum(t *testing.T) {
 
 func TestEnumerate(t *testing.T) {
 	m := New(8, 100)
-	ctx := m.NewContext()
+	ctx := make([]bool, m.VPs())
 	for i := range ctx {
 		ctx[i] = i%3 == 0
 	}
@@ -394,7 +349,7 @@ func TestSortPermProperty(t *testing.T) {
 	}
 }
 
-func TestGatherScatterInverse(t *testing.T) {
+func TestGather(t *testing.T) {
 	m := New(8, 1024)
 	src := m.NewField()
 	rng := rand.New(rand.NewSource(37))
@@ -406,12 +361,11 @@ func TestGatherScatterInverse(t *testing.T) {
 		keys[i] = int32(rng.Intn(100))
 	}
 	perm := m.SortPerm(keys)
-	gathered, back := m.NewField(), m.NewField()
+	gathered := m.NewField()
 	m.Gather(gathered, src, perm)
-	m.Scatter(back, gathered, perm)
-	for i := range back {
-		if back[i] != src[i] {
-			t.Fatalf("Scatter(Gather(x)) != x at %d", i)
+	for i, p := range perm {
+		if gathered[i] != src[p] {
+			t.Fatalf("Gather[%d] = %d, want src[%d] = %d", i, gathered[i], p, src[p])
 		}
 	}
 }

@@ -53,35 +53,12 @@ func (m *Machine) Map(kind OpKind, dst, src Field, f func(int32) int32) {
 	m.chargeElementwise(kind.cycles())
 }
 
-// MapWhere applies f elementwise under the context mask; inactive
-// processors keep their dst value. The CM charges inactive processors the
-// same cycles (they idle through the broadcast instruction), so the cost
-// is identical to Map — this is exactly the load-balance argument the
-// paper makes against the cells-to-processors mapping.
-func (m *Machine) MapWhere(kind OpKind, ctx []bool, dst, src Field, f func(int32) int32) {
-	m.checkLen(dst, src)
-	m.parFor(m.vps, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if ctx[i] {
-				dst[i] = f(src[i])
-			}
-		}
-	})
-	m.chargeElementwise(kind.cycles())
-}
-
-// Zip applies f elementwise over two operands: dst[i] = f(a[i], b[i]).
-func (m *Machine) Zip(kind OpKind, dst, a, b Field, f func(int32, int32) int32) {
-	m.checkLen(dst, a, b)
-	m.parFor(m.vps, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = f(a[i], b[i])
-		}
-	})
-	m.chargeElementwise(kind.cycles())
-}
-
-// ZipWhere is Zip under a context mask.
+// ZipWhere applies f elementwise over two operands under the context
+// mask: dst[i] = f(a[i], b[i]) where ctx[i]; inactive processors keep
+// their dst value. The CM charges inactive processors the same cycles
+// (they idle through the broadcast instruction), so the cost is that of
+// the unmasked operation — the load-balance argument the paper makes
+// against the cells-to-processors mapping.
 func (m *Machine) ZipWhere(kind OpKind, ctx []bool, dst, a, b Field, f func(int32, int32) int32) {
 	m.checkLen(dst, a, b)
 	m.parFor(m.vps, func(lo, hi int) {
@@ -128,21 +105,6 @@ func (m *Machine) UpdateReduce(aluOps int, f func(i int, acc *int64)) int64 {
 	return total
 }
 
-// Select sets dst[i] = a[i] where ctx else b[i].
-func (m *Machine) Select(ctx []bool, dst, a, b Field) {
-	m.checkLen(dst, a, b)
-	m.parFor(m.vps, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if ctx[i] {
-				dst[i] = a[i]
-			} else {
-				dst[i] = b[i]
-			}
-		}
-	})
-	m.chargeElementwise(CycleALU32)
-}
-
 // Mask computes a context from a predicate over one field.
 func (m *Machine) Mask(dst []bool, src Field, pred func(int32) bool) {
 	m.checkLen(src)
@@ -152,36 +114,6 @@ func (m *Machine) Mask(dst []bool, src Field, pred func(int32) bool) {
 		}
 	})
 	m.chargeElementwise(CycleALU32)
-}
-
-// MaskAnd narrows a context in place: dst[i] &&= pred(src[i]).
-func (m *Machine) MaskAnd(dst []bool, src Field, pred func(int32) bool) {
-	m.checkLen(src)
-	m.parFor(m.vps, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = dst[i] && pred(src[i])
-		}
-	})
-	m.chargeElementwise(CycleALU32)
-}
-
-// Reduce returns the sum of src as int64 (the global reduction network).
-func (m *Machine) Reduce(src Field) int64 {
-	m.checkLen(src)
-	partial := make([]int64, m.workers)
-	m.parForIdx(m.vps, func(w, lo, hi int) {
-		var s int64
-		for i := lo; i < hi; i++ {
-			s += int64(src[i])
-		}
-		partial[w] = s
-	})
-	var total int64
-	for _, s := range partial {
-		total += s
-	}
-	m.chargeScan()
-	return total
 }
 
 // ReduceMax returns the maximum of src; zero-length machines cannot occur.
@@ -205,24 +137,4 @@ func (m *Machine) ReduceMax(src Field) int32 {
 	}
 	m.chargeScan()
 	return best
-}
-
-// Count returns the number of active processors in ctx.
-func (m *Machine) Count(ctx []bool) int {
-	partial := make([]int, m.workers)
-	m.parForIdx(m.vps, func(w, lo, hi int) {
-		c := 0
-		for i := lo; i < hi; i++ {
-			if ctx[i] {
-				c++
-			}
-		}
-		partial[w] = c
-	})
-	total := 0
-	for _, c := range partial {
-		total += c
-	}
-	m.chargeScan()
-	return total
 }

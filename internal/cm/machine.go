@@ -88,20 +88,8 @@ func (m *Machine) VPs() int { return m.vps }
 // VPR returns the virtual processor ratio.
 func (m *Machine) VPR() int { return m.vps / m.numPhys }
 
-// ChunkOf returns the physical processor owning virtual processor i.
-func (m *Machine) ChunkOf(i int) int { return i / m.VPR() }
-
 // NewField allocates a zeroed field.
 func (m *Machine) NewField() Field { return make(Field, m.vps) }
-
-// NewContext returns a context (activity mask) with every processor active.
-func (m *Machine) NewContext() []bool {
-	ctx := make([]bool, m.vps)
-	for i := range ctx {
-		ctx[i] = true
-	}
-	return ctx
-}
 
 // Phase names the accounting bucket for subsequent operations and starts
 // its wall-clock timer; the previous phase's timer is stopped.

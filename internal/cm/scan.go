@@ -101,47 +101,6 @@ func (m *Machine) SegPlusScan(dst, src Field, segStart []bool, exclusive bool) {
 	m.chargeScan()
 }
 
-// SegCopyScan broadcasts the value at each segment start to every element
-// of the segment (a copy-scan). Content before the first segment start is
-// copied from element 0 of the machine.
-func (m *Machine) SegCopyScan(dst, src Field, segStart []bool) {
-	m.checkLen(dst, src)
-	n := m.vps
-	w := m.workers
-	outVal := make([]int32, w)
-	hasStart := make([]bool, w)
-	m.parForIdx(n, func(b, lo, hi int) {
-		v := int32(0)
-		started := false
-		for i := lo; i < hi; i++ {
-			if segStart[i] {
-				v = src[i]
-				started = true
-			}
-		}
-		outVal[b] = v
-		hasStart[b] = started
-	})
-	carryIn := make([]int32, w)
-	cur := src[0]
-	for b := 0; b < w; b++ {
-		carryIn[b] = cur
-		if hasStart[b] {
-			cur = outVal[b]
-		}
-	}
-	m.parForIdx(n, func(b, lo, hi int) {
-		v := carryIn[b]
-		for i := lo; i < hi; i++ {
-			if segStart[i] {
-				v = src[i]
-			}
-			dst[i] = v
-		}
-	})
-	m.chargeScan()
-}
-
 // SegBroadcastSum gives every element the total of its segment: an
 // inclusive segmented plus-scan followed by a backward copy of the
 // segment-final values. This pair of scans is how the implementation

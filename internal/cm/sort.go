@@ -138,25 +138,6 @@ func (m *Machine) GatherMany(perm []int32, scratch Field, fields ...Field) {
 	}
 }
 
-// Scatter performs dst[perm[i]] = src[i]. perm must be a permutation.
-func (m *Machine) Scatter(dst, src Field, perm []int32) {
-	m.checkLen(dst, src)
-	var cross int64
-	vpr := m.VPR()
-	m.parForIdx(m.vps, func(_, lo, hi int) {
-		var localCross int64
-		for i := lo; i < hi; i++ {
-			j := int(perm[i])
-			dst[j] = src[i]
-			if j/vpr != i/vpr {
-				localCross++
-			}
-		}
-		atomic.AddInt64(&cross, localCross)
-	})
-	m.chargeComm(int64(m.vps)-cross, cross)
-}
-
 // ShiftUp implements the NEWS-style nearest-neighbour shift: dst[i] =
 // src[i-1], with dst[0] = fill. Neighbour communication crosses a chunk
 // boundary only once per physical processor, so it is charged almost

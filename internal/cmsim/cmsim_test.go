@@ -50,7 +50,7 @@ func TestStepInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	n0 := s.NFlow()
-	wedge := s.cfg.Sim.Wedge
+	body := s.cfg.Sim.Wedge.Prepare()
 	for step := 0; step < 40; step++ {
 		s.Step()
 	}
@@ -64,7 +64,7 @@ func TestStepInvariants(t *testing.T) {
 		if y < -1e-6 || y > 24+1e-6 {
 			t.Fatalf("flow particle outside walls: y=%v", y)
 		}
-		if wedge.Contains(geom.Vec2{X: x, Y: y}) {
+		if body.Contains(geom.Vec2{X: x, Y: y}) {
 			t.Fatalf("flow particle inside wedge at (%v,%v)", x, y)
 		}
 	}

@@ -291,9 +291,6 @@ func (e *Engine[F]) PhaseStream(domain uint64, lane int) rng.Stream {
 // it.
 func (e *Engine[F]) Store() *particle.Store[F] { return e.store }
 
-// Workers returns the resolved worker count of the phase pool.
-func (e *Engine[F]) Workers() int { return e.pool.Workers() }
-
 // StepCount returns the number of completed time steps.
 func (e *Engine[F]) StepCount() int { return e.step }
 

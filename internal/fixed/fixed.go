@@ -63,9 +63,6 @@ func (x Fix) Float() float64 { return float64(x) / (1 << FracBits) }
 // what the cell-index computation in the paper uses.
 func (x Fix) Int() int { return int(x >> FracBits) }
 
-// Frac returns the fractional bits of x as a non-negative value below One.
-func (x Fix) Frac() Fix { return x & (One - 1) }
-
 // Add returns x+y with saturation.
 func Add(x, y Fix) Fix {
 	s := int64(x) + int64(y)
@@ -84,27 +81,6 @@ func Mul(x, y Fix) Fix {
 	p := (int64(x) * int64(y)) >> FracBits
 	return sat64(p)
 }
-
-// Div returns the fixed-point quotient x/y, truncated. Division by zero
-// saturates in the direction of the sign of x (0/0 returns Max, matching
-// the saturating behaviour documented for the substrate rather than
-// trapping, since library code must not panic on simulation data).
-func Div(x, y Fix) Fix {
-	if y == 0 {
-		if x < 0 {
-			return Min
-		}
-		return Max
-	}
-	q := (int64(x) << FracBits) / int64(y)
-	return sat64(q)
-}
-
-// Half returns x/2 truncated toward negative infinity (arithmetic shift),
-// exactly as the bit-serial divide-by-two behaves. The consistent downward
-// truncation is the energy-loss mechanism the paper identifies in
-// stagnation regions.
-func Half(x Fix) Fix { return x >> 1 }
 
 // HalfStochastic returns x/2 with the paper's correction: when the shifted-
 // out bit is 1 (the result was truncated), one LSB is added with probability
@@ -126,17 +102,6 @@ func DirtyBits(x Fix, n uint) uint32 {
 	return (uint32(x) >> 1) & ((1 << n) - 1)
 }
 
-// Abs returns |x| with saturation (|Min| saturates to Max).
-func Abs(x Fix) Fix {
-	if x == Min {
-		return Max
-	}
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // Neg returns -x with saturation.
 func Neg(x Fix) Fix {
 	if x == Min {
@@ -145,50 +110,9 @@ func Neg(x Fix) Fix {
 	return -x
 }
 
-// Sqrt returns the fixed-point square root of x using a bitwise
-// integer method (no floating point); negative input returns 0.
-func Sqrt(x Fix) Fix {
-	if x <= 0 {
-		return 0
-	}
-	// Compute isqrt(x << FracBits) so the result is in Q9.23.
-	v := uint64(x) << FracBits
-	var res uint64
-	bit := uint64(1) << 62
-	for bit > v {
-		bit >>= 2
-	}
-	for bit != 0 {
-		if v >= res+bit {
-			v -= res + bit
-			res = res>>1 + bit
-		} else {
-			res >>= 1
-		}
-		bit >>= 2
-	}
-	return sat64(int64(res))
-}
-
 // Scale multiplies x by the integer k with saturation.
 func Scale(x Fix, k int) Fix {
 	return sat64(int64(x) * int64(k))
-}
-
-// Lerp returns a + t*(b-a) for t in fixed point.
-func Lerp(a, b, t Fix) Fix {
-	return Add(a, Mul(t, Sub(b, a)))
-}
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi Fix) Fix {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
 
 func sat64(v int64) Fix {
@@ -200,18 +124,3 @@ func sat64(v int64) Fix {
 	}
 	return Fix(v)
 }
-
-// Dot5 returns the fixed-point dot product of two 5-component vectors,
-// the quantity conserved by the collision algorithm (eq. 18 of the paper).
-// The accumulation is done in 64-bit before a single saturating narrowing,
-// so intermediate overflow cannot corrupt the conservation check.
-func Dot5(a, b *[5]Fix) Fix {
-	var acc int64
-	for i := 0; i < 5; i++ {
-		acc += (int64(a[i]) * int64(b[i])) >> FracBits
-	}
-	return sat64(acc)
-}
-
-// Norm2of5 returns the squared magnitude of a 5-component vector.
-func Norm2of5(a *[5]Fix) Fix { return Dot5(a, a) }

@@ -50,13 +50,6 @@ func TestIntTruncatesDownward(t *testing.T) {
 	}
 }
 
-func TestFrac(t *testing.T) {
-	x := FromFloat(3.25)
-	if got := x.Frac().Float(); math.Abs(got-0.25) > 1e-6 {
-		t.Errorf("Frac(3.25) = %v", got)
-	}
-}
-
 func TestAddSubProperty(t *testing.T) {
 	f := func(a, b int32) bool {
 		x, y := Fix(a)/4, Fix(b)/4 // keep clear of saturation
@@ -85,39 +78,6 @@ func TestMulMatchesFloat(t *testing.T) {
 		if math.Abs(got-a*b) > 4.0/(1<<FracBits)*math.Max(1, math.Abs(a)+math.Abs(b)) {
 			t.Fatalf("Mul(%g,%g) = %g, want %g", a, b, got, a*b)
 		}
-	}
-}
-
-func TestDivMatchesFloat(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 2000; i++ {
-		a := rng.Float64()*20 - 10
-		b := rng.Float64()*20 - 10
-		if math.Abs(b) < 0.1 {
-			continue
-		}
-		got := Div(FromFloat(a), FromFloat(b)).Float()
-		if math.Abs(got-a/b) > 1e-4 {
-			t.Fatalf("Div(%g,%g) = %g, want %g", a, b, got, a/b)
-		}
-	}
-}
-
-func TestDivByZeroSaturates(t *testing.T) {
-	if Div(One, 0) != Max {
-		t.Errorf("1/0 must saturate to Max")
-	}
-	if Div(-One, 0) != Min {
-		t.Errorf("-1/0 must saturate to Min")
-	}
-}
-
-func TestHalfTruncatesDownward(t *testing.T) {
-	if Half(5) != 2 {
-		t.Errorf("Half(5 lsb) = %d", Half(5))
-	}
-	if Half(-5) != -3 {
-		t.Errorf("Half(-5 lsb) = %d, want -3 (floor)", Half(-5))
 	}
 }
 
@@ -158,7 +118,7 @@ func TestConsistentTruncationLosesEnergy(t *testing.T) {
 	var truncSum, stochSum, exactSum float64
 	for i := 0; i < n; i++ {
 		x := Fix(rng.Int31n(1000) + 1)
-		truncSum += float64(Half(x))
+		truncSum += float64(x >> 1) // the bit-serial shift, floor(x/2)
 		stochSum += float64(HalfStochastic(x, uint32(rng.Int63()&1)))
 		exactSum += float64(x) / 2
 	}
@@ -172,59 +132,6 @@ func TestConsistentTruncationLosesEnergy(t *testing.T) {
 	}
 }
 
-func TestSqrt(t *testing.T) {
-	for _, f := range []float64{0, 0.25, 1, 2, 9, 100, 250} {
-		got := Sqrt(FromFloat(f)).Float()
-		if math.Abs(got-math.Sqrt(f)) > 1e-5*(1+math.Sqrt(f)) {
-			t.Errorf("Sqrt(%g) = %g, want %g", f, got, math.Sqrt(f))
-		}
-	}
-	if Sqrt(-One) != 0 {
-		t.Errorf("Sqrt of negative must return 0")
-	}
-}
-
-func TestSqrtProperty(t *testing.T) {
-	f := func(a int32) bool {
-		x := Fix(a)
-		if x < 0 {
-			x = -x / 2
-		}
-		r := Sqrt(x)
-		// r^2 <= x < (r+eps)^2 within one LSB of rounding.
-		lo := Mul(r, r)
-		hi := Mul(r+2, r+2)
-		return lo <= x+2 && hi >= x-2
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDot5ConservedUnderPermutationAndSign(t *testing.T) {
-	// The invariant behind the collision algorithm: permuting components and
-	// flipping signs preserves the squared norm.
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 1000; i++ {
-		var v [5]Fix
-		for j := range v {
-			v[j] = FromFloat(rng.Float64()*4 - 2)
-		}
-		before := Norm2of5(&v)
-		p := rng.Perm(5)
-		var w [5]Fix
-		for j := range w {
-			w[j] = v[p[j]]
-			if rng.Int63()&1 == 0 {
-				w[j] = -w[j]
-			}
-		}
-		if Norm2of5(&w) != before {
-			t.Fatalf("norm changed under permutation+sign: %d -> %d", before, Norm2of5(&w))
-		}
-	}
-}
-
 func TestDirtyBits(t *testing.T) {
 	x := Fix(0b101101101)
 	if DirtyBits(x, 3) != 0b110 {
@@ -235,26 +142,17 @@ func TestDirtyBits(t *testing.T) {
 	}
 }
 
-func TestClampLerpScaleAbsNeg(t *testing.T) {
-	if Clamp(FromInt(5), 0, One) != One {
-		t.Errorf("Clamp high")
-	}
-	if Clamp(FromInt(-5), 0, One) != 0 {
-		t.Errorf("Clamp low")
-	}
-	if got := Lerp(0, FromInt(2), FromFloat(0.5)).Float(); math.Abs(got-1) > 1e-6 {
-		t.Errorf("Lerp = %v", got)
-	}
+func TestScaleNeg(t *testing.T) {
 	if Scale(One, 3) != 3*One {
 		t.Errorf("Scale")
 	}
 	if Scale(Max, 2) != Max {
 		t.Errorf("Scale must saturate")
 	}
-	if Abs(FromInt(-3)) != FromInt(3) {
-		t.Errorf("Abs")
+	if Neg(FromInt(-3)) != FromInt(3) {
+		t.Errorf("Neg")
 	}
-	if Abs(Min) != Max || Neg(Min) != Max {
-		t.Errorf("Abs/Neg of Min must saturate to Max")
+	if Neg(Min) != Max {
+		t.Errorf("Neg of Min must saturate to Max")
 	}
 }

@@ -77,12 +77,6 @@ func (w Wedge) Vertices() [3]Vec2 {
 	return [3]Vec2{{w.LeadX, 0}, {w.TrailX(), 0}, w.Apex()}
 }
 
-// Contains reports whether p is strictly inside the wedge body.
-func (w Wedge) Contains(p Vec2) bool {
-	b := w.Prepare()
-	return b.Contains(p)
-}
-
 // Body is the prepared form of a Wedge and the single definition of
 // "inside the body": the base interval, the ramp slope and the two
 // gas-facing faces (the base lies on the lower wall and never is) are

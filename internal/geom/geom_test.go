@@ -27,7 +27,7 @@ func TestWedgeDerivedGeometry(t *testing.T) {
 }
 
 func TestWedgeContains(t *testing.T) {
-	w := paperWedge()
+	b := paperWedge().Prepare()
 	cases := []struct {
 		p    Vec2
 		want bool
@@ -42,7 +42,7 @@ func TestWedgeContains(t *testing.T) {
 		{Vec2{45.0001, 5}, false}, // just past back face
 	}
 	for _, c := range cases {
-		if got := w.Contains(c.p); got != c.want {
+		if got := b.Contains(c.p); got != c.want {
 			t.Errorf("Contains(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}
@@ -133,7 +133,7 @@ func TestTunnelWedgeReflection(t *testing.T) {
 	p0 := Vec2{30, surfY(30) - 0.05}
 	v0 := Vec2{0.4, -0.1}
 	p, v := tun.ReflectSpecular(p0, v0)
-	if w.Contains(p) {
+	if body := w.Prepare(); body.Contains(p) {
 		t.Errorf("reflected position still inside wedge: %v", p)
 	}
 	if math.Abs(v.Norm()-v0.Norm()) > 1e-12 {
@@ -152,7 +152,7 @@ func TestTunnelBackFaceReflection(t *testing.T) {
 	p0 := Vec2{44.9, 3}
 	v0 := Vec2{-0.5, 0}
 	p, v := tun.ReflectSpecular(p0, v0)
-	if w.Contains(p) {
+	if body := w.Prepare(); body.Contains(p) {
 		t.Errorf("still inside wedge: %v", p)
 	}
 	if v.X <= 0 {
@@ -178,12 +178,13 @@ func TestCornerPocketTerminates(t *testing.T) {
 func TestReflectionPropertyNeverInsideWedge(t *testing.T) {
 	w := paperWedge()
 	tun := Tunnel{W: 98, H: 64, Wedge: &w}.Prepare()
+	body := w.Prepare()
 	r := rng.NewStream(11)
 	for i := 0; i < 20000; i++ {
 		p0 := Vec2{r.Float64() * 98, r.Float64()*64 - 2}
 		v0 := Vec2{r.Float64()*2 - 1, r.Float64()*2 - 1}
 		p, v := tun.ReflectSpecular(p0, v0)
-		if p.Y < 0 || p.Y > 64 || (w.Contains(p)) {
+		if p.Y < 0 || p.Y > 64 || body.Contains(p) {
 			t.Fatalf("illegal corrected position %v from %v", p, p0)
 		}
 		if math.Abs(v.Norm()-v0.Norm()) > 1e-9 {

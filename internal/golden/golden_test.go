@@ -105,7 +105,7 @@ func TestGolden2D(t *testing.T) {
 				cfg := goldenConfig2D()
 				tc.mutate(&cfg)
 				cfg.Workers = workers
-				s, err := sim.New(cfg)
+				s, err := sim.NewOf[float64](cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -145,7 +145,7 @@ func TestGolden3D(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				cfg := tc.cfg
 				cfg.Workers = workers
-				s, err := sim3.New(cfg)
+				s, err := sim3.NewOf[float64](cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -26,7 +26,7 @@ func TestGoldenWithConcurrentScrape(t *testing.T) {
 
 	cfg := goldenConfig2D()
 	cfg.Workers = 3
-	s, err := sim.New(cfg)
+	s, err := sim.NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,6 @@ func (g Grid) Cells() int { return g.NX * g.NY }
 // Index returns the distinct cell index of cell (ix, iy).
 func (g Grid) Index(ix, iy int) int { return iy*g.NX + ix }
 
-// Coords inverts Index.
-func (g Grid) Coords(idx int) (ix, iy int) { return idx % g.NX, idx / g.NX }
-
 // CellOf returns the index of the cell containing position (x, y),
 // clamping positions on or beyond the domain edge into the boundary cell
 // (boundary conditions have already been enforced when this is called;

@@ -19,40 +19,47 @@ import (
 // own packages only.
 const compilerFlags = "dsmc/internal/...=-m -d=ssa/check_bce/debug=1"
 
+// instantiations is the number of compiled copies of the generic step in
+// the build of internal/run: sim's and sim3's at float64, and run's
+// open2D and open3D at float32. The compiler reports a decision inside
+// generic code once per copy.
+const instantiations = 4
+
 // TestCompilerDecisions pins three decisions of the compiler that the
 // step's speed rests on, read from its diagnostics over the build of
-// internal/sim (the engine and everything it steps):
+// internal/run (both backends at both precisions):
 //
 //   - collide.Exchange is inlined at each of its 5 call sites in
-//     kernel/exchange.go, the unrolled five-component exchange;
-//   - rng.RandomPerm5 is inlined at each of its 4 callers in the build,
-//     three in the engine's collide passes and one in the reservoir;
+//     kernel/exchange.go, the unrolled five-component exchange, in
+//     every instantiation;
+//   - rng.RandomPerm5 is inlined at each of its 4 callers, three in the
+//     engine's collide passes (in every instantiation) and one in the
+//     reservoir;
 //   - the sort's gather loop keeps one bounds check, the first column's
-//     random read through the permutation, in each compiled
-//     instantiation: the permutation and the destinations are resliced
-//     to the shard and the second column to the first's length, so
-//     their checks fall out of the loop.
+//     random read through the permutation, in each instantiation: the
+//     permutation and the destinations are resliced to the shard and
+//     the second column to the first's length, so their checks fall out
+//     of the loop.
 //
 // dsmclint reads the source only and sees none of this. The build runs
 // offline on the build cache, which replays a cached package's
 // diagnostics.
 func TestCompilerDecisions(t *testing.T) {
 	root := filepath.Join("..", "..")
-	cmd := exec.Command("go", "build", "-gcflags="+compilerFlags, "./internal/sim")
+	cmd := exec.Command("go", "build", "-gcflags="+compilerFlags, "./internal/run")
 	cmd.Dir = root
 	cmd.Env = append(os.Environ(), "GOPROXY=off", "GOFLAGS=")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		t.Fatalf("go build -gcflags=%q ./internal/sim: %v\n%s", compilerFlags, err, out)
+		t.Fatalf("go build -gcflags=%q ./internal/run: %v\n%s", compilerFlags, err, out)
 	}
 	diags := parseDiagnostics(out)
 
 	exchange := callSites(t, root, "internal/kernel/exchange.go", "collide", "Exchange")
-	checkInlined(t, diags, "collide.Exchange", exchange, 5)
+	checkInlined(t, diags, "collide.Exchange", exchange, 5, instantiations)
 
-	perm := append(callSites(t, root, "internal/engine/engine.go", "rng", "RandomPerm5"),
-		callSites(t, root, "internal/particle/reservoir.go", "rng", "RandomPerm5")...)
-	checkInlined(t, diags, "rng.RandomPerm5", perm, 4)
+	checkInlined(t, diags, "rng.RandomPerm5", callSites(t, root, "internal/engine/engine.go", "rng", "RandomPerm5"), 3, instantiations)
+	checkInlined(t, diags, "rng.RandomPerm5", callSites(t, root, "internal/particle/reservoir.go", "rng", "RandomPerm5"), 1, 1)
 
 	const cellsort = "internal/par/cellsort.go"
 	from, to, read := gatherLoop(t, root, cellsort)
@@ -67,8 +74,8 @@ func TestCompilerDecisions(t *testing.T) {
 		}
 		checks++
 	}
-	if checks == 0 {
-		t.Errorf("no bounds check reported at the gather's first random read %s:%s; the diagnostics or the loop have moved", cellsort, read)
+	if checks != instantiations {
+		t.Errorf("%d bounds checks reported at the gather's first random read %s:%s, want one in each of %d instantiations; the diagnostics or the loop have moved", checks, cellsort, read, instantiations)
 	}
 }
 
@@ -125,22 +132,23 @@ func callSites(t *testing.T, root, file, pkg, name string) []string {
 }
 
 // checkInlined asserts that the call sites number want and that -m
-// reported an inlining of callee at every one of them.
-func checkInlined(t *testing.T, diags map[string][]diagnostic, callee string, sites []string, want int) {
+// reported an inlining of callee at every one of them once per compiled
+// copy of the caller, copies times in all.
+func checkInlined(t *testing.T, diags map[string][]diagnostic, callee string, sites []string, want, copies int) {
 	t.Helper()
 	if len(sites) != want {
 		t.Errorf("%s has %d call sites %v, want %d", callee, len(sites), sites, want)
 	}
 	for _, site := range sites {
 		file, pos, _ := strings.Cut(site, ":")
-		inlined := false
+		inlined := 0
 		for _, d := range diags[file] {
 			if d.pos() == pos && d.msg == "inlining call to "+callee {
-				inlined = true
+				inlined++
 			}
 		}
-		if !inlined {
-			t.Errorf("%s is not inlined at %s", callee, site)
+		if inlined != copies {
+			t.Errorf("%s is inlined at %s in %d compiled copies, want %d", callee, site, inlined, copies)
 		}
 	}
 }

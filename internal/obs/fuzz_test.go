@@ -145,9 +145,10 @@ func FuzzParseText(f *testing.F) {
 			t.Fatalf("parsed %d samples, the registry rendered %d series:\n%s", len(vals), series, text.String())
 		}
 		for _, s := range r.Snapshot("") {
-			got, ok := vals[s.Key()]
+			key := s.Name + s.Labels
+			got, ok := vals[key]
 			if !ok || !sameValue(got, s.Value) {
-				t.Fatalf("%s parsed as %v (present %v), the registry holds %v", s.Key(), got, ok, s.Value)
+				t.Fatalf("%s parsed as %v (present %v), the registry holds %v", key, got, ok, s.Value)
 			}
 			if name, ok := strings.CutSuffix(s.Name, "_count"); ok {
 				inf := mergeLE(s.Labels, "+Inf")

@@ -62,10 +62,6 @@ type Sample struct {
 	Value  float64 `json:"value"`
 }
 
-// Key returns the exposition identity Name+Labels, the form the text
-// parser also uses as map key.
-func (s Sample) Key() string { return s.Name + s.Labels }
-
 // Valid reports whether s renders as one line ParseText accepts: a
 // metric name, and a label block that is empty or one braced block with
 // no newline. A snapshot from another process is checked with it before
@@ -231,22 +227,6 @@ func (r *Registry) NewGauge(name, help string, labels ...L) *Gauge {
 func (g *Gauge) Set(v float64) {
 	if enabled.Load() {
 		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add adds delta to the gauge value.
-//
-//dsmc:hotpath
-func (g *Gauge) Add(delta float64) {
-	if !enabled.Load() {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nw) {
-			return
-		}
 	}
 }
 

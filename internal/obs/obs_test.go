@@ -15,8 +15,7 @@ func TestExpositionAndParseRoundTrip(t *testing.T) {
 
 	c.Add(41)
 	c.Inc()
-	g.Set(7)
-	g.Add(-2)
+	g.Set(5)
 	h.Observe(0.0005)
 	h.Observe(0.05)
 	h.Observe(99)
@@ -87,7 +86,7 @@ func TestSnapshot(t *testing.T) {
 	snap := r.Snapshot("dsmc_engine_")
 	keys := make(map[string]float64, len(snap))
 	for _, s := range snap {
-		keys[s.Key()] = s.Value
+		keys[s.Name+s.Labels] = s.Value
 	}
 	if len(snap) != 3 {
 		t.Fatalf("Snapshot returned %d samples, want 3: %v", len(snap), snap)
@@ -112,7 +111,6 @@ func TestRecordPathAllocFree(t *testing.T) {
 		c.Inc()
 		c.Add(3)
 		g.Set(1.5)
-		g.Add(0.5)
 		h.Observe(0.002)
 	}); n != 0 {
 		t.Fatalf("record path allocates %v per op, want 0", n)
@@ -217,9 +215,10 @@ func TestSampleValid(t *testing.T) {
 		if !tc.want {
 			continue
 		}
-		got, err := ParseText(strings.NewReader(tc.s.Key() + " 1\n"))
-		if err != nil || len(got) != 1 || got[tc.s.Key()] != 1 {
-			t.Errorf("%q: parsed %v, %v", tc.s.Key(), got, err)
+		key := tc.s.Name + tc.s.Labels
+		got, err := ParseText(strings.NewReader(key + " 1\n"))
+		if err != nil || len(got) != 1 || got[key] != 1 {
+			t.Errorf("%q: parsed %v, %v", key, got, err)
 		}
 	}
 }

@@ -112,9 +112,6 @@ func NewCellSort[F kernel.Float](pool *Pool, cells, _, capacity int) *CellSort[F
 	return cs
 }
 
-// Counts returns the per-cell element counts of the latest Plan.
-func (cs *CellSort[F]) Counts() []int32 { return cs.counts }
-
 // CellStart returns the bucket boundaries of the latest Plan: cell c's
 // elements occupy [CellStart()[c], CellStart()[c+1]) after the scatter.
 func (cs *CellSort[F]) CellStart() []int32 { return cs.cellStart }

@@ -164,9 +164,6 @@ func (s *Store[F]) Swap(i, j int) {
 	}
 }
 
-// Reset empties the store without releasing memory.
-func (s *Store[F]) Reset() { s.n = 0 }
-
 // TotalEnergy returns Σ(u²+v²+w²+r1²+r2²) over live particles (per unit
 // mass, factor ½ omitted) — the conservation diagnostic. Accumulated in
 // float64 for either storage precision.

@@ -174,15 +174,6 @@ func TestReservoirRelaxEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestStoreReset(t *testing.T) {
-	s := NewStore[float64](4)
-	s.Append(1, 1, collide.State5{})
-	s.Reset()
-	if s.Len() != 0 {
-		t.Errorf("Reset must empty the store")
-	}
-}
-
 // TestEvibColumnOptional: a store has no Evib column until AddEvib, and
 // Append, Swap and RemoveSwap work on either shape — carrying the energy
 // with the record when there is a column, touching nothing otherwise.

@@ -1,8 +1,8 @@
 // Package phys collects the compressible-flow and kinetic-theory relations
-// used to calibrate the simulation and validate its results, exactly the
-// checks the paper applies: the oblique-shock angle from θ–β–M theory, the
-// Rankine–Hugoniot density rise, and the Prandtl–Meyer expansion around
-// the wedge corner.
+// used to calibrate the simulation and validate its results: the checks
+// the paper applies, the oblique-shock angle from θ–β–M theory and the
+// Rankine–Hugoniot density rise, and the piston-driven normal shock of
+// the 3D tube.
 //
 // Units follow the simulation normalisation: lengths in cell widths, times
 // in time steps, velocities in cells per step. Temperature enters only
@@ -33,9 +33,6 @@ func (f Freestream) SoundSpeed() float64 { return f.Cm * math.Sqrt(f.Gamma/2) }
 
 // Velocity returns the freestream flow speed u = M·a in cells/step.
 func (f Freestream) Velocity() float64 { return f.Mach * f.SoundSpeed() }
-
-// SpeedRatio returns the molecular speed ratio s = u/cm.
-func (f Freestream) SpeedRatio() float64 { return f.Velocity() / f.Cm }
 
 // MeanSpeed returns the mean thermal speed c̄ = (2/√π)·cm.
 func (f Freestream) MeanSpeed() float64 { return f.Cm * 2 / math.SqrtPi }
@@ -86,24 +83,6 @@ func (f Freestream) ValidateTimeStep() error {
 		return ErrTimeStepTooLarge
 	}
 	return nil
-}
-
-// Knudsen returns the Knudsen number λ/L for a body of length L cells.
-func (f Freestream) Knudsen(bodyLength float64) float64 {
-	return f.Lambda / bodyLength
-}
-
-// Reynolds returns the Reynolds number from the Kn–M–Re relation for a
-// hard-sphere-like gas, Kn = sqrt(γπ/2)·M/Re. For the paper's rarefied
-// case (M=4, Kn=0.02) this gives Re ≈ 300; the paper quotes 600, which
-// corresponds to a viscosity coefficient about half the hard-sphere value
-// (Maxwell molecules are softer). Both are recorded in EXPERIMENTS.md.
-func (f Freestream) Reynolds(bodyLength float64) float64 {
-	kn := f.Knudsen(bodyLength)
-	if kn <= 0 {
-		return math.Inf(1)
-	}
-	return math.Sqrt(f.Gamma*math.Pi/2) * f.Mach / kn
 }
 
 // MachAngle returns the Mach angle µ = asin(1/M); M must be ≥ 1.
@@ -166,6 +145,14 @@ func RHDensityRatio(m1n, gamma float64) float64 {
 	return (gamma + 1) * m1n * m1n / ((gamma-1)*m1n*m1n + 2)
 }
 
+// PistonShockMach returns the Mach number Ms of the normal shock a piston
+// moving at speed up drives into gas at rest with sound speed a1: the
+// root above 1 of Ms − 1/Ms = up(γ+1)/(2a1). The shock moves at Ms·a1.
+func PistonShockMach(up, a1, gamma float64) float64 {
+	k := up * (gamma + 1) / (2 * a1)
+	return (k + math.Sqrt(k*k+4)) / 2
+}
+
 // RHPressureRatio returns p2/p1 across the shock.
 func RHPressureRatio(m1n, gamma float64) float64 {
 	return 1 + 2*gamma/(gamma+1)*(m1n*m1n-1)
@@ -175,66 +162,3 @@ func RHPressureRatio(m1n, gamma float64) float64 {
 func RHTemperatureRatio(m1n, gamma float64) float64 {
 	return RHPressureRatio(m1n, gamma) / RHDensityRatio(m1n, gamma)
 }
-
-// PostShockNormalMach returns the downstream normal Mach number.
-func PostShockNormalMach(m1n, gamma float64) float64 {
-	return math.Sqrt((1 + (gamma-1)/2*m1n*m1n) / (gamma*m1n*m1n - (gamma-1)/2))
-}
-
-// PostObliqueShockMach returns the full downstream Mach number after an
-// oblique shock of wave angle beta with deflection theta.
-func PostObliqueShockMach(m, beta, theta, gamma float64) float64 {
-	m2n := PostShockNormalMach(NormalMach(m, beta), gamma)
-	return m2n / math.Sin(beta-theta)
-}
-
-// PrandtlMeyer returns the Prandtl–Meyer function ν(M) in radians.
-func PrandtlMeyer(m, gamma float64) float64 {
-	if m <= 1 {
-		return 0
-	}
-	k := math.Sqrt((gamma + 1) / (gamma - 1))
-	t := math.Sqrt(m*m - 1)
-	return k*math.Atan(t/k) - math.Atan(t)
-}
-
-// PrandtlMeyerInverse returns the Mach number with ν(M) = nu (radians),
-// by bisection on [1, 100].
-func PrandtlMeyerInverse(nu, gamma float64) float64 {
-	lo, hi := 1.0, 100.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if PrandtlMeyer(mid, gamma) < nu {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// ExpansionDensityRatio returns ρ2/ρ1 for an isentropic Prandtl–Meyer
-// expansion turning the flow by dTheta radians from upstream Mach m1.
-func ExpansionDensityRatio(m1, dTheta, gamma float64) float64 {
-	m2 := PrandtlMeyerInverse(PrandtlMeyer(m1, gamma)+dTheta, gamma)
-	f := func(m float64) float64 { return 1 + (gamma-1)/2*m*m }
-	// ρ ∝ (1 + (γ-1)/2 M²)^(-1/(γ-1)) along an isentrope.
-	return math.Pow(f(m1)/f(m2), 1/(gamma-1))
-}
-
-// IsentropicDensityRatio returns ρ/ρ0 (static over stagnation) at Mach m.
-func IsentropicDensityRatio(m, gamma float64) float64 {
-	return math.Pow(1+(gamma-1)/2*m*m, -1/(gamma-1))
-}
-
-// MaxwellSpeedPDF returns the probability density of molecular speed c for
-// a gas with most probable speed cm (3D Maxwell distribution).
-func MaxwellSpeedPDF(c, cm float64) float64 {
-	x := c / cm
-	return 4 / math.SqrtPi * x * x * math.Exp(-x*x) / cm
-}
-
-// EquilibriumEnergyPerParticle returns the mean total (translational +
-// rotational) thermal energy per particle divided by m, for 5 quadratic
-// degrees of freedom with component variance sigma²: (5/2)·sigma².
-func EquilibriumEnergyPerParticle(sigma float64) float64 { return 2.5 * sigma * sigma }

@@ -93,19 +93,6 @@ func (r *Stream) Gaussian(mean, sigma float64) float64 {
 	return mean + sigma*r.Normal()
 }
 
-// Perm fills p with a uniform random permutation of [0, len(p)) using the
-// Fisher–Yates (Knuth) shuffle, the algorithm the paper cites from Knuth
-// vol. 2 for generating the front-end permutation table.
-func (r *Stream) Perm(p []int) {
-	for i := range p {
-		p[i] = i
-	}
-	for i := len(p) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-}
-
 // StreamState is the exported state of a Stream — the generator word and
 // the Box–Muller spare — for checkpointing. Restoring the state and
 // continuing yields the exact draw sequence the original stream would

@@ -132,52 +132,6 @@ func TestGaussian(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewStream(7)
-	p := make([]int, 10)
-	f := func() bool {
-		r.Perm(p)
-		var seen [10]bool
-		for _, v := range p {
-			if v < 0 || v >= 10 || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	for i := 0; i < 1000; i++ {
-		if !f() {
-			t.Fatalf("Perm produced a non-permutation: %v", p)
-		}
-	}
-}
-
-func TestPermUniform(t *testing.T) {
-	// Chi-square test over all 3! orderings of a 3-element shuffle.
-	r := NewStream(8)
-	p := make([]int, 3)
-	counts := map[[3]int]int{}
-	const n = 60000
-	for i := 0; i < n; i++ {
-		r.Perm(p)
-		counts[[3]int{p[0], p[1], p[2]}]++
-	}
-	if len(counts) != 6 {
-		t.Fatalf("expected 6 distinct permutations, got %d", len(counts))
-	}
-	expect := float64(n) / 6
-	var chi2 float64
-	for _, c := range counts {
-		d := float64(c) - expect
-		chi2 += d * d / expect
-	}
-	// 5 dof, p=0.001 critical value is 20.5.
-	if chi2 > 20.5 {
-		t.Errorf("Perm not uniform: chi2 = %v", chi2)
-	}
-}
-
 func TestPerm5Table(t *testing.T) {
 	table := Perm5Table()
 	if len(table) != 120 {

@@ -49,7 +49,8 @@ func output(k int) *ReplicaResult {
 // decode is rejected — quarantined, the key a miss from then on — and
 // its job stays pending.
 func TestTableMemo(t *testing.T) {
-	st, err := store.Open(filepath.Join(t.TempDir(), "store"))
+	dir := filepath.Join(t.TempDir(), "store")
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestTableMemo(t *testing.T) {
 	if _, ok := st.Lookup("k3"); ok {
 		t.Error("the corrupt artifact is still indexed: it was not rejected")
 	}
-	if q, _ := filepath.Glob(filepath.Join(st.Root(), "quarantine", "*")); len(q) != 1 {
+	if q, _ := filepath.Glob(filepath.Join(dir, "quarantine", "*")); len(q) != 1 {
 		t.Errorf("quarantine holds %d objects, want 1", len(q))
 	}
 }
@@ -274,11 +275,11 @@ func TestTableFoldBitIdentical(t *testing.T) {
 				outs = append(outs, outputs(seed*100+uint64(p), replicas, 5+3*p, seed)...)
 			}
 			order := make([]int, len(outs))
-			for i := range order {
-				order[i] = i
-			}
 			s := rng.NewStream(seed<<8 | uint64(replicas))
-			s.Perm(order)
+			for i := range order { // inside-out Fisher–Yates
+				j := s.Intn(i + 1)
+				order[i], order[j] = order[j], i
+			}
 			for range order {
 				tab.Start()
 			}

@@ -2,8 +2,8 @@
 // time-averaged cell density (with the paper's fractional-volume
 // correction at wedge-cut cells), velocity and temperature moments, and
 // the analysis used for validation — shock-front location, shock-angle
-// fit, shock thickness, and Prandtl–Meyer expansion checks — plus contour
-// extraction and renderers for the density figures.
+// fit and shock thickness — plus contour extraction and renderers for the
+// density figures.
 package sample
 
 import (

@@ -14,7 +14,7 @@ import (
 func runWorkers(t *testing.T, cfg Config, workers, steps, avg int) (*Sim, []float64) {
 	t.Helper()
 	cfg.Workers = workers
-	s, err := New(cfg)
+	s, err := NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,16 +135,13 @@ func TestParallelDeterminismAboveCutoff(t *testing.T) {
 	sameFloats(t, "density", rho1, rho8)
 }
 
-// TestWorkersDefaultResolved: Workers=0 must resolve to at least one
-// worker and still run correctly.
+// TestWorkersDefaultResolved: Workers=0 (one worker per CPU) must run
+// correctly.
 func TestWorkersDefaultResolved(t *testing.T) {
 	cfg := smallConfig()
-	s, err := New(cfg)
+	s, err := NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.Workers() < 1 {
-		t.Fatalf("resolved worker count %d", s.Workers())
 	}
 	s.Run(5)
 	if s.Collisions() == 0 {
@@ -182,7 +179,7 @@ func TestCheckpointBytesAcrossWorkers(t *testing.T) {
 				cfg.Seed = 23
 				cfg.Workers = workers
 				tc.mutate(&cfg)
-				s, err := New(cfg)
+				s, err := NewOf[float64](cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

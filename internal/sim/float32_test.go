@@ -42,7 +42,7 @@ func TestFloat32ParallelDeterminism(t *testing.T) {
 // counters match closely long before the trajectories decorrelate.
 func TestFloat32TracksFloat64(t *testing.T) {
 	cfg := smallConfig()
-	s64, err := New(cfg)
+	s64, err := NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

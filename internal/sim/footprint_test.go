@@ -18,7 +18,7 @@ func TestWedgeStoreFootprint(t *testing.T) {
 	cfg.Workers = 1
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	s, err := New(cfg)
+	s, err := NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,10 +159,10 @@ var layout2D = engine.StreamLayout{NumDomains: 4, Sort: 0, Select: 1, Collide: 2
 type Sim = SimOf[float64]
 
 // SimOf is a running wind-tunnel simulation at storage precision F. The
-// phase pipeline (cell-major double-buffered store, fused passes,
+// phase pipeline (cell-major store sorted in place, fused passes,
 // allocation-free steady state) is the shared engine's, embedded: Step,
-// Run, Store, CellStart, SampleInto, PhaseTimes, Collisions and the rest
-// of the stepping surface are the engine's own methods; see that package.
+// Run, Store, SampleInto, PhaseTimes, Collisions and the rest of the
+// stepping surface are the engine's own methods; see that package.
 // What is declared here is what the wind tunnel adds.
 type SimOf[F kernel.Float] struct {
 	*engine.Engine[F]
@@ -171,9 +171,6 @@ type SimOf[F kernel.Float] struct {
 	vols []float64
 	dom  *wedgeDomain[F]
 }
-
-// New builds a float64 (reference-precision) simulation.
-func New(cfg Config) (*Sim, error) { return NewOf[float64](cfg) }
 
 // NewOf builds a simulation with storage precision F from the
 // configuration.

@@ -93,7 +93,7 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 
 func TestNewPlacesFreestream(t *testing.T) {
 	cfg := smallConfig()
-	s, err := New(cfg)
+	s, err := NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +121,13 @@ func TestNewPlacesFreestream(t *testing.T) {
 
 func TestStepMaintainsInvariants(t *testing.T) {
 	cfg := smallConfig()
-	s, err := New(cfg)
+	s, err := NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n0 := s.NFlow()
 	tun := geom.Tunnel{W: float64(cfg.NX), H: float64(cfg.NY), Wedge: cfg.Wedge}
+	body := cfg.Wedge.Prepare()
 	for step := 0; step < 60; step++ {
 		s.Step()
 		st := s.Store()
@@ -137,7 +138,7 @@ func TestStepMaintainsInvariants(t *testing.T) {
 			if st.Y[i] < 0 || st.Y[i] > tun.H {
 				t.Fatalf("particle outside walls at step %d: y=%v", step, st.Y[i])
 			}
-			if cfg.Wedge.Contains(geom.Vec2{X: st.X[i], Y: st.Y[i]}) {
+			if body.Contains(geom.Vec2{X: st.X[i], Y: st.Y[i]}) {
 				t.Fatalf("particle inside wedge at step %d", step)
 			}
 		}
@@ -156,7 +157,7 @@ func TestStepMaintainsInvariants(t *testing.T) {
 
 func TestPlungerCycleRefillsVoid(t *testing.T) {
 	cfg := smallConfig()
-	s, err := New(cfg)
+	s, err := NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestPlungerCycleRefillsVoid(t *testing.T) {
 
 func TestReservoirExchanges(t *testing.T) {
 	cfg := smallConfig()
-	s, err := New(cfg)
+	s, err := NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestReservoirExchanges(t *testing.T) {
 
 func TestPhaseTimesPopulated(t *testing.T) {
 	cfg := smallConfig()
-	s, err := New(cfg)
+	s, err := NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,17 +216,18 @@ func TestPhaseTimesPopulated(t *testing.T) {
 func TestDiffuseWallsRun(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Wall = geom.DiffuseState{Model: geom.DiffuseIsothermal, WallCm: cfg.Free.Cm}
-	s, err := New(cfg)
+	s, err := NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Run(20)
 	st := s.Store()
+	body := cfg.Wedge.Prepare()
 	for i := 0; i < st.Len(); i++ {
 		if st.Y[i] < 0 || st.Y[i] > float64(cfg.NY) {
 			t.Fatalf("diffuse wall leaked a particle")
 		}
-		if cfg.Wedge.Contains(geom.Vec2{X: st.X[i], Y: st.Y[i]}) {
+		if body.Contains(geom.Vec2{X: st.X[i], Y: st.Y[i]}) {
 			t.Fatalf("diffuse wall left a particle in the wedge")
 		}
 	}
@@ -238,7 +240,7 @@ func TestEmptyTunnelStaysFreestream(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Wedge = nil
 	cfg.NPerCell = 12
-	s, err := New(cfg)
+	s, err := NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +273,7 @@ func TestWedgeShockValidation(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.NPerCell = 8
 	cfg.Seed = 42
-	s, err := New(cfg)
+	s, err := NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +323,7 @@ func TestVibrationalModeRuns(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Wedge = nil // empty tunnel: the whole flow stays at freestream T
 	cfg.ZVib = 5
-	s, err := New(cfg)
+	s, err := NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestParallelDeterminism3D(t *testing.T) {
 	run := func(workers int) *Sim {
 		cfg := detConfig()
 		cfg.Workers = workers
-		s, err := New(cfg)
+		s, err := NewOf[float64](cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -102,16 +102,12 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Theory returns the exact piston-shock solution: the shock Mach number
-// Ms satisfies up/a1 = (2/(γ+1))·(Ms − 1/Ms); the shock speed is Ms·a1
-// and the density ratio follows Rankine–Hugoniot at Ms.
+// Theory returns the exact piston-shock solution: the shock speed Ms·a1
+// and the Rankine–Hugoniot density ratio at the shock Mach number Ms.
 func (c *Config) Theory() (shockSpeed, densityRatio float64) {
 	gamma := c.model().Gamma()
 	a1 := c.Cm * math.Sqrt(gamma/2)
-	up := c.PistonSpeed
-	// Solve Ms − 1/Ms = up(γ+1)/(2a1); quadratic in Ms.
-	k := up * (gamma + 1) / (2 * a1)
-	ms := (k + math.Sqrt(k*k+4)) / 2
+	ms := phys.PistonShockMach(c.PistonSpeed, a1, gamma)
 	return ms * a1, phys.RHDensityRatio(ms, gamma)
 }
 
@@ -134,21 +130,17 @@ var layout3D = engine.StreamLayout{NumDomains: 2, Sort: 0, Select: 1, Collide: 1
 type Sim = SimOf[float64]
 
 // SimOf is a running 3D shock-tube simulation at storage precision F,
-// on the shared cell-major engine (double-buffered scatter, in-cell
-// shuffle, allocation-free steady-state Step), embedded: the stepping
-// surface — Step (3D motion, piston + five specular walls, 3D cell sort,
-// selection and collision), Run, Store, CellStart, SampleInto, … — is
-// the engine's own; what is declared here is what the tube adds.
+// on the shared cell-major engine (in-place sort, in-cell shuffle,
+// allocation-free steady-state Step), embedded: the stepping surface —
+// Step (3D motion, piston + five specular walls, 3D cell sort, selection
+// and collision), Run, Store, SampleInto, … — is the engine's own; what
+// is declared here is what the tube adds.
 type SimOf[F kernel.Float] struct {
 	*engine.Engine[F]
 	cfg  Config
 	grid Grid3
 	dom  *tubeDomain[F]
 }
-
-// New builds a float64 (reference-precision) shock tube filled with gas
-// at rest.
-func New(cfg Config) (*Sim, error) { return NewOf[float64](cfg) }
 
 // NewOf builds and fills the shock tube with gas at rest, at storage
 // precision F.

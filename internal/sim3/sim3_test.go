@@ -98,7 +98,7 @@ func TestQuiescentBoxConserves(t *testing.T) {
 	cfg := tubeConfig()
 	cfg.PistonSpeed = 0
 	cfg.NX = 24
-	s, err := New(cfg)
+	s, err := NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestQuiescentDensityUniform(t *testing.T) {
 	cfg := tubeConfig()
 	cfg.PistonSpeed = 0
 	cfg.NX = 40
-	s, err := New(cfg)
+	s, err := NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestPistonShockRankineHugoniot(t *testing.T) {
 		t.Skip("integration test: 3D shock tube")
 	}
 	cfg := tubeConfig()
-	s, err := New(cfg)
+	s, err := NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestPistonShockRankineHugoniot(t *testing.T) {
 func TestStepAdvancesAndCounts(t *testing.T) {
 	cfg := tubeConfig()
 	cfg.NX = 24
-	s, err := New(cfg)
+	s, err := NewOf[float64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestStepAdvancesAndCounts(t *testing.T) {
 func TestNewRejectsBadConfig(t *testing.T) {
 	cfg := tubeConfig()
 	cfg.NPerCell = 0
-	if _, err := New(cfg); err == nil {
+	if _, err := NewOf[float64](cfg); err == nil {
 		t.Errorf("expected error")
 	}
 }

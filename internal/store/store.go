@@ -152,9 +152,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // Lookup resolves a key to its content hash from the index alone — no
 // object I/O, no hit or miss counted. It answers "which bytes would Get
 // return" for callers that only need the identity (a 304, a link).

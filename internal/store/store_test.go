@@ -110,7 +110,8 @@ func TestHugeCountsRejected(t *testing.T) {
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	s, err := Open(t.TempDir())
+	dir := t.TempDir()
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		t.Fatalf("Stats = (%d, %d), want (1, %d)", n, b, len(data))
 	}
 	// A fresh Open over the same root sees the same index.
-	s2, err := Open(s.Root())
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

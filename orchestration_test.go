@@ -186,6 +186,36 @@ func TestPublicCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPerParticleTimeAfterRestore: after a restore the per-particle
+// time divides the phase times, which cover only the steps this process
+// ran, by those steps, not by the restored step count.
+func TestPerParticleTimeAfterRestore(t *testing.T) {
+	cfg := smallPublicConfig()
+	first, err := dsmc.NewSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Run(40)
+	var buf bytes.Buffer
+	if err := first.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s, err := dsmc.RestoreSimulation(cfg, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 4
+	s.Run(steps)
+	var total float64
+	for _, sec := range s.PhaseSeconds() {
+		total += sec
+	}
+	got := s.MicrosecondsPerParticleStep() * steps * float64(s.NFlow())
+	if want := total * 1e6; want <= 0 || math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("µs/particle/step × %d steps × %d particles = %v µs, the phases took %v µs", steps, s.NFlow(), got, want)
+	}
+}
+
 // TestFailedRestoreLeavesSimulationUntouched: a checkpoint with one
 // payload byte flipped is rejected before any of it is applied — the
 // simulation's next Checkpoint writes exactly the bytes it would have
