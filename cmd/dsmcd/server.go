@@ -751,20 +751,6 @@ func (s *server) handleEvents(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// quantityView is the JSON shape of GET /v1/sweeps/{id}/result?quantity=q:
-// one requested quantity's per-point field statistics, each with its own
-// shape header (points may run different grids).
-type quantityView struct {
-	Quantity string              `json:"quantity"`
-	Points   []quantityPointView `json:"points"`
-}
-
-type quantityPointView struct {
-	Name  string          `json:"name"`
-	Kind  string          `json:"kind,omitempty"`
-	Field dsmc.FieldStats `json:"field"`
-}
-
 // handleResult serves a finished sweep's result. A done result is
 // immutable — the sweep's determinism contract says a re-run produces the
 // same bits — so it is a content-addressed resource: result.json is the
@@ -860,9 +846,13 @@ func (s *server) serveQuantity(w http.ResponseWriter, req *http.Request, run *sw
 		if !ok {
 			return
 		}
-		var err error
-		if body, err = s.publishViews(data, etag, sampled, q); err != nil {
+		sha, err := s.publishViews(data, etag, sampled, q)
+		if err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
+			return
+		}
+		if body, ok = s.store.GetBySHA(sha); !ok {
+			writeErr(w, http.StatusInternalServerError, fmt.Errorf("sweep %s: view %s failed verification", run.ID, key))
 			return
 		}
 	}
@@ -874,31 +864,22 @@ func (s *server) serveQuantity(w http.ResponseWriter, req *http.Request, run *sw
 	w.Write(body)
 }
 
-// publishViews decodes a result once, publishes the view of every
-// sampled quantity and returns the view of q.
-func (s *server) publishViews(result []byte, etag string, sampled []dsmc.Quantity, q dsmc.Quantity) (body []byte, err error) {
+// publishViews decodes a result once, writes the view of every sampled
+// quantity (dsmc.WriteQuantityView) straight into the store, and returns
+// the content hash of q's view. Only a failure to publish q's view is an
+// error: any other view is rebuilt on its next request.
+func (s *server) publishViews(result []byte, etag string, sampled []dsmc.Quantity, q dsmc.Quantity) (sha string, err error) {
 	var res dsmc.SweepResult
 	if err := json.Unmarshal(result, &res); err != nil {
-		return nil, err
+		return "", err
 	}
 	for _, each := range sampled {
-		view := quantityView{Quantity: string(each)}
-		for _, p := range res.Points {
-			view.Points = append(view.Points, quantityPointView{Name: p.Name, Kind: p.Kind, Field: p.Fields[each]})
-		}
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(view); err != nil {
-			return nil, err
-		}
-		// Best-effort: an unpublished view is rebuilt on its next request.
-		_, _ = s.store.Put(viewKey(etag, each), buf.Bytes())
+		h, _, perr := s.store.PutStream(viewKey(etag, each), func(w io.Writer) error { return dsmc.WriteQuantityView(w, &res, each) })
 		if each == q {
-			body = buf.Bytes()
+			sha, err = h, perr
 		}
 	}
-	return body, nil
+	return sha, err
 }
 
 // handleStoreList serves the result store's index: totals plus every

@@ -17,6 +17,20 @@ import (
 	"dsmc"
 )
 
+// quantityView is the JSON shape of GET /v1/sweeps/{id}/result?quantity=q
+// that dsmc.WriteQuantityView writes: the tests decode views into it, and
+// encode it with encoding/json as the views' oracle.
+type quantityView struct {
+	Quantity string              `json:"quantity"`
+	Points   []quantityPointView `json:"points"`
+}
+
+type quantityPointView struct {
+	Name  string          `json:"name"`
+	Kind  string          `json:"kind,omitempty"`
+	Field dsmc.FieldStats `json:"field"`
+}
+
 // newServer is a server over dataDir with pool embedded workers and
 // every other option at its default.
 func newServer(dataDir string, pool int) (*server, error) {

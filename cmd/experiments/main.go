@@ -39,7 +39,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -443,9 +442,13 @@ func (h *harness) sweep() error {
 	if err := t.Render(os.Stdout); err != nil {
 		return err
 	}
-	buf, err := json.MarshalIndent(res, "", " ")
+	f, err := os.Create(filepath.Join(h.outDir, "sweep.json"))
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(h.outDir, "sweep.json"), append(buf, '\n'), 0o644)
+	err = dsmc.WriteSweepResult(f, res)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -2,7 +2,6 @@ package dsmc
 
 import (
 	"context"
-	"encoding/json"
 
 	"dsmc/internal/run"
 	"dsmc/internal/store"
@@ -158,19 +157,7 @@ func (sw *Sweep) Assemble(aggs []*run.Aggregate) *SweepResult {
 	return out
 }
 
-// EncodeSweepResult is the one function that turns a sweep result into
-// bytes: indented JSON and a trailing newline, the representation dsmcd
-// stores, links as result.json and serves. Changing what it produces
-// requires bumping resultEncoding.
-func EncodeSweepResult(res *SweepResult) ([]byte, error) {
-	buf, err := json.MarshalIndent(res, "", " ")
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, '\n'), nil
-}
-
-// resultEncoding versions EncodeSweepResult's output inside
+// resultEncoding versions WriteSweepResult's output inside
 // Sweep.ResultKey, so bytes stored under an older encoding are never
 // served as the current one.
 const resultEncoding = 1

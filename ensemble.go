@@ -283,9 +283,9 @@ type Sweep struct {
 	// holds the spec agrees on the job set and its store keys.
 	Jobs []SweepJob
 	// ResultKey is the result-store key ID of the sweep's encoded result
-	// ("res" artifacts). The determinism contract one level up: the bytes
-	// EncodeSweepResult(sw.Assemble(aggs)) are a pure function of the
-	// spec, so the key covers every input of the two — the encoding
+	// ("res" artifacts). The determinism contract one level up: what
+	// WriteSweepResult writes for sw.Assemble(aggs) is a pure function of
+	// the spec, so the key covers every input of the two — the encoding
 	// version, the sweep name and, per point in order, the resolved name,
 	// the scenario kind and the quantity-inclusive store fingerprint
 	// (physics epoch, every trajectory field of the lowered scenario, step

@@ -208,8 +208,9 @@ func (c *Coordinator) AddSweep(id string, sw *dsmc.Sweep, onDone func(*dsmc.Swee
 // events the per-job memo pass would have emitted — no spec lowered, no
 // output decoded, nothing aggregated, marshalled or written. A miss, or
 // a hit that fails verification (the store quarantines it), is AddSweep
-// plus a publish and a link of the encoded result on completion; an
-// error from either fails the sweep. Requires Config.Store.
+// plus, on completion, the result written straight into the store (never
+// held as one buffer) and linked; an error from either fails the sweep.
+// Requires Config.Store.
 func (c *Coordinator) AddSweepFile(id string, sw *dsmc.Sweep, path string, onDone func(sha string, size int, err error)) error {
 	st := c.cfg.Store
 	if st == nil {
@@ -223,17 +224,15 @@ func (c *Coordinator) AddSweepFile(id string, sw *dsmc.Sweep, path string, onDon
 		return nil
 	}
 	return c.AddSweep(id, sw, func(res *dsmc.SweepResult, err error) {
-		var data []byte
 		var sha string
+		var size int64
 		if err == nil {
-			data, err = dsmc.EncodeSweepResult(res)
+			sha, size, err = st.PutStream(sw.ResultKey, func(w io.Writer) error { return dsmc.WriteSweepResult(w, res) })
 		}
 		if err == nil {
-			if sha, err = st.Put(sw.ResultKey, data); err == nil {
-				err = st.Link(sha, path)
-			}
+			err = st.Link(sha, path)
 		}
-		onDone(sha, len(data), err)
+		onDone(sha, int(size), err)
 	})
 }
 

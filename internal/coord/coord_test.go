@@ -931,6 +931,56 @@ func TestSweepFileHitAllocs(t *testing.T) {
 	}
 }
 
+// TestSweepFilePublishAllocs: a cold sweep's result goes from the
+// SweepResult into the store in one streaming pass, as AddSweepFile
+// publishes it, so a paper-size result (2 points × 3 quantities × 98×64
+// cells, over 3 MB encoded) costs the publish a fixed buffer, not copies
+// of its encoding.
+func TestSweepFilePublishAllocs(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cells = 98 * 64
+	x := 0.1234567890123
+	column := func() []float64 {
+		xs := make([]float64, cells)
+		for i := range xs {
+			x = x*3.9*(1-x) + 1e-3 // deterministic values of full precision
+			xs[i] = x
+		}
+		return xs
+	}
+	res := &dsmc.SweepResult{Name: "paper-size"}
+	for p := range 2 {
+		pr := dsmc.PointResult{
+			Name: fmt.Sprintf("point-%d", p), Kind: "wedge", Replicas: 4,
+			Fields:        map[dsmc.Quantity]dsmc.FieldStats{},
+			ShockAngleDeg: dsmc.ScalarStats{Mean: 45.1, Variance: 0.3, CI95: 0.5, N: 4},
+		}
+		for _, q := range []dsmc.Quantity{dsmc.Density, dsmc.Temperature, dsmc.MachNumber} {
+			pr.Fields[q] = dsmc.FieldStats{NX: 98, NY: 64, Mean: column(), Variance: column(), CI95: column()}
+		}
+		pr.Density = pr.Fields[dsmc.Density]
+		res.Points = append(res.Points, pr)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, size, err := st.PutStream("res-paper-size", func(w io.Writer) error { return dsmc.WriteSweepResult(w, res) })
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size < 3<<20 {
+		t.Fatalf("the synthetic result encodes to %d bytes, want a paper-size one of at least 3 MiB", size)
+	}
+	d := after.TotalAlloc - before.TotalAlloc
+	if d > 512<<10 {
+		t.Errorf("publishing a %d-byte result allocated %d bytes, want <= 512 KiB", size, d)
+	}
+	t.Logf("a %d-byte result published with %d bytes allocated", size, d)
+}
+
 // TestFinishedSweepReleasesOutputs: the coordinator folds each replica
 // output into its point's aggregate as it lands and keeps none of them —
 // once onDone has run, every output handed to Complete is garbage.

@@ -11,7 +11,7 @@ import (
 
 // runWorkers advances a fresh simulation and returns it together with a
 // density/moment accumulation over the last few steps.
-func runWorkers(t *testing.T, cfg Config, workers, steps, avg int) (*Sim, []float64) {
+func runWorkers(t *testing.T, cfg Config, workers, steps, avg int) (*SimOf[float64], []float64) {
 	t.Helper()
 	cfg.Workers = workers
 	s, err := NewOf[float64](cfg)

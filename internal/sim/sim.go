@@ -10,7 +10,7 @@
 // shock tube and generic over the storage precision; this package
 // supplies only the 2D parts — grid indexing, the wedge/wall/plunger/
 // sink boundary conditions, and the reservoir bookkeeping — as the
-// engine's Domain, plus configuration. Sim is the float64 instantiation
+// engine's Domain, plus configuration. SimOf[float64] is the reference
 // (bit-identical to the pre-unification backend, pinned by
 // internal/golden); NewOf[float32] runs the same physics at half the
 // memory traffic.
@@ -155,8 +155,11 @@ func validateWedge(name string, w *geom.Wedge, nx, ny int) error {
 // lane = particle).
 var layout2D = engine.StreamLayout{NumDomains: 4, Sort: 0, Select: 1, Collide: 2, Wall: 3}
 
-// Sim is the float64 wind-tunnel simulation — the reference precision.
-type Sim = SimOf[float64]
+// The float64 step is instantiated here, in a package that imports
+// collide. Instantiated only in internal/run, which does not, the step's
+// kernel.ExchangePair calls collide.Exchange instead of inlining it, at
+// both precisions (TestCompilerDecisions fails).
+var _ *SimOf[float64]
 
 // SimOf is a running wind-tunnel simulation at storage precision F. The
 // phase pipeline (cell-major store sorted in place, fused passes,

@@ -20,7 +20,7 @@ func detConfig() Config {
 // TestParallelDeterminism3D: same seed, Workers=1 vs Workers=8, must give
 // byte-identical particle state and density profile after N steps.
 func TestParallelDeterminism3D(t *testing.T) {
-	run := func(workers int) *Sim {
+	run := func(workers int) *SimOf[float64] {
 		cfg := detConfig()
 		cfg.Workers = workers
 		s, err := NewOf[float64](cfg)

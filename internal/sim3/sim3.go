@@ -10,8 +10,8 @@
 // The phase pipeline is the shared cell-major engine (internal/engine);
 // this package supplies only the 3D parts — box grid indexing, the
 // piston + five specular walls — as the engine's Domain, plus
-// configuration and the shock diagnostics. Sim is the float64
-// instantiation (bit-identical to the pre-unification backend, pinned by
+// configuration and the shock diagnostics. SimOf[float64] is the
+// reference (bit-identical to the pre-unification backend, pinned by
 // internal/golden); NewOf[float32] runs the same physics at half the
 // memory traffic.
 package sim3
@@ -126,8 +126,11 @@ func (c *Config) model() molec.Model {
 // (specular walls).
 var layout3D = engine.StreamLayout{NumDomains: 2, Sort: 0, Select: 1, Collide: 1, Wall: 1}
 
-// Sim is the float64 shock-tube simulation — the reference precision.
-type Sim = SimOf[float64]
+// The float64 step is instantiated here, in a package that imports
+// collide. Instantiated only in internal/run, which does not, the step's
+// kernel.ExchangePair calls collide.Exchange instead of inlining it, at
+// both precisions (TestCompilerDecisions fails).
+var _ *SimOf[float64]
 
 // SimOf is a running 3D shock-tube simulation at storage precision F,
 // on the shared cell-major engine (in-place sort, in-cell shuffle,

@@ -29,6 +29,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
 	"io/fs"
 	"os"
@@ -276,35 +277,78 @@ func (s *Store) Link(sha, path string) error {
 	return err
 }
 
-// Put publishes a key's artifact. Re-publishing identical bytes is an
-// idempotent ack (racing writers of a deterministic key converge);
-// different bytes under a live key is a conflict error and counts as a
-// verification failure — the caller surfaced a determinism violation,
-// and the original artifact stands.
+// Put publishes a key's artifact from a slice: PutStream over data.
 func (s *Store) Put(id string, data []byte) (sha string, err error) {
-	sha = hashOf(data)
+	sha, _, err = s.PutStream(id, func(w io.Writer) error { _, err := w.Write(data); return err })
+	return sha, err
+}
+
+// PutStream publishes a key's artifact as write streams it: the bytes go
+// to a uniquely named temp file in objects/ through the SHA-256, are
+// fsynced and renamed to objects/<sha>, and only then is the index entry
+// written, so the artifact is never held in memory whole. Re-publishing
+// identical bytes is an idempotent ack (racing writers of a
+// deterministic key converge); different bytes under a live key is a
+// conflict error and counts as a verification failure — the caller
+// surfaced a determinism violation, and the original artifact stands. An
+// error from write publishes nothing and leaves no temp file.
+func (s *Store) PutStream(id string, write func(io.Writer) error) (sha string, size int64, err error) {
+	f, err := os.CreateTemp(s.objectsDir(), "put-*.tmp")
+	if err != nil {
+		return "", 0, err
+	}
+	tmp := f.Name()
+	dw := &digestWriter{w: f, h: sha256.New()}
+	// CreateTemp makes the file 0600; an object keeps the mode os.Create
+	// gives under the usual umask, since result.json links share it.
+	err = f.Chmod(0o644)
+	if err == nil {
+		err = write(dw)
+	}
+	if err := syncClose(f, err); err != nil {
+		return "", 0, err
+	}
+	sha, size = hex.EncodeToString(dw.h.Sum(nil)), dw.n
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if prev, ok := s.index[id]; ok {
+		os.Remove(tmp)
 		if prev == sha {
-			return sha, nil
+			return sha, size, nil
 		}
 		mVerifyFailures.Inc()
-		return "", fmt.Errorf("store: key %s already holds content %s; refusing conflicting publish %s (determinism violation?)", id, prev, sha)
+		return "", 0, fmt.Errorf("store: key %s already holds content %s; refusing conflicting publish %s (determinism violation?)", id, prev, sha)
 	}
-	if _, ok := s.sizes[sha]; !ok {
-		if err := AtomicWrite(s.objectPath(sha), func(w io.Writer) error { _, err := w.Write(data); return err }); err != nil {
-			return "", err
+	if _, ok := s.sizes[sha]; ok {
+		os.Remove(tmp)
+	} else {
+		if err := os.Rename(tmp, s.objectPath(sha)); err != nil {
+			os.Remove(tmp)
+			return "", 0, err
 		}
-		s.sizes[sha] = int64(len(data))
-		s.bytes += int64(len(data))
+		s.sizes[sha] = size
+		s.bytes += size
 	}
 	if err := AtomicWrite(s.indexPath(id), func(w io.Writer) error { _, err := io.WriteString(w, sha+"\n"); return err }); err != nil {
-		return "", err
+		return "", 0, err
 	}
 	s.index[id] = sha
 	mPublishes.Inc()
-	return sha, nil
+	return sha, size, nil
+}
+
+// digestWriter passes writes through to w, hashing and counting them.
+type digestWriter struct {
+	w io.Writer
+	h hash.Hash
+	n int64
+}
+
+func (d *digestWriter) Write(p []byte) (int, error) {
+	n, err := d.w.Write(p)
+	d.h.Write(p[:n])
+	d.n += int64(n)
+	return n, err
 }
 
 // Reject quarantines a key's artifact: the object is moved aside and
@@ -508,9 +552,9 @@ func validSHA(s string) bool {
 
 // AtomicWrite replaces path with what write writes, via temp file +
 // fsync + rename, so a crash can never leave a half-written file in
-// place: readers see the old bytes or the new bytes. It is the one
-// durable file write of the tree (objects and index entries here, job
-// checkpoints, dsmcd's spec files). write streams the content to the
+// place: readers see the old bytes or the new bytes. Every durable file
+// write of the tree goes through it or through PutStream (index entries
+// here, job checkpoints, dsmcd's spec files). write streams the content to the
 // temp file and returns the first error it met; on any error the temp
 // file is removed and path is left as it was. A crash can leave a
 // path.tmp orphan; inside a store root the next Open sweeps it to
@@ -532,7 +576,12 @@ func WriteSynced(path string, write func(io.Writer) error) error {
 	if err != nil {
 		return err
 	}
-	err = write(f)
+	return syncClose(f, write(f))
+}
+
+// syncClose finishes writing the new file f, given the error of the
+// write: it fsyncs and closes f, and removes it on any error.
+func syncClose(f *os.File, err error) error {
 	if err == nil {
 		err = f.Sync()
 	}
@@ -540,7 +589,7 @@ func WriteSynced(path string, write func(io.Writer) error) error {
 		err = cerr
 	}
 	if err != nil {
-		os.Remove(path)
+		os.Remove(f.Name())
 	}
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -167,6 +168,108 @@ func TestPutIdempotentAndConflict(t *testing.T) {
 	}
 	if got, _, ok := s.Get(id); !ok || string(got) != string(data) {
 		t.Fatal("original artifact did not survive the conflicting publish")
+	}
+}
+
+// storeFiles lists every file under a store's objects/ and index/.
+func storeFiles(t *testing.T, dir string) (objects, index []string) {
+	t.Helper()
+	for _, sub := range []string{"objects", "index"} {
+		es, err := os.ReadDir(filepath.Join(dir, sub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range es {
+			if sub == "objects" {
+				objects = append(objects, e.Name())
+			} else {
+				index = append(index, e.Name())
+			}
+		}
+	}
+	return objects, index
+}
+
+// TestPutStreamConcurrent: writers racing to stream one key's identical
+// bytes all get its hash and size, and leave one object, one index entry
+// and no temp file.
+func TestPutStreamConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := Key{Kind: "res", Fp: 3, Seed: 4}.ID()
+	chunk := bytes.Repeat([]byte("0123456789abcdef"), 4<<10)
+	write := func(w io.Writer) error {
+		for range 4 {
+			if _, err := w.Write(chunk); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	want := hashOf(bytes.Repeat(chunk, 4))
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sha, size, err := s.PutStream(id, write)
+			if err != nil || sha != want || size != 4*int64(len(chunk)) {
+				t.Errorf("PutStream: sha %s, size %d, err %v; want %s, %d, nil", sha, size, err, want, 4*len(chunk))
+			}
+		}()
+	}
+	wg.Wait()
+	objects, index := storeFiles(t, dir)
+	if len(objects) != 1 || objects[0] != want || len(index) != 1 || index[0] != id {
+		t.Fatalf("after 8 racing publishes: objects %v, index %v; want [%s], [%s]", objects, index, want, id)
+	}
+	if data, sha, ok := s.Get(id); !ok || sha != want || len(data) != 4*len(chunk) {
+		t.Fatalf("Get after racing publishes: %d bytes, sha %s, ok %v", len(data), sha, ok)
+	}
+}
+
+// TestPutStreamFailedWrite: a write that fails, halfway or at once, and a
+// conflicting publish leave no object, no index entry and no temp file,
+// and the write's error comes back.
+func TestPutStreamFailedWrite(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errHalfway := errors.New("encoder failed")
+	for _, half := range [][]byte{[]byte("half of an artifact"), nil} {
+		_, _, err := s.PutStream("res-broken", func(w io.Writer) error {
+			if _, err := w.Write(half); err != nil {
+				return err
+			}
+			return errHalfway
+		})
+		if !errors.Is(err, errHalfway) {
+			t.Fatalf("PutStream of a failing write: %v, want %v", err, errHalfway)
+		}
+	}
+	if objects, index := storeFiles(t, dir); len(objects) != 0 || len(index) != 0 {
+		t.Fatalf("failed writes left objects %v, index %v", objects, index)
+	}
+	if _, ok := s.Lookup("res-broken"); ok {
+		t.Fatal("a failed write is indexed")
+	}
+	sha, err := s.Put("res-broken", []byte("v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put("res-broken", []byte("v2")); err == nil {
+		t.Fatal("conflicting Put succeeded")
+	}
+	if objects, index := storeFiles(t, dir); len(objects) != 1 || objects[0] != sha || len(index) != 1 {
+		t.Fatalf("after a conflicting publish: objects %v, index %v; want [%s] and one entry", objects, index, sha)
+	}
+	if n, size := s.Stats(); n != 1 || size != 2 {
+		t.Fatalf("Stats %d artifacts, %d bytes; want 1, 2", n, size)
 	}
 }
 

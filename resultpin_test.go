@@ -11,8 +11,8 @@ import (
 	"dsmc/internal/obs"
 )
 
-// pinnedSweepResultFNV is the FNV-1a of EncodeSweepResult(RunSweep(
-// memoSweepSpec)), recorded at d38e62f — the last commit whose in-process
+// pinnedSweepResultFNV is the FNV-1a of what WriteSweepResult writes for
+// RunSweep(memoSweepSpec), recorded at d38e62f — the last commit whose in-process
 // sweeps ran on the generic DAG executor and stored aggregate artifacts.
 const pinnedSweepResultFNV uint64 = 0xf861361217ef41bc
 
@@ -37,12 +37,10 @@ func storeCounter(t *testing.T, name string) float64 {
 func TestRunSweepResultPinned(t *testing.T) {
 	sweep := func(spec dsmc.SweepSpec) uint64 {
 		t.Helper()
-		buf, err := dsmc.EncodeSweepResult(runMemoSweep(t, spec))
-		if err != nil {
+		h := fnv.New64a()
+		if err := dsmc.WriteSweepResult(h, runMemoSweep(t, spec)); err != nil {
 			t.Fatal(err)
 		}
-		h := fnv.New64a()
-		h.Write(buf)
 		return h.Sum64()
 	}
 	for _, pool := range []int{1, 4} {

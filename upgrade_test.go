@@ -90,12 +90,10 @@ func TestPreUpgradeOutputRecomputes(t *testing.T) {
 
 	failures := storeCounter(t, "dsmc_store_verify_failures_total")
 	publishes := storeCounter(t, "dsmc_store_publishes_total")
-	buf, err := dsmc.EncodeSweepResult(runMemoSweep(t, spec))
-	if err != nil {
+	h := fnv.New64a()
+	if err := dsmc.WriteSweepResult(h, runMemoSweep(t, spec)); err != nil {
 		t.Fatal(err)
 	}
-	h := fnv.New64a()
-	h.Write(buf)
 	if h.Sum64() != pinnedSweepResultFNV {
 		t.Errorf("result hash %#016x, pinned %#016x", h.Sum64(), pinnedSweepResultFNV)
 	}
@@ -154,12 +152,10 @@ func TestMisshapenStoredOutputRecomputes(t *testing.T) {
 
 	failures := storeCounter(t, "dsmc_store_verify_failures_total")
 	publishes := storeCounter(t, "dsmc_store_publishes_total")
-	buf, err := dsmc.EncodeSweepResult(runMemoSweep(t, spec))
-	if err != nil {
+	h := fnv.New64a()
+	if err := dsmc.WriteSweepResult(h, runMemoSweep(t, spec)); err != nil {
 		t.Fatal(err)
 	}
-	h := fnv.New64a()
-	h.Write(buf)
 	if h.Sum64() != pinnedSweepResultFNV {
 		t.Errorf("result hash %#016x, pinned %#016x", h.Sum64(), pinnedSweepResultFNV)
 	}
