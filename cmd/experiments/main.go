@@ -450,5 +450,8 @@ func (h *harness) sweep() error {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err != nil {
+		os.Remove(f.Name()) // a result JSON cannot encode leaves no partial file
+	}
 	return err
 }

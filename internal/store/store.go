@@ -553,10 +553,10 @@ func validSHA(s string) bool {
 // AtomicWrite replaces path with what write writes, via temp file +
 // fsync + rename, so a crash can never leave a half-written file in
 // place: readers see the old bytes or the new bytes. Every durable file
-// write of the tree goes through it or through PutStream (index entries
-// here, job checkpoints, dsmcd's spec files). write streams the content to the
-// temp file and returns the first error it met; on any error the temp
-// file is removed and path is left as it was. A crash can leave a
+// write of the tree goes through it (index entries here, job
+// checkpoints, dsmcd's spec files) or through PutStream (objects). write
+// streams the content to the temp file and returns the first error it
+// met; on any error the temp file is removed and path is left as it was. A crash can leave a
 // path.tmp orphan; inside a store root the next Open sweeps it to
 // quarantine.
 func AtomicWrite(path string, write func(io.Writer) error) error {
