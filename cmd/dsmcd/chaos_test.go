@@ -113,7 +113,8 @@ func TestRecoverRemovesOrphanTmp(t *testing.T) {
 	ts1.Close()
 	s1.close()
 
-	// Plant orphans where the three atomic writers put their temp files.
+	// Plant orphans where the atomic writers put their temp files, and
+	// where an earlier build's result link did.
 	orphans := []string{
 		filepath.Join(dir, id, "result.json.tmp"),
 		filepath.Join(dir, id, "spec.json.tmp"),

@@ -12,7 +12,7 @@
 //	GET  /v1/sweeps/{id}          status: per-job states and step progress
 //	GET  /v1/sweeps/{id}/events   NDJSON progress stream (event log + live)
 //	GET  /v1/sweeps/{id}/result   aggregated result (409 while running): the
-//	                              bytes of <data>/<id>/result.json, ETag =
+//	                              bytes of its result-store object, ETag =
 //	                              their SHA-256, verified on every read;
 //	                              ?quantity=temperature serves one sampled
 //	                              quantity's per-point field statistics
@@ -72,26 +72,27 @@
 // every read (corruption quarantines the artifact and falls back to
 // recompute), and results are served with content-addressed cache
 // semantics: strong ETags, immutable Cache-Control, If-None-Match →
-// 304. -store-budget bounds the store's size; the oldest artifacts are
-// evicted past the budget (they are a cache — eviction only costs
-// recomputation).
+// 304. -store-budget bounds the store's size, and with it the disk the
+// results take; the oldest artifacts are evicted past the budget (they
+// are a cache — eviction only costs recomputation).
 //
 // A sweep's result is encoded exactly once, by the first sweep that
-// produces it: the bytes are a "res" artifact in the result store,
-// <data>/<id>/result.json is a hard link to it — the representation
-// /result serves — and the SHA-256 of the bytes is the ETag. A later
-// sweep that derives the same key is one verified read and one link,
-// with no job dispatched and nothing re-encoded. The server keeps the
-// tag and the size, not the bytes: a matching If-None-Match (and a HEAD)
-// is answered from those with no I/O and no encoding, and a full GET
-// reads the file and re-hashes it against the tag before the first byte
-// is sent — a result.json that rotted, shrank or vanished is a logged
-// 500 naming the sweep and both hashes, never a 200. A restarted server
-// takes the tag from the file it finds, so it serves the same bytes
-// under the same tag; a file that is no longer JSON, or is gone, is
-// linked back from the result store. ?quantity= views are store
-// artifacts keyed by the result's hash: built and published by the first
-// request for any view of a result, a verified read afterwards.
+// produces it: the bytes are a "res" artifact in the result store — the
+// representation /result serves, and their only copy on disk — and the
+// SHA-256 of the bytes is the ETag. A later sweep that derives the same
+// key is one verified read, with no job dispatched and nothing
+// re-encoded. The server keeps the tag and the size, not the bytes: a
+// matching If-None-Match (and a HEAD) is answered from those with no I/O
+// and no encoding, and a full GET reads the object and re-hashes it
+// before the first byte is sent — an object that rotted or was evicted
+// is a logged 500 naming the sweep, never a 200. A restarted server marks
+// a sweep done when the store verifies its result's key and recomputes
+// it otherwise, so it serves the same bytes under the same tag. The
+// result file an earlier build linked into each sweep directory is
+// adopted into the store once, at start-up, and deleted. ?quantity=
+// views are store artifacts keyed by the result's hash: built and
+// published by the first request for any view of a result, a verified
+// read afterwards.
 //
 // # Observability
 //

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -58,9 +60,10 @@ func doneSweep(t testing.TB, dir string, spec dsmc.SweepSpec) (*server, *httptes
 // TestResultHeadAndLength: a 200 for /result declares its length instead
 // of going out chunked, and HEAD — which the GET route also serves — is
 // answered from the retained ETag and size: same headers, no body, and no
-// read of result.json (it still answers with the file gone).
+// read of the store object (it still answers with the object gone).
 func TestResultHeadAndLength(t *testing.T) {
-	s, ts, id := doneSweep(t, t.TempDir(), tinySpec())
+	dir := t.TempDir()
+	s, ts, id := doneSweep(t, dir, tinySpec())
 	t.Cleanup(s.close)
 	defer ts.Close()
 
@@ -77,7 +80,7 @@ func TestResultHeadAndLength(t *testing.T) {
 		t.Errorf("GET: ETag %s is not the body's SHA-256 %s", etag, etagOf(body))
 	}
 
-	if err := os.Remove(s.resultPath(id)); err != nil {
+	if err := os.Remove(resultObject(dir, etag)); err != nil {
 		t.Fatal(err)
 	}
 	head, headBody := fetch(t, http.MethodHead, ts.URL, id, "")
@@ -97,39 +100,62 @@ func TestResultHeadAndLength(t *testing.T) {
 	}
 }
 
-// TestResultIntegrity: result.json is verified against the sweep's ETag on
-// every read. With one byte flipped, the tail cut off, or the file gone, a
-// GET is a 500 that names the sweep and carries no validator — never a
-// 200 — while a conditional GET with the original ETag is still a bare
-// 304 (it reads nothing). A restart over a truncated or missing file, or
-// one with a digit changed that still parses, gets the sweep back from
-// the result store, dispatching no job, and serves the bytes and ETag it
-// served before the damage: a private copy or a missing file is
-// re-linked to the stored result (one store hit); a damaged link IS the
-// stored result — one inode — so the store's verify-on-read quarantines
-// it and the result is re-assembled from the job hits and republished.
+// resultObject is the store object a result with this ETag is.
+func resultObject(dir, etag string) string {
+	return filepath.Join(dir, "store", "objects", strings.Trim(etag, `"`))
+}
+
+// filesHolding lists every regular file under root whose SHA-256 is the
+// one etag quotes.
+func filesHolding(t testing.TB, root, etag string) []string {
+	t.Helper()
+	var paths []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.Type().IsRegular() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err == nil && etagOf(data) == etag {
+			paths = append(paths, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// TestResultIntegrity: a result's store object — the only file that holds
+// its bytes — is verified against the sweep's ETag on every read. With one
+// byte flipped, the tail cut off, or the object gone, a GET is a 500 that
+// names the sweep and carries no validator — never a 200 — while a
+// conditional GET with the original ETag is still a bare 304 (it reads
+// nothing). The failed read quarantines the object; republishing the bytes
+// under the sweep's key serves them again. A restart over a truncated,
+// missing or changed-digit object (one that still parses) gets the sweep
+// back with no job dispatched and serves the bytes and ETag it served
+// before the damage: recovery finds the result's key unverified, and the
+// resumed sweep re-assembles the result from the job hits and republishes
+// it.
 func TestResultIntegrity(t *testing.T) {
 	dir := t.TempDir()
 	s, ts, id := doneSweep(t, dir, tinySpec())
-	path := s.resultPath(id)
 
 	first, want := fetch(t, http.MethodGet, ts.URL, id, "")
 	etag := first.Header.Get("ETag")
 	if first.StatusCode != http.StatusOK || etag != etagOf(want) {
 		t.Fatalf("GET before any damage: status %d, ETag %s, body hashes to %s", first.StatusCode, etag, etagOf(want))
 	}
-	if onDisk, err := os.ReadFile(path); err != nil || !bytes.Equal(onDisk, want) {
-		t.Fatalf("result.json is not the served body (read error %v)", err)
+	object := resultObject(dir, etag)
+	if files := filesHolding(t, dir, etag); !slices.Equal(files, []string{object}) {
+		t.Fatalf("files holding the result: %v, want only its store object %s", files, object)
 	}
-	object := filepath.Join(dir, "store", "objects", strings.Trim(etag, `"`))
-	linked := func() bool {
-		a, errA := os.Stat(path)
-		b, errB := os.Stat(object)
-		return errA == nil && errB == nil && os.SameFile(a, b)
+	keys, err := filepath.Glob(filepath.Join(dir, "store", "index", "res-*"))
+	if err != nil || len(keys) != 1 {
+		t.Fatalf("res-* keys after one sweep: %v (err %v), want one", keys, err)
 	}
-	if !linked() {
-		t.Fatal("result.json is not a hard link to the store object named by its ETag")
-	}
+	key := filepath.Base(keys[0])
 
 	flipped := bytes.Clone(want)
 	flipped[len(flipped)/2] ^= 0x01
@@ -137,9 +163,9 @@ func TestResultIntegrity(t *testing.T) {
 		name  string
 		apply func() error
 	}{
-		{"flipped byte", func() error { return os.WriteFile(path, flipped, 0o644) }},
-		{"truncated", func() error { return os.Truncate(path, int64(len(want)/2)) }},
-		{"deleted", func() error { return os.Remove(path) }},
+		{"flipped byte", func() error { return os.WriteFile(object, flipped, 0o644) }},
+		{"truncated", func() error { return os.Truncate(object, int64(len(want)/2)) }},
+		{"deleted", func() error { return os.Remove(object) }},
 	}
 	checkDamaged := func(name, base string) {
 		t.Helper()
@@ -161,18 +187,17 @@ func TestResultIntegrity(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkDamaged(d.name, ts.URL)
-		if err := os.WriteFile(path, want, 0o644); err != nil {
-			t.Fatal(err)
+		if _, err := s.store.Put(key, want); err != nil {
+			t.Fatalf("%s: republishing the result: %v", d.name, err)
 		}
 		if resp, body := fetch(t, http.MethodGet, ts.URL, id, ""); resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
-			t.Fatalf("%s: GET after restoring the file: status %d", d.name, resp.StatusCode)
+			t.Fatalf("%s: GET after republishing the result: status %d", d.name, resp.StatusCode)
 		}
 	}
 
-	// Restarts. A file that is not the stored result — it no longer parses,
-	// is gone, or has one digit changed and still parses — is rebuilt. The
-	// loop above left result.json a private copy (it was deleted and
-	// rewritten), each restart leaves it a link again.
+	// Restarts. A truncated object and one with a changed digit fail
+	// recovery's verification (quarantined, one failure each); a deleted
+	// one leaves a dangling index entry, which the store drops at Open.
 	digit := bytes.Clone(want)
 	i := len(digit)/2 + bytes.IndexAny(digit[len(digit)/2:], "0123456789")
 	digit[i] = '1' + (digit[i]-'0')%9 // another digit, never a leading zero
@@ -181,56 +206,41 @@ func TestResultIntegrity(t *testing.T) {
 	}
 	jobs := float64(tinySpec().Replicas)
 	for _, d := range []struct {
-		name           string
-		apply          func() error
-		linked         bool    // result.json shares the store object's inode when damaged
-		hits, failures float64 // store hits and verification failures of the restart
+		name     string
+		apply    func() error
+		failures float64 // verification failures of the restart
 	}{
-		{"truncated", damage[1].apply, false, 1, 0},
-		{"deleted", damage[2].apply, true, 1, 0},
-		{"truncated", damage[1].apply, true, jobs, 1},
-		// A private copy with a changed digit is re-linked to the stored
-		// result; the same change made through the link rots the object
-		// too, which is quarantined and re-assembled from the job hits.
-		{"changed digit (copy)", func() error {
-			if err := os.Remove(path); err != nil {
-				return err
-			}
-			return os.WriteFile(path, digit, 0o644)
-		}, true, 1, 0},
-		{"changed digit (linked)", func() error { return os.WriteFile(path, digit, 0o644) }, true, jobs, 1},
+		{"truncated", damage[1].apply, 1},
+		{"deleted", damage[2].apply, 0},
+		{"changed digit", func() error { return os.WriteFile(object, digit, 0o644) }, 1},
 	} {
-		if linked() != d.linked {
-			t.Fatalf("before the %s restart: result.json linked to the store object: %v, want %v", d.name, linked(), d.linked)
-		}
 		before := scrapeMetrics(t, ts.URL)
 		ts.Close()
 		s.close()
 		if err := d.apply(); err != nil {
 			t.Fatal(err)
 		}
-		var err error
 		if s, err = newServer(dir, 2); err != nil {
 			t.Fatal(err)
 		}
 		ts = httptest.NewServer(s.handler())
 		if st := waitDone(t, ts, id); st.State != stateDone || !st.Resumed {
-			t.Fatalf("restart over a %s result.json: state %s (%s), resumed=%v", d.name, st.State, st.Error, st.Resumed)
+			t.Fatalf("restart over a %s result: state %s (%s), resumed=%v", d.name, st.State, st.Error, st.Resumed)
 		}
 		after := scrapeMetrics(t, ts.URL)
 		if g := after["dsmc_coord_lease_grants_total"] - before["dsmc_coord_lease_grants_total"]; g != 0 {
-			t.Errorf("restart over a %s result.json: %v leases granted, want 0 (every job a store hit)", d.name, g)
+			t.Errorf("restart over a %s result: %v leases granted, want 0 (every job a store hit)", d.name, g)
 		}
 		// Counters are process-global and survive the restart.
-		if g := after["dsmc_store_hits_total"] - before["dsmc_store_hits_total"]; g != d.hits {
-			t.Errorf("restart over a %s result.json (linked=%v): %v store hits, want %v", d.name, d.linked, g, d.hits)
+		if g := after["dsmc_store_hits_total"] - before["dsmc_store_hits_total"]; g != jobs {
+			t.Errorf("restart over a %s result: %v store hits, want %v (the jobs)", d.name, g, jobs)
 		}
 		if g := after["dsmc_store_verify_failures_total"] - before["dsmc_store_verify_failures_total"]; g != d.failures {
-			t.Errorf("restart over a %s result.json (linked=%v): %v verification failures, want %v", d.name, d.linked, g, d.failures)
+			t.Errorf("restart over a %s result: %v verification failures, want %v", d.name, g, d.failures)
 		}
 		resp, body := fetch(t, http.MethodGet, ts.URL, id, "")
 		if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != etag || !bytes.Equal(body, want) {
-			t.Errorf("restart over a %s result.json: status %d, ETag %s (was %s), body equal: %v",
+			t.Errorf("restart over a %s result: status %d, ETag %s (was %s), body equal: %v",
 				d.name, resp.StatusCode, resp.Header.Get("ETag"), etag, bytes.Equal(body, want))
 		}
 	}
@@ -292,8 +302,8 @@ func fourPoints() dsmc.SweepSpec {
 
 // TestResultCostModel pins what serving a finished result costs. A 304
 // is a lookup and a string comparison: a handful of allocations, the same
-// for a one-point and a four-point sweep. A 200 is one read of
-// result.json: the handler allocates less than twice the body, where
+// for a one-point and a four-point sweep. A 200 is one read of the
+// store object: the handler allocates less than twice the body, where
 // encoding the result per request took several times that.
 func TestResultCostModel(t *testing.T) {
 	s, ts, small := doneSweep(t, t.TempDir(), tinySpec())
@@ -369,7 +379,7 @@ func benchResult(b *testing.B, conditional bool) {
 }
 
 // BenchmarkResultGet: GET /result to the last byte — one verified read of
-// result.json (B/op is about the body's size, MB/s the read+hash rate).
+// the store object (B/op is about the body's size, MB/s the read+hash rate).
 func BenchmarkResultGet(b *testing.B) { benchResult(b, false) }
 
 // BenchmarkResult304: the same request revalidated with its ETag — no

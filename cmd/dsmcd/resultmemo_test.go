@@ -7,10 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 
 	"dsmc"
@@ -63,9 +60,9 @@ func eventLog(t *testing.T, base, id string) []string {
 // holds is an index lookup. The resubmit costs one store hit (the result)
 // and nothing else — no lease, no publish, which also rules out any job
 // decode, aggregation, marshal or write of result bytes — serves the first
-// sweep's bytes and ETag from the same inode, and replays the event stream
-// the per-job memo path emitted for this spec before the result was an
-// artifact. ?quantity= views are artifacts too: built and published by the
+// sweep's bytes and ETag from the one store object, and replays the event
+// stream the per-job memo path emitted for this spec before the result was
+// an artifact. ?quantity= views are artifacts too: built and published by the
 // first request for any of them, a verified read afterwards, a 404 from
 // the spec alone when the quantity was not sampled.
 func TestSweepResultMemoE2E(t *testing.T) {
@@ -124,14 +121,8 @@ func TestSweepResultMemoE2E(t *testing.T) {
 		t.Errorf("warm /result: status %d, ETag %s (cold %s), body equal: %v",
 			warmResp.StatusCode, warmResp.Header.Get("ETag"), etag, bytes.Equal(warmBody, coldBody))
 	}
-	object, err := os.Stat(filepath.Join(dir, "store", "objects", strings.Trim(etag, `"`)))
-	if err != nil {
-		t.Fatalf("no store object named by the result's ETag: %v", err)
-	}
-	for _, id := range []string{cold, warm} {
-		if fi, err := os.Stat(s.resultPath(id)); err != nil || !os.SameFile(fi, object) {
-			t.Errorf("%s/result.json is not the store object's inode (stat error %v)", id, err)
-		}
+	if files := filesHolding(t, dir, etag); !slices.Equal(files, []string{resultObject(dir, etag)}) {
+		t.Errorf("files holding the result: %v, want only the store object named by its ETag", files)
 	}
 
 	// What the per-job memo path emitted for the resubmit of this spec at

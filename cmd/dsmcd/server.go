@@ -39,9 +39,9 @@ const (
 )
 
 // sweepRun is the in-memory record of one sweep: its spec and state, the
-// flight recorder, and, once finished, the identity of result.json —
-// never its bytes, nor a decoded copy. Its event history is a log on
-// disk, and its job rows are the coordinator's (coord.Jobs).
+// flight recorder, and, once finished, the identity of its result in the
+// store — never its bytes, nor a decoded copy. Its event history is a log
+// on disk, and its job rows are the coordinator's (coord.Jobs).
 type sweepRun struct {
 	ID        string     `json:"id"`
 	State     sweepState `json:"state"`
@@ -59,10 +59,10 @@ type sweepRun struct {
 	logFile *os.File
 	logSize int64
 	grew    chan struct{}
-	// resultETag is the quoted SHA-256 of result.json as it was linked
-	// (or, after a restart, as recovery read it) and resultSize its length.
-	// Together they answer 304s and HEADs without touching the file, and
-	// every read of the file is checked against the tag before it is served.
+	// resultETag is the quoted SHA-256 of the result's store object, as it
+	// was published or verified, and resultSize its length. Together they
+	// answer 304s and HEADs without touching the store, and name the
+	// object every full read fetches and verifies.
 	resultETag string
 	resultSize int
 
@@ -106,13 +106,13 @@ type statusView struct {
 //	                           every non-trace event, appended unsynced
 //	<data>/<id>/ckpt/          per-job checkpoints (internal/ckpt format): the
 //	                           checkpoint_dir the submission sets in spec.json
-//	<data>/<id>/result.json    the encoded result: a hard link to the store's
-//	                           "res" object, made on completion
-//	<data>/store/              the result store (internal/store)
+//	<data>/store/              the result store (internal/store), where a
+//	                           finished sweep's encoded result is its "res"
+//	                           object and nowhere else
 //
-// On startup every spec without a result is relaunched; the job
-// checkpoints make the relaunch continue where the killed process
-// stopped, bit-identically.
+// On startup every sweep whose result the store does not hold is
+// relaunched; the job checkpoints make the relaunch continue where the
+// killed process stopped, bit-identically.
 //
 // Execution goes through an internal/coord coordinator: sweeps become
 // leased job queues, and a pool of embedded pull-workers — plus any
@@ -187,7 +187,6 @@ func newServerWith(opts serverOpts) (*server, error) {
 		return nil, err
 	}
 	s.store = st
-	s.gcStore()
 	s.coord = coord.New(coord.Config{
 		LeaseTTL:    opts.leaseTTL,
 		MaxAttempts: opts.maxRetries,
@@ -232,12 +231,13 @@ func (s *server) observeSweep(sweepID string, e dsmc.SweepEvent) {
 	}
 }
 
-// recover scans the data directory: finished sweeps are registered as
-// done (their result served from disk), unfinished ones are relaunched
-// from their spec + checkpoints. Orphaned *.tmp files — left by a crash
-// in the middle of an atomic write (spec, result, or checkpoint) — are
-// removed first: the rename never happened, so the orphan is garbage by
-// construction and must not shadow the real file's next write.
+// recover scans the data directory: a sweep whose result the store
+// verifies is registered done, any other is relaunched from its spec and
+// checkpoints, or registered failed when its spec.json no longer decodes
+// or lowers. Orphaned *.tmp files — left by a crash in the middle of an
+// atomic write (spec or checkpoint) — are removed first: the rename never
+// happened, so the orphan is garbage by construction and must not shadow
+// the real file's next write.
 func (s *server) recover() error {
 	// The store subtree is excluded: store.Open already swept it, and its
 	// policy is quarantine (keep the evidence), not delete.
@@ -248,6 +248,7 @@ func (s *server) recover() error {
 	if err != nil {
 		return err
 	}
+	var resume []func()
 	for _, e := range entries { // sorted by name
 		id := e.Name()
 		if !e.IsDir() || !strings.HasPrefix(id, "sw-") {
@@ -261,66 +262,80 @@ func (s *server) recover() error {
 			log.Printf("recover %s: %v (skipping)", id, err)
 			continue
 		}
-		var spec dsmc.SweepSpec
-		if err := json.Unmarshal(raw, &spec); err != nil {
-			log.Printf("recover %s: bad spec: %v (skipping)", id, err)
-			continue
-		}
+		// The strict decoder of submissions: it fills every field it knows
+		// before it reports one it does not, so the status view has the
+		// spec's name and shape even when the sweep cannot run.
+		spec, specErr := decodeSpec(bytes.NewReader(raw))
 		run := s.register(id, spec, true)
-		// A sweep still to be run goes through the same strict decoder and
-		// lowering as a submission: a field this build does not know fails
-		// the sweep by name rather than being ignored on resume.
-		strict, lowerErr := decodeSpec(bytes.NewReader(raw))
 		var sw *dsmc.Sweep
-		if lowerErr == nil {
-			sw, lowerErr = dsmc.NewSweep(strict)
+		if specErr == nil {
+			sw, specErr = dsmc.NewSweep(spec)
 		}
-		// result.json is the served representation: its bytes as found are
-		// what this process serves and tags, once checked. One that is not
-		// the result the store indexes under the sweep's key — torn,
-		// truncated, a digit changed — is discarded by re-running the
-		// sweep, which links the stored bytes back.
-		encoded, err := os.ReadFile(s.resultPath(id))
-		if err == nil {
-			err = s.checkResult(sw, encoded)
+		// A spec that no longer lowers has no ResultKey; its result, if it
+		// finished under an earlier build, is kept under the sweep's ID.
+		key := "res-" + id
+		if sw != nil {
+			key = sw.ResultKey
 		}
-		if err == nil {
-			run.finish(etagOf(encoded), len(encoded), nil)
+		sha, size, ok, err := s.storedResult(id, key)
+		if err != nil {
+			return fmt.Errorf("recover %s: adopting result.json: %w", id, err)
+		}
+		if ok {
+			run.finish(`"`+sha+`"`, int(size), nil)
 			continue
 		}
-		if !errors.Is(err, fs.ErrNotExist) {
-			log.Printf("recover %s: unusable result.json: %v", id, err)
-		}
-		if lowerErr != nil {
-			err = fmt.Errorf("persisted spec.json: %w", lowerErr)
+		if specErr != nil {
+			err = fmt.Errorf("persisted spec.json: %w", specErr)
 			run.finish("", 0, err)
 			log.Printf("recover %s: failed: %v", id, err)
 			continue
 		}
 		log.Printf("recover %s: resuming from checkpoints", id)
-		go s.execute(run, sw)
+		resume = append(resume, func() { s.execute(run, sw) })
+	}
+	// GC runs after adoption, so adopted results count against the budget,
+	// and before the resumed sweeps register, so their memo passes see only
+	// what stays.
+	s.gcStore()
+	for _, execute := range resume {
+		go execute()
 	}
 	return nil
 }
 
-// checkResult reports whether a recovered result.json may be served:
-// its SHA-256 must be the one the store's index holds for the sweep's
-// ResultKey. Where there is no entry to compare against — the persisted
-// spec no longer lowers, or the store's GC evicted the entry while the
-// file kept the object's inode — a file that is still JSON is accepted.
-func (s *server) checkResult(sw *dsmc.Sweep, encoded []byte) error {
-	if sw != nil {
-		if sha, ok := s.store.Lookup(sw.ResultKey); ok {
-			if etagOf(encoded) != `"`+sha+`"` {
-				return fmt.Errorf("its SHA-256 is not the stored result's %s", sha)
+// storedResult reports whether the store verifies a recovered sweep's
+// result under key, and its hash and size. It first adopts, once, the
+// <data>/<id>/result.json an earlier build kept beside the store (a hard
+// link to the object): the file is deleted unread when the store verifies
+// the key, else published under the key if it is JSON and — where the
+// index named a hash for the key — hashes to it, and then deleted. A file
+// that is neither is dropped and the sweep recomputed. An error leaves
+// the file in place and fails start-up.
+func (s *server) storedResult(id, key string) (sha string, size int64, ok bool, err error) {
+	indexed, wasIndexed := s.store.Lookup(key)
+	sha, size, ok = s.store.Verify(key)
+	path := filepath.Join(s.dataDir, id, "result.json")
+	if !ok {
+		data, err := os.ReadFile(path)
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+			return "", 0, false, nil
+		case err != nil:
+			return "", 0, false, err
+		case json.Valid(data) && (!wasIndexed || etagOf(data) == `"`+indexed+`"`):
+			if sha, err = s.store.Put(key, data); err != nil {
+				return "", 0, false, err
 			}
-			return nil
+			size, ok = int64(len(data)), true
+		default:
+			log.Printf("recover %s: dropping a result.json that is not the stored result", id)
 		}
 	}
-	if !json.Valid(encoded) {
-		return errors.New("not valid JSON")
+	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return "", 0, false, err
 	}
-	return nil
+	return sha, size, ok, nil
 }
 
 // removeOrphanTmp walks the data tree and deletes every *.tmp file,
@@ -353,6 +368,8 @@ func idNumber(id string) int {
 // event log for appending: created if missing (older builds wrote none),
 // cut back to its last newline if a crash tore the unsynced last line. A
 // log that cannot be opened is logged; the sweep then runs without one.
+// The submission time is spec.json's modification time — the file is
+// written once, at submit — so a restart reports the same one.
 func (s *server) register(id string, spec dsmc.SweepSpec, resumed bool) *sweepRun {
 	run := &sweepRun{
 		ID:        id,
@@ -361,6 +378,9 @@ func (s *server) register(id string, spec dsmc.SweepSpec, resumed bool) *sweepRu
 		Resumed:   resumed,
 		spec:      spec,
 		grew:      make(chan struct{}),
+	}
+	if fi, err := os.Stat(filepath.Join(s.dataDir, id, "spec.json")); err == nil {
+		run.Submitted = fi.ModTime().UTC()
 	}
 	path := s.eventsPath(id)
 	data, err := os.ReadFile(path)
@@ -389,25 +409,19 @@ func (s *server) eventsPath(id string) string {
 	return filepath.Join(s.dataDir, id, "events.ndjson")
 }
 
-// resultPath is where a sweep's encoded result lives.
-func (s *server) resultPath(id string) string {
-	return filepath.Join(s.dataDir, id, "result.json")
-}
-
-// execute hands the lowered sweep to the coordinator, which leaves
-// result.json — the representation /result serves — as a link to the
-// store's copy of the encoded result: assembled from the jobs the
-// embedded (and any remote) workers pull, or found already stored under
-// the sweep's key.
+// execute hands the lowered sweep to the coordinator, which leaves the
+// encoded result — the representation /result serves — in the store
+// under the sweep's key: assembled from the jobs the embedded (and any
+// remote) workers pull, or found already stored.
 func (s *server) execute(run *sweepRun, sw *dsmc.Sweep) {
-	err := s.coord.AddSweepFile(run.ID, sw, s.resultPath(run.ID), func(sha string, size int, err error) {
+	err := s.coord.AddSweepStored(run.ID, sw, func(sha string, size int, err error) {
+		s.gcStore() // first: a finished sweep's store is within its budget
 		run.finish(`"`+sha+`"`, size, err)
 		if err != nil {
 			log.Printf("%s failed: %v", run.ID, err)
 		} else {
 			log.Printf("%s done", run.ID)
 		}
-		s.gcStore()
 	})
 	if err != nil {
 		run.finish("", 0, err)
@@ -416,8 +430,10 @@ func (s *server) execute(run *sweepRun, sw *dsmc.Sweep) {
 }
 
 // gcStore enforces the store's size budget (and sweeps unreferenced
-// objects): called at startup and after every sweep completion, so the
-// store converges on the budget without a background goroutine.
+// objects): called at startup and as every sweep completes, so the store
+// converges on the budget without a background goroutine. An evicted
+// result is gone from the disk; its sweep's GET is a 500 until a restart
+// resumes the sweep.
 func (s *server) gcStore() {
 	if removed, freed := s.store.GC(s.storeBudget); removed > 0 {
 		log.Printf("store gc: evicted %d artifacts, freed %d bytes", removed, freed)
@@ -463,7 +479,7 @@ func (r *sweepRun) observe(e dsmc.SweepEvent) {
 }
 
 // finish closes the run and its log and wakes the log's readers. etag
-// and size identify the content of result.json.
+// and size identify the result's store object.
 func (r *sweepRun) finish(etag string, size int, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -753,11 +769,11 @@ func (s *server) handleEvents(w http.ResponseWriter, req *http.Request) {
 
 // handleResult serves a finished sweep's result. A done result is
 // immutable — the sweep's determinism contract says a re-run produces the
-// same bits — so it is a content-addressed resource: result.json is the
-// representation and its SHA-256 the strong ETag. Conditional requests
-// and HEADs are answered from the retained tag and size alone; a full GET
-// reads the file and serves it only if it still hashes to the tag.
-// ?quantity= views are store artifacts derived from those bytes.
+// same bits — so it is a content-addressed resource: the store object is
+// the representation and its SHA-256 the strong ETag. Conditional
+// requests and HEADs are answered from the retained tag and size alone; a
+// full GET reads the object and serves it only if it still hashes to the
+// tag. ?quantity= views are store artifacts derived from those bytes.
 func (s *server) handleResult(w http.ResponseWriter, req *http.Request) {
 	run := s.lookup(w, req)
 	if run == nil {
@@ -776,7 +792,7 @@ func (s *server) handleResult(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if q := req.URL.Query().Get("quantity"); q != "" {
-		s.serveQuantity(w, req, run, etag, size, dsmc.Quantity(q))
+		s.serveQuantity(w, req, run, etag, dsmc.Quantity(q))
 		return
 	}
 	if notModified(w, req, etag) {
@@ -785,7 +801,7 @@ func (s *server) handleResult(w http.ResponseWriter, req *http.Request) {
 	var data []byte
 	if req.Method != http.MethodHead {
 		var ok bool
-		if data, ok = s.readResult(w, run.ID, etag, size); !ok {
+		if data, ok = s.fetchResult(w, run.ID, etag); !ok {
 			return
 		}
 	}
@@ -794,19 +810,15 @@ func (s *server) handleResult(w http.ResponseWriter, req *http.Request) {
 	w.Write(data)
 }
 
-// readResult returns the bytes of a sweep's result.json. Verify on read,
-// like the store: the whole file is hashed before the first byte goes
-// out, so a 200 body always hashes to its ETag. On failure the request
-// has been answered: a logged 500 naming the sweep, without validators.
-func (s *server) readResult(w http.ResponseWriter, id, etag string, size int) ([]byte, bool) {
-	data, err := os.ReadFile(s.resultPath(id))
-	if err == nil {
-		if got := etagOf(data); got != etag {
-			err = fmt.Errorf("result.json (%d bytes) hashes to %s, was written as %s (%d bytes)", len(data), got, etag, size)
-		}
-	}
-	if err != nil {
-		err = fmt.Errorf("sweep %s: stored result failed verification: %w", id, err)
+// fetchResult returns the bytes of a sweep's result: its store object,
+// read and hashed whole before the first byte goes out, so a 200 body
+// always hashes to its ETag. On failure — the object rotted, or GC
+// evicted it — the request has been answered: a logged 500 naming the
+// sweep, without validators.
+func (s *server) fetchResult(w http.ResponseWriter, id, etag string) ([]byte, bool) {
+	data, ok := s.store.GetBySHA(strings.Trim(etag, `"`))
+	if !ok {
+		err := fmt.Errorf("sweep %s: its result %s is not in the result store or failed verification", id, etag)
 		log.Print(err)
 		w.Header().Del("ETag")
 		w.Header().Del("Cache-Control")
@@ -827,9 +839,9 @@ func viewKey(resultETag string, q dsmc.Quantity) string {
 // 404 — decided from the spec, before any I/O — when the sweep did not
 // sample it. A view is a store artifact with its object's SHA-256 as the
 // ETag: a matching conditional request needs only the index, any other a
-// verified read. The first request for any view of a result decodes
-// result.json once and publishes the views of every sampled quantity.
-func (s *server) serveQuantity(w http.ResponseWriter, req *http.Request, run *sweepRun, etag string, size int, q dsmc.Quantity) {
+// verified read. The first request for any view of a result decodes the
+// result once and publishes the views of every sampled quantity.
+func (s *server) serveQuantity(w http.ResponseWriter, req *http.Request, run *sweepRun, etag string, q dsmc.Quantity) {
 	sampled := run.spec.SampledQuantities()
 	if !slices.Contains(sampled, q) {
 		writeErr(w, http.StatusNotFound,
@@ -842,7 +854,7 @@ func (s *server) serveQuantity(w http.ResponseWriter, req *http.Request, run *sw
 	}
 	body, _, ok := s.store.Get(key)
 	if !ok {
-		data, ok := s.readResult(w, run.ID, etag, size)
+		data, ok := s.fetchResult(w, run.ID, etag)
 		if !ok {
 			return
 		}

@@ -367,11 +367,22 @@ func TestServerScenarioSweep(t *testing.T) {
 
 func iptr(v int) *int { return &v }
 
+// linkResultJSON lays a finished sweep's directory out as builds before
+// the store-only result left it: <data>/<id>/result.json a hard link to
+// the store object whose hash etag quotes.
+func linkResultJSON(t testing.TB, dir, id, etag string) {
+	t.Helper()
+	if err := os.Link(resultObject(dir, etag), filepath.Join(dir, id, "result.json")); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServerRecovery: a new server over an existing data directory
 // serves finished sweeps and their results without re-running them — the
 // same bytes under the same ETag as before the restart, because both
-// processes serve result.json and tag it with its hash — and replays
-// the same event history, read from the sweep's log.
+// processes serve the result's store object and tag it with its hash —
+// reports the same submission time, and replays the same event history,
+// read from the sweep's log.
 func TestServerRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := newServer(dir, 2)
@@ -400,6 +411,9 @@ func TestServerRecovery(t *testing.T) {
 	st2 := waitDone(t, ts2, id)
 	if st2.State != stateDone || !st2.Resumed {
 		t.Fatalf("recovered sweep state %s resumed=%v", st2.State, st2.Resumed)
+	}
+	if !st2.Submitted.Equal(st.Submitted) {
+		t.Errorf("recovered sweep submitted at %v, was %v", st2.Submitted, st.Submitted)
 	}
 	post, postBody := fetch(t, http.MethodGet, ts2.URL, id, "")
 	if post.StatusCode != http.StatusOK || post.Header.Get("ETag") != pre.Header.Get("ETag") || !bytes.Equal(postBody, preBody) {
@@ -485,7 +499,8 @@ func specWithField(t testing.TB, spec dsmc.SweepSpec, path []string, field strin
 // TestRecoveryStaleSpec: a data directory written by an older build —
 // before the flat "base" format went, and before SortTile and
 // SpatialRegions were deleted. A finished sweep whose spec.json is of the
-// "base" form keeps serving the same bytes under the same ETag; an
+// "base" form, with the result.json that build linked to the store object,
+// keeps serving the same bytes under the same ETag; an
 // unfinished one ends failed with the field named, whether that is the
 // "base" object or a deleted knob in the scenario params; the server
 // starts regardless and an unfinished sweep with a clean spec resumes
@@ -510,6 +525,7 @@ func TestRecoveryStaleSpec(t *testing.T) {
 		return spec
 	}
 	persist(done, legacySpecJSON(filepath.Join(dir, done, "ckpt")))
+	linkResultJSON(t, dir, done, pre.Header.Get("ETag"))
 	persist("sw-000002", legacySpecJSON(filepath.Join(dir, "sw-000002", "ckpt")))
 	persist("sw-000003", specWithField(t, unfinished("sw-000003", tinySpec()), []string{"scenario", "params"}, "SortTile", 64))
 	clean, err := json.Marshal(unfinished("sw-000004", tinySpec()))
@@ -537,5 +553,30 @@ func TestRecoveryStaleSpec(t *testing.T) {
 	}
 	if st := waitDone(t, ts2, "sw-000004"); st.State != stateDone {
 		t.Errorf("clean unfinished sweep: state %s (%s), want done", st.State, st.Error)
+	}
+}
+
+// TestRecoverySpecNotJSON: a spec.json that is not JSON — torn by a disk
+// fault, or edited by hand — does not keep the server from starting, and
+// its sweep is not skipped: it is listed failed, the error naming the file
+// and what the decoder found.
+func TestRecoverySpecNotJSON(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "sw-000003"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "sw-000003", "spec.json"), []byte(`{"name":"torn","replicas":2,`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := newServer(dir, 1)
+	if err != nil {
+		t.Fatalf("server did not start over the torn spec: %v", err)
+	}
+	t.Cleanup(s.close)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	st := waitDone(t, ts, "sw-000003")
+	if st.State != stateFailed || !strings.Contains(st.Error, "spec.json") || !strings.Contains(st.Error, "unexpected EOF") {
+		t.Errorf("sweep with a torn spec.json: state %s, error %q; want failed naming spec.json and the EOF", st.State, st.Error)
 	}
 }

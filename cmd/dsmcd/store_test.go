@@ -1,13 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -180,8 +183,9 @@ func TestStoreMemoE2E(t *testing.T) {
 // files outside the store, and a resubmitted sweep falls back to
 // recomputing the one artifact whose bytes rotted — reproducing the
 // original result exactly. The second case rots the sweep's encoded
-// result itself: the resubmit degrades to the per-job path, every job a
-// store hit, and republishes the same bytes.
+// result itself: its GET is a 500 that quarantines the object, and the
+// resubmit takes the per-job path, every job a store hit, and
+// republishes the same bytes.
 func TestStoreQuarantineOnRestart(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := newServer(dir, 2)
@@ -220,9 +224,7 @@ func TestStoreQuarantineOnRestart(t *testing.T) {
 	if err := os.WriteFile(stray, []byte("stray"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// The victim is a replica output, found through the index. The sweep's
-	// "res" entry is dropped as a GC eviction would drop it (result.json
-	// keeps the inode), so the resubmit below takes the per-job path.
+	// The victim is a replica output, found through the index.
 	rot := func(kind string) (object string) {
 		t.Helper()
 		keys, err := filepath.Glob(filepath.Join(storeDir, "index", kind+"-*"))
@@ -249,9 +251,6 @@ func TestStoreQuarantineOnRestart(t *testing.T) {
 	if err != nil || len(resKeys) != 1 {
 		t.Fatalf("res-* keys after one sweep: %v (err %v), want one", resKeys, err)
 	}
-	if err := os.Remove(resKeys[0]); err != nil {
-		t.Fatal(err)
-	}
 
 	s2, err := newServer(dir, 2)
 	if err != nil {
@@ -260,6 +259,13 @@ func TestStoreQuarantineOnRestart(t *testing.T) {
 	t.Cleanup(s2.close)
 	ts2 := httptest.NewServer(s2.handler())
 	defer ts2.Close()
+	// The restart found the sweep's result stored, so the first sweep is
+	// done. Its "res" artifact is then rejected as a failed verification
+	// would reject it, so the resubmit below takes the per-job path.
+	if st := waitDone(t, ts2, id1); st.State != stateDone {
+		t.Fatalf("first sweep after the restart: state %s (%s)", st.State, st.Error)
+	}
+	s2.store.Reject(filepath.Base(resKeys[0]))
 
 	// The torn artifact was quarantined — moved aside, not deleted, and
 	// never served — while the stray orphan outside the store was removed.
@@ -309,15 +315,16 @@ func TestStoreQuarantineOnRestart(t *testing.T) {
 	}
 
 	// Second case: the resubmit republished the encoded result; rot that
-	// object. result.json of the sweep that linked it is the same inode, so
-	// its verified GET turns into a 500 — never a wrong 200 — while a third
-	// submit sees the verification failure, re-assembles from job hits
-	// alone and republishes the original bytes.
+	// object. The sweep's verified GET turns into a 500 — never a wrong
+	// 200 — and quarantines the object, so a third submit misses the
+	// result, re-assembles it from job hits alone and republishes the
+	// original bytes. The verification failure is the GET's: the window
+	// counting it starts before the GET.
 	resObject := rot("res")
-	if r, _ := fetch(t, http.MethodGet, ts2.URL, id2, ""); r.StatusCode != http.StatusInternalServerError {
-		t.Errorf("GET of the sweep linked to the rotted object: status %d, want 500", r.StatusCode)
-	}
 	before = scrapeMetrics(t, ts2.URL)
+	if r, _ := fetch(t, http.MethodGet, ts2.URL, id2, ""); r.StatusCode != http.StatusInternalServerError {
+		t.Errorf("GET of the sweep whose result object rotted: status %d, want 500", r.StatusCode)
+	}
 	id3 := submit(t, ts2, spec)
 	if st := waitDone(t, ts2, id3); st.State != stateDone {
 		t.Fatalf("third sweep state %s (%s)", st.State, st.Error)
@@ -333,10 +340,12 @@ func TestStoreQuarantineOnRestart(t *testing.T) {
 		}
 	}
 	if d := after["dsmc_store_verify_failures_total"] - before["dsmc_store_verify_failures_total"]; d < 1 {
-		t.Errorf("verify failures during the third sweep: %v, want >= 1", d)
+		t.Errorf("verify failures during the GET and the third sweep: %v, want >= 1", d)
 	}
-	if _, err := os.Stat(filepath.Join(storeDir, "quarantine", filepath.Base(resObject))); err != nil {
-		t.Errorf("rotted result object not in quarantine/: %v", err)
+	// The rejected copy went to quarantine/ under the object's name, the
+	// rotted one beside it.
+	if q, _ := filepath.Glob(filepath.Join(storeDir, "quarantine", filepath.Base(resObject)+"*")); len(q) != 2 {
+		t.Errorf("result objects in quarantine/: %v, want the rejected and the rotted copy", q)
 	}
 	r3, body3 := fetch(t, http.MethodGet, ts2.URL, id3, "")
 	if r3.StatusCode != http.StatusOK || r3.Header.Get("ETag") != etag1 || etagOf(body3) != etag1 {
@@ -419,5 +428,204 @@ func TestResultETagConditional(t *testing.T) {
 			t.Errorf("non-matching If-None-Match on %s: status %d, %d bytes; want full 200",
 				path, miss.StatusCode, len(missBody))
 		}
+	}
+}
+
+// objectBytes sums the sizes of the store's object files under dir.
+func objectBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	objs, err := os.ReadDir(filepath.Join(dir, "store", "objects"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, e := range objs {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += fi.Size()
+	}
+	return n
+}
+
+// TestStoreBudgetBoundsResults: the store object is a result's only copy,
+// so -store-budget bounds the disk results take. Under a budget of one and
+// a half results, three distinct sweeps leave store objects within the
+// budget, and no file under the data directory holds an evicted result's
+// bytes. An evicted sweep's GET is a 500 that names it and carries no
+// validators; a restart recomputes it under its original ETag. The
+// restart lifts the budget, so the two recomputed results cannot evict
+// each other before they are read.
+func TestStoreBudgetBoundsResults(t *testing.T) {
+	specs := make([]dsmc.SweepSpec, 3)
+	for i := range specs {
+		specs[i] = tinySpec()
+		specs[i].Name = fmt.Sprintf("budget-%d", i) // same length, so same size
+	}
+	res, err := dsmc.RunSweep(context.Background(), specs[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var one bytes.Buffer
+	if err := dsmc.WriteSweepResult(&one, res); err != nil {
+		t.Fatal(err)
+	}
+	budget := int64(one.Len()) * 3 / 2
+
+	dir := t.TempDir()
+	s, err := newServerWith(serverOpts{dataDir: dir, workers: 2, storeBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.handler())
+	ids := make([]string, len(specs))
+	etags := make([]string, len(specs))
+	bodies := make([][]byte, len(specs))
+	for i, spec := range specs {
+		ids[i] = submit(t, ts, spec)
+		if st := waitDone(t, ts, ids[i]); st.State != stateDone {
+			t.Fatalf("%s: state %s (%s)", ids[i], st.State, st.Error)
+		}
+		resp, body := fetch(t, http.MethodGet, ts.URL, ids[i], "")
+		if resp.StatusCode != http.StatusOK || len(body) != one.Len() {
+			t.Fatalf("%s just done: GET status %d, %d bytes; want 200 and %d", ids[i], resp.StatusCode, len(body), one.Len())
+		}
+		etags[i], bodies[i] = resp.Header.Get("ETag"), body
+	}
+	var evicted []int
+	for i := range ids {
+		if _, err := os.Stat(resultObject(dir, etags[i])); os.IsNotExist(err) {
+			evicted = append(evicted, i)
+		}
+	}
+	n := objectBytes(t, dir)
+	t.Logf("budget %d bytes, store objects %d bytes, evicted results of sweeps %v", budget, n, evicted)
+	if n > budget {
+		t.Errorf("store objects hold %d bytes after three sweeps, budget %d", n, budget)
+	}
+	if len(evicted) < 2 {
+		t.Fatalf("evicted results %v: at most one of three fits the budget", evicted)
+	}
+	for _, i := range evicted {
+		if files := filesHolding(t, dir, etags[i]); len(files) != 0 {
+			t.Errorf("%s's result was evicted, but %v still hold its bytes", ids[i], files)
+		}
+		resp, body := fetch(t, http.MethodGet, ts.URL, ids[i], "")
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), ids[i]) {
+			t.Errorf("%s evicted: GET status %d, body %.200q; want a 500 naming it", ids[i], resp.StatusCode, body)
+		}
+		if resp.Header.Get("ETag") != "" || resp.Header.Get("Cache-Control") != "" {
+			t.Errorf("%s evicted: the 500 carries ETag %q, Cache-Control %q", ids[i], resp.Header.Get("ETag"), resp.Header.Get("Cache-Control"))
+		}
+	}
+	ts.Close()
+	s.close()
+
+	if s, err = newServer(dir, 2); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.close)
+	ts = httptest.NewServer(s.handler())
+	defer ts.Close()
+	for _, i := range evicted {
+		if st := waitDone(t, ts, ids[i]); st.State != stateDone || !st.Resumed {
+			t.Fatalf("%s after the restart: state %s (%s), resumed=%v", ids[i], st.State, st.Error, st.Resumed)
+		}
+		resp, body := fetch(t, http.MethodGet, ts.URL, ids[i], "")
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != etags[i] || !bytes.Equal(body, bodies[i]) {
+			t.Errorf("%s after the restart: status %d, ETag %s (was %s), body equal: %v",
+				ids[i], resp.StatusCode, resp.Header.Get("ETag"), etags[i], bytes.Equal(body, bodies[i]))
+		}
+	}
+}
+
+// TestUpgradeAdoptsResultJSON: a data directory as builds before the
+// store-only result left it — in each finished sweep's directory a
+// result.json, a hard link to its store object — with one sweep whose
+// "res" entry GC evicted (the link kept the only copy of the bytes) and
+// one finished sweep whose spec.json is of the flat "base" form. The
+// first start adopts every result.json into the store and deletes it;
+// that start and a second one serve every finished sweep with the bytes
+// and ETag it had, from its store object alone, recomputing nothing.
+func TestUpgradeAdoptsResultJSON(t *testing.T) {
+	dir := t.TempDir()
+	s, err := newServer(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.handler())
+	evicted := tinySpec()
+	evicted.Name = "evicted"
+	ids := []string{submit(t, ts, tinySpec()), submit(t, ts, evicted), submit(t, ts, tinySpec())}
+	etags := make([]string, len(ids))
+	bodies := make([][]byte, len(ids))
+	for i, id := range ids {
+		if st := waitDone(t, ts, id); st.State != stateDone {
+			t.Fatalf("%s: state %s (%s)", id, st.State, st.Error)
+		}
+		resp, body := fetch(t, http.MethodGet, ts.URL, id, "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: GET status %d", id, resp.StatusCode)
+		}
+		etags[i], bodies[i] = resp.Header.Get("ETag"), body
+	}
+	before := scrapeMetrics(t, ts.URL)
+	ts.Close()
+	s.close()
+
+	for i, id := range ids {
+		linkResultJSON(t, dir, id, etags[i])
+	}
+	// The evicted sweep: its index entry and object are gone, and the link
+	// is the one name left for the bytes.
+	keys, err := filepath.Glob(filepath.Join(dir, "store", "index", "res-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range keys {
+		if sha, err := os.ReadFile(key); err == nil && `"`+strings.TrimSpace(string(sha))+`"` == etags[1] {
+			if err := os.Remove(key); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := os.Remove(resultObject(dir, etags[1])); err != nil {
+		t.Fatal(err)
+	}
+	legacy := legacySpecJSON(filepath.Join(dir, ids[2], "ckpt"))
+	if err := os.WriteFile(filepath.Join(dir, ids[2], "spec.json"), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var after map[string]float64
+	for start := 1; start <= 2; start++ {
+		if s, err = newServer(dir, 2); err != nil {
+			t.Fatalf("start %d: %v", start, err)
+		}
+		ts = httptest.NewServer(s.handler())
+		for i, id := range ids {
+			if st := waitDone(t, ts, id); st.State != stateDone {
+				t.Errorf("start %d, %s: state %s (%s)", start, id, st.State, st.Error)
+				continue
+			}
+			resp, body := fetch(t, http.MethodGet, ts.URL, id, "")
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != etags[i] || !bytes.Equal(body, bodies[i]) {
+				t.Errorf("start %d, %s: status %d, ETag %s (was %s), body equal: %v",
+					start, id, resp.StatusCode, resp.Header.Get("ETag"), etags[i], bytes.Equal(body, bodies[i]))
+			}
+			if _, err := os.Lstat(filepath.Join(dir, id, "result.json")); !os.IsNotExist(err) {
+				t.Errorf("start %d, %s: result.json is still there (%v)", start, id, err)
+			}
+			if files := filesHolding(t, dir, etags[i]); !slices.Equal(files, []string{resultObject(dir, etags[i])}) {
+				t.Errorf("start %d, %s: files holding the result %v, want only its store object", start, id, files)
+			}
+		}
+		after = scrapeMetrics(t, ts.URL)
+		ts.Close()
+		s.close()
+	}
+	if g := after["dsmc_coord_lease_grants_total"] - before["dsmc_coord_lease_grants_total"]; g != 0 {
+		t.Errorf("the two starts granted %v leases, want 0", g)
 	}
 }

@@ -198,25 +198,24 @@ func (c *Coordinator) AddSweep(id string, sw *dsmc.Sweep, onDone func(*dsmc.Swee
 	return nil
 }
 
-// AddSweepFile is AddSweep for a caller whose product is the sweep's
-// encoded result as a file (dsmcd's result.json): onDone receives the
-// SHA-256 and size of the bytes now at path, a hard link to the store's
-// "res" artifact under sw.ResultKey. The key extends the determinism
-// contract one level up, so a sweep whose result the store already
-// holds never becomes a job DAG: one verification (the object hashed
-// through a fixed buffer, never read into memory), one link(2), and the
-// events the per-job memo pass would have emitted — no spec lowered, no
-// output decoded, nothing aggregated, marshalled or written. A miss, or
-// a hit that fails verification (the store quarantines it), is AddSweep
-// plus, on completion, the result written straight into the store (never
-// held as one buffer) and linked; an error from either fails the sweep.
-// Requires Config.Store.
-func (c *Coordinator) AddSweepFile(id string, sw *dsmc.Sweep, path string, onDone func(sha string, size int, err error)) error {
+// AddSweepStored is AddSweep for a caller whose product is the sweep's
+// encoded result in the store (dsmcd's /result): onDone receives the
+// SHA-256 and size of the "res" artifact under sw.ResultKey, the only
+// copy of the bytes. The key extends the determinism contract one level
+// up, so a sweep whose result the store already holds never becomes a
+// job DAG: one verification (the object hashed through a fixed buffer,
+// never read into memory) and the events the per-job memo pass would
+// have emitted — no spec lowered, no output decoded, nothing aggregated,
+// marshalled or written. A miss, or a hit that fails verification (the
+// store quarantines it), is AddSweep plus, on completion, the result
+// written straight into the store with PutStream (never held as one
+// buffer); a publish error fails the sweep. Requires Config.Store.
+func (c *Coordinator) AddSweepStored(id string, sw *dsmc.Sweep, onDone func(sha string, size int, err error)) error {
 	st := c.cfg.Store
 	if st == nil {
-		return errors.New("coord: AddSweepFile needs a result store")
+		return errors.New("coord: AddSweepStored needs a result store")
 	}
-	if sha, size, ok := st.Verify(sw.ResultKey); ok && st.Link(sha, path) == nil {
+	if sha, size, ok := st.Verify(sw.ResultKey); ok {
 		c.mu.Lock()
 		c.table(id, sw).Satisfy()
 		c.mu.Unlock()
@@ -228,9 +227,6 @@ func (c *Coordinator) AddSweepFile(id string, sw *dsmc.Sweep, path string, onDon
 		var size int64
 		if err == nil {
 			sha, size, err = st.PutStream(sw.ResultKey, func(w io.Writer) error { return dsmc.WriteSweepResult(w, res) })
-		}
-		if err == nil {
-			err = st.Link(sha, path)
 		}
 		onDone(sha, int(size), err)
 	})

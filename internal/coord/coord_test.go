@@ -891,10 +891,10 @@ func (q localProgressQueue) Heartbeat(ctx context.Context, hb Heartbeat) (string
 	return q.LocalQueue.Heartbeat(ctx, hb)
 }
 
-// TestSweepFileHitAllocs: a sweep whose encoded result the store already
+// TestSweepStoredHitAllocs: a sweep whose encoded result the store already
 // holds is verified by hashing the object through a fixed buffer, so a
 // multi-megabyte result costs the submit a few kilobytes, not its size.
-func TestSweepFileHitAllocs(t *testing.T) {
+func TestSweepStoredHitAllocs(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(filepath.Join(dir, "store"))
 	if err != nil {
@@ -915,7 +915,7 @@ func TestSweepFileHitAllocs(t *testing.T) {
 	done := make(chan fin, 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err = c.AddSweepFile("sw", sw, filepath.Join(dir, "result.json"), func(sha string, size int, err error) {
+	err = c.AddSweepStored("sw", sw, func(sha string, size int, err error) {
 		done <- fin{sha, size, err}
 	})
 	if err != nil {
@@ -931,12 +931,12 @@ func TestSweepFileHitAllocs(t *testing.T) {
 	}
 }
 
-// TestSweepFilePublishAllocs: a cold sweep's result goes from the
-// SweepResult into the store in one streaming pass, as AddSweepFile
+// TestSweepStoredPublishAllocs: a cold sweep's result goes from the
+// SweepResult into the store in one streaming pass, as AddSweepStored
 // publishes it, so a paper-size result (2 points × 3 quantities × 98×64
 // cells, over 3 MB encoded) costs the publish a fixed buffer, not copies
 // of its encoding.
-func TestSweepFilePublishAllocs(t *testing.T) {
+func TestSweepStoredPublishAllocs(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

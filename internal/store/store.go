@@ -155,7 +155,7 @@ func Open(dir string) (*Store, error) {
 
 // Lookup resolves a key to its content hash from the index alone — no
 // object I/O, no hit or miss counted. It answers "which bytes would Get
-// return" for callers that only need the identity (a 304, a link).
+// return" for callers that only need the identity (a 304).
 func (s *Store) Lookup(id string) (sha string, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -173,9 +173,9 @@ func (s *Store) Get(id string) (data []byte, sha string, ok bool) {
 }
 
 // Verify is Get for a caller that needs a key's content hash and size
-// but not its bytes (a link to the object): the object is hashed through
-// a fixed buffer and never held in memory, and is quarantined and
-// counted exactly as Get would.
+// but not its bytes (dsmcd asking whether a sweep's result is stored):
+// the object is hashed through a fixed buffer and never held in memory,
+// and is quarantined and counted exactly as Get would.
 func (s *Store) Verify(id string) (sha string, size int64, ok bool) {
 	sha, _, size, ok = s.get(id, false)
 	return sha, size, ok
@@ -261,22 +261,6 @@ func (s *Store) readObject(sha string, keep bool) (data []byte, size int64, ok b
 	return data, size, true
 }
 
-// Link makes path a hard link to an object, replacing whatever is there:
-// the file and the object are one inode, so the bytes exist once on disk
-// and survive the object's eviction. The store and path must share a
-// filesystem. Damage done through either name shows through both, which
-// is why every read of either is verified against the hash.
-func (s *Store) Link(sha, path string) error {
-	tmp := path + ".tmp"
-	os.Remove(tmp) // a crashed Link's leftover; absent otherwise
-	if err := os.Link(s.objectPath(sha), tmp); err != nil {
-		return err
-	}
-	err := os.Rename(tmp, path)
-	os.Remove(tmp) // rename is a no-op when path already is this inode
-	return err
-}
-
 // Put publishes a key's artifact from a slice: PutStream over data.
 func (s *Store) Put(id string, data []byte) (sha string, err error) {
 	sha, _, err = s.PutStream(id, func(w io.Writer) error { _, err := w.Write(data); return err })
@@ -291,7 +275,9 @@ func (s *Store) Put(id string, data []byte) (sha string, err error) {
 // deterministic key converge); different bytes under a live key is a
 // conflict error and counts as a verification failure — the caller
 // surfaced a determinism violation, and the original artifact stands. An
-// error from write publishes nothing and leaves no temp file.
+// error from write publishes nothing and leaves no temp file. The object
+// is the artifact's only copy on disk — no file outside the store names
+// its inode — so evicting it frees its bytes.
 func (s *Store) PutStream(id string, write func(io.Writer) error) (sha string, size int64, err error) {
 	f, err := os.CreateTemp(s.objectsDir(), "put-*.tmp")
 	if err != nil {
@@ -300,7 +286,7 @@ func (s *Store) PutStream(id string, write func(io.Writer) error) (sha string, s
 	tmp := f.Name()
 	dw := &digestWriter{w: f, h: sha256.New()}
 	// CreateTemp makes the file 0600; an object keeps the mode os.Create
-	// gives under the usual umask, since result.json links share it.
+	// gives under the usual umask, like every other file of the store.
 	err = f.Chmod(0o644)
 	if err == nil {
 		err = write(dw)

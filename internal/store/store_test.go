@@ -472,45 +472,3 @@ func TestConcurrentReadsVerified(t *testing.T) {
 		}
 	}
 }
-
-// TestLink: a linked file is the object's inode — one copy on disk — it
-// replaces what was at the path, leaves no temp file, and outlives the
-// object's eviction.
-func TestLink(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(filepath.Join(dir, "store"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := Key{Kind: "res", Fp: 1, Seed: 2, Point: 3, Replica: 4}.ID()
-	sha, err := s.Put(id, []byte("encoded result\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "result.json")
-	if err := os.WriteFile(path, []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ { // the second Link finds path already linked
-		if err := s.Link(sha, path); err != nil {
-			t.Fatal(err)
-		}
-		a, errA := os.Stat(path)
-		b, errB := os.Stat(filepath.Join(dir, "store", "objects", sha))
-		if errA != nil || errB != nil || !os.SameFile(a, b) {
-			t.Fatalf("Link %d: path and object are not one inode (%v, %v)", i, errA, errB)
-		}
-		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-			t.Fatalf("Link %d left %s.tmp behind (%v)", i, path, err)
-		}
-	}
-	if removed, _ := s.GC(1); removed != 1 {
-		t.Fatalf("GC over budget removed %d objects, want 1", removed)
-	}
-	if data, err := os.ReadFile(path); err != nil || string(data) != "encoded result\n" {
-		t.Fatalf("the link did not survive the object's eviction: %q, %v", data, err)
-	}
-	if err := s.Link(sha, path); err == nil {
-		t.Fatal("Link of an evicted object succeeded")
-	}
-}

@@ -14,11 +14,10 @@ import (
 // WriteSweepResult is the one function that turns a sweep result into
 // bytes: indented JSON and a trailing newline, exactly
 // json.MarshalIndent(res, "", " ") and '\n' — the representation dsmcd
-// stores, links as result.json and serves. It streams the result through
-// one 64 KiB buffer and never holds the encoding whole. A NaN or infinite
-// value is an error, as it is for encoding/json; w may then have taken a
-// prefix of the bytes. Changing what it writes requires bumping
-// resultEncoding.
+// stores and serves. It streams the result through one 64 KiB buffer and
+// never holds the encoding whole. A NaN or infinite value is an error, as
+// it is for encoding/json; w may then have taken a prefix of the bytes.
+// Changing what it writes requires bumping resultEncoding.
 func WriteSweepResult(w io.Writer, res *SweepResult) error {
 	j := newJSONWriter(w)
 	sep := "{"
