@@ -61,38 +61,17 @@
 //
 // # Result store and memoization
 //
-// Every finished replica output is published to a content-addressed
-// result store under <data>/store/, keyed by the job's determinism
-// contract (spec fingerprint, master seed, point, replica). A submitted
-// sweep is first satisfied from the store: jobs whose artifacts already
-// exist complete instantly without dispatch, so a restarted or
-// overlapping sweep never recomputes finished work — and because
-// replica bits are a pure function of the key, the memoized aggregate
-// is bit-identical to a cold run's. Artifacts are checksum-verified on
-// every read (corruption quarantines the artifact and falls back to
-// recompute), and results are served with content-addressed cache
-// semantics: strong ETags, immutable Cache-Control, If-None-Match →
-// 304. -store-budget bounds the store's size, and with it the disk the
-// results take; the oldest artifacts are evicted past the budget (they
-// are a cache — eviction only costs recomputation).
-//
-// A sweep's result is encoded exactly once, by the first sweep that
-// produces it: the bytes are a "res" artifact in the result store — the
-// representation /result serves, and their only copy on disk — and the
-// SHA-256 of the bytes is the ETag. A later sweep that derives the same
-// key is one verified read, with no job dispatched and nothing
-// re-encoded. The server keeps the tag and the size, not the bytes: a
-// matching If-None-Match (and a HEAD) is answered from those with no I/O
-// and no encoding, and a full GET reads the object and re-hashes it
-// before the first byte is sent — an object that rotted or was evicted
-// is a logged 500 naming the sweep, never a 200. A restarted server marks
-// a sweep done when the store verifies its result's key and recomputes
-// it otherwise, so it serves the same bytes under the same tag. The
-// result file an earlier build linked into each sweep directory is
-// adopted into the store once, at start-up, and deleted. ?quantity=
-// views are store artifacts keyed by the result's hash: built and
-// published by the first request for any view of a result, a verified
-// read afterwards.
+// Every finished replica output, every sweep's encoded result and every
+// ?quantity= view is an artifact of a content-addressed store under
+// <data>/store/, keyed by the determinism contract, so a sweep that
+// derives a stored key dispatches nothing for it and its result is
+// bit-identical to a cold run's. Every read is checksum-verified. A
+// result's store object is its only copy: /result serves it with its
+// SHA-256 as a strong ETag and immutable caching, and one that rotted or
+// that -store-budget evicted is a 500 naming the sweep while the read
+// recomputes it. README's "Result store & memoization" has the layout,
+// the cache semantics and retention, and its "Upgrading" the adoption of
+// the result files earlier builds kept beside the store.
 //
 // # Observability
 //

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"dsmc"
 )
@@ -39,6 +40,38 @@ func fetch(t testing.TB, method, base, id, ifNoneMatch string) (*http.Response, 
 		t.Fatal(err)
 	}
 	return resp, body
+}
+
+// served fetches a sweep's result until it is no longer a 500 — a lost
+// result being recomputed, or waiting its turn — and then waits for the
+// recomputation to settle, so the store has been collected.
+func served(t testing.TB, s *server, base, id string) (*http.Response, []byte) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for {
+		resp, body := fetch(t, http.MethodGet, base, id, "")
+		if resp.StatusCode != http.StatusInternalServerError || time.Now().After(deadline) {
+			recomputed(t, s)
+			return resp, body
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// recomputed waits until no lost result is being recomputed.
+func recomputed(t testing.TB, s *server) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(10 * time.Millisecond) {
+		s.mu.Lock()
+		busy := s.recomputing
+		s.mu.Unlock()
+		if !busy {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a result is still being recomputed after a minute")
+		}
+	}
 }
 
 // doneSweep starts a server over dir, runs spec to completion and
@@ -131,13 +164,12 @@ func filesHolding(t testing.TB, root, etag string) []string {
 // byte flipped, the tail cut off, or the object gone, a GET is a 500 that
 // names the sweep and carries no validator — never a 200 — while a
 // conditional GET with the original ETag is still a bare 304 (it reads
-// nothing). The failed read quarantines the object; republishing the bytes
-// under the sweep's key serves them again. A restart over a truncated,
-// missing or changed-digit object (one that still parses) gets the sweep
-// back with no job dispatched and serves the bytes and ETag it served
-// before the damage: recovery finds the result's key unverified, and the
-// resumed sweep re-assembles the result from the job hits and republishes
-// it.
+// nothing). The failed read quarantines the object and starts recomputing
+// the result, which the sweep then serves again. A restart over a
+// truncated, missing or changed-digit object (one that still parses)
+// reads nothing: the sweep is done from its result.ref, and its first GET
+// finds the damage, then a recomputation that dispatches no job — every
+// job a store hit — brings back the bytes and ETag served before.
 func TestResultIntegrity(t *testing.T) {
 	dir := t.TempDir()
 	s, ts, id := doneSweep(t, dir, tinySpec())
@@ -155,7 +187,6 @@ func TestResultIntegrity(t *testing.T) {
 	if err != nil || len(keys) != 1 {
 		t.Fatalf("res-* keys after one sweep: %v (err %v), want one", keys, err)
 	}
-	key := filepath.Base(keys[0])
 
 	flipped := bytes.Clone(want)
 	flipped[len(flipped)/2] ^= 0x01
@@ -187,16 +218,13 @@ func TestResultIntegrity(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkDamaged(d.name, ts.URL)
-		if _, err := s.store.Put(key, want); err != nil {
-			t.Fatalf("%s: republishing the result: %v", d.name, err)
-		}
-		if resp, body := fetch(t, http.MethodGet, ts.URL, id, ""); resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
-			t.Fatalf("%s: GET after republishing the result: status %d", d.name, resp.StatusCode)
+		if resp, body := served(t, s, ts.URL, id); resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+			t.Fatalf("%s: GET after the recomputation: status %d", d.name, resp.StatusCode)
 		}
 	}
 
-	// Restarts. A truncated object and one with a changed digit fail
-	// recovery's verification (quarantined, one failure each); a deleted
+	// Restarts. A truncated object and one with a changed digit fail the
+	// first GET's verification (quarantined, one failure each); a deleted
 	// one leaves a dangling index entry, which the store drops at Open.
 	digit := bytes.Clone(want)
 	i := len(digit)/2 + bytes.IndexAny(digit[len(digit)/2:], "0123456789")
@@ -208,7 +236,7 @@ func TestResultIntegrity(t *testing.T) {
 	for _, d := range []struct {
 		name     string
 		apply    func() error
-		failures float64 // verification failures of the restart
+		failures float64 // verification failures of the restart and the GETs
 	}{
 		{"truncated", damage[1].apply, 1},
 		{"deleted", damage[2].apply, 0},
@@ -227,6 +255,11 @@ func TestResultIntegrity(t *testing.T) {
 		if st := waitDone(t, ts, id); st.State != stateDone || !st.Resumed {
 			t.Fatalf("restart over a %s result: state %s (%s), resumed=%v", d.name, st.State, st.Error, st.Resumed)
 		}
+		if g := scrapeMetrics(t, ts.URL)["dsmc_store_misses_total"] - before["dsmc_store_misses_total"]; g != 0 {
+			t.Errorf("restart over a %s result: %v store misses, want 0 (nothing probed)", d.name, g)
+		}
+		checkDamaged(d.name+" after a restart", ts.URL)
+		resp, body := served(t, s, ts.URL, id)
 		after := scrapeMetrics(t, ts.URL)
 		if g := after["dsmc_coord_lease_grants_total"] - before["dsmc_coord_lease_grants_total"]; g != 0 {
 			t.Errorf("restart over a %s result: %v leases granted, want 0 (every job a store hit)", d.name, g)
@@ -238,7 +271,6 @@ func TestResultIntegrity(t *testing.T) {
 		if g := after["dsmc_store_verify_failures_total"] - before["dsmc_store_verify_failures_total"]; g != d.failures {
 			t.Errorf("restart over a %s result: %v verification failures, want %v", d.name, g, d.failures)
 		}
-		resp, body := fetch(t, http.MethodGet, ts.URL, id, "")
 		if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != etag || !bytes.Equal(body, want) {
 			t.Errorf("restart over a %s result: status %d, ETag %s (was %s), body equal: %v",
 				d.name, resp.StatusCode, resp.Header.Get("ETag"), etag, bytes.Equal(body, want))

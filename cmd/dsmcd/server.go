@@ -106,13 +106,15 @@ type statusView struct {
 //	                           every non-trace event, appended unsynced
 //	<data>/<id>/ckpt/          per-job checkpoints (internal/ckpt format): the
 //	                           checkpoint_dir the submission sets in spec.json
+//	<data>/<id>/result.ref     a done sweep's result ETag and size, unsynced
 //	<data>/store/              the result store (internal/store), where a
 //	                           finished sweep's encoded result is its "res"
 //	                           object and nowhere else
 //
-// On startup every sweep whose result the store does not hold is
-// relaunched; the job checkpoints make the relaunch continue where the
-// killed process stopped, bit-identically.
+// On startup every sweep without a result.ref is relaunched; the job
+// checkpoints make the relaunch continue where the killed process
+// stopped, bit-identically. A done sweep whose result GC evicted is
+// recomputed when it is next read, not at startup.
 //
 // Execution goes through an internal/coord coordinator: sweeps become
 // leased job queues, and a pool of embedded pull-workers — plus any
@@ -143,6 +145,10 @@ type server struct {
 	mu     sync.Mutex
 	sweeps map[string]*sweepRun
 	nextID int
+	// recomputing is set while a done sweep's lost result is rebuilt, and
+	// recomputes numbers the rebuilds' coordinator IDs.
+	recomputing bool
+	recomputes  int
 }
 
 // serverOpts carries the tunables main exposes as flags; the zero value
@@ -231,13 +237,15 @@ func (s *server) observeSweep(sweepID string, e dsmc.SweepEvent) {
 	}
 }
 
-// recover scans the data directory: a sweep whose result the store
-// verifies is registered done, any other is relaunched from its spec and
-// checkpoints, or registered failed when its spec.json no longer decodes
-// or lowers. Orphaned *.tmp files — left by a crash in the middle of an
-// atomic write (spec or checkpoint) — are removed first: the rename never
-// happened, so the orphan is garbage by construction and must not shadow
-// the real file's next write.
+// recover scans the data directory: a sweep with a result.ref is
+// registered done, any other is relaunched from its spec and checkpoints,
+// or registered failed when its spec.json no longer decodes or lowers. A
+// done sweep's result is neither read nor verified here: /result verifies
+// it when it is served, and recomputes it then if it is gone. Orphaned
+// *.tmp files — left by a crash in the middle of an atomic write (spec or
+// checkpoint) — are removed first: the rename never happened, so the
+// orphan is garbage by construction and must not shadow the real file's
+// next write.
 func (s *server) recover() error {
 	// The store subtree is excluded: store.Open already swept it, and its
 	// policy is quarantine (keep the evidence), not delete.
@@ -277,12 +285,11 @@ func (s *server) recover() error {
 		if sw != nil {
 			key = sw.ResultKey
 		}
-		sha, size, ok, err := s.storedResult(id, key)
-		if err != nil {
+		if err := s.adopt(id, key); err != nil {
 			return fmt.Errorf("recover %s: adopting result.json: %w", id, err)
 		}
-		if ok {
-			run.finish(`"`+sha+`"`, int(size), nil)
+		if etag, size, ok := s.readRef(id); ok {
+			run.finish(etag, size, nil)
 			continue
 		}
 		if specErr != nil {
@@ -304,38 +311,51 @@ func (s *server) recover() error {
 	return nil
 }
 
-// storedResult reports whether the store verifies a recovered sweep's
-// result under key, and its hash and size. It first adopts, once, the
-// <data>/<id>/result.json an earlier build kept beside the store (a hard
-// link to the object): the file is deleted unread when the store verifies
-// the key, else published under the key if it is JSON and — where the
-// index named a hash for the key — hashes to it, and then deleted. A file
-// that is neither is dropped and the sweep recomputed. An error leaves
-// the file in place and fails start-up.
-func (s *server) storedResult(id, key string) (sha string, size int64, ok bool, err error) {
-	indexed, wasIndexed := s.store.Lookup(key)
-	sha, size, ok = s.store.Verify(key)
+// adopt takes in, once, the <data>/<id>/result.json an earlier build kept
+// beside the store (a hard link to the object). A file that is JSON and,
+// where the index names a hash for key, hashes to it is published under
+// key — an ack when the store already holds it — and becomes the sweep's
+// result.ref; any other is dropped, and the sweep recomputed. The file is
+// then deleted. An error leaves it in place and fails start-up.
+func (s *server) adopt(id, key string) error {
 	path := filepath.Join(s.dataDir, id, "result.json")
-	if !ok {
-		data, err := os.ReadFile(path)
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-			return "", 0, false, nil
-		case err != nil:
-			return "", 0, false, err
-		case json.Valid(data) && (!wasIndexed || etagOf(data) == `"`+indexed+`"`):
-			if sha, err = s.store.Put(key, data); err != nil {
-				return "", 0, false, err
-			}
-			size, ok = int64(len(data)), true
-		default:
-			log.Printf("recover %s: dropping a result.json that is not the stored result", id)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	if indexed, ok := s.store.Lookup(key); json.Valid(data) && (!ok || etagOf(data) == `"`+indexed+`"`) {
+		sha, err := s.store.Put(key, data)
+		if err != nil {
+			return err
 		}
+		s.writeRef(id, `"`+sha+`"`, len(data))
+	} else {
+		log.Printf("recover %s: dropping a result.json that is not the stored result", id)
 	}
-	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return "", 0, false, err
+	return os.Remove(path)
+}
+
+// writeRef records a done sweep's result in <data>/<id>/result.ref, one
+// line: its ETag and size. The write is unsynced: a ref lost or torn in a
+// crash reads as none, and the restart resumes the sweep, whose first
+// probe finds the result in the store.
+func (s *server) writeRef(id, etag string, size int) {
+	if err := os.WriteFile(filepath.Join(s.dataDir, id, "result.ref"), fmt.Appendf(nil, "%s %d\n", etag, size), 0o644); err != nil {
+		log.Printf("%s: writing result.ref: %v", id, err)
 	}
-	return sha, size, ok, nil
+}
+
+// readRef returns the result a sweep's result.ref records, if it holds a
+// whole line naming one.
+func (s *server) readRef(id string) (etag string, size int, ok bool) {
+	raw, err := os.ReadFile(filepath.Join(s.dataDir, id, "result.ref"))
+	if err == nil {
+		_, err = fmt.Sscanf(string(raw), "%s %d\n", &etag, &size)
+	}
+	return etag, size, err == nil && len(etag) == 66 && string(raw) == fmt.Sprintf("%s %d\n", etag, size)
 }
 
 // removeOrphanTmp walks the data tree and deletes every *.tmp file,
@@ -416,6 +436,9 @@ func (s *server) eventsPath(id string) string {
 func (s *server) execute(run *sweepRun, sw *dsmc.Sweep) {
 	err := s.coord.AddSweepStored(run.ID, sw, func(sha string, size int, err error) {
 		s.gcStore() // first: a finished sweep's store is within its budget
+		if err == nil {
+			s.writeRef(run.ID, `"`+sha+`"`, size)
+		}
 		run.finish(`"`+sha+`"`, size, err)
 		if err != nil {
 			log.Printf("%s failed: %v", run.ID, err)
@@ -429,11 +452,59 @@ func (s *server) execute(run *sweepRun, sw *dsmc.Sweep) {
 	}
 }
 
+// recompute rebuilds a done sweep's result after a read missed it — GC
+// evicted the object, or it failed verification — unless another
+// rebuild is running: one at a time, so a budget too small for the
+// results being read costs one sweep's work per read, and a restart none.
+// The sweep runs again under a fresh coordinator ID, whose events go
+// nowhere (the sweep's log is closed): the jobs the store still holds are
+// hits, and the result lands under the sweep's key. It returns what the
+// reader is told.
+func (s *server) recompute(run *sweepRun) string {
+	sw, err := dsmc.NewSweep(run.spec)
+	if err != nil {
+		return "it cannot be recomputed: " + err.Error()
+	}
+	s.mu.Lock()
+	busy := s.recomputing
+	s.recomputing = true
+	s.recomputes++
+	id := fmt.Sprintf("%s-recompute-%d", run.ID, s.recomputes)
+	s.mu.Unlock()
+	if busy {
+		return "a recomputation is running; retry later"
+	}
+	done := func(sha string, size int, err error) {
+		s.gcStore()
+		run.mu.Lock()
+		was := run.resultETag
+		if err == nil {
+			run.resultETag, run.resultSize = `"`+sha+`"`, size
+		}
+		run.mu.Unlock()
+		if err == nil && `"`+sha+`"` != was {
+			// The bytes are a pure function of the spec unless the build's
+			// physics changed since the sweep ran: serve what it gives now.
+			err = fmt.Errorf("it is %s, not the %s served before; serving it", sha, was)
+			s.writeRef(run.ID, `"`+sha+`"`, size)
+		}
+		if err != nil {
+			log.Printf("%s: recomputing the result: %v", run.ID, err)
+		}
+		s.mu.Lock()
+		s.recomputing = false
+		s.mu.Unlock()
+	}
+	if err := s.coord.AddSweepStored(id, sw, done); err != nil {
+		done("", 0, err)
+	}
+	return "recomputing it; retry later"
+}
+
 // gcStore enforces the store's size budget (and sweeps unreferenced
 // objects): called at startup and as every sweep completes, so the store
 // converges on the budget without a background goroutine. An evicted
-// result is gone from the disk; its sweep's GET is a 500 until a restart
-// resumes the sweep.
+// result is gone from the disk until its sweep's next GET recomputes it.
 func (s *server) gcStore() {
 	if removed, freed := s.store.GC(s.storeBudget); removed > 0 {
 		log.Printf("store gc: evicted %d artifacts, freed %d bytes", removed, freed)
@@ -801,7 +872,7 @@ func (s *server) handleResult(w http.ResponseWriter, req *http.Request) {
 	var data []byte
 	if req.Method != http.MethodHead {
 		var ok bool
-		if data, ok = s.fetchResult(w, run.ID, etag); !ok {
+		if data, ok = s.fetchResult(w, run, etag); !ok {
 			return
 		}
 	}
@@ -814,11 +885,11 @@ func (s *server) handleResult(w http.ResponseWriter, req *http.Request) {
 // read and hashed whole before the first byte goes out, so a 200 body
 // always hashes to its ETag. On failure — the object rotted, or GC
 // evicted it — the request has been answered: a logged 500 naming the
-// sweep, without validators.
-func (s *server) fetchResult(w http.ResponseWriter, id, etag string) ([]byte, bool) {
+// sweep, without validators, and the result is being recomputed.
+func (s *server) fetchResult(w http.ResponseWriter, run *sweepRun, etag string) ([]byte, bool) {
 	data, ok := s.store.GetBySHA(strings.Trim(etag, `"`))
 	if !ok {
-		err := fmt.Errorf("sweep %s: its result %s is not in the result store or failed verification", id, etag)
+		err := fmt.Errorf("sweep %s: its result %s is not in the result store or failed verification; %s", run.ID, etag, s.recompute(run))
 		log.Print(err)
 		w.Header().Del("ETag")
 		w.Header().Del("Cache-Control")
@@ -854,7 +925,7 @@ func (s *server) serveQuantity(w http.ResponseWriter, req *http.Request, run *sw
 	}
 	body, _, ok := s.store.Get(key)
 	if !ok {
-		data, ok := s.fetchResult(w, run.ID, etag)
+		data, ok := s.fetchResult(w, run, etag)
 		if !ok {
 			return
 		}

@@ -369,10 +369,13 @@ func iptr(v int) *int { return &v }
 
 // linkResultJSON lays a finished sweep's directory out as builds before
 // the store-only result left it: <data>/<id>/result.json a hard link to
-// the store object whose hash etag quotes.
+// the store object whose hash etag quotes, and no result.ref.
 func linkResultJSON(t testing.TB, dir, id, etag string) {
 	t.Helper()
 	if err := os.Link(resultObject(dir, etag), filepath.Join(dir, id, "result.json")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, id, "result.ref")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -432,6 +435,52 @@ func TestServerRecovery(t *testing.T) {
 	}
 	if _, postEvents := get(t, ts2.URL+"/v1/sweeps/"+id+"/events", ""); len(preEvents) == 0 || !bytes.Equal(postEvents, preEvents) {
 		t.Errorf("recovered /events: %d bytes, want the %d bytes served before the restart", len(postEvents), len(preEvents))
+	}
+}
+
+// TestResultRefTorn: result.ref is written unsynced, so a crash can lose
+// or tear it. A restart reads a torn ref as none and resumes the sweep,
+// whose one probe finds the result in the store: the same ETag and bytes,
+// no job dispatched, and the whole ref written again.
+func TestResultRefTorn(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1, id := doneSweep(t, dir, tinySpec())
+	pre, preBody := fetch(t, http.MethodGet, ts1.URL, id, "")
+	before := scrapeMetrics(t, ts1.URL)
+	ts1.Close()
+	s1.close()
+	ref := filepath.Join(dir, id, "result.ref")
+	whole, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ref, whole[:len(whole)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := newServer(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s2.close)
+	ts2 := httptest.NewServer(s2.handler())
+	defer ts2.Close()
+	if st := waitDone(t, ts2, id); st.State != stateDone {
+		t.Fatalf("sweep with a torn result.ref after the restart: state %s (%s)", st.State, st.Error)
+	}
+	after := scrapeMetrics(t, ts2.URL)
+	for name, want := range map[string]float64{"dsmc_store_hits_total": 1, "dsmc_coord_lease_grants_total": 0} {
+		if d := after[name] - before[name]; d != want {
+			t.Errorf("%s during the restart: %v, want %v", name, d, want)
+		}
+	}
+	post, postBody := fetch(t, http.MethodGet, ts2.URL, id, "")
+	if post.StatusCode != http.StatusOK || post.Header.Get("ETag") != pre.Header.Get("ETag") || !bytes.Equal(postBody, preBody) {
+		t.Errorf("after the restart: status %d, ETag %s (was %s), body equal: %v",
+			post.StatusCode, post.Header.Get("ETag"), pre.Header.Get("ETag"), bytes.Equal(postBody, preBody))
+	}
+	if got, err := os.ReadFile(ref); err != nil || !bytes.Equal(got, whole) {
+		t.Errorf("result.ref after the restart: %q (%v), want %q", got, err, whole)
 	}
 }
 

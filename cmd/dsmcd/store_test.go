@@ -12,7 +12,9 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dsmc"
 )
@@ -183,9 +185,9 @@ func TestStoreMemoE2E(t *testing.T) {
 // files outside the store, and a resubmitted sweep falls back to
 // recomputing the one artifact whose bytes rotted — reproducing the
 // original result exactly. The second case rots the sweep's encoded
-// result itself: its GET is a 500 that quarantines the object, and the
-// resubmit takes the per-job path, every job a store hit, and
-// republishes the same bytes.
+// result itself: its GET is a 500 that quarantines the object and starts
+// recomputing it, which takes the per-job path, every job a store hit,
+// and republishes the same bytes for the sweep and a resubmit to serve.
 func TestStoreQuarantineOnRestart(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := newServer(dir, 2)
@@ -316,40 +318,45 @@ func TestStoreQuarantineOnRestart(t *testing.T) {
 
 	// Second case: the resubmit republished the encoded result; rot that
 	// object. The sweep's verified GET turns into a 500 — never a wrong
-	// 200 — and quarantines the object, so a third submit misses the
-	// result, re-assembles it from job hits alone and republishes the
-	// original bytes. The verification failure is the GET's: the window
-	// counting it starts before the GET.
+	// 200 — and quarantines the object, and the recomputation it starts
+	// misses the result, re-assembles it from job hits alone and
+	// republishes the original bytes. The verification failure is the
+	// GET's: the window counting it starts before the GET.
 	resObject := rot("res")
 	before = scrapeMetrics(t, ts2.URL)
 	if r, _ := fetch(t, http.MethodGet, ts2.URL, id2, ""); r.StatusCode != http.StatusInternalServerError {
 		t.Errorf("GET of the sweep whose result object rotted: status %d, want 500", r.StatusCode)
 	}
-	id3 := submit(t, ts2, spec)
-	if st := waitDone(t, ts2, id3); st.State != stateDone {
-		t.Fatalf("third sweep state %s (%s)", st.State, st.Error)
-	}
+	r2, body2 := served(t, s2, ts2.URL, id2)
 	after = scrapeMetrics(t, ts2.URL)
+	if r2.StatusCode != http.StatusOK || r2.Header.Get("ETag") != etag1 || etagOf(body2) != etag1 {
+		t.Errorf("recomputed result: status %d, ETag %s, body hashes to %s; want 200 and the original %s",
+			r2.StatusCode, r2.Header.Get("ETag"), etagOf(body2), etag1)
+	}
 	for name, want := range map[string]float64{
 		"dsmc_store_hits_total":         float64(spec.Replicas), // every job, not the result
 		"dsmc_coord_lease_grants_total": 0,
 		"dsmc_store_publishes_total":    1, // the result, again
 	} {
 		if d := after[name] - before[name]; d != want {
-			t.Errorf("%s during the third sweep: %v, want %v", name, d, want)
+			t.Errorf("%s during the GET and the recomputation: %v, want %v", name, d, want)
 		}
 	}
 	if d := after["dsmc_store_verify_failures_total"] - before["dsmc_store_verify_failures_total"]; d < 1 {
-		t.Errorf("verify failures during the GET and the third sweep: %v, want >= 1", d)
+		t.Errorf("verify failures during the GET and the recomputation: %v, want >= 1", d)
 	}
 	// The rejected copy went to quarantine/ under the object's name, the
 	// rotted one beside it.
 	if q, _ := filepath.Glob(filepath.Join(storeDir, "quarantine", filepath.Base(resObject)+"*")); len(q) != 2 {
 		t.Errorf("result objects in quarantine/: %v, want the rejected and the rotted copy", q)
 	}
+	id3 := submit(t, ts2, spec)
+	if st := waitDone(t, ts2, id3); st.State != stateDone {
+		t.Fatalf("third sweep state %s (%s)", st.State, st.Error)
+	}
 	r3, body3 := fetch(t, http.MethodGet, ts2.URL, id3, "")
 	if r3.StatusCode != http.StatusOK || r3.Header.Get("ETag") != etag1 || etagOf(body3) != etag1 {
-		t.Errorf("republished result: status %d, ETag %s, body hashes to %s; want 200 and the original %s",
+		t.Errorf("resubmitted result: status %d, ETag %s, body hashes to %s; want 200 and the original %s",
 			r3.StatusCode, r3.Header.Get("ETag"), etagOf(body3), etag1)
 	}
 }
@@ -454,9 +461,11 @@ func objectBytes(t *testing.T, dir string) int64 {
 // a half results, three distinct sweeps leave store objects within the
 // budget, and no file under the data directory holds an evicted result's
 // bytes. An evicted sweep's GET is a 500 that names it and carries no
-// validators; a restart recomputes it under its original ETag. The
-// restart lifts the budget, so the two recomputed results cannot evict
-// each other before they are read.
+// validators. A restart under the same budget probes and recomputes
+// nothing — every sweep is done from its result.ref — and then each sweep
+// serves its original ETag and bytes again, an evicted result recomputed
+// when it is read, one at a time, with the store back within the budget
+// after each.
 func TestStoreBudgetBoundsResults(t *testing.T) {
 	specs := make([]dsmc.SweepSpec, 3)
 	for i := range specs {
@@ -472,9 +481,10 @@ func TestStoreBudgetBoundsResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := int64(one.Len()) * 3 / 2
+	opts := serverOpts{dataDir: t.TempDir(), workers: 2, storeBudget: budget}
+	dir := opts.dataDir
 
-	dir := t.TempDir()
-	s, err := newServerWith(serverOpts{dataDir: dir, workers: 2, storeBudget: budget})
+	s, err := newServerWith(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,23 +529,85 @@ func TestStoreBudgetBoundsResults(t *testing.T) {
 			t.Errorf("%s evicted: the 500 carries ETag %q, Cache-Control %q", ids[i], resp.Header.Get("ETag"), resp.Header.Get("Cache-Control"))
 		}
 	}
+	recomputed(t, s)
+	before := scrapeMetrics(t, ts.URL)
 	ts.Close()
 	s.close()
 
-	if s, err = newServer(dir, 2); err != nil {
+	if s, err = newServerWith(opts); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.close)
 	ts = httptest.NewServer(s.handler())
 	defer ts.Close()
-	for _, i := range evicted {
-		if st := waitDone(t, ts, ids[i]); st.State != stateDone || !st.Resumed {
-			t.Fatalf("%s after the restart: state %s (%s), resumed=%v", ids[i], st.State, st.Error, st.Resumed)
+	after := scrapeMetrics(t, ts.URL)
+	for _, name := range []string{"dsmc_store_hits_total", "dsmc_store_misses_total", "dsmc_coord_lease_grants_total", "dsmc_store_publishes_total"} {
+		if d := after[name] - before[name]; d != 0 {
+			t.Errorf("%s during the restart: %v, want 0", name, d)
 		}
-		resp, body := fetch(t, http.MethodGet, ts.URL, ids[i], "")
+	}
+	for i, id := range ids {
+		if st := waitDone(t, ts, id); st.State != stateDone {
+			t.Fatalf("%s after the restart: state %s (%s)", id, st.State, st.Error)
+		}
+		resp, body := served(t, s, ts.URL, id)
 		if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != etags[i] || !bytes.Equal(body, bodies[i]) {
 			t.Errorf("%s after the restart: status %d, ETag %s (was %s), body equal: %v",
-				ids[i], resp.StatusCode, resp.Header.Get("ETag"), etags[i], bytes.Equal(body, bodies[i]))
+				id, resp.StatusCode, resp.Header.Get("ETag"), etags[i], bytes.Equal(body, bodies[i]))
+		}
+		if n := objectBytes(t, dir); n > budget {
+			t.Errorf("%s served after the restart: store objects hold %d bytes, budget %d", id, n, budget)
+		}
+	}
+}
+
+// TestConcurrentReadsRecompute: readers racing on a result whose object
+// is gone all get a 500 or the original bytes, never anything else, and
+// the result is recomputed once: one publish, no job dispatched.
+func TestConcurrentReadsRecompute(t *testing.T) {
+	dir := t.TempDir()
+	s, ts, id := doneSweep(t, dir, tinySpec())
+	t.Cleanup(s.close)
+	defer ts.Close()
+	first, want := fetch(t, http.MethodGet, ts.URL, id, "")
+	etag := first.Header.Get("ETag")
+	if err := os.Remove(resultObject(dir, etag)); err != nil {
+		t.Fatal(err)
+	}
+	before := scrapeMetrics(t, ts.URL)
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+				resp, err := http.Get(ts.URL + "/v1/sweeps/" + id + "/result")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				switch {
+				case err != nil:
+					t.Error(err)
+					return
+				case resp.StatusCode == http.StatusOK && resp.Header.Get("ETag") == etag && bytes.Equal(body, want):
+					return
+				case resp.StatusCode != http.StatusInternalServerError:
+					t.Errorf("GET during the recomputation: status %d, ETag %s", resp.StatusCode, resp.Header.Get("ETag"))
+					return
+				}
+			}
+			t.Error("the result was not served again within a minute")
+		}()
+	}
+	wg.Wait()
+	recomputed(t, s)
+	after := scrapeMetrics(t, ts.URL)
+	for name, want := range map[string]float64{"dsmc_store_publishes_total": 1, "dsmc_coord_lease_grants_total": 0} {
+		if d := after[name] - before[name]; d != want {
+			t.Errorf("%s during the concurrent reads: %v, want %v", name, d, want)
 		}
 	}
 }
@@ -547,7 +619,9 @@ func TestStoreBudgetBoundsResults(t *testing.T) {
 // one finished sweep whose spec.json is of the flat "base" form. The
 // first start adopts every result.json into the store and deletes it;
 // that start and a second one serve every finished sweep with the bytes
-// and ETag it had, from its store object alone, recomputing nothing.
+// and ETag it had, from its store object alone, recomputing nothing. A
+// flat-"base" result cannot be recomputed: once its object is gone, its
+// GET is a 500 that says so.
 func TestUpgradeAdoptsResultJSON(t *testing.T) {
 	dir := t.TempDir()
 	s, err := newServer(dir, 2)
@@ -624,6 +698,18 @@ func TestUpgradeAdoptsResultJSON(t *testing.T) {
 		after = scrapeMetrics(t, ts.URL)
 		ts.Close()
 		s.close()
+	}
+	if err := os.Remove(resultObject(dir, etags[2])); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = newServer(dir, 2); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.close)
+	ts = httptest.NewServer(s.handler())
+	defer ts.Close()
+	if resp, body := fetch(t, http.MethodGet, ts.URL, ids[2], ""); resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "cannot be recomputed") {
+		t.Errorf("flat-base sweep with its result gone: GET status %d, body %.300q; want a 500 saying it cannot be recomputed", resp.StatusCode, body)
 	}
 	if g := after["dsmc_coord_lease_grants_total"] - before["dsmc_coord_lease_grants_total"]; g != 0 {
 		t.Errorf("the two starts granted %v leases, want 0", g)

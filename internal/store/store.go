@@ -173,9 +173,10 @@ func (s *Store) Get(id string) (data []byte, sha string, ok bool) {
 }
 
 // Verify is Get for a caller that needs a key's content hash and size
-// but not its bytes (dsmcd asking whether a sweep's result is stored):
-// the object is hashed through a fixed buffer and never held in memory,
-// and is quarantined and counted exactly as Get would.
+// but not its bytes (a sweep asking, as it is registered, whether its
+// result is stored): the object is hashed through a fixed buffer and
+// never held in memory, and is quarantined and counted exactly as Get
+// would.
 func (s *Store) Verify(id string) (sha string, size int64, ok bool) {
 	sha, _, size, ok = s.get(id, false)
 	return sha, size, ok
@@ -258,6 +259,7 @@ func (s *Store) readObject(sha string, keep bool) (data []byte, size int64, ok b
 	if sum != sha {
 		return nil, 0, false
 	}
+	s.touch(sha)
 	return data, size, true
 }
 
@@ -315,6 +317,7 @@ func (s *Store) PutStream(id string, write func(io.Writer) error) (sha string, s
 		s.sizes[sha] = size
 		s.bytes += size
 	}
+	s.touch(sha)
 	if err := AtomicWrite(s.indexPath(id), func(w io.Writer) error { _, err := io.WriteString(w, sha+"\n"); return err }); err != nil {
 		return "", 0, err
 	}
@@ -370,8 +373,9 @@ func (s *Store) Stats() (artifacts int, bytes int64) {
 
 // GC reclaims space: unreferenced objects (their index entries were
 // quarantined or evicted) are always removed, and with budget > 0 the
-// store then evicts oldest-modified artifacts — index entry and, once
-// unreferenced, object — until total object bytes fit the budget.
+// store then evicts the least recently written or read artifacts — index
+// entry and, once unreferenced, object — until total object bytes fit the
+// budget.
 // Returns the number of objects removed and the bytes freed.
 func (s *Store) GC(budget int64) (removed int, freed int64) {
 	s.mu.Lock()
@@ -389,8 +393,9 @@ func (s *Store) GC(budget int64) (removed int, freed int64) {
 	if budget <= 0 || s.bytes <= budget {
 		return removed, freed
 	}
-	// Over budget: evict whole artifacts oldest-first (object mtime, key
-	// ID as the deterministic tiebreaker).
+	// Over budget: evict whole artifacts oldest-first (object mtime, set
+	// by the write and by every verified read; key ID as the
+	// deterministic tiebreaker).
 	type victim struct {
 		id  string
 		sha string
@@ -448,6 +453,15 @@ func (s *Store) quarantineDir() string { return filepath.Join(s.root, "quarantin
 
 func (s *Store) objectPath(sha string) string { return filepath.Join(s.objectsDir(), sha) }
 func (s *Store) indexPath(id string) string   { return filepath.Join(s.indexDir(), id) }
+
+// touch marks an object used, as it is published or passes a verified
+// read: GC evicts by modification time, so what is read stays longer than
+// what is not. The time is the process clock's, never the coarser one the
+// kernel stamps a write with, so a publish and a read order as they ran.
+func (s *Store) touch(sha string) {
+	now := time.Now()
+	_ = os.Chtimes(s.objectPath(sha), now, now) // a failed touch only lets GC evict it sooner
+}
 
 // rejectLocked quarantines an object and drops every index entry
 // referencing it, counting one verification failure.

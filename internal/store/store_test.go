@@ -357,6 +357,44 @@ func TestGetQuarantinesCorruptObject(t *testing.T) {
 	}
 }
 
+// TestGCKeepsWhatWasRead: a verified read marks an object used, so under
+// a budget GC evicts the artifact least recently written or read, not the
+// oldest written.
+func TestGCKeepsWhatWasRead(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 3; i++ {
+		o := testOutput()
+		o.NFlow = i
+		id := Key{Kind: "out", Fp: 1, Seed: 1, Replica: i}.ID()
+		sha, err := s.Put(id, EncodeOutput(o))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mt := time.Now().Add(time.Duration(i-10) * time.Hour)
+		if err := os.Chtimes(filepath.Join(dir, "objects", sha), mt, mt); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if _, _, ok := s.Get(ids[0]); !ok {
+		t.Fatal("oldest artifact not served")
+	}
+	_, total := s.Stats()
+	if removed, _ := s.GC(total * 2 / 3); removed != 1 {
+		t.Fatalf("budget GC removed %d objects, want 1", removed)
+	}
+	for i, want := range []bool{true, false, true} {
+		if _, ok := s.Lookup(ids[i]); ok != want {
+			t.Errorf("artifact %d held after GC: %v, want %v (artifact 0 was read last)", i, ok, want)
+		}
+	}
+}
+
 func TestGC(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
