@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
+	"hash"
 	"io"
 	"io/fs"
 	"net/http"
@@ -17,7 +20,11 @@ import (
 	"time"
 
 	"dsmc"
+	"dsmc/internal/obs"
 )
+
+// raceEnabled reports a build under the race detector (race_test.go).
+var raceEnabled bool
 
 // fetch issues one request for a sweep's /result and reads the whole
 // response; ifNoneMatch, when set, makes it conditional.
@@ -281,12 +288,13 @@ func TestResultIntegrity(t *testing.T) {
 }
 
 // sink is a ResponseWriter that keeps the status and headers and counts
-// the body, so a measurement sees the handler's allocations and not a
-// recorder's copy of the body.
+// the body — and, with sum set, hashes it — so a measurement sees the
+// handler's allocations and not a recorder's copy of the body.
 type sink struct {
 	header http.Header
 	code   int
 	n      int
+	sum    hash.Hash
 }
 
 func (k *sink) Header() http.Header { return k.header }
@@ -300,6 +308,9 @@ func (k *sink) WriteHeader(code int) {
 func (k *sink) Write(p []byte) (int, error) {
 	k.WriteHeader(http.StatusOK)
 	k.n += len(p)
+	if k.sum != nil {
+		k.sum.Write(p)
+	}
 	return len(p), nil
 }
 
@@ -383,6 +394,106 @@ func TestResultCostModel(t *testing.T) {
 	// would be hundreds.
 	if d := allocs[1] - allocs[0]; d > 2 || d < -2 || allocs[1] > 40 {
 		t.Errorf("304 allocations: %v for %d bytes, %v for %d bytes; want a small constant", allocs[0], sizes[0], allocs[1], sizes[1])
+	}
+}
+
+// paperSizeSpec is a sweep with a paper-size result — the paper wedge's
+// 98×64 cells, three points, three sampled quantities: over 3 MB encoded
+// — at one particle per cell and two steps a phase, so it computes in a
+// fraction of a second.
+func paperSizeSpec() dsmc.SweepSpec {
+	sc := dsmc.PaperWedgeTunnel()
+	sc.ParticlesPerCell = 1
+	sc.Seed = 11
+	ss, err := dsmc.NewScenarioSpec(sc)
+	if err != nil {
+		panic(err)
+	}
+	return dsmc.SweepSpec{
+		Name:        "paper-size",
+		Scenario:    ss,
+		Quantities:  []dsmc.Quantity{dsmc.Density, dsmc.Temperature, dsmc.MachNumber},
+		Points:      []dsmc.SweepPoint{{Name: "rarefied"}, {Name: "thinner", MeanFreePath: f64p(0.75)}, {Name: "narrower", WedgeAngleDeg: f64p(25)}},
+		Replicas:    2,
+		WarmSteps:   2,
+		SampleSteps: 2,
+	}
+}
+
+// storeHits reads dsmc_store_hits_total from the handler's /metrics.
+func storeHits(t testing.TB, h http.Handler) float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	samples, err := obs.ParseText(rec.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return samples["dsmc_store_hits_total"]
+}
+
+// TestWarmReadAllocs: once a first request has sized the pooled read
+// buffer, a GET of a paper-size result (over 3 MB) and a GET of one of its
+// views typically allocate at most 256 KiB — a fixed cost, no copy of the
+// object — every body hashes to its ETag, and each view GET is one store
+// hit.
+func TestWarmReadAllocs(t *testing.T) {
+	s, ts, id := doneSweep(t, t.TempDir(), paperSizeSpec())
+	// No listener and no workers from here on: the only allocations in the
+	// process are the handler's.
+	ts.Close()
+	s.close()
+	h := s.handler()
+
+	const runs, bound = 8, 256 << 10
+	for _, tc := range []struct {
+		path string
+		hits float64 // store hits per request
+	}{
+		{"/v1/sweeps/" + id + "/result", 0},
+		{"/v1/sweeps/" + id + "/result?quantity=temperature", 1},
+	} {
+		req := httptest.NewRequest(http.MethodGet, tc.path, nil)
+		serve := func() (*sink, uint64) {
+			k := &sink{header: http.Header{}, sum: sha256.New()}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			h.ServeHTTP(k, req)
+			runtime.ReadMemStats(&m1)
+			if k.code != http.StatusOK || k.header.Get("ETag") != fmt.Sprintf(`"%x"`, k.sum.Sum(nil)) {
+				t.Fatalf("GET %s: status %d, ETag %s, body hashes to %x", tc.path, k.code, k.header.Get("ETag"), k.sum.Sum(nil))
+			}
+			return k, m1.TotalAlloc - m0.TotalAlloc
+		}
+		first, _ := serve() // sizes the buffer; the first view request also publishes the views
+		if tc.hits == 0 && first.n < 3<<20 {
+			t.Fatalf("the result is %d bytes, not the 3 MB or more this test needs", first.n)
+		}
+		hits := storeHits(t, h)
+		allocs := make([]uint64, runs)
+		for i := range allocs {
+			k, d := serve()
+			if k.n != first.n {
+				t.Fatalf("GET %s: %d bytes, the first was %d", tc.path, k.n, first.n)
+			}
+			allocs[i] = d
+		}
+		// A request that runs on another P than the one that put the buffer
+		// back can miss the pool and allocate one, and under -race the pool
+		// drops a quarter of what it is given. The typical request — the
+		// median, under -race the fewest — allocates no buffer.
+		slices.Sort(allocs)
+		typical := allocs[len(allocs)/2]
+		if raceEnabled {
+			typical = allocs[0]
+		}
+		if typical > bound {
+			t.Errorf("GET %s of %d bytes: typical allocation %d bytes (all %v), want <= 256 KiB", tc.path, first.n, typical, allocs)
+		}
+		if d := storeHits(t, h) - hits; d != tc.hits*runs {
+			t.Errorf("GET %s: %v store hits over %d requests, want %v", tc.path, d, runs, tc.hits*runs)
+		}
+		t.Logf("GET %s: %d bytes, allocated %v", tc.path, first.n, allocs)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -209,5 +211,34 @@ func TestSweepResultMemoE2E(t *testing.T) {
 	}
 	if h, m := delta(before, after, "dsmc_store_hits_total"), delta(before, after, "dsmc_store_misses_total"); h != 0 || m != 0 {
 		t.Errorf("unsampled quantity: %v store hits, %v misses; want no store read", h, m)
+	}
+}
+
+// TestMemoHitMakesNoCheckpointDir: the coordinator creates a sweep's
+// checkpoint directory as it registers the jobs, so a resubmitted sweep
+// whose result the store holds — it runs no job — leaves only its spec,
+// event log and result.ref.
+func TestMemoHitMakesNoCheckpointDir(t *testing.T) {
+	dir := t.TempDir()
+	s, ts, cold := doneSweep(t, dir, tinySpec())
+	t.Cleanup(s.close)
+	defer ts.Close()
+	if fi, err := os.Stat(filepath.Join(dir, cold, "ckpt")); err != nil || !fi.IsDir() {
+		t.Fatalf("the cold sweep has no checkpoint directory: %v", err)
+	}
+	warm := submit(t, ts, tinySpec())
+	if st := waitDone(t, ts, warm); st.State != stateDone {
+		t.Fatalf("resubmitted sweep state %s (%s)", st.State, st.Error)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, warm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"events.ndjson", "result.ref", "spec.json"}; !slices.Equal(names, want) {
+		t.Errorf("the memo hit's directory holds %q, want %q", names, want)
 	}
 }

@@ -105,7 +105,9 @@ type statusView struct {
 //	<data>/<id>/events.ndjson  the event log /events replays and tails:
 //	                           every non-trace event, appended unsynced
 //	<data>/<id>/ckpt/          per-job checkpoints (internal/ckpt format): the
-//	                           checkpoint_dir the submission sets in spec.json
+//	                           checkpoint_dir the submission sets in spec.json,
+//	                           made when the coordinator registers the jobs (a
+//	                           sweep the store already holds has none)
 //	<data>/<id>/result.ref     a done sweep's result ETag and size, unsynced
 //	<data>/store/              the result store (internal/store), where a
 //	                           finished sweep's encoded result is its "res"
@@ -491,6 +493,7 @@ func (s *server) recompute(run *sweepRun) string {
 		if err != nil {
 			log.Printf("%s: recomputing the result: %v", run.ID, err)
 		}
+		s.coord.Forget(id) // nothing reads the rebuild's job rows
 		s.mu.Lock()
 		s.recomputing = false
 		s.mu.Unlock()
@@ -706,9 +709,11 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if sw.Spec.Pool == 0 {
 		sw.Spec.Pool = s.pool
 	}
+	// The coordinator creates the checkpoint directory when it registers
+	// the jobs; a sweep the store already holds runs none and gets none.
 	dir := filepath.Join(s.dataDir, id)
 	sw.Spec.CheckpointDir = filepath.Join(dir, "ckpt")
-	if err := os.MkdirAll(sw.Spec.CheckpointDir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -843,8 +848,9 @@ func (s *server) handleEvents(w http.ResponseWriter, req *http.Request) {
 // same bits — so it is a content-addressed resource: the store object is
 // the representation and its SHA-256 the strong ETag. Conditional
 // requests and HEADs are answered from the retained tag and size alone; a
-// full GET reads the object and serves it only if it still hashes to the
-// tag. ?quantity= views are store artifacts derived from those bytes.
+// full GET reads the object once, into a pooled buffer (readBufs), and
+// serves it only if those bytes hash to the tag. ?quantity= views are
+// store artifacts derived from those bytes.
 func (s *server) handleResult(w http.ResponseWriter, req *http.Request) {
 	run := s.lookup(w, req)
 	if run == nil {
@@ -871,8 +877,10 @@ func (s *server) handleResult(w http.ResponseWriter, req *http.Request) {
 	}
 	var data []byte
 	if req.Method != http.MethodHead {
+		buf := readBufs.Get().(*[]byte)
+		defer readBufs.Put(buf)
 		var ok bool
-		if data, ok = s.fetchResult(w, run, etag); !ok {
+		if data, ok = s.fetchResult(w, run, etag, buf); !ok {
 			return
 		}
 	}
@@ -882,12 +890,13 @@ func (s *server) handleResult(w http.ResponseWriter, req *http.Request) {
 }
 
 // fetchResult returns the bytes of a sweep's result: its store object,
-// read and hashed whole before the first byte goes out, so a 200 body
-// always hashes to its ETag. On failure — the object rotted, or GC
-// evicted it — the request has been answered: a logged 500 naming the
-// sweep, without validators, and the result is being recomputed.
-func (s *server) fetchResult(w http.ResponseWriter, run *sweepRun, etag string) ([]byte, bool) {
-	data, ok := s.store.GetBySHA(strings.Trim(etag, `"`))
+// read into *buf — which then holds them — and hashed whole in that one
+// read before the first byte goes out, so a 200 body always hashes to its
+// ETag. On failure — the object rotted, or GC evicted it — the request
+// has been answered: a logged 500 naming the sweep, without validators,
+// and the result is being recomputed.
+func (s *server) fetchResult(w http.ResponseWriter, run *sweepRun, etag string, buf *[]byte) ([]byte, bool) {
+	data, ok := s.store.GetBySHA(strings.Trim(etag, `"`), *buf)
 	if !ok {
 		err := fmt.Errorf("sweep %s: its result %s is not in the result store or failed verification; %s", run.ID, etag, s.recompute(run))
 		log.Print(err)
@@ -896,8 +905,17 @@ func (s *server) fetchResult(w http.ResponseWriter, run *sweepRun, etag string) 
 		writeErr(w, http.StatusInternalServerError, err)
 		return nil, false
 	}
+	*buf = data
 	return data, true
 }
+
+// readBufs pools the buffers the verified reads of /result, ?quantity=
+// and /v1/store/{sha} land in. A request takes one, the store reads the
+// object into it — growing it only when it is shorter — and the request
+// puts it back, holding what it grew to, once the body is written (the
+// ResponseWriter has copied it out by then). A warm read then allocates
+// nothing the size of the object, and zeroes no fresh buffer.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // viewKey is the store key ID of one quantity's view of a result. A view
 // is a pure function of the result's bytes, so it is keyed by their hash:
@@ -910,8 +928,9 @@ func viewKey(resultETag string, q dsmc.Quantity) string {
 // 404 — decided from the spec, before any I/O — when the sweep did not
 // sample it. A view is a store artifact with its object's SHA-256 as the
 // ETag: a matching conditional request needs only the index, any other a
-// verified read. The first request for any view of a result decodes the
-// result once and publishes the views of every sampled quantity.
+// verified read into a pooled buffer, one store hit, whose hash is the
+// ETag. The first request for any view of a result decodes the result
+// once and publishes the views of every sampled quantity.
 func (s *server) serveQuantity(w http.ResponseWriter, req *http.Request, run *sweepRun, etag string, q dsmc.Quantity) {
 	sampled := run.spec.SampledQuantities()
 	if !slices.Contains(sampled, q) {
@@ -923,23 +942,27 @@ func (s *server) serveQuantity(w http.ResponseWriter, req *http.Request, run *sw
 	if sha, ok := s.store.Lookup(key); ok && notModified(w, req, `"`+sha+`"`) {
 		return
 	}
-	body, _, ok := s.store.Get(key)
+	buf := readBufs.Get().(*[]byte)
+	defer readBufs.Put(buf)
+	body, sha, ok := s.store.GetInto(key, *buf)
 	if !ok {
-		data, ok := s.fetchResult(w, run, etag)
+		data, ok := s.fetchResult(w, run, etag, buf)
 		if !ok {
 			return
 		}
-		sha, err := s.publishViews(data, etag, sampled, q)
-		if err != nil {
+		var err error
+		if sha, err = s.publishViews(data, etag, sampled, q); err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		if body, ok = s.store.GetBySHA(sha); !ok {
+		// The result is decoded: its bytes in buf are no longer needed.
+		if body, ok = s.store.GetBySHA(sha, *buf); !ok {
 			writeErr(w, http.StatusInternalServerError, fmt.Errorf("sweep %s: view %s failed verification", run.ID, key))
 			return
 		}
 	}
-	if notModified(w, req, etagOf(body)) {
+	*buf = body
+	if notModified(w, req, `"`+sha+`"`) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -987,18 +1010,33 @@ func (s *server) handleStoreList(w http.ResponseWriter, _ *http.Request) {
 
 // handleStoreObject serves one artifact's raw bytes by content hash.
 // The resource is immutable by construction — the hash IS the identity
-// — so the ETag is the hash and the cache lifetime is maximal.
+// — so the ETag is the hash and the cache lifetime is maximal. A request
+// whose If-None-Match names a held object is a 304 before anything is
+// read or hashed; any other GET is a verified read into a pooled buffer.
 func (s *server) handleStoreObject(w http.ResponseWriter, req *http.Request) {
 	sha := req.PathValue("sha")
-	data, ok := s.store.GetBySHA(sha)
-	if !ok {
+	notFound := func() {
+		w.Header().Del("ETag")
+		w.Header().Del("Cache-Control")
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no object %q in the result store", sha))
+	}
+	if !s.store.Has(sha) {
+		notFound()
 		return
 	}
 	if notModified(w, req, `"`+sha+`"`) {
 		return
 	}
+	buf := readBufs.Get().(*[]byte)
+	defer readBufs.Put(buf)
+	data, ok := s.store.GetBySHA(sha, *buf)
+	if !ok {
+		notFound() // it failed verification, or was collected since Has
+		return
+	}
+	*buf = data
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.Write(data)
 }
 

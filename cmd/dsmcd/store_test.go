@@ -715,3 +715,88 @@ func TestUpgradeAdoptsResultJSON(t *testing.T) {
 		t.Errorf("the two starts granted %v leases, want 0", g)
 	}
 }
+
+// TestStoreObject304ReadsNothing: /v1/store/{sha} answers a matching
+// If-None-Match with a 304 before it reads or hashes the object, so the
+// object's mtime — which every verified read sets — stays as it was; a
+// plain GET is a verified read, refreshes it and declares its length.
+func TestStoreObject304ReadsNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, ts, id := doneSweep(t, dir, tinySpec())
+	t.Cleanup(s.close)
+	defer ts.Close()
+	first, want := fetch(t, http.MethodGet, ts.URL, id, "")
+	etag := first.Header.Get("ETag")
+	path := resultObject(dir, etag)
+	old := time.Now().Add(-time.Hour).Truncate(time.Second)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	mtime := func() time.Time {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.ModTime()
+	}
+	url := ts.URL + "/v1/store/" + strings.Trim(etag, `"`)
+	for _, inm := range []string{etag, "W/" + etag + `, "other"`, "*"} {
+		cond, body := get(t, url, inm)
+		if cond.StatusCode != http.StatusNotModified || len(body) != 0 || cond.Header.Get("ETag") != etag {
+			t.Errorf("If-None-Match %s: status %d, %d-byte body, ETag %s; want a bare 304 with %s", inm, cond.StatusCode, len(body), cond.Header.Get("ETag"), etag)
+		}
+		if got := mtime(); !got.Equal(old) {
+			t.Errorf("If-None-Match %s: the 304 moved the object's mtime from %v to %v: it read the object", inm, old, got)
+		}
+	}
+	full, body := get(t, url, "")
+	if full.StatusCode != http.StatusOK || full.Header.Get("ETag") != etag || !bytes.Equal(body, want) || full.Header.Get("Content-Length") != fmt.Sprint(len(want)) {
+		t.Fatalf("plain GET: status %d, ETag %s, Content-Length %s, body equal %v; want 200, %s, %d, true",
+			full.StatusCode, full.Header.Get("ETag"), full.Header.Get("Content-Length"), bytes.Equal(body, want), etag, len(want))
+	}
+	if got := mtime(); !got.After(old) {
+		t.Errorf("plain GET left the object's mtime at %v: no verified read", got)
+	}
+	// An object the store does not hold is a 404 even to a wildcard.
+	missing, _ := get(t, ts.URL+"/v1/store/"+strings.Repeat("0", 64), "*")
+	if missing.StatusCode != http.StatusNotFound || missing.Header.Get("ETag") != "" {
+		t.Errorf("unknown object, If-None-Match *: status %d, ETag %q; want 404 without one", missing.StatusCode, missing.Header.Get("ETag"))
+	}
+}
+
+// TestRecomputeForgetsItsSweep: every recomputation of a lost result runs
+// under a fresh coordinator ID, and the coordinator drops it once it has
+// finished, so reads of evicted results leave no sweep state behind.
+func TestRecomputeForgetsItsSweep(t *testing.T) {
+	dir := t.TempDir()
+	s, ts, id := doneSweep(t, dir, tinySpec())
+	t.Cleanup(s.close)
+	defer ts.Close()
+	first, want := fetch(t, http.MethodGet, ts.URL, id, "")
+	etag := first.Header.Get("ETag")
+	const rounds = 3
+	for n := 1; n <= rounds; n++ {
+		if err := os.Remove(resultObject(dir, etag)); err != nil {
+			t.Fatal(err)
+		}
+		resp, body := served(t, s, ts.URL, id)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != etag || !bytes.Equal(body, want) {
+			t.Fatalf("round %d: status %d, ETag %s, body equal %v; want the result again", n, resp.StatusCode, resp.Header.Get("ETag"), bytes.Equal(body, want))
+		}
+	}
+	// A read that finds a recomputation running also takes a number.
+	s.mu.Lock()
+	recomputes := s.recomputes
+	s.mu.Unlock()
+	if recomputes < rounds {
+		t.Fatalf("%d recomputations, want at least %d", recomputes, rounds)
+	}
+	for n := 1; n <= recomputes; n++ {
+		if rows, held := s.coord.Jobs(fmt.Sprintf("%s-recompute-%d", id, n)); held {
+			t.Errorf("recomputation %d is still held by the coordinator, %d job rows", n, len(rows))
+		}
+	}
+	if _, held := s.coord.Jobs(id); !held {
+		t.Errorf("the submitted sweep %s is no longer held", id)
+	}
+}

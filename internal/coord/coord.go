@@ -558,6 +558,19 @@ func (c *Coordinator) Jobs(sweepID string) (rows []JobStatus, ok bool) {
 	return rows, true
 }
 
+// Forget drops a finished sweep's state — its table, leases and spec —
+// so a coordinator that runs sweeps for the life of its process holds
+// only those its caller still reads. A later call under one of the
+// sweep's leases is ErrUnknown, which a worker treats as a stale lease,
+// and Jobs reports the sweep not held. An unfinished sweep stays.
+func (c *Coordinator) Forget(id string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !slices.Contains(c.order, id) {
+		delete(c.sweeps, id)
+	}
+}
+
 // --- internals (all require c.mu) ---
 
 // expireLocked sweeps every leased job whose heartbeat lapsed: the lease

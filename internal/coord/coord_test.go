@@ -1018,6 +1018,49 @@ func TestFinishedSweepReleasesOutputs(t *testing.T) {
 	runtime.KeepAlive(c)
 }
 
+// TestForgetFinishedSweep: Forget leaves an unfinished sweep alone and
+// drops a finished one, after which Jobs reports it not held and a late
+// completion or heartbeat under its lease is turned away, not acked.
+func TestForgetFinishedSweep(t *testing.T) {
+	done := make(chan error, 1)
+	c := New(Config{LeaseTTL: time.Minute})
+	if err := c.AddSweep("sw", sweepOf(t, tinySpec()), func(_ *dsmc.SweepResult, err error) { done <- err }); err != nil {
+		t.Fatal(err)
+	}
+	leases := []*Lease{mustPoll(t, c, "w"), mustPoll(t, c, "w")}
+	outs := make([]*dsmc.ReplicaOutput, len(leases))
+	for i, l := range leases {
+		outs[i] = runLeasedJob(t, c, l)
+	}
+	if err := c.Complete("sw", leases[0].Job, leases[0].LeaseID, outs[0]); err != nil {
+		t.Fatal(err)
+	}
+	c.Forget("sw")
+	if _, held := c.Jobs("sw"); !held {
+		t.Fatal("Forget dropped a sweep that is still running")
+	}
+	if err := c.Complete("sw", leases[1].Job, leases[1].LeaseID, outs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	// Before Forget a redelivered winning completion is acked.
+	if err := c.Complete("sw", leases[1].Job, leases[1].LeaseID, outs[1]); err != nil {
+		t.Fatalf("redelivered completion before Forget: %v", err)
+	}
+	c.Forget("sw")
+	if rows, held := c.Jobs("sw"); held {
+		t.Fatalf("forgotten sweep still held, %d job rows", len(rows))
+	}
+	if err := c.Complete("sw", leases[1].Job, leases[1].LeaseID, outs[1]); !errors.Is(err, ErrUnknown) {
+		t.Errorf("completion for a forgotten sweep: %v, want ErrUnknown", err)
+	}
+	if ans, err := c.HandleHeartbeat(Heartbeat{Worker: "w", Sweep: "sw", Job: leases[1].Job, Lease: leases[1].LeaseID}); err != nil || ans != HBAbandon {
+		t.Errorf("heartbeat for a forgotten sweep: %q, %v; want %q", ans, err, HBAbandon)
+	}
+}
+
 // refusingQueue is a LocalQueue whose coordinator refuses every
 // completion's output, counting the completions and failures it sees.
 type refusingQueue struct {

@@ -263,7 +263,7 @@ func (w *Worker) runJob(ctx context.Context, l *Lease) {
 				return w.cfg.Queue.Fail(c, l, cerr.Error())
 			})
 			w.logf("worker %s: job %s output refused: %v", w.cfg.ID, l.Job, cerr)
-		case cerr != nil && !errors.Is(cerr, ErrStaleLease):
+		case cerr != nil && !errors.Is(cerr, ErrStaleLease) && !errors.Is(cerr, ErrUnknown):
 			w.logf("worker %s: job %s completion upload failed: %v", w.cfg.ID, l.Job, cerr)
 		}
 	case jobCtx.Err() != nil:

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
@@ -27,6 +29,11 @@ func testOutput() *Output {
 		Collisions:    42,
 		NFlow:         1234,
 	}
+}
+
+func hashOf(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }
 
 func TestKeyID(t *testing.T) {
@@ -126,7 +133,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !ok || gotSHA != sha || string(got) != string(data) {
 		t.Fatalf("Get: ok=%v sha=%q", ok, gotSHA)
 	}
-	bySHA, ok := s.GetBySHA(sha)
+	bySHA, ok := s.GetBySHA(sha, nil)
 	if !ok || string(bySHA) != string(data) {
 		t.Fatal("GetBySHA did not return the object")
 	}
@@ -357,6 +364,110 @@ func TestGetQuarantinesCorruptObject(t *testing.T) {
 	}
 }
 
+// TestGetIntoBuffer: a read into a caller's buffer returns exactly the
+// object's bytes whatever the buffer held — longer, shorter, the same
+// length with other bytes — grows a short buffer, and reuses one long
+// enough without allocating anything the size of the object.
+func TestGetIntoBuffer(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := Key{Kind: "res", Fp: 5, Seed: 6}.ID()
+	// Over one read chunk and not a multiple of it, so the last chunk is short.
+	want := bytes.Repeat([]byte("verified read "), (3*readChunk)/14+5)
+	sha, err := s.Put(id, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		buf  []byte
+	}{
+		{"nil", nil},
+		{"short", bytes.Repeat([]byte{0xff}, 100)},
+		{"same length, other bytes", bytes.Repeat([]byte{'x'}, len(want))},
+		{"longer", bytes.Repeat([]byte{0xee}, 2*len(want))},
+		{"empty with room", make([]byte, 0, len(want)+7)},
+	} {
+		data, gotSHA, ok := s.GetInto(id, tc.buf)
+		if !ok || gotSHA != sha || !bytes.Equal(data, want) {
+			t.Errorf("%s buffer: ok %v, sha %s, %d bytes equal %v; want the object %s", tc.name, ok, gotSHA, len(data), bytes.Equal(data, want), sha)
+		}
+		grew := cap(tc.buf) < len(want)
+		if shared := cap(data) > 0 && cap(tc.buf) > 0 && &data[:1][0] == &tc.buf[:1][0]; shared == grew {
+			t.Errorf("%s buffer (cap %d): read into it %v, want %v", tc.name, cap(tc.buf), shared, !grew)
+		}
+		bySHA, ok := s.GetBySHA(sha, tc.buf)
+		if !ok || !bytes.Equal(bySHA, want) {
+			t.Errorf("%s buffer: GetBySHA ok %v, %d bytes equal %v", tc.name, ok, len(bySHA), bytes.Equal(bySHA, want))
+		}
+	}
+
+	buf := make([]byte, len(want))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 10 {
+		if _, _, ok := s.GetInto(id, buf); !ok {
+			t.Fatal("reused-buffer read missed")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > 64<<10 {
+		t.Errorf("10 reads of a %d-byte object into a buffer that holds it allocated %d bytes, want <= 64 KiB", len(want), d)
+	}
+}
+
+// TestGetIntoCorruptNeverReturnsBuffer: an object damaged in place at the
+// same size, read into a buffer that already holds its true bytes, is a
+// miss and is quarantined, and the read returns nothing — neither the
+// damaged bytes nor the buffer's earlier, correct-looking ones — whether
+// it is read by key or by hash.
+func TestGetIntoCorruptNeverReturnsBuffer(t *testing.T) {
+	for _, by := range []string{"key", "hash"} {
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := Key{Kind: "res", Fp: 7, Seed: 8}.ID()
+		want := bytes.Repeat([]byte("0123456789abcdef"), 2*readChunk/16)
+		sha, err := s.Put(id, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, _, ok := s.GetInto(id, nil)
+		if !ok {
+			t.Fatal("intact object missed")
+		}
+		path := filepath.Join(dir, "objects", sha)
+		raw := bytes.Clone(want)
+		raw[len(raw)-1] ^= 0x01 // in the last chunk: every chunk before it reads clean
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		failures := mVerifyFailures.Value()
+		var data []byte
+		if by == "key" {
+			data, _, ok = s.GetInto(id, buf)
+		} else {
+			data, ok = s.GetBySHA(sha, buf)
+		}
+		if ok || data != nil {
+			t.Errorf("by %s, damaged object: ok %v, %d bytes; want a miss returning nothing", by, ok, len(data))
+		}
+		if mVerifyFailures.Value() != failures+1 {
+			t.Errorf("by %s: verification failures +%d, want +1", by, mVerifyFailures.Value()-failures)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "quarantine", sha)); err != nil {
+			t.Errorf("by %s: damaged object not quarantined: %v", by, err)
+		}
+		if _, held := s.Lookup(id); held {
+			t.Errorf("by %s: the damaged object's key is still indexed", by)
+		}
+	}
+}
+
 // TestGCKeepsWhatWasRead: a verified read marks an object used, so under
 // a budget GC evicts the artifact least recently written or read, not the
 // oldest written.
@@ -489,13 +600,30 @@ func TestConcurrentReadsVerified(t *testing.T) {
 				t.Errorf("Put: %v", err) // same key, same bytes: never a conflict
 			}
 		})
+		// Each reader reads into one buffer of its own, reused across
+		// rounds, as dsmcd's handlers do: a failed read returns none of
+		// what an earlier round left in it.
+		var buf []byte
 		spawn(func(i int) {
-			data, sha, ok := s.Get(ids[i%keys])
+			data, sha, ok := s.GetInto(ids[i%keys], buf)
 			if ok && (hashOf(data) != sha || string(data) != string(bodies[i%keys])) {
-				t.Errorf("Get(%s) returned %d bytes that are not the object %s", ids[i%keys], len(data), sha)
+				t.Errorf("GetInto(%s) returned %d bytes that are not the object %s", ids[i%keys], len(data), sha)
 			}
-			if data, ok := s.GetBySHA(hashOf(bodies[i%keys])); ok && string(data) != string(bodies[i%keys]) {
+			if !ok && data != nil {
+				t.Errorf("GetInto(%s) missed and returned %d bytes", ids[i%keys], len(data))
+			}
+			if ok {
+				buf = data
+			}
+			data, ok = s.GetBySHA(hashOf(bodies[i%keys]), buf)
+			if ok && string(data) != string(bodies[i%keys]) {
 				t.Errorf("GetBySHA returned %d bytes that do not hash to the name asked for", len(data))
+			}
+			if !ok && data != nil {
+				t.Errorf("GetBySHA missed and returned %d bytes", len(data))
+			}
+			if ok {
+				buf = data
 			}
 		})
 	}
