@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 
 	"dsmc"
 )
@@ -214,23 +215,10 @@ func TestSweepResultMemoE2E(t *testing.T) {
 	}
 }
 
-// TestMemoHitMakesNoCheckpointDir: the coordinator creates a sweep's
-// checkpoint directory as it registers the jobs, so a resubmitted sweep
-// whose result the store holds — it runs no job — leaves only its spec,
-// event log and result.ref.
-func TestMemoHitMakesNoCheckpointDir(t *testing.T) {
-	dir := t.TempDir()
-	s, ts, cold := doneSweep(t, dir, tinySpec())
-	t.Cleanup(s.close)
-	defer ts.Close()
-	if fi, err := os.Stat(filepath.Join(dir, cold, "ckpt")); err != nil || !fi.IsDir() {
-		t.Fatalf("the cold sweep has no checkpoint directory: %v", err)
-	}
-	warm := submit(t, ts, tinySpec())
-	if st := waitDone(t, ts, warm); st.State != stateDone {
-		t.Fatalf("resubmitted sweep state %s (%s)", st.State, st.Error)
-	}
-	entries, err := os.ReadDir(filepath.Join(dir, warm))
+// dirNames lists the entries of one directory, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +226,73 @@ func TestMemoHitMakesNoCheckpointDir(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if want := []string{"events.ndjson", "result.ref", "spec.json"}; !slices.Equal(names, want) {
-		t.Errorf("the memo hit's directory holds %q, want %q", names, want)
+	return names
+}
+
+// doneSweepFiles is what a done sweep's directory holds.
+var doneSweepFiles = []string{"events.ndjson", "result.ref", "spec.json"}
+
+// waitDoneSweepFiles waits until a done sweep's directory holds only its
+// spec, event log and result.ref: the checkpoints go after the client
+// can see the sweep done.
+func waitDoneSweepFiles(t *testing.T, dir string) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(10 * time.Millisecond) {
+		names := dirNames(t, dir)
+		if slices.Equal(names, doneSweepFiles) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s holds %q a minute after the sweep was done, want %q", dir, names, doneSweepFiles)
+		}
+	}
+}
+
+// TestDoneSweepDropsCheckpoints: a sweep that checkpointed its jobs
+// removes its ckpt/ once it is done, and so does the recomputation of
+// its result after GC evicted every stored object, whose jobs step and
+// checkpoint again.
+func TestDoneSweepDropsCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	spec := tinySpec()
+	spec.CheckpointEvery = 2 // each 8-step job saves at steps 2, 4 and 6
+	s, ts, id := doneSweep(t, dir, spec)
+	t.Cleanup(s.close)
+	defer ts.Close()
+	waitDoneSweepFiles(t, filepath.Join(dir, id))
+
+	first, want := fetch(t, http.MethodGet, ts.URL, id, "")
+	objects := filepath.Join(dir, "store", "objects")
+	for _, name := range dirNames(t, objects) {
+		if err := os.Remove(filepath.Join(objects, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, body := served(t, s, ts.URL, id)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != first.Header.Get("ETag") || !bytes.Equal(body, want) {
+		t.Fatalf("after eviction: status %d, ETag %s, body equal %v; want the result again", resp.StatusCode, resp.Header.Get("ETag"), bytes.Equal(body, want))
+	}
+	if names := dirNames(t, filepath.Join(dir, id)); !slices.Equal(names, doneSweepFiles) {
+		t.Errorf("after the recomputation the sweep's directory holds %q, want %q", names, doneSweepFiles)
+	}
+}
+
+// TestMemoHitMakesNoCheckpointDir: the coordinator creates a sweep's
+// checkpoint directory as it registers the jobs, so a resubmitted sweep
+// whose result the store holds — it runs no job — leaves only its spec,
+// event log and result.ref. The cold sweep ends the same way: it drops
+// its checkpoints once it is done.
+func TestMemoHitMakesNoCheckpointDir(t *testing.T) {
+	dir := t.TempDir()
+	s, ts, cold := doneSweep(t, dir, tinySpec())
+	t.Cleanup(s.close)
+	defer ts.Close()
+	waitDoneSweepFiles(t, filepath.Join(dir, cold))
+	warm := submit(t, ts, tinySpec())
+	if st := waitDone(t, ts, warm); st.State != stateDone {
+		t.Fatalf("resubmitted sweep state %s (%s)", st.State, st.Error)
+	}
+	if names := dirNames(t, filepath.Join(dir, warm)); !slices.Equal(names, doneSweepFiles) {
+		t.Errorf("the memo hit's directory holds %q, want %q", names, doneSweepFiles)
 	}
 }

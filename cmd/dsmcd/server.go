@@ -107,7 +107,9 @@ type statusView struct {
 //	<data>/<id>/ckpt/          per-job checkpoints (internal/ckpt format): the
 //	                           checkpoint_dir the submission sets in spec.json,
 //	                           made when the coordinator registers the jobs (a
-//	                           sweep the store already holds has none)
+//	                           sweep the store already holds has none) and
+//	                           removed when the sweep is done; a failed
+//	                           sweep keeps it
 //	<data>/<id>/result.ref     a done sweep's result ETag and size, unsynced
 //	<data>/store/              the result store (internal/store), where a
 //	                           finished sweep's encoded result is its "res"
@@ -116,7 +118,9 @@ type statusView struct {
 // On startup every sweep without a result.ref is relaunched; the job
 // checkpoints make the relaunch continue where the killed process
 // stopped, bit-identically. A done sweep whose result GC evicted is
-// recomputed when it is next read, not at startup.
+// recomputed when it is next read, not at startup; its checkpoints are
+// gone, so each job whose output GC also evicted steps again from the
+// start.
 //
 // Execution goes through an internal/coord coordinator: sweeps become
 // leased job queues, and a pool of embedded pull-workers — plus any
@@ -292,6 +296,7 @@ func (s *server) recover() error {
 		}
 		if etag, size, ok := s.readRef(id); ok {
 			run.finish(etag, size, nil)
+			s.dropCheckpoints(id) // a crash may have come between the two
 			continue
 		}
 		if specErr != nil {
@@ -347,6 +352,17 @@ func (s *server) adopt(id, key string) error {
 func (s *server) writeRef(id, etag string, size int) {
 	if err := os.WriteFile(filepath.Join(s.dataDir, id, "result.ref"), fmt.Appendf(nil, "%s %d\n", etag, size), 0o644); err != nil {
 		log.Printf("%s: writing result.ref: %v", id, err)
+	}
+}
+
+// dropCheckpoints removes a done sweep's <data>/<id>/ckpt/: its result
+// is in the store and its result.ref written, so no restart resumes it,
+// and a recomputation's jobs are store hits or step from the start. A
+// finished sweep would otherwise keep every job's last checkpoint for
+// good, outside the store's budget.
+func (s *server) dropCheckpoints(id string) {
+	if err := os.RemoveAll(filepath.Join(s.dataDir, id, "ckpt")); err != nil {
+		log.Printf("%s: removing the checkpoints: %v", id, err)
 	}
 }
 
@@ -434,7 +450,9 @@ func (s *server) eventsPath(id string) string {
 // execute hands the lowered sweep to the coordinator, which leaves the
 // encoded result — the representation /result serves — in the store
 // under the sweep's key: assembled from the jobs the embedded (and any
-// remote) workers pull, or found already stored.
+// remote) workers pull, or found already stored. A sweep that succeeds
+// drops its checkpoints once the client can see it done; a failed one
+// keeps them for the restart that resumes it.
 func (s *server) execute(run *sweepRun, sw *dsmc.Sweep) {
 	err := s.coord.AddSweepStored(run.ID, sw, func(sha string, size int, err error) {
 		s.gcStore() // first: a finished sweep's store is within its budget
@@ -445,6 +463,7 @@ func (s *server) execute(run *sweepRun, sw *dsmc.Sweep) {
 		if err != nil {
 			log.Printf("%s failed: %v", run.ID, err)
 		} else {
+			s.dropCheckpoints(run.ID)
 			log.Printf("%s done", run.ID)
 		}
 	})
@@ -458,37 +477,42 @@ func (s *server) execute(run *sweepRun, sw *dsmc.Sweep) {
 // evicted the object, or it failed verification — unless another
 // rebuild is running: one at a time, so a budget too small for the
 // results being read costs one sweep's work per read, and a restart none.
-// The sweep runs again under a fresh coordinator ID, whose events go
-// nowhere (the sweep's log is closed): the jobs the store still holds are
-// hits, and the result lands under the sweep's key. It returns what the
-// reader is told.
+// The sweep runs again under a fresh coordinator ID, numbered only when
+// a rebuild starts, whose events go nowhere (the sweep's log is closed):
+// the jobs the store still holds are hits, and the result lands under
+// the sweep's key. A rebuild that succeeds drops the checkpoints its jobs
+// wrote. It returns what the reader is told.
 func (s *server) recompute(run *sweepRun) string {
 	sw, err := dsmc.NewSweep(run.spec)
 	if err != nil {
 		return "it cannot be recomputed: " + err.Error()
 	}
 	s.mu.Lock()
-	busy := s.recomputing
+	if s.recomputing {
+		s.mu.Unlock()
+		return "a recomputation is running; retry later"
+	}
 	s.recomputing = true
 	s.recomputes++
 	id := fmt.Sprintf("%s-recompute-%d", run.ID, s.recomputes)
 	s.mu.Unlock()
-	if busy {
-		return "a recomputation is running; retry later"
-	}
 	done := func(sha string, size int, err error) {
 		s.gcStore()
+		built := err == nil
 		run.mu.Lock()
 		was := run.resultETag
-		if err == nil {
+		if built {
 			run.resultETag, run.resultSize = `"`+sha+`"`, size
 		}
 		run.mu.Unlock()
-		if err == nil && `"`+sha+`"` != was {
+		if built && `"`+sha+`"` != was {
 			// The bytes are a pure function of the spec unless the build's
 			// physics changed since the sweep ran: serve what it gives now.
 			err = fmt.Errorf("it is %s, not the %s served before; serving it", sha, was)
 			s.writeRef(run.ID, `"`+sha+`"`, size)
+		}
+		if built {
+			s.dropCheckpoints(run.ID)
 		}
 		if err != nil {
 			log.Printf("%s: recomputing the result: %v", run.ID, err)

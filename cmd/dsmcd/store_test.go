@@ -765,8 +765,10 @@ func TestStoreObject304ReadsNothing(t *testing.T) {
 }
 
 // TestRecomputeForgetsItsSweep: every recomputation of a lost result runs
-// under a fresh coordinator ID, and the coordinator drops it once it has
-// finished, so reads of evicted results leave no sweep state behind.
+// under a fresh coordinator ID, numbered 1, 2, ... with none skipped — a
+// read that finds a rebuild running takes no number — and the
+// coordinator drops it once it has finished, so reads of evicted results
+// leave no sweep state behind.
 func TestRecomputeForgetsItsSweep(t *testing.T) {
 	dir := t.TempDir()
 	s, ts, id := doneSweep(t, dir, tinySpec())
@@ -779,17 +781,30 @@ func TestRecomputeForgetsItsSweep(t *testing.T) {
 		if err := os.Remove(resultObject(dir, etag)); err != nil {
 			t.Fatal(err)
 		}
+		if n == 1 {
+			// A read that finds a rebuild running is told to retry.
+			s.mu.Lock()
+			s.recomputing = true
+			s.mu.Unlock()
+			if busy, _ := fetch(t, http.MethodGet, ts.URL, id, ""); busy.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("a read during a rebuild: status %d, want 500", busy.StatusCode)
+			}
+			s.mu.Lock()
+			s.recomputing = false
+			s.mu.Unlock()
+		}
 		resp, body := served(t, s, ts.URL, id)
 		if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != etag || !bytes.Equal(body, want) {
 			t.Fatalf("round %d: status %d, ETag %s, body equal %v; want the result again", n, resp.StatusCode, resp.Header.Get("ETag"), bytes.Equal(body, want))
 		}
 	}
-	// A read that finds a recomputation running also takes a number.
+	// Each round started one rebuild; the reads that found one running
+	// took no number.
 	s.mu.Lock()
 	recomputes := s.recomputes
 	s.mu.Unlock()
-	if recomputes < rounds {
-		t.Fatalf("%d recomputations, want at least %d", recomputes, rounds)
+	if recomputes != rounds {
+		t.Fatalf("%d recomputations numbered, want %d: one per rebuild", recomputes, rounds)
 	}
 	for n := 1; n <= recomputes; n++ {
 		if rows, held := s.coord.Jobs(fmt.Sprintf("%s-recompute-%d", id, n)); held {

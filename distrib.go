@@ -84,8 +84,8 @@ var StepPhases = [4]string{"move+boundary", "sort", "select", "collide"}
 // SweepJobIO carries the side channels of a single-job execution.
 type SweepJobIO struct {
 	// Checkpoint, when non-nil, makes the job resumable: state is saved
-	// every spec.CheckpointEvery steps (default 50) and on context
-	// cancellation, and a re-run resumes from the last save
+	// every spec.CheckpointEvery steps (default 50) short of the job's
+	// last and on context cancellation, and a re-run resumes from the last save
 	// bit-identically. The spec's CheckpointDir is ignored here — the
 	// caller owns placement.
 	Checkpoint JobCheckpoint

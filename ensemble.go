@@ -68,9 +68,10 @@ type SweepSpec struct {
 	// 0 selects runtime.NumCPU().
 	Pool int `json:"pool,omitempty"`
 	// CheckpointDir, when set, makes jobs resumable: each persists its
-	// full state there every CheckpointEvery steps (default 50), and a
-	// re-run of the same spec over the same directory continues from the
-	// checkpoints — bit-identically to an uninterrupted run. A
+	// full state there every CheckpointEvery steps (default 50) short of
+	// its last, and a re-run of the same spec over the same directory
+	// continues from the checkpoints — bit-identically to an
+	// uninterrupted run. A
 	// coordinator requires one: it stores its workers' uploads there.
 	CheckpointDir   string `json:"checkpoint_dir,omitempty"`
 	CheckpointEvery int    `json:"checkpoint_every,omitempty"`

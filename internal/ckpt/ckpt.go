@@ -12,7 +12,9 @@
 // codecs below write. Float columns are stored at their native precision,
 // so a checkpoint is about the size of the live store. The sections
 // stream from the live columns to the writer's sink through the frame's
-// fixed chunk: saving holds no checkpoint-sized buffer.
+// fixed chunk: saving holds no checkpoint-sized buffer, and on a
+// little-endian host each column reaches the chunk, and comes back on
+// restore, as one copy of its memory.
 //
 // Layering: this package owns the checkpoint layout and the codecs for
 // the shared containers (store, reservoir, stream, accumulator, engine

@@ -88,7 +88,7 @@ func (p Phase) String() string {
 	return "unknown"
 }
 
-// StreamLayout fixes a backend's rng.StreamAt epoch encoding: the epoch
+// StreamLayout fixes a backend's rng.KeyAt epoch encoding: the epoch
 // of a phase at step s is s*NumDomains + domain. Each backend keeps the
 // encoding it has always used (2D: sort/select/collide/wall over four
 // domains; 3D: sort/collide over two, selection drawing from the collide
@@ -270,18 +270,20 @@ func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store *parti
 }
 
 // Epoch encodes (step, domain) into the single epoch word of
-// rng.StreamAt — the one place the encoding lives, so no two phases can
+// rng.KeyAt — the one place the encoding lives, so no two phases can
 // drift onto the same stream coordinates.
 func (e *Engine[F]) Epoch(domain uint64) uint64 {
 	return uint64(e.step)*e.cfg.Layout.NumDomains + domain
 }
 
-// PhaseStream returns the private counter-based stream for one lane (a
-// cell or particle index) of one phase of the current step. Because the
-// stream depends only on (seed, step, domain, lane), every lane draws the
-// same randomness no matter which worker processes it.
-func (e *Engine[F]) PhaseStream(domain uint64, lane int) rng.Stream {
-	return rng.StreamAt(e.cfg.Seed, e.Epoch(domain), uint64(lane))
+// PhaseKey returns the counter-based stream key of one phase of the
+// current step; key.At(lane) is the private stream of one lane (a cell
+// or particle index). Because a lane's stream depends only on (seed,
+// step, domain, lane), every lane draws the same randomness no matter
+// which worker processes it. A pass makes the key once and pays one
+// inlined mix per lane.
+func (e *Engine[F]) PhaseKey(domain uint64) rng.Key {
+	return rng.KeyAt(e.cfg.Seed, e.Epoch(domain))
 }
 
 // Store exposes the particle store. The pointer is the same for the
@@ -563,6 +565,7 @@ func (e *Engine[F]) selColSplitShard(w, clo, chi int) {
 	t0 := now()
 	picks := e.picksW[w][:0]
 	rule := &e.cfg.Rule
+	selKey := e.PhaseKey(e.cfg.Layout.Select)
 	for c := clo; c < chi; c++ {
 		lo, hi := int(cellStart[c]), int(cellStart[c+1])
 		cnt := hi - lo
@@ -581,7 +584,7 @@ func (e *Engine[F]) selColSplitShard(w, clo, chi int) {
 					picks = append(picks, pairPick{int32(lo + 2*k), int32(c)})
 				}
 			case p > 0:
-				r := e.PhaseStream(e.cfg.Layout.Select, c)
+				r := selKey.At(uint64(c))
 				for k := 0; k < npairs; k++ {
 					if r.Float64() < p {
 						picks = append(picks, pairPick{int32(lo + 2*k), int32(c)})
@@ -590,7 +593,7 @@ func (e *Engine[F]) selColSplitShard(w, clo, chi int) {
 			}
 			continue
 		}
-		r := e.PhaseStream(e.cfg.Layout.Select, c)
+		r := selKey.At(uint64(c))
 		g := e.relSpeeds(w, lo, npairs)
 		for k := 0; k < npairs; k++ {
 			pp := p * rule.Model.GFactor(g[k]/rule.GInf)
@@ -600,6 +603,7 @@ func (e *Engine[F]) selColSplitShard(w, clo, chi int) {
 		}
 	}
 	t1 := now()
+	colKey := e.PhaseKey(e.cfg.Layout.Collide)
 	var r rng.Stream
 	cur := int32(-1)
 	var coll int64
@@ -607,7 +611,7 @@ func (e *Engine[F]) selColSplitShard(w, clo, chi int) {
 		for _, pk := range picks {
 			if pk.c != cur {
 				cur = pk.c
-				r = e.PhaseStream(e.cfg.Layout.Collide, int(cur))
+				r = colKey.At(uint64(cur))
 			}
 			e.collideVibPair(st, int(pk.a), int(pk.a)+1, &r)
 		}
@@ -615,7 +619,7 @@ func (e *Engine[F]) selColSplitShard(w, clo, chi int) {
 		for _, pk := range picks {
 			if pk.c != cur {
 				cur = pk.c
-				r = e.PhaseStream(e.cfg.Layout.Collide, int(cur))
+				r = colKey.At(uint64(cur))
 			}
 			ia := int(pk.a)
 			kernel.ExchangePair(st.U, st.V, st.W, st.R1, st.R2, ia, ia+1,
@@ -645,6 +649,7 @@ func (e *Engine[F]) selColFusedShard(w, clo, chi int) {
 	zvib := e.cfg.ZVib > 0
 	var coll int64
 	rule := &e.cfg.Rule
+	key := e.PhaseKey(e.cfg.Layout.Collide)
 	for c := clo; c < chi; c++ {
 		lo, hi := int(cellStart[c]), int(cellStart[c+1])
 		cnt := hi - lo
@@ -656,7 +661,7 @@ func (e *Engine[F]) selColFusedShard(w, clo, chi int) {
 		if whole && !(p > 0) {
 			continue
 		}
-		r := e.PhaseStream(e.cfg.Layout.Collide, c)
+		r := key.At(uint64(c))
 		var g []float64
 		if !whole {
 			g = e.relSpeeds(w, lo, npairs)

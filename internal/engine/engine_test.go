@@ -48,7 +48,7 @@ func TestVibExchangeConservesPairEnergy(t *testing.T) {
 		}
 		return sum + ea + eb // Evib is stored in the same Σv² units
 	}
-	cr := e.PhaseStream(e.cfg.Layout.Collide, 0)
+	cr := e.PhaseKey(e.cfg.Layout.Collide).At(0)
 	before := pairE(va, vb, store.Evib[0], store.Evib[1])
 	e.vibExchange(store, &va, &vb, 0, 1, &cr)
 	after := pairE(va, vb, store.Evib[0], store.Evib[1])

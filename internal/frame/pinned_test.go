@@ -3,6 +3,7 @@ package frame_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"hash/fnv"
 	"io"
 	"math"
@@ -59,9 +60,9 @@ func pinnedScenarios() []run.Scenario {
 }
 
 // pinnedFrames builds, for every pinned scenario, a standalone
-// checkpoint after 12 steps, the last job checkpoint of a one-replica
-// job (streamed, and as bytes to a store without SaveStream), and the
-// job's encoded output.
+// checkpoint after 12 steps, the checkpoint of a one-replica job at its
+// tenth and last step (streamed, and as bytes to a store without
+// SaveStream), and the job's encoded output.
 func pinnedFrames(t *testing.T) map[string][]byte {
 	t.Helper()
 	frames := map[string][]byte{}
@@ -100,13 +101,25 @@ func pinnedFrames(t *testing.T) map[string][]byte {
 			Pool:            1,
 			CheckpointEvery: 4,
 		}
-		streamed, kept := &streamCkpt{}, &lastCkpt{}
-		out, err := run.RunJob(context.Background(), spec, 0, 0, run.JobIO{Ckpt: streamed})
+		out, err := run.RunJob(context.Background(), spec, 0, 0, run.JobIO{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := run.RunJob(context.Background(), spec, 0, 0, run.JobIO{Ckpt: kept}); err != nil {
-			t.Fatal(err)
+		// A finished job saves nothing after its last step, so the
+		// step-10 checkpoint is the interrupt save of a job cancelled
+		// after its tenth step: the same state, the same bytes.
+		streamed, kept := &streamCkpt{}, &lastCkpt{}
+		for _, st := range []run.CkptStore{streamed, kept} {
+			ctx, cancel := context.WithCancel(context.Background())
+			trace := func(step int, _ [4]int64, _ int) {
+				if step == 9 {
+					cancel()
+				}
+			}
+			if _, err := run.RunJob(ctx, spec, 0, 0, run.JobIO{Ckpt: st, StepTrace: trace}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("job cancelled after its tenth step returned %v, want %v", err, context.Canceled)
+			}
+			cancel()
 		}
 		frames[name("job")] = streamed.data.Bytes()
 		frames[name("job-bytes")] = kept.data.Bytes()

@@ -25,7 +25,7 @@ const compilerFlags = "dsmc/internal/...=-m -d=ssa/check_bce/debug=1"
 // generic code once per copy.
 const instantiations = 4
 
-// TestCompilerDecisions pins three decisions of the compiler that the
+// TestCompilerDecisions pins four decisions of the compiler that the
 // step's speed rests on, read from its diagnostics over the build of
 // internal/run (both backends at both precisions):
 //
@@ -35,6 +35,13 @@ const instantiations = 4
 //   - rng.RandomPerm5 is inlined at each of its 4 callers, three in the
 //     engine's collide passes (in every instantiation) and one in the
 //     reservoir;
+//   - rng.Key.At, the one splitmix round that turns a phase's stream
+//     key into a cell's (or particle's) stream, is inlined at every
+//     per-lane call site: the engine's 5 (two in the split select, two
+//     in the split collide, one in the fused pass) and the sort's
+//     shuffle in every instantiation, and the wedge's diffuse-wall draw
+//     in each of the 3 copies of the 2D domain (sim's float64, run's
+//     float64 and float32);
 //   - the sort's gather loop keeps one bounds check, the first column's
 //     random read through the permutation, in each instantiation: the
 //     permutation and the destinations are resliced to the shard and
@@ -60,6 +67,10 @@ func TestCompilerDecisions(t *testing.T) {
 
 	checkInlined(t, diags, "rng.RandomPerm5", callSites(t, root, "internal/engine/engine.go", "rng", "RandomPerm5"), 3, instantiations)
 	checkInlined(t, diags, "rng.RandomPerm5", callSites(t, root, "internal/particle/reservoir.go", "rng", "RandomPerm5"), 1, 1)
+
+	checkInlined(t, diags, "rng.Key.At", methodCallSites(t, root, "internal/engine/engine.go", "At"), 5, instantiations)
+	checkInlined(t, diags, "rng.Key.At", methodCallSites(t, root, "internal/par/cellsort.go", "At"), 1, instantiations)
+	checkInlined(t, diags, "rng.Key.At", methodCallSites(t, root, "internal/sim/sim.go", "At"), 1, 3)
 
 	const cellsort = "internal/par/cellsort.go"
 	from, to, read := gatherLoop(t, root, cellsort)
@@ -112,6 +123,24 @@ func parseDiagnostics(out []byte) map[string][]diagnostic {
 // parenthesis, where -m reports an inlining) of every call pkg.name(...)
 // in one file.
 func callSites(t *testing.T, root, file, pkg, name string) []string {
+	return selectorCallSites(t, root, file, func(sel *ast.SelectorExpr) bool {
+		id, ok := sel.X.(*ast.Ident)
+		return ok && id.Name == pkg && sel.Sel.Name == name
+	})
+}
+
+// methodCallSites returns the positions of every method call x.name(...)
+// in one file, whatever x is; the callers pin the count, so a new call of
+// another type's method of that name shows up as a count mismatch.
+func methodCallSites(t *testing.T, root, file, name string) []string {
+	return selectorCallSites(t, root, file, func(sel *ast.SelectorExpr) bool {
+		return sel.Sel.Name == name
+	})
+}
+
+// selectorCallSites returns the positions of the calls through a
+// selector that match accepts, in one file.
+func selectorCallSites(t *testing.T, root, file string, match func(*ast.SelectorExpr) bool) []string {
 	t.Helper()
 	f := parseFile(t, root, file)
 	var sites []string
@@ -120,11 +149,9 @@ func callSites(t *testing.T, root, file, pkg, name string) []string {
 		if !ok {
 			return true
 		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == name {
-			if id, ok := sel.X.(*ast.Ident); ok && id.Name == pkg {
-				p := f.fset.Position(call.Lparen)
-				sites = append(sites, file+":"+fmt.Sprintf("%d:%d", p.Line, p.Column))
-			}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && match(sel) {
+			p := f.fset.Position(call.Lparen)
+			sites = append(sites, file+":"+fmt.Sprintf("%d:%d", p.Line, p.Column))
 		}
 		return true
 	})

@@ -11,8 +11,8 @@ import (
 const rngPkg = "dsmc/internal/rng"
 
 // Tiers of the rng-discipline rule. In the strict tier every stream
-// must come from the counter-based coordinates (rng.StreamAt, seeded
-// via rng.JobSeed for ensemble jobs) — that is the domain-separation
+// must come from the counter-based coordinates (rng.KeyAt(seed,
+// epoch).At(lane), seeded via rng.JobSeed for ensemble jobs) — that is the domain-separation
 // argument that makes results bit-identical at any worker count and
 // job seeds injective per master seed. The serial tier additionally
 // permits rng.NewStream/rng.Streams for a backend's single serial
@@ -44,7 +44,7 @@ var rngScope = map[string]string{
 // raw rng.Stream composite literals (which bypass the seeding
 // discipline entirely), and — in strict-tier packages — no
 // rng.NewStream/rng.Streams, whose sequentially-derived states carry
-// none of StreamAt's (seed, epoch, lane) domain separation.
+// none of KeyAt/At's (seed, epoch, lane) domain separation.
 type RNGDiscipline struct{}
 
 // Name implements Rule.
@@ -52,7 +52,7 @@ func (RNGDiscipline) Name() string { return "rng-discipline" }
 
 // Doc implements Rule.
 func (RNGDiscipline) Doc() string {
-	return "random draws in simulation code flow only from internal/rng stream constructors (StreamAt/JobSeed)"
+	return "random draws in simulation code flow only from internal/rng stream constructors (KeyAt/At, JobSeed)"
 }
 
 // Check implements Rule.
@@ -80,14 +80,14 @@ func (r RNGDiscipline) Check(pkg *Package) []Diagnostic {
 		for _, spec := range f.Imports {
 			switch importPath(spec) {
 			case "math/rand", "math/rand/v2", "crypto/rand":
-				diag(spec, "import of %s: simulation randomness must come from internal/rng streams (StreamAt, or JobSeed-derived seeds)", importPath(spec))
+				diag(spec, "import of %s: simulation randomness must come from internal/rng streams (KeyAt/At, or JobSeed-derived seeds)", importPath(spec))
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CompositeLit:
 				if isRNGStreamType(pkg.Info.TypeOf(n)) {
-					diag(n, "composite literal of rng.Stream bypasses the seeding discipline; construct streams with rng.StreamAt")
+					diag(n, "composite literal of rng.Stream bypasses the seeding discipline; construct streams with rng.KeyAt(seed, epoch).At(lane)")
 				}
 			case *ast.CallExpr:
 				if tier != tierStrict {
@@ -95,7 +95,7 @@ func (r RNGDiscipline) Check(pkg *Package) []Diagnostic {
 				}
 				fn := calleeFunc(pkg.Info, n)
 				if isPkgFunc(fn, rngPkg, "NewStream") || isPkgFunc(fn, rngPkg, "Streams") {
-					diag(n, "ad-hoc stream constructor rng.%s in a strict-tier package: derive streams from counter coordinates with rng.StreamAt (ensemble seeds via rng.JobSeed)", fn.Name())
+					diag(n, "ad-hoc stream constructor rng.%s in a strict-tier package: derive streams from counter coordinates with rng.KeyAt(seed, epoch).At(lane) (ensemble seeds via rng.JobSeed)", fn.Name())
 				}
 			}
 			return true

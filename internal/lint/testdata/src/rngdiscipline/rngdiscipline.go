@@ -20,6 +20,6 @@ func AdHoc(seed uint64) float64 {
 // CounterBased is the sanctioned construction: no findings.
 func CounterBased(master uint64) float64 {
 	seed := rng.JobSeed(master, 3)
-	r := rng.StreamAt(seed, 7, 11)
+	r := rng.KeyAt(seed, 7).At(11)
 	return r.Float64()
 }

@@ -76,8 +76,7 @@ type CellSort[F kernel.Float] struct {
 	in, out   [2][]F  // the columns being gathered and their destinations
 	refill    []int32 // the cell column the last gather rewrites, else nil
 	swap      func(i, j int)
-	seed      uint64
-	epoch     uint64
+	key       rng.Key // the shuffle's (seed, epoch) stream key
 }
 
 // mergeBlock is the cell-block width of Plan's serial merge: the merge
@@ -209,7 +208,7 @@ func (cs *CellSort[F]) histShard(w, lo, hi int) {
 //dsmc:hotpath
 func (cs *CellSort[F]) Sort(st *particle.Store[F], seed, epoch uint64) {
 	cs.rank(st.Cell, st.Len())
-	cs.seed, cs.epoch = seed, epoch
+	cs.key = rng.KeyAt(seed, epoch)
 	cs.pool.ForCells(cs.cellStart, cs.shuffleFn)
 	cs.gather(st, st)
 }
@@ -349,7 +348,7 @@ func (cs *CellSort[F]) refillShard(lo, hi int) {
 //
 //dsmc:hotpath
 func (cs *CellSort[F]) Shuffle(seed, epoch uint64, swap func(i, j int)) {
-	cs.seed, cs.epoch, cs.swap = seed, epoch, swap
+	cs.key, cs.swap = rng.KeyAt(seed, epoch), swap
 	cs.pool.ForCells(cs.cellStart, cs.shuffleFn)
 	cs.swap = nil
 }
@@ -369,7 +368,7 @@ func (cs *CellSort[F]) shuffleShard(_, clo, chi int) {
 		if cnt < 2 {
 			continue
 		}
-		r := rng.StreamAt(cs.seed, cs.epoch, uint64(c))
+		r := cs.key.At(uint64(c))
 		if swap != nil {
 			for i := cnt - 1; i > 0; i-- {
 				j := r.Intn(i + 1)

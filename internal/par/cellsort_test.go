@@ -128,7 +128,7 @@ func shuffledOracle[F kernel.Float](src *particle.Store[F], n, cells int, seed, 
 		for hi < n && dst.Cell[hi] == dst.Cell[lo] {
 			hi++
 		}
-		r := rng.StreamAt(seed, epoch, uint64(dst.Cell[lo]))
+		r := rng.KeyAt(seed, epoch).At(uint64(dst.Cell[lo]))
 		for i := hi - lo - 1; i > 0; i-- {
 			j := r.Intn(i + 1)
 			swap(lo+i, lo+j)

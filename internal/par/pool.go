@@ -6,9 +6,9 @@
 // or, for a pass over cells, on the cell layout and the worker count
 // (ForCells); never on scheduling. Phases that need deterministic results
 // for any worker count rely on this decomposition together with
-// counter-based RNG streams (rng.StreamAt) keyed by cell or particle
-// index. One background task at a time (Go, Join) may share the workers
-// with those passes.
+// counter-based RNG streams (rng.KeyAt(seed, epoch).At(lane)) keyed by
+// cell or particle index. One background task at a time (Go, Join) may
+// share the workers with those passes.
 package par
 
 import (

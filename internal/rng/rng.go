@@ -1,11 +1,12 @@
 // Package rng provides the random-number machinery of the particle
 // simulation: cheap per-lane generator streams (one independent stream per
 // virtual processor, matching the per-processor randomness of the CM-2
-// implementation), the front-end table of the 120 permutations of five
-// elements used to initialise particle permutation vectors, random
-// transpositions for refreshing those vectors, and the velocity-distribution
-// samplers (rectangular and drifting-Maxwellian) needed by the reservoir and
-// the freestream initialisation.
+// implementation; a pass keys its phase once with KeyAt and derives each
+// cell's stream with the inlined Key.At), the front-end table of the 120
+// permutations of five elements used to initialise particle permutation
+// vectors, random transpositions for refreshing those vectors, and the
+// velocity-distribution samplers (rectangular and drifting-Maxwellian)
+// needed by the reservoir and the freestream initialisation.
 package rng
 
 import "math"
@@ -130,27 +131,39 @@ const (
 //     2^64, and the splitmix64 finalizer is a bijection.
 //   - A job seed cannot collide with the inner per-cell streams by
 //     construction: a simulation never uses its seed as generator state —
-//     every inner stream is keyed through StreamAt's three-round
-//     splitmix chain over (seed, epoch, lane) — so the derived value
-//     enters the stream machinery exactly as a hand-picked seed would,
-//     and the jobSeedTag domain constant keeps the derivation chain
-//     itself disjoint from StreamAt's (which never XORs the tag).
+//     every inner stream is keyed through the three-round splitmix chain
+//     of KeyAt and Key.At over (seed, epoch, lane) — so the derived
+//     value enters the stream machinery exactly as a hand-picked seed
+//     would, and the jobSeedTag domain constant keeps the derivation
+//     chain itself disjoint from KeyAt's (which never XORs the tag).
 func JobSeed(master, job uint64) uint64 {
 	st := (master ^ jobSeedTag) + job*goldenGamma
 	return splitmix64(&st)
 }
 
-// StreamAt returns the counter-based stream at coordinate (seed, epoch,
-// lane): the same triple always yields the same stream, and distinct
-// triples yield statistically independent streams (each word is absorbed
-// through a full splitmix64 round). The parallel reference backends use
-// one stream per cell (or per particle) per phase — epoch encodes
-// (step, phase), lane the cell or particle index — so results are
-// bit-identical for any worker count.
-func StreamAt(seed, epoch, lane uint64) Stream {
+// Key is the (seed, epoch) half of a counter-based stream coordinate:
+// two splitmix64 rounds that depend on nothing but the seed and the
+// epoch, so a phase computes them once and derives every lane's stream
+// from the result with Key.At.
+type Key uint64
+
+// KeyAt returns the key of coordinate (seed, epoch). The parallel
+// reference backends key one stream per cell (or per particle) per
+// phase — epoch encodes (step, phase), lane the cell or particle index —
+// so results are bit-identical for any worker count.
+func KeyAt(seed, epoch uint64) Key {
 	st := seed
 	st = splitmix64(&st) ^ epoch
-	st = splitmix64(&st) ^ lane
+	return Key(splitmix64(&st))
+}
+
+// At returns the stream at lane under key k: the same (seed, epoch,
+// lane) triple always yields the same stream, and distinct triples yield
+// statistically independent streams (each word is absorbed through a
+// full splitmix64 round). It is one round, small enough for the compiler
+// to inline at every per-cell call site.
+func (k Key) At(lane uint64) Stream {
+	st := uint64(k) ^ lane
 	return Stream{s: splitmix64(&st) | 1}
 }
 

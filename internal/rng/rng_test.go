@@ -222,9 +222,36 @@ func TestRandomPerm5FromTable(t *testing.T) {
 	}
 }
 
+// streamAt is the three-round splitmix chain over (seed, epoch, lane)
+// that keyed every per-cell stream before it was split into KeyAt and
+// Key.At: the oracle the split must reproduce bit for bit.
+func streamAt(seed, epoch, lane uint64) Stream {
+	st := seed
+	st = splitmix64(&st) ^ epoch
+	st = splitmix64(&st) ^ lane
+	return Stream{s: splitmix64(&st) | 1}
+}
+
+// TestKeyAtMatchesThreeMixFormula: a key made once and applied to a lane
+// yields the stream of the three-round formula, over random coordinates
+// and the edge words.
+func TestKeyAtMatchesThreeMixFormula(t *testing.T) {
+	r := NewStream(49)
+	coords := [][3]uint64{{0, 0, 0}, {^uint64(0), ^uint64(0), ^uint64(0)}, {1988, 42, 7}}
+	for i := 0; i < 10000; i++ {
+		coords = append(coords, [3]uint64{r.Uint64(), r.Uint64(), r.Uint64()})
+	}
+	for _, c := range coords {
+		got, want := KeyAt(c[0], c[1]).At(c[2]), streamAt(c[0], c[1], c[2])
+		if got != want {
+			t.Fatalf("KeyAt(%d, %d).At(%d) = %+v, want %+v", c[0], c[1], c[2], got, want)
+		}
+	}
+}
+
 func TestStreamAtDeterministic(t *testing.T) {
-	a := StreamAt(1988, 42, 7)
-	b := StreamAt(1988, 42, 7)
+	a := KeyAt(1988, 42).At(7)
+	b := KeyAt(1988, 42).At(7)
 	for i := 0; i < 100; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("same coordinate diverged at draw %d", i)
@@ -233,13 +260,13 @@ func TestStreamAtDeterministic(t *testing.T) {
 }
 
 func TestStreamAtDistinctCoordinates(t *testing.T) {
-	base := StreamAt(1988, 42, 7)
+	base := KeyAt(1988, 42).At(7)
 	first := base.Uint64()
 	for _, other := range []Stream{
-		StreamAt(1989, 42, 7), // different seed
-		StreamAt(1988, 43, 7), // different epoch
-		StreamAt(1988, 42, 8), // different lane
-		StreamAt(1988, 7, 42), // epoch/lane swapped
+		KeyAt(1989, 42).At(7), // different seed
+		KeyAt(1988, 43).At(7), // different epoch
+		KeyAt(1988, 42).At(8), // different lane
+		KeyAt(1988, 7).At(42), // epoch/lane swapped
 	} {
 		o := other
 		if o.Uint64() == first {
@@ -255,7 +282,7 @@ func TestStreamAtLaneMoments(t *testing.T) {
 	const lanes = 4096
 	var sum, sumSq float64
 	for lane := uint64(0); lane < lanes; lane++ {
-		r := StreamAt(3, 11, lane)
+		r := KeyAt(3, 11).At(lane)
 		u := r.Float64()
 		sum += u
 		sumSq += u * u
@@ -271,7 +298,7 @@ func TestStreamAtLaneMoments(t *testing.T) {
 }
 
 func TestStreamAtZeroSeedValid(t *testing.T) {
-	r := StreamAt(0, 0, 0)
+	r := KeyAt(0, 0).At(0)
 	seen := map[uint64]bool{}
 	for i := 0; i < 50; i++ {
 		seen[r.Uint64()] = true

@@ -182,7 +182,11 @@ func open3D[F kernel.Float](cfg sim3.Config, seed uint64) (*Replica, error) {
 // store the job persists its progress every `every` steps and resumes
 // exactly — the restored run is bit-identical to an uninterrupted one,
 // because the checkpoint carries the full engine, domain and accumulator
-// state and the step sequence does not depend on chunk boundaries.
+// state and the step sequence does not depend on chunk boundaries. No
+// save follows the last chunk: the finished job returns its output,
+// which the caller keeps, so a checkpoint at the final step would never
+// be read. A 50-step job saving every 10 steps saves 4 times; a job of
+// `every` steps or fewer saves none.
 //
 // Cancellation is checked after every step, not just at chunk
 // boundaries: a cancelled job saves a checkpoint at whatever step it
@@ -247,7 +251,7 @@ func runReplica(ctx context.Context, sc Scenario, quantities []string, seed uint
 			return nil, ctx.Err()
 		}
 		done += chunk
-		if ck.store != nil {
+		if ck.store != nil && done < total {
 			if err := job.saveCheckpoint(ck.store, acc, seed, fp, done); err != nil {
 				return nil, err
 			}

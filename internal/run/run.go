@@ -57,7 +57,7 @@ type Spec struct {
 	// inner parallelism multiply rather than oversubscribe).
 	Pool int
 	// CheckpointDir, when set, makes jobs resumable: each persists its
-	// state there every CheckpointEvery steps.
+	// state there every CheckpointEvery steps short of its last.
 	CheckpointDir string
 	// CheckpointEvery is the step interval between job checkpoints
 	// (default 50 when a directory is set).
@@ -128,10 +128,10 @@ func AggregateName(scenario string) string { return scenario + "/aggregate" }
 
 // JobIO carries the side channels of a single-job execution: the
 // checkpoint store (nil disables checkpointing; saves come every
-// Spec.CheckpointEvery steps), the progress observer, and the per-step
-// trace observer (the flight-recorder feed; called on the stepping
-// goroutine after every step with that step's per-phase wall times in
-// nanoseconds and the particle count).
+// Spec.CheckpointEvery steps, none after the job's last), the progress
+// observer, and the per-step trace observer (the flight-recorder feed;
+// called on the stepping goroutine after every step with that step's
+// per-phase wall times in nanoseconds and the particle count).
 type JobIO struct {
 	Ckpt      CkptStore
 	Progress  func(done, total int)

@@ -183,8 +183,9 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 		t.Error("killed+resumed sweep aggregates differ from uninterrupted run")
 	}
 
-	// A second resume (all checkpoints now complete) recomputes the same
-	// result from the final checkpoints without re-stepping.
+	// A second resume recomputes the same result from each job's last
+	// checkpoint, four steps short of its end: a finished job saves
+	// nothing after its last step.
 	again, err := Run(context.Background(), interrupted, nil)
 	if err != nil {
 		t.Fatalf("re-resume: %v", err)
@@ -453,6 +454,47 @@ func (s *bytesCkptStore) Save(data []byte) error {
 	return nil
 }
 func (s *bytesCkptStore) Discard() error { return nil }
+
+// countingCkptStore counts the saves it is handed and keeps nothing.
+type countingCkptStore struct{ saves int }
+
+func (s *countingCkptStore) Load() ([]byte, error) { return nil, nil }
+func (s *countingCkptStore) Save([]byte) error     { s.saves++; return nil }
+func (s *countingCkptStore) Discard() error        { return nil }
+
+// TestNoSaveAfterLastStep: a job saves every CheckpointEvery steps short
+// of its end and never after its last step, whose state nothing reads —
+// the job returns its output instead. A 50-step job saving every 10
+// steps saves 4 times; a job of CheckpointEvery steps or fewer saves
+// none. Its output is the one a job without a store computes.
+func TestNoSaveAfterLastStep(t *testing.T) {
+	for _, tc := range []struct{ warm, sample, every, saves int }{
+		{25, 25, 10, 4},
+		{5, 5, 10, 0},
+		{5, 5, 9, 1},
+		{3, 2, 10, 0},
+	} {
+		sp := testSpec()
+		sp.Scenarios = sp.Scenarios[:1]
+		sp.Replicas = 1
+		sp.WarmSteps, sp.SampleSteps, sp.CheckpointEvery = tc.warm, tc.sample, tc.every
+		var st countingCkptStore
+		got, err := RunJob(context.Background(), sp, 0, 0, JobIO{Ckpt: &st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.saves != tc.saves {
+			t.Errorf("%d steps saving every %d: %d saves, want %d", tc.warm+tc.sample, tc.every, st.saves, tc.saves)
+		}
+		want, err := RunJob(context.Background(), sp, 0, 0, JobIO{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Fields["density"]) == 0 || !colsEqual(got.Fields["density"], want.Fields["density"]) || got.Collisions != want.Collisions {
+			t.Errorf("%d steps saving every %d: the output differs from the job without a store", tc.warm+tc.sample, tc.every)
+		}
+	}
+}
 
 // sinkCkptStore is a streaming store that writes every checkpoint to sink
 // and keeps nothing.

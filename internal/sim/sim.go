@@ -293,13 +293,16 @@ type wedgeDomain[F kernel.Float] struct {
 	resCap int // resolved reservoir capacity (Config default applied)
 	r      rng.Stream
 
-	exits [][]int32 // per-worker downstream-exit lists
+	exits   [][]int32 // per-worker downstream-exit lists
+	wallKey rng.Key   // this step's diffuse-wall stream key, set in PreMove
 }
 
-// PreMove advances the plunger and resets the per-worker exit lists the
-// tiled Boundary calls append to.
+// PreMove advances the plunger, makes the step's diffuse-wall stream key
+// and resets the per-worker exit lists the tiled Boundary calls append
+// to.
 func (d *wedgeDomain[F]) PreMove() {
 	d.plungerX += d.uInf
+	d.wallKey = d.eng.PhaseKey(layout2D.Wall)
 	for w := range d.exits {
 		d.exits[w] = d.exits[w][:0]
 	}
@@ -398,7 +401,7 @@ func (d *wedgeDomain[F]) reflectWalls(st *particle.Store[F], i int) {
 // the particle's own counter-based stream so the boundary phase can run
 // on any worker count without changing results.
 func (d *wedgeDomain[F]) reflectDiffuse(st *particle.Store[F], i int) {
-	r := d.eng.PhaseStream(layout2D.Wall, i)
+	r := d.wallKey.At(uint64(i))
 	for b := 0; b < 8; b++ {
 		p := geom.Vec2{X: float64(st.X[i]), Y: float64(st.Y[i])}
 		v := geom.Vec2{X: float64(st.U[i]), Y: float64(st.V[i])}
