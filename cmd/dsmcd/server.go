@@ -41,7 +41,7 @@ const (
 // sweepRun is the in-memory record of one sweep: its spec and state, the
 // flight recorder, and, once finished, the identity of its result in the
 // store — never its bytes, nor a decoded copy. Its event history is a log
-// on disk, and its job rows are the coordinator's (coord.Jobs).
+// on disk, and its job rows are the coordinator's (coord.Jobs) until done.
 type sweepRun struct {
 	ID        string     `json:"id"`
 	State     sweepState `json:"state"`
@@ -199,12 +199,15 @@ func newServerWith(opts serverOpts) (*server, error) {
 		return nil, err
 	}
 	s.store = st
-	s.coord = coord.New(coord.Config{
+	s.coord, err = coord.New(coord.Config{
 		LeaseTTL:    opts.leaseTTL,
 		MaxAttempts: opts.maxRetries,
 		OnEvent:     s.observeSweep,
 		Store:       st,
 	})
+	if err != nil {
+		return nil, err
+	}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -454,7 +457,7 @@ func (s *server) eventsPath(id string) string {
 // drops its checkpoints once the client can see it done; a failed one
 // keeps them for the restart that resumes it.
 func (s *server) execute(run *sweepRun, sw *dsmc.Sweep) {
-	err := s.coord.AddSweepStored(run.ID, sw, func(sha string, size int, err error) {
+	err := s.coord.AddSweep(run.ID, sw, func(sha string, size int, err error) {
 		s.gcStore() // first: a finished sweep's store is within its budget
 		if err == nil {
 			s.writeRef(run.ID, `"`+sha+`"`, size)
@@ -517,12 +520,12 @@ func (s *server) recompute(run *sweepRun) string {
 		if err != nil {
 			log.Printf("%s: recomputing the result: %v", run.ID, err)
 		}
-		s.coord.Forget(id) // nothing reads the rebuild's job rows
+		s.coord.Forget(id) // a failed rebuild is held for rows nothing reads
 		s.mu.Lock()
 		s.recomputing = false
 		s.mu.Unlock()
 	}
-	if err := s.coord.AddSweepStored(id, sw, done); err != nil {
+	if err := s.coord.AddSweep(id, sw, done); err != nil {
 		done("", 0, err)
 	}
 	return "recomputing it; retry later"
@@ -787,9 +790,9 @@ func (s *server) lookup(w http.ResponseWriter, req *http.Request) *sweepRun {
 }
 
 // handleStatus serves the sweep's view with its job rows, sorted: the
-// coordinator's, read without r.mu (observe takes it under the
-// coordinator's lock), or, for a done sweep it never held (a store hit, a
-// sweep recovered done), every replica and aggregate of the spec, done.
+// coordinator's while it holds the sweep, read without r.mu (observe
+// takes it under the coordinator's lock), or, for a done sweep, which it
+// never holds, every replica and aggregate of the spec, done.
 func (s *server) handleStatus(w http.ResponseWriter, req *http.Request) {
 	r := s.lookup(w, req)
 	if r == nil {

@@ -438,6 +438,104 @@ func TestServerRecovery(t *testing.T) {
 	}
 }
 
+// TestListSweeps: GET /v1/sweeps lists every sweep the server knows,
+// sorted by ID, with its status and links and without job rows.
+func TestListSweeps(t *testing.T) {
+	s, err := newServer(t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.close)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	list := func() []statusView {
+		t.Helper()
+		resp, body := get(t, ts.URL+"/v1/sweeps", "")
+		var v struct {
+			Sweeps []statusView `json:"sweeps"`
+		}
+		if err := json.Unmarshal(body, &v); err != nil || resp.StatusCode != http.StatusOK || v.Sweeps == nil {
+			t.Fatalf("GET /v1/sweeps: status %d, %v: %s", resp.StatusCode, err, body)
+		}
+		return v.Sweeps
+	}
+	if got := list(); len(got) != 0 {
+		t.Fatalf("a new server lists %d sweeps", len(got))
+	}
+	spec := tinySpec()
+	ids := []string{submit(t, ts, spec)}
+	spec.Replicas = 3
+	ids = append(ids, submit(t, ts, spec))
+	for _, id := range ids {
+		waitDone(t, ts, id)
+	}
+	got := list()
+	if len(got) != 2 {
+		t.Fatalf("listed %d sweeps, want 2", len(got))
+	}
+	for i, v := range got {
+		if v.ID != ids[i] || v.State != stateDone || v.Name != "smoke" || v.Replicas != 2+i || v.Points != 1 ||
+			v.Jobs != nil || v.Links["result"] != "/v1/sweeps/"+ids[i]+"/result" {
+			t.Errorf("listed sweep %d: %+v, want %s done with %d replicas and no job rows", i, v, ids[i], 2+i)
+		}
+	}
+}
+
+// TestDoneSweepRows: a done sweep's job rows in GET /v1/sweeps/{id} are
+// the same bytes whether it ran in this process, was a memo hit, or was
+// recovered done after a restart — every replica and aggregate done, in
+// job order, with no steps and no error — since the coordinator holds
+// none of them.
+func TestDoneSweepRows(t *testing.T) {
+	dir := t.TempDir()
+	spec := tinySpec()
+	mfp := 0.75
+	spec.Points = append(spec.Points, dsmc.SweepPoint{Name: "dense", MeanFreePath: &mfp})
+	rows := func(ts *httptest.Server, id string) string {
+		t.Helper()
+		if st := waitDone(t, ts, id); st.State != stateDone {
+			t.Fatalf("%s: state %s (%s)", id, st.State, st.Error)
+		}
+		_, body := get(t, ts.URL+"/v1/sweeps/"+id, "")
+		var v struct{ Jobs json.RawMessage }
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatal(err)
+		}
+		return string(v.Jobs)
+	}
+	s1, err := newServer(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.handler())
+	ran := submit(t, ts1, spec)
+	inProcess := rows(ts1, ran)
+	memoHit := rows(ts1, submit(t, ts1, spec))
+	ts1.Close()
+	s1.close()
+
+	s2, err := newServer(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s2.close)
+	ts2 := httptest.NewServer(s2.handler())
+	defer ts2.Close()
+	recovered := rows(ts2, ran)
+
+	const want = `[{"job":"dense/aggregate","state":"done"},{"job":"dense/r000","state":"done"},{"job":"dense/r001","state":"done"},` +
+		`{"job":"rarefied/aggregate","state":"done"},{"job":"rarefied/r000","state":"done"},{"job":"rarefied/r001","state":"done"}]`
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, []byte(inProcess)); err != nil || compact.String() != want {
+		t.Errorf("rows of the sweep run in this process: %s, want %s", inProcess, want)
+	}
+	for origin, got := range map[string]string{"a memo hit": memoHit, "recovered done": recovered} {
+		if got != inProcess {
+			t.Errorf("rows of %s: %s, want the bytes of the sweep run in this process: %s", origin, got, inProcess)
+		}
+	}
+}
+
 // TestResultRefTorn: result.ref is written unsynced, so a crash can lose
 // or tear it. A restart reads a torn ref as none and resumes the sweep,
 // whose one probe finds the result in the store: the same ETag and bytes,

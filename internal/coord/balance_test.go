@@ -18,8 +18,8 @@ func TestRetryExhaustionEventBalance(t *testing.T) {
 	clk := newFakeClock()
 	var log eventLog
 	atDone := make(chan []dsmc.SweepEvent, 1)
-	c := New(Config{LeaseTTL: 10 * time.Second, MaxAttempts: 2, OnEvent: log.add, now: clk.now})
-	err := c.AddSweep("sw", sweepOf(t, tinySpec()), func(_ *dsmc.SweepResult, err error) {
+	c := newCoord(t, Config{LeaseTTL: 10 * time.Second, MaxAttempts: 2, OnEvent: log.add, now: clk.now})
+	err := c.AddSweep("sw", sweepOf(t, tinySpec()), func(_ string, _ int, err error) {
 		if err == nil {
 			t.Error("the sweep succeeded")
 		}

@@ -18,11 +18,11 @@ import (
 	"dsmc/internal/store"
 )
 
-// Config parameterizes a Coordinator. The zero value works for tests:
-// 15s leases, 3 dispatch attempts per job. Uploaded checkpoints are files
-// where the sweep's spec says — <CheckpointDir>/job-sNNN-rNNN.ckpt, the
-// layout the in-process executor uses, so a coordinator restarted over
-// the same directory resumes from the checkpoints either path wrote.
+// Config parameterizes a Coordinator (15s leases, 3 dispatch attempts per
+// job unless set). Uploaded checkpoints are files where the sweep's spec
+// says — <CheckpointDir>/job-sNNN-rNNN.ckpt, the layout the in-process
+// executor uses, so a coordinator restarted over the same directory
+// resumes from the checkpoints either path wrote.
 type Config struct {
 	// LeaseTTL is how long a lease survives without a heartbeat before
 	// the job is taken away and redispatched (default 15s).
@@ -31,14 +31,15 @@ type Config struct {
 	// or a worker reports an error and the budget is spent, the job fails
 	// permanently and the failure propagates through the DAG (default 3).
 	MaxAttempts int
-	// Store, when non-nil, memoizes jobs against the content-addressed
-	// result store: a sweep's jobs are satisfied from finished artifacts
-	// at registration (never dispatched), every accepted completion is
-	// published under the job's store key, and a publish immediately
-	// settles the matching pending jobs of every other unfinished sweep
-	// with the output in hand. Reads are checksum-verified by the store;
-	// publishes of conflicting bytes under a live key are refused and
-	// counted, never silently accepted, and settle nobody.
+	// Store, which New requires, is the content-addressed result store:
+	// a sweep whose result it holds never dispatches, a sweep's jobs are
+	// satisfied from finished artifacts at registration, every accepted
+	// completion is published under the job's store key and settles the
+	// matching pending jobs of every other unfinished sweep with the
+	// output in hand, and a finished sweep's result is published here and
+	// nowhere else. Reads are checksum-verified; publishes of conflicting
+	// bytes under a live key are refused and counted, never silently
+	// accepted, and settle nobody.
 	Store *store.Store
 	// OnEvent, when non-nil, observes sweep progress with the same event
 	// vocabulary as dsmc.RunSweep, plus "job-lost" (lease expired or
@@ -51,17 +52,16 @@ type Config struct {
 	now func() time.Time
 }
 
-// Coordinator owns the job tables of one or more sweeps and hands jobs
+// Coordinator owns the job tables of the sweeps it runs and hands jobs
 // to pull-based workers under leases. A sweep's job states, the fold of
 // its outputs into aggregates, aggregate events and failure skips are
 // its run.Table — the state machine the in-process executor drives too;
 // the coordinator adds only the leases, and reads the worker roster from
-// them. A finished sweep keeps its table for the job states alone
-// (stale-lease answers, duplicate-completion acks): its outputs were
-// folded and dropped as they landed, and its aggregates went to onDone.
-// All state transitions happen under one mutex; expiry is evaluated
-// lazily at the top of every public call, so no background goroutine is
-// needed and tests can drive the clock.
+// them. A sweep is held while it runs; one that fails stays, its rows
+// carrying the error, until Forget, and one that succeeds leaves as it
+// finishes. All state transitions happen under one mutex; expiry is
+// evaluated lazily at the top of every public call, so no background
+// goroutine is needed and tests can drive the clock.
 type Coordinator struct {
 	cfg Config
 
@@ -71,8 +71,8 @@ type Coordinator struct {
 	epoch string
 
 	mu       sync.Mutex
-	order    []string // unfinished sweep IDs in arrival order (dispatch priority)
-	sweeps   map[string]*sweepState
+	order    []string               // unfinished sweep IDs in arrival order (dispatch priority)
+	sweeps   map[string]*sweepState // unfinished and failed sweeps
 	workers  map[string]*workerState
 	leaseSeq uint64
 }
@@ -81,8 +81,8 @@ type Coordinator struct {
 type lease struct {
 	// id is the current lease while the job runs. It is cleared whenever
 	// the job stops running other than by completing, so after completion
-	// it is the winning lease: a redelivered Complete under it is acked
-	// while any other lease is rejected.
+	// it is the winning lease: while the sweep is held, a redelivered
+	// Complete under it is acked and any other lease is rejected.
 	id         string
 	worker     string
 	expires    time.Time
@@ -101,7 +101,7 @@ type sweepState struct {
 	names   []string // point names
 	leases  []lease
 	table   *run.Table
-	onDone  func(*dsmc.SweepResult, error)
+	onDone  func(sha string, size int, err error)
 }
 
 // workerState is what the coordinator knows of a worker beyond the
@@ -114,8 +114,11 @@ type workerState struct {
 	metrics []obs.Sample
 }
 
-// New builds a Coordinator.
-func New(cfg Config) *Coordinator {
+// New builds a Coordinator; it refuses a Config without a Store.
+func New(cfg Config) (*Coordinator, error) {
+	if cfg.Store == nil {
+		return nil, errors.New("coord: no result store")
+	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 15 * time.Second
 	}
@@ -130,7 +133,7 @@ func New(cfg Config) *Coordinator {
 		epoch:   rand.Text(),
 		sweeps:  make(map[string]*sweepState),
 		workers: make(map[string]*workerState),
-	}
+	}, nil
 }
 
 // table builds the job table of a sweep, emitting through OnEvent under
@@ -141,20 +144,35 @@ func (c *Coordinator) table(id string, sw *dsmc.Sweep) *run.Table {
 	})
 }
 
-// AddSweep registers a sweep's job DAG for dispatch: sw's Jobs, run under
-// the execution fields of sw.Spec (Pool, CheckpointDir). The spec must
-// name a checkpoint directory, which AddSweep creates: uploaded
-// checkpoints are files there. onDone, when non-nil, is called exactly
-// once from a fresh goroutine when the sweep finishes: with
-// sw.Assemble's result on success, or with the first error once the
-// failure has propagated through the DAG. The coordinator never lowers
-// the spec again; only a worker's RunSweepJob does.
-func (c *Coordinator) AddSweep(id string, sw *dsmc.Sweep, onDone func(*dsmc.SweepResult, error)) error {
+// AddSweep registers a sweep whose product is its encoded result, the
+// only copy of which is the store's object under sw.ResultKey. onDone is
+// called once, from a fresh goroutine, with the object's SHA-256 and
+// size, or with the first error if the sweep fails. A held ID is refused
+// first. A sweep whose result the store holds is never a job DAG, nor
+// held: one verification (the object hashed through a fixed buffer) and
+// the events the per-job memo pass would have emitted. Otherwise sw's
+// Jobs run under sw.Spec's execution fields (Pool, CheckpointDir: it
+// must be named, and is created, for uploaded checkpoints are files
+// there), those the store holds satisfied at once; on success the result
+// is assembled with sw.Assemble and streamed into the store with
+// PutStream, and a publish error fails the sweep. Only a worker's
+// RunSweepJob lowers the spec again.
+func (c *Coordinator) AddSweep(id string, sw *dsmc.Sweep, onDone func(sha string, size int, err error)) error {
+	c.mu.Lock()
+	_, dup := c.sweeps[id]
+	c.mu.Unlock()
+	if dup {
+		return fmt.Errorf("coord: sweep %q already registered", id)
+	}
+	if sha, size, ok := c.cfg.Store.Verify(sw.ResultKey); ok {
+		c.mu.Lock()
+		c.table(id, sw).Satisfy()
+		c.mu.Unlock()
+		go onDone(sha, int(size), nil)
+		return nil
+	}
 	if sw.Spec.CheckpointDir == "" {
 		return fmt.Errorf("coord: sweep %q names no checkpoint directory", id)
-	}
-	if err := os.MkdirAll(sw.Spec.CheckpointDir, 0o755); err != nil {
-		return err
 	}
 	// The dispatched spec must not leak coordinator-local paths: a worker
 	// handed them would open (or create) those directories on its own
@@ -179,11 +197,14 @@ func (c *Coordinator) AddSweep(id string, sw *dsmc.Sweep, onDone func(*dsmc.Swee
 	for i, j := range sw.Jobs {
 		st.byID[j.ID] = i
 	}
+	if err := os.MkdirAll(sw.Spec.CheckpointDir, 0o755); err != nil {
+		return err
+	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.sweeps[id]; dup {
-		return fmt.Errorf("coord: sweep %q already registered", id)
+		return fmt.Errorf("coord: sweep %q already registered", id) // registered meanwhile
 	}
 	c.sweeps[id] = st
 	c.order = append(c.order, id)
@@ -191,45 +212,9 @@ func (c *Coordinator) AddSweep(id string, sw *dsmc.Sweep, onDone func(*dsmc.Swee
 	// anything dispatches, so overlapping or restarted sweeps never
 	// re-dispatch finished work. Runs once per sweep under the lock — the
 	// 25ms poll loop never touches the store.
-	if c.cfg.Store != nil {
-		st.table.Memo(c.cfg.Store)
-		c.maybeFinishLocked(st)
-	}
+	st.table.Memo(c.cfg.Store)
+	c.maybeFinishLocked(st)
 	return nil
-}
-
-// AddSweepStored is AddSweep for a caller whose product is the sweep's
-// encoded result in the store (dsmcd's /result): onDone receives the
-// SHA-256 and size of the "res" artifact under sw.ResultKey, the only
-// copy of the bytes. The key extends the determinism contract one level
-// up, so a sweep whose result the store already holds never becomes a
-// job DAG: one verification (the object hashed through a fixed buffer,
-// never read into memory) and the events the per-job memo pass would
-// have emitted — no spec lowered, no output decoded, nothing aggregated,
-// marshalled or written. A miss, or a hit that fails verification (the
-// store quarantines it), is AddSweep plus, on completion, the result
-// written straight into the store with PutStream (never held as one
-// buffer); a publish error fails the sweep. Requires Config.Store.
-func (c *Coordinator) AddSweepStored(id string, sw *dsmc.Sweep, onDone func(sha string, size int, err error)) error {
-	st := c.cfg.Store
-	if st == nil {
-		return errors.New("coord: AddSweepStored needs a result store")
-	}
-	if sha, size, ok := st.Verify(sw.ResultKey); ok {
-		c.mu.Lock()
-		c.table(id, sw).Satisfy()
-		c.mu.Unlock()
-		go onDone(sha, int(size), nil)
-		return nil
-	}
-	return c.AddSweep(id, sw, func(res *dsmc.SweepResult, err error) {
-		var sha string
-		var size int64
-		if err == nil {
-			sha, size, err = st.PutStream(sw.ResultKey, func(w io.Writer) error { return dsmc.WriteSweepResult(w, res) })
-		}
-		onDone(sha, int(size), err)
-	})
 }
 
 // Poll hands the worker the next dispatchable job, or nil when no work
@@ -384,8 +369,9 @@ func (c *Coordinator) LoadCheckpoint(sweep, jobID, lease string) ([]byte, error)
 	return ck.Load()
 }
 
-// Complete records a job's output. Idempotent: a redelivered Complete
-// under the winning lease is acked; any other lease gets ErrStaleLease.
+// Complete records a job's output. Idempotent: while the sweep is held a
+// redelivered Complete under the winning lease is acked; any other lease
+// gets ErrStaleLease, and a sweep that is done and gone ErrUnknown.
 // An output whose shape does not fit the lowered spec gets ErrBadOutput
 // and changes nothing: the lease stays live.
 func (c *Coordinator) Complete(sweep, jobID, lease string, out *dsmc.ReplicaOutput) error {
@@ -421,9 +407,6 @@ func (c *Coordinator) Complete(sweep, jobID, lease string, out *dsmc.ReplicaOutp
 	// which Put verifies rather than assumes. A refused (conflicting) or
 	// failed publish settles nobody: the other sweeps run the job
 	// themselves, and the completion stands.
-	if c.cfg.Store == nil {
-		return nil
-	}
 	key := st.sweep.Jobs[i].StoreKey
 	if _, err := c.cfg.Store.Put(key, store.EncodeOutput(out)); err == nil {
 		for _, id := range c.order {
@@ -517,7 +500,7 @@ func (c *Coordinator) Workers() []WorkerStatus {
 
 // Jobs reads a sweep's job rows from its run.Table and leases: replicas
 // in (point, replica) order, then aggregates; ok is false for a sweep
-// not held. A job requeued after a lease ended reads "queued" with the
+// not held — one never registered, a store hit, or one done. A job requeued after a lease ended reads "queued" with the
 // lease's steps, and the failed job carries the table's error.
 func (c *Coordinator) Jobs(sweepID string) (rows []JobStatus, ok bool) {
 	c.mu.Lock()
@@ -558,11 +541,11 @@ func (c *Coordinator) Jobs(sweepID string) (rows []JobStatus, ok bool) {
 	return rows, true
 }
 
-// Forget drops a finished sweep's state — its table, leases and spec —
-// so a coordinator that runs sweeps for the life of its process holds
-// only those its caller still reads. A later call under one of the
-// sweep's leases is ErrUnknown, which a worker treats as a stale lease,
-// and Jobs reports the sweep not held. An unfinished sweep stays.
+// Forget drops a failed sweep's state — its table, leases and spec — so
+// a coordinator that runs sweeps for the life of its process holds only
+// those its caller still reads. A later call under one of its leases is
+// ErrUnknown, which a worker treats as a stale lease, and Jobs reports
+// it not held. An unfinished sweep stays.
 func (c *Coordinator) Forget(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -616,9 +599,9 @@ func (c *Coordinator) retryOrFailLocked(st *sweepState, i int, msg string) {
 }
 
 // maybeFinishLocked fires onDone once the sweep's table has finished:
-// every job done (with the aggregates the table hands over) or the
-// failure fully propagated. Either way the sweep leaves the dispatch
-// order.
+// every job done or the failure fully propagated. The sweep leaves the
+// dispatch order; a failed one stays held for its rows, and a done one
+// leaves while its goroutine assembles and publishes the result.
 func (c *Coordinator) maybeFinishLocked(st *sweepState) {
 	i := slices.Index(c.order, st.id)
 	if i < 0 || !st.table.Finished() {
@@ -629,14 +612,17 @@ func (c *Coordinator) maybeFinishLocked(st *sweepState) {
 	// one it started with.
 	c.order = append(c.order[:i:i], c.order[i+1:]...)
 	aggs := st.table.Aggregates()
-	if st.onDone == nil {
-		return
-	}
 	if err := st.table.Err(); err != nil {
-		go st.onDone(nil, fmt.Errorf("coord: sweep %s failed: %w", st.id, err))
+		go st.onDone("", 0, fmt.Errorf("coord: sweep %s failed: %w", st.id, err))
 		return
 	}
-	go st.onDone(st.sweep.Assemble(aggs), nil)
+	delete(c.sweeps, st.id)
+	go func() {
+		sha, size, err := c.cfg.Store.PutStream(st.sweep.ResultKey, func(w io.Writer) error {
+			return dsmc.WriteSweepResult(w, st.sweep.Assemble(aggs))
+		})
+		st.onDone(sha, int(size), err)
+	}()
 }
 
 func (c *Coordinator) lookupLocked(sweep, jobID string) (*sweepState, int, error) {

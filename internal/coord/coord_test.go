@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -55,6 +56,71 @@ func sweepOf(t testing.TB, spec dsmc.SweepSpec) *dsmc.Sweep {
 		panic(err)
 	}
 	return sw
+}
+
+// newCoord is New over a fresh result store in a temporary directory.
+func newCoord(t testing.TB, cfg Config) *Coordinator {
+	t.Helper()
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Store = st
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// finished is what AddSweep hands its onDone.
+type finished struct {
+	sha  string
+	size int
+	err  error
+}
+
+// addSweep registers sw under id; its onDone lands on the channel.
+func addSweep(t testing.TB, c *Coordinator, id string, sw *dsmc.Sweep) <-chan finished {
+	t.Helper()
+	done := make(chan finished, 1)
+	if err := c.AddSweep(id, sw, func(sha string, size int, err error) { done <- finished{sha, size, err} }); err != nil {
+		t.Fatal(err)
+	}
+	return done
+}
+
+// runSweep is the stored form of an in-process run's result: the bytes
+// of json.MarshalIndent and a newline, which dsmc.WriteSweepResult writes.
+func runSweep(t testing.TB, spec dsmc.SweepSpec) []byte {
+	t.Helper()
+	res, err := dsmc.RunSweep(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.MarshalIndent(res, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(data, '\n')
+}
+
+// checkResult waits for the onDone of a sweep that succeeds and checks
+// that the store object it names is want, byte for byte.
+func checkResult(t testing.TB, c *Coordinator, done <-chan finished, want []byte, what string) {
+	t.Helper()
+	select {
+	case fin := <-done:
+		if fin.err != nil {
+			t.Fatalf("%s: %v", what, fin.err)
+		}
+		got, ok := c.cfg.Store.GetBySHA(fin.sha, nil)
+		if !ok || fin.size != len(got) || !bytes.Equal(got, want) {
+			t.Fatalf("%s: the stored result (%d of %d bytes read) differs from the in-process run", what, len(got), fin.size)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatalf("%s: the sweep never finished", what)
+	}
 }
 
 type fakeClock struct {
@@ -194,10 +260,8 @@ func TestOutputCodecRoundTrip(t *testing.T) {
 func TestLeaseExpiryEdgeCases(t *testing.T) {
 	clk := newFakeClock()
 	var log eventLog
-	c := New(Config{LeaseTTL: 10 * time.Second, MaxAttempts: 3, OnEvent: log.add, now: clk.now})
-	if err := c.AddSweep("sw", sweepOf(t, tinySpec()), nil); err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{LeaseTTL: 10 * time.Second, MaxAttempts: 3, OnEvent: log.add, now: clk.now})
+	addSweep(t, c, "sw", sweepOf(t, tinySpec()))
 
 	l1 := mustPoll(t, c, "w1")
 	if status, _ := c.HandleHeartbeat(Heartbeat{Worker: "w1", Sweep: l1.Sweep, Job: l1.Job, Lease: l1.LeaseID}); status != HBOK {
@@ -250,10 +314,8 @@ func TestLeaseExpiryEdgeCases(t *testing.T) {
 // before its lease expires, and an idle coordinator answers "no work".
 func TestDoubleDispatchPrevention(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{LeaseTTL: 10 * time.Second, now: clk.now})
-	if err := c.AddSweep("sw", sweepOf(t, tinySpec()), nil); err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{LeaseTTL: 10 * time.Second, now: clk.now})
+	addSweep(t, c, "sw", sweepOf(t, tinySpec()))
 
 	l1 := mustPoll(t, c, "w1")
 	l2 := mustPoll(t, c, "w2")
@@ -287,18 +349,8 @@ func TestDoubleDispatchPrevention(t *testing.T) {
 func TestRetryBudgetExhaustion(t *testing.T) {
 	clk := newFakeClock()
 	var log eventLog
-	done := make(chan error, 1)
-	c := New(Config{LeaseTTL: 10 * time.Second, MaxAttempts: 2, OnEvent: log.add, now: clk.now})
-	err := c.AddSweep("sw", sweepOf(t, tinySpec()), func(res *dsmc.SweepResult, err error) {
-		if res != nil {
-			done <- errors.New("got a result from a failed sweep")
-			return
-		}
-		done <- err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{LeaseTTL: 10 * time.Second, MaxAttempts: 2, OnEvent: log.add, now: clk.now})
+	done := addSweep(t, c, "sw", sweepOf(t, tinySpec()))
 
 	first := mustPoll(t, c, "w1")
 	for attempt := 1; ; attempt++ {
@@ -326,12 +378,15 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 		t.Fatalf("job-skipped events: got %d, want 2", n)
 	}
 	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("failed sweep finished without an error")
+	case fin := <-done:
+		if fin.err == nil || fin.sha != "" {
+			t.Fatalf("failed sweep finished with result %q, error %v", fin.sha, fin.err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("sweep never finished after failure")
+	}
+	if _, held := c.Jobs("sw"); !held {
+		t.Error("the failed sweep is not held")
 	}
 	// The failed sweep offers no more work.
 	if l, _ := c.Poll("w9"); l != nil {
@@ -345,30 +400,11 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 // result is bit-identical to an uninterrupted in-process run.
 func TestRedispatchResumeBitIdentity(t *testing.T) {
 	spec := tinySpec()
-	want, err := dsmc.RunSweep(context.Background(), spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runSweep(t, spec)
 
 	clk := newFakeClock()
-	done := make(chan struct {
-		res *dsmc.SweepResult
-		err error
-	}, 1)
-	c := New(Config{LeaseTTL: 10 * time.Second, now: clk.now})
-	err = c.AddSweep("sw", sweepOf(t, spec), func(res *dsmc.SweepResult, err error) {
-		done <- struct {
-			res *dsmc.SweepResult
-			err error
-		}{res, err}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{LeaseTTL: 10 * time.Second, now: clk.now})
+	done := addSweep(t, c, "sw", sweepOf(t, spec))
 
 	// Worker 1 leases r000, runs a few steps (uploading checkpoints),
 	// then "crashes": its context dies and it never completes.
@@ -378,7 +414,7 @@ func TestRedispatchResumeBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx1, cancel1 := context.WithCancel(context.Background())
-	_, err = dsmc.RunSweepJob(ctx1, spec1, l1.Point, l1.Replica, dsmc.SweepJobIO{
+	_, err := dsmc.RunSweepJob(ctx1, spec1, l1.Point, l1.Replica, dsmc.SweepJobIO{
 		Checkpoint: testStore{c, l1},
 		Progress: func(step, total int) {
 			if step >= 4 {
@@ -410,21 +446,7 @@ func TestRedispatchResumeBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	select {
-	case fin := <-done:
-		if fin.err != nil {
-			t.Fatal(fin.err)
-		}
-		gotJSON, err := json.Marshal(fin.res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(gotJSON) != string(wantJSON) {
-			t.Fatal("redispatched+resumed sweep result differs from uninterrupted run")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("sweep never finished")
-	}
+	checkResult(t, c, done, want, "the redispatched and resumed sweep")
 }
 
 // flakyUploads fails checkpoint uploads while left is positive, as a
@@ -447,27 +469,11 @@ func (q flakyUploads) SaveCheckpoint(ctx context.Context, l *Lease, write func(i
 // dsmc.RunSweep.
 func TestWorkersEndToEnd(t *testing.T) {
 	spec := tinySpec()
-	want, err := dsmc.RunSweep(context.Background(), spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, _ := json.Marshal(want)
+	want := runSweep(t, spec)
 
 	var log eventLog
-	done := make(chan struct {
-		res *dsmc.SweepResult
-		err error
-	}, 1)
-	c := New(Config{LeaseTTL: time.Second, OnEvent: log.add})
-	err = c.AddSweep("sw", sweepOf(t, spec), func(res *dsmc.SweepResult, err error) {
-		done <- struct {
-			res *dsmc.SweepResult
-			err error
-		}{res, err}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{LeaseTTL: time.Second, OnEvent: log.add})
+	done := addSweep(t, c, "sw", sweepOf(t, spec))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -488,18 +494,7 @@ func TestWorkersEndToEnd(t *testing.T) {
 		}()
 	}
 
-	select {
-	case fin := <-done:
-		if fin.err != nil {
-			t.Fatal(fin.err)
-		}
-		gotJSON, _ := json.Marshal(fin.res)
-		if string(gotJSON) != string(wantJSON) {
-			t.Fatal("distributed sweep result differs from in-process run")
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("distributed sweep never finished")
-	}
+	checkResult(t, c, done, want, "the distributed sweep")
 	cancel()
 	wg.Wait()
 
@@ -587,24 +582,11 @@ func (q darkQueue) Fail(ctx context.Context, l *Lease, msg string) error {
 // to dsmc.RunSweep.
 func TestDarkWorkerLeaseExpiry(t *testing.T) {
 	spec := tinySpec()
-	want, err := dsmc.RunSweep(context.Background(), spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, _ := json.Marshal(want)
+	want := runSweep(t, spec)
 
 	var log eventLog
-	done := make(chan *dsmc.SweepResult, 1)
-	c := New(Config{LeaseTTL: 300 * time.Millisecond, MaxAttempts: 3, OnEvent: log.add})
-	err = c.AddSweep("sw", sweepOf(t, spec), func(res *dsmc.SweepResult, err error) {
-		if err != nil {
-			t.Error(err)
-		}
-		done <- res
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{LeaseTTL: 300 * time.Millisecond, MaxAttempts: 3, OnEvent: log.add})
+	done := addSweep(t, c, "sw", sweepOf(t, spec))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -629,14 +611,7 @@ func TestDarkWorkerLeaseExpiry(t *testing.T) {
 	run("survivor-0", LocalQueue{c})
 	run("survivor-1", LocalQueue{c})
 
-	select {
-	case res := <-done:
-		if gotJSON, _ := json.Marshal(res); string(gotJSON) != string(wantJSON) {
-			t.Fatal("the sweep a dark worker left differs from the in-process run")
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("the survivors never finished the sweep")
-	}
+	checkResult(t, c, done, want, "the sweep a dark worker left")
 	cancel()
 	wg.Wait()
 
@@ -718,10 +693,8 @@ func (q *staleUpload) Fail(ctx context.Context, l *Lease, msg string) error {
 // more under that lease (no completion, release or failure) and goes
 // back to polling.
 func TestStaleUploadAbandonsJob(t *testing.T) {
-	c := New(Config{LeaseTTL: 30 * time.Second})
-	if err := c.AddSweep("sw", sweepOf(t, tinySpec()), nil); err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{LeaseTTL: 30 * time.Second})
+	addSweep(t, c, "sw", sweepOf(t, tinySpec()))
 	polled := make(chan struct{})
 	q := &staleUpload{LocalQueue: LocalQueue{c}, polled: polled}
 	w := NewWorker(WorkerConfig{ID: "w1", Queue: q, PollEvery: 5 * time.Millisecond, RetryBase: time.Millisecond})
@@ -754,10 +727,8 @@ func TestStaleUploadAbandonsJob(t *testing.T) {
 // label, so no heartbeat can make the scrape unparsable or plant a
 // metric family in it.
 func TestHeartbeatCannotCorruptMetrics(t *testing.T) {
-	c := New(Config{LeaseTTL: 30 * time.Second})
-	if err := c.AddSweep("sw", sweepOf(t, tinySpec()), nil); err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{LeaseTTL: 30 * time.Second})
+	addSweep(t, c, "sw", sweepOf(t, tinySpec()))
 	const id = "w\"1\\\n" // a quote, a backslash and a newline
 	l := mustPoll(t, c, id)
 	injected := obs.Sample{Name: "dsmc_engine_steps_total", Labels: "{a=\"1\"}\ninjected_total 1\n", Value: 1}
@@ -796,27 +767,11 @@ func TestGracefulReleaseResume(t *testing.T) {
 	spec := tinySpec()
 	spec.SampleSteps = 60 // long enough to cancel mid-flight
 	spec.CheckpointEvery = 2
-	want, err := dsmc.RunSweep(context.Background(), spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, _ := json.Marshal(want)
+	want := runSweep(t, spec)
 
 	var log eventLog
-	done := make(chan struct {
-		res *dsmc.SweepResult
-		err error
-	}, 1)
-	c := New(Config{LeaseTTL: time.Second, OnEvent: log.add})
-	err = c.AddSweep("sw", sweepOf(t, spec), func(res *dsmc.SweepResult, err error) {
-		done <- struct {
-			res *dsmc.SweepResult
-			err error
-		}{res, err}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{LeaseTTL: time.Second, OnEvent: log.add})
+	done := addSweep(t, c, "sw", sweepOf(t, spec))
 
 	// Worker 1 starts, then is shut down as soon as it reports progress.
 	ctx1, cancel1 := context.WithCancel(context.Background())
@@ -863,18 +818,7 @@ func TestGracefulReleaseResume(t *testing.T) {
 		w2.Run(ctx2)
 	}()
 
-	select {
-	case fin := <-done:
-		if fin.err != nil {
-			t.Fatal(fin.err)
-		}
-		gotJSON, _ := json.Marshal(fin.res)
-		if string(gotJSON) != string(wantJSON) {
-			t.Fatal("released+resumed sweep result differs from uninterrupted run")
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("sweep never finished after release")
-	}
+	checkResult(t, c, done, want, "the released and resumed sweep")
 	cancel2()
 	<-w2done
 }
@@ -895,36 +839,22 @@ func (q localProgressQueue) Heartbeat(ctx context.Context, hb Heartbeat) (string
 // holds is verified by hashing the object through a fixed buffer, so a
 // multi-megabyte result costs the submit a few kilobytes, not its size.
 func TestSweepStoredHitAllocs(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(filepath.Join(dir, "store"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{})
 	sw := sweepOf(t, tinySpec())
 	result := bytes.Repeat([]byte("0123456789abcdef"), 4<<20/16)
-	sha, err := st.Put(sw.ResultKey, result)
+	sha, err := c.cfg.Store.Put(sw.ResultKey, result)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(Config{Store: st})
-	type fin struct {
-		sha  string
-		size int
-		err  error
-	}
-	done := make(chan fin, 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err = c.AddSweepStored("sw", sw, func(sha string, size int, err error) {
-		done <- fin{sha, size, err}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := <-done
+	got := <-addSweep(t, c, "sw", sw)
 	runtime.ReadMemStats(&after)
 	if got.err != nil || got.sha != sha || got.size != len(result) {
 		t.Fatalf("hit finished with sha %s, size %d, err %v; want %s, %d, nil", got.sha, got.size, got.err, sha, len(result))
+	}
+	if _, held := c.Jobs("sw"); held {
+		t.Error("a store hit is held")
 	}
 	if d := after.TotalAlloc - before.TotalAlloc; d > 256<<10 {
 		t.Errorf("a store hit on a %d-byte result allocated %d bytes, want <= 256 KiB", len(result), d)
@@ -932,7 +862,7 @@ func TestSweepStoredHitAllocs(t *testing.T) {
 }
 
 // TestSweepStoredPublishAllocs: a cold sweep's result goes from the
-// SweepResult into the store in one streaming pass, as AddSweepStored
+// SweepResult into the store in one streaming pass, as AddSweep
 // publishes it, so a paper-size result (2 points × 3 quantities × 98×64
 // cells, over 3 MB encoded) costs the publish a fixed buffer, not copies
 // of its encoding.
@@ -987,11 +917,8 @@ func TestSweepStoredPublishAllocs(t *testing.T) {
 func TestFinishedSweepReleasesOutputs(t *testing.T) {
 	spec := tinySpec()
 	spec.Replicas = 3
-	done := make(chan error, 1)
-	c := New(Config{LeaseTTL: time.Minute})
-	if err := c.AddSweep("sw", sweepOf(t, spec), func(_ *dsmc.SweepResult, err error) { done <- err }); err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{LeaseTTL: time.Minute})
+	done := addSweep(t, c, "sw", sweepOf(t, spec))
 	var freed atomic.Int64
 	complete := func(l *Lease) {
 		out := runLeasedJob(t, c, l)
@@ -1005,8 +932,8 @@ func TestFinishedSweepReleasesOutputs(t *testing.T) {
 	complete(leases[2])
 	complete(leases[1])
 	complete(leases[0])
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	if fin := <-done; fin.err != nil {
+		t.Fatal(fin.err)
 	}
 	for deadline := time.Now().Add(10 * time.Second); freed.Load() < int64(spec.Replicas); {
 		if time.Now().After(deadline) {
@@ -1018,15 +945,14 @@ func TestFinishedSweepReleasesOutputs(t *testing.T) {
 	runtime.KeepAlive(c)
 }
 
-// TestForgetFinishedSweep: Forget leaves an unfinished sweep alone and
-// drops a finished one, after which Jobs reports it not held and a late
-// completion or heartbeat under its lease is turned away, not acked.
+// TestForgetFinishedSweep: a sweep that succeeds leaves the coordinator
+// as it finishes: once onDone has run Jobs reports it not held, and a
+// late completion or heartbeat under its lease is turned away as
+// ErrUnknown, not acked. A failed sweep stays held, with its rows, until
+// Forget drops it; Forget leaves an unfinished sweep alone.
 func TestForgetFinishedSweep(t *testing.T) {
-	done := make(chan error, 1)
-	c := New(Config{LeaseTTL: time.Minute})
-	if err := c.AddSweep("sw", sweepOf(t, tinySpec()), func(_ *dsmc.SweepResult, err error) { done <- err }); err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{LeaseTTL: time.Minute, MaxAttempts: 1})
+	done := addSweep(t, c, "sw", sweepOf(t, tinySpec()))
 	leases := []*Lease{mustPoll(t, c, "w"), mustPoll(t, c, "w")}
 	outs := make([]*dsmc.ReplicaOutput, len(leases))
 	for i, l := range leases {
@@ -1035,6 +961,10 @@ func TestForgetFinishedSweep(t *testing.T) {
 	if err := c.Complete("sw", leases[0].Job, leases[0].LeaseID, outs[0]); err != nil {
 		t.Fatal(err)
 	}
+	// Before the sweep is done a redelivered winning completion is acked.
+	if err := c.Complete("sw", leases[0].Job, leases[0].LeaseID, outs[0]); err != nil {
+		t.Fatalf("redelivered completion of a running sweep: %v", err)
+	}
 	c.Forget("sw")
 	if _, held := c.Jobs("sw"); !held {
 		t.Fatal("Forget dropped a sweep that is still running")
@@ -1042,22 +972,36 @@ func TestForgetFinishedSweep(t *testing.T) {
 	if err := c.Complete("sw", leases[1].Job, leases[1].LeaseID, outs[1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	if fin := <-done; fin.err != nil {
+		t.Fatal(fin.err)
 	}
-	// Before Forget a redelivered winning completion is acked.
-	if err := c.Complete("sw", leases[1].Job, leases[1].LeaseID, outs[1]); err != nil {
-		t.Fatalf("redelivered completion before Forget: %v", err)
-	}
-	c.Forget("sw")
 	if rows, held := c.Jobs("sw"); held {
-		t.Fatalf("forgotten sweep still held, %d job rows", len(rows))
+		t.Fatalf("a done sweep is still held, %d job rows", len(rows))
 	}
 	if err := c.Complete("sw", leases[1].Job, leases[1].LeaseID, outs[1]); !errors.Is(err, ErrUnknown) {
-		t.Errorf("completion for a forgotten sweep: %v, want ErrUnknown", err)
+		t.Errorf("redelivered completion of a done sweep: %v, want ErrUnknown", err)
 	}
 	if ans, err := c.HandleHeartbeat(Heartbeat{Worker: "w", Sweep: "sw", Job: leases[1].Job, Lease: leases[1].LeaseID}); err != nil || ans != HBAbandon {
-		t.Errorf("heartbeat for a forgotten sweep: %q, %v; want %q", ans, err, HBAbandon)
+		t.Errorf("heartbeat for a done sweep: %q, %v; want %q", ans, err, HBAbandon)
+	}
+
+	// A failed sweep stays held until Forget.
+	spec := tinySpec()
+	spec.WarmSteps++ // not a store hit
+	done = addSweep(t, c, "failed", sweepOf(t, spec))
+	l := mustPoll(t, c, "w")
+	if err := c.Fail(l.Sweep, l.Job, l.LeaseID, "boom"); err != nil {
+		t.Fatal(err)
+	}
+	if fin := <-done; fin.err == nil {
+		t.Fatal("the failed sweep finished without an error")
+	}
+	if rows, held := c.Jobs("failed"); !held || rows[0].State != "failed" {
+		t.Fatalf("the failed sweep: held %v, rows %+v", held, rows)
+	}
+	c.Forget("failed")
+	if rows, held := c.Jobs("failed"); held {
+		t.Fatalf("forgotten sweep still held, %d job rows", len(rows))
 	}
 }
 
@@ -1083,10 +1027,8 @@ func (q refusingQueue) Fail(ctx context.Context, l *Lease, msg string) error {
 // and the job fails through its retry budget with the refusal named.
 func TestRefusedOutputFailsOnce(t *testing.T) {
 	var log eventLog
-	c := New(Config{LeaseTTL: 30 * time.Second, MaxAttempts: 1, OnEvent: log.add})
-	if err := c.AddSweep("sw", sweepOf(t, tinySpec()), nil); err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{LeaseTTL: 30 * time.Second, MaxAttempts: 1, OnEvent: log.add})
+	addSweep(t, c, "sw", sweepOf(t, tinySpec()))
 	var completes, fails atomic.Int32
 	w := NewWorker(WorkerConfig{
 		ID:        "w1",
@@ -1117,10 +1059,8 @@ func TestRefusedOutputFailsOnce(t *testing.T) {
 func TestMalformedLeaseFails(t *testing.T) {
 	for _, ttl := range []int64{0, -1500} {
 		var log eventLog
-		c := New(Config{LeaseTTL: 30 * time.Second, MaxAttempts: 1, OnEvent: log.add})
-		if err := c.AddSweep("sw", sweepOf(t, tinySpec()), nil); err != nil {
-			t.Fatal(err)
-		}
+		c := newCoord(t, Config{LeaseTTL: 30 * time.Second, MaxAttempts: 1, OnEvent: log.add})
+		addSweep(t, c, "sw", sweepOf(t, tinySpec()))
 		var completes, fails atomic.Int32
 		w := NewWorker(WorkerConfig{
 			ID:        "w1",
@@ -1154,10 +1094,8 @@ func TestLeaseFenceAcrossRestart(t *testing.T) {
 	spec := tinySpec()
 	spec.CheckpointDir = t.TempDir()
 	start := func() *Coordinator {
-		c := New(Config{LeaseTTL: 30 * time.Second})
-		if err := c.AddSweep("sw", sweepOf(t, spec), nil); err != nil {
-			t.Fatal(err)
-		}
+		c := newCoord(t, Config{LeaseTTL: 30 * time.Second})
+		addSweep(t, c, "sw", sweepOf(t, spec))
 		return c
 	}
 	old := mustPoll(t, start(), "w1")
@@ -1178,23 +1116,29 @@ func TestLeaseFenceAcrossRestart(t *testing.T) {
 
 // TestAddSweepNeedsCheckpointDir: checkpoints are files, so a sweep whose
 // spec names no checkpoint directory is refused, and one that does gets
-// the directory created.
+// the directory created. A second sweep under a held ID is refused before
+// its directory is made.
 func TestAddSweepNeedsCheckpointDir(t *testing.T) {
-	c := New(Config{})
+	c := newCoord(t, Config{})
 	sw, err := dsmc.NewSweep(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddSweep("none", sw, nil); err == nil {
+	if err := c.AddSweep("none", sw, func(string, int, error) {}); err == nil {
 		t.Error("a sweep without a checkpoint directory was registered")
 	}
 	spec := tinySpec()
 	spec.CheckpointDir = filepath.Join(t.TempDir(), "a", "ckpt")
-	if err := c.AddSweep("dir", sweepOf(t, spec), nil); err != nil {
-		t.Fatal(err)
-	}
+	addSweep(t, c, "dir", sweepOf(t, spec))
 	if _, err := os.Stat(spec.CheckpointDir); err != nil {
 		t.Errorf("the checkpoint directory was not created: %v", err)
+	}
+	spec.CheckpointDir = filepath.Join(t.TempDir(), "dup", "ckpt")
+	if err := c.AddSweep("dir", sweepOf(t, spec), func(string, int, error) {}); err == nil {
+		t.Error("a second sweep under a held ID was registered")
+	}
+	if _, err := os.Stat(spec.CheckpointDir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the refused duplicate left its checkpoint directory: %v", err)
 	}
 }
 
@@ -1203,7 +1147,7 @@ func TestAddSweepNeedsCheckpointDir(t *testing.T) {
 // Workers reports it, and its ever-growing age is not the fleet's.
 func TestStatsIgnoresLostWorkers(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{LeaseTTL: 10 * time.Second, now: clk.now})
+	c := newCoord(t, Config{LeaseTTL: 10 * time.Second, now: clk.now})
 	if _, err := c.Poll("w1"); err != nil {
 		t.Fatal(err)
 	}
@@ -1225,10 +1169,8 @@ func TestStatsIgnoresLostWorkers(t *testing.T) {
 // lease expires; a worker whose lease ended is idle.
 func TestWorkersReadFromLeases(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{LeaseTTL: 10 * time.Second, now: clk.now})
-	if err := c.AddSweep("sw", sweepOf(t, tinySpec()), nil); err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{LeaseTTL: 10 * time.Second, now: clk.now})
+	addSweep(t, c, "sw", sweepOf(t, tinySpec()))
 	row := func() WorkerStatus {
 		t.Helper()
 		ws := c.Workers()
@@ -1267,10 +1209,8 @@ func TestWorkersReadFromLeases(t *testing.T) {
 func TestJobsReadFromTableAndLeases(t *testing.T) {
 	clk := newFakeClock()
 	var log eventLog
-	c := New(Config{LeaseTTL: 10 * time.Second, MaxAttempts: 3, OnEvent: log.add, now: clk.now})
-	if err := c.AddSweep("sw", sweepOf(t, tinySpec()), nil); err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{LeaseTTL: 10 * time.Second, MaxAttempts: 3, OnEvent: log.add, now: clk.now})
+	addSweep(t, c, "sw", sweepOf(t, tinySpec()))
 	if _, ok := c.Jobs("other"); ok {
 		t.Error("Jobs reports a sweep the coordinator does not hold")
 	}
@@ -1361,11 +1301,7 @@ func TestCompletionSettlesSiblingSweep(t *testing.T) {
 	specB.Name = "sibling-b"
 	mfp := 0.75
 	specB.Points = append(specB.Points, dsmc.SweepPoint{Name: "fresh", MeanFreePath: &mfp})
-	want, err := dsmc.RunSweep(context.Background(), specB, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, _ := json.Marshal(want)
+	want := runSweep(t, specB)
 	// Valid bytes for the shared point that are not replica 0's.
 	other, err := dsmc.RunSweepJob(context.Background(), specA, 0, 1, dsmc.SweepJobIO{})
 	if err != nil {
@@ -1378,22 +1314,13 @@ func TestCompletionSettlesSiblingSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := New(Config{LeaseTTL: time.Minute, Store: st})
-			swA, swB := sweepOf(t, specA), sweepOf(t, specB)
-			done := make(chan []byte, 1)
-			if err := c.AddSweep("a", swA, nil); err != nil {
-				t.Fatal(err)
-			}
-			err = c.AddSweep("b", swB, func(res *dsmc.SweepResult, err error) {
-				if err != nil {
-					t.Error(err)
-				}
-				got, _ := json.Marshal(res)
-				done <- got
-			})
+			c, err := New(Config{LeaseTTL: time.Minute, Store: st})
 			if err != nil {
 				t.Fatal(err)
 			}
+			swA, swB := sweepOf(t, specA), sweepOf(t, specB)
+			addSweep(t, c, "a", swA)
+			done := addSweep(t, c, "b", swB)
 			refused := swA.Jobs[0]
 			if planted {
 				if _, err := st.Put(refused.StoreKey, store.EncodeOutput(other)); err != nil {
@@ -1431,14 +1358,7 @@ func TestCompletionSettlesSiblingSweep(t *testing.T) {
 			if d := storeHits(t) - hits; d != 0 {
 				t.Errorf("the completions read the store: %g hits", d)
 			}
-			select {
-			case got := <-done:
-				if string(got) != string(wantJSON) {
-					t.Error("sweep b's result differs from a cold run")
-				}
-			case <-time.After(60 * time.Second):
-				t.Fatal("sweep b never finished")
-			}
+			checkResult(t, c, done, want, "sweep b")
 		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -22,30 +23,17 @@ import (
 
 // TestHTTPTransport drives real workers through the wire protocol —
 // HTTPQueue against the coordinator's Handler — with checkpoints on
-// disk, and checks bit-identity against the in-process run plus the
-// protocol's error mapping for stale leases.
+// disk, and checks bit-identity against the in-process run. Then a
+// second sweep's job goes by hand through each call the workers made or
+// could have made — checkpoint load and save, the workers roster,
+// release, fail — and the protocol's error mapping: a stale lease is 410
+// → ErrStaleLease, and a done or unknown sweep is 404 → ErrUnknown.
 func TestHTTPTransport(t *testing.T) {
 	spec := tinySpec()
-	want, err := dsmc.RunSweep(context.Background(), spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, _ := json.Marshal(want)
+	want := runSweep(t, spec)
 
-	done := make(chan struct {
-		res *dsmc.SweepResult
-		err error
-	}, 1)
-	c := New(Config{LeaseTTL: time.Second})
-	err = c.AddSweep("sw", sweepOf(t, spec), func(res *dsmc.SweepResult, err error) {
-		done <- struct {
-			res *dsmc.SweepResult
-			err error
-		}{res, err}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{LeaseTTL: time.Second})
+	done := addSweep(t, c, "sw", sweepOf(t, spec))
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
 	q := &HTTPQueue{Base: ts.URL}
@@ -66,31 +54,85 @@ func TestHTTPTransport(t *testing.T) {
 			w.Run(ctx)
 		}()
 	}
-
-	select {
-	case fin := <-done:
-		if fin.err != nil {
-			t.Fatal(fin.err)
-		}
-		gotJSON, _ := json.Marshal(fin.res)
-		if string(gotJSON) != string(wantJSON) {
-			t.Fatal("HTTP-distributed sweep result differs from in-process run")
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("HTTP-distributed sweep never finished")
-	}
+	checkResult(t, c, done, want, "the HTTP-distributed sweep")
 	cancel()
 	wg.Wait()
 
-	// Wire-level error mapping: a bogus lease is 410 → ErrStaleLease, an
-	// unknown sweep is 404 → ErrUnknown.
-	bogus := &Lease{Sweep: "sw", Job: "rarefied/r000", LeaseID: "l999999"}
-	if err := q.SaveCheckpoint(context.Background(), bogus, payload([]byte("x"))); !errors.Is(err, ErrStaleLease) {
-		t.Fatalf("bogus lease upload: got %v, want ErrStaleLease", err)
+	bg := context.Background()
+	gone := &Lease{Sweep: "sw", Job: "rarefied/r000", LeaseID: "l1"}
+	if err := q.SaveCheckpoint(bg, gone, payload([]byte("x"))); !errors.Is(err, ErrUnknown) {
+		t.Fatalf("upload to a done sweep: got %v, want ErrUnknown", err)
 	}
 	missing := &Lease{Sweep: "nope", Job: "rarefied/r000", LeaseID: "l1"}
-	if err := q.SaveCheckpoint(context.Background(), missing, payload([]byte("x"))); !errors.Is(err, ErrUnknown) {
+	if err := q.SaveCheckpoint(bg, missing, payload([]byte("x"))); !errors.Is(err, ErrUnknown) {
 		t.Fatalf("unknown sweep upload: got %v, want ErrUnknown", err)
+	}
+
+	spec.WarmSteps++ // other job keys: nothing is a store hit
+	addSweep(t, c, "sw2", sweepOf(t, spec))
+	l, err := q.Poll(bg, "h3")
+	if err != nil || l == nil {
+		t.Fatalf("poll: %v, %v", l, err)
+	}
+	if data, err := q.LoadCheckpoint(bg, l); err != nil || data != nil {
+		t.Fatalf("checkpoint before any upload: %q, %v; want none", data, err)
+	}
+	if err := q.SaveCheckpoint(bg, l, payload([]byte("ckpt"))); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := q.LoadCheckpoint(bg, l); err != nil || string(data) != "ckpt" {
+		t.Fatalf("checkpoint after the upload: %q, %v", data, err)
+	}
+
+	resp, err := http.Get(ts.URL + "/coord/v1/workers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var roster struct{ Workers []WorkerStatus }
+	err = json.NewDecoder(resp.Body).Decode(&roster)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /coord/v1/workers: %s, %v", resp.Status, err)
+	}
+	if i := slices.IndexFunc(roster.Workers, func(w WorkerStatus) bool { return w.ID == "h3" }); i < 0 ||
+		roster.Workers[i].State != "running" || roster.Workers[i].Sweep != "sw2" || roster.Workers[i].Job != l.Job {
+		t.Errorf("workers %+v, want h3 running sw2 %s", roster.Workers, l.Job)
+	}
+
+	job := func(stage, state string, steps int) {
+		t.Helper()
+		if rows, _ := c.Jobs("sw2"); rows[0].Job != l.Job || rows[0].State != state || rows[0].StepsDone != steps {
+			t.Errorf("%s: row %+v, want %s %s at step %d", stage, rows[0], l.Job, state, steps)
+		}
+	}
+	if err := q.Release(bg, l, 3); err != nil {
+		t.Fatal(err)
+	}
+	job("released", "queued", 3)
+	if err := q.Release(bg, l, 3); !errors.Is(err, ErrStaleLease) {
+		t.Errorf("second release: %v, want ErrStaleLease", err)
+	}
+	if _, err := q.LoadCheckpoint(bg, l); !errors.Is(err, ErrStaleLease) {
+		t.Errorf("checkpoint load under a released lease: %v, want ErrStaleLease", err)
+	}
+
+	l2, err := q.Poll(bg, "h3")
+	if err != nil || l2 == nil || l2.Job != l.Job || !l2.HasCheckpoint {
+		t.Fatalf("poll after the release: %+v, %v; want %s with its checkpoint", l2, err, l.Job)
+	}
+	if err := q.Fail(bg, l2, "boom"); err != nil {
+		t.Fatal(err)
+	}
+	job("failed on attempt 1 of 3", "queued", 3)
+	if err := q.Fail(bg, l2, "boom"); !errors.Is(err, ErrStaleLease) {
+		t.Errorf("second failure report: %v, want ErrStaleLease", err)
+	}
+	if err := q.SaveCheckpoint(bg, l2, payload([]byte("x"))); !errors.Is(err, ErrStaleLease) {
+		t.Fatalf("upload under a failed lease: got %v, want ErrStaleLease", err)
+	}
+	bogus := &Lease{Sweep: "sw2", Job: l.Job, LeaseID: "l999999"}
+	if err := q.SaveCheckpoint(bg, bogus, payload([]byte("x"))); !errors.Is(err, ErrStaleLease) {
+		t.Fatalf("bogus lease upload: got %v, want ErrStaleLease", err)
 	}
 }
 
@@ -103,11 +145,8 @@ func TestHTTPTransport(t *testing.T) {
 // as it was: the same lease then uploads checkpoints and completes, and
 // the sweep finishes.
 func TestUploadLimit(t *testing.T) {
-	done := make(chan error, 1)
-	c := New(Config{LeaseTTL: 30 * time.Second})
-	if err := c.AddSweep("sw", sweepOf(t, tinySpec()), func(_ *dsmc.SweepResult, err error) { done <- err }); err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{LeaseTTL: 30 * time.Second})
+	done := addSweep(t, c, "sw", sweepOf(t, tinySpec()))
 	h := c.Handler()
 	l := mustPoll(t, c, "w1")
 
@@ -205,9 +244,9 @@ func TestUploadLimit(t *testing.T) {
 		}
 	}
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
+	case fin := <-done:
+		if fin.err != nil {
+			t.Fatal(fin.err)
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("sweep never finished after the refused uploads")
@@ -223,23 +262,10 @@ func TestUploadLimit(t *testing.T) {
 func TestCompletionShapeRefused(t *testing.T) {
 	spec := tinySpec()
 	spec.Quantities = []dsmc.Quantity{dsmc.Density, dsmc.Temperature}
-	want, err := dsmc.RunSweep(context.Background(), spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, _ := json.Marshal(want)
+	want := runSweep(t, spec)
 
-	done := make(chan *dsmc.SweepResult, 1)
-	c := New(Config{LeaseTTL: 30 * time.Second})
-	err = c.AddSweep("sw", sweepOf(t, spec), func(res *dsmc.SweepResult, err error) {
-		if err != nil {
-			t.Error(err)
-		}
-		done <- res
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{LeaseTTL: 30 * time.Second})
+	done := addSweep(t, c, "sw", sweepOf(t, spec))
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
 	q := &HTTPQueue{Base: ts.URL}
@@ -280,12 +306,5 @@ func TestCompletionShapeRefused(t *testing.T) {
 			t.Fatalf("complete %s: %v", l.Job, err)
 		}
 	}
-	select {
-	case res := <-done:
-		if gotJSON, _ := json.Marshal(res); string(gotJSON) != string(wantJSON) {
-			t.Fatal("the sweep's result differs from the in-process run")
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("the sweep never finished after the refused completions")
-	}
+	checkResult(t, c, done, want, "the sweep after the refused completions")
 }

@@ -3,7 +3,8 @@
 // coordinator takes a sweep lowered once by dsmc.NewSweep and dispatches
 // its Jobs, pull-based workers execute them with dsmc.RunSweepJob, the
 // sweep's table folds each uploaded output as it lands, and the
-// coordinator assembles the finished aggregates with Sweep.Assemble —
+// coordinator assembles the finished aggregates with Sweep.Assemble and
+// streams the result into the content-addressed store it runs against —
 // so a distributed sweep shares every line of lowering, seeding,
 // stepping and aggregation code with the in-process path and its result
 // is bit-identical to a single-process run. Its job states are the
@@ -34,9 +35,10 @@
 // computing, or a coordinator restarted since granting it: lease IDs
 // carry a per-coordinator random prefix) gets 410 on every mutation, so
 // redelivered uploads and completions are rejected idempotently and can
-// never corrupt a redispatched job's state. A completion whose output
-// does not fit the lowered spec is a 400 that leaves the lease live; the
-// worker then reports the job failed. A job that exhausts its dispatch
+// never corrupt a redispatched job's state (a call for a sweep done and
+// gone is a 404, taken the same way). A completion whose output does not
+// fit the lowered spec is a 400 that leaves the lease live; the worker
+// then reports the job failed. A job that exhausts its dispatch
 // budget is failed permanently and the table's one failure rule applies:
 // every other lease is revoked, every unfinished job and unrun
 // aggregation is reported skipped, point by point, and the sweep reports
@@ -62,7 +64,7 @@ var (
 	// the worker's reaction is always "abandon the job".
 	ErrStaleLease = errors.New("coord: stale lease")
 	// ErrUnknown rejects references to sweeps or jobs the coordinator
-	// does not track.
+	// does not hold (a done sweep has left; a worker takes it as stale).
 	ErrUnknown = errors.New("coord: unknown sweep or job")
 	// ErrBadOutput refuses a completion under the live lease whose output
 	// does not decode, or does not have the shape the lowered spec gives

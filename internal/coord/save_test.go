@@ -40,10 +40,8 @@ func TestCheckpointSaveFence(t *testing.T) {
 	clk := newFakeClock()
 	spec := tinySpec()
 	spec.CheckpointDir = t.TempDir()
-	c := New(Config{LeaseTTL: 10 * time.Second, MaxAttempts: 3, now: clk.now})
-	if err := c.AddSweep("sw", sweepOf(t, spec), nil); err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{LeaseTTL: 10 * time.Second, MaxAttempts: 3, now: clk.now})
+	addSweep(t, c, "sw", sweepOf(t, spec))
 	a := mustPoll(t, c, "wA")
 
 	inWrite, release := make(chan struct{}), make(chan struct{})
@@ -123,10 +121,8 @@ func (f *failAt) Write(p []byte) (int, error) {
 func TestFailedUploadKeepsCheckpoint(t *testing.T) {
 	spec := tinySpec()
 	spec.CheckpointDir = t.TempDir()
-	c := New(Config{LeaseTTL: 30 * time.Second})
-	if err := c.AddSweep("sw", sweepOf(t, spec), nil); err != nil {
-		t.Fatal(err)
-	}
+	c := newCoord(t, Config{LeaseTTL: 30 * time.Second})
+	addSweep(t, c, "sw", sweepOf(t, spec))
 	l := mustPoll(t, c, "w")
 	q := LocalQueue{C: c}
 	path := run.JobCkptPath(spec.CheckpointDir, l.Point, l.Replica)
