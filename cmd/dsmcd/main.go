@@ -16,8 +16,6 @@
 //	                              their SHA-256, verified on every read;
 //	                              ?quantity=temperature serves one sampled
 //	                              quantity's per-point field statistics
-//	GET  /v1/sweeps/{id}/trace    flight recorder: the most recent
-//	                              per-step engine phase timings (bounded ring)
 //	GET  /v1/store                result-store index: artifact keys, content
 //	                              hashes, sizes, and totals
 //	GET  /v1/store/{sha}          one artifact's raw bytes (octet-stream,
@@ -79,19 +77,16 @@
 // step-time histograms, coordinator lease/retry/queue telemetry, and
 // per-worker fleet gauges (external workers' engine instruments arrive
 // piggybacked on their heartbeats and are re-emitted as dsmc_fleet_*
-// with a worker label). GET /v1/sweeps/{id}/trace serves the sweep's
-// flight recorder — the most recent per-step phase timings, fed by the
-// same heartbeats — and -pprof enables net/http/pprof at /debug/pprof/.
+// with a worker label). -pprof enables net/http/pprof at /debug/pprof/.
 //
-// The NDJSON event stream replays <data>/<id>/events.ndjson — every
-// event but the trace batches, which /trace serves — from disk, across
-// restarts, with nothing dropped, then tails it. In quiet phases it emits
-// {"type":"keepalive","status":{...}} records (every -keepalive): active
-// and queued jobs, worker count, and the stalest heartbeat age.
-// Consumers must ignore unknown record types. On SIGINT/SIGTERM the
-// server drains: in-flight jobs checkpoint their exact position and
-// release their leases, and the HTTP listener shuts down within
-// -shutdown-timeout; a restart resumes bit-identically.
+// The NDJSON event stream replays <data>/<id>/events.ndjson from disk,
+// across restarts, with nothing dropped, then tails it. In quiet phases
+// it emits {"type":"keepalive","status":{...}} records (every
+// -keepalive): active and queued jobs, worker count, and the stalest
+// heartbeat age. Consumers must ignore unknown record types. On
+// SIGINT/SIGTERM the server drains: in-flight jobs checkpoint their exact
+// position and release their leases, and the HTTP listener shuts down
+// within -shutdown-timeout; a restart resumes bit-identically.
 package main
 
 import (

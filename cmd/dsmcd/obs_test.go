@@ -1,21 +1,22 @@
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"dsmc"
+	"dsmc/internal/coord"
 )
 
 // TestMetricsEndpoint: after a sweep runs through embedded workers,
-// GET /metrics must serve parseable Prometheus text covering all three
-// telemetry layers — engine phase histograms, coordinator lifecycle
-// counters and queue gauges, and the per-worker fleet rows fed by
-// heartbeat-piggybacked snapshots.
+// GET /metrics must serve parseable Prometheus text covering every
+// telemetry layer — engine phase histograms, coordinator lifecycle
+// counters and queue gauges, the result store, and per-worker heartbeat
+// ages — and no dsmc_fleet_* copy of this process's engine families.
 func TestMetricsEndpoint(t *testing.T) {
 	s, err := newServer(t.TempDir(), 2)
 	if err != nil {
@@ -81,30 +82,31 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// Fleet layer: per-worker heartbeat ages and the re-emitted engine
-	// snapshots, both labelled by worker.
-	var ages, fleet int
+	// Fleet layer: a heartbeat age per worker. Embedded workers re-emit no
+	// engine snapshot: theirs is this process's registry, scraped above.
+	var ages int
+	var fleet []string
 	for key := range samples {
 		if strings.HasPrefix(key, "dsmc_coord_worker_heartbeat_age_seconds{worker=") {
 			ages++
 		}
-		if strings.HasPrefix(key, "dsmc_fleet_engine_") {
-			fleet++
+		if strings.HasPrefix(key, "dsmc_fleet_") {
+			fleet = append(fleet, key)
 		}
 	}
 	if ages == 0 {
 		t.Error("no per-worker heartbeat-age rows in the scrape")
 	}
-	if fleet == 0 {
-		t.Error("no dsmc_fleet_engine_* rows: worker snapshots were not re-emitted")
+	if len(fleet) > 0 {
+		t.Errorf("embedded workers re-emitted %d dsmc_fleet_* rows, such as %s", len(fleet), fleet[0])
 	}
 }
 
-// TestTraceEndpoint: the flight recorder must capture per-step phase
-// timings flowing from the engine through worker heartbeats to the
-// coordinator, and serve them at /v1/sweeps/{id}/trace.
-func TestTraceEndpoint(t *testing.T) {
-	s, err := newServer(t.TempDir(), 2)
+// TestFleetRowsAreExternalWorkers: a worker that reaches the coordinator
+// over HTTP has its engine snapshot re-emitted as dsmc_fleet_* rows
+// under its own label, and only it: the server runs no embedded worker.
+func TestFleetRowsAreExternalWorkers(t *testing.T) {
+	s, err := newServer(t.TempDir(), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,61 +114,32 @@ func TestTraceEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
-	spec := tinySpec()
-	spec.CheckpointEvery = 2 // frequent progress heartbeats carry the batches
-	id := submit(t, ts, spec)
+	ctx, cancel := context.WithCancel(context.Background())
+	w := coord.NewWorker(coord.WorkerConfig{ID: "ext-1", Queue: &coord.HTTPQueue{Base: ts.URL}, PollEvery: 10 * time.Millisecond})
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		w.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-stopped
+	}()
+
+	id := submit(t, ts, tinySpec())
 	if st := waitDone(t, ts, id); st.State != stateDone {
 		t.Fatalf("sweep state %s (%s)", st.State, st.Error)
 	}
-
-	resp, err := http.Get(ts.URL + "/v1/sweeps/" + id + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /trace: %s", resp.Status)
-	}
-	var view struct {
-		Sweep  string        `json:"sweep"`
-		Phases [4]string     `json:"phases"`
-		Trace  []traceRecord `json:"trace"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		t.Fatal(err)
-	}
-	if view.Sweep != id || view.Phases != dsmc.StepPhases {
-		t.Fatalf("trace header: sweep=%q phases=%v", view.Sweep, view.Phases)
-	}
-	if len(view.Trace) == 0 {
-		t.Fatal("flight recorder is empty after the sweep")
-	}
-	for _, rec := range view.Trace {
-		if rec.Job == "" {
-			t.Fatalf("trace record without a job: %+v", rec)
-		}
-		if rec.Particles <= 0 {
-			t.Fatalf("trace record without particles: %+v", rec)
-		}
-		var total int64
-		for _, ns := range rec.PhaseNs {
-			if ns < 0 {
-				t.Fatalf("negative phase time: %+v", rec)
+	var rows int
+	for key := range scrapeMetrics(t, ts.URL) {
+		if strings.HasPrefix(key, "dsmc_fleet_") {
+			if !strings.Contains(key, `{worker="ext-1"`) {
+				t.Errorf("fleet row %s is not the HTTP worker's", key)
 			}
-			total += ns
-		}
-		if total <= 0 {
-			t.Fatalf("trace record with zero phase time: %+v", rec)
+			rows++
 		}
 	}
-
-	// An unknown sweep 404s like every other per-sweep endpoint.
-	resp404, err := http.Get(ts.URL + "/v1/sweeps/sw-999999/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp404.Body.Close()
-	if resp404.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /trace on unknown sweep: %s, want 404", resp404.Status)
+	if rows == 0 {
+		t.Error("no dsmc_fleet_* rows: the HTTP worker's snapshot was not re-emitted")
 	}
 }

@@ -38,10 +38,10 @@ const (
 	stateFailed  sweepState = "failed"
 )
 
-// sweepRun is the in-memory record of one sweep: its spec and state, the
-// flight recorder, and, once finished, the identity of its result in the
-// store — never its bytes, nor a decoded copy. Its event history is a log
-// on disk, and its job rows are the coordinator's (coord.Jobs) until done.
+// sweepRun is the in-memory record of one sweep: its spec and state and,
+// once finished, the identity of its result in the store — never its
+// bytes, nor a decoded copy. Its event history is a log on disk, and its
+// job rows are the coordinator's (coord.Jobs) until done.
 type sweepRun struct {
 	ID        string     `json:"id"`
 	State     sweepState `json:"state"`
@@ -65,25 +65,7 @@ type sweepRun struct {
 	// object every full read fetches and verifies.
 	resultETag string
 	resultSize int
-
-	// The flight recorder: a bounded ring of the sweep's most recent
-	// per-step phase timings, fed by "trace" events (worker heartbeat
-	// batches) and served at /v1/sweeps/{id}/trace. Trace events are kept
-	// out of the event log — the recorder is a window, not an archive.
-	traceRing []traceRecord
-	traceNext int // overwrite cursor once the ring is full
 }
-
-// traceRecord is one flight-recorder entry: which job the step belongs
-// to plus the engine's per-phase timings for it.
-type traceRecord struct {
-	Job string `json:"job"`
-	dsmc.StepTrace
-}
-
-// traceRingCap bounds the flight recorder's memory per sweep: 1024
-// records ≈ 48 KiB, a few minutes of recent stepping at typical rates.
-const traceRingCap = 1024
 
 // statusView is the JSON shape of GET /v1/sweeps/{id}.
 type statusView struct {
@@ -103,7 +85,7 @@ type statusView struct {
 //
 //	<data>/<id>/spec.json      the submitted spec (resume source)
 //	<data>/<id>/events.ndjson  the event log /events replays and tails:
-//	                           every non-trace event, appended unsynced
+//	                           every event, appended unsynced
 //	<data>/<id>/ckpt/          per-job checkpoints (internal/ckpt format): the
 //	                           checkpoint_dir the submission sets in spec.json,
 //	                           made when the coordinator registers the jobs (a
@@ -424,17 +406,19 @@ func (s *server) register(id string, spec dsmc.SweepSpec, resumed bool) *sweepRu
 		run.Submitted = fi.ModTime().UTC()
 	}
 	path := s.eventsPath(id)
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		err = nil
-	}
-	run.logSize = int64(bytes.LastIndexByte(data, '\n') + 1)
-	if torn := int64(len(data)) - run.logSize; err == nil && torn > 0 {
-		log.Printf("%s: dropping a torn last line (%d bytes)", path, torn)
-		err = os.Truncate(path, run.logSize)
-	}
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
 	if err == nil {
-		run.logFile, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+		var size int64
+		run.logSize, size, err = wholeLines(f)
+		if torn := size - run.logSize; err == nil && torn > 0 {
+			log.Printf("%s: dropping a torn last line (%d bytes)", path, torn)
+			err = f.Truncate(run.logSize)
+		}
+		if err == nil {
+			run.logFile = f
+		} else {
+			f.Close()
+		}
 	}
 	if err != nil {
 		log.Printf("%s: opening events.ndjson: %v", id, err)
@@ -443,6 +427,29 @@ func (s *server) register(id string, spec dsmc.SweepSpec, resumed bool) *sweepRu
 	s.sweeps[id] = run
 	s.mu.Unlock()
 	return run
+}
+
+// wholeLines returns the length of f's whole lines, the offset just past
+// its last newline, and f's size. It reads back from the end, so only a
+// torn last line is read, not the log.
+func wholeLines(f *os.File) (whole, size int64, err error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
+	size = fi.Size()
+	buf := make([]byte, 4<<10)
+	for end := size; end > 0; {
+		n := min(end, int64(len(buf)))
+		if _, err := f.ReadAt(buf[:n], end-n); err != nil {
+			return 0, size, err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			return end - n + int64(i) + 1, size, nil
+		}
+		end -= n
+	}
+	return 0, size, nil
 }
 
 // eventsPath is where a sweep's event log lives.
@@ -543,22 +550,10 @@ func (s *server) gcStore() {
 
 // observe appends an event to the sweep's log with one unsynced
 // write(2), under the coordinator's lock, and wakes the log's readers; a
-// failed append is logged and cut back. Trace batches feed the recorder.
+// failed append is logged and cut back.
 func (r *sweepRun) observe(e dsmc.SweepEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e.Type == "trace" {
-		for _, tr := range e.Trace {
-			rec := traceRecord{Job: e.Job, StepTrace: tr}
-			if len(r.traceRing) < traceRingCap {
-				r.traceRing = append(r.traceRing, rec)
-			} else {
-				r.traceRing[r.traceNext] = rec
-				r.traceNext = (r.traceNext + 1) % traceRingCap
-			}
-		}
-		return
-	}
 	if r.logFile == nil {
 		return // finished (nothing is emitted after the end), or no log
 	}
@@ -596,16 +591,6 @@ func (r *sweepRun) finish(etag string, size int, err error) {
 	close(r.grew)
 }
 
-// traceSnapshot returns the flight recorder's contents, oldest first.
-func (r *sweepRun) traceSnapshot() []traceRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]traceRecord, 0, len(r.traceRing))
-	out = append(out, r.traceRing[r.traceNext:]...)
-	out = append(out, r.traceRing[:r.traceNext]...)
-	return out
-}
-
 // status is the sweep's view without its job rows.
 func (r *sweepRun) status() statusView {
 	r.mu.Lock()
@@ -618,7 +603,6 @@ func (r *sweepRun) status() statusView {
 		Links: map[string]string{
 			"events": "/v1/sweeps/" + r.ID + "/events",
 			"result": "/v1/sweeps/" + r.ID + "/result",
-			"trace":  "/v1/sweeps/" + r.ID + "/trace",
 		},
 	}
 }
@@ -634,7 +618,6 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleStatus)
 	mux.HandleFunc("GET /v1/sweeps/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/sweeps/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /v1/sweeps/{id}/trace", s.handleTrace)
 	mux.HandleFunc("GET /v1/store", s.handleStoreList)
 	mux.HandleFunc("GET /v1/store/{sha}", s.handleStoreObject)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -663,21 +646,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.coord.WriteMetrics(w)
 	s.store.WriteMetrics(w)
-}
-
-// handleTrace serves the sweep's flight recorder: the most recent
-// per-step phase timings (bounded ring, oldest first) with the phase
-// name table that indexes each record's phase_ns array.
-func (s *server) handleTrace(w http.ResponseWriter, req *http.Request) {
-	run := s.lookup(w, req)
-	if run == nil {
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"sweep":  run.ID,
-		"phases": dsmc.StepPhases,
-		"trace":  run.traceSnapshot(),
-	})
 }
 
 // decodeSpec is the strict SweepSpec decoder of submissions and of
@@ -762,7 +730,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		"status": "/v1/sweeps/" + id,
 		"events": "/v1/sweeps/" + id + "/events",
 		"result": "/v1/sweeps/" + id + "/result",
-		"trace":  "/v1/sweeps/" + id + "/trace",
 	})
 }
 
@@ -813,9 +780,8 @@ func (s *server) handleStatus(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, v)
 }
 
-// handleEvents streams the sweep's progress as NDJSON: its event log —
-// every event but the "trace" batches, which /trace serves — from the
-// first line, then each line as it is appended, until the sweep has
+// handleEvents streams the sweep's progress as NDJSON: its event log from
+// the first line, then each line as it is appended, until the sweep has
 // finished and the log is drained or the client goes away. The log is on
 // disk, so a slow client misses nothing and a restarted server replays
 // the history from before the restart. In quiet phases the stream emits

@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -96,10 +99,12 @@ func submit(t testing.TB, ts *httptest.Server, spec dsmc.SweepSpec) string {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out["id"] == "" {
-		t.Fatal("submit returned no id")
+	id := out["id"]
+	base := "/v1/sweeps/" + id
+	if id == "" || !maps.Equal(out, map[string]string{"id": id, "status": base, "events": base + "/events", "result": base + "/result"}) {
+		t.Fatalf("submit replied %v, want an id and its status, events and result links", out)
 	}
-	return out["id"]
+	return id
 }
 
 func waitDone(t testing.TB, ts *httptest.Server, id string) statusView {
@@ -141,6 +146,12 @@ func TestServerLifecycle(t *testing.T) {
 	}
 	if len(st.Jobs) != 3 { // 2 replicas + 1 aggregate
 		t.Errorf("status lists %d jobs, want 3", len(st.Jobs))
+	}
+	if base := "/v1/sweeps/" + id; !maps.Equal(st.Links, map[string]string{"events": base + "/events", "result": base + "/result"}) {
+		t.Errorf("status links %v, want events and result only", st.Links)
+	}
+	if resp, _ := get(t, ts.URL+"/v1/sweeps/"+id+"/trace", ""); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /trace: %s, want 404", resp.Status)
 	}
 
 	// Events: finished sweep streams its full history and closes.
@@ -618,6 +629,44 @@ func TestEventLogTornLine(t *testing.T) {
 	if len(pre) == 0 || !bytes.Equal(post, pre) {
 		t.Errorf("/events after the torn append: %d bytes, want the %d bytes served before it", len(post), len(pre))
 	}
+}
+
+// TestRegisterReadsLogTail: registering a sweep finds its event log's
+// torn last line by reading back from the end, so a 4 MB log costs the
+// start-up no more than a small one: under 64 KiB allocated, and the log
+// is cut back to its whole lines.
+func TestRegisterReadsLogTail(t *testing.T) {
+	dir := t.TempDir()
+	s, err := newServer(dir, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.close)
+	const id = "sw-000001"
+	if err := os.Mkdir(filepath.Join(dir, id), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	line := []byte(`{"type":"job-progress","job":"rarefied/r000","scenario":"rarefied","steps_done":4,"steps_total":8}` + "\n")
+	whole := bytes.Repeat(line, 4<<20/len(line)+1)
+	torn := `{"type":"job-progress","job":"rarefied/r0`
+	if err := os.WriteFile(s.eventsPath(id), append(whole, torn...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	r := s.register(id, tinySpec(), true)
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= 64<<10 {
+		t.Errorf("registering over a %d-byte log allocated %d bytes, want < 64 KiB", len(whole), got)
+	}
+	if r.logSize != int64(len(whole)) || r.logFile == nil {
+		t.Fatalf("registered log of %d whole bytes (open %v), want %d", r.logSize, r.logFile != nil, len(whole))
+	}
+	if fi, err := os.Stat(s.eventsPath(id)); err != nil || fi.Size() != int64(len(whole)) {
+		t.Fatalf("log on disk after the cut: %v, %v; want %d bytes", fi, err, len(whole))
+	}
+	r.finish("", 0, errors.New("test over"))
 }
 
 // specWithField marshals spec and sets one extra field in the JSON object

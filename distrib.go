@@ -66,19 +66,8 @@ type ReplicaOutput = store.Output
 // one with only Save gets the bytes, from a buffer the job reuses.
 type JobCheckpoint = run.CkptStore
 
-// StepTrace is one completed engine step's flight-recorder record:
-// the step index, that step's wall time per pipeline phase in
-// nanoseconds (indexed like StepPhases), and the flow's particle
-// count. The timings come from the engine's existing phase-time
-// chokepoint — observing them adds no clock reads and cannot perturb
-// results.
-type StepTrace struct {
-	Step      int      `json:"step"`
-	PhaseNs   [4]int64 `json:"phase_ns"`
-	Particles int      `json:"particles"`
-}
-
-// StepPhases names the four pipeline phases, indexing StepTrace.PhaseNs.
+// StepPhases names the Reference backend's four pipeline phases, in
+// pipeline order: the keys of Simulation.PhaseSeconds.
 var StepPhases = [4]string{"move+boundary", "sort", "select", "collide"}
 
 // SweepJobIO carries the side channels of a single-job execution.
@@ -92,10 +81,6 @@ type SweepJobIO struct {
 	// Progress observes (stepsDone, stepsTotal) at start, after every
 	// checkpoint interval, and at completion.
 	Progress func(done, total int)
-	// OnStepTrace, when non-nil, observes every completed step's phase
-	// timings — the flight-recorder feed. Called on the stepping
-	// goroutine; implementations must be fast and must not block.
-	OnStepTrace func(StepTrace)
 }
 
 // RunSweepJob executes exactly one replica job of a sweep — the unit a
@@ -111,13 +96,7 @@ func RunSweepJob(ctx context.Context, spec SweepSpec, point, replica int, io Swe
 	if err != nil {
 		return nil, err
 	}
-	jio := run.JobIO{Ckpt: io.Checkpoint, Progress: io.Progress}
-	if trace := io.OnStepTrace; trace != nil {
-		jio.StepTrace = func(step int, phaseNs [4]int64, particles int) {
-			trace(StepTrace{Step: step, PhaseNs: phaseNs, Particles: particles})
-		}
-	}
-	return run.RunJob(ctx, sw.sp, point, replica, jio)
+	return run.RunJob(ctx, sw.sp, point, replica, run.JobIO{Ckpt: io.Checkpoint, Progress: io.Progress})
 }
 
 // NewTable builds the sweep's job table — its Jobs, keyed by StoreKey,

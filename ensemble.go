@@ -202,10 +202,9 @@ type SweepResult struct {
 }
 
 // SweepEvent is one observation of sweep progress, delivered serially
-// to the RunSweep observer. dsmcd adds two kinds: "trace" events carry a
-// running job's flight-recorder batch, served at /v1/sweeps/{id}/trace
-// only, and "keepalive" events a coordinator snapshot on /events, which
-// replays every other event from the sweep's log on disk, across restarts.
+// to the RunSweep observer. dsmcd adds one kind: "keepalive" events carry
+// a coordinator snapshot on /events, which replays every other event
+// from the sweep's log on disk, across restarts.
 type SweepEvent struct {
 	Type       string `json:"type"`
 	Job        string `json:"job,omitempty"`
@@ -214,9 +213,6 @@ type SweepEvent struct {
 	StepsDone  int    `json:"steps_done,omitempty"`
 	StepsTotal int    `json:"steps_total,omitempty"`
 	Err        string `json:"err,omitempty"`
-	// Trace carries per-step phase timings on "trace" events (a small
-	// recent batch, piggybacked on worker heartbeats).
-	Trace []StepTrace `json:"trace,omitempty"`
 	// Status is the coordinator snapshot attached to "keepalive" events.
 	Status *SweepStatus `json:"status,omitempty"`
 }

@@ -9,9 +9,9 @@ import (
 // virtual processor for data-path operations and per instruction for the
 // front-end. The relative structure (issue overhead vs per-VP work vs
 // communication) reproduces the shape of the paper's performance results;
-// the absolute level is set by CycleMacroOp.
+// the absolute level is set by cycleMacroOp.
 //
-// CycleMacroOp calibrates the fact that each operation this substrate
+// cycleMacroOp calibrates the fact that each operation this substrate
 // charges is a routine-level macro-op standing in for a burst of real
 // Paris instructions (the Update that performs a whole collision is one
 // charge here but hundreds of bit-serial instructions on the machine).
@@ -19,41 +19,41 @@ import (
 // absolute numbers: 7.2 µs/particle/step at 512k particles on a
 // 32k-processor machine (3.5 h for the 3200-step run).
 const (
-	// CycleMacroOp is the macro-op expansion factor described above,
-	// applied to data-path and communication costs; CycleIssueFactor is
+	// cycleMacroOp is the macro-op expansion factor described above,
+	// applied to data-path and communication costs; cycleIssueFactor is
 	// the (smaller) factor for the front-end issue overhead. The pair is
 	// fitted to both ends of the paper's Figure 7 curve: ~10.5 µs per
 	// particle-step at 32k particles (VP ratio 1) and 7.2 µs at 512k
 	// (VP ratio 16) on the 32k-processor machine.
-	CycleMacroOp = 59
+	cycleMacroOp = 59
 	// CycleALU32 is one 32-bit integer add/sub/compare/move macro-op in
 	// the bit-serial data path.
-	CycleALU32 = 40 * CycleMacroOp
+	CycleALU32 = 40 * cycleMacroOp
 	// CycleMul32 is a 32-bit multiply (quadratic in width when bit-serial).
-	CycleMul32 = 700 * CycleMacroOp
+	CycleMul32 = 700 * cycleMacroOp
 	// CycleDiv32 is a 32-bit divide.
-	CycleDiv32 = 900 * CycleMacroOp
+	CycleDiv32 = 900 * cycleMacroOp
 	// CycleIssue is the fixed front-end instruction issue/decode/broadcast
 	// overhead per macro-op, independent of the VP ratio. Its amortization
 	// over more virtual processors is one of the two causes of the
 	// per-particle speedup in Figure 7.
-	CycleIssue = 2600 * CycleIssueFactor
-	// CycleIssueFactor is the macro-op factor for front-end issue.
-	CycleIssueFactor = 3
+	CycleIssue = 2600 * cycleIssueFactor
+	// cycleIssueFactor is the macro-op factor for front-end issue.
+	cycleIssueFactor = 3
 	// CycleScanWire is the per-stage cost of the scan/reduction network;
 	// a scan costs VPR*CycleALU32 + log2(P)*CycleScanWire.
-	CycleScanWire = 60 * CycleMacroOp
-	// CycleCommFactor is the macro-op factor for per-message communication
+	CycleScanWire = 60 * cycleMacroOp
+	// cycleCommFactor is the macro-op factor for per-message communication
 	// costs; messages are closer to single hardware operations than the
 	// routine-level compute charges, so their factor is smaller.
-	CycleCommFactor = 21
+	cycleCommFactor = 21
 	// CycleLocalMove is moving one 32-bit word between virtual processors
 	// resident in the same physical processor (a memory copy).
-	CycleLocalMove = 50 * CycleCommFactor
+	CycleLocalMove = 50 * cycleCommFactor
 	// CycleRouter is delivering one 32-bit message through the general
 	// router between distinct physical processors, the expensive path the
 	// sort and the collision pairing try to avoid.
-	CycleRouter = 1200 * CycleCommFactor
+	CycleRouter = 1200 * cycleCommFactor
 	// ClockHz is the modelled clock rate used to convert cycles to time.
 	ClockHz = 7_000_000
 )

@@ -291,16 +291,6 @@ func (c *Coordinator) HandleHeartbeat(hb Heartbeat) (string, error) {
 			StepsDone: hb.StepsDone, StepsTotal: j.StepsTotal,
 		})
 	}
-	// A trace batch from the live lease holder is emitted as a "trace"
-	// event — the flight-recorder feed. Batches from stale leases never
-	// reach here, so a redispatched job's recorder shows one worker's
-	// timeline at a time.
-	if len(hb.Trace) > 0 {
-		c.emitLocked(st.id, dsmc.SweepEvent{
-			Type: "trace", Job: j.ID, Scenario: st.names[j.Point], Replica: j.Replica,
-			Trace: hb.Trace,
-		})
-	}
 	return HBOK, nil
 }
 

@@ -206,9 +206,8 @@ func readUpload(w http.ResponseWriter, r *http.Request, limit int64) (data []byt
 }
 
 // maxJSONBytes caps the body of a poll, heartbeat, release or fail. The
-// largest of them is a heartbeat, which carries at most maxTraceBatch
-// (16) trace records and one engine snapshot: 2.2 KB measured with a
-// full batch and the 11-sample snapshot, so 64 KiB leaves ~30x headroom.
+// largest of them is a heartbeat, which carries one engine snapshot (11
+// samples): under 2.2 KB, so 64 KiB leaves ~30x headroom.
 const maxJSONBytes = 64 << 10
 
 // decodeJSON decodes a JSON request body of at most maxJSONBytes into v.

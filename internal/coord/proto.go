@@ -49,7 +49,6 @@ import (
 	"encoding/json"
 	"errors"
 
-	"dsmc"
 	"dsmc/internal/obs"
 )
 
@@ -93,12 +92,11 @@ type Lease struct {
 }
 
 // Heartbeat carries a worker's liveness and step progress for its
-// current lease, plus two optional telemetry piggybacks: a compact
-// snapshot of the worker's engine instruments (re-emitted by the
-// coordinator's /metrics with a worker label) and the recent
-// flight-recorder batch (emitted as "trace" events). Both ride the
-// heartbeat the worker already sends, so telemetry costs no extra
-// round-trips and stops flowing exactly when liveness does.
+// current lease, plus a compact snapshot of the worker's engine
+// instruments (re-emitted by the coordinator's /metrics with a worker
+// label). The snapshot rides the heartbeat the worker already sends, so
+// it costs no extra round-trip and stops flowing exactly when liveness
+// does.
 type Heartbeat struct {
 	Worker     string `json:"worker"`
 	Sweep      string `json:"sweep"`
@@ -107,8 +105,7 @@ type Heartbeat struct {
 	StepsDone  int    `json:"steps_done"`
 	StepsTotal int    `json:"steps_total"`
 
-	Metrics []obs.Sample     `json:"metrics,omitempty"`
-	Trace   []dsmc.StepTrace `json:"trace,omitempty"`
+	Metrics []obs.Sample `json:"metrics,omitempty"`
 }
 
 // Heartbeat responses.

@@ -39,7 +39,12 @@ type LocalQueue struct{ C *Coordinator }
 func (q LocalQueue) Poll(_ context.Context, workerID string) (*Lease, error) {
 	return q.C.Poll(workerID)
 }
+
+// Heartbeat drops the engine snapshot: an embedded worker's is of the
+// process-global registry, whose families the process's /metrics serves
+// already, so the dsmc_fleet_* rows are external workers' only.
 func (q LocalQueue) Heartbeat(_ context.Context, hb Heartbeat) (string, error) {
+	hb.Metrics = nil
 	return q.C.HandleHeartbeat(hb)
 }
 func (q LocalQueue) LoadCheckpoint(_ context.Context, l *Lease) ([]byte, error) {
@@ -88,10 +93,6 @@ const (
 	// TTL: a lease survives seven lost or late ones.
 	heartbeatsPerTTL = 8
 )
-
-// maxTraceBatch bounds the flight-recorder records a single heartbeat
-// carries; older records are dropped, keeping heartbeats small.
-const maxTraceBatch = 16
 
 // Worker pulls jobs from a coordinator and runs them with
 // dsmc.RunSweepJob, heartbeating and uploading checkpoints as it goes.
@@ -165,31 +166,15 @@ func (w *Worker) runJob(ctx context.Context, l *Lease) {
 	var abandoned atomic.Bool
 	var stepsDone atomic.Int64
 
-	// The flight-recorder buffer: the stepping goroutine appends one
-	// record per engine step, the next heartbeat drains the batch to the
-	// coordinator. Bounded — under slow heartbeats only the most recent
-	// maxTraceBatch steps survive, which is the recorder's contract.
-	var traceMu sync.Mutex
-	var traceBuf []dsmc.StepTrace
-	takeTrace := func() []dsmc.StepTrace {
-		traceMu.Lock()
-		defer traceMu.Unlock()
-		out := traceBuf
-		traceBuf = nil
-		return out
-	}
-
-	// sendHB heartbeats the current progress, piggybacking the recent
-	// trace batch and a compact engine-instrument snapshot; a stale
-	// lease answer cancels the job immediately so no further work is
-	// wasted.
+	// sendHB heartbeats the current progress, piggybacking a compact
+	// engine-instrument snapshot; a stale lease answer cancels the job
+	// immediately so no further work is wasted.
 	sendHB := func(done int) {
 		hbCtx, cancelHB := context.WithTimeout(context.Background(), ioTimeout)
 		status, err := w.cfg.Queue.Heartbeat(hbCtx, Heartbeat{
 			Worker: w.cfg.ID, Sweep: l.Sweep, Job: l.Job, Lease: l.LeaseID,
 			StepsDone: done, StepsTotal: l.StepsTotal,
 			Metrics: obs.Default.Snapshot("dsmc_engine_"),
-			Trace:   takeTrace(),
 		})
 		cancelHB()
 		if err == nil && status == HBAbandon {
@@ -222,15 +207,6 @@ func (w *Worker) runJob(ctx context.Context, l *Lease) {
 	store := &queueCkpt{w: w, l: l, abandoned: &abandoned, cancel: cancel}
 	out, err := dsmc.RunSweepJob(jobCtx, spec, l.Point, l.Replica, dsmc.SweepJobIO{
 		Checkpoint: store,
-		OnStepTrace: func(tr dsmc.StepTrace) {
-			traceMu.Lock()
-			if len(traceBuf) >= maxTraceBatch {
-				copy(traceBuf, traceBuf[1:])
-				traceBuf = traceBuf[:maxTraceBatch-1]
-			}
-			traceBuf = append(traceBuf, tr)
-			traceMu.Unlock()
-		},
 		Progress: func(done, total int) {
 			stepsDone.Store(int64(done))
 			if w.cfg.KillAfterSteps > 0 && done >= w.cfg.KillAfterSteps {

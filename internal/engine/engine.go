@@ -200,10 +200,8 @@ type Engine[F kernel.Float] struct {
 	collisions int64
 	phaseTime  [numPhases]time.Duration
 
-	// stepObs, when set, receives each completed step's phase-time
-	// deltas (the flight-recorder feed); prevColl tracks the collision
-	// counter between steps so the metrics see per-step increments.
-	stepObs  func(step int, phaseNs [numPhases]int64, particles int)
+	// prevColl tracks the collision counter between steps so the
+	// metrics see per-step increments.
 	prevColl int64
 
 	// Prebuilt shard bodies: building them once keeps the pool dispatch
@@ -325,17 +323,6 @@ func (e *Engine[F]) PhaseTimes() map[string]time.Duration {
 	return out
 }
 
-// SetStepObserver registers fn to be called at the end of every Step
-// with the step index just completed, that step's per-phase wall times
-// in nanoseconds (indexed by Phase), and the flow's particle count —
-// the feed behind the flight recorder. fn runs on the stepping
-// goroutine and must not allocate or block; nil unregisters. The
-// observer reuses durations already booked through the now()/since()
-// chokepoint, so it adds no clock reads and cannot move bits.
-func (e *Engine[F]) SetStepObserver(fn func(step int, phaseNs [numPhases]int64, particles int)) {
-	e.stepObs = fn
-}
-
 // Step advances the simulation one time step through the four sub-steps.
 // The domain's Relax shares the pool with the sort, select and collide
 // passes: it draws only from the domain's own state, and those passes only
@@ -358,28 +345,22 @@ func (e *Engine[F]) Step() {
 	e.recordStep(prev)
 }
 
-// recordStep publishes the completed step to the metrics registry and
-// the step observer: per-phase deltas against the pre-step snapshot of
-// the cumulative phaseTime breakdown (no additional clock reads), the
-// collision increment, and the particle count. All record calls are
-// atomic and allocation-free (pinned by obs's and this package's
-// AllocsPerRun tests).
+// recordStep publishes the completed step to the metrics registry:
+// per-phase deltas against the pre-step snapshot of the cumulative
+// phaseTime breakdown (no additional clock reads), the collision
+// increment, and the particle count. All record calls are atomic and
+// allocation-free (pinned by obs's and this package's AllocsPerRun
+// tests).
 //
 //dsmc:hotpath
 func (e *Engine[F]) recordStep(prev [numPhases]time.Duration) {
-	var ns [numPhases]int64
-	for p := range ns {
-		ns[p] = int64(e.phaseTime[p] - prev[p])
-		mPhase[p].Observe(float64(ns[p]) / 1e9)
+	for p := range mPhase {
+		mPhase[p].Observe(float64(e.phaseTime[p]-prev[p]) / 1e9)
 	}
-	n := e.store.Len()
 	mSteps.Inc()
-	mParticles.Set(float64(n))
+	mParticles.Set(float64(e.store.Len()))
 	mCollisions.Add(uint64(e.collisions - e.prevColl))
 	e.prevColl = e.collisions
-	if e.stepObs != nil {
-		e.stepObs(e.step-1, ns, n)
-	}
 }
 
 // Run advances n steps.

@@ -15,17 +15,11 @@ import "math"
 // The paper uses 23 bits of precision in a 32-bit word.
 const FracBits = 23
 
-// One is the fixed-point representation of 1.0.
-const One Fix = 1 << FracBits
-
 // Max and Min are the saturation limits of the format.
 const (
 	Max Fix = math.MaxInt32
 	Min Fix = math.MinInt32
 )
-
-// Eps is the smallest positive increment representable in the format.
-const Eps Fix = 1
 
 // Fix is a signed 32-bit fixed-point number with FracBits fractional bits.
 // The integer range is [-256, 256) with a resolution of 2^-23.

@@ -27,7 +27,7 @@ func TestFromFloatSaturates(t *testing.T) {
 }
 
 func TestFromInt(t *testing.T) {
-	if FromInt(3) != 3*One {
+	if FromInt(3) != 3<<FracBits {
 		t.Errorf("FromInt(3) = %v", FromInt(3))
 	}
 	if FromInt(1000) != Max {
@@ -61,10 +61,10 @@ func TestAddSubProperty(t *testing.T) {
 }
 
 func TestAddSaturates(t *testing.T) {
-	if Add(Max, One) != Max {
+	if Add(Max, FromInt(1)) != Max {
 		t.Errorf("Add overflow must saturate")
 	}
-	if Sub(Min, One) != Min {
+	if Sub(Min, FromInt(1)) != Min {
 		t.Errorf("Sub underflow must saturate")
 	}
 }
@@ -86,7 +86,7 @@ func TestMulMatchesFloat(t *testing.T) {
 // rounding in the statistical sense, i.e. E[HalfStochastic(x)] = x/2.
 func TestHalfStochasticUnbiased(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, x := range []Fix{1, 3, -1, -3, 12345, -98765, One + 1} {
+	for _, x := range []Fix{1, 3, -1, -3, 12345, -98765, FromInt(1) + 1} {
 		const n = 200000
 		var sum int64
 		for i := 0; i < n; i++ {
@@ -143,7 +143,7 @@ func TestDirtyBits(t *testing.T) {
 }
 
 func TestScaleNeg(t *testing.T) {
-	if Scale(One, 3) != 3*One {
+	if Scale(FromInt(1), 3) != 3*FromInt(1) {
 		t.Errorf("Scale")
 	}
 	if Scale(Max, 2) != Max {

@@ -110,22 +110,37 @@ func pinnedFrames(t *testing.T) map[string][]byte {
 		// after its tenth step: the same state, the same bytes.
 		streamed, kept := &streamCkpt{}, &lastCkpt{}
 		for _, st := range []run.CkptStore{streamed, kept} {
-			ctx, cancel := context.WithCancel(context.Background())
-			trace := func(step int, _ [4]int64, _ int) {
-				if step == 9 {
-					cancel()
-				}
-			}
-			if _, err := run.RunJob(ctx, spec, 0, 0, run.JobIO{Ckpt: st, StepTrace: trace}); !errors.Is(err, context.Canceled) {
+			ctx := &cancelAfterStep10{Context: context.Background()}
+			arm := func(done, _ int) { ctx.armed = ctx.armed || done == 8 }
+			if _, err := run.RunJob(ctx, spec, 0, 0, run.JobIO{Ckpt: st, Progress: arm}); !errors.Is(err, context.Canceled) {
 				t.Fatalf("job cancelled after its tenth step returned %v, want %v", err, context.Canceled)
 			}
-			cancel()
 		}
 		frames[name("job")] = streamed.data.Bytes()
 		frames[name("job-bytes")] = kept.data.Bytes()
 		frames[name("output")] = store.EncodeOutput(out)
 	}
 	return frames
+}
+
+// cancelAfterStep10 stops the 10-step, checkpoint-every-4 job of
+// pinnedFrames after its tenth step. It is armed when Progress reports
+// step 8; the job then checks Err before its last chunk and after steps
+// 9 and 10, and the third check is the first to answer Canceled.
+type cancelAfterStep10 struct {
+	context.Context
+	armed bool
+	errs  int
+}
+
+func (c *cancelAfterStep10) Err() error {
+	if !c.armed {
+		return nil
+	}
+	if c.errs++; c.errs < 3 {
+		return nil
+	}
+	return context.Canceled
 }
 
 // fnv64 is the FNV-1a hash of b.

@@ -83,7 +83,6 @@ type Sim interface {
 	NReservoir() int
 	SampleInto(acc *sample.Accumulator)
 	PhaseTimes() map[string]time.Duration
-	SetStepObserver(fn func(step int, phaseNs [4]int64, particles int))
 	CheckpointSections(w *ckpt.Writer)
 	RestoreSections(r *ckpt.Reader) error
 	WriteCheckpoint(w io.Writer) error
@@ -193,18 +192,12 @@ func open3D[F kernel.Float](cfg sim3.Config, seed uint64) (*Replica, error) {
 // reached (the state is consistent after any full step) and returns
 // ctx.Err(), so graceful shutdown loses no work and the resumed run is
 // still bit-identical.
-func runReplica(ctx context.Context, sc Scenario, quantities []string, seed uint64, warm, sampleSteps int, ck jobCkpt, progress func(done, total int), trace func(step int, phaseNs [4]int64, particles int)) (*ReplicaResult, error) {
+func runReplica(ctx context.Context, sc Scenario, quantities []string, seed uint64, warm, sampleSteps int, ck jobCkpt, progress func(done, total int)) (*ReplicaResult, error) {
 	job, err := Open(sc, seed)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
 	acc := job.NewAccumulator()
-	if trace != nil {
-		// The flight-recorder feed: per-step phase timings straight off
-		// the engine's existing clock chokepoint. Purely observational —
-		// the observer sees durations, never touches state.
-		job.SetStepObserver(trace)
-	}
 
 	done := 0 // steps completed, warm and sampling combined
 	total := warm + sampleSteps

@@ -128,14 +128,11 @@ func AggregateName(scenario string) string { return scenario + "/aggregate" }
 
 // JobIO carries the side channels of a single-job execution: the
 // checkpoint store (nil disables checkpointing; saves come every
-// Spec.CheckpointEvery steps, none after the job's last), the progress
-// observer, and the per-step trace observer (the flight-recorder feed;
-// called on the stepping goroutine after every step with that step's
-// per-phase wall times in nanoseconds and the particle count).
+// Spec.CheckpointEvery steps, none after the job's last) and the
+// progress observer.
 type JobIO struct {
-	Ckpt      CkptStore
-	Progress  func(done, total int)
-	StepTrace func(step int, phaseNs [4]int64, particles int)
+	Ckpt     CkptStore
+	Progress func(done, total int)
 }
 
 // RunJob executes exactly one replica job of a spec: it resumes from the
@@ -163,7 +160,7 @@ func RunJob(ctx context.Context, sp Spec, scenarioIdx, replica int, io JobIO) (*
 		}
 	}
 	seed := jobSeed(sp.BaseSeed, scenarioIdx, replica)
-	return runReplica(ctx, sp.Scenarios[scenarioIdx], sp.quantities(), seed, sp.WarmSteps, sp.SampleSteps, ck, io.Progress, io.StepTrace)
+	return runReplica(ctx, sp.Scenarios[scenarioIdx], sp.quantities(), seed, sp.WarmSteps, sp.SampleSteps, ck, io.Progress)
 }
 
 // Result is a completed sweep: one aggregate per scenario, in scenario
