@@ -113,12 +113,12 @@ func TestRecoverRemovesOrphanTmp(t *testing.T) {
 	ts1.Close()
 	s1.close()
 
-	// Plant orphans where the atomic writers put their temp files, and
-	// where an earlier build's result link did.
+	// Plant orphans where the atomic writers put their temp files: the
+	// spec's, a job checkpoint's, and a coordinator's checkpoint upload.
 	orphans := []string{
-		filepath.Join(dir, id, "result.json.tmp"),
 		filepath.Join(dir, id, "spec.json.tmp"),
 		filepath.Join(dir, id, "ckpt", "job-s000-r000.ckpt.tmp"),
+		filepath.Join(dir, id, "ckpt", "job-s000-r001.ckpt.3f2a9c-l000001-1.tmp"),
 	}
 	for _, p := range orphans {
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {

@@ -30,9 +30,10 @@
 // {...}}) of any kind, including the 3D shock tube, and "quantities"
 // selects the fields sampled in the one accumulation pass (default
 // density). Points may override physics knobs and the grid shape; each
-// point's aggregate carries its own field shape. The flat "base" object
-// of earlier builds is an unknown field (400); finished sweeps stored in
-// that form are still served, unfinished ones fail on restart naming it.
+// point's aggregate carries its own field shape. A field this build does
+// not know, such as the flat "base" object, is a 400 at submit; in a
+// persisted spec.json it fails an unfinished sweep on restart, naming
+// it, while a done one is still served.
 //
 // README's dsmcd section has a curl session, over a 2D and a 3D base.
 //
@@ -68,8 +69,7 @@
 // SHA-256 as a strong ETag and immutable caching, and one that rotted or
 // that -store-budget evicted is a 500 naming the sweep while the read
 // recomputes it. README's "Result store & memoization" has the layout,
-// the cache semantics and retention, and its "Upgrading" the adoption of
-// the result files earlier builds kept beside the store.
+// the cache semantics and retention.
 //
 // # Observability
 //

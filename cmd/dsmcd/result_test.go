@@ -140,6 +140,12 @@ func TestResultHeadAndLength(t *testing.T) {
 	}
 }
 
+// etagOf is the strong validator dsmcd serves for body: its SHA-256 in
+// hex, quoted.
+func etagOf(body []byte) string {
+	return fmt.Sprintf("\"%x\"", sha256.Sum256(body))
+}
+
 // resultObject is the store object a result with this ETag is.
 func resultObject(dir, etag string) string {
 	return filepath.Join(dir, "store", "objects", strings.Trim(etag, `"`))

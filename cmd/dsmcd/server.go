@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -270,15 +269,6 @@ func (s *server) recover() error {
 		if specErr == nil {
 			sw, specErr = dsmc.NewSweep(spec)
 		}
-		// A spec that no longer lowers has no ResultKey; its result, if it
-		// finished under an earlier build, is kept under the sweep's ID.
-		key := "res-" + id
-		if sw != nil {
-			key = sw.ResultKey
-		}
-		if err := s.adopt(id, key); err != nil {
-			return fmt.Errorf("recover %s: adopting result.json: %w", id, err)
-		}
 		if etag, size, ok := s.readRef(id); ok {
 			run.finish(etag, size, nil)
 			s.dropCheckpoints(id) // a crash may have come between the two
@@ -293,41 +283,13 @@ func (s *server) recover() error {
 		log.Printf("recover %s: resuming from checkpoints", id)
 		resume = append(resume, func() { s.execute(run, sw) })
 	}
-	// GC runs after adoption, so adopted results count against the budget,
-	// and before the resumed sweeps register, so their memo passes see only
-	// what stays.
+	// GC runs before the resumed sweeps register, so their memo passes
+	// see only what stays.
 	s.gcStore()
 	for _, execute := range resume {
 		go execute()
 	}
 	return nil
-}
-
-// adopt takes in, once, the <data>/<id>/result.json an earlier build kept
-// beside the store (a hard link to the object). A file that is JSON and,
-// where the index names a hash for key, hashes to it is published under
-// key — an ack when the store already holds it — and becomes the sweep's
-// result.ref; any other is dropped, and the sweep recomputed. The file is
-// then deleted. An error leaves it in place and fails start-up.
-func (s *server) adopt(id, key string) error {
-	path := filepath.Join(s.dataDir, id, "result.json")
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if indexed, ok := s.store.Lookup(key); json.Valid(data) && (!ok || etagOf(data) == `"`+indexed+`"`) {
-		sha, err := s.store.Put(key, data)
-		if err != nil {
-			return err
-		}
-		s.writeRef(id, `"`+sha+`"`, len(data))
-	} else {
-		log.Printf("recover %s: dropping a result.json that is not the stored result", id)
-	}
-	return os.Remove(path)
 }
 
 // writeRef records a done sweep's result in <data>/<id>/result.ref, one
@@ -388,9 +350,9 @@ func idNumber(id string) int {
 }
 
 // register creates the in-memory record (state running) and opens its
-// event log for appending: created if missing (older builds wrote none),
-// cut back to its last newline if a crash tore the unsynced last line. A
-// log that cannot be opened is logged; the sweep then runs without one.
+// event log for appending: created if missing, cut back to its last
+// newline if a crash tore the unsynced last line. A log that cannot be
+// opened is logged; the sweep then runs without one.
 // The submission time is spec.json's modification time — the file is
 // written once, at submit — so a restart reports the same one.
 func (s *server) register(id string, spec dsmc.SweepSpec, resumed bool) *sweepRun {
@@ -1038,12 +1000,6 @@ func (s *server) handleStoreObject(w http.ResponseWriter, req *http.Request) {
 // blesses, and revalidation is pointless because the bytes cannot
 // change under their identity.
 const immutableCache = "public, max-age=31536000, immutable"
-
-// etagOf is the strong validator of a representation: its SHA-256 in
-// hex, quoted.
-func etagOf(body []byte) string {
-	return fmt.Sprintf("\"%x\"", sha256.Sum256(body))
-}
 
 // notModified stamps the headers every content-addressed resource
 // carries — its strong ETag and the immutable cache policy — and answers

@@ -378,19 +378,6 @@ func TestServerScenarioSweep(t *testing.T) {
 
 func iptr(v int) *int { return &v }
 
-// linkResultJSON lays a finished sweep's directory out as builds before
-// the store-only result left it: <data>/<id>/result.json a hard link to
-// the store object whose hash etag quotes, and no result.ref.
-func linkResultJSON(t testing.TB, dir, id, etag string) {
-	t.Helper()
-	if err := os.Link(resultObject(dir, etag), filepath.Join(dir, id, "result.json")); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, id, "result.ref")); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestServerRecovery: a new server over an existing data directory
 // serves finished sweeps and their results without re-running them — the
 // same bytes under the same ETag as before the restart, because both
@@ -692,15 +679,14 @@ func specWithField(t testing.TB, spec dsmc.SweepSpec, path []string, field strin
 	return raw
 }
 
-// TestRecoveryStaleSpec: a data directory written by an older build —
-// before the flat "base" format went, and before SortTile and
-// SpatialRegions were deleted. A finished sweep whose spec.json is of the
-// "base" form, with the result.json that build linked to the store object,
-// keeps serving the same bytes under the same ETag; an
-// unfinished one ends failed with the field named, whether that is the
-// "base" object or a deleted knob in the scenario params; the server
-// starts regardless and an unfinished sweep with a clean spec resumes
-// and completes.
+// TestRecoveryStaleSpec: a data directory whose spec.json files carry
+// fields this build does not know — the flat "base" object, a deleted
+// knob in the scenario params. A finished sweep whose spec.json is of the
+// "base" form keeps its result.ref and serves the same bytes under the
+// same ETag; once its store object is gone, its GET is a 500 saying it
+// cannot be recomputed. An unfinished one ends failed with the field
+// named; the server starts regardless and an unfinished sweep with a
+// clean spec resumes and completes.
 func TestRecoveryStaleSpec(t *testing.T) {
 	dir := t.TempDir()
 	_, ts1, done := doneSweep(t, dir, tinySpec())
@@ -721,7 +707,6 @@ func TestRecoveryStaleSpec(t *testing.T) {
 		return spec
 	}
 	persist(done, legacySpecJSON(filepath.Join(dir, done, "ckpt")))
-	linkResultJSON(t, dir, done, pre.Header.Get("ETag"))
 	persist("sw-000002", legacySpecJSON(filepath.Join(dir, "sw-000002", "ckpt")))
 	persist("sw-000003", specWithField(t, unfinished("sw-000003", tinySpec()), []string{"scenario", "params"}, "SortTile", 64))
 	clean, err := json.Marshal(unfinished("sw-000004", tinySpec()))
@@ -749,6 +734,12 @@ func TestRecoveryStaleSpec(t *testing.T) {
 	}
 	if st := waitDone(t, ts2, "sw-000004"); st.State != stateDone {
 		t.Errorf("clean unfinished sweep: state %s (%s), want done", st.State, st.Error)
+	}
+	if err := os.Remove(resultObject(dir, pre.Header.Get("ETag"))); err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := fetch(t, http.MethodGet, ts2.URL, done, ""); resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "cannot be recomputed") {
+		t.Errorf("flat-base sweep with its result gone: GET status %d, body %.300q; want a 500 saying it cannot be recomputed", resp.StatusCode, body)
 	}
 }
 

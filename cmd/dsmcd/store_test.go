@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -609,110 +608,6 @@ func TestConcurrentReadsRecompute(t *testing.T) {
 		if d := after[name] - before[name]; d != want {
 			t.Errorf("%s during the concurrent reads: %v, want %v", name, d, want)
 		}
-	}
-}
-
-// TestUpgradeAdoptsResultJSON: a data directory as builds before the
-// store-only result left it — in each finished sweep's directory a
-// result.json, a hard link to its store object — with one sweep whose
-// "res" entry GC evicted (the link kept the only copy of the bytes) and
-// one finished sweep whose spec.json is of the flat "base" form. The
-// first start adopts every result.json into the store and deletes it;
-// that start and a second one serve every finished sweep with the bytes
-// and ETag it had, from its store object alone, recomputing nothing. A
-// flat-"base" result cannot be recomputed: once its object is gone, its
-// GET is a 500 that says so.
-func TestUpgradeAdoptsResultJSON(t *testing.T) {
-	dir := t.TempDir()
-	s, err := newServer(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.handler())
-	evicted := tinySpec()
-	evicted.Name = "evicted"
-	ids := []string{submit(t, ts, tinySpec()), submit(t, ts, evicted), submit(t, ts, tinySpec())}
-	etags := make([]string, len(ids))
-	bodies := make([][]byte, len(ids))
-	for i, id := range ids {
-		if st := waitDone(t, ts, id); st.State != stateDone {
-			t.Fatalf("%s: state %s (%s)", id, st.State, st.Error)
-		}
-		resp, body := fetch(t, http.MethodGet, ts.URL, id, "")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: GET status %d", id, resp.StatusCode)
-		}
-		etags[i], bodies[i] = resp.Header.Get("ETag"), body
-	}
-	before := scrapeMetrics(t, ts.URL)
-	ts.Close()
-	s.close()
-
-	for i, id := range ids {
-		linkResultJSON(t, dir, id, etags[i])
-	}
-	// The evicted sweep: its index entry and object are gone, and the link
-	// is the one name left for the bytes.
-	keys, err := filepath.Glob(filepath.Join(dir, "store", "index", "res-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range keys {
-		if sha, err := os.ReadFile(key); err == nil && `"`+strings.TrimSpace(string(sha))+`"` == etags[1] {
-			if err := os.Remove(key); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := os.Remove(resultObject(dir, etags[1])); err != nil {
-		t.Fatal(err)
-	}
-	legacy := legacySpecJSON(filepath.Join(dir, ids[2], "ckpt"))
-	if err := os.WriteFile(filepath.Join(dir, ids[2], "spec.json"), legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var after map[string]float64
-	for start := 1; start <= 2; start++ {
-		if s, err = newServer(dir, 2); err != nil {
-			t.Fatalf("start %d: %v", start, err)
-		}
-		ts = httptest.NewServer(s.handler())
-		for i, id := range ids {
-			if st := waitDone(t, ts, id); st.State != stateDone {
-				t.Errorf("start %d, %s: state %s (%s)", start, id, st.State, st.Error)
-				continue
-			}
-			resp, body := fetch(t, http.MethodGet, ts.URL, id, "")
-			if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != etags[i] || !bytes.Equal(body, bodies[i]) {
-				t.Errorf("start %d, %s: status %d, ETag %s (was %s), body equal: %v",
-					start, id, resp.StatusCode, resp.Header.Get("ETag"), etags[i], bytes.Equal(body, bodies[i]))
-			}
-			if _, err := os.Lstat(filepath.Join(dir, id, "result.json")); !os.IsNotExist(err) {
-				t.Errorf("start %d, %s: result.json is still there (%v)", start, id, err)
-			}
-			if files := filesHolding(t, dir, etags[i]); !slices.Equal(files, []string{resultObject(dir, etags[i])}) {
-				t.Errorf("start %d, %s: files holding the result %v, want only its store object", start, id, files)
-			}
-		}
-		after = scrapeMetrics(t, ts.URL)
-		ts.Close()
-		s.close()
-	}
-	if err := os.Remove(resultObject(dir, etags[2])); err != nil {
-		t.Fatal(err)
-	}
-	if s, err = newServer(dir, 2); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.close)
-	ts = httptest.NewServer(s.handler())
-	defer ts.Close()
-	if resp, body := fetch(t, http.MethodGet, ts.URL, ids[2], ""); resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "cannot be recomputed") {
-		t.Errorf("flat-base sweep with its result gone: GET status %d, body %.300q; want a 500 saying it cannot be recomputed", resp.StatusCode, body)
-	}
-	if g := after["dsmc_coord_lease_grants_total"] - before["dsmc_coord_lease_grants_total"]; g != 0 {
-		t.Errorf("the two starts granted %v leases, want 0", g)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"dsmc"
+	"dsmc/internal/obs"
 	"dsmc/internal/store"
 )
 
@@ -93,7 +94,12 @@ func (q *HTTPQueue) Poll(ctx context.Context, workerID string) (*Lease, error) {
 	return &l, nil
 }
 
+// Heartbeat piggybacks a compact snapshot of this process's engine
+// instruments, which the coordinator re-emits as dsmc_fleet_* rows under
+// the worker's label. Embedded workers send none: their engine families
+// are the coordinator process's own.
 func (q *HTTPQueue) Heartbeat(ctx context.Context, hb Heartbeat) (string, error) {
+	hb.Metrics = obs.Default.Snapshot("dsmc_engine_")
 	body, _ := json.Marshal(hb)
 	data, err := q.do(ctx, http.MethodPost, "/coord/v1/heartbeat", "application/json", body)
 	if err != nil {

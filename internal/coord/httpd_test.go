@@ -18,6 +18,7 @@ import (
 
 	"dsmc"
 	"dsmc/internal/frame"
+	"dsmc/internal/obs"
 	"dsmc/internal/store"
 )
 
@@ -133,6 +134,32 @@ func TestHTTPTransport(t *testing.T) {
 	bogus := &Lease{Sweep: "sw2", Job: l.Job, LeaseID: "l999999"}
 	if err := q.SaveCheckpoint(bg, bogus, payload([]byte("x"))); !errors.Is(err, ErrStaleLease) {
 		t.Fatalf("bogus lease upload: got %v, want ErrStaleLease", err)
+	}
+}
+
+// TestHTTPHeartbeatCarriesEngineSnapshot: a heartbeat sent over HTTP
+// carries this process's dsmc_engine_* snapshot, whatever its Metrics
+// held, and the coordinator re-emits it under the worker's label.
+func TestHTTPHeartbeatCarriesEngineSnapshot(t *testing.T) {
+	c := newCoord(t, Config{LeaseTTL: 30 * time.Second})
+	addSweep(t, c, "sw", sweepOf(t, tinySpec()))
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	l := mustPoll(t, c, "h1")
+	q := &HTTPQueue{Base: ts.URL}
+	if status, err := q.Heartbeat(context.Background(), Heartbeat{Worker: "h1", Sweep: l.Sweep, Job: l.Job, Lease: l.LeaseID}); err != nil || status != HBOK {
+		t.Fatalf("heartbeat: %q, %v; want ok", status, err)
+	}
+	var b strings.Builder
+	if err := c.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	got, err := obs.ParseText(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatalf("the scrape does not parse: %v", err)
+	}
+	if _, ok := got[`dsmc_fleet_engine_steps_total{worker="h1"}`]; !ok {
+		t.Errorf("no dsmc_fleet_engine_steps_total row for the HTTP worker:\n%s", b.String())
 	}
 }
 

@@ -92,9 +92,9 @@ type Lease struct {
 }
 
 // Heartbeat carries a worker's liveness and step progress for its
-// current lease, plus a compact snapshot of the worker's engine
-// instruments (re-emitted by the coordinator's /metrics with a worker
-// label). The snapshot rides the heartbeat the worker already sends, so
+// current lease and, from a worker in another process (HTTPQueue), a
+// compact snapshot of its engine instruments (re-emitted by the
+// coordinator's /metrics with a worker label). The snapshot rides the heartbeat the worker already sends, so
 // it costs no extra round-trip and stops flowing exactly when liveness
 // does.
 type Heartbeat struct {

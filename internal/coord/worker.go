@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"dsmc"
-	"dsmc/internal/obs"
 )
 
 // Queue is the worker's view of a coordinator: the in-process LocalQueue
@@ -40,11 +39,7 @@ func (q LocalQueue) Poll(_ context.Context, workerID string) (*Lease, error) {
 	return q.C.Poll(workerID)
 }
 
-// Heartbeat drops the engine snapshot: an embedded worker's is of the
-// process-global registry, whose families the process's /metrics serves
-// already, so the dsmc_fleet_* rows are external workers' only.
 func (q LocalQueue) Heartbeat(_ context.Context, hb Heartbeat) (string, error) {
-	hb.Metrics = nil
 	return q.C.HandleHeartbeat(hb)
 }
 func (q LocalQueue) LoadCheckpoint(_ context.Context, l *Lease) ([]byte, error) {
@@ -166,15 +161,13 @@ func (w *Worker) runJob(ctx context.Context, l *Lease) {
 	var abandoned atomic.Bool
 	var stepsDone atomic.Int64
 
-	// sendHB heartbeats the current progress, piggybacking a compact
-	// engine-instrument snapshot; a stale lease answer cancels the job
-	// immediately so no further work is wasted.
+	// sendHB heartbeats the current progress; a stale lease answer
+	// cancels the job immediately so no further work is wasted.
 	sendHB := func(done int) {
 		hbCtx, cancelHB := context.WithTimeout(context.Background(), ioTimeout)
 		status, err := w.cfg.Queue.Heartbeat(hbCtx, Heartbeat{
 			Worker: w.cfg.ID, Sweep: l.Sweep, Job: l.Job, Lease: l.LeaseID,
 			StepsDone: done, StepsTotal: l.StepsTotal,
-			Metrics: obs.Default.Snapshot("dsmc_engine_"),
 		})
 		cancelHB()
 		if err == nil && status == HBAbandon {
