@@ -98,7 +98,9 @@ func TestEventsKeepalive(t *testing.T) {
 
 // TestRecoverRemovesOrphanTmp: a crash in the middle of an atomic write
 // leaves a *.tmp orphan; recovery must remove it everywhere in the data
-// tree and still serve the sweep cleanly.
+// tree and still serve the sweep cleanly. The checkpoint orphans sit in
+// a failed sweep's ckpt/, which start-up keeps (a done sweep's goes
+// whole), so only the orphan sweep can remove them.
 func TestRecoverRemovesOrphanTmp(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := newServer(dir, 2)
@@ -113,17 +115,24 @@ func TestRecoverRemovesOrphanTmp(t *testing.T) {
 	ts1.Close()
 	s1.close()
 
+	// A sweep whose spec.json no longer decodes fails at start-up and
+	// keeps its checkpoints.
+	failed := "sw-000002"
+	ckpt := filepath.Join(dir, failed, "ckpt")
+	if err := os.MkdirAll(ckpt, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, failed, "spec.json"), []byte(`{"base":{}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	// Plant orphans where the atomic writers put their temp files: the
 	// spec's, a job checkpoint's, and a coordinator's checkpoint upload.
 	orphans := []string{
 		filepath.Join(dir, id, "spec.json.tmp"),
-		filepath.Join(dir, id, "ckpt", "job-s000-r000.ckpt.tmp"),
-		filepath.Join(dir, id, "ckpt", "job-s000-r001.ckpt.3f2a9c-l000001-1.tmp"),
+		filepath.Join(ckpt, "job-s000-r000.ckpt.tmp"),
+		filepath.Join(ckpt, "job-s000-r001.ckpt.3f2a9c-l000001-1.tmp"),
 	}
 	for _, p := range orphans {
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(p, []byte("torn half-write"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -139,10 +148,16 @@ func TestRecoverRemovesOrphanTmp(t *testing.T) {
 			t.Errorf("orphan %s survived recovery (err=%v)", p, err)
 		}
 	}
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Errorf("the failed sweep's checkpoint directory went: %v", err)
+	}
 	ts2 := httptest.NewServer(s2.handler())
 	defer ts2.Close()
 	if st := waitDone(t, ts2, id); st.State != stateDone || !st.Resumed {
 		t.Fatalf("recovered sweep state %s resumed=%v", st.State, st.Resumed)
+	}
+	if st := waitDone(t, ts2, failed); st.State != stateFailed {
+		t.Errorf("sweep with an undecodable spec: state %s, want failed", st.State)
 	}
 }
 

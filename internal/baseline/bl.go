@@ -12,6 +12,8 @@ import (
 // collision number ZRot instead of the 5-component permutation. This is
 // the molecular-model generalisation pathway the paper's future-work
 // section points at.
+//
+//dsmclint:allow exports the Borgnakke–Larsen scheme the ablation tests relax, with CollideBL beneath it
 type BL struct {
 	// ZRot is the rotational collision number; 1 exchanges on every
 	// collision, larger values relax rotation more slowly.
@@ -46,6 +48,8 @@ func (b BL) CollideCell(parts []collide.State5, vol float64, rule collide.Rule, 
 // collide repeatedly — the correlated-velocity failure mode the paper's
 // scaled-and-dithered sort key exists to prevent. Returns the collision
 // count; compare the resulting distribution against Relax.
+//
+//dsmclint:allow exports the ablation of re-randomised pairing the relaxation tests compare against
 func RelaxFixedPairing(scheme Scheme, parts []collide.State5, vol float64, rule collide.Rule, steps int, r *rng.Stream) int {
 	total := 0
 	for s := 0; s < steps; s++ {

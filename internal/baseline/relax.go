@@ -72,6 +72,8 @@ func MeasureMoments(parts []collide.State5) Moments {
 
 // EquilibriumEnsemble builds n particles with Gaussian components of the
 // given standard deviation (an equilibrated gas at rest).
+//
+//dsmclint:allow exports initial state of the baseline relaxation references
 func EquilibriumEnsemble(n int, sigma float64, r *rng.Stream) []collide.State5 {
 	parts := make([]collide.State5, n)
 	for i := range parts {
@@ -97,6 +99,8 @@ func RectangularEnsemble(n int, sigma float64, r *rng.Stream) []collide.State5 {
 
 // AnisotropicEnsemble builds n particles with all thermal energy in the
 // x-component — the classic relaxation-to-isotropy initial condition.
+//
+//dsmclint:allow exports initial state of the relaxation-to-isotropy reference
 func AnisotropicEnsemble(n int, sigma float64, r *rng.Stream) []collide.State5 {
 	parts := make([]collide.State5, n)
 	for i := range parts {

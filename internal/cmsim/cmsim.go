@@ -585,6 +585,8 @@ func (s *Sim) CellCounts() []int32 {
 // TotalEnergy returns Σ over flow and reservoir of the five squared
 // velocity components, in float units — the fixed-point energy-drift
 // diagnostic.
+//
+//dsmclint:allow exports energy conservation diagnostic of the CM backend
 func (s *Sim) TotalEnergy() float64 {
 	var e float64
 	for i := 0; i < s.m.VPs(); i++ {

@@ -70,6 +70,8 @@ func Collide(a, b *State5, perm rng.Perm5, signs uint32) {
 // branch on a fair coin is mispredicted half the time, and there are
 // five per collision. It is the one definition of the formula: Collide
 // and kernel.ExchangePair both inline it.
+//
+//dsmc:inline
 func Exchange(ai, bi, rel float64, sign uint32) (a, b float64) {
 	mean := (ai + bi) / 2
 	h := math.Float64frombits(math.Float64bits(rel)^uint64(sign&1)<<63) / 2
@@ -80,6 +82,8 @@ func Exchange(ai, bi, rel float64, sign uint32) (a, b float64) {
 // components of linear momentum (translational only — rotational
 // components carry no linear momentum) and the total energy
 // (translational + rotational, per unit mass, factor ½ omitted).
+//
+//dsmclint:allow exports the pair's momentum and energy, the conservation check of every collision test
 func Invariants(a, b *State5) (mom [3]float64, energy float64) {
 	for i := 0; i < 3; i++ {
 		mom[i] = a[i] + b[i]

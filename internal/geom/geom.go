@@ -155,6 +155,7 @@ func (t Tunnel) Prepare() PreparedTunnel {
 // small enough to inline into the boundary loop.
 //
 //dsmc:hotpath
+//dsmc:inline
 func (t *PreparedTunnel) Hit(x, y float64) bool {
 	return y < 0 || y > t.H || t.ContainingBody(Vec2{x, y}) != nil
 }

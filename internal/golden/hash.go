@@ -54,6 +54,8 @@ func hashCells(h uint64, cs []int32) uint64 {
 // HashSim2D hashes the full mutable state of a 2D wind-tunnel
 // simulation: flow and reservoir counts, cumulative collisions, every
 // particle column, and the cell indices.
+//
+//dsmclint:allow exports the state hash every 2D golden test pins
 func HashSim2D[F kernel.Float](s *sim.SimOf[F]) uint64 {
 	st := s.Store()
 	n := st.Len()
@@ -79,6 +81,8 @@ func HashSim2D[F kernel.Float](s *sim.SimOf[F]) uint64 {
 // HashSim3D hashes the full mutable state of a 3D shock-tube
 // simulation: particle count, cumulative collisions, piston position,
 // every particle column, and the cell indices.
+//
+//dsmclint:allow exports the state hash every 3D golden test pins
 func HashSim3D[F kernel.Float](s *sim3.SimOf[F]) uint64 {
 	st := s.Store()
 	n := st.Len()

@@ -5,21 +5,17 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
-// hotpathMarker tags a function whose steady-state executions must not
-// allocate: the engine step pipeline, the width-grouped kernels, the
-// fused cell sort, and the sampling sweep all carry it. The AllocsPerRun
+// HotpathAlloc flags allocation sources inside functions that declare
+// the fact //dsmc:hotpath — the engine step pipeline, the width-grouped
+// kernels, the fused cell sort and the sampling sweep. The AllocsPerRun
 // tests assert the zero-allocation property end to end; this rule
 // attributes it per line, so a future edit that re-introduces an
-// allocation fails CI pointing at the exact expression.
-const hotpathMarker = "//dsmc:hotpath"
-
-// HotpathAlloc flags allocation sources inside functions marked
-// //dsmc:hotpath: make, new, closure literals (func literals created
-// per call escape to the heap), append onto slices the function did
-// not visibly preallocate, string concatenation, and calls into
+// allocation fails CI pointing at the exact expression. It flags make,
+// new, closure literals (func literals created per call escape to the
+// heap), append onto slices the function did not visibly preallocate,
+// string concatenation, and calls into
 // package fmt (formatting allocates and boxes every operand). Plain
 // method calls are accepted — in particular the obs registry's atomic
 // metric increments (Counter.Inc/Add, Gauge.Set, Histogram.Observe)
@@ -52,27 +48,13 @@ func (h HotpathAlloc) Check(pkg *Package) []Diagnostic {
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !isHotpath(fd) {
+			if !ok || fd.Body == nil || !hasFact(fd, "hotpath") {
 				continue
 			}
 			out = append(out, h.checkFunc(pkg, fd)...)
 		}
 	}
 	return out
-}
-
-// isHotpath reports whether the function's doc comment carries the
-// marker on a line of its own.
-func isHotpath(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.TrimSpace(c.Text) == hotpathMarker {
-			return true
-		}
-	}
-	return false
 }
 
 // checkFunc walks one hot function. Preallocation tracking is a simple

@@ -2,8 +2,9 @@
 // the invariants the simulation's determinism story depends on —
 // wall-clock and map-order nondeterminism kept out of result-bearing
 // packages, random draws flowing only through the counter-based stream
-// constructors, allocation-free hot paths, the package layering DAG, and
-// exact float comparison kept out of physics code. The rules run over
+// constructors, allocation-free hot paths, the package layering DAG,
+// exact float comparison kept out of physics code, and no exported
+// identifier in internal/ that only tests use. The rules run over
 // type-checked packages (go/parser + go/types, stdlib only, so offline
 // builds keep working) and report diagnostics that fail CI at the line
 // that introduced the violation — before a golden hash ever drifts.
@@ -15,10 +16,15 @@
 //	//dsmclint:layer <name>            declare the package's layer (layering rule)
 //
 // A waiver must carry a reason; a waiver that suppresses nothing is
-// itself reported (stale waivers rot into false confidence). Scope and
-// layer directives exist so fixture packages under testdata — and any
-// future package that wants the discipline — can opt in without editing
-// the production scope tables in this package.
+// itself reported (stale waivers rot into false confidence). A waiver in
+// the package doc comment covers its rule in the whole package.
+// Scope and layer directives exist so fixture packages under testdata —
+// and any future package that wants the discipline — can opt in without
+// editing the production scope tables in this package.
+//
+// A function's doc comment declares facts: hotpath-alloc checks
+// //dsmc:hotpath, TestCompilerDecisions //dsmc:inline. An unknown fact,
+// or one outside a function's doc comment, is a finding.
 package lint
 
 import (
@@ -26,6 +32,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -62,25 +69,47 @@ func AllRules() []Rule {
 		HotpathAlloc{},
 		Layering{},
 		FloatEq{},
+		Exports{},
 	}
+}
+
+// facts are the //dsmc: facts the suite reads.
+var facts = []string{"hotpath", "inline"}
+
+// fact returns the fact a comment declares and whether it is a
+// //dsmc: comment at all.
+func fact(c *ast.Comment) (string, bool) {
+	text, ok := strings.CutPrefix(c.Text, "//dsmc:")
+	name, _, _ := strings.Cut(text, " ")
+	return name, ok
+}
+
+// hasFact reports whether fd's doc comment declares the named fact.
+func hasFact(fd *ast.FuncDecl, name string) bool {
+	return fd.Doc != nil && slices.ContainsFunc(fd.Doc.List, func(c *ast.Comment) bool {
+		n, ok := fact(c)
+		return ok && n == name
+	})
 }
 
 // metaRule names the suite's own hygiene diagnostics (unknown
 // directives, stale or reason-less waivers). They are not waivable.
 const metaRule = "dsmclint"
 
-// waiver is one parsed //dsmclint:allow comment.
+// waiver is one parsed //dsmclint:allow comment; pkg marks one in the
+// package doc comment, which covers the whole package.
 type waiver struct {
-	pos    token.Position
-	rule   string
-	reason string
-	used   bool
+	pos       token.Position
+	rule      string
+	reason    string
+	used, pkg bool
 }
 
 // directives holds the parsed //dsmclint: comments of one package.
 type directives struct {
 	// waivers by filename; a waiver at line L suppresses matching
 	// diagnostics at lines L and L+1 (trailing or line-above placement).
+	// Package waivers are filed under "".
 	waivers map[string][]*waiver
 	// scopes maps rule name to the directive argument ("" when bare).
 	scopes map[string]string
@@ -94,13 +123,27 @@ type directives struct {
 func parseDirectives(pkg *Package, known map[string]bool) *directives {
 	d := &directives{waivers: map[string][]*waiver{}, scopes: map[string]string{}}
 	for _, f := range pkg.Files {
+		docs := map[*ast.CommentGroup]bool{}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
+				docs[fd.Doc] = true
+			}
+		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
+				pos := pkg.Fset.Position(c.Pos())
+				if name, ok := fact(c); ok {
+					if !slices.Contains(facts, name) {
+						d.meta = append(d.meta, Diagnostic{pos, metaRule, "unknown fact //dsmc:" + name})
+					} else if !docs[cg] {
+						d.meta = append(d.meta, Diagnostic{pos, metaRule, "//dsmc:" + name + " declares nothing outside a function's doc comment"})
+					}
+					continue
+				}
 				text, ok := strings.CutPrefix(c.Text, "//dsmclint:")
 				if !ok {
 					continue
 				}
-				pos := pkg.Fset.Position(c.Pos())
 				verb, rest, _ := strings.Cut(text, " ")
 				rest = strings.TrimSpace(rest)
 				switch verb {
@@ -123,8 +166,12 @@ func parseDirectives(pkg *Package, known map[string]bool) *directives {
 							fmt.Sprintf("waiver for %q requires a reason", rule)})
 						continue
 					}
-					d.waivers[pos.Filename] = append(d.waivers[pos.Filename],
-						&waiver{pos: pos, rule: rule, reason: reason})
+					w := &waiver{pos: pos, rule: rule, reason: reason, pkg: cg == f.Doc}
+					file := pos.Filename
+					if w.pkg {
+						file = ""
+					}
+					d.waivers[file] = append(d.waivers[file], w)
 				case "scope":
 					rule, arg, _ := strings.Cut(rest, "=")
 					if !known[rule] {
@@ -175,15 +222,27 @@ func Run(pkgs []*Package, rules []Rule) []Diagnostic {
 		known[r.Name()] = true
 		active[r.Name()] = true
 	}
+	// Every package a target's Load read gets its directives first: the
+	// exports rule reads the waivers of packages it does not check.
+	parsed := map[*module]bool{}
+	for _, pkg := range pkgs {
+		if !parsed[pkg.mod] {
+			for _, p := range pkg.mod.pkgs {
+				p.dirs = parseDirectives(p, known)
+			}
+		}
+		parsed[pkg.mod], pkg.mod.exports = true, nil
+	}
 	var out []Diagnostic
 	for _, pkg := range pkgs {
-		pkg.dirs = parseDirectives(pkg, known)
 		var raw []Diagnostic
 		for _, r := range rules {
 			raw = append(raw, r.Check(pkg)...)
 		}
 		for _, diag := range raw {
-			if !waive(pkg.dirs, diag) {
+			if w := pkg.dirs.cover(diag.Rule, diag.Pos); w != nil {
+				w.used = true
+			} else {
 				out = append(out, diag)
 			}
 		}
@@ -191,8 +250,8 @@ func Run(pkgs []*Package, rules []Rule) []Diagnostic {
 		for _, ws := range pkg.dirs.waivers {
 			for _, w := range ws {
 				if !w.used && active[w.rule] {
-					out = append(out, Diagnostic{w.pos, metaRule,
-						fmt.Sprintf("stale waiver: no %q finding on this or the next line", w.rule)})
+					where := map[bool]string{false: "on this or the next line", true: "in the package"}[w.pkg]
+					out = append(out, Diagnostic{w.pos, metaRule, fmt.Sprintf("stale waiver: no %q finding %s", w.rule, where)})
 				}
 			}
 		}
@@ -213,16 +272,14 @@ func Run(pkgs []*Package, rules []Rule) []Diagnostic {
 	return out
 }
 
-// waive reports whether a waiver covers the diagnostic, marking the
-// waiver used.
-func waive(d *directives, diag Diagnostic) bool {
-	for _, w := range d.waivers[diag.Pos.Filename] {
-		if w.rule == diag.Rule && (w.pos.Line == diag.Pos.Line || w.pos.Line == diag.Pos.Line-1) {
-			w.used = true
-			return true
+// cover returns the waiver of rule that covers a finding at pos, or nil.
+func (d *directives) cover(rule string, pos token.Position) *waiver {
+	for _, w := range append(d.waivers[pos.Filename], d.waivers[""]...) {
+		if w.rule == rule && (w.pkg || w.pos.Line == pos.Line || w.pos.Line == pos.Line-1) {
+			return w
 		}
 	}
-	return false
+	return nil
 }
 
 // ---- shared AST/type helpers used by the rules ----

@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 )
 
 // Package is one type-checked target package: the parsed files (with
@@ -28,6 +29,14 @@ type Package struct {
 	Info  *types.Info
 
 	dirs *directives
+	mod  *module
+}
+
+// module is every package one Load type-checked: the targets, and as
+// context, whose uses the exports rule counts, their importers.
+type module struct {
+	pkgs    []*Package
+	exports map[*Package][]Diagnostic // the exports rule's findings, built on first use
 }
 
 // listEntry is the subset of `go list -json` output the loader needs.
@@ -36,6 +45,8 @@ type listEntry struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
+	Imports    []string
+	Module     *struct{ Path string }
 }
 
 // Load lists the patterns with the go tool, type-checks every matched
@@ -51,24 +62,38 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	// One -deps listing yields export data for the full dependency
-	// closure (compiled into the build cache as needed — no network);
-	// the plain listing identifies which packages are the targets.
-	deps, err := goList(dir, append([]string{"-deps", "-export"}, patterns...))
+	// The plain listing identifies which packages are the targets; one
+	// -deps listing of them and of their module yields export data for
+	// the full dependency closure (compiled into the build cache as
+	// needed — no network), each package after its imports.
+	targets, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	targets, err := goList(dir, patterns)
+	args := append([]string{"-deps", "-export"}, patterns...)
+	if len(targets) > 0 && targets[0].Module != nil {
+		args = append(args, targets[0].Module.Path+"/...")
+	}
+	deps, err := goList(dir, args)
 	if err != nil {
 		return nil, err
 	}
 	exports := make(map[string]string, len(deps))
 	byPath := make(map[string]listEntry, len(deps))
+	reach := map[string]bool{}
+	for _, t := range targets {
+		reach[t.ImportPath] = true
+	}
+	load := targets
 	for _, e := range deps {
 		if e.Export != "" {
 			exports[e.ImportPath] = e.Export
 		}
 		byPath[e.ImportPath] = e
+		// A package that imports a target, directly or not, loads too.
+		if !reach[e.ImportPath] && slices.ContainsFunc(e.Imports, func(p string) bool { return reach[p] }) {
+			reach[e.ImportPath], load = true, append(load, e)
+		}
 	}
 
 	fset := token.NewFileSet()
@@ -80,8 +105,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		return os.Open(f)
 	})
 
-	var pkgs []*Package
-	for _, t := range targets {
+	mod := &module{}
+	for _, t := range load {
 		e, ok := byPath[t.ImportPath]
 		if !ok {
 			e = t
@@ -106,22 +131,23 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lint: type-check %s: %w", e.ImportPath, err)
 		}
-		pkgs = append(pkgs, &Package{
+		mod.pkgs = append(mod.pkgs, &Package{
 			Path:  e.ImportPath,
 			Dir:   e.Dir,
 			Fset:  fset,
 			Files: files,
 			Types: tpkg,
 			Info:  info,
+			mod:   mod,
 		})
 	}
-	return pkgs, nil
+	return mod.pkgs[:len(targets)], nil
 }
 
 // goList runs `go list -json=...` with the given extra flags and
 // patterns and decodes the JSON stream.
 func goList(dir string, args []string) ([]listEntry, error) {
-	cmd := exec.Command("go", append([]string{"list", "-json=ImportPath,Dir,Export,GoFiles"}, args...)...)
+	cmd := exec.Command("go", append([]string{"list", "-json=ImportPath,Dir,Export,GoFiles,Imports,Module"}, args...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr

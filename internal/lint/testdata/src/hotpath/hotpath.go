@@ -1,6 +1,6 @@
 // Package hotpath seeds every allocation source the hotpath-alloc rule
-// flags inside //dsmc:hotpath functions, plus the preallocation idioms
-// it must accept.
+// flags inside //dsmc:hotpath functions, the preallocation idioms it
+// must accept, and the fact comments that are findings themselves.
 //
 //dsmclint:scope hotpath-alloc
 package hotpath
@@ -34,3 +34,16 @@ func Cold(n int) []float64 {
 	buf := make([]float64, 0, n)
 	return append(buf, 1)
 }
+
+// Misspelled names no fact: it is a finding, and Misspelled's
+// allocation goes unchecked until it is fixed.
+//
+//dsmc:hotpth // want "dsmclint: unknown fact //dsmc:hotpth"
+func Misspelled(n int) []float64 {
+	return make([]float64, n)
+}
+
+// A fact outside a function's doc comment declares nothing.
+//
+//dsmc:hotpath // want "dsmclint: //dsmc:hotpath declares nothing outside a function's doc comment"
+type Buffer []float64

@@ -31,6 +31,8 @@ func Maxwell() Model { return Model{Name: "maxwell", GExp: 0, RotDOF: 2} }
 func HardSphere() Model { return Model{Name: "hard-sphere", GExp: 1, RotDOF: 2} }
 
 // PowerLaw returns an inverse-power-law molecule with exponent alpha ≥ 4.
+//
+//dsmclint:allow exports a molecular model the goldens pin
 func PowerLaw(alpha float64) Model {
 	if alpha < 4 {
 		panic("molec: power-law exponent must be at least 4 (Maxwell)")
@@ -41,6 +43,8 @@ func PowerLaw(alpha float64) Model {
 // VHS returns a variable-hard-sphere model with viscosity exponent omega
 // in [0.5, 1]; ω = 0.5 is a hard sphere, ω = 1 a Maxwell molecule. The
 // VHS cross-section σ ∝ g^(1−2ω) gives P ∝ n·g^(2−2ω).
+//
+//dsmclint:allow exports a molecular model the goldens pin
 func VHS(omega float64) Model {
 	if omega < 0.5 || omega > 1 {
 		panic("molec: VHS omega must lie in [0.5, 1]")

@@ -101,6 +101,8 @@ func UnpackPerm5(v int32) Perm5 {
 // every collision. The row is r.Uint64() % 120 — the value Intn(120)
 // draws — but a constant modulus compiles to a multiply and a shift
 // where a variable one is a 64-bit divide.
+//
+//dsmc:inline
 func RandomPerm5(r *Stream) Perm5 {
 	return perm5Table[r.Uint64()%uint64(len(perm5Table))]
 }

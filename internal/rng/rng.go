@@ -162,6 +162,8 @@ func KeyAt(seed, epoch uint64) Key {
 // statistically independent streams (each word is absorbed through a
 // full splitmix64 round). It is one round, small enough for the compiler
 // to inline at every per-cell call site.
+//
+//dsmc:inline
 func (k Key) At(lane uint64) Stream {
 	st := uint64(k) ^ lane
 	return Stream{s: splitmix64(&st) | 1}

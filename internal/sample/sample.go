@@ -75,6 +75,8 @@ func addParticle[F kernel.Float](a *Accumulator, st *particle.Store[F], c int32,
 
 // AddFlow accumulates one snapshot of the store (cell indices must be
 // current, i.e. call after the step's sort).
+//
+//dsmclint:allow exports the particle-order sampling oracle AddFlowCellMajor is checked against
 func AddFlow[F kernel.Float](a *Accumulator, st *particle.Store[F]) {
 	n := st.Len()
 	for i := 0; i < n; i++ {

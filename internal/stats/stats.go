@@ -2,6 +2,8 @@
 // simulation's velocity distributions: moments, histograms, chi-square
 // goodness of fit, and Kolmogorov–Smirnov tests against the Gaussian and
 // Maxwell-speed distributions the gas must relax to.
+//
+//dsmclint:allow exports the statistical oracles (moments, KS and chi-square tests, correlations) the physics property tests judge by
 package stats
 
 import (
