@@ -1,13 +1,13 @@
 // Package engine is the generic cell-major core both reference backends
-// run on: one phase pipeline — fused move+boundary, a one-pass sort
-// (rank, in-cell index shuffle, gather), per-shard select/collide,
-// sampling — parameterized
-// over the storage precision (float32 halves the memory traffic of the
-// cell-major sweeps; float64 reproduces the pre-unification backends bit
-// for bit) and over a small Domain interface carrying the
-// dimension-specific parts: boundary conditions with the grid indexing
-// folded in, and the serial bookkeeping around them. The paper's point is
-// that one data-parallel formulation serves every geometry; this is that
+// run on: one phase pipeline — a one-pass move (advance, boundary
+// conditions and cell index per particle), a one-pass sort (rank,
+// in-cell index shuffle, gather), per-shard select/collide, sampling —
+// parameterized over the storage precision (float32 halves the memory
+// traffic of the cell-major sweeps; float64 reproduces the
+// pre-unification backends bit for bit) and over a small Domain
+// interface carrying the dimension-specific parts: the move loop itself
+// and the serial bookkeeping around it. The paper's point is that one
+// data-parallel formulation serves every geometry; this is that
 // formulation, with internal/sim (wind tunnel + wedge) and internal/sim3
 // (piston-driven shock tube) reduced to geometry and configuration
 // adapters over it.
@@ -120,28 +120,27 @@ type StreamLayout struct {
 func (l StreamLayout) fused() bool { return l.Select == l.Collide }
 
 // Domain supplies the dimension-specific parts of the pipeline. PreMove
-// and PostMove run serially on the stepping goroutine; Boundary runs
-// inside the sharded move pass and must only touch shard-local or
-// read-only state (plus its disjoint particle range); Relax runs beside
-// the sort, select and collide passes.
+// and PostMove run serially on the stepping goroutine; Move is the
+// sharded move pass and must only touch shard-local or read-only state
+// (plus its disjoint particle range); Relax runs beside the sort, select
+// and collide passes.
 //
 // The cell column is the domain's to keep: the move pass is the only
 // sweep of a step that reads positions, and the sort plans from
-// Store.Cell as it finds it. Boundary must leave Cell[i] the grid cell of
-// the position as stored for every particle it keeps, PostMove for every
+// Store.Cell as it finds it. Move must leave Cell[i] the grid cell of the
+// position as stored for every particle it keeps, PostMove for every
 // particle it appends (Store.RemoveSwap carries the column).
 type Domain[F kernel.Float] interface {
 	// PreMove runs before the sharded move pass (advance the
 	// plunger/piston, reset per-worker exit state).
 	PreMove()
-	// Boundary enforces the boundary conditions on particles [lo, hi) of
-	// shard w, after the advance kernel has moved them, and writes their
-	// cell index. The engine tiles each shard (advance a cache-resident
-	// tile, then bound it), so Boundary is called several times per shard
-	// in ascending, disjoint ranges: implementations must append to
-	// per-worker state, resetting it in PreMove. Membership changes must
-	// be deferred to PostMove (record, don't remove).
-	Boundary(st *particle.Store[F], w, lo, hi int)
+	// Move is the step's one pass over particles [lo, hi), shard w: each
+	// particle is advanced (x += u in the storage precision, per axis),
+	// put through the boundary conditions and given its cell index in
+	// the same iteration. It is called once per shard; membership
+	// changes must be deferred to PostMove (record per worker, don't
+	// remove).
+	Move(st *particle.Store[F], w, lo, hi int)
 	// PostMove runs after the move pass (remove exited particles, refill
 	// the plunger void).
 	PostMove()
@@ -207,9 +206,9 @@ type Engine[F kernel.Float] struct {
 	// Prebuilt shard bodies: building them once keeps the pool dispatch
 	// in Step allocation-free (a func literal created per call would
 	// escape to the heap).
-	fnMoveBound func(w, lo, hi int)
-	fnSelCol    func(w, lo, hi int)
-	fnRelax     func()
+	fnMove   func(w, lo, hi int)
+	fnSelCol func(w, lo, hi int)
+	fnRelax  func()
 
 	// per-worker scratch, indexed by the pool's block index
 	gW     [][]float64  // relative-speed spans (one cell at a time)
@@ -257,7 +256,7 @@ func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store *parti
 	e.selW = make([]time.Duration, w)
 	e.colW = make([]time.Duration, w)
 	e.colls = make([]int64, w)
-	e.fnMoveBound = e.moveBoundShard
+	e.fnMove = e.moveShard
 	e.fnRelax = dom.Relax
 	if cfg.Layout.fused() {
 		e.fnSelCol = e.selColFusedShard
@@ -383,45 +382,22 @@ func (e *Engine[F]) SampleInto(acc *sample.Accumulator) {
 	sample.AddFlowCellMajor(acc, e.store, e.sorter.CellStart(), e.pool.ForCells)
 }
 
-// moveBoundaries performs the collisionless motion (the width-grouped
-// advance kernel) fused with the domain's boundary conditions in a
-// single sharded pass over the particle arrays, bracketed by the
-// domain's serial hooks (plunger/piston advance before, exit removal and
-// void refill after). The parallel pass never mutates the store's
-// membership — domains record exits per worker and remove them in
-// PostMove.
+// moveBoundaries performs the collisionless motion, the boundary
+// conditions and the cell indexing in the domain's one sharded pass over
+// the particle arrays, bracketed by the domain's serial hooks
+// (plunger/piston advance before, exit removal and void refill after).
+// The parallel pass never mutates the store's membership — domains
+// record exits per worker and remove them in PostMove.
 //
 //dsmc:hotpath
 func (e *Engine[F]) moveBoundaries() {
 	e.dom.PreMove()
-	e.pool.ForIdx(e.store.Len(), e.fnMoveBound)
+	e.pool.ForIdx(e.store.Len(), e.fnMove)
 	e.dom.PostMove()
 }
 
-// moveTile is the particle count the move pass advances before handing
-// the same range to the domain's boundary sweep: small enough that the
-// just-written position columns are still cache-resident when the
-// boundary checks and the cell indexing re-read them (four float64
-// columns of 1024 particles are 32 KiB), large enough to amortize the
-// per-tile call.
-const moveTile = 1024
-
 //dsmc:hotpath
-func (e *Engine[F]) moveBoundShard(w, lo, hi int) {
-	st := e.store
-	for tlo := lo; tlo < hi; tlo += moveTile {
-		thi := tlo + moveTile
-		if thi > hi {
-			thi = hi
-		}
-		if st.Z != nil {
-			kernel.Advance3(st.X[tlo:thi], st.Y[tlo:thi], st.Z[tlo:thi], st.U[tlo:thi], st.V[tlo:thi], st.W[tlo:thi])
-		} else {
-			kernel.Advance2(st.X[tlo:thi], st.Y[tlo:thi], st.U[tlo:thi], st.V[tlo:thi])
-		}
-		e.dom.Boundary(st, w, tlo, thi)
-	}
-}
+func (e *Engine[F]) moveShard(w, lo, hi int) { e.dom.Move(e.store, w, lo, hi) }
 
 // sortByCell makes the store cell-major and re-randomises the collision
 // candidates — the role of the paper's one sort on a scaled-and-dithered

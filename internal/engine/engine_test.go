@@ -15,10 +15,10 @@ import (
 // cell, no boundaries.
 type stubDomain[F kernel.Float] struct{}
 
-func (stubDomain[F]) PreMove()                                      {}
-func (stubDomain[F]) Boundary(st *particle.Store[F], w, lo, hi int) {}
-func (stubDomain[F]) PostMove()                                     {}
-func (stubDomain[F]) Relax()                                        {}
+func (stubDomain[F]) PreMove()                                  {}
+func (stubDomain[F]) Move(st *particle.Store[F], w, lo, hi int) {}
+func (stubDomain[F]) PostMove()                                 {}
+func (stubDomain[F]) Relax()                                    {}
 
 // TestVibExchangeConservesPairEnergy verifies the rescaling path: a
 // forced exchange pair conserves translational+vibrational energy to

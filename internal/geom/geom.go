@@ -136,6 +136,10 @@ type Tunnel struct {
 type PreparedTunnel struct {
 	W, H   float64
 	Bodies []Body
+	// Top is the highest apex of the bodies, (TrailX−LeadX)·Slope as
+	// Contains rounds it, and 0 without a body: Contains is false for
+	// every point with y >= Top, because rounding is monotone.
+	Top float64
 }
 
 // Prepare returns the prepared form of the tunnel.
@@ -143,7 +147,9 @@ func (t Tunnel) Prepare() PreparedTunnel {
 	pt := PreparedTunnel{W: t.W, H: t.H}
 	for _, w := range [...]*Wedge{t.Wedge, t.Wedge2} {
 		if w != nil {
-			pt.Bodies = append(pt.Bodies, w.Prepare())
+			b := w.Prepare()
+			pt.Bodies = append(pt.Bodies, b)
+			pt.Top = max(pt.Top, (b.TrailX-b.LeadX)*b.Slope)
 		}
 	}
 	return pt
@@ -152,12 +158,13 @@ func (t Tunnel) Prepare() PreparedTunnel {
 // Hit is the move pass's fast reject: it reports whether a just-moved
 // particle at (x, y) lies beyond a hard wall or strictly inside a body,
 // i.e. whether ReflectSpecular would change it. Comparisons only, and
-// small enough to inline into the boundary loop.
+// small enough to inline into the move loop; a particle at or above Top
+// skips the body tests.
 //
 //dsmc:hotpath
 //dsmc:inline
 func (t *PreparedTunnel) Hit(x, y float64) bool {
-	return y < 0 || y > t.H || t.ContainingBody(Vec2{x, y}) != nil
+	return y < 0 || y > t.H || (y < t.Top && t.ContainingBody(Vec2{x, y}) != nil)
 }
 
 // ContainingBody returns the body strictly containing p, or nil.

@@ -314,6 +314,22 @@ func FuzzBoundaryReject(f *testing.F) {
 		f.Add(p.X, p.Y, 0.5, -0.2, h, lead, base, angle, gap, 0.0, angle2)
 		f.Add(p.X, p.Y, -0.5, 0.2, h, lead, base, angle, gap, base2, angle2)
 	}
+	// At the apex height, where Hit's Top cut-off sits, and one ulp either
+	// side: on the single wedge, and with a second wedge taller than the
+	// first, so that Top is the second body's apex.
+	const tallBase, tallAngle = 30.0, 40 * deg
+	first := &Wedge{LeadX: lead, Base: base, Angle: angle}
+	single := Tunnel{W: 98, H: h, Wedge: first}.Prepare()
+	tall := Tunnel{W: 98, H: h, Wedge: first, Wedge2: &Wedge{LeadX: lead + base + gap, Base: tallBase, Angle: tallAngle}}.Prepare()
+	for _, c := range []struct {
+		top, trail, base2, angle2 float64
+	}{{single.Top, lead + base, 0, angle2}, {tall.Top, tall.Bodies[1].TrailX, tallBase, tallAngle}} {
+		for _, y := range []float64{c.top, math.Nextafter(c.top, inf), math.Nextafter(c.top, -inf)} {
+			for _, x := range []float64{math.Nextafter(c.trail, 0), c.trail, c.trail - 1} {
+				f.Add(x, y, 0.5, -0.2, h, lead, base, angle, gap, c.base2, c.angle2)
+			}
+		}
+	}
 	valid := func(lead, base, angle float64) bool {
 		return !math.IsNaN(lead) && !math.IsInf(lead, 0) && base > 0 && angle > 0 && angle < math.Pi/2
 	}
@@ -345,4 +361,28 @@ func FuzzBoundaryReject(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReflectSpecularPastMaxBounces drives the mirror iteration past
+// maxBounces: a particle 20 heights beyond either wall is still outside
+// after eight reflections, so the degenerate-pocket fallback (clampFree)
+// places it. The result must lie in [0, H] and outside every body, with
+// x, the velocity's x and the size of its y unchanged.
+func TestReflectSpecularPastMaxBounces(t *testing.T) {
+	const h = 64.0
+	for _, tun := range []Tunnel{
+		{W: 98, H: h, Wedge: &Wedge{LeadX: 20, Base: 25, Angle: 30 * deg}},
+		{W: 98, H: h, Wedge: &Wedge{LeadX: 20, Base: 25, Angle: 30 * deg}, Wedge2: &Wedge{LeadX: 50, Base: 30, Angle: 40 * deg}},
+	} {
+		pt := tun.Prepare()
+		for _, p := range []Vec2{{30, 20 * h}, {30, -20 * h}, {70, 20 * h}, {10, -20 * h}} {
+			q, v := pt.ReflectSpecular(p, Vec2{0.3, 0.4})
+			if !pt.Inside(q) {
+				t.Errorf("ReflectSpecular(%v) = %v: not in the gas region of %+v", p, q, pt)
+			}
+			if q.X != p.X || v.X != 0.3 || math.Abs(v.Y) != 0.4 {
+				t.Errorf("ReflectSpecular(%v) = %v, %v: only y and the sign of v.y may change", p, q, v)
+			}
+		}
+	}
 }

@@ -35,10 +35,14 @@ func (g Grid) Index(ix, iy int) int { return iy*g.NX + ix }
 // CellOf returns the index of the cell containing position (x, y),
 // clamping positions on or beyond the domain edge into the boundary cell
 // (boundary conditions have already been enforced when this is called;
-// the clamp only guards against exact-edge coordinates).
+// the clamp only guards against exact-edge coordinates). Truncation is
+// the floor wherever the clamp lets it show: they agree for x >= 0, and
+// for x < 0 both are at most 0 and clamp to 0.
+//
+//dsmc:inline
 func (g Grid) CellOf(x, y float64) int {
-	ix := int(math.Floor(x))
-	iy := int(math.Floor(y))
+	ix := int(x)
+	iy := int(y)
 	if ix < 0 {
 		ix = 0
 	}

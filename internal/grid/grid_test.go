@@ -45,6 +45,39 @@ func TestCellOf(t *testing.T) {
 	}
 }
 
+// TestCellOfTruncationIsFloor pins CellOf's truncating index to the
+// floor definition it replaced, on both axes: the two differ only below
+// zero, where the clamp maps both to cell 0. The table includes the
+// values where truncation and the floor part ways and those the
+// float-to-int conversion has no integer for.
+func TestCellOfTruncationIsFloor(t *testing.T) {
+	g := New(98, 64)
+	floorCell := func(v float64, n int) int {
+		i := int(math.Floor(v))
+		if i < 0 {
+			i = 0
+		}
+		if i >= n {
+			i = n - 1
+		}
+		return i
+	}
+	inf := math.Inf(1)
+	for _, v := range []float64{
+		0, math.Copysign(0, -1), -0.25, -0.5, -0.999, -1, -1.5, -63.5,
+		math.Nextafter(0, -1), math.SmallestNonzeroFloat64, 0.5, 1, 2, 3.999, 63, 64,
+		math.Nextafter(64, 0), math.Nextafter(64, inf), 97, 98, math.Nextafter(98, 0), math.Nextafter(98, inf),
+		1e300, -1e300, 1 << 62, 1 << 63, -(1 << 63), inf, -inf, math.NaN(),
+	} {
+		if got, want := g.CellOf(v, 5), g.Index(floorCell(v, g.NX), 5); got != want {
+			t.Errorf("CellOf(%v, 5) = %d, the floor definition gives %d", v, got, want)
+		}
+		if got, want := g.CellOf(5, v), g.Index(5, floorCell(v, g.NY)); got != want {
+			t.Errorf("CellOf(5, %v) = %d, the floor definition gives %d", v, got, want)
+		}
+	}
+}
+
 func TestNewPanicsOnBadDims(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,6 +1,6 @@
 // Package kernel holds the width-grouped inner loops of the particle
-// pipeline — the move pass, the relative-speed sweep feeding the
-// selection rule, and the collision exchange — as generic functions
+// pipeline — the relative-speed sweep feeding the selection rule and the
+// collision exchange — as generic functions
 // instantiated for both storage precisions. The loops are blocked eight
 // lanes at a time (the width of an AVX2/AVX-512 register over float32)
 // with slice-to-array conversions hoisting the bounds checks out of the

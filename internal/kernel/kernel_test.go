@@ -22,23 +22,17 @@ func testAdvance[F Float](t *testing.T) {
 			}
 			return s
 		}
-		x, y, z := mk(), mk(), mk()
-		u, v, w := mk(), mk(), mk()
-		wantX, wantY, wantZ := make([]F, n), make([]F, n), make([]F, n)
+		x, y := mk(), mk()
+		u, v := mk(), mk()
+		wantX, wantY := make([]F, n), make([]F, n)
 		for i := 0; i < n; i++ {
 			wantX[i] = x[i] + u[i]
 			wantY[i] = y[i] + v[i]
-			wantZ[i] = z[i] + w[i]
 		}
-		x2, y2 := append([]F(nil), x...), append([]F(nil), y...)
-		Advance2(x2, y2, u, v)
-		Advance3(x, y, z, u, v, w)
+		Advance2(x, y, u, v)
 		for i := 0; i < n; i++ {
-			if x2[i] != wantX[i] || y2[i] != wantY[i] {
+			if x[i] != wantX[i] || y[i] != wantY[i] {
 				t.Fatalf("n=%d: Advance2 diverged at %d", n, i)
-			}
-			if x[i] != wantX[i] || y[i] != wantY[i] || z[i] != wantZ[i] {
-				t.Fatalf("n=%d: Advance3 diverged at %d", n, i)
 			}
 		}
 	}

@@ -1,10 +1,12 @@
 package kernel
 
-// Advance2 performs the collisionless motion of the 2D move phase over
-// equal-length column slices: x[i] += u[i], y[i] += v[i]. The loop is
-// blocked Width lanes at a time; the per-element arithmetic is exactly
-// the scalar x += u, so the float64 instantiation is bit-identical to
-// the unblocked pass it replaces.
+// Advance2 is the 2D collisionless motion over equal-length column
+// slices, x[i] += u[i], y[i] += v[i], blocked Width lanes at a time; the
+// per-element arithmetic is exactly the scalar x += u. The step does not
+// call it (each domain's Move advances, bounds and indexes a particle in
+// one loop): outside tests its one caller is the benchmark's
+// kernel.advance2_ns probe, and ROADMAP item 2(a) removes that probe and
+// this function with it.
 //
 //dsmc:hotpath
 func Advance2[F Float](x, y, u, v []F) {
@@ -24,34 +26,5 @@ func Advance2[F Float](x, y, u, v []F) {
 	for ; i < n; i++ {
 		x[i] += u[i]
 		y[i] += v[i]
-	}
-}
-
-// Advance3 is the 3D move pass: x += u, y += v, z += w, blocked Width
-// lanes at a time.
-//
-//dsmc:hotpath
-func Advance3[F Float](x, y, z, u, v, w []F) {
-	n := len(x)
-	_, _, _, _, _ = y[:n], z[:n], u[:n], v[:n], w[:n]
-	i := 0
-	for ; i+Width <= n; i += Width {
-		xb, ub := (*[Width]F)(x[i:]), (*[Width]F)(u[i:])
-		for k := 0; k < Width; k++ {
-			xb[k] += ub[k]
-		}
-		yb, vb := (*[Width]F)(y[i:]), (*[Width]F)(v[i:])
-		for k := 0; k < Width; k++ {
-			yb[k] += vb[k]
-		}
-		zb, wb := (*[Width]F)(z[i:]), (*[Width]F)(w[i:])
-		for k := 0; k < Width; k++ {
-			zb[k] += wb[k]
-		}
-	}
-	for ; i < n; i++ {
-		x[i] += u[i]
-		y[i] += v[i]
-		z[i] += w[i]
 	}
 }

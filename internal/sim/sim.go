@@ -272,10 +272,10 @@ func (s *SimOf[F]) Grid() grid.Grid { return s.grid }
 // Volumes returns the per-cell gas volumes (fractional at the wedge).
 func (s *SimOf[F]) Volumes() []float64 { return s.vols }
 
-// wedgeDomain is the engine Domain of the wind tunnel: the fused boundary
-// conditions (downstream soft sink into the reservoir, upstream plunger,
-// hard tunnel walls, wedge) with the 2D grid indexing folded in, and the
-// serial plunger/reservoir bookkeeping around the sharded move pass.
+// wedgeDomain is the engine Domain of the wind tunnel: the move loop
+// (advance, then downstream soft sink into the reservoir, upstream
+// plunger, hard tunnel walls, wedge, and the 2D grid index), and the
+// serial plunger/reservoir bookkeeping around it.
 type wedgeDomain[F kernel.Float] struct {
 	eng  *engine.Engine[F]
 	tun  geom.PreparedTunnel
@@ -298,8 +298,7 @@ type wedgeDomain[F kernel.Float] struct {
 }
 
 // PreMove advances the plunger, makes the step's diffuse-wall stream key
-// and resets the per-worker exit lists the tiled Boundary calls append
-// to.
+// and resets the per-worker exit lists Move appends to.
 func (d *wedgeDomain[F]) PreMove() {
 	d.plungerX += d.uInf
 	d.wallKey = d.eng.PhaseKey(layout2D.Wall)
@@ -308,42 +307,45 @@ func (d *wedgeDomain[F]) PreMove() {
 	}
 }
 
-// Boundary enforces all boundary conditions on the just-advanced
-// particles [lo, hi) and leaves their cell index current — the one sweep
-// of the step that reads positions. Downstream exits go on the worker's
-// exit list (removed in PostMove so the parallel pass never mutates
+// Move advances particles [lo, hi) one step, enforces all boundary
+// conditions and leaves their cell index current — the one sweep of the
+// step that reads positions. Downstream exits go on the worker's exit
+// list (removed in PostMove so the parallel pass never mutates
 // membership); the plunger reflects specularly in its own frame; the
 // walls and the wedge touch only the particles the tunnel's fast reject
-// flags, the rest store nothing but Cell. The geometry runs in float64
-// and the columns round once on write-back, so the cell is taken from
-// the position as stored. Called once per cache tile (several times per
-// shard, ascending ranges).
+// flags, the rest store nothing but X, Y and Cell. The advance is x += u
+// in the storage precision, the geometry runs in float64 and the columns
+// round once on write-back, so the cell is taken from the position as
+// stored.
 //
 //dsmc:hotpath
-func (d *wedgeDomain[F]) Boundary(st *particle.Store[F], w, lo, hi int) {
-	px := d.plungerX
-	uInf := d.uInf
+func (d *wedgeDomain[F]) Move(st *particle.Store[F], w, lo, hi int) {
+	px, uInf, xMax := d.plungerX, d.uInf, d.tun.W
+	tun, g := &d.tun, d.grid
+	xs, ys, us, vs, cell := st.X[lo:hi], st.Y[lo:hi], st.U[lo:hi], st.V[lo:hi], st.Cell[lo:hi]
 	ex := d.exits[w]
-	for i := lo; i < hi; i++ {
-		x := float64(st.X[i])
+	for k := range xs {
+		xs[k] += us[k]
+		ys[k] += vs[k]
+		x := float64(xs[k])
 		// Downstream sink: record for removal.
-		if x > d.tun.W {
+		if x > xMax {
 			//dsmclint:allow hotpath-alloc exit lists are pre-sized to the largest block span at construction and reset to [:0] in PreMove
-			ex = append(ex, int32(i))
+			ex = append(ex, int32(lo+k))
 			continue
 		}
 		// Upstream plunger: specular reflection in the plunger frame.
 		if x < px {
-			st.X[i] = F(2*px - x)
-			st.U[i] = F(2*uInf - float64(st.U[i]))
-			x = float64(st.X[i])
+			xs[k] = F(2*px - x)
+			us[k] = F(2*uInf - float64(us[k]))
+			x = float64(xs[k])
 		}
-		y := float64(st.Y[i])
-		if d.tun.Hit(x, y) {
-			d.reflectWalls(st, i)
-			x, y = float64(st.X[i]), float64(st.Y[i])
+		y := float64(ys[k])
+		if tun.Hit(x, y) {
+			d.reflectWalls(st, lo+k)
+			x, y = float64(xs[k]), float64(ys[k])
 		}
-		st.Cell[i] = int32(d.grid.CellOf(x, y))
+		cell[k] = int32(g.CellOf(x, y))
 	}
 	d.exits[w] = ex
 }

@@ -44,20 +44,14 @@ func (g Grid3) Index(ix, iy, iz int) int { return (iz*g.NY+iy)*g.NX + ix }
 // clampCell floors a coordinate to its cell index, clamping edge
 // coordinates into [0, n). Package-level (rather than a closure inside
 // CellOf) so the per-particle cell lookup of the move phase carries no
-// closure construction.
-func clampCell(v float64, n int) int {
-	i := int(math.Floor(v))
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return i
-}
+// closure construction. Truncation stands in for the floor: the two
+// agree for v >= 0, and for v < 0 both are at most 0 and clamp to 0.
+func clampCell(v float64, n int) int { return max(0, min(int(v), n-1)) }
 
 // CellOf returns the cell containing a position, clamping edge
 // coordinates inward.
+//
+//dsmc:inline
 func (g Grid3) CellOf(x, y, z float64) int {
 	return g.Index(clampCell(x, g.NX), clampCell(y, g.NY), clampCell(z, g.NZ))
 }
@@ -214,8 +208,9 @@ func (s *SimOf[F]) Grid() Grid3 { return s.grid }
 // PistonX returns the piston position.
 func (s *SimOf[F]) PistonX() float64 { return s.dom.pistonX }
 
-// tubeDomain is the engine Domain of the shock tube: the piston + five
-// specular walls, with the box grid indexing folded into the same sweep.
+// tubeDomain is the engine Domain of the shock tube: the move loop
+// advances each particle, applies the piston + five specular walls and
+// writes its box grid index in the same iteration.
 // The boundaries consume no randomness, so the sharded pass is trivially
 // deterministic.
 type tubeDomain[F kernel.Float] struct {
@@ -228,54 +223,61 @@ type tubeDomain[F kernel.Float] struct {
 // PreMove advances the piston.
 func (t *tubeDomain[F]) PreMove() { t.pistonX += t.speed }
 
-// Boundary applies the piston face (specular in the piston frame) and
-// the five fixed specular walls to the just-advanced particles [lo, hi)
-// and leaves their cell index current — the one sweep of the step that
-// reads positions; a particle inside the box stores nothing but Cell.
-// The geometry runs in float64 and the columns round once on write-back,
-// so the cell is taken from the position as stored.
+// Move advances particles [lo, hi) one step (x += u in the storage
+// precision, per axis), applies the piston face (specular in the piston
+// frame) and the five fixed specular walls, and leaves their cell index
+// current — the one sweep of the step that reads positions; a particle
+// inside the box stores nothing but its position and Cell. The geometry
+// runs in float64 and the columns round once on write-back, so the cell
+// is taken from the position as stored.
 //
 //dsmc:hotpath
-func (t *tubeDomain[F]) Boundary(st *particle.Store[F], _, lo, hi int) {
+func (t *tubeDomain[F]) Move(st *particle.Store[F], _, lo, hi int) {
 	w, h, d := t.w, t.h, t.d
 	px := t.pistonX
 	up2 := 2 * t.speed
-	for i := lo; i < hi; i++ {
-		x := float64(st.X[i])
+	g := t.grid
+	xs, ys, zs, cell := st.X[lo:hi], st.Y[lo:hi], st.Z[lo:hi], st.Cell[lo:hi]
+	us, vs, ws := st.U[lo:hi], st.V[lo:hi], st.W[lo:hi]
+	for k := range xs {
+		xs[k] += us[k]
+		ys[k] += vs[k]
+		zs[k] += ws[k]
+		x := float64(xs[k])
 		// Piston face (specular in the piston frame) and far wall.
 		if x < px {
 			x = 2*px - x
-			st.X[i] = F(x)
-			st.U[i] = F(up2 - float64(st.U[i]))
+			xs[k] = F(x)
+			us[k] = F(up2 - float64(us[k]))
 		}
 		if x > w {
-			st.X[i] = F(2*w - x)
-			if st.U[i] > 0 {
-				st.U[i] = -st.U[i]
+			xs[k] = F(2*w - x)
+			if us[k] > 0 {
+				us[k] = -us[k]
 			}
 		}
 		// Side walls.
-		y := float64(st.Y[i])
+		y := float64(ys[k])
 		if y < 0 {
 			y = -y
-			st.Y[i] = F(y)
-			st.V[i] = -st.V[i]
+			ys[k] = F(y)
+			vs[k] = -vs[k]
 		}
 		if y > h {
-			st.Y[i] = F(2*h - y)
-			st.V[i] = -st.V[i]
+			ys[k] = F(2*h - y)
+			vs[k] = -vs[k]
 		}
-		z := float64(st.Z[i])
+		z := float64(zs[k])
 		if z < 0 {
 			z = -z
-			st.Z[i] = F(z)
-			st.W[i] = -st.W[i]
+			zs[k] = F(z)
+			ws[k] = -ws[k]
 		}
 		if z > d {
-			st.Z[i] = F(2*d - z)
-			st.W[i] = -st.W[i]
+			zs[k] = F(2*d - z)
+			ws[k] = -ws[k]
 		}
-		st.Cell[i] = int32(t.grid.CellOf(float64(st.X[i]), float64(st.Y[i]), float64(st.Z[i])))
+		cell[k] = int32(g.CellOf(float64(xs[k]), float64(ys[k]), float64(zs[k])))
 	}
 }
 

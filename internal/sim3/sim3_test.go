@@ -48,6 +48,34 @@ func TestGrid3Index(t *testing.T) {
 	}
 }
 
+// TestClampCellTruncationIsFloor pins clampCell's truncating index to
+// the floor definition it replaced: the two differ only below zero,
+// where both clamp to 0, and the conversion's values with no integer
+// (±Inf, NaN, ±1e300) land where the floor's did.
+func TestClampCellTruncationIsFloor(t *testing.T) {
+	const n = 12
+	floorCell := func(v float64) int {
+		i := int(math.Floor(v))
+		if i < 0 {
+			i = 0
+		}
+		if i >= n {
+			i = n - 1
+		}
+		return i
+	}
+	inf := math.Inf(1)
+	for _, v := range []float64{
+		0, math.Copysign(0, -1), -0.25, -0.5, -0.999, -1, -1.5, math.Nextafter(0, -1),
+		math.SmallestNonzeroFloat64, 0.5, 1, 3.999, 11, math.Nextafter(n, 0), n, math.Nextafter(n, inf),
+		1e300, -1e300, 1 << 62, 1 << 63, -(1 << 63), inf, -inf, math.NaN(),
+	} {
+		if got, want := clampCell(v, n), floorCell(v); got != want {
+			t.Errorf("clampCell(%v, %d) = %d, the floor definition gives %d", v, n, got, want)
+		}
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := tubeConfig()
 	if err := good.Validate(); err != nil {
