@@ -69,7 +69,7 @@ func Collide(a, b *State5, perm rng.Perm5, signs uint32) {
 // is exactly that flip, for ±0, infinities and NaNs too — because a
 // branch on a fair coin is mispredicted half the time, and there are
 // five per collision. It is the one definition of the formula: Collide
-// and kernel.ExchangePair both inline it.
+// and kernel.ExchangePicks both inline it.
 //
 //dsmc:inline
 func Exchange(ai, bi, rel float64, sign uint32) (a, b float64) {

@@ -174,11 +174,6 @@ type Config struct {
 	ZVib float64
 }
 
-// pairPick records an accepted candidate pair: the particles at indices
-// a and a+1 of the cell-major store, in cell c (the collide pass
-// re-derives cell c's stream when c changes).
-type pairPick struct{ a, c int32 }
-
 // Engine is the unified cell-major pipeline over one particle store.
 //
 // Every step the sort permutes the store in place into cell-major order,
@@ -211,8 +206,8 @@ type Engine[F kernel.Float] struct {
 	fnRelax  func()
 
 	// per-worker scratch, indexed by the pool's block index
-	gW     [][]float64  // relative-speed spans (one cell at a time)
-	picksW [][]pairPick // accepted-pair buffers (split style)
+	gW     [][]float64     // relative-speed spans (one cell at a time)
+	picksW [][]kernel.Pick // accepted-pair buffers (split style)
 	selW   []time.Duration
 	colW   []time.Duration
 	colls  []int64
@@ -234,7 +229,7 @@ func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store *parti
 	}
 	w := pool.Workers()
 	e.gW = make([][]float64, w)
-	e.picksW = make([][]pairPick, w)
+	e.picksW = make([][]kernel.Pick, w)
 	capacity := store.Cap()
 	_, cellConstant := cfg.Rule.CellProb(1, 1) // whole for a unit cell means whole for every cell
 	for b := 0; b < w; b++ {
@@ -247,7 +242,7 @@ func New[F kernel.Float](cfg Config, dom Domain[F], pool *par.Pool, store *parti
 		// pre-size the same way; a rule that is one probability per cell
 		// never reads a speed.
 		if !cfg.Layout.fused() {
-			e.picksW[b] = make([]pairPick, 0, capacity/(2*w)+64)
+			e.picksW[b] = make([]kernel.Pick, 0, capacity/(2*w)+64)
 		}
 		if !cellConstant {
 			e.gW[b] = make([]float64, 1024)
@@ -502,25 +497,23 @@ func (e *Engine[F]) selectAndCollide() {
 // selColSplitShard is one worker's cell range of the split select+collide
 // style. Selection evaluates the rule once per cell (Rule.CellProb). When
 // that is the whole answer — the paper's Maxwell molecule, the
-// near-continuum mode — no velocity is read: a saturated cell (p = 1)
-// accepts every pair without a draw, a cell with p = 0 (no gas volume)
-// draws nothing either — its select stream is private to this cell and
-// step and no collision follows, so nothing downstream can tell the
-// draws were skipped — and any other cell costs one Float64 compare per
-// pair. Only a model with a relative-speed factor streams the cell's
-// velocity columns through the width-grouped kernel and completes the
-// probability pair by pair; the product is compared unclamped, which
-// accepts without a draw exactly where the clamped probability was 1
-// and draws-and-rejects exactly where it was 0 or NaN. The collide
-// sub-loop then revisits only the accepted records. Selection and
-// collision draw from distinct per-cell stream domains so the two
-// sub-loops stay deterministic for any worker count.
+// near-continuum mode — no velocity is read, and a pair costs at most one
+// Float64 compare (pickWhole). Only a model with a relative-speed factor
+// streams the cell's velocity columns through the width-grouped kernel
+// and completes the probability pair by pair (pickSpeeds). Both pick
+// loops are branch-free: the acceptance is a flag added to the buffer's
+// cursor, not a jump, because at the paper's acceptance of about 1/3 the
+// jump is mispredicted. The collide sub-loop then revisits only the
+// accepted records, in one kernel.ExchangePicks over the shard's picks,
+// which draws each cell's permutations and signs itself and makes no
+// call per collision. Selection and collision draw from distinct
+// per-cell stream domains so the two sub-loops stay deterministic for any
+// worker count.
 //
 //dsmc:hotpath
 func (e *Engine[F]) selColSplitShard(w, clo, chi int) {
 	st := e.store
 	cellStart := e.sorter.CellStart()
-	zvib := e.cfg.ZVib > 0
 	t0 := now()
 	picks := e.picksW[w][:0]
 	rule := &e.cfg.Rule
@@ -533,80 +526,157 @@ func (e *Engine[F]) selColSplitShard(w, clo, chi int) {
 		}
 		npairs := cnt / 2
 		p, whole := rule.CellProb(cnt, e.vol(c))
+		r := selKey.At(uint64(c))
+		picks = reservePicks(picks, npairs)
 		if whole {
-			// The paper's case gets its own loops: against one loop that
-			// re-tests whole and p >= 1 per pair, select reads about a
-			// tenth less (BENCH_PR21.md section 6).
-			switch {
-			case p >= 1:
-				for k := 0; k < npairs; k++ {
-					picks = append(picks, pairPick{int32(lo + 2*k), int32(c)})
-				}
-			case p > 0:
-				r := selKey.At(uint64(c))
-				for k := 0; k < npairs; k++ {
-					if r.Float64() < p {
-						picks = append(picks, pairPick{int32(lo + 2*k), int32(c)})
-					}
-				}
-			}
+			picks = pickWhole(picks, &r, lo, npairs, int32(c), p)
 			continue
 		}
-		r := selKey.At(uint64(c))
 		g := e.relSpeeds(w, lo, npairs)
-		for k := 0; k < npairs; k++ {
-			pp := p * rule.Model.GFactor(g[k]/rule.GInf)
-			if pp >= 1 || r.Float64() < pp {
-				picks = append(picks, pairPick{int32(lo + 2*k), int32(c)})
-			}
-		}
+		picks = pickSpeeds(picks, &r, lo, int32(c), p, g[:npairs], rule)
 	}
 	t1 := now()
-	colKey := e.PhaseKey(e.cfg.Layout.Collide)
-	var r rng.Stream
-	cur := int32(-1)
-	var coll int64
-	if zvib {
+	if e.cfg.ZVib > 0 {
+		colKey := e.PhaseKey(e.cfg.Layout.Collide)
+		var r rng.Stream
+		cur := int32(-1)
 		for _, pk := range picks {
-			if pk.c != cur {
-				cur = pk.c
+			if pk.C != cur {
+				cur = pk.C
 				r = colKey.At(uint64(cur))
 			}
-			e.collideVibPair(st, int(pk.a), int(pk.a)+1, &r)
+			e.collideVibPair(st, int(pk.A), int(pk.A)+1, &r)
 		}
 	} else {
-		for _, pk := range picks {
-			if pk.c != cur {
-				cur = pk.c
-				r = colKey.At(uint64(cur))
-			}
-			ia := int(pk.a)
-			kernel.ExchangePair(st.U, st.V, st.W, st.R1, st.R2, ia, ia+1,
-				rng.RandomPerm5(&r), r.Uint32())
-		}
+		kernel.ExchangePicks(st.U, st.V, st.W, st.R1, st.R2, picks, e.PhaseKey(e.cfg.Layout.Collide), nil)
 	}
-	coll = int64(len(picks))
 	e.picksW[w] = picks
 	e.selW[w], e.colW[w] = t1.Sub(t0), since(t1)
-	e.colls[w] = coll
+	e.colls[w] = int64(len(picks))
 }
+
+// below is 1 if u < p and 0 otherwise — also when either is NaN. The
+// pick loops add it to their cursor; it compiles to a compare and a
+// SETcc, not a jump, which TestCompilerDecisions reads the listing to
+// hold.
+//
+//dsmc:inline
+//dsmc:branchfree
+func below(u, p float64) (n int) {
+	if u < p {
+		n = 1
+	}
+	return n
+}
+
+// reservePicks returns picks with room for at least npairs more records:
+// the pick loops write every candidate at their cursor before deciding
+// whether to keep it.
+//
+//dsmc:hotpath
+func reservePicks(picks []kernel.Pick, npairs int) []kernel.Pick {
+	if cap(picks)-len(picks) < npairs {
+		//dsmclint:allow hotpath-alloc amortized grow: a worker's buffer re-makes only when its cells outgrow the pre-size once, then is stable (AllocsPerRun pins the steady state)
+		grown := make([]kernel.Pick, len(picks), 2*cap(picks)+npairs)
+		copy(grown, picks)
+		picks = grown
+	}
+	return picks
+}
+
+// pickWhole appends cell c's accepted candidates (lo+2k, lo+2k+1),
+// k < npairs, at the cell-constant probability p of Rule.CellProb's
+// whole case: every pair without a draw when p ≥ 1, none and no draw
+// when p is 0 or NaN (the cell's select stream is private to it and
+// this step, so nothing downstream can tell the draws were skipped), and
+// otherwise one r.Float64() per pair, accepted below p. The paper's case
+// gets its own loop: against one loop that re-tests p ≥ 1 per pair,
+// select reads about a tenth less (BENCH_PR21.md section 6). Each
+// candidate is written at the cursor, which then advances by the
+// comparison's result, so nothing jumps on the draw; the writes stay
+// within the npairs slots that picks must have spare (reservePicks) and
+// reach at most one slot past the last pick kept.
+//
+//dsmc:hotpath
+func pickWhole(picks []kernel.Pick, r *rng.Stream, lo, npairs int, c int32, p float64) []kernel.Pick {
+	n := len(picks)
+	buf := picks[:n+npairs]
+	switch {
+	case p >= 1:
+		for k := range npairs {
+			buf[n+k] = kernel.Pick{A: int32(lo + 2*k), C: c}
+		}
+		return buf
+	case !(p > 0):
+		return picks
+	}
+	s := *r
+	for k := range npairs {
+		buf[n] = kernel.Pick{A: int32(lo + 2*k), C: c}
+		n += below(s.Float64(), p)
+	}
+	*r = s
+	return buf[:n]
+}
+
+// pickSpeeds is pickWhole for a rule with a relative-speed factor: pair
+// k of cell c, k < len(g), has probability pp = p·GFactor(g[k]/GInf).
+// The product is compared unclamped, which accepts without a draw exactly
+// where the clamped probability was 1, and draws and rejects exactly
+// where it was 0 or NaN (hence !(pp >= 1), not pp < 1). Only the draw
+// stays conditional: whether a pair consumes one is part of the stream's
+// sequence.
+//
+//dsmc:hotpath
+func pickSpeeds(picks []kernel.Pick, r *rng.Stream, lo int, c int32, p float64, g []float64, rule *collide.Rule) []kernel.Pick {
+	s := *r
+	n := len(picks)
+	buf := picks[:n+len(g)]
+	for k, gk := range g {
+		pp := p * rule.Model.GFactor(gk/rule.GInf)
+		buf[n] = kernel.Pick{A: int32(lo + 2*k), C: c}
+		acc := 1
+		if !(pp >= 1) {
+			acc = below(s.Float64(), pp)
+		}
+		n += acc
+	}
+	*r = s
+	return buf[:n]
+}
+
+// exchangeBatch is the number of accepted pairs the non-vibrational
+// fused loop draws before one kernel.ExchangePicks applies them: 1.25 KB
+// of stack, and a call per 64 collisions.
+const exchangeBatch = 64
 
 // selColFusedShard is one worker's cell range of the fused style:
 // selection and collision interleave pair by pair on the cell's single
-// collide stream (the 3D backend's historical draw order). The rule is
-// evaluated per cell exactly as in selColSplitShard: a cell-constant
-// probability reads no velocity before a pair is accepted, and a cell
-// with p = 0 is skipped outright (nothing collides there, so its private
-// stream has no other reader). For the other models the relative speeds
-// still come from the width-grouped kernel a block at a time — the
-// blocking consumes no randomness, so the draw sequence is untouched.
+// collide stream (the 3D backend's historical draw order), so the
+// acceptance stays a jump: a collision's draws follow it on the same
+// stream. The rule is evaluated per cell exactly as in selColSplitShard:
+// a cell-constant probability reads no velocity before a pair is
+// accepted, and a cell with p = 0 is skipped outright (nothing collides
+// there, so its private stream has no other reader). For the other
+// models the relative speeds still come from the width-grouped kernel,
+// one cell at a time before the cell's first draw — the blocking
+// consumes no randomness, so the draw sequence is untouched. Without
+// vibrational relaxation an accepted pair is not exchanged at once: it
+// and its draws join a batch that one kernel.ExchangePicks applies when
+// full, so the column headers are loaded once a batch and no collision
+// is a call. Deferring moves no bit: a pending exchange touches only
+// cells already selected, whose speeds were read before it.
 //
 //dsmc:hotpath
 func (e *Engine[F]) selColFusedShard(w, clo, chi int) {
 	st := e.store
+	u, v, wc, r1, r2 := st.U, st.V, st.W, st.R1, st.R2
 	cellStart := e.sorter.CellStart()
 	zvib := e.cfg.ZVib > 0
 	var coll int64
+	var picks [exchangeBatch]kernel.Pick
+	var draws [exchangeBatch]kernel.Draw
+	nb := 0
 	rule := &e.cfg.Rule
 	key := e.PhaseKey(e.cfg.Layout.Collide)
 	for c := clo; c < chi; c++ {
@@ -635,13 +705,18 @@ func (e *Engine[F]) selColFusedShard(w, clo, chi int) {
 				if zvib {
 					e.collideVibPair(st, a, a+1, &r)
 				} else {
-					kernel.ExchangePair(st.U, st.V, st.W, st.R1, st.R2, a, a+1,
-						rng.RandomPerm5(&r), r.Uint32())
+					perm := rng.RandomPerm5(&r)
+					picks[nb], draws[nb] = kernel.Pick{A: int32(a)}, kernel.Draw{Perm: perm, Signs: r.Uint32()}
+					if nb++; nb == len(picks) {
+						kernel.ExchangePicks(u, v, wc, r1, r2, picks[:], 0, draws[:])
+						nb = 0
+					}
 				}
 				coll++
 			}
 		}
 	}
+	kernel.ExchangePicks(u, v, wc, r1, r2, picks[:nb], 0, draws[:nb])
 	e.colls[w] = coll
 }
 

@@ -209,3 +209,60 @@ func testExchangePairBits[F Float](t *testing.T) {
 
 func TestExchangePair64MatchesCollide(t *testing.T) { testExchangePairBits[float64](t) }
 func TestExchangePair32RoundsOnce(t *testing.T)     { testExchangePairBits[float32](t) }
+
+// TestExchangePicksDrawsPerCell: with no draws given, ExchangePicks draws
+// each pick's permutation and signs from its cell's stream, afresh where
+// the cell changes and in pick order within it, and each collision is
+// collide.Collide on the pair, bit for bit (float64).
+func TestExchangePicksDrawsPerCell(t *testing.T) {
+	r := rng.NewStream(56)
+	const n = 64
+	var cols [5][]float64
+	for k := range cols {
+		cols[k] = make([]float64, n)
+		for i := range cols[k] {
+			cols[k][i] = hardComponent[float64](&r)
+		}
+	}
+	var want [5][]float64
+	for k := range want {
+		want[k] = append([]float64(nil), cols[k]...)
+	}
+	// Runs of picks per cell, rising cell numbers with gaps, some pairs
+	// not picked.
+	var picks []Pick
+	c := int32(3)
+	for a := int32(0); a+1 < n; a += 2 {
+		if r.Intn(3) == 0 {
+			c += 1 + int32(r.Intn(4))
+		}
+		if r.Intn(4) != 0 {
+			picks = append(picks, Pick{A: a, C: c})
+		}
+	}
+	key := rng.KeyAt(56, 2)
+	var s rng.Stream
+	cur := int32(-1)
+	for _, pk := range picks {
+		if pk.C != cur {
+			cur, s = pk.C, key.At(uint64(pk.C))
+		}
+		var x, y collide.State5
+		for k := range want {
+			x[k], y[k] = want[k][pk.A], want[k][pk.A+1]
+		}
+		perm := rng.RandomPerm5(&s)
+		collide.Collide(&x, &y, perm, s.Uint32())
+		for k := range want {
+			want[k][pk.A], want[k][pk.A+1] = x[k], y[k]
+		}
+	}
+	ExchangePicks(cols[0], cols[1], cols[2], cols[3], cols[4], picks, key, nil)
+	for k := range cols {
+		for i := range cols[k] {
+			if math.Float64bits(cols[k][i]) != math.Float64bits(want[k][i]) {
+				t.Fatalf("column %d particle %d = %v, reference %v", k, i, cols[k][i], want[k][i])
+			}
+		}
+	}
+}

@@ -23,8 +23,9 @@
 // editing the production scope tables in this package.
 //
 // A function's doc comment declares facts: hotpath-alloc checks
-// //dsmc:hotpath, TestCompilerDecisions //dsmc:inline. An unknown fact,
-// or one outside a function's doc comment, is a finding.
+// //dsmc:hotpath, TestCompilerDecisions //dsmc:inline and
+// //dsmc:branchfree. An unknown fact, or one outside a function's doc
+// comment, is a finding.
 package lint
 
 import (
@@ -74,7 +75,7 @@ func AllRules() []Rule {
 }
 
 // facts are the //dsmc: facts the suite reads.
-var facts = []string{"hotpath", "inline"}
+var facts = []string{"hotpath", "inline", "branchfree"}
 
 // fact returns the fact a comment declares and whether it is a
 // //dsmc: comment at all.

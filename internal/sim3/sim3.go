@@ -122,7 +122,7 @@ var layout3D = engine.StreamLayout{NumDomains: 2, Sort: 0, Select: 1, Collide: 1
 
 // The float64 step is instantiated here, in a package that imports
 // collide. Instantiated only in internal/run, which does not, the step's
-// kernel.ExchangePair calls collide.Exchange instead of inlining it, at
+// kernel.ExchangePicks calls collide.Exchange instead of inlining it, at
 // both precisions (TestCompilerDecisions fails).
 var _ *SimOf[float64]
 
