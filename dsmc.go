@@ -30,6 +30,8 @@
 //	smp := s.Sample(300)              // one pass, all moments
 //	field, _ := smp.Field(dsmc.Density)
 //	fmt.Println(field.ShockAngleDeg())
+//
+//dsmclint:layer root
 package dsmc
 
 import (

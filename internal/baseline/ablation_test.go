@@ -107,26 +107,3 @@ func TestAblationKSConfirmsMaxwellisation(t *testing.T) {
 		t.Errorf("frozen pairing should be rejected by the KS test: D = %v", dFrozen)
 	}
 }
-
-func TestBLSchemeRelaxesAndConserves(t *testing.T) {
-	rule := collide.Rule{Model: molec.Maxwell(), PInf: 0.4, NInf: 2000, GInf: 1}
-	r := rng.NewStream(11)
-	parts := AnisotropicEnsemble(2000, 0.3, &r)
-	before := MeasureMoments(parts)
-	collisions := Relax(BL{ZRot: 2}, parts, 1, rule, 150, &r)
-	after := MeasureMoments(parts)
-	if collisions == 0 {
-		t.Fatal("no collisions")
-	}
-	if math.Abs(after.Energy-before.Energy) > 1e-8*before.Energy {
-		t.Errorf("BL scheme must conserve energy: %v -> %v", before.Energy, after.Energy)
-	}
-	// Rotational modes heated from zero (translational-only start).
-	rot := after.CompEnergy[3] + after.CompEnergy[4]
-	if rot <= 0.1*after.Energy {
-		t.Errorf("rotational energy not excited: %v of %v", rot, after.Energy)
-	}
-	if (BL{}).Name() == "" {
-		t.Errorf("scheme must be named")
-	}
-}

@@ -12,6 +12,9 @@
 // All schemes operate on one cell's worth of particle velocity states and
 // report how many collision events they performed, so relaxation
 // behaviour and computational scaling can be compared directly.
+//
+//dsmclint:layer baseline
+//dsmclint:scope rng-discipline
 package baseline
 
 import (

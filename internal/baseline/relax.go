@@ -22,6 +22,21 @@ func Relax(scheme Scheme, parts []collide.State5, vol float64, rule collide.Rule
 	return total
 }
 
+// RelaxFixedPairing is the ablation of the paper's re-randomisation: the
+// particle order is NOT reshuffled between steps, so the same partners
+// collide repeatedly — the correlated-velocity failure mode the paper's
+// scaled-and-dithered sort key exists to prevent. Returns the collision
+// count; compare the resulting distribution against Relax.
+//
+//dsmclint:allow exports the ablation of re-randomised pairing the relaxation tests compare against
+func RelaxFixedPairing(scheme Scheme, parts []collide.State5, vol float64, rule collide.Rule, steps int, r *rng.Stream) int {
+	total := 0
+	for s := 0; s < steps; s++ {
+		total += scheme.CollideCell(parts, vol, rule, r)
+	}
+	return total
+}
+
 // Moments summarises an ensemble: per-component energies, total momentum,
 // total energy, and pooled kurtosis of all five components.
 type Moments struct {

@@ -22,6 +22,9 @@
 // sim.WriteCheckpoint and sim3.WriteCheckpoint — and internal/run adds
 // job-progress sections around a backend checkpoint to make whole
 // ensemble jobs resumable.
+//
+//dsmclint:layer ckpt
+//dsmclint:scope determinism
 package ckpt
 
 import (

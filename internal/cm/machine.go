@@ -18,6 +18,8 @@
 //     This is what reproduces Figure 7 of the paper: per-particle time
 //     falls as the VP ratio grows because issue overhead amortizes and a
 //     growing share of communication stays on-processor.
+//
+//dsmclint:layer cm
 package cm
 
 import (

@@ -24,6 +24,9 @@
 //     vectors refreshed by one random transposition per collision;
 //   - stochastic rounding of the halvings, curing the truncation energy
 //     loss the paper describes.
+//
+//dsmclint:layer cmsim
+//dsmclint:scope rng-discipline=serial
 package cmsim
 
 import (

@@ -3,6 +3,10 @@
 // collision probability (eq. 5–8) and a post-collision state constructed
 // by randomly permuting and sign-flipping the five relative velocity
 // components (eq. 18), which conserves linear momentum and energy exactly.
+//
+//dsmclint:layer physics
+//dsmclint:scope determinism
+//dsmclint:scope rng-discipline
 package collide
 
 import (
@@ -16,16 +20,6 @@ import (
 // indices 0–2 are the translational components (u, v, w) and 3–4 the
 // rotational components (the rotational velocity vector r of eq. 9).
 type State5 = [5]float64
-
-// RelMean decomposes a candidate pair into relative and mean components:
-// mean[i] = (a[i]+b[i])/2, rel[i] = a[i]-b[i] (eqs. 12–15).
-func RelMean(a, b *State5) (rel, mean State5) {
-	for i := 0; i < 5; i++ {
-		rel[i] = a[i] - b[i]
-		mean[i] = (a[i] + b[i]) / 2
-	}
-	return rel, mean
-}
 
 // TransRelSpeed returns the magnitude of the translational relative
 // velocity g, the quantity entering the selection rule's cross-section

@@ -6,80 +6,9 @@ import (
 	"dsmc/internal/rng"
 )
 
-// The exchange models below are the generalisations the paper's
-// future-work section asks for: isotropic VHS-style scattering without
-// internal energy exchange, Borgnakke–Larsen translational–rotational
-// relaxation with a rotational collision number, and relaxation into a
-// continuous vibrational energy reservoir.
-
-// CollideVHSIsotropic scatters the translational relative velocity
-// isotropically on the sphere of radius |g| (the VHS/hard-sphere angular
-// law) and leaves the rotational components untouched. Momentum and
-// energy are conserved.
-func CollideVHSIsotropic(a, b *State5, r *rng.Stream) {
-	rel, mean := RelMean(a, b)
-	g := math.Sqrt(rel[0]*rel[0] + rel[1]*rel[1] + rel[2]*rel[2])
-	dir := isotropic3(r)
-	// Only the translational components are rebuilt; the rotational state
-	// must pass through bit-exactly in an elastic encounter.
-	for i := 0; i < 3; i++ {
-		h := g * dir[i] / 2
-		a[i] = mean[i] + h
-		b[i] = mean[i] - h
-	}
-}
-
-// CollideBL performs a Borgnakke–Larsen collision with rotational
-// relaxation number zRot: with probability 1/zRot the collision
-// redistributes the total pair energy between the relative translational
-// mode (3 degrees of freedom) and the four rotational degrees of freedom
-// by sampling the equilibrium Beta distribution; otherwise the collision
-// is elastic isotropic. Momentum and energy are conserved either way.
-func CollideBL(a, b *State5, zRot float64, r *rng.Stream) {
-	if zRot < 1 {
-		zRot = 1
-	}
-	if r.Float64() >= 1/zRot {
-		CollideVHSIsotropic(a, b, r)
-		return
-	}
-	rel, mean := RelMean(a, b)
-	// Pair energy split (per unit mass, factor ¼ on the relative part
-	// because the reduced mass is m/2 and the pair shares the mean):
-	// E_tr = |g|²/4, E_rot = (r_a² + r_b²)/2 in the same units used by
-	// Invariants (which omits the global ½).
-	eTr := (rel[0]*rel[0] + rel[1]*rel[1] + rel[2]*rel[2]) / 2
-	var eRot float64
-	eRot += (a[3]*a[3] + a[4]*a[4] + b[3]*b[3] + b[4]*b[4])
-	ec := eTr + eRot
-	// Equilibrium fraction to translation: Beta(3/2, 2) for 3 relative
-	// translational dof against 4 rotational dof.
-	fTr := betaSample(1.5, 2.0, r)
-	eTrNew := fTr * ec
-	eRotNew := ec - eTrNew
-	// New relative translational velocity, isotropic with the new energy:
-	// |g'|²/2 = eTrNew.
-	g := math.Sqrt(2 * eTrNew)
-	dir := isotropic3(r)
-	rel[0], rel[1], rel[2] = g*dir[0], g*dir[1], g*dir[2]
-	// Split the rotational energy between the two particles with the
-	// equilibrium Beta(1,1) = uniform fraction (2 dof each side), with
-	// uniformly random planar directions.
-	fa := betaSample(1, 1, r)
-	ra := math.Sqrt(eRotNew * fa)
-	rb := math.Sqrt(eRotNew * (1 - fa))
-	phiA := 2 * math.Pi * r.Float64()
-	phiB := 2 * math.Pi * r.Float64()
-	a[3], a[4] = ra*math.Cos(phiA), ra*math.Sin(phiA)
-	b[3], b[4] = rb*math.Cos(phiB), rb*math.Sin(phiB)
-	// Rebuild translation about the unchanged mean; rotational components
-	// were assigned directly.
-	for i := 0; i < 3; i++ {
-		h := rel[i] / 2
-		a[i] = mean[i] + h
-		b[i] = mean[i] - h
-	}
-}
+// The exchange model below is the generalisation the paper's future-work
+// section asks for that the simulation runs: relaxation into a continuous
+// vibrational energy reservoir.
 
 // VibExchange relaxes a pair's vibrational energies (continuous model,
 // two effective vibrational degrees of freedom per particle) against the
@@ -101,14 +30,6 @@ func VibExchange(eTr, eVibA, eVibB, zVib float64, r *rng.Stream) (eTrNew, eVibAN
 	rest := ec - eTrNew
 	fa := r.Float64()
 	return eTrNew, rest * fa, rest * (1 - fa)
-}
-
-// isotropic3 returns a uniformly distributed unit 3-vector.
-func isotropic3(r *rng.Stream) [3]float64 {
-	z := 2*r.Float64() - 1
-	phi := 2 * math.Pi * r.Float64()
-	s := math.Sqrt(1 - z*z)
-	return [3]float64{s * math.Cos(phi), s * math.Sin(phi), z}
 }
 
 // betaSample draws from Beta(a, b) using Jöhnk's rejection method,

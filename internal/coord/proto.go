@@ -43,6 +43,8 @@
 // every other lease is revoked, every unfinished job and unrun
 // aggregation is reported skipped, point by point, and the sweep reports
 // the first error.
+//
+//dsmclint:layer coord
 package coord
 
 import (

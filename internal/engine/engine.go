@@ -18,6 +18,10 @@
 // worker count. The StreamLayout preserves each backend's historical
 // epoch encoding, which is what keeps the unified core's float64 output
 // identical to the pre-refactor code (pinned by internal/golden).
+//
+//dsmclint:layer engine
+//dsmclint:scope determinism
+//dsmclint:scope rng-discipline
 package engine
 
 import (

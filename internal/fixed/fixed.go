@@ -7,6 +7,8 @@
 // referred to throughout as Q9.23 — together with the stochastic-rounding
 // correction the paper applies after halving, and the "quick but dirty"
 // random numbers extracted from the low-order bits of state quantities.
+//
+//dsmclint:layer leaf
 package fixed
 
 import "math"

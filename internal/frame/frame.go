@@ -30,6 +30,8 @@
 // Close requires every byte consumed — so no input makes a decoder
 // allocate beyond a small multiple of its length, and an accepted frame
 // re-encodes to its own bytes.
+//
+//dsmclint:layer frame
 package frame
 
 import (

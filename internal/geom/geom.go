@@ -3,6 +3,10 @@
 // "inclined flat plate" ramp), the tunnel walls, and the boundary
 // interactions — specular (inviscid) reflection as in the paper, plus the
 // diffuse isothermal reflection listed in the paper's future work.
+//
+//dsmclint:layer geom
+//dsmclint:scope determinism
+//dsmclint:scope rng-discipline
 package geom
 
 import "math"

@@ -8,6 +8,8 @@
 // generic over the storage precision; the float64 instantiation absorbs
 // exactly the bytes the pre-refactor test-local helpers did, so the
 // recorded golden values are unchanged.
+//
+//dsmclint:layer golden
 package golden
 
 import (

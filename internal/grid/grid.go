@@ -4,6 +4,9 @@
 // and — for cells divided by the wedge — the fractional cell volume the
 // paper applies both in the selection rule and in the time-averaged cell
 // density.
+//
+//dsmclint:layer grid
+//dsmclint:scope determinism
 package grid
 
 import (

@@ -16,6 +16,10 @@
 // arithmetic of the pre-generic reference code (the golden tests pin
 // this); a float32 instantiation deviates by the single-precision
 // relative-speed accumulation and one rounding per column write.
+//
+//dsmclint:layer kernel
+//dsmclint:scope determinism
+//dsmclint:scope rng-discipline
 package kernel
 
 // Float is the storage-precision constraint shared by the particle

@@ -6,33 +6,15 @@ import (
 	"go/types"
 )
 
-// determinismScope lists the packages whose results must be
-// bit-identical for any worker count, pool size, or host: the engine
-// step pipeline, the width-grouped kernels, the sharded sort, the
-// particle store, sampling, checkpointing, and the run subsystem's
-// aggregation/fingerprint paths. A wall-clock read, a global-rand draw,
-// or a map-iteration order leaking into any of these is exactly the bug
-// class the golden FNV tests catch late — this rule catches it at the
-// line that introduced it.
-//
-// The CM instrumented backend (internal/cm, internal/cmsim) is
-// deliberately out of scope: its per-phase wall-clock metering is the
-// point of that backend, and its results never feed the golden paths.
-var determinismScope = map[string]bool{
-	"dsmc/internal/engine":   true,
-	"dsmc/internal/kernel":   true,
-	"dsmc/internal/par":      true,
-	"dsmc/internal/particle": true,
-	"dsmc/internal/sample":   true,
-	"dsmc/internal/ckpt":     true,
-	"dsmc/internal/run":      true,
-	"dsmc/internal/sim":      true,
-	"dsmc/internal/sim3":     true,
-}
-
 // Determinism forbids the three classic nondeterminism leaks in
 // determinism-critical packages: wall-clock reads (time.Now/time.Since),
-// the global math/rand generator, and ranging over maps.
+// the global math/rand generator, and ranging over maps. A package whose
+// results must be bit-identical for any worker count, pool size or host
+// opts in with //dsmclint:scope determinism in its package doc comment;
+// a leak there is the bug class the golden hashes catch late, and this
+// rule catches it at the line that introduced it. The CM backend (cm,
+// cmsim) stays out: per-phase wall-clock metering is its point, and its
+// results feed no golden.
 type Determinism struct{}
 
 // Name implements Rule.
@@ -46,9 +28,7 @@ func (Determinism) Doc() string {
 // Check implements Rule.
 func (d Determinism) Check(pkg *Package) []Diagnostic {
 	if _, opted := pkg.scopeArg(d.Name()); !opted {
-		if pkg.underTestdata() || !determinismScope[pkg.Path] {
-			return nil
-		}
+		return nil
 	}
 	var out []Diagnostic
 	diag := func(n ast.Node, format string, args ...any) {

@@ -8,12 +8,12 @@ import (
 )
 
 // FloatEq forbids == and != on floating-point operands outside test
-// files and the golden-hash helpers. Exact float equality is almost
-// always a latent bug in physics code — two mathematically equal paths
-// differ in the last ulp and the branch silently flips. The legitimate
-// exceptions are exact sentinels (a probability clamped to exactly 1, a
-// value returned unchanged by a no-op branch): those carry a
-// //dsmclint:allow waiver naming the sentinel.
+// files. Exact float equality is almost always a latent bug in physics
+// code — two mathematically equal paths differ in the last ulp and the
+// branch silently flips. The legitimate exceptions are exact sentinels
+// (a probability clamped to exactly 1, a value returned unchanged by a
+// no-op branch): those carry a //dsmclint:allow waiver naming the
+// sentinel.
 //
 // Comparison against the exact constant zero is permitted without a
 // waiver: the zero-value-means-unset config sentinel and the
@@ -21,9 +21,8 @@ import (
 // flagging them would bury the real findings. Every other constant —
 // including 1, where clamped probabilities saturate — still flags.
 //
-// Test files never reach this rule (the loader only reads non-test
-// files) and internal/golden — whose whole purpose is bit-exact
-// comparison — is exempted as the issue's "golden helpers".
+// The rule checks every package but fixtures that do not opt in. Test
+// files never reach it: the loader only reads non-test files.
 type FloatEq struct{}
 
 // Name implements Rule.
@@ -31,20 +30,13 @@ func (FloatEq) Name() string { return "float-eq" }
 
 // Doc implements Rule.
 func (FloatEq) Doc() string {
-	return "no ==/!= on floating-point operands outside tests and golden helpers"
-}
-
-// floatEqExempt lists the packages allowed to compare floats exactly.
-var floatEqExempt = map[string]bool{
-	"dsmc/internal/golden": true,
+	return "no ==/!= on floating-point operands outside tests"
 }
 
 // Check implements Rule.
 func (r FloatEq) Check(pkg *Package) []Diagnostic {
-	if _, opted := pkg.scopeArg(r.Name()); !opted {
-		if pkg.underTestdata() || floatEqExempt[pkg.Path] {
-			return nil
-		}
+	if _, opted := pkg.scopeArg(r.Name()); !opted && pkg.underTestdata() {
+		return nil
 	}
 	var out []Diagnostic
 	for _, f := range pkg.Files {

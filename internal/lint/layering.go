@@ -7,8 +7,9 @@ import (
 )
 
 // The layering rule machine-checks the package import DAG. Each package
-// is assigned a named layer; a layer carries the exact set of internal
-// packages it may import directly. The load-bearing edges this pins:
+// states its named layer in its package doc comment (//dsmclint:layer
+// <name>); a layer carries the exact set of internal packages it may
+// import directly. The load-bearing edges this pins:
 //
 //   - kernel stays a leaf over the pure math packages (collide, rng) —
 //     the width-grouped loops must never grow a dependency on the
@@ -18,11 +19,11 @@ import (
 //   - examples import no internal package at all — they are the public
 //     API contract surface (this replaces the old CI grep).
 //
-// A new internal package fails the rule until it is assigned here:
-// declaring its place in the DAG is part of adding it. Fixture packages
-// under testdata declare a layer with //dsmclint:layer <name>.
+// A new internal package fails the rule until it states its layer:
+// declaring its place in the DAG is part of adding it. Packages under
+// cmd/ and examples/ take those layers from their path.
 var layerAllows = map[string][]string{
-	// leaf: no internal imports (rng, molec, fixed, phys, report, stats, lint).
+	// leaf: no internal imports.
 	"leaf": {},
 	// physics: the collision exchange over molecule constants.
 	"physics": {"dsmc/internal/molec", "dsmc/internal/rng"},
@@ -120,38 +121,6 @@ var layerAllows = map[string][]string{
 	"examples": {},
 }
 
-// layerOf assigns every module package its layer.
-var layerOf = map[string]string{
-	"dsmc/internal/rng":      "leaf",
-	"dsmc/internal/molec":    "leaf",
-	"dsmc/internal/fixed":    "leaf",
-	"dsmc/internal/phys":     "leaf",
-	"dsmc/internal/report":   "leaf",
-	"dsmc/internal/stats":    "leaf",
-	"dsmc/internal/lint":     "leaf",
-	"dsmc/internal/collide":  "physics",
-	"dsmc/internal/kernel":   "kernel",
-	"dsmc/internal/particle": "storage",
-	"dsmc/internal/par":      "par",
-	"dsmc/internal/geom":     "geom",
-	"dsmc/internal/grid":     "grid",
-	"dsmc/internal/sample":   "sample",
-	"dsmc/internal/baseline": "baseline",
-	"dsmc/internal/obs":      "obs",
-	"dsmc/internal/engine":   "engine",
-	"dsmc/internal/ckpt":     "ckpt",
-	"dsmc/internal/frame":    "frame",
-	"dsmc/internal/sim":      "sim",
-	"dsmc/internal/sim3":     "sim3",
-	"dsmc/internal/cm":       "cm",
-	"dsmc/internal/cmsim":    "cmsim",
-	"dsmc/internal/golden":   "golden",
-	"dsmc/internal/run":      "run",
-	"dsmc/internal/store":    "store",
-	"dsmc/internal/coord":    "coord",
-	"dsmc":                   "root",
-}
-
 // Layering enforces the import DAG declared above.
 type Layering struct{}
 
@@ -165,34 +134,27 @@ func (Layering) Doc() string {
 
 // Check implements Rule.
 func (l Layering) Check(pkg *Package) []Diagnostic {
+	// The package-level findings sit at the first file's package clause:
+	// there is no single import to blame.
+	clause := pkg.Fset.Position(pkg.Files[0].Name.Pos())
 	layer := pkg.dirs.layer
+	if layer == "" && !pkg.underTestdata() {
+		switch zone := strings.TrimPrefix(pkg.Path, pkg.mod.path); {
+		case strings.HasPrefix(zone, "/cmd/"):
+			layer = "cmd"
+		case strings.HasPrefix(zone, "/examples/"):
+			layer = "examples"
+		case zone == "" || strings.HasPrefix(zone, "/internal/"):
+			return []Diagnostic{{clause, l.Name(),
+				fmt.Sprintf("package %s has no layer: declare its place in the import DAG with //dsmclint:layer <name> in its package doc comment", pkg.Path)}}
+		}
+	}
 	if layer == "" {
-		if pkg.underTestdata() {
-			return nil
-		}
-		layer = layerOf[pkg.Path]
-		switch {
-		case layer == "":
-			switch {
-			case strings.HasPrefix(pkg.Path, "dsmc/cmd/"):
-				layer = "cmd"
-			case strings.HasPrefix(pkg.Path, "dsmc/examples/"):
-				layer = "examples"
-			case strings.HasPrefix(pkg.Path, "dsmc/internal/"):
-				// Position the finding at the package clause of the
-				// first file: there is no single import to blame.
-				pos := pkg.Fset.Position(pkg.Files[0].Name.Pos())
-				return []Diagnostic{{pos, l.Name(),
-					fmt.Sprintf("internal package %s has no layer: declare its place in the import DAG in internal/lint/layering.go (layerOf)", pkg.Path)}}
-			default:
-				return nil // packages outside the module's layered zones
-			}
-		}
+		return nil // fixtures that state no layer, and packages outside the layered zones
 	}
 	allowed, ok := layerAllows[layer]
 	if !ok {
-		pos := pkg.Fset.Position(pkg.Files[0].Name.Pos())
-		return []Diagnostic{{pos, l.Name(), fmt.Sprintf("unknown layer %q", layer)}}
+		return []Diagnostic{{clause, l.Name(), fmt.Sprintf("unknown layer %q", layer)}}
 	}
 	allowAll := len(allowed) == 1 && allowed[0] == "*"
 	allowSet := map[string]bool{}

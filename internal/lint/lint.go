@@ -18,14 +18,18 @@
 // A waiver must carry a reason; a waiver that suppresses nothing is
 // itself reported (stale waivers rot into false confidence). A waiver in
 // the package doc comment covers its rule in the whole package.
-// Scope and layer directives exist so fixture packages under testdata —
-// and any future package that wants the discipline — can opt in without
-// editing the production scope tables in this package.
+// Scope and layer directives state a package's place in its own package
+// doc comment, which is the only place they count: the suite keeps no
+// table of packages, so a tree package and a fixture under testdata opt
+// in the same way. A root or internal/ package with no layer is a
+// finding.
 //
 // A function's doc comment declares facts: hotpath-alloc checks
 // //dsmc:hotpath, TestCompilerDecisions //dsmc:inline and
 // //dsmc:branchfree. An unknown fact, or one outside a function's doc
 // comment, is a finding.
+//
+//dsmclint:layer leaf
 package lint
 
 import (
@@ -147,6 +151,10 @@ func parseDirectives(pkg *Package, known map[string]bool) *directives {
 				}
 				verb, rest, _ := strings.Cut(text, " ")
 				rest = strings.TrimSpace(rest)
+				if (verb == "scope" || verb == "layer") && cg != f.Doc {
+					d.meta = append(d.meta, Diagnostic{pos, metaRule, "//dsmclint:" + verb + " states nothing outside the package doc comment"})
+					continue
+				}
 				switch verb {
 				case "allow":
 					rule, reason, _ := strings.Cut(rest, " ")
@@ -201,8 +209,8 @@ func (p *Package) scopeArg(rule string) (string, bool) {
 }
 
 // underTestdata reports whether the package lives under a testdata
-// directory: such packages are fixtures and only see rules they opt
-// into with //dsmclint:scope or //dsmclint:layer directives.
+// directory: such packages are fixtures, and a rule that checks every
+// other package by default checks a fixture only when it opts in.
 func (p *Package) underTestdata() bool {
 	return strings.Contains(p.Path+"/", "/testdata/")
 }

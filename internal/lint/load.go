@@ -35,6 +35,7 @@ type Package struct {
 // module is every package one Load type-checked: the targets, and as
 // context, whose uses the exports rule counts, their importers.
 type module struct {
+	path    string // the module path, which is the root package's import path
 	pkgs    []*Package
 	exports map[*Package][]Diagnostic // the exports rule's findings, built on first use
 }
@@ -70,9 +71,11 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	mod := &module{}
 	args := append([]string{"-deps", "-export"}, patterns...)
 	if len(targets) > 0 && targets[0].Module != nil {
-		args = append(args, targets[0].Module.Path+"/...")
+		mod.path = targets[0].Module.Path
+		args = append(args, mod.path+"/...")
 	}
 	deps, err := goList(dir, args)
 	if err != nil {
@@ -105,7 +108,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		return os.Open(f)
 	})
 
-	mod := &module{}
 	for _, t := range load {
 		e, ok := byPath[t.ImportPath]
 		if !ok {

@@ -10,34 +10,17 @@ import (
 // simulation code must flow through its stream constructors.
 const rngPkg = "dsmc/internal/rng"
 
-// Tiers of the rng-discipline rule. In the strict tier every stream
-// must come from the counter-based coordinates (rng.KeyAt(seed,
-// epoch).At(lane), seeded via rng.JobSeed for ensemble jobs) — that is the domain-separation
-// argument that makes results bit-identical at any worker count and
-// job seeds injective per master seed. The serial tier additionally
-// permits rng.NewStream/rng.Streams for a backend's single serial
-// stream (the reservoir-relaxation stream sim/sim3 checkpoint and
-// restore); it still forbids ad-hoc sources and raw Stream literals.
-const (
-	tierStrict = "strict"
-	tierSerial = "serial"
-)
-
-// rngScope maps each simulation package to its tier.
-var rngScope = map[string]string{
-	"dsmc/internal/engine":   tierStrict,
-	"dsmc/internal/kernel":   tierStrict,
-	"dsmc/internal/par":      tierStrict,
-	"dsmc/internal/particle": tierStrict,
-	"dsmc/internal/sample":   tierStrict,
-	"dsmc/internal/run":      tierStrict,
-	"dsmc/internal/collide":  tierStrict,
-	"dsmc/internal/geom":     tierStrict,
-	"dsmc/internal/baseline": tierStrict,
-	"dsmc/internal/sim":      tierSerial,
-	"dsmc/internal/sim3":     tierSerial,
-	"dsmc/internal/cmsim":    tierSerial,
-}
+// Tiers of the rng-discipline rule, chosen by the package doc comment's
+// directive. In the strict tier (//dsmclint:scope rng-discipline) every
+// stream must come from the counter-based coordinates (rng.KeyAt(seed,
+// epoch).At(lane), seeded via rng.JobSeed for ensemble jobs) — that is
+// the domain-separation argument that makes results bit-identical at any
+// worker count and job seeds injective per master seed. The serial tier
+// (//dsmclint:scope rng-discipline=serial) additionally permits
+// rng.NewStream/rng.Streams for a backend's single serial stream (the
+// reservoir-relaxation stream sim/sim3 checkpoint and restore); it still
+// forbids ad-hoc sources and raw Stream literals.
+const tierSerial = "serial"
 
 // RNGDiscipline enforces that simulation randomness flows only from
 // internal/rng's stream constructors: no math/rand or crypto/rand, no
@@ -57,21 +40,11 @@ func (RNGDiscipline) Doc() string {
 
 // Check implements Rule.
 func (r RNGDiscipline) Check(pkg *Package) []Diagnostic {
-	tier, ok := rngScope[pkg.Path]
-	if pkg.underTestdata() {
-		tier, ok = "", false
-	}
-	if arg, opted := pkg.scopeArg(r.Name()); opted {
-		// A bare //dsmclint:scope rng-discipline opts into the strict
-		// tier; =serial selects the permissive one.
-		tier, ok = tierStrict, true
-		if arg == tierSerial {
-			tier = tierSerial
-		}
-	}
-	if !ok {
+	arg, opted := pkg.scopeArg(r.Name())
+	if !opted {
 		return nil
 	}
+	strict := arg != tierSerial
 	var out []Diagnostic
 	diag := func(n ast.Node, format string, args ...any) {
 		out = append(out, Diagnostic{pkg.Fset.Position(n.Pos()), r.Name(), fmt.Sprintf(format, args...)})
@@ -90,7 +63,7 @@ func (r RNGDiscipline) Check(pkg *Package) []Diagnostic {
 					diag(n, "composite literal of rng.Stream bypasses the seeding discipline; construct streams with rng.KeyAt(seed, epoch).At(lane)")
 				}
 			case *ast.CallExpr:
-				if tier != tierStrict {
+				if !strict {
 					return true
 				}
 				fn := calleeFunc(pkg.Info, n)

@@ -1,6 +1,8 @@
 // Package layering declares itself a kernel-layer package — the layer
 // allowed to import only the pure math leaves (collide, rng) — and then
-// imports above its station.
+// imports above its station. A layer directive outside the package doc
+// comment states nothing: it is a finding, and the package stays in its
+// layer.
 //
 //dsmclint:layer kernel
 package layering
@@ -11,6 +13,8 @@ import (
 )
 
 // Use keeps both imports referenced.
+//
+//dsmclint:layer cmd // want "dsmclint: //dsmclint:layer states nothing outside the package doc comment"
 func Use() {
 	var cfg sim.Config
 	_ = cfg

@@ -5,6 +5,9 @@
 // the relative speed. The generalisations called for in the paper's
 // future-work section (power-law interactions with arbitrary α, hard
 // spheres, VHS) are provided through the same type.
+//
+//dsmclint:layer leaf
+//dsmclint:scope determinism
 package molec
 
 import "math"

@@ -20,6 +20,8 @@
 // records durations handed to it, which is what keeps the dsmclint
 // determinism rule and the engine's bit-identity goldens untouched by
 // instrumentation.
+//
+//dsmclint:layer obs
 package obs
 
 import (

@@ -9,6 +9,10 @@
 // counter-based RNG streams (rng.KeyAt(seed, epoch).At(lane)) keyed by
 // cell or particle index. One background task at a time (Go, Join) may
 // share the workers with those passes.
+//
+//dsmclint:layer par
+//dsmclint:scope determinism
+//dsmclint:scope rng-discipline
 package par
 
 import (

@@ -5,6 +5,10 @@
 // the downstream boundary, re-velocities them with a rectangular
 // distribution, lets them relax by colliding amongst themselves, and
 // supplies them back to the upstream plunger void.
+//
+//dsmclint:layer storage
+//dsmclint:scope determinism
+//dsmclint:scope rng-discipline
 package particle
 
 import (

@@ -7,6 +7,8 @@
 // Units follow the simulation normalisation: lengths in cell widths, times
 // in time steps, velocities in cells per step. Temperature enters only
 // through the freestream most-probable speed.
+//
+//dsmclint:layer leaf
 package phys
 
 import (

@@ -2,6 +2,8 @@
 // prints: fixed-width tables with headers, percentage breakdowns, and
 // aligned numeric series — the textual equivalents of the paper's figures
 // and in-text tables.
+//
+//dsmclint:layer leaf
 package report
 
 import (

@@ -7,6 +7,9 @@
 // vectors, random transpositions for refreshing those vectors, and the
 // velocity-distribution samplers (rectangular and drifting-Maxwellian)
 // needed by the reservoir and the freestream initialisation.
+//
+//dsmclint:layer leaf
+//dsmclint:scope determinism
 package rng
 
 import "math"

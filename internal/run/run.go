@@ -20,6 +20,10 @@
 // checkpoint directory set, jobs persist engine + domain + accumulator
 // state every few steps (internal/ckpt) and resume exactly: a killed and
 // restarted sweep produces the same bits as an uninterrupted one.
+//
+//dsmclint:layer run
+//dsmclint:scope determinism
+//dsmclint:scope rng-discipline
 package run
 
 import (

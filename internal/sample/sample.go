@@ -4,6 +4,10 @@
 // the analysis used for validation — shock-front location, shock-angle
 // fit and shock thickness — plus contour extraction and renderers for the
 // density figures.
+//
+//dsmclint:layer sample
+//dsmclint:scope determinism
+//dsmclint:scope rng-discipline
 package sample
 
 import (

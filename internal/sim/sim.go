@@ -14,6 +14,10 @@
 // (bit-identical to the pre-unification backend, pinned by
 // internal/golden); NewOf[float32] runs the same physics at half the
 // memory traffic.
+//
+//dsmclint:layer sim
+//dsmclint:scope determinism
+//dsmclint:scope rng-discipline=serial
 package sim
 
 import (

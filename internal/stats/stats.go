@@ -3,6 +3,7 @@
 // goodness of fit, and Kolmogorov–Smirnov tests against the Gaussian and
 // Maxwell-speed distributions the gas must relax to.
 //
+//dsmclint:layer leaf
 //dsmclint:allow exports the statistical oracles (moments, KS and chi-square tests, correlations) the physics property tests judge by
 package stats
 

@@ -28,6 +28,8 @@
 // — or, on a mismatch, none. The content hash doubles as the artifact's
 // strong HTTP ETag, so a reader serving the bytes takes its ETag from the
 // read, not from hashing them again.
+//
+//dsmclint:layer store
 package store
 
 import (
